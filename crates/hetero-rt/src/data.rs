@@ -22,6 +22,7 @@ use simhw::machine::{DeviceId, SimMachine};
 use simhw::time::Duration;
 use std::collections::BTreeSet;
 use std::fmt;
+use std::sync::LazyLock;
 
 pub use hetero_model::proto::{AccessMode, Routing};
 
@@ -122,13 +123,6 @@ pub(crate) fn device_of(n: Node) -> DeviceId {
     }
 }
 
-/// One handle's valid set as the pure protocol sees it. `Node`'s variant
-/// order mirrors `DeviceId` ordering (the host sentinel is `usize::MAX`),
-/// so owner selection picks the same element on both sides.
-pub(crate) fn nodes_of(valid: &BTreeSet<DeviceId>) -> BTreeSet<Node> {
-    valid.iter().copied().map(node_of).collect()
-}
-
 /// The machine's transfer costs for one datum, as the pure planner sees
 /// them: modeled seconds per route, `None` where an address space is
 /// shared. Costs come from the exact `transfer_time` computation the
@@ -189,7 +183,7 @@ pub fn model_topo(
 
 /// Rebuilds the pure skeleton of a decorated plan, for delegating commit
 /// classification to the protocol.
-pub(crate) fn pure_plan(plan: &TransferPlan) -> proto::Plan {
+fn pure_plan(plan: &TransferPlan) -> proto::Plan {
     proto::Plan {
         hops: plan
             .hops
@@ -206,7 +200,7 @@ pub(crate) fn pure_plan(plan: &TransferPlan) -> proto::Plan {
 
 /// Decorates one pure hop with the physical links and modeled duration of
 /// the route it crosses. Free bookkeeping hops stay free.
-pub(crate) fn decorate_hop(machine: &SimMachine, size: f64, hop: &proto::Hop) -> TransferHop {
+fn decorate_hop(machine: &SimMachine, size: f64, hop: &proto::Hop) -> TransferHop {
     let from = device_of(hop.from);
     let to = device_of(hop.to);
     if !hop.moves_bytes {
@@ -234,18 +228,83 @@ pub(crate) fn decorate_hop(machine: &SimMachine, size: f64, hop: &proto::Hop) ->
     }
 }
 
+/// Decorates every hop of a pure plan for handle `h` of `size` bytes.
+pub(crate) fn decorate(
+    machine: &SimMachine,
+    h: HandleId,
+    size: f64,
+    pure: &proto::Plan,
+) -> TransferPlan {
+    TransferPlan {
+        handle: h,
+        hops: pure
+            .hops
+            .iter()
+            .map(|hop| decorate_hop(machine, size, hop))
+            .collect(),
+    }
+}
+
+/// Prices one access from the pure plan alone, without decorating it:
+/// the hop costs [`MachineCosts`] hands the planner are the very
+/// `transfer_time` values the decorated hops would carry, and
+/// [`proto::Plan::total`] sums them in hop order, so the result is
+/// bit-identical to [`TransferPlan::total`].
+pub(crate) fn probe_cost(
+    valid: &BTreeSet<Node>,
+    machine: &SimMachine,
+    size: f64,
+    device: DeviceId,
+    mode: AccessMode,
+    routing: Routing,
+) -> Duration {
+    let costs = MachineCosts { machine, size };
+    Duration::new(proto::plan_acquire(valid, node_of(device), mode, routing, &costs).total())
+}
+
+/// Bytes moved per direction, for statistics.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct ByteCounters {
+    pub(crate) to_devices: f64,
+    pub(crate) to_host: f64,
+    /// Moved directly device→device over peer interconnects.
+    pub(crate) peer: f64,
+}
+
+/// Applies a plan to one handle's valid set through [`proto::commit`]
+/// (every hop destination gains a valid copy) and counts each physically
+/// moved hop exactly once in the matching direction counter.
+pub(crate) fn commit_plan(
+    valid: &mut BTreeSet<Node>,
+    bytes: &mut ByteCounters,
+    plan: &TransferPlan,
+) {
+    let pure = pure_plan(plan);
+    proto::commit(valid, &pure);
+    for (hop, pure_hop) in plan.hops.iter().zip(&pure.hops) {
+        match pure_hop.kind() {
+            HopKind::ToHost => bytes.to_host += hop.bytes,
+            HopKind::ToDevice => bytes.to_devices += hop.bytes,
+            HopKind::Peer => bytes.peer += hop.bytes,
+            HopKind::Local => {}
+        }
+    }
+}
+
 /// Registry of data handles plus their coherence state.
 #[derive(Debug, Clone, Default)]
 pub struct DataRegistry {
     metas: Vec<DataMeta>,
-    /// Per handle: devices holding a valid copy.
-    valid: Vec<BTreeSet<DeviceId>>,
-    /// Bytes transferred per direction, for statistics.
-    bytes_to_devices: f64,
-    bytes_to_host: f64,
-    /// Bytes moved directly device→device over peer interconnects.
-    bytes_peer: f64,
+    /// Per handle: memory spaces holding a valid copy, stored as the
+    /// protocol's own node set so transitions and probes read it in place.
+    /// `None` is the registered state — valid on the host only — which a
+    /// graph with a million untouched handles should not pay a set for.
+    valid: Vec<Option<BTreeSet<Node>>>,
+    bytes: ByteCounters,
 }
+
+/// The valid set of a handle no transition has touched yet.
+static HOST_ONLY: LazyLock<BTreeSet<Node>> = LazyLock::new(|| BTreeSet::from([Node::Host]));
 
 impl DataRegistry {
     /// An empty registry.
@@ -261,10 +320,17 @@ impl DataRegistry {
             label: label.into(),
             size_bytes,
         });
-        let mut set = BTreeSet::new();
-        set.insert(HOST);
-        self.valid.push(set);
+        self.valid.push(None);
         id
+    }
+
+    fn valid(&self, h: HandleId) -> &BTreeSet<Node> {
+        self.valid[h.0].as_ref().unwrap_or(&HOST_ONLY)
+    }
+
+    /// The handle's valid set, materialised for a transition to mutate.
+    fn valid_mut(slot: &mut Option<BTreeSet<Node>>) -> &mut BTreeSet<Node> {
+        slot.get_or_insert_with(|| HOST_ONLY.clone())
     }
 
     /// Metadata for a handle.
@@ -283,13 +349,22 @@ impl DataRegistry {
     }
 
     /// Devices currently holding a valid copy of `h`.
-    pub fn valid_on(&self, h: HandleId) -> &BTreeSet<DeviceId> {
-        &self.valid[h.0]
+    pub fn valid_on(&self, h: HandleId) -> BTreeSet<DeviceId> {
+        self.valid(h).iter().copied().map(device_of).collect()
     }
 
     /// Whether device `d` holds a valid copy of `h`.
     pub fn is_valid_on(&self, h: HandleId, d: DeviceId) -> bool {
-        self.valid[h.0].contains(&d)
+        self.valid(h).contains(&node_of(d))
+    }
+
+    /// The first device (not host memory) holding a valid copy of `h`.
+    pub(crate) fn device_owner(&self, h: HandleId) -> Option<DeviceId> {
+        // `Node::Dev` sorts before `Node::Host`.
+        match self.valid(h).first()? {
+            Node::Dev(d) => Some(DeviceId(*d)),
+            Node::Host => None,
+        }
     }
 
     /// Plans the transfers needed before accessing `h` on `device` with
@@ -309,20 +384,13 @@ impl DataRegistry {
     ) -> TransferPlan {
         let size = self.metas[h.0].size_bytes;
         let pure = proto::plan_acquire(
-            &nodes_of(&self.valid[h.0]),
+            self.valid(h),
             node_of(device),
             mode,
             routing,
             &MachineCosts { machine, size },
         );
-        TransferPlan {
-            handle: h,
-            hops: pure
-                .hops
-                .iter()
-                .map(|hop| decorate_hop(machine, size, hop))
-                .collect(),
-        }
+        decorate(machine, h, size, &pure)
     }
 
     /// Plans the transfer bringing `h` back to host memory (end of run /
@@ -331,42 +399,23 @@ impl DataRegistry {
     /// owner pays its host route.
     pub fn plan_flush(&self, machine: &SimMachine, h: HandleId) -> TransferPlan {
         let size = self.metas[h.0].size_bytes;
-        let pure = proto::plan_flush(&nodes_of(&self.valid[h.0]), &MachineCosts { machine, size });
-        TransferPlan {
-            handle: h,
-            hops: pure
-                .hops
-                .iter()
-                .map(|hop| decorate_hop(machine, size, hop))
-                .collect(),
-        }
+        let pure = proto::plan_flush(self.valid(h), &MachineCosts { machine, size });
+        decorate(machine, h, size, &pure)
     }
 
     /// Applies a plan's coherence and byte-accounting effects: every hop
     /// destination gains a valid copy, and each physically moved hop is
     /// counted exactly once in the matching direction counter.
     pub fn commit(&mut self, plan: &TransferPlan) {
-        let pure = pure_plan(plan);
-        let mut valid = nodes_of(&self.valid[plan.handle.0]);
-        proto::commit(&mut valid, &pure);
-        self.valid[plan.handle.0] = valid.iter().copied().map(device_of).collect();
-        for (hop, pure_hop) in plan.hops.iter().zip(&pure.hops) {
-            match pure_hop.kind() {
-                HopKind::ToHost => self.bytes_to_host += hop.bytes,
-                HopKind::ToDevice => self.bytes_to_devices += hop.bytes,
-                HopKind::Peer => self.bytes_peer += hop.bytes,
-                HopKind::Local => {}
-            }
-        }
+        let valid = Self::valid_mut(&mut self.valid[plan.handle.0]);
+        commit_plan(valid, &mut self.bytes, plan);
     }
 
     /// Records the access itself after its transfers committed: a write
     /// invalidates every other copy (MSI write-invalidate), a read leaves
     /// the reader holding a valid copy.
     pub fn finish_access(&mut self, h: HandleId, device: DeviceId, mode: AccessMode) {
-        let mut valid = nodes_of(&self.valid[h.0]);
-        proto::finish_access(&mut valid, node_of(device), mode);
-        self.valid[h.0] = valid.iter().copied().map(device_of).collect();
+        proto::finish_access(Self::valid_mut(&mut self.valid[h.0]), node_of(device), mode);
     }
 
     /// Plans, commits and completes one access under the given routing,
@@ -399,7 +448,8 @@ impl DataRegistry {
 
     /// Estimates the transfer time [`acquire_via`](Self::acquire_via) would
     /// charge, **without** changing coherence state. Equal by construction:
-    /// both price the same [`plan_acquire`](Self::plan_acquire) plan.
+    /// both price the same pure [`proto::plan_acquire`] plan; the probe
+    /// just skips decorating it with links.
     pub fn probe_acquire_via(
         &self,
         machine: &SimMachine,
@@ -408,7 +458,8 @@ impl DataRegistry {
         mode: AccessMode,
         routing: Routing,
     ) -> Duration {
-        self.plan_acquire(machine, h, device, mode, routing).total()
+        let size = self.metas[h.0].size_bytes;
+        probe_cost(self.valid(h), machine, size, device, mode, routing)
     }
 
     /// [`probe_acquire_via`](Self::probe_acquire_via) with host-staged
@@ -433,17 +484,17 @@ impl DataRegistry {
 
     /// Total bytes moved host→device so far.
     pub fn bytes_to_devices(&self) -> f64 {
-        self.bytes_to_devices
+        self.bytes.to_devices
     }
 
     /// Total bytes moved device→host so far.
     pub fn bytes_to_host(&self) -> f64 {
-        self.bytes_to_host
+        self.bytes.to_host
     }
 
     /// Total bytes moved directly device→device over peer interconnects.
     pub fn bytes_peer(&self) -> f64 {
-        self.bytes_peer
+        self.bytes.peer
     }
 }
 

@@ -1,0 +1,158 @@
+//! Dispatch tables and cost oracles shared by the two virtual-time engines.
+//!
+//! Which devices may run a task, and what a placement would cost, is the
+//! same question in the list engine ([`crate::sim_engine`]) and the
+//! event-driven engine ([`crate::dyn_engine`]); only *when* it is asked
+//! differs. Both resolve the string-typed parts of the answer (variant
+//! architecture / software-platform matching, execution-group membership)
+//! once per run into [`DispatchTables`], and both hand the policy the same
+//! four oracles through [`Oracles::pick`].
+
+use crate::data::{DataRegistry, Routing};
+use crate::graph::TaskGraph;
+use crate::perfmodel::PerfModel;
+use crate::scheduler::{ScheduleContext, Scheduler};
+use crate::task::Task;
+use simhw::machine::{DeviceId, SimMachine};
+use simhw::resource::Timeline;
+use simhw::time::{Duration, SimTime};
+use std::collections::BTreeMap;
+
+/// Per-run look-up tables replacing per-dispatch `variant_for` string
+/// matching (and its software-platform `Vec` allocations) and group-name
+/// comparisons with indexed loads.
+pub(crate) struct DispatchTables<'g> {
+    /// `[codelet][device]`: speedup of the variant the device would run,
+    /// `None` when it can run none.
+    variants: Vec<Vec<Option<f64>>>,
+    /// Device membership of every execution group the graph mentions.
+    groups: BTreeMap<&'g str, Vec<bool>>,
+}
+
+impl<'g> DispatchTables<'g> {
+    pub(crate) fn new(graph: &'g TaskGraph, machine: &SimMachine) -> Self {
+        let software: Vec<Vec<&str>> = machine
+            .devices
+            .iter()
+            .map(|d| d.software_platforms.iter().map(String::as_str).collect())
+            .collect();
+        let variants = graph
+            .codelets
+            .iter()
+            .map(|codelet| {
+                machine
+                    .devices
+                    .iter()
+                    .zip(&software)
+                    .map(|(d, sw)| codelet.variant_for(&d.arch, sw).map(|v| v.speedup))
+                    .collect()
+            })
+            .collect();
+        let mut groups: BTreeMap<&str, Vec<bool>> = BTreeMap::new();
+        for task in &graph.tasks {
+            if let Some(g) = task.execution_group.as_deref() {
+                groups.entry(g).or_insert_with(|| {
+                    machine
+                        .devices
+                        .iter()
+                        .map(|d| d.groups.iter().any(|dg| dg == g))
+                        .collect()
+                });
+            }
+        }
+        DispatchTables { variants, groups }
+    }
+
+    /// Devices able to run `task` (variant-compatible ∩ execution group),
+    /// in device order.
+    pub(crate) fn eligible<'s>(&'s self, task: &Task) -> impl Iterator<Item = DeviceId> + 's {
+        let variants = &self.variants[task.codelet];
+        let group = task.execution_group.as_deref().map(|g| &self.groups[g]);
+        (0..variants.len())
+            .filter(move |&d| variants[d].is_some() && group.is_none_or(|g| g[d]))
+            .map(DeviceId)
+    }
+
+    /// Analytic compute time of `task` on an eligible `device`:
+    /// `flops / (device rate × variant speedup)`.
+    pub(crate) fn compute_time(
+        &self,
+        machine: &SimMachine,
+        task: &Task,
+        device: DeviceId,
+    ) -> Duration {
+        let speedup = self.variants[task.codelet][device.0].expect("eligible device has a variant");
+        Duration::new(task.flops / (machine.devices[device.0].flops_dp * speedup))
+    }
+}
+
+/// What a policy may ask about placing one ready task: the engine state
+/// the four [`ScheduleContext`] oracles read.
+pub(crate) struct Oracles<'a> {
+    pub machine: &'a SimMachine,
+    pub tables: &'a DispatchTables<'a>,
+    pub data: &'a DataRegistry,
+    /// Device timelines, indexed by device id.
+    pub timelines: &'a [Timeline],
+    /// Learned history preferred over the analytic compute estimate (an
+    /// empty model always defers to the analytic one).
+    pub perfmodel: &'a PerfModel,
+    /// Routing the engine will charge transfers under.
+    pub routing: Routing,
+    pub task: &'a Task,
+    pub codelet_name: &'a str,
+    /// Earliest time the task may start.
+    pub ready: SimTime,
+    /// Devices the policy chooses among. Never empty.
+    pub candidates: &'a [DeviceId],
+}
+
+impl Oracles<'_> {
+    /// Sum of the coherence probes of every access of the task on `d`.
+    fn transfers(&self, d: DeviceId, routing: Routing) -> Duration {
+        self.task.accesses.iter().fold(Duration::ZERO, |t, a| {
+            t + self
+                .data
+                .probe_acquire_via(self.machine, a.handle, d, a.mode, routing)
+        })
+    }
+
+    /// Asks `scheduler` for one of the candidates.
+    pub(crate) fn pick(&self, scheduler: &mut dyn Scheduler) -> DeviceId {
+        let analytic = |d: DeviceId| self.tables.compute_time(self.machine, self.task, d);
+        let free_at = |d: DeviceId| self.timelines[d.0].free_at();
+        // HEFT's estimate: host-staged transfers, analytic compute.
+        let est_finish = |d: DeviceId| {
+            let busy = self.transfers(d, Routing::HostStaged) + analytic(d);
+            self.timelines[d.0].probe(self.ready, busy).1
+        };
+        let transfer_cost = |d: DeviceId| self.transfers(d, self.routing);
+        let size: f64 = self
+            .task
+            .accesses
+            .iter()
+            .map(|a| self.data.meta(a.handle).size_bytes)
+            .sum();
+        let est_compute = |d: DeviceId| {
+            self.perfmodel
+                .estimate(self.codelet_name, &self.machine.devices[d.0].arch, size)
+                .unwrap_or_else(|| analytic(d))
+        };
+        let chosen = scheduler.pick(&ScheduleContext {
+            machine: self.machine,
+            task: self.task,
+            codelet_name: self.codelet_name,
+            ready: self.ready,
+            candidates: self.candidates,
+            free_at: &free_at,
+            est_finish: &est_finish,
+            transfer_cost: &transfer_cost,
+            est_compute: &est_compute,
+        });
+        debug_assert!(
+            self.candidates.contains(&chosen),
+            "policy must pick a candidate"
+        );
+        chosen
+    }
+}

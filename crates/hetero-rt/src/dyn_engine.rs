@@ -18,8 +18,10 @@
 //! exactly what the list-vs-online ablation isolates.
 
 use crate::data::{DataRegistry, HandleId};
+use crate::dispatch::{DispatchTables, Oracles};
 use crate::graph::TaskGraph;
-use crate::scheduler::{ScheduleContext, Scheduler};
+use crate::perfmodel::PerfModel;
+use crate::scheduler::Scheduler;
 use crate::sim_engine::{
     publish_sim_telemetry, run_plan_on_links, LinkUse, RtError, SimOptions, SimReport,
 };
@@ -30,7 +32,6 @@ use simhw::machine::{DeviceId, SimMachine};
 use simhw::resource::{BucketedTimeline, Timeline};
 use simhw::time::{Duration, SimTime};
 use simhw::trace::{SpanKind, Trace};
-use std::collections::BTreeMap;
 
 /// A ready-pool entry ordered for dispatch: higher priority first, then
 /// submission order (StarPU-style). `BinaryHeap` is a max-heap, so `Ord`
@@ -53,45 +54,6 @@ impl PartialOrd for ReadyKey {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
     }
-}
-
-/// Per-(codelet, device) dispatch table precomputed before the event loop:
-/// the variant speedup when the device can run the codelet, `None` when it
-/// cannot. Replaces the per-dispatch `variant_for` string matching (and
-/// its software-platform `Vec` allocations) with an indexed load.
-fn variant_table(graph: &TaskGraph, machine: &SimMachine) -> Vec<Vec<Option<f64>>> {
-    graph
-        .codelets
-        .iter()
-        .map(|codelet| {
-            machine
-                .devices
-                .iter()
-                .map(|d| {
-                    let sw: Vec<&str> = d.software_platforms.iter().map(String::as_str).collect();
-                    codelet.variant_for(&d.arch, &sw).map(|v| v.speedup)
-                })
-                .collect()
-        })
-        .collect()
-}
-
-/// Per-execution-group device eligibility, precomputed for every distinct
-/// group name the graph mentions.
-fn group_table<'g>(graph: &'g TaskGraph, machine: &SimMachine) -> BTreeMap<&'g str, Vec<bool>> {
-    let mut table: BTreeMap<&str, Vec<bool>> = BTreeMap::new();
-    for task in &graph.tasks {
-        if let Some(g) = task.execution_group.as_deref() {
-            table.entry(g).or_insert_with(|| {
-                machine
-                    .devices
-                    .iter()
-                    .map(|d| d.groups.iter().any(|dg| dg == g))
-                    .collect()
-            });
-        }
-    }
-    table
 }
 
 /// Simulates the graph with online (event-driven) scheduling.
@@ -122,20 +84,13 @@ pub fn simulate_dynamic(
         vec![BucketedTimeline::default(); machine.links.len()];
     let mut link_use: Vec<LinkUse> = vec![LinkUse::default(); machine.links.len()];
     let mut link_trace = Trace::new();
-    let mut handle_ready: BTreeMap<HandleId, SimTime> = BTreeMap::new();
+    let mut handle_ready: Vec<SimTime> = vec![SimTime::ZERO; data.len()];
+    // The online engine learns no history: its compute oracle is analytic.
+    let perfmodel = PerfModel::new();
 
     // Dispatch tables: variant speedups and group eligibility resolved
     // once, so the hot loop never touches strings.
-    let variants = variant_table(graph, machine);
-    let groups = group_table(graph, machine);
-    let eligible = |task_idx: usize, dev: usize| -> bool {
-        let task = &graph.tasks[task_idx];
-        variants[task.codelet][dev].is_some()
-            && task
-                .execution_group
-                .as_deref()
-                .is_none_or(|g| groups[g][dev])
-    };
+    let tables = DispatchTables::new(graph, machine);
 
     // Readiness bookkeeping: a max-heap keyed (priority desc, submission
     // order asc) replaces the re-sorted ready `Vec` — pushing a ready task
@@ -162,9 +117,8 @@ pub fn simulate_dynamic(
 
     // Pre-validate: every task must have at least one eligible device
     // (otherwise the run can never finish).
-    for t in 0..n {
-        if !(0..machine.len()).any(|d| eligible(t, d)) {
-            let task = &graph.tasks[t];
+    for (t, task) in graph.tasks.iter().enumerate() {
+        if tables.eligible(task).next().is_none() {
             return Err(RtError::NoEligibleDevice {
                 task: TaskId(t),
                 codelet: graph.codelets[task.codelet].name.clone(),
@@ -195,9 +149,9 @@ pub fn simulate_dynamic(
             // Idle, variant-compatible, group-compatible devices only.
             candidates.clear();
             candidates.extend(
-                (0..machine.len())
-                    .filter(|&d| timelines[d].free_at() <= now && eligible(tid.0, d))
-                    .map(DeviceId),
+                tables
+                    .eligible(task)
+                    .filter(|d| timelines[d.0].free_at() <= now),
             );
             if candidates.is_empty() {
                 // No idle compatible device right now; revisit this task
@@ -206,56 +160,28 @@ pub fn simulate_dynamic(
                 continue;
             }
 
-            let free_at = |d: DeviceId| timelines[d.0].free_at();
-            let speedup_of =
-                |d: DeviceId| variants[task.codelet][d.0].expect("candidate implies variant");
-            let est_finish = |d: DeviceId| {
-                let dev = &machine.devices[d.0];
-                let mut transfer = Duration::ZERO;
-                for a in &task.accesses {
-                    transfer = transfer + data.probe_acquire(machine, a.handle, d, a.mode);
-                }
-                let compute = Duration::new(task.flops / (dev.flops_dp * speedup_of(d)));
-                let (_, end) = timelines[d.0].probe(now, transfer + compute);
-                end
-            };
-            let transfer_cost = |d: DeviceId| {
-                let mut t = Duration::ZERO;
-                for a in &task.accesses {
-                    t = t + data.probe_acquire_via(machine, a.handle, d, a.mode, routing);
-                }
-                t
-            };
-            let est_compute = |d: DeviceId| {
-                let dev = &machine.devices[d.0];
-                Duration::new(task.flops / (dev.flops_dp * speedup_of(d)))
-            };
-            let ctx = ScheduleContext {
+            let chosen = Oracles {
                 machine,
+                tables: &tables,
+                data: &data,
+                timelines: &timelines,
+                perfmodel: &perfmodel,
+                routing,
                 task,
                 codelet_name: &codelet.name,
                 ready: now,
                 candidates: &candidates,
-                free_at: &free_at,
-                est_finish: &est_finish,
-                transfer_cost: &transfer_cost,
-                est_compute: &est_compute,
-            };
-            let chosen = scheduler.pick(&ctx);
+            }
+            .pick(scheduler);
 
             // Charge the placement.
-            let dev = &machine.devices[chosen.0];
-            let speedup = variants[task.codelet][chosen.0].expect("candidate implies variant");
-            let compute = Duration::new(task.flops / (dev.flops_dp * speedup));
+            let compute = tables.compute_time(machine, task, chosen);
             let end = if pipeline.is_active() {
                 let mut arrival = SimTime::ZERO;
                 for a in &task.accesses {
                     let plan = data.plan_acquire(machine, a.handle, chosen, a.mode, routing);
                     let floor = if pipeline.prefetch {
-                        handle_ready
-                            .get(&a.handle)
-                            .copied()
-                            .unwrap_or(SimTime::ZERO)
+                        handle_ready[a.handle.0]
                     } else {
                         now
                     };
@@ -309,7 +235,7 @@ pub fn simulate_dynamic(
             };
             for a in &task.accesses {
                 if a.mode.writes() {
-                    handle_ready.insert(a.handle, end);
+                    handle_ready[a.handle.0] = end;
                 }
             }
             assignments.push((tid, chosen));
@@ -356,7 +282,7 @@ pub fn simulate_dynamic(
         for h in written {
             if pipeline.is_active() {
                 let plan = data.plan_flush(machine, h);
-                let floor = handle_ready.get(&h).copied().unwrap_or(SimTime::ZERO);
+                let floor = handle_ready[h.0];
                 run_plan_on_links(
                     &plan,
                     floor,
@@ -367,12 +293,7 @@ pub fn simulate_dynamic(
                     &format!("{}:out", data.meta(h).label),
                 );
                 data.commit(&plan);
-            } else if let Some(owner) = data
-                .valid_on(h)
-                .iter()
-                .find(|d| **d != crate::data::HOST)
-                .copied()
-            {
+            } else if let Some(owner) = data.device_owner(h) {
                 let dur = data.flush_to_host(machine, h);
                 if dur > Duration::ZERO {
                     let (s, e) = timelines[owner.0].reserve(SimTime::ZERO, dur);
@@ -399,7 +320,7 @@ pub fn simulate_dynamic(
         bytes_to_devices: data.bytes_to_devices(),
         bytes_to_host: data.bytes_to_host(),
         bytes_peer: data.bytes_peer(),
-        perfmodel: crate::perfmodel::PerfModel::new(),
+        perfmodel,
         policy: scheduler.name(),
         link_names: machine.links.iter().map(|l| l.name.clone()).collect(),
         link_trace,

@@ -37,6 +37,7 @@
 #![forbid(unsafe_code)]
 
 pub mod data;
+mod dispatch;
 pub mod dyn_engine;
 pub mod graph;
 pub mod perfmodel;

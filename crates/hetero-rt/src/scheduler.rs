@@ -23,6 +23,7 @@
 use crate::task::Task;
 use simhw::machine::{DeviceId, SimMachine};
 use simhw::time::{Duration, SimTime};
+use std::cell::OnceCell;
 
 /// Information a scheduler sees when placing one task.
 pub struct ScheduleContext<'a> {
@@ -191,16 +192,21 @@ impl Scheduler for EnergyAwareScheduler {
             let compute_s = ctx.task.flops / dev.flops_dp;
             compute_s * dev.active_power_w
         };
-        *ctx.candidates
-            .iter()
-            .min_by(|&&a, &&b| {
-                joules(a)
-                    .partial_cmp(&joules(b))
+        // `est_finish` is a full coherence probe per access: ask only when
+        // energies tie, and at most once per candidate.
+        let finish: Vec<OnceCell<SimTime>> = vec![OnceCell::new(); ctx.candidates.len()];
+        let finish_of = |i: usize| *finish[i].get_or_init(|| (ctx.est_finish)(ctx.candidates[i]));
+        let best = (0..ctx.candidates.len())
+            .min_by(|&a, &b| {
+                let (da, db) = (ctx.candidates[a], ctx.candidates[b]);
+                joules(da)
+                    .partial_cmp(&joules(db))
                     .unwrap_or(std::cmp::Ordering::Equal)
-                    .then_with(|| (ctx.est_finish)(a).cmp(&(ctx.est_finish)(b)))
-                    .then_with(|| a.cmp(&b))
+                    .then_with(|| finish_of(a).cmp(&finish_of(b)))
+                    .then_with(|| da.cmp(&db))
             })
-            .expect("candidates never empty")
+            .expect("candidates never empty");
+        ctx.candidates[best]
     }
 }
 
@@ -360,6 +366,34 @@ mod tests {
         // dev0: 10 GF/s @ 200 W -> 20 J/GFLOP; dev1: 10 GF/s @ 50 W -> 5 J.
         assert_eq!(picked, DeviceId(1));
         assert_eq!(s.name(), "energy");
+    }
+
+    #[test]
+    fn energy_probes_each_candidate_at_most_once() {
+        use std::cell::Cell;
+        let mut task = dummy_task();
+        task.flops = 1e9;
+        let candidates = [DeviceId(3), DeviceId(0), DeviceId(2), DeviceId(1)];
+        let free = |_d: DeviceId| SimTime::ZERO;
+        let probes = Cell::new(0usize);
+        let est = |d: DeviceId| {
+            probes.set(probes.get() + 1);
+            SimTime::new([2.0, 1.0, 1.0, 3.0][d.0])
+        };
+        // Untracked power everywhere: all energies tie, finish time decides
+        // (device id breaking the 1.0 tie) — one probe per candidate, where
+        // probing both sides of every comparison took six.
+        let machine = test_machine();
+        let picked = EnergyAwareScheduler.pick(&ctx(&machine, &task, &candidates, &free, &est));
+        assert_eq!(picked, DeviceId(1));
+        assert!(probes.get() <= candidates.len(), "{} probes", probes.get());
+        // Distinct energies decide alone: no probe at all.
+        probes.set(0);
+        let machine = SimMachine::from_platform(&pdl_discover_stub());
+        let candidates = [DeviceId(0), DeviceId(1)];
+        let picked = EnergyAwareScheduler.pick(&ctx(&machine, &task, &candidates, &free, &est));
+        assert_eq!(picked, DeviceId(1));
+        assert_eq!(probes.get(), 0);
     }
 
     fn pdl_discover_stub() -> pdl_core::platform::Platform {

@@ -22,10 +22,10 @@
 //! random sequences against the pure model to prove it.
 
 use crate::data::{
-    decorate_hop, device_of, node_of, nodes_of, pure_plan, DataMeta, HandleId, MachineCosts,
-    TransferPlan, HOST,
+    commit_plan, decorate, device_of, node_of, probe_cost, ByteCounters, DataMeta, HandleId,
+    MachineCosts, TransferPlan,
 };
-use hetero_model::proto::{self, AccessMode, HopKind, Routing};
+use hetero_model::proto::{self, AccessMode, Node, Routing};
 use parking_lot::{Mutex, RwLock};
 use simhw::machine::{DeviceId, SimMachine};
 use simhw::time::Duration;
@@ -43,7 +43,7 @@ pub const SHARD_COUNT: usize = 16;
 #[derive(Debug)]
 struct HandleEntry {
     meta: DataMeta,
-    valid: BTreeSet<DeviceId>,
+    valid: BTreeSet<Node>,
 }
 
 /// A shard's immutable published state. Writers build a new one (sharing
@@ -55,9 +55,7 @@ struct ShardState {
     /// `None` while a concurrent register to a later slot got published
     /// first.
     entries: Vec<Option<Arc<HandleEntry>>>,
-    bytes_to_devices: f64,
-    bytes_to_host: f64,
-    bytes_peer: f64,
+    bytes: ByteCounters,
 }
 
 /// One shard: the published snapshot plus the writer-serialization lock.
@@ -79,11 +77,12 @@ impl Shard {
     /// publishes the result. Serialized per shard.
     fn update(&self, mutate: impl FnOnce(&mut ShardState)) {
         let _writer = self.publish.lock();
-        let mut next = ShardState {
-            entries: self.state.read().entries.clone(),
-            bytes_to_devices: self.state.read().bytes_to_devices,
-            bytes_to_host: self.state.read().bytes_to_host,
-            bytes_peer: self.state.read().bytes_peer,
+        let mut next = {
+            let current = self.state.read();
+            ShardState {
+                entries: current.entries.clone(),
+                bytes: current.bytes,
+            }
         };
         mutate(&mut next);
         *self.state.write() = Arc::new(next);
@@ -140,7 +139,7 @@ impl ShardedDataRegistry {
                     label: label.clone(),
                     size_bytes,
                 },
-                valid: BTreeSet::from([HOST]),
+                valid: BTreeSet::from([Node::Host]),
             }));
         });
         id
@@ -179,12 +178,12 @@ impl ShardedDataRegistry {
     /// Devices currently holding a valid copy of `h` (a pinned-snapshot
     /// copy; concurrent writers may publish a newer set immediately).
     pub fn valid_on(&self, h: HandleId) -> BTreeSet<DeviceId> {
-        self.entry(h).valid.clone()
+        self.entry(h).valid.iter().copied().map(device_of).collect()
     }
 
     /// Whether device `d` holds a valid copy of `h`.
     pub fn is_valid_on(&self, h: HandleId, d: DeviceId) -> bool {
-        self.entry(h).valid.contains(&d)
+        self.entry(h).valid.contains(&node_of(d))
     }
 
     /// Plans the transfers needed before accessing `h` on `device` with
@@ -202,20 +201,13 @@ impl ShardedDataRegistry {
         let entry = self.entry(h);
         let size = entry.meta.size_bytes;
         let pure = proto::plan_acquire(
-            &nodes_of(&entry.valid),
+            &entry.valid,
             node_of(device),
             mode,
             routing,
             &MachineCosts { machine, size },
         );
-        TransferPlan {
-            handle: h,
-            hops: pure
-                .hops
-                .iter()
-                .map(|hop| decorate_hop(machine, size, hop))
-                .collect(),
-        }
+        decorate(machine, h, size, &pure)
     }
 
     /// Plans the transfer bringing `h` back to host memory, against the
@@ -223,15 +215,8 @@ impl ShardedDataRegistry {
     pub fn plan_flush(&self, machine: &SimMachine, h: HandleId) -> TransferPlan {
         let entry = self.entry(h);
         let size = entry.meta.size_bytes;
-        let pure = proto::plan_flush(&nodes_of(&entry.valid), &MachineCosts { machine, size });
-        TransferPlan {
-            handle: h,
-            hops: pure
-                .hops
-                .iter()
-                .map(|hop| decorate_hop(machine, size, hop))
-                .collect(),
-        }
+        let pure = proto::plan_flush(&entry.valid, &MachineCosts { machine, size });
+        decorate(machine, h, size, &pure)
     }
 
     /// Applies a plan's coherence and byte-accounting effects, serialized
@@ -240,25 +225,16 @@ impl ShardedDataRegistry {
     /// from), delegating to [`proto::commit`] unchanged.
     pub fn commit(&self, plan: &TransferPlan) {
         let (shard, slot) = locate(plan.handle);
-        let pure = pure_plan(plan);
         self.shards[shard].update(|state| {
             let entry = state.entries[slot]
                 .as_ref()
                 .expect("commit of an unregistered handle");
-            let mut valid = nodes_of(&entry.valid);
-            proto::commit(&mut valid, &pure);
+            let mut valid = entry.valid.clone();
+            commit_plan(&mut valid, &mut state.bytes, plan);
             state.entries[slot] = Some(Arc::new(HandleEntry {
                 meta: entry.meta.clone(),
-                valid: valid.iter().copied().map(device_of).collect(),
+                valid,
             }));
-            for (hop, pure_hop) in plan.hops.iter().zip(&pure.hops) {
-                match pure_hop.kind() {
-                    HopKind::ToHost => state.bytes_to_host += hop.bytes,
-                    HopKind::ToDevice => state.bytes_to_devices += hop.bytes,
-                    HopKind::Peer => state.bytes_peer += hop.bytes,
-                    HopKind::Local => {}
-                }
-            }
         });
     }
 
@@ -270,11 +246,11 @@ impl ShardedDataRegistry {
             let entry = state.entries[slot]
                 .as_ref()
                 .expect("finish_access of an unregistered handle");
-            let mut valid = nodes_of(&entry.valid);
+            let mut valid = entry.valid.clone();
             proto::finish_access(&mut valid, node_of(device), mode);
             state.entries[slot] = Some(Arc::new(HandleEntry {
                 meta: entry.meta.clone(),
-                valid: valid.iter().copied().map(device_of).collect(),
+                valid,
             }));
         });
     }
@@ -316,7 +292,15 @@ impl ShardedDataRegistry {
         mode: AccessMode,
         routing: Routing,
     ) -> Duration {
-        self.plan_acquire(machine, h, device, mode, routing).total()
+        let entry = self.entry(h);
+        probe_cost(
+            &entry.valid,
+            machine,
+            entry.meta.size_bytes,
+            device,
+            mode,
+            routing,
+        )
     }
 
     /// [`probe_acquire_via`](Self::probe_acquire_via) with host-staged
@@ -341,24 +325,25 @@ impl ShardedDataRegistry {
 
     /// Total bytes moved host→device so far, summed over shards.
     pub fn bytes_to_devices(&self) -> f64 {
-        self.shards.iter().map(|s| s.pin().bytes_to_devices).sum()
+        self.shards.iter().map(|s| s.pin().bytes.to_devices).sum()
     }
 
     /// Total bytes moved device→host so far, summed over shards.
     pub fn bytes_to_host(&self) -> f64 {
-        self.shards.iter().map(|s| s.pin().bytes_to_host).sum()
+        self.shards.iter().map(|s| s.pin().bytes.to_host).sum()
     }
 
     /// Total bytes moved directly device→device over peer interconnects,
     /// summed over shards.
     pub fn bytes_peer(&self) -> f64 {
-        self.shards.iter().map(|s| s.pin().bytes_peer).sum()
+        self.shards.iter().map(|s| s.pin().bytes.peer).sum()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::data::HOST;
     use pdl_discover::synthetic;
 
     fn machine() -> SimMachine {

@@ -16,16 +16,16 @@
 //! vertical data-movement requirement).
 
 use crate::data::{DataRegistry, HandleId, Routing};
+use crate::dispatch::{DispatchTables, Oracles};
 use crate::graph::TaskGraph;
 use crate::perfmodel::PerfModel;
-use crate::scheduler::{ScheduleContext, Scheduler};
+use crate::scheduler::Scheduler;
 use crate::task::TaskId;
 use simhw::energy::{energy, EnergyReport};
 use simhw::machine::{DeviceId, SimMachine};
 use simhw::resource::{BucketedTimeline, Timeline};
 use simhw::time::{Duration, SimTime};
 use simhw::trace::{SpanKind, Trace};
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// Which mechanisms of the interconnect-aware transfer pipeline are active.
@@ -223,27 +223,17 @@ pub fn simulate(
     let mut link_trace = Trace::new();
     // When each handle's current value came into existence (its last
     // writer's finish time) — the earliest a prefetched transfer may start.
-    let mut handle_ready: BTreeMap<HandleId, SimTime> = BTreeMap::new();
+    let mut handle_ready: Vec<SimTime> = vec![SimTime::ZERO; data.len()];
+
+    let tables = DispatchTables::new(graph, machine);
+    let mut candidates: Vec<DeviceId> = Vec::with_capacity(machine.len());
 
     for &tid in &graph.topological_order() {
         let task = &graph.tasks[tid.0];
         let codelet = &graph.codelets[task.codelet];
 
-        // Candidate devices: variant-compatible ∩ execution group.
-        let candidates: Vec<DeviceId> = machine
-            .devices
-            .iter()
-            .filter(|d| {
-                let sw: Vec<&str> = d.software_platforms.iter().map(String::as_str).collect();
-                codelet.variant_for(&d.arch, &sw).is_some()
-            })
-            .filter(|d| match &task.execution_group {
-                None => true,
-                Some(g) => d.groups.iter().any(|dg| dg == g),
-            })
-            .map(|d| d.id)
-            .collect();
-
+        candidates.clear();
+        candidates.extend(tables.eligible(task));
         if candidates.is_empty() {
             return Err(RtError::NoEligibleDevice {
                 task: tid,
@@ -259,67 +249,20 @@ pub fn simulate(
             .max()
             .unwrap_or(SimTime::ZERO);
 
-        // Cost oracles for the policy.
-        let free_at = |d: DeviceId| timelines[d.0].free_at();
-        let est_finish = |d: DeviceId| {
-            let dev = &machine.devices[d.0];
-            let sw: Vec<&str> = dev.software_platforms.iter().map(String::as_str).collect();
-            let variant = codelet
-                .variant_for(&dev.arch, &sw)
-                .expect("candidate implies variant");
-            let mut transfer = Duration::ZERO;
-            for a in &task.accesses {
-                transfer = transfer + data.probe_acquire(machine, a.handle, d, a.mode);
-            }
-            let compute = Duration::new(task.flops / (dev.flops_dp * variant.speedup));
-            let (_, end) = timelines[d.0].probe(ready, transfer + compute);
-            end
-        };
-        let transfer_cost = |d: DeviceId| {
-            let mut t = Duration::ZERO;
-            for a in &task.accesses {
-                t = t + data.probe_acquire_via(machine, a.handle, d, a.mode, routing);
-            }
-            t
-        };
-        let est_compute = |d: DeviceId| {
-            let dev = &machine.devices[d.0];
-            let size: f64 = task
-                .accesses
-                .iter()
-                .map(|a| data.meta(a.handle).size_bytes)
-                .sum();
-            perfmodel
-                .estimate(&codelet.name, &dev.arch, size)
-                .unwrap_or_else(|| {
-                    let sw: Vec<&str> = dev.software_platforms.iter().map(String::as_str).collect();
-                    let variant = codelet
-                        .variant_for(&dev.arch, &sw)
-                        .expect("candidate implies variant");
-                    Duration::new(task.flops / (dev.flops_dp * variant.speedup))
-                })
-        };
-
-        let ctx = ScheduleContext {
+        let chosen = Oracles {
             machine,
+            tables: &tables,
+            data: &data,
+            timelines: &timelines,
+            perfmodel: &perfmodel,
+            routing,
             task,
             codelet_name: &codelet.name,
             ready,
             candidates: &candidates,
-            free_at: &free_at,
-            est_finish: &est_finish,
-            transfer_cost: &transfer_cost,
-            est_compute: &est_compute,
-        };
-        let chosen = scheduler.pick(&ctx);
-        debug_assert!(candidates.contains(&chosen), "policy must pick a candidate");
-
-        let dev = &machine.devices[chosen.0];
-        let sw: Vec<&str> = dev.software_platforms.iter().map(String::as_str).collect();
-        let variant = codelet
-            .variant_for(&dev.arch, &sw)
-            .expect("candidate implies variant");
-        let compute = Duration::new(task.flops / (dev.flops_dp * variant.speedup));
+        }
+        .pick(scheduler);
+        let compute = tables.compute_time(machine, task, chosen);
 
         let end = if pipeline.is_active() {
             // Pipelined path: every input copy runs on the physical links
@@ -329,10 +272,7 @@ pub fn simulate(
             for a in &task.accesses {
                 let plan = data.plan_acquire(machine, a.handle, chosen, a.mode, routing);
                 let floor = if pipeline.prefetch {
-                    handle_ready
-                        .get(&a.handle)
-                        .copied()
-                        .unwrap_or(SimTime::ZERO)
+                    handle_ready[a.handle.0]
                 } else {
                     ready
                 };
@@ -391,7 +331,7 @@ pub fn simulate(
         finish[tid.0] = end;
         for a in &task.accesses {
             if a.mode.writes() {
-                handle_ready.insert(a.handle, end);
+                handle_ready[a.handle.0] = end;
             }
         }
         assignments.push((tid, chosen));
@@ -402,7 +342,12 @@ pub fn simulate(
                 .iter()
                 .map(|a| data.meta(a.handle).size_bytes)
                 .sum();
-            perfmodel.record(&codelet.name, &dev.arch, size, compute);
+            perfmodel.record(
+                &codelet.name,
+                &machine.devices[chosen.0].arch,
+                size,
+                compute,
+            );
         }
     }
 
@@ -420,7 +365,7 @@ pub fn simulate(
         for h in written {
             if pipeline.is_active() {
                 let plan = data.plan_flush(machine, h);
-                let floor = handle_ready.get(&h).copied().unwrap_or(SimTime::ZERO);
+                let floor = handle_ready[h.0];
                 run_plan_on_links(
                     &plan,
                     floor,
@@ -431,12 +376,7 @@ pub fn simulate(
                     &format!("{}:out", data.meta(h).label),
                 );
                 data.commit(&plan);
-            } else if let Some(owner) = data
-                .valid_on(h)
-                .iter()
-                .find(|d| **d != crate::data::HOST)
-                .copied()
-            {
+            } else if let Some(owner) = data.device_owner(h) {
                 let dur = data.flush_to_host(machine, h);
                 if dur > Duration::ZERO {
                     let (s, e) = timelines[owner.0].reserve(SimTime::ZERO, dur);

@@ -7,7 +7,7 @@
 //! given payload size (Dijkstra), and reports per-hop and end-to-end cost.
 
 use pdl_core::id::{PuId, PuIdx};
-use pdl_core::interconnect::Interconnect;
+use pdl_core::interconnect::{Directionality, Interconnect};
 use pdl_core::platform::Platform;
 use std::collections::BinaryHeap;
 
@@ -57,11 +57,167 @@ impl Route {
     }
 }
 
+/// One interconnect's link model for one payload, read from its
+/// descriptor once (defaults applied).
+#[derive(Clone, Copy)]
+struct LinkCost {
+    bandwidth_bps: f64,
+    latency_s: f64,
+    /// `latency + size / bandwidth`.
+    time_s: f64,
+}
+
+impl LinkCost {
+    fn of(ic: &Interconnect, size_bytes: f64) -> Self {
+        let bandwidth_bps = ic.bandwidth_bps().unwrap_or(DEFAULT_BANDWIDTH_BPS);
+        let latency_s = ic.latency_s().unwrap_or(DEFAULT_LATENCY_S);
+        LinkCost {
+            bandwidth_bps,
+            latency_s,
+            time_s: latency_s + size_bytes / bandwidth_bps,
+        }
+    }
+}
+
 /// Transfer-time model for one link: `latency + size / bandwidth`.
 pub fn link_time_s(ic: &Interconnect, size_bytes: f64) -> f64 {
-    let bw = ic.bandwidth_bps().unwrap_or(DEFAULT_BANDWIDTH_BPS);
-    let lat = ic.latency_s().unwrap_or(DEFAULT_LATENCY_S);
-    lat + size_bytes / bw
+    LinkCost::of(ic, size_bytes).time_s
+}
+
+/// Out-edges per PU as `(neighbour, interconnect index)`, in declaration
+/// order. Interconnects naming an unknown PU are left out.
+fn adjacency(platform: &Platform) -> Vec<Vec<(PuIdx, usize)>> {
+    let mut adj = vec![Vec::new(); platform.len()];
+    for (ici, ic) in platform.interconnects().iter().enumerate() {
+        let f = platform.index_of(ic.from.as_str());
+        let t = platform.index_of(ic.to.as_str());
+        if let (Some(f), Some(t)) = (f, t) {
+            adj[f.index()].push((t, ici));
+            if ic.directionality == Directionality::Bidirectional {
+                adj[t.index()].push((f, ici));
+            }
+        }
+    }
+    adj
+}
+
+/// Heap entry of the search: a min-heap via reversed comparison, ties
+/// broken by node index for determinism.
+#[derive(PartialEq)]
+struct Entry {
+    cost: f64,
+    node: PuIdx,
+}
+impl Eq for Entry {}
+impl Ord for Entry {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        other
+            .cost
+            .partial_cmp(&self.cost)
+            .unwrap_or(std::cmp::Ordering::Equal)
+            .then_with(|| other.node.index().cmp(&self.node.index()))
+    }
+}
+impl PartialOrd for Entry {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+/// Shortest modeled transfer times from one source PU for one payload
+/// size: the shared core of [`route`], [`routes_from`] and [`closest_pu`].
+struct Search<'p> {
+    platform: &'p Platform,
+    src: PuIdx,
+    /// Link model per interconnect, indexed like [`Platform::interconnects`].
+    links: Vec<LinkCost>,
+    dist: Vec<f64>,
+    prev: Vec<Option<(PuIdx, usize)>>,
+}
+
+impl<'p> Search<'p> {
+    /// Dijkstra over modeled hop time. Stops as soon as `until` is settled
+    /// (its distance and predecessor chain are final by then), or settles
+    /// every reachable PU when `until` is `None`.
+    fn run(platform: &'p Platform, src: PuIdx, until: Option<PuIdx>, size_bytes: f64) -> Self {
+        let adj = adjacency(platform);
+        let links: Vec<LinkCost> = platform
+            .interconnects()
+            .iter()
+            .map(|ic| LinkCost::of(ic, size_bytes))
+            .collect();
+        let mut dist = vec![f64::INFINITY; platform.len()];
+        let mut prev: Vec<Option<(PuIdx, usize)>> = vec![None; platform.len()];
+        let mut heap = BinaryHeap::new();
+        dist[src.index()] = 0.0;
+        heap.push(Entry {
+            cost: 0.0,
+            node: src,
+        });
+        while let Some(Entry { cost, node }) = heap.pop() {
+            if cost > dist[node.index()] {
+                continue;
+            }
+            if Some(node) == until {
+                break;
+            }
+            for &(next, ici) in &adj[node.index()] {
+                let nd = cost + links[ici].time_s;
+                if nd < dist[next.index()] {
+                    dist[next.index()] = nd;
+                    prev[next.index()] = Some((node, ici));
+                    heap.push(Entry {
+                        cost: nd,
+                        node: next,
+                    });
+                }
+            }
+        }
+        Search {
+            platform,
+            src,
+            links,
+            dist,
+            prev,
+        }
+    }
+
+    /// Modeled time to `dst`; infinite when unreachable.
+    fn time_to(&self, dst: PuIdx) -> f64 {
+        self.dist[dst.index()]
+    }
+
+    /// The route to a settled `dst`, walked back along the predecessors.
+    fn route_to(&self, dst: PuIdx) -> Option<Route> {
+        if dst == self.src {
+            return Some(Route::trivial());
+        }
+        if self.time_to(dst).is_infinite() {
+            return None;
+        }
+        let mut hops = Vec::new();
+        let mut cur = dst;
+        while cur != self.src {
+            let (p, ici) = self.prev[cur.index()].expect("reachable node has predecessor");
+            hops.push(Hop {
+                from: self.platform.pu(p).id.clone(),
+                to: self.platform.pu(cur).id.clone(),
+                ic_index: ici,
+                time_s: self.links[ici].time_s,
+            });
+            cur = p;
+        }
+        hops.reverse();
+        Some(Route {
+            time_s: self.time_to(dst),
+            bottleneck_bps: hops
+                .iter()
+                .map(|h| self.links[h.ic_index].bandwidth_bps)
+                .fold(f64::INFINITY, f64::min),
+            latency_s: hops.iter().map(|h| self.links[h.ic_index].latency_s).sum(),
+            hops,
+        })
+    }
 }
 
 /// Finds the fastest route (per the link model) for transferring
@@ -73,118 +229,22 @@ pub fn route(platform: &Platform, from: &str, to: &str, size_bytes: f64) -> Opti
     if src == dst {
         return Some(Route::trivial());
     }
+    Search::run(platform, src, Some(dst), size_bytes).route_to(dst)
+}
 
-    let n = platform.len();
-    // Adjacency: PU idx -> (neighbor idx, ic index).
-    let mut adj: Vec<Vec<(PuIdx, usize)>> = vec![Vec::new(); n];
-    for (ici, ic) in platform.interconnects().iter().enumerate() {
-        let f = platform.index_of(ic.from.as_str());
-        let t = platform.index_of(ic.to.as_str());
-        if let (Some(f), Some(t)) = (f, t) {
-            adj[f.index()].push((t, ici));
-            if ic.directionality == pdl_core::interconnect::Directionality::Bidirectional {
-                adj[t.index()].push((f, ici));
-            }
-        }
-    }
-
-    // Dijkstra over modeled hop time.
-    #[derive(PartialEq)]
-    struct Entry {
-        cost: f64,
-        node: PuIdx,
-    }
-    impl Eq for Entry {}
-    impl Ord for Entry {
-        fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-            // Min-heap via reversed comparison; ties broken by node index
-            // for determinism.
-            other
-                .cost
-                .partial_cmp(&self.cost)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then_with(|| other.node.index().cmp(&self.node.index()))
-        }
-    }
-    impl PartialOrd for Entry {
-        fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-            Some(self.cmp(other))
-        }
-    }
-
-    let mut dist = vec![f64::INFINITY; n];
-    let mut prev: Vec<Option<(PuIdx, usize)>> = vec![None; n];
-    let mut heap = BinaryHeap::new();
-    dist[src.index()] = 0.0;
-    heap.push(Entry {
-        cost: 0.0,
-        node: src,
-    });
-
-    while let Some(Entry { cost, node }) = heap.pop() {
-        if cost > dist[node.index()] {
-            continue;
-        }
-        if node == dst {
-            break;
-        }
-        for &(next, ici) in &adj[node.index()] {
-            let t = link_time_s(&platform.interconnects()[ici], size_bytes);
-            let nd = cost + t;
-            if nd < dist[next.index()] {
-                dist[next.index()] = nd;
-                prev[next.index()] = Some((node, ici));
-                heap.push(Entry {
-                    cost: nd,
-                    node: next,
-                });
-            }
-        }
-    }
-
-    if dist[dst.index()].is_infinite() {
-        return None;
-    }
-
-    // Reconstruct.
-    let mut hops = Vec::new();
-    let mut cur = dst;
-    while cur != src {
-        let (p, ici) = prev[cur.index()].expect("reachable node has predecessor");
-        let ic = &platform.interconnects()[ici];
-        hops.push(Hop {
-            from: platform.pu(p).id.clone(),
-            to: platform.pu(cur).id.clone(),
-            ic_index: ici,
-            time_s: link_time_s(ic, size_bytes),
-        });
-        cur = p;
-    }
-    hops.reverse();
-
-    let bottleneck_bps = hops
+/// The fastest route from `from` to **every** PU for a payload of
+/// `size_bytes`, indexed by PU arena index, from one search. Entry `d`
+/// equals `route(platform, from, d, size_bytes)`; all entries are `None`
+/// when `from` is unknown.
+pub fn routes_from(platform: &Platform, from: &str, size_bytes: f64) -> Vec<Option<Route>> {
+    let Some(src) = platform.index_of(from) else {
+        return vec![None; platform.len()];
+    };
+    let search = Search::run(platform, src, None, size_bytes);
+    platform
         .iter()
-        .map(|h| {
-            platform.interconnects()[h.ic_index]
-                .bandwidth_bps()
-                .unwrap_or(DEFAULT_BANDWIDTH_BPS)
-        })
-        .fold(f64::INFINITY, f64::min);
-    let latency_s = hops
-        .iter()
-        .map(|h| {
-            platform.interconnects()[h.ic_index]
-                .latency_s()
-                .unwrap_or(DEFAULT_LATENCY_S)
-        })
-        .sum();
-
-    Some(Route {
-        time_s: dist[dst.index()],
-        hops,
-        bottleneck_bps,
-        latency_s,
-    })
+        .map(|(dst, _)| search.route_to(dst))
+        .collect()
 }
 
 /// Among `candidates`, the PU with the cheapest route from `from` for a
@@ -196,19 +256,18 @@ pub fn closest_pu<'a>(
     candidates: &'a [String],
     size_bytes: f64,
 ) -> Option<(&'a str, Route)> {
-    let mut best: Option<(&'a str, Route)> = None;
+    let src = platform.index_of(from)?;
+    let search = Search::run(platform, src, None, size_bytes);
+    let mut best: Option<(&'a str, PuIdx)> = None;
     for c in candidates {
-        if let Some(r) = route(platform, from, c, size_bytes) {
-            let better = match &best {
-                None => true,
-                Some((_, b)) => r.time_s < b.time_s,
-            };
-            if better {
-                best = Some((c.as_str(), r));
-            }
+        let Some(idx) = platform.index_of(c) else {
+            continue;
+        };
+        if search.time_to(idx) < best.map_or(f64::INFINITY, |(_, b)| search.time_to(b)) {
+            best = Some((c.as_str(), idx));
         }
     }
-    best
+    best.and_then(|(c, idx)| Some((c, search.route_to(idx)?)))
 }
 
 /// All PUs reachable from `from` over interconnects (excluding `from`).
@@ -216,21 +275,17 @@ pub fn reachable(platform: &Platform, from: &str) -> Vec<PuIdx> {
     let Some(src) = platform.index_of(from) else {
         return Vec::new();
     };
+    let adj = adjacency(platform);
     let mut seen = vec![false; platform.len()];
     seen[src.index()] = true;
     let mut stack = vec![src];
     let mut out = Vec::new();
     while let Some(cur) = stack.pop() {
-        let cur_id = platform.pu(cur).id.clone();
-        for ic in platform.interconnects() {
-            if let Some(other) = ic.other_endpoint(&cur_id) {
-                if let Some(oidx) = platform.index_of(other.as_str()) {
-                    if !seen[oidx.index()] {
-                        seen[oidx.index()] = true;
-                        out.push(oidx);
-                        stack.push(oidx);
-                    }
-                }
+        for &(next, _) in &adj[cur.index()] {
+            if !seen[next.index()] {
+                seen[next.index()] = true;
+                out.push(next);
+                stack.push(next);
             }
         }
     }

@@ -9,6 +9,7 @@
 
 use crate::link::{LinkId, SimLink, TransferPath};
 use crate::time::Duration;
+use pdl_core::interconnect::Directionality;
 use pdl_core::platform::Platform;
 use pdl_core::pu::PuClass;
 use pdl_core::wellknown;
@@ -158,10 +159,12 @@ impl SimMachine {
         }
         let mut host_routes: Vec<Option<TransferPath>> = Vec::new();
 
-        let host_id: Option<String> = expanded
-            .roots()
-            .first()
-            .map(|&r| expanded.pu(r).id.as_str().to_string());
+        // Host links come from routing over the explicit interconnects:
+        // one search from the first Master reaches every PU.
+        let host = expanded.roots().first().copied();
+        let from_host = host.map_or_else(Vec::new, |h| {
+            paths::routes_from(&expanded, expanded.pu(h).id.as_str(), 1.0)
+        });
 
         let worker_count = expanded.workers().count();
         let candidates: Vec<_> = if worker_count > 0 {
@@ -170,7 +173,7 @@ impl SimMachine {
             expanded.masters().collect()
         };
 
-        for (_, pu) in candidates {
+        for (idx, pu) in candidates {
             let arch = pu.architecture().unwrap_or("unknown").to_string();
             let peak = pu.peak_flops_dp();
             if peak.is_none() {
@@ -178,33 +181,25 @@ impl SimMachine {
             }
             let flops_dp = peak.unwrap_or(DEFAULT_FLOPS_DP) * pu.efficiency();
 
-            // Derive the host link by routing over explicit interconnects.
             // A route made entirely of `shared-mem` interconnects means the
             // device lives in the host address space: no copies are ever
             // needed, so the link collapses to `None`.
-            let route = match (&host_id, pu.class) {
-                (Some(h), PuClass::Worker | PuClass::Hybrid) if *h != pu.id.as_str() => {
-                    match paths::route(&expanded, h, pu.id.as_str(), 1.0) {
-                        Some(r) if !r.hops.is_empty() => {
-                            let hop_links: Vec<LinkId> = r
-                                .hops
-                                .iter()
-                                .filter_map(|hop| ic_to_link[hop.ic_index])
-                                .collect();
-                            if hop_links.is_empty() {
-                                // All hops shared-mem: common address space.
-                                None
-                            } else {
-                                Some(TransferPath {
-                                    links: hop_links,
-                                    bandwidth_bps: r.bottleneck_bps,
-                                    latency_s: r.latency_s,
-                                })
-                            }
-                        }
-                        _ => None,
-                    }
-                }
+            let route = match pu.class {
+                PuClass::Worker | PuClass::Hybrid if Some(idx) != host => from_host
+                    .get(idx.index())
+                    .and_then(Option::as_ref)
+                    .and_then(|r| {
+                        let hop_links: Vec<LinkId> = r
+                            .hops
+                            .iter()
+                            .filter_map(|hop| ic_to_link[hop.ic_index])
+                            .collect();
+                        (!hop_links.is_empty()).then_some(TransferPath {
+                            links: hop_links,
+                            bandwidth_bps: r.bottleneck_bps,
+                            latency_s: r.latency_s,
+                        })
+                    }),
                 _ => None,
             };
             let link = route.as_ref().map(|r| LinkParams {
@@ -243,32 +238,32 @@ impl SimMachine {
         // several connect the same pair, the cheapest for a nominal 1 MB
         // transfer wins; ties resolve to the first declared.
         let mut peer_routes: BTreeMap<(usize, usize), TransferPath> = BTreeMap::new();
-        for (a, da) in devices.iter().enumerate() {
-            for (b, db) in devices.iter().enumerate() {
-                if a == b {
-                    continue;
+        for (ic, link) in expanded.interconnects().iter().zip(&ic_to_link) {
+            let (Some(link), Some(a), Some(b)) =
+                (link, index.get(ic.from.as_str()), index.get(ic.to.as_str()))
+            else {
+                continue;
+            };
+            if a == b {
+                continue;
+            }
+            let params = links[link.0].params;
+            let cand = TransferPath {
+                links: vec![*link],
+                bandwidth_bps: params.bandwidth_bps,
+                latency_s: params.latency_s,
+            };
+            let mut offer = |pair: (usize, usize)| {
+                let better = peer_routes
+                    .get(&pair)
+                    .is_none_or(|cur| cand.transfer_time(1e6) < cur.transfer_time(1e6));
+                if better {
+                    peer_routes.insert(pair, cand.clone());
                 }
-                let pa = pdl_core::id::PuId::new(da.pu_id.as_str());
-                let pb = pdl_core::id::PuId::new(db.pu_id.as_str());
-                for (idx, ic) in expanded.interconnects().iter().enumerate() {
-                    if ic.ic_type == SHARED_MEM_IC || !ic.connects(&pa, &pb) {
-                        continue;
-                    }
-                    let cand = TransferPath {
-                        links: vec![ic_to_link[idx].expect("non-shared-mem ic has a link")],
-                        bandwidth_bps: ic.bandwidth_bps().unwrap_or(paths::DEFAULT_BANDWIDTH_BPS),
-                        latency_s: ic.latency_s().unwrap_or(paths::DEFAULT_LATENCY_S),
-                    };
-                    let better = match peer_routes.get(&(a, b)) {
-                        Some(cur) => {
-                            cand.transfer_time(1e6).seconds() < cur.transfer_time(1e6).seconds()
-                        }
-                        None => true,
-                    };
-                    if better {
-                        peer_routes.insert((a, b), cand);
-                    }
-                }
+            };
+            offer((a.0, b.0));
+            if ic.directionality == Directionality::Bidirectional {
+                offer((b.0, a.0));
             }
         }
 
@@ -483,6 +478,48 @@ mod tests {
         // Peer link is disjoint from both host routes.
         let h0 = m.host_route(a0).unwrap();
         assert!(!h0.links.contains(&fwd.links[0]));
+    }
+
+    #[test]
+    fn peer_routes_respect_direction_and_pick_cheapest_parallel_link() {
+        use pdl_core::interconnect::Interconnect;
+        use pdl_core::prelude::{Descriptor, Property, Unit};
+        let link = |ty: &str, from: &str, to: &str, gbps: &str, us: &str| {
+            Interconnect::new(ty, from, to).with_descriptor(
+                Descriptor::new()
+                    .with(
+                        Property::fixed(wellknown::BANDWIDTH, gbps).with_unit(Unit::GigaBytePerSec),
+                    )
+                    .with(Property::fixed(wellknown::LATENCY, us).with_unit(Unit::MicroSecond)),
+            )
+        };
+        let mut b = pdl_core::platform::Platform::builder("peers");
+        let host = b.master("host");
+        for id in ["acc0", "acc1", "acc2"] {
+            b.worker(host, id).expect("master controls");
+            b.interconnect(Interconnect::new("PCIe", "host", id));
+        }
+        // Asymmetric declaration: acc0 may push to acc1, not the reverse.
+        b.interconnect(link("dma", "acc0", "acc1", "10", "1").unidirectional());
+        // Parallel links acc1↔acc2, declared in both orientations: at 1 MB
+        // `fast` (40 µs + 2 µs) beats `slow` (1 ms); its twin ties with it
+        // and, declared later, must lose.
+        b.interconnect(link("slow", "acc1", "acc2", "1", "1"));
+        b.interconnect(link("fast", "acc2", "acc1", "25", "2"));
+        b.interconnect(link("fast-twin", "acc1", "acc2", "25", "2"));
+        let m = SimMachine::from_platform(&b.build().unwrap());
+        let [a0, a1, a2] = ["acc0", "acc1", "acc2"].map(|id| m.device_by_pu(id).unwrap().id);
+
+        let push = m.peer_route(a0, a1).expect("declared direction routes");
+        assert_eq!(m.link(push.links[0]).name, "dma:acc0-acc1");
+        assert!(m.peer_route(a1, a0).is_none(), "unidirectional link");
+        assert!(m.peer_route(a0, a2).is_none(), "no link declared");
+
+        for (from, to) in [(a1, a2), (a2, a1)] {
+            let r = m.peer_route(from, to).expect("parallel links route");
+            assert_eq!(m.link(r.links[0]).name, "fast:acc2-acc1");
+            assert_eq!(r.bandwidth_bps, 25e9);
+        }
     }
 
     #[test]

@@ -11,6 +11,10 @@
 //!   hop charged to exactly one counter (host→device, device→host, or
 //!   peer) — no double counting, no phantom staging bytes;
 //! * data is always recoverable to the host afterwards.
+//!
+//! Probe parity is additionally replayed at many-PU scale (96 GPUs), where
+//! the probe is priced from the pure plan and must still equal both the
+//! decorated plan's total and the charge, to the `f64`.
 
 use hetero_rt::data::{AccessMode, DataRegistry, Routing, HOST};
 use proptest::prelude::*;
@@ -73,6 +77,45 @@ fn check_sequence(machine: &SimMachine, routing: Routing, ops: &[(usize, usize, 
         reg.flush_to_host(machine, h);
         prop_assert!(reg.is_valid_on(h, HOST));
     }
+}
+
+/// Probe parity at many-PU scale: on a 96-GPU cluster a probe (priced from
+/// the pure plan), the decorated plan's total and the charge `acquire_via`
+/// applies are the same `f64`, step after step of one long random replay
+/// with the routing drawn per step.
+#[test]
+fn probe_equals_plan_equals_charge_on_a_many_gpu_cluster() {
+    let machine = SimMachine::from_platform(&pdl_discover::synthetic::gpgpu_cluster(32, 3));
+    assert_eq!(machine.len(), 96);
+    let mut reg = DataRegistry::new();
+    let handles: Vec<_> = (0..16)
+        .map(|i| reg.register(format!("d{i}"), 4096.0 * f64::from(i * i + 1)))
+        .collect();
+    // xorshift64*: a fixed, seeded replay.
+    let mut state = 0x9E37_79B9_7F4A_7C15_u64;
+    let mut draw = |n: usize| {
+        state ^= state >> 12;
+        state ^= state << 25;
+        state ^= state >> 27;
+        (state.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 33) as usize % n
+    };
+    let mut charged_steps = 0;
+    for step in 0..4000 {
+        let h = handles[draw(handles.len())];
+        let device = machine.devices[draw(machine.len())].id;
+        let mode = [AccessMode::Read, AccessMode::Write, AccessMode::ReadWrite][draw(3)];
+        let routing = [Routing::HostStaged, Routing::PeerToPeer][draw(2)];
+        let probed = reg.probe_acquire_via(&machine, h, device, mode, routing);
+        let planned = reg.plan_acquire(&machine, h, device, mode, routing).total();
+        let charged = reg.acquire_via(&machine, h, device, mode, routing);
+        assert_eq!(probed.seconds(), planned.seconds(), "step {step}");
+        assert_eq!(probed.seconds(), charged.seconds(), "step {step}");
+        charged_steps += usize::from(charged.seconds() > 0.0);
+    }
+    assert!(
+        charged_steps > 1000,
+        "only {charged_steps} steps moved data"
+    );
 }
 
 proptest! {

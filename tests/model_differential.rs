@@ -157,7 +157,7 @@ impl Harness {
             state = next;
             for (hi, &h) in handles.iter().enumerate() {
                 let want = self.mapped_valid(&state, hi);
-                if reg.valid_on(h) != &want {
+                if reg.valid_on(h) != want {
                     return Some(ctx(&format!(
                         "valid set of h{hi}: registry {:?} != model {want:?}",
                         reg.valid_on(h)
