@@ -157,6 +157,9 @@ pub fn generate_with_mappings(
     let mut supplied = mappings.into_iter();
     let mut mappings = Vec::new();
     let mut graph = TaskGraph::new();
+    // Every call site declares its handles in the one `main` scope, so
+    // their numbers run on from call to call.
+    let mut next_handle = 0;
 
     main.push_str(&format!(
         "/* Generated by Cascabel for platform {:?} — do not edit. */\n#include <starpu.h>\n\n",
@@ -218,7 +221,8 @@ pub fn generate_with_mappings(
                     Some(m) => m,
                     None => map_call(call, selections, platform)?,
                 };
-                emit_call(&mut main, call, &mapping);
+                emit_call(&mut main, call, &mapping, next_handle);
+                next_handle += call.args.len();
                 build_graph_for_call(&mut graph, call, repository, &mapping, spec)?;
                 mappings.push(mapping);
             }
@@ -243,7 +247,12 @@ fn ext_for(platform_name: &str) -> &'static str {
     }
 }
 
-fn emit_call(main: &mut String, call: &crate::ast::TaskCall, mapping: &CallMapping) {
+fn emit_call(
+    main: &mut String,
+    call: &crate::ast::TaskCall,
+    mapping: &CallMapping,
+    first_handle: usize,
+) {
     main.push_str(&format!(
         "  /* cascabel execute: {iface} group={group:?} -> PUs [{pus}] variants [{vars}] */\n",
         iface = mapping.interface,
@@ -251,7 +260,8 @@ fn emit_call(main: &mut String, call: &crate::ast::TaskCall, mapping: &CallMappi
         pus = mapping.target_pus.join(", "),
         vars = mapping.usable_variants.join(", "),
     ));
-    for (i, arg) in call.args.iter().enumerate() {
+    let handles = first_handle..first_handle + call.args.len();
+    for (i, arg) in handles.clone().zip(&call.args) {
         main.push_str(&format!(
             "  starpu_data_handle_t h{i} = cascabel_register({arg});\n"
         ));
@@ -259,7 +269,7 @@ fn emit_call(main: &mut String, call: &crate::ast::TaskCall, mapping: &CallMappi
     main.push_str(&format!(
         "  cascabel_submit_{iface}({args});\n",
         iface = mapping.interface,
-        args = (0..call.args.len())
+        args = handles
             .map(|i| format!("h{i}"))
             .collect::<Vec<_>>()
             .join(", ")
@@ -298,8 +308,7 @@ fn build_graph_for_call(
                 expr: size_expr.unwrap_or("N").to_string(),
             })?;
             let tile = spec.tile.unwrap_or_else(|| (n / 4).max(1));
-            let sub = workloads::dgemm_graph(n, tile, group);
-            absorb(graph, sub);
+            workloads::emit_dgemm(graph, n, tile, group);
         }
         "I_vecadd" => {
             let n = n.ok_or_else(|| CodegenError::UnresolvedSize {
@@ -316,8 +325,7 @@ fn build_graph_for_call(
             } else {
                 1
             };
-            let sub = workloads::vecadd_graph(n, chunks, group);
-            absorb(graph, sub);
+            workloads::emit_vecadd(graph, n, chunks, group);
         }
         other => {
             // Generic interface: codelet from the kept variants; one task
@@ -398,37 +406,6 @@ fn build_graph_for_call(
         }
     }
     Ok(())
-}
-
-/// Appends all codelets/data/tasks of `sub` into `graph`, remapping indices.
-fn absorb(graph: &mut TaskGraph, sub: TaskGraph) {
-    let codelet_base: Vec<usize> = sub
-        .codelets
-        .iter()
-        .map(|c| graph.add_codelet(c.clone()))
-        .collect();
-    let mut handle_map = Vec::with_capacity(sub.data.len());
-    for i in 0..sub.data.len() {
-        let meta = sub.data.meta(hetero_rt::data::HandleId(i));
-        handle_map.push(graph.register_data(meta.label.clone(), meta.size_bytes));
-    }
-    for t in &sub.tasks {
-        let accesses = t
-            .accesses
-            .iter()
-            .map(|a| hetero_rt::task::DataAccess {
-                handle: handle_map[a.handle.0],
-                mode: a.mode,
-            })
-            .collect();
-        graph.submit(
-            codelet_base[t.codelet],
-            t.label.clone(),
-            t.flops,
-            accesses,
-            t.execution_group.clone(),
-        );
-    }
 }
 
 #[cfg(test)]

@@ -9,7 +9,6 @@
 
 use crate::data::{DataRegistry, HandleId};
 use crate::task::{Codelet, DataAccess, Task, TaskId};
-use std::collections::BTreeMap;
 
 /// A complete submitted program: codelets, data and tasks with edges.
 #[derive(Debug, Clone, Default)]
@@ -24,10 +23,11 @@ pub struct TaskGraph {
     dependencies: Vec<Vec<TaskId>>,
     /// dependents\[t\] = tasks waiting on `t`.
     dependents: Vec<Vec<TaskId>>,
-    /// Last writer per handle (submission-time tracking).
-    last_writer: BTreeMap<HandleId, TaskId>,
+    /// Last writer per handle (submission-time tracking), indexed by
+    /// `HandleId.0` like the registry itself.
+    last_writer: Vec<Option<TaskId>>,
     /// Readers since the last write, per handle.
-    readers_since_write: BTreeMap<HandleId, Vec<TaskId>>,
+    readers_since_write: Vec<Vec<TaskId>>,
 }
 
 impl TaskGraph {
@@ -40,12 +40,18 @@ impl TaskGraph {
     /// dependency and dependent vectors are allocated once up front, so
     /// million-task submission loops never re-grow them.
     pub fn with_capacity(tasks: usize) -> Self {
-        TaskGraph {
-            tasks: Vec::with_capacity(tasks),
-            dependencies: Vec::with_capacity(tasks),
-            dependents: Vec::with_capacity(tasks),
-            ..Self::default()
-        }
+        let mut g = Self::default();
+        g.reserve(tasks);
+        g
+    }
+
+    /// Makes room for `additional` more submissions (what
+    /// [`with_capacity`](Self::with_capacity) does for a new graph), for
+    /// builders that emit into a graph they did not create.
+    pub fn reserve(&mut self, additional: usize) {
+        self.tasks.reserve(additional);
+        self.dependencies.reserve(additional);
+        self.dependents.reserve(additional);
     }
 
     /// Registers a codelet, returning its index for task submission.
@@ -86,22 +92,16 @@ impl TaskGraph {
         assert!(codelet < self.codelets.len(), "unknown codelet index");
         let id = TaskId(self.tasks.len());
         let mut deps: Vec<TaskId> = Vec::new();
+        // Handles registered since the last submission start untracked.
+        self.last_writer.resize(self.data.len(), None);
+        self.readers_since_write.resize(self.data.len(), Vec::new());
 
         for a in &accesses {
-            if a.mode.reads() {
-                // RAW: depend on the last writer.
-                if let Some(&w) = self.last_writer.get(&a.handle) {
-                    deps.push(w);
-                }
-            }
+            // RAW, WAW: reads and writes alike depend on the last writer.
+            deps.extend(self.last_writer[a.handle.0]);
             if a.mode.writes() {
-                // WAW: depend on the last writer; WAR: on readers since.
-                if let Some(&w) = self.last_writer.get(&a.handle) {
-                    deps.push(w);
-                }
-                if let Some(readers) = self.readers_since_write.get(&a.handle) {
-                    deps.extend(readers.iter().copied());
-                }
+                // WAR: a write also depends on the readers since.
+                deps.extend_from_slice(&self.readers_since_write[a.handle.0]);
             }
         }
         deps.sort_unstable();
@@ -111,13 +111,10 @@ impl TaskGraph {
         // Update submission-time tracking.
         for a in &accesses {
             if a.mode.writes() {
-                self.last_writer.insert(a.handle, id);
-                self.readers_since_write.insert(a.handle, Vec::new());
+                self.last_writer[a.handle.0] = Some(id);
+                self.readers_since_write[a.handle.0].clear();
             } else if a.mode.reads() {
-                self.readers_since_write
-                    .entry(a.handle)
-                    .or_default()
-                    .push(id);
+                self.readers_since_write[a.handle.0].push(id);
             }
         }
 
@@ -354,6 +351,58 @@ mod tests {
             for d in g.dependencies(*t) {
                 let dpos = order.iter().position(|x| x == d).unwrap();
                 assert!(dpos < pos);
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// The per-handle tracking arrays derive exactly the edges of the
+        /// rule stated by scanning every earlier task: a task depends on
+        /// the latest earlier writer of each handle it touches and, where
+        /// it writes, on everything that touched the handle since.
+        #[test]
+        fn edges_equal_the_scan_of_all_earlier_tasks(
+            tasks in proptest::collection::vec(
+                proptest::collection::vec((0usize..6, 0usize..3), 0..4),
+                0..40,
+            ),
+        ) {
+            let modes = [AccessMode::Read, AccessMode::Write, AccessMode::ReadWrite];
+            let (mut g, c) = graph_with_codelet();
+            for accesses in &tasks {
+                // Handles appear as tasks first name them, so the tracking
+                // arrays grow between submissions.
+                for &(h, _) in accesses {
+                    while g.data.len() <= h {
+                        g.register_data("h", 8.0);
+                    }
+                }
+                let accesses = accesses.iter().map(|&(h, m)| acc(HandleId(h), modes[m]));
+                g.submit(c, "t", 1.0, accesses.collect(), None);
+            }
+
+            let writes = |t: usize, h: usize| tasks[t].iter().any(|&(x, m)| x == h && modes[m].writes());
+            let touches = |t: usize, h: usize| tasks[t].iter().any(|&(x, _)| x == h);
+            let mut dependents = vec![Vec::new(); tasks.len()];
+            for (t, accesses) in tasks.iter().enumerate() {
+                let mut deps = Vec::new();
+                for &(h, m) in accesses {
+                    let writer = (0..t).rev().find(|&e| writes(e, h));
+                    deps.extend(writer);
+                    if modes[m].writes() {
+                        deps.extend((writer.map_or(0, |w| w + 1)..t).filter(|&e| touches(e, h)));
+                    }
+                }
+                deps.sort_unstable();
+                deps.dedup();
+                for &d in &deps {
+                    dependents[d].push(TaskId(t));
+                }
+                let deps: Vec<TaskId> = deps.into_iter().map(TaskId).collect();
+                assert_eq!(g.dependencies(TaskId(t)), deps, "dependencies of task {t}");
+            }
+            for (t, expected) in dependents.iter().enumerate() {
+                assert_eq!(g.dependents(TaskId(t)), expected, "dependents of task {t}");
             }
         }
     }

@@ -289,10 +289,14 @@ pub fn critical_path(trace: &RunTrace, deps: &[(u32, u32)]) -> Result<Profile, S
     for &(from, to) in deps {
         preds.entry(to).or_default().push(from);
     }
-    // Per-lane span order for same-lane predecessors.
+    // Per-lane span order for same-lane predecessors, and each span's place
+    // in it (the walk below would otherwise search its lane at every step).
     let mut lane_spans: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
+    let mut place_in_lane = vec![0usize; spans.len()];
     for (i, s) in spans.iter().enumerate() {
-        lane_spans.entry(s.worker).or_default().push(i);
+        let order = lane_spans.entry(s.worker).or_default();
+        place_in_lane[i] = order.len();
+        order.push(i);
     }
 
     // Walk backward from the last span to finish.
@@ -339,7 +343,7 @@ pub fn critical_path(trace: &RunTrace, deps: &[(u32, u32)]) -> Result<Profile, S
             }
         }
         if let Some(order) = lane_spans.get(&span.worker) {
-            let pos = order.iter().position(|&i| i == current).unwrap_or(0);
+            let pos = place_in_lane[current];
             if pos > 0 {
                 consider(order[pos - 1]);
             }

@@ -45,9 +45,18 @@ pub fn dgemm_codelet() -> Codelet {
 ///
 /// `execution_group` optionally pins all tasks to a logic group.
 pub fn dgemm_graph(n: usize, tile: usize, execution_group: Option<String>) -> TaskGraph {
+    let mut g = TaskGraph::new();
+    emit_dgemm(&mut g, n, tile, execution_group);
+    g
+}
+
+/// Emits the tasks, tile handles and codelet of [`dgemm_graph`] into `g`,
+/// after whatever `g` already holds: how a translated program with several
+/// call sites gets one graph.
+pub fn emit_dgemm(g: &mut TaskGraph, n: usize, tile: usize, execution_group: Option<String>) {
     assert!(tile > 0 && tile <= n, "tile must be in 1..=n");
     let tiles = n.div_ceil(tile);
-    let mut g = TaskGraph::with_capacity(tiles * tiles * tiles);
+    g.reserve(tiles * tiles * tiles);
     let codelet = g.add_codelet(dgemm_codelet());
     let tile_bytes = matrix_bytes(tile.min(n));
 
@@ -88,7 +97,6 @@ pub fn dgemm_graph(n: usize, tile: usize, execution_group: Option<String>) -> Ta
             }
         }
     }
-    g
 }
 
 /// Builds the single-task DGEMM graph: the *serial input program* of the
@@ -121,7 +129,15 @@ pub fn vecadd_codelet() -> Codelet {
 /// annotation `(A:BLOCK:N, B:BLOCK:N)`: `chunks` independent tasks, each
 /// adding one block of B into the matching block of A.
 pub fn vecadd_graph(n: usize, chunks: usize, execution_group: Option<String>) -> TaskGraph {
-    let mut g = TaskGraph::with_capacity(chunks);
+    let mut g = TaskGraph::new();
+    emit_vecadd(&mut g, n, chunks, execution_group);
+    g
+}
+
+/// Emits the tasks, block handles and codelet of [`vecadd_graph`] into `g`,
+/// after whatever `g` already holds.
+pub fn emit_vecadd(g: &mut TaskGraph, n: usize, chunks: usize, execution_group: Option<String>) {
+    g.reserve(chunks);
     let codelet = g.add_codelet(vecadd_codelet());
     for (idx, (lo, hi)) in block_ranges(n, chunks).into_iter().enumerate() {
         let len = hi - lo;
@@ -135,7 +151,6 @@ pub fn vecadd_graph(n: usize, chunks: usize, execution_group: Option<String>) ->
             execution_group.clone(),
         );
     }
-    g
 }
 
 /// Builds a strip-decomposed Jacobi graph: `sweeps` iterations over

@@ -26,10 +26,12 @@
 //! use to avoid reporting presentation differences as changes.
 
 use crate::hash::ContentHash;
+use pdl_core::descriptor::Descriptor;
 use pdl_core::interconnect::{Directionality, Interconnect};
 use pdl_core::platform::{Platform, PlatformBuilder, PuHandle};
 use pdl_core::property::Property;
 use pdl_core::pu::ProcessingUnit;
+use std::borrow::Cow;
 
 /// Version tag of the canonical encoding; bump when the rules change, so
 /// old and new addresses can never be confused.
@@ -47,46 +49,58 @@ fn put_u32(buf: &mut Vec<u8>, v: u32) {
 /// Normalized textual form of a property value: trimmed, numbers
 /// re-rendered canonically.
 pub fn norm_value(text: &str) -> String {
+    norm(text).into_owned()
+}
+
+/// [`norm_value`], borrowing the text unless a number is re-rendered.
+fn norm(text: &str) -> Cow<'_, str> {
     let t = text.trim();
     match t.parse::<f64>() {
-        Ok(n) if n.is_finite() => {
-            // Shortest round-trip rendering collapses "42", " 42 ", "42.0".
-            format!("{n}")
-        }
-        _ => t.to_string(),
+        // Shortest round-trip rendering collapses "42", " 42 ", "42.0".
+        Ok(n) if n.is_finite() => Cow::Owned(format!("{n}")),
+        _ => Cow::Borrowed(t),
     }
 }
 
-/// Stable sort key of one property (used both for encoding and for the
-/// canonical rebuild).
-fn prop_key(p: &Property) -> (String, String, String, bool, String) {
+/// Sort key of one property, which is also its encoded record: name,
+/// normalized value, unit, fixedness, qualified subschema.
+type PropKey<'a> = (&'a str, Cow<'a, str>, &'static str, bool, Cow<'a, str>);
+
+fn prop_key(p: &Property) -> PropKey<'_> {
     (
-        p.name.clone(),
-        norm_value(&p.value.text),
-        p.value.unit.map(|u| u.to_string()).unwrap_or_default(),
+        &p.name,
+        norm(&p.value.text),
+        p.value.unit.map_or("", pdl_core::units::Unit::as_str),
         p.fixed,
         p.subschema
             .as_ref()
-            .map(pdl_core::property::SubschemaRef::qualified)
-            .unwrap_or_default(),
+            .map_or(Cow::Borrowed(""), |s| Cow::Owned(s.qualified())),
     )
 }
 
-fn sorted_props(props: impl Iterator<Item = Property>) -> Vec<Property> {
-    let mut v: Vec<Property> = props.collect();
-    v.sort_by_cached_key(prop_key);
+/// A descriptor's properties in canonical order, each with its key (used
+/// both for encoding and for the canonical rebuild).
+fn sorted_props<'a>(props: impl Iterator<Item = &'a Property>) -> Vec<(PropKey<'a>, &'a Property)> {
+    let mut v: Vec<_> = props.map(|p| (prop_key(p), p)).collect();
+    v.sort_by(|a, b| a.0.cmp(&b.0));
     v
 }
 
-fn encode_descriptor(buf: &mut Vec<u8>, props: &[Property]) {
+/// The descriptor with its properties in canonical order.
+fn sorted_descriptor(descriptor: &Descriptor) -> Descriptor {
+    let props = sorted_props(descriptor.iter());
+    props.into_iter().map(|(_, p)| p.clone()).collect()
+}
+
+fn encode_descriptor<'a>(buf: &mut Vec<u8>, props: impl Iterator<Item = &'a Property>) {
+    let props = sorted_props(props);
     put_u32(buf, props.len() as u32);
-    for p in props {
-        let (name, value, unit, fixed, sub) = prop_key(p);
-        put_str(buf, &name);
-        put_str(buf, &value);
-        put_str(buf, &unit);
-        buf.push(u8::from(fixed));
-        put_str(buf, &sub);
+    for ((name, value, unit, fixed, sub), _) in &props {
+        put_str(buf, name);
+        put_str(buf, value);
+        put_str(buf, unit);
+        buf.push(u8::from(*fixed));
+        put_str(buf, sub);
     }
 }
 
@@ -94,11 +108,7 @@ fn encode_pu(buf: &mut Vec<u8>, platform: &Platform, pu: &ProcessingUnit) {
     put_str(buf, pu.id.as_str());
     put_str(buf, pu.class.element_name());
     put_u32(buf, pu.quantity);
-    let parent = pu
-        .parent()
-        .map(|i| platform.pu(i).id.as_str().to_string())
-        .unwrap_or_default();
-    put_str(buf, &parent);
+    put_str(buf, pu.parent().map_or("", |i| platform.pu(i).id.as_str()));
 
     let mut groups: Vec<&str> = pu
         .groups
@@ -111,14 +121,14 @@ fn encode_pu(buf: &mut Vec<u8>, platform: &Platform, pu: &ProcessingUnit) {
         put_str(buf, g);
     }
 
-    encode_descriptor(buf, &sorted_props(pu.descriptor.iter().cloned()));
+    encode_descriptor(buf, pu.descriptor.iter());
 
-    let mut mrs: Vec<_> = pu.memory_regions.clone();
+    let mut mrs: Vec<_> = pu.memory_regions.iter().collect();
     mrs.sort_by(|a, b| a.id.cmp(&b.id));
     put_u32(buf, mrs.len() as u32);
-    for mr in &mrs {
+    for mr in mrs {
         put_str(buf, mr.id.as_str());
-        encode_descriptor(buf, &sorted_props(mr.descriptor.iter().cloned()));
+        encode_descriptor(buf, mr.descriptor.iter());
     }
 }
 
@@ -135,7 +145,7 @@ fn encode_interconnect(ic: &Interconnect) -> Vec<u8> {
     put_str(&mut buf, b);
     put_str(&mut buf, &ic.scheme);
     buf.push(u8::from(bidi));
-    encode_descriptor(&mut buf, &sorted_props(ic.descriptor.iter().cloned()));
+    encode_descriptor(&mut buf, ic.descriptor.iter());
     buf
 }
 
@@ -193,21 +203,12 @@ pub fn canonicalize(platform: &Platform) -> Platform {
                 .expect("source tree is well-formed"),
         };
         b.quantity(h, pu.quantity);
-        b.descriptor(
-            h,
-            sorted_props(pu.descriptor.iter().cloned())
-                .into_iter()
-                .collect(),
-        );
-        let mut mrs = pu.memory_regions.clone();
+        b.descriptor(h, sorted_descriptor(&pu.descriptor));
+        let mut mrs: Vec<_> = pu.memory_regions.iter().collect();
         mrs.sort_by(|a, b| a.id.cmp(&b.id));
         for mr in mrs {
-            let canon = mr.clone().with_descriptor(
-                sorted_props(mr.descriptor.iter().cloned())
-                    .into_iter()
-                    .collect(),
-            );
-            b.memory(h, canon);
+            let canon = sorted_descriptor(&mr.descriptor);
+            b.memory(h, mr.clone().with_descriptor(canon));
         }
         let mut groups = pu.groups.clone();
         groups.sort();
@@ -230,9 +231,7 @@ pub fn canonicalize(platform: &Platform) -> Platform {
             if c.directionality == Directionality::Bidirectional && c.to < c.from {
                 std::mem::swap(&mut c.from, &mut c.to);
             }
-            c.descriptor = sorted_props(c.descriptor.iter().cloned())
-                .into_iter()
-                .collect();
+            c.descriptor = sorted_descriptor(&ic.descriptor);
             (encode_interconnect(&c), c)
         })
         .collect();
@@ -327,16 +326,94 @@ mod tests {
     }
 
     #[test]
-    fn canonicalize_is_idempotent_and_hash_preserving() {
-        let p = sample(true);
-        let c = canonicalize(&p);
-        assert_eq!(content_hash(&p), content_hash(&c));
-        let cc = canonicalize(&c);
-        assert_eq!(c, cc);
-        // Canonical form has sorted properties.
+    fn canonical_form_has_sorted_properties() {
+        let c = canonicalize(&sample(true));
         let (_, cpu) = c.pu_by_id("cpu").unwrap();
         let names: Vec<_> = cpu.descriptor.iter().map(|p| p.name.as_str()).collect();
         assert_eq!(names, ["ARCHITECTURE", "CORES"]);
+    }
+
+    /// Rotates `xs` left by `by`: a presentation order that differs from
+    /// the drawn one whenever there are at least two distinct elements.
+    fn rotated<T: Clone>(xs: &[T], by: usize) -> Vec<T> {
+        let mut v = xs.to_vec();
+        if !v.is_empty() {
+            v.rotate_left(by % xs.len());
+        }
+        v
+    }
+
+    /// One master and one worker carrying `props` (every fourth with a unit,
+    /// every third unfixed, every fifth subschema-typed) on the PU, on each
+    /// memory region and on each link; `turn` picks the presentation order
+    /// of properties, groups, regions and links.
+    fn presented(
+        props: &[(String, String)],
+        groups: &[String],
+        regions: usize,
+        links: usize,
+        turn: usize,
+    ) -> Platform {
+        let descriptor = |turn: usize| -> Descriptor {
+            let props = props.iter().enumerate().map(|(i, (name, value))| {
+                let p =
+                    Property::fixed(name.clone(), value.clone()).with_fixed(!i.is_multiple_of(3));
+                if i.is_multiple_of(4) {
+                    p.with_unit(pdl_core::units::Unit::MegaHertz)
+                } else if i.is_multiple_of(5) {
+                    let subschema = pdl_core::property::SubschemaRef::new("ocl", name.clone());
+                    Property::typed(p.name, p.value, subschema).with_fixed(p.fixed)
+                } else {
+                    p
+                }
+            });
+            rotated(&props.collect::<Vec<_>>(), turn)
+                .into_iter()
+                .collect()
+        };
+        let mut b = Platform::builder("presented");
+        let m = b.master("cpu");
+        let w = b.worker(m, "acc").unwrap();
+        b.descriptor(w, descriptor(turn));
+        for g in rotated(groups, turn) {
+            b.group(w, g);
+        }
+        for r in rotated(&(0..regions).collect::<Vec<_>>(), turn) {
+            let mr = pdl_core::memory::MemoryRegion::new(format!("mr{r}"));
+            b.memory(w, mr.with_descriptor(descriptor(turn + r)));
+        }
+        for l in rotated(&(0..links).collect::<Vec<_>>(), turn) {
+            // Bidirectional links are also written from either end.
+            let (from, to) = if (l + turn).is_multiple_of(2) {
+                ("cpu", "acc")
+            } else {
+                ("acc", "cpu")
+            };
+            let ic = Interconnect::new(format!("link{}", l % 2), from, to);
+            b.interconnect(ic.with_descriptor(descriptor(turn + l)));
+        }
+        b.build_unchecked() // values may be empty
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn canonicalize_is_idempotent_and_hash_preserving(
+            props in proptest::collection::vec(("[A-C]{1,2}", "[0-9a-b. ]{0,4}"), 0..7),
+            groups in proptest::collection::vec("[a-c]{1,2}", 0..4),
+            regions in 0usize..4,
+            links in 0usize..4,
+            turn in 1usize..7,
+        ) {
+            let plain = presented(&props, &groups, regions, links, 0);
+            let turned = presented(&props, &groups, regions, links, turn);
+            let canon = canonicalize(&turned);
+            // The address of a platform is the address of its canonical
+            // form, which is what lets `publish` hash before rebuilding.
+            assert_eq!(content_hash(&turned), content_hash(&canon));
+            assert_eq!(content_hash(&plain), content_hash(&canon));
+            assert_eq!(canonicalize(&plain), canon);
+            assert_eq!(canonicalize(&canon), canon);
+        }
     }
 
     #[test]

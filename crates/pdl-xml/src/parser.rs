@@ -9,6 +9,10 @@
 //! The parser is a hand-rolled recursive-descent cursor over `&str` that
 //! tracks line/column for diagnostics and guarantees well-formedness:
 //! matching tags, unique attributes per element, single root element.
+//! Character data, attribute values, names and whitespace are consumed a
+//! run at a time ([`Parser::run`]); `tests/xml_oracle.rs` holds the
+//! one-`char`-at-a-time cursor this replaced and requires the same tree,
+//! positions and errors from both.
 
 use crate::dom::{Document, Element, Node};
 use crate::error::{Pos, SyntaxError, SyntaxErrorKind};
@@ -133,10 +137,46 @@ impl<'a> Parser<'a> {
         Some(c)
     }
 
+    /// Consumes the markup literal `s` (ASCII, no newline).
     fn bump_str(&mut self, s: &str) {
-        debug_assert!(self.starts_with(s));
-        for _ in s.chars() {
-            self.bump();
+        debug_assert!(self.starts_with(s) && s.is_ascii() && !s.contains('\n'));
+        self.at += s.len();
+        self.col += s.len() as u32;
+    }
+
+    /// Consumes and returns the longest run of bytes `keep` accepts. `keep`
+    /// accepts either every non-ASCII byte or none, so the run ends on a
+    /// character boundary. Line and column ride the same scan: every byte
+    /// but a UTF-8 continuation byte starts a character.
+    fn run(&mut self, keep: impl Fn(u8) -> bool) -> &'a str {
+        let rest = self.rest();
+        let mut len = 0;
+        for b in rest.bytes() {
+            if !keep(b) {
+                break;
+            }
+            if b == b'\n' {
+                self.line += 1;
+                self.col = 1;
+            } else if b & 0xC0 != 0x80 {
+                self.col += 1;
+            }
+            len += 1;
+        }
+        self.at += len;
+        &rest[..len]
+    }
+
+    /// [`run`](Self::run) over a character class with non-ASCII members:
+    /// its ASCII members (`ascii`) by byte scan, the others one `char` at a
+    /// time.
+    fn run_class(&mut self, ascii: impl Fn(u8) -> bool, other: impl Fn(char) -> bool) {
+        loop {
+            self.run(&ascii);
+            match self.peek() {
+                Some(c) if !c.is_ascii() && other(c) => self.bump(),
+                _ => return,
+            };
         }
     }
 
@@ -157,9 +197,7 @@ impl<'a> Parser<'a> {
     }
 
     fn skip_whitespace(&mut self) {
-        while matches!(self.peek(), Some(c) if c.is_whitespace()) {
-            self.bump();
-        }
+        self.run_class(|b| matches!(b, b'\t'..=b'\r' | b' '), char::is_whitespace);
     }
 
     /// Skips `<? … ?>` (declaration or processing instruction).
@@ -233,21 +271,17 @@ impl<'a> Parser<'a> {
         Self::is_name_start(c) || c.is_ascii_digit() || c == '-' || c == '.'
     }
 
-    fn parse_name(&mut self) -> Result<String, SyntaxError> {
+    fn parse_name(&mut self) -> Result<&'a str, SyntaxError> {
         let start = self.at;
-        match self.peek() {
-            Some(c) if Self::is_name_start(c) => {
-                self.bump();
-            }
-            _ => {
-                let found: String = self.rest().chars().take(1).collect();
-                return Err(self.err(SyntaxErrorKind::BadName(found)));
-            }
+        if !matches!(self.peek(), Some(c) if Self::is_name_start(c)) {
+            let found: String = self.rest().chars().take(1).collect();
+            return Err(self.err(SyntaxErrorKind::BadName(found)));
         }
-        while matches!(self.peek(), Some(c) if Self::is_name_char(c)) {
-            self.bump();
-        }
-        Ok(self.input[start..self.at].to_string())
+        self.run_class(
+            |b| b.is_ascii_alphanumeric() || matches!(b, b'_' | b':' | b'-' | b'.'),
+            Self::is_name_char,
+        );
+        Ok(&self.input[start..self.at])
     }
 
     fn parse_entity(&mut self) -> Result<char, SyntaxError> {
@@ -309,6 +343,7 @@ impl<'a> Parser<'a> {
         self.bump();
         let mut value = String::new();
         loop {
+            value.push_str(self.run(|b| b != quote as u8 && b != b'&' && b != b'<'));
             match self.peek() {
                 None => return Err(self.err(SyntaxErrorKind::UnexpectedEof("attribute value"))),
                 Some(c) if c == quote => {
@@ -316,13 +351,7 @@ impl<'a> Parser<'a> {
                     return Ok(value);
                 }
                 Some('&') => value.push(self.parse_entity()?),
-                Some('<') => {
-                    return Err(self.err(SyntaxErrorKind::StrayMarkup("<".into())));
-                }
-                Some(c) => {
-                    value.push(c);
-                    self.bump();
-                }
+                Some(_) => return Err(self.err(SyntaxErrorKind::StrayMarkup("<".into()))),
             }
         }
     }
@@ -330,8 +359,7 @@ impl<'a> Parser<'a> {
     fn parse_element(&mut self) -> Result<Element, SyntaxError> {
         let pos = self.pos();
         self.expect("<")?;
-        let name = self.parse_name()?;
-        let mut element = Element::new(name.clone());
+        let mut element = Element::new(self.parse_name()?);
         element.pos = pos;
 
         // Attributes.
@@ -353,14 +381,14 @@ impl<'a> Parser<'a> {
                 }
                 Some(c) if Self::is_name_start(c) && had_space => {
                     let attr_name = self.parse_name()?;
-                    if element.attributes.iter().any(|(n, _)| *n == attr_name) {
-                        return Err(self.err(SyntaxErrorKind::DuplicateAttribute(attr_name)));
+                    if element.attributes.iter().any(|(n, _)| n == attr_name) {
+                        return Err(self.err(SyntaxErrorKind::DuplicateAttribute(attr_name.into())));
                     }
                     self.skip_whitespace();
                     self.expect("=")?;
                     self.skip_whitespace();
                     let value = self.parse_attr_value()?;
-                    element.attributes.push((attr_name, value));
+                    element.attributes.push((attr_name.to_string(), value));
                 }
                 _ => {
                     let found: String = self.rest().chars().take(1).collect();
@@ -375,52 +403,57 @@ impl<'a> Parser<'a> {
         // Content.
         let mut text = String::new();
         loop {
+            let run = self.run(|b| b != b'<' && b != b'&');
             if self.eof() {
                 return Err(self.err(SyntaxErrorKind::UnexpectedEof("element content")));
             }
+            if self.starts_with("&") {
+                text.push_str(run);
+                text.push(self.parse_entity()?);
+                continue;
+            }
+            Self::flush_text(&mut text, run, &mut element);
             if self.starts_with("</") {
-                Self::flush_text(&mut text, &mut element);
                 self.bump_str("</");
                 let close = self.parse_name()?;
-                if close != name {
-                    return Err(self.err(SyntaxErrorKind::MismatchedClose { open: name, close }));
+                if close != element.name {
+                    return Err(self.err(SyntaxErrorKind::MismatchedClose {
+                        open: element.name,
+                        close: close.to_string(),
+                    }));
                 }
                 self.skip_whitespace();
                 self.expect(">")?;
                 return Ok(element);
             } else if self.starts_with("<!--") {
-                Self::flush_text(&mut text, &mut element);
                 let c = self.parse_comment()?;
                 element.children.push(Node::Comment(c));
             } else if self.starts_with("<![CDATA[") {
-                Self::flush_text(&mut text, &mut element);
                 let c = self.parse_cdata()?;
                 element.children.push(Node::CData(c));
             } else if self.starts_with("<?") {
-                Self::flush_text(&mut text, &mut element);
                 self.skip_pi()?;
-            } else if self.starts_with("<") {
-                Self::flush_text(&mut text, &mut element);
+            } else {
                 let child = self.parse_element()?;
                 element.children.push(Node::Element(child));
-            } else if self.starts_with("&") {
-                text.push(self.parse_entity()?);
-            } else {
-                text.push(self.bump().expect("not eof"));
             }
         }
     }
 
-    /// Pushes accumulated character data as a text node unless it is pure
-    /// inter-element whitespace.
-    fn flush_text(text: &mut String, element: &mut Element) {
-        if !text.is_empty() {
-            if !text.trim().is_empty() {
-                element.children.push(Node::Text(std::mem::take(text)));
-            } else {
-                text.clear();
-            }
+    /// Pushes the character data before a piece of markup — what entity
+    /// references left in `text`, then `run` — as a text node unless it is
+    /// pure inter-element whitespace.
+    fn flush_text(text: &mut String, run: &str, element: &mut Element) {
+        let whole = if text.is_empty() {
+            run
+        } else {
+            text.push_str(run);
+            text.as_str()
+        };
+        if !whole.trim().is_empty() {
+            element.children.push(Node::Text(whole.to_string()));
         }
+        text.clear();
     }
 }
 

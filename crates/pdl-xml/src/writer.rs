@@ -21,33 +21,51 @@ impl Default for WriteOptions {
     }
 }
 
+/// Appends `s` to `out`, replacing the bytes `entity` names by their
+/// references and copying the runs between them whole.
+fn escape_into(out: &mut String, s: &str, entity: fn(u8) -> Option<&'static str>) {
+    let mut copied = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if let Some(reference) = entity(b) {
+            out.push_str(&s[copied..i]);
+            out.push_str(reference);
+            copied = i + 1;
+        }
+    }
+    out.push_str(&s[copied..]);
+}
+
+fn text_entity(b: u8) -> Option<&'static str> {
+    match b {
+        b'<' => Some("&lt;"),
+        b'>' => Some("&gt;"),
+        b'&' => Some("&amp;"),
+        _ => None,
+    }
+}
+
+fn attr_entity(b: u8) -> Option<&'static str> {
+    match b {
+        b'<' => Some("&lt;"),
+        b'&' => Some("&amp;"),
+        b'"' => Some("&quot;"),
+        b'\n' => Some("&#10;"),
+        b'\t' => Some("&#9;"),
+        _ => None,
+    }
+}
+
 /// Escapes character data (`<`, `&`, `>`).
 pub fn escape_text(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            '&' => out.push_str("&amp;"),
-            _ => out.push(c),
-        }
-    }
+    escape_into(&mut out, s, text_entity);
     out
 }
 
 /// Escapes an attribute value (quoted with `"`).
 pub fn escape_attr(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '<' => out.push_str("&lt;"),
-            '&' => out.push_str("&amp;"),
-            '"' => out.push_str("&quot;"),
-            '\n' => out.push_str("&#10;"),
-            '\t' => out.push_str("&#9;"),
-            _ => out.push(c),
-        }
-    }
+    escape_into(&mut out, s, attr_entity);
     out
 }
 
@@ -78,53 +96,58 @@ pub fn write_fragment(element: &Element) -> String {
 }
 
 fn write_element(out: &mut String, e: &Element, depth: usize, opts: &WriteOptions) {
-    let pad = opts.indent.repeat(depth);
-    let _ = write!(out, "{pad}<{}", e.name);
+    let pad = |out: &mut String, depth: usize| (0..depth).for_each(|_| out.push_str(&opts.indent));
+    pad(out, depth);
+    out.push('<');
+    out.push_str(&e.name);
     for (n, v) in &e.attributes {
-        let _ = write!(out, " {n}=\"{}\"", escape_attr(v));
+        out.push(' ');
+        out.push_str(n);
+        out.push_str("=\"");
+        escape_into(out, v, attr_entity);
+        out.push('"');
     }
     if e.children.is_empty() {
         out.push_str("/>");
         return;
     }
+    out.push('>');
 
     // Text-only elements are rendered inline: <name>value</name>.
     let text_only = e
         .children
         .iter()
         .all(|c| matches!(c, Node::Text(_) | Node::CData(_)));
-    if text_only {
-        out.push('>');
-        for c in &e.children {
-            match c {
-                Node::Text(t) => out.push_str(&escape_text(t)),
-                Node::CData(t) => {
-                    let _ = write!(out, "<![CDATA[{t}]]>");
-                }
-                _ => unreachable!(),
+    for c in &e.children {
+        if !text_only {
+            out.push('\n');
+            if !matches!(c, Node::Element(_)) {
+                pad(out, depth + 1);
             }
         }
-        let _ = write!(out, "</{}>", e.name);
-        return;
-    }
-
-    out.push('>');
-    for c in &e.children {
-        out.push('\n');
         match c {
             Node::Element(child) => write_element(out, child, depth + 1, opts),
-            Node::Text(t) => {
-                let _ = write!(out, "{pad}{}{}", opts.indent, escape_text(t.trim()));
-            }
+            Node::Text(t) if text_only => escape_into(out, t, text_entity),
+            Node::Text(t) => escape_into(out, t.trim(), text_entity),
             Node::CData(t) => {
-                let _ = write!(out, "{pad}{}<![CDATA[{t}]]>", opts.indent);
+                out.push_str("<![CDATA[");
+                out.push_str(t);
+                out.push_str("]]>");
             }
             Node::Comment(t) => {
-                let _ = write!(out, "{pad}{}<!--{t}-->", opts.indent);
+                out.push_str("<!--");
+                out.push_str(t);
+                out.push_str("-->");
             }
         }
     }
-    let _ = write!(out, "\n{pad}</{}>", e.name);
+    if !text_only {
+        out.push('\n');
+        pad(out, depth);
+    }
+    out.push_str("</");
+    out.push_str(&e.name);
+    out.push('>');
 }
 
 #[cfg(test)]
@@ -138,6 +161,38 @@ mod tests {
         assert_eq!(
             escape_attr("say \"hi\" & <go>"),
             "say &quot;hi&quot; &amp; &lt;go>"
+        );
+    }
+
+    #[test]
+    fn mixed_content_layout_is_pinned() {
+        let mut e = Element::new("a")
+            .attr("k", "x\ty\n\"<&>ü")
+            .child(Element::new("b").text(" <in&line> ü "))
+            .text("  loose > text  ")
+            .comment(" note ")
+            .child(Element::new("c").child(Element::new("d")));
+        e.children.push(Node::CData("raw <&>".into()));
+        e.children.push(Node::Element(Element {
+            children: vec![Node::Text("t".into()), Node::CData("u".into())],
+            ..Element::new("e")
+        }));
+        let opts = WriteOptions {
+            indent: "\t".into(),
+            declaration: false,
+        };
+        assert_eq!(
+            write_document_with(&Document::new(e), &opts),
+            "<a k=\"x&#9;y&#10;&quot;&lt;&amp;>ü\">\n\
+             \t<b> &lt;in&amp;line&gt; ü </b>\n\
+             \tloose &gt; text\n\
+             \t<!-- note -->\n\
+             \t<c>\n\
+             \t\t<d/>\n\
+             \t</c>\n\
+             \t<![CDATA[raw <&>]]>\n\
+             \t<e>t<![CDATA[u]]></e>\n\
+             </a>\n"
         );
     }
 

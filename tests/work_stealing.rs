@@ -96,9 +96,13 @@ fn report_accounts_every_task_exactly_once() {
 
 #[test]
 fn group_fan_out_forces_steals() {
-    // Worker 0 (group "src") readies every "sink"-pinned task, so each of
-    // those must reach group "sink"'s workers through the group injector —
-    // which the engine counts as a steal.
+    // The source is seeded to worker 0 (group "src") and readies every
+    // "sink"-pinned task. Either worker 0 runs it and hands all of them to
+    // group "sink" through that group's injector, or an idle sink worker
+    // took the source from worker 0's deque first; both are steals. How
+    // many the engine counts depends on the schedule (an idle group also
+    // borrows foreign work), so what holds on every schedule is asserted:
+    // a task leaves its group only by a counted cross-group steal.
     let placement = Placement::new().with_group("src", 1).with_group("sink", 2);
     let n_sinks = 24;
     let counter = Arc::new(Mutex::new(0usize));
@@ -116,11 +120,21 @@ fn group_fan_out_forces_steals() {
         .run(tasks)
         .unwrap();
     assert_eq!(*counter.lock(), n_sinks);
-    assert!(
-        report.total_steals() >= n_sinks,
-        "all {n_sinks} sink tasks arrive via the group injector (steals = {})",
-        report.total_steals()
-    );
+    assert_eq!(report.tasks.len(), n_sinks + 1);
+    assert!(report.total_steals() >= 1, "no task changed hands");
+    for w in &report.worker_stats {
+        let foreign = report
+            .tasks
+            .iter()
+            .filter(|t| t.worker == w.worker)
+            .filter(|t| (t.label == "source") != (report.groups[w.group] == "src"))
+            .count();
+        assert_eq!(
+            foreign, w.cross_group_steals,
+            "worker {} (group {}) ran {foreign} foreign tasks",
+            w.worker, report.groups[w.group]
+        );
+    }
 }
 
 #[test]
