@@ -1,15 +1,18 @@
-//! Profiler and codec throughput on a real engine trace.
+//! Profiler, codec and replay-check throughput.
 //!
 //! Collects one fork-join run's trace from the work-stealing engine,
 //! then benchmarks the offline observability pipeline over it:
 //! critical-path reconstruction ([`hetero_trace::profile::critical_path`]),
-//! folded flamegraph rendering, and the trace codec's export/parse pair.
-//! These run in CI gates and on operator laptops against multi-megabyte
-//! traces, so their cost is worth pinning.
+//! folded flamegraph rendering, the trace codec's export/parse pair and
+//! the Chrome export. One more row replays a simulated 32 768-tile DGEMM
+//! against its graph ([`pdl_analyze::check_trace`]), the size at which a
+//! check of every task pair took seconds. These run in CI gates and on
+//! operator laptops against multi-megabyte traces, so their cost is worth
+//! pinning.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use hetero_rt::thread_engine::{from_graph, ThreadTask, ThreadedExecutor};
-use hetero_trace::{codec, profile, RunTrace, TraceSink};
+use hetero_trace::{chrome, codec, profile, RunTrace, TraceSink};
 use std::hint::black_box;
 
 /// Tasks per fork stage.
@@ -40,6 +43,19 @@ fn traced_run() -> (RunTrace, Vec<(u32, u32)>) {
     (report.trace.expect("ring sink collects a trace"), deps)
 }
 
+/// The HEFT simulation of an 8192² DGEMM in 256² tiles on the two-GPU
+/// testbed, bridged to a trace, with the graph it ran.
+fn simulated_dgemm() -> (hetero_rt::graph::TaskGraph, RunTrace) {
+    use hetero_rt::prelude::*;
+    let machine =
+        simhw::machine::SimMachine::from_platform(&pdl_discover::synthetic::xeon_2gpu_testbed());
+    let graph = kernels::graphs::dgemm_graph(8192, 256, None);
+    let report = simulate(&graph, &machine, &mut HeftScheduler, &SimOptions::default())
+        .expect("the testbed runs DGEMM");
+    let trace = sim_report_to_trace(&report, &machine);
+    (graph, trace)
+}
+
 fn trace_profile(c: &mut Criterion) {
     let (trace, deps) = traced_run();
     let exported = codec::export(&trace, &deps);
@@ -63,6 +79,19 @@ fn trace_profile(c: &mut Criterion) {
     });
     group.bench_function("codec_parse", |b| {
         b.iter(|| codec::parse(black_box(&exported)).unwrap());
+    });
+    group.bench_function("chrome_export", |b| {
+        b.iter(|| chrome::export(black_box(&trace)));
+    });
+
+    let (graph, replayed) = simulated_dgemm();
+    assert_eq!(graph.len(), 32_768);
+    group.sample_size(10);
+    group.bench_function("check_trace_32768", |b| {
+        b.iter(|| {
+            let report = pdl_analyze::check_trace(black_box(&replayed), black_box(&graph));
+            assert!(!report.has_errors(), "{}", report.render());
+        });
     });
     group.finish();
 }

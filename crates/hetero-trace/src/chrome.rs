@@ -12,8 +12,8 @@
 //! as fractional µs so nothing is rounded away. Virtual-time traces use the
 //! same scale (1 virtual ns = 1 µs-scale unit ÷ 1000).
 
-use crate::event::EventKind;
-use crate::json::Json;
+use crate::event::{EventKind, Provenance};
+use crate::json::Writer;
 use crate::trace::{RunTrace, TimeUnit};
 
 /// Chrome-reserved color names, assigned per logic group in first-seen
@@ -29,32 +29,35 @@ const GROUP_COLORS: [&str; 8] = [
     "generic_work",
 ];
 
-fn us(ns: u64) -> Json {
-    Json::Num(ns as f64 / 1000.0)
+/// Opens an event object with the members every event starts with.
+fn begin_event(w: &mut Writer, name: &str, cat: Option<&str>, ph: &str) {
+    w.begin_obj();
+    w.key("name").str(name);
+    if let Some(cat) = cat {
+        w.key("cat").str(cat);
+    }
+    w.key("ph").str(ph);
 }
 
 /// Exports a drained trace as a Chrome-trace JSON document.
 pub fn export(trace: &RunTrace) -> String {
-    to_json(trace).to_string()
-}
-
-/// The Chrome-trace document as a [`Json`] value (for tests/inspection).
-pub fn to_json(trace: &RunTrace) -> Json {
-    let mut events: Vec<Json> = Vec::new();
-    let pid = Json::Num(0.0);
+    let spans = trace.task_spans();
+    // Up to about 160 bytes a task span in the compact layout.
+    let mut w = Writer::compact(160 * spans.len() + 1024);
+    w.begin_obj();
+    w.key("traceEvents").begin_arr();
 
     // Process metadata: name the process after the platform descriptor.
-    let process_name = match (&trace.meta.platform, trace.meta.time_unit) {
-        (Some(p), TimeUnit::RealNanos) => p.clone(),
-        (Some(p), TimeUnit::VirtualNanos) => format!("{p} (virtual time)"),
-        (None, _) => "hetero-rt".to_string(),
-    };
-    events.push(Json::obj([
-        ("name", Json::str("process_name")),
-        ("ph", Json::str("M")),
-        ("pid", pid.clone()),
-        ("args", Json::obj([("name", Json::str(process_name))])),
-    ]));
+    begin_event(&mut w, "process_name", None, "M");
+    w.key("pid").u64(0);
+    w.key("args").begin_obj();
+    match (&trace.meta.platform, trace.meta.time_unit) {
+        (Some(p), TimeUnit::RealNanos) => w.key("name").str(p),
+        (Some(p), TimeUnit::VirtualNanos) => w.key("name").str(&format!("{p} (virtual time)")),
+        (None, _) => w.key("name").str("hetero-rt"),
+    }
+    w.end_obj();
+    w.end_obj();
 
     // Color assignment: one palette entry per distinct logic group, in
     // lane order.
@@ -65,70 +68,66 @@ pub fn to_json(trace: &RunTrace) -> Json {
             colors.entry(g).or_insert(next);
         }
     }
-    let group_color = |group: Option<&str>| -> Option<&'static str> {
-        group.and_then(|g| colors.get(g).copied())
-    };
+    // Per lane: its group, and the color task spans on it get.
+    let lane_paint: Vec<(Option<&str>, Option<&str>)> = trace
+        .meta
+        .lanes
+        .iter()
+        .map(|l| {
+            let group = l.group.as_deref();
+            (group, group.and_then(|g| colors.get(g).copied()))
+        })
+        .collect();
 
     // One lane per worker, named with its PDL identity; ordered by index.
     let run_lane = trace.meta.lanes.len().max(trace.workers.len());
-    let lane_name = |worker: usize| -> String {
+    for worker in 0..=run_lane {
+        begin_event(&mut w, "thread_name", None, "M");
+        w.key("pid").u64(0);
+        w.key("tid").u64(worker as u64);
+        w.key("args").begin_obj();
         match trace.meta.lanes.get(worker) {
             Some(l) => match &l.group {
-                Some(g) => format!("{} [{g}]", l.name),
-                None => l.name.clone(),
+                Some(g) => w.key("name").str(&format!("{} [{g}]", l.name)),
+                None => w.key("name").str(&l.name),
             },
-            None if worker == run_lane => "run".to_string(),
-            None => format!("w{worker}"),
+            None if worker == run_lane => w.key("name").str("run"),
+            None => w.key("name").str(&format!("w{worker}")),
         }
-    };
-    for worker in (0..run_lane).chain(std::iter::once(run_lane)) {
-        events.push(Json::obj([
-            ("name", Json::str("thread_name")),
-            ("ph", Json::str("M")),
-            ("pid", pid.clone()),
-            ("tid", Json::Num(worker as f64)),
-            ("args", Json::obj([("name", Json::str(lane_name(worker)))])),
-        ]));
+        w.end_obj();
+        w.end_obj();
     }
 
     // Task spans ("X" complete events), colored by the lane's logic group.
-    for span in trace.task_spans() {
+    for span in spans {
         let info = trace.meta.tasks.get(span.task as usize);
-        let lane_group = trace
-            .meta
-            .lanes
-            .get(span.worker)
-            .and_then(|l| l.group.as_deref());
-        let mut args = vec![("task".to_string(), Json::Num(span.task as f64))];
+        let (lane_group, color) = lane_paint.get(span.worker).copied().unwrap_or_default();
+        begin_event(
+            &mut w,
+            info.map_or("task", |i| i.label.as_str()),
+            Some(info.map_or("task", |i| i.category.as_str())),
+            "X",
+        );
+        w.key("ts").thousandths(span.start);
+        w.key("dur").thousandths(span.end - span.start);
+        w.key("pid").u64(0);
+        w.key("tid").u64(span.worker as u64);
+        w.key("args").begin_obj();
+        w.key("task").u64(u64::from(span.task));
         if let Some(g) = lane_group {
-            args.push(("group".to_string(), Json::str(g)));
+            w.key("group").str(g);
         }
         if let Some(p) = span.provenance {
-            args.push(("provenance".to_string(), Json::str(p.label())));
-            if let crate::event::Provenance::Steal { victim, .. } = p {
-                args.push(("victim".to_string(), Json::Num(victim as f64)));
+            w.key("provenance").str(p.label());
+            if let Provenance::Steal { victim, .. } = p {
+                w.key("victim").u64(u64::from(victim));
             }
         }
-        let mut members = vec![
-            (
-                "name".to_string(),
-                Json::str(info.map(|i| i.label.as_str()).unwrap_or("task")),
-            ),
-            (
-                "cat".to_string(),
-                Json::str(info.map(|i| i.category.as_str()).unwrap_or("task")),
-            ),
-            ("ph".to_string(), Json::str("X")),
-            ("ts".to_string(), us(span.start)),
-            ("dur".to_string(), us(span.end - span.start)),
-            ("pid".to_string(), pid.clone()),
-            ("tid".to_string(), Json::Num(span.worker as f64)),
-            ("args".to_string(), Json::Obj(args)),
-        ];
-        if let Some(color) = group_color(lane_group) {
-            members.push(("cname".to_string(), Json::str(color)));
+        w.end_obj();
+        if let Some(color) = color {
+            w.key("cname").str(color);
         }
-        events.push(Json::Obj(members));
+        w.end_obj();
     }
 
     // Phase spans and instant markers, per lane (prelude = the run lane).
@@ -138,7 +137,6 @@ pub fn to_json(trace: &RunTrace) -> Json {
         .map(|w| (w.worker, &w.events))
         .chain(std::iter::once((run_lane, &trace.prelude)));
     for (worker, lane_events) in lanes {
-        let tid = Json::Num(worker as f64);
         let mut open_phases: Vec<(&str, u64)> = Vec::new();
         for e in lane_events {
             match &e.kind {
@@ -146,64 +144,48 @@ pub fn to_json(trace: &RunTrace) -> Json {
                 EventKind::PhaseEnd { name } => {
                     if let Some(pos) = open_phases.iter().rposition(|(n, _)| n == name) {
                         let (name, start) = open_phases.remove(pos);
-                        events.push(Json::obj([
-                            ("name", Json::str(name)),
-                            ("cat", Json::str("phase")),
-                            ("ph", Json::str("X")),
-                            ("ts", us(start)),
-                            ("dur", us(e.ts - start)),
-                            ("pid", pid.clone()),
-                            ("tid", tid.clone()),
-                        ]));
+                        begin_event(&mut w, name, Some("phase"), "X");
+                        w.key("ts").thousandths(start);
+                        w.key("dur").thousandths(e.ts - start);
+                        w.key("pid").u64(0);
+                        w.key("tid").u64(worker as u64);
+                        w.end_obj();
                     }
                 }
                 EventKind::Park | EventKind::Unpark => {
-                    events.push(Json::obj([
-                        (
-                            "name",
-                            Json::str(if e.kind == EventKind::Park {
-                                "park"
-                            } else {
-                                "unpark"
-                            }),
-                        ),
-                        ("cat", Json::str("scheduler")),
-                        ("ph", Json::str("i")),
-                        ("s", Json::str("t")),
-                        ("ts", us(e.ts)),
-                        ("pid", pid.clone()),
-                        ("tid", tid.clone()),
-                    ]));
+                    let name = if e.kind == EventKind::Park {
+                        "park"
+                    } else {
+                        "unpark"
+                    };
+                    begin_event(&mut w, name, Some("scheduler"), "i");
+                    w.key("s").str("t");
+                    w.key("ts").thousandths(e.ts);
+                    w.key("pid").u64(0);
+                    w.key("tid").u64(worker as u64);
+                    w.end_obj();
                 }
                 _ => {}
             }
         }
     }
+    w.end_arr();
 
-    Json::obj([
-        ("traceEvents", Json::Arr(events)),
-        ("displayTimeUnit", Json::str("ms")),
-        (
-            "otherData",
-            Json::obj([
-                (
-                    "platform",
-                    match &trace.meta.platform {
-                        Some(p) => Json::str(p.clone()),
-                        None => Json::Null,
-                    },
-                ),
-                ("timeUnit", Json::str(trace.meta.time_unit.label())),
-                ("generator", Json::str("hetero-trace")),
-            ]),
-        ),
-    ])
+    w.key("displayTimeUnit").str("ms");
+    w.key("otherData").begin_obj();
+    w.key("platform").opt_str(trace.meta.platform.as_deref());
+    w.key("timeUnit").str(trace.meta.time_unit.label());
+    w.key("generator").str("hetero-trace");
+    w.end_obj();
+    w.end_obj();
+    w.finish()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{Provenance, TraceEvent};
+    use crate::event::TraceEvent;
+    use crate::json::Json;
     use crate::trace::{LaneLabel, TaskInfo, TraceMeta, WorkerTrace};
 
     fn sample() -> RunTrace {

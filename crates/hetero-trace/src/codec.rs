@@ -12,205 +12,383 @@
 //! `// expect[...]:` annotation headers for the analyzer corpus.
 
 use crate::event::{EventKind, Provenance, TraceEvent};
-use crate::json::Json;
+use crate::json::{JsonError, Kind, Reader, Writer};
 use crate::trace::{LaneLabel, RunTrace, TaskInfo, TimeUnit, TraceMeta, WorkerTrace};
+use std::borrow::Cow;
 
-/// Encodes a trace (plus optional dependency edges) as a JSON value.
-pub fn to_json(trace: &RunTrace, deps: &[(u32, u32)]) -> Json {
-    let lanes = trace
-        .meta
-        .lanes
-        .iter()
-        .map(|l| {
-            Json::obj([
-                ("name", Json::str(l.name.clone())),
-                (
-                    "group",
-                    l.group.clone().map(Json::Str).unwrap_or(Json::Null),
-                ),
-            ])
-        })
-        .collect();
-    let tasks = trace
-        .meta
-        .tasks
-        .iter()
-        .map(|t| {
-            Json::obj([
-                ("label", Json::str(t.label.clone())),
-                ("category", Json::str(t.category.clone())),
-                (
-                    "group",
-                    t.group.clone().map(Json::Str).unwrap_or(Json::Null),
-                ),
-            ])
-        })
-        .collect();
-    let workers = trace
-        .workers
-        .iter()
-        .map(|w| {
-            Json::obj([
-                ("worker", Json::Num(w.worker as f64)),
-                ("overwritten", Json::Num(w.overwritten as f64)),
-                (
-                    "events",
-                    Json::Arr(w.events.iter().map(event_to_json).collect()),
-                ),
-            ])
-        })
-        .collect();
-    Json::obj([
-        ("kind", Json::str("hetero-trace-run")),
-        (
-            "meta",
-            Json::obj([
-                (
-                    "platform",
-                    trace
-                        .meta
-                        .platform
-                        .clone()
-                        .map(Json::Str)
-                        .unwrap_or(Json::Null),
-                ),
-                ("time_unit", Json::str(trace.meta.time_unit.label())),
-                ("lanes", Json::Arr(lanes)),
-                ("tasks", Json::Arr(tasks)),
-            ]),
-        ),
-        (
-            "deps",
-            Json::Arr(
-                deps.iter()
-                    .map(|(from, to)| {
-                        Json::Arr(vec![Json::Num(*from as f64), Json::Num(*to as f64)])
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "prelude",
-            Json::Arr(trace.prelude.iter().map(event_to_json).collect()),
-        ),
-        ("workers", Json::Arr(workers)),
-    ])
-}
-
-/// Encodes a trace as a pretty-printed JSON string.
+/// Encodes a trace (plus optional dependency edges) as a pretty-printed
+/// JSON string. Timestamps and counts are written digit for digit.
 pub fn export(trace: &RunTrace, deps: &[(u32, u32)]) -> String {
-    to_json(trace, deps).to_pretty()
+    // About 100 bytes an event, 100 a task and 40 an edge in this layout.
+    let mut w = Writer::pretty(
+        104 * trace.total_events() + 100 * trace.meta.tasks.len() + 40 * deps.len() + 1024,
+    );
+    w.begin_obj();
+    w.key("kind").str("hetero-trace-run");
+    w.key("meta").begin_obj();
+    w.key("platform").opt_str(trace.meta.platform.as_deref());
+    w.key("time_unit").str(trace.meta.time_unit.label());
+    w.key("lanes").begin_arr();
+    for l in &trace.meta.lanes {
+        w.begin_obj();
+        w.key("name").str(&l.name);
+        w.key("group").opt_str(l.group.as_deref());
+        w.end_obj();
+    }
+    w.end_arr();
+    w.key("tasks").begin_arr();
+    for t in &trace.meta.tasks {
+        w.begin_obj();
+        w.key("label").str(&t.label);
+        w.key("category").str(&t.category);
+        w.key("group").opt_str(t.group.as_deref());
+        w.end_obj();
+    }
+    w.end_arr();
+    w.end_obj();
+    w.key("deps").begin_arr();
+    for &(from, to) in deps {
+        w.begin_arr();
+        w.u64(u64::from(from));
+        w.u64(u64::from(to));
+        w.end_arr();
+    }
+    w.end_arr();
+    w.key("prelude");
+    write_events(&mut w, &trace.prelude);
+    w.key("workers").begin_arr();
+    for lane in &trace.workers {
+        w.begin_obj();
+        w.key("worker").u64(lane.worker as u64);
+        w.key("overwritten").u64(lane.overwritten);
+        w.key("events");
+        write_events(&mut w, &lane.events);
+        w.end_obj();
+    }
+    w.end_arr();
+    w.end_obj();
+    w.finish()
 }
 
-fn event_to_json(e: &TraceEvent) -> Json {
-    let mut members: Vec<(String, Json)> = vec![("ts".to_string(), Json::Num(e.ts as f64))];
-    let mut put = |k: &str, v: Json| members.push((k.to_string(), v));
-    match &e.kind {
-        EventKind::TaskReady { task } => {
-            put("ev", Json::str("ready"));
-            put("task", Json::Num(*task as f64));
+fn write_events(w: &mut Writer, events: &[TraceEvent]) {
+    w.begin_arr();
+    for e in events {
+        w.begin_obj();
+        w.key("ts").u64(e.ts);
+        let (ev, task) = match &e.kind {
+            EventKind::TaskReady { task } => ("ready", Some(*task)),
+            EventKind::TaskDequeued { task, .. } => ("dequeue", Some(*task)),
+            EventKind::TaskStart { task } => ("start", Some(*task)),
+            EventKind::TaskEnd { task } => ("end", Some(*task)),
+            EventKind::Park => ("park", None),
+            EventKind::Unpark => ("unpark", None),
+            EventKind::PhaseStart { .. } => ("phase_start", None),
+            EventKind::PhaseEnd { .. } => ("phase_end", None),
+        };
+        w.key("ev").str(ev);
+        if let Some(task) = task {
+            w.key("task").u64(u64::from(task));
         }
-        EventKind::TaskDequeued { task, provenance } => {
-            put("ev", Json::str("dequeue"));
-            put("task", Json::Num(*task as f64));
-            match provenance {
-                Provenance::Local => put("prov", Json::str("local")),
-                Provenance::Queue => put("prov", Json::str("queue")),
+        match &e.kind {
+            EventKind::TaskDequeued { provenance, .. } => match *provenance {
+                Provenance::Local => w.key("prov").str("local"),
+                Provenance::Queue => w.key("prov").str("queue"),
                 Provenance::Inject { cross_group } => {
-                    put("prov", Json::str("inject"));
-                    put("cross_group", Json::Bool(*cross_group));
+                    w.key("prov").str("inject");
+                    w.key("cross_group").bool(cross_group);
                 }
                 Provenance::Steal {
                     victim,
                     cross_group,
                 } => {
-                    put("prov", Json::str("steal"));
-                    put("victim", Json::Num(*victim as f64));
-                    put("cross_group", Json::Bool(*cross_group));
+                    w.key("prov").str("steal");
+                    w.key("victim").u64(u64::from(victim));
+                    w.key("cross_group").bool(cross_group);
                 }
+            },
+            EventKind::PhaseStart { name } | EventKind::PhaseEnd { name } => {
+                w.key("name").str(name);
             }
+            _ => {}
         }
-        EventKind::TaskStart { task } => {
-            put("ev", Json::str("start"));
-            put("task", Json::Num(*task as f64));
-        }
-        EventKind::TaskEnd { task } => {
-            put("ev", Json::str("end"));
-            put("task", Json::Num(*task as f64));
-        }
-        EventKind::Park => put("ev", Json::str("park")),
-        EventKind::Unpark => put("ev", Json::str("unpark")),
-        EventKind::PhaseStart { name } => {
-            put("ev", Json::str("phase_start"));
-            put("name", Json::str(name.clone()));
-        }
-        EventKind::PhaseEnd { name } => {
-            put("ev", Json::str("phase_end"));
-            put("name", Json::str(name.clone()));
+        w.end_obj();
+    }
+    w.end_arr();
+}
+
+/// Why a document was turned down: its JSON, or what the JSON says.
+struct Error(String);
+
+impl From<JsonError> for Error {
+    fn from(e: JsonError) -> Self {
+        Error(format!("trace json: {e}"))
+    }
+}
+
+impl From<String> for Error {
+    fn from(message: String) -> Self {
+        Error(message)
+    }
+}
+
+fn missing(what: &str, of_type: &str, key: &str) -> Error {
+    Error(format!("{what}: missing {of_type} \"{key}\""))
+}
+
+/// Reads the members of the next value as a lookup by key would: `member`
+/// is called with the reader at the value of the first member named
+/// `keys[i]`, for each of `keys` the object has, in document order. Members
+/// may come in any order; repeated and unknown ones are passed over, and so
+/// is a value that is not an object at all.
+fn object<'a>(
+    r: &mut Reader<'a>,
+    keys: &[&str],
+    mut member: impl FnMut(&mut Reader<'a>, usize) -> Result<(), Error>,
+) -> Result<(), Error> {
+    if r.peek()? != Kind::Obj {
+        return Ok(r.skip()?);
+    }
+    let mut seen = 0u32;
+    r.begin_obj()?;
+    while let Some(key) = r.next_key()? {
+        match keys.iter().position(|k| *k == key) {
+            Some(i) if seen & (1 << i) == 0 => {
+                seen |= 1 << i;
+                member(r, i)?;
+            }
+            _ => r.skip()?,
         }
     }
-    Json::Obj(members)
+    Ok(())
 }
 
-fn field_u64(v: &Json, key: &str, what: &str) -> Result<u64, String> {
-    v.get(key)
-        .and_then(Json::as_u64)
-        .ok_or_else(|| format!("{what}: missing numeric \"{key}\""))
+/// The elements of the next value if it is an array; any other value is
+/// passed over and counts as an empty one.
+fn array_of<'a, T>(
+    r: &mut Reader<'a>,
+    mut element: impl FnMut(&mut Reader<'a>) -> Result<T, Error>,
+) -> Result<Vec<T>, Error> {
+    let mut out = Vec::new();
+    if r.peek()? == Kind::Arr {
+        r.begin_arr()?;
+        while r.next_elem()? {
+            out.push(element(r)?);
+        }
+    } else {
+        r.skip()?;
+    }
+    Ok(out)
 }
 
-fn field_str<'a>(v: &'a Json, key: &str, what: &str) -> Result<&'a str, String> {
-    v.get(key)
-        .and_then(Json::as_str)
-        .ok_or_else(|| format!("{what}: missing string \"{key}\""))
+/// The next value if it is a string; any other value is passed over and
+/// counts as absent.
+fn opt_str<'a>(r: &mut Reader<'a>) -> Result<Option<Cow<'a, str>>, JsonError> {
+    if r.peek()? == Kind::Str {
+        r.str().map(Some)
+    } else {
+        r.skip().map(|()| None)
+    }
 }
 
-fn opt_str(v: &Json, key: &str) -> Option<String> {
-    v.get(key).and_then(Json::as_str).map(str::to_string)
+/// The next value if it is an integer a `u64` holds exactly; anything else
+/// (a fraction, a negative, a string) is passed over and counts as absent.
+fn opt_u64(r: &mut Reader<'_>) -> Result<Option<u64>, JsonError> {
+    if r.peek()? == Kind::Num {
+        r.u64()
+    } else {
+        r.skip().map(|()| None)
+    }
 }
 
-fn event_from_json(v: &Json) -> Result<TraceEvent, String> {
-    let ts = field_u64(v, "ts", "event")?;
-    let ev = field_str(v, "ev", "event")?;
-    let task = || field_u64(v, "task", "event").map(|t| t as u32);
-    let kind = match ev {
+fn owned(s: Option<Cow<'_, str>>) -> Option<String> {
+    s.map(Cow::into_owned)
+}
+
+fn read_event(r: &mut Reader<'_>) -> Result<TraceEvent, Error> {
+    let (mut ts, mut task, mut victim) = (None, None, None);
+    let (mut ev, mut prov, mut name) = (None, None, None);
+    let mut cross_group = false;
+    let keys = ["ts", "ev", "task", "prov", "victim", "name", "cross_group"];
+    object(r, &keys, |r, key| {
+        match key {
+            0 => ts = opt_u64(r)?,
+            1 => ev = opt_str(r)?,
+            2 => task = opt_u64(r)?,
+            3 => prov = opt_str(r)?,
+            4 => victim = opt_u64(r)?,
+            5 => name = opt_str(r)?,
+            _ if r.peek()? == Kind::Bool => cross_group = r.bool()?,
+            _ => r.skip()?,
+        }
+        Ok(())
+    })?;
+    let ts = ts.ok_or_else(|| missing("event", "numeric", "ts"))?;
+    let ev = ev.ok_or_else(|| missing("event", "string", "ev"))?;
+    let task = || {
+        task.and_then(|t| u32::try_from(t).ok())
+            .ok_or_else(|| missing("event", "numeric", "task"))
+    };
+    let phase_name = || owned(name).ok_or_else(|| missing("phase event", "string", "name"));
+    let kind = match &*ev {
         "ready" => EventKind::TaskReady { task: task()? },
         "start" => EventKind::TaskStart { task: task()? },
         "end" => EventKind::TaskEnd { task: task()? },
         "park" => EventKind::Park,
         "unpark" => EventKind::Unpark,
         "phase_start" => EventKind::PhaseStart {
-            name: field_str(v, "name", "phase event")?.to_string(),
+            name: phase_name()?,
         },
         "phase_end" => EventKind::PhaseEnd {
-            name: field_str(v, "name", "phase event")?.to_string(),
+            name: phase_name()?,
         },
         "dequeue" => {
-            let cross_group = || v.get("cross_group").map(|b| b == &Json::Bool(true));
-            let provenance = match field_str(v, "prov", "dequeue event")? {
+            let prov = prov.ok_or_else(|| missing("dequeue event", "string", "prov"))?;
+            let provenance = match &*prov {
                 "local" => Provenance::Local,
                 "queue" => Provenance::Queue,
-                "inject" => Provenance::Inject {
-                    cross_group: cross_group().unwrap_or(false),
-                },
+                "inject" => Provenance::Inject { cross_group },
                 "steal" => Provenance::Steal {
-                    victim: field_u64(v, "victim", "steal event")? as u32,
-                    cross_group: cross_group().unwrap_or(false),
+                    victim: victim
+                        .and_then(|v| u32::try_from(v).ok())
+                        .ok_or_else(|| missing("steal event", "numeric", "victim"))?,
+                    cross_group,
                 },
-                other => return Err(format!("unknown provenance {other:?}")),
+                other => return Err(format!("unknown provenance {other:?}").into()),
             };
             EventKind::TaskDequeued {
                 task: task()?,
                 provenance,
             }
         }
-        other => return Err(format!("unknown event kind {other:?}")),
+        other => return Err(format!("unknown event kind {other:?}").into()),
     };
     Ok(TraceEvent { ts, kind })
+}
+
+fn read_lane(r: &mut Reader<'_>) -> Result<LaneLabel, Error> {
+    let (mut name, mut group) = (None, None);
+    object(r, &["name", "group"], |r, key| {
+        *(if key == 0 { &mut name } else { &mut group }) = owned(opt_str(r)?);
+        Ok(())
+    })?;
+    Ok(LaneLabel {
+        name: name.ok_or_else(|| missing("lane", "string", "name"))?,
+        group,
+    })
+}
+
+fn read_task(r: &mut Reader<'_>) -> Result<TaskInfo, Error> {
+    let mut fields = [None, None, None];
+    object(r, &["label", "category", "group"], |r, key| {
+        fields[key] = owned(opt_str(r)?);
+        Ok(())
+    })?;
+    let [label, category, group] = fields;
+    Ok(TaskInfo {
+        label: label.ok_or_else(|| missing("task", "string", "label"))?,
+        category: category.unwrap_or_else(|| "task".to_string()),
+        group,
+    })
+}
+
+fn read_worker(r: &mut Reader<'_>) -> Result<WorkerTrace, Error> {
+    let (mut worker, mut overwritten, mut events) = (None, None, Vec::new());
+    object(r, &["worker", "overwritten", "events"], |r, key| {
+        match key {
+            0 => worker = opt_u64(r)?,
+            1 => overwritten = opt_u64(r)?,
+            _ => events = array_of(r, read_event)?,
+        }
+        Ok(())
+    })?;
+    Ok(WorkerTrace {
+        worker: worker
+            .and_then(|w| usize::try_from(w).ok())
+            .ok_or_else(|| missing("worker lane", "numeric", "worker"))?,
+        overwritten: overwritten.unwrap_or(0),
+        events,
+    })
+}
+
+fn read_dep(r: &mut Reader<'_>) -> Result<(u32, u32), Error> {
+    let mut ends = [None; 2];
+    if r.peek()? == Kind::Arr {
+        let mut at = 0;
+        r.begin_arr()?;
+        while r.next_elem()? {
+            match ends.get_mut(at) {
+                Some(end) => *end = opt_u64(r)?.and_then(|n| u32::try_from(n).ok()),
+                None => r.skip()?,
+            }
+            at += 1;
+        }
+    }
+    match ends {
+        [Some(from), Some(to)] => Ok((from, to)),
+        _ => Err("deps entries must be [from, to] index pairs"
+            .to_string()
+            .into()),
+    }
+}
+
+/// A `"meta"` that is not an object reads as an empty one.
+fn read_meta(r: &mut Reader<'_>) -> Result<TraceMeta, Error> {
+    let mut meta = TraceMeta::default();
+    object(r, &["platform", "time_unit", "lanes", "tasks"], |r, key| {
+        match key {
+            0 => meta.platform = owned(opt_str(r)?),
+            1 => {
+                if let Some(label) = opt_str(r)? {
+                    meta.time_unit = TimeUnit::from_label(&label)
+                        .ok_or_else(|| format!("unknown time unit {label:?}"))?;
+                }
+            }
+            2 => meta.lanes = array_of(r, read_lane)?,
+            _ => meta.tasks = array_of(r, read_task)?,
+        }
+        Ok(())
+    })?;
+    Ok(meta)
+}
+
+fn read_document(r: &mut Reader<'_>) -> Result<(RunTrace, Vec<(u32, u32)>), Error> {
+    let mut is_run = false;
+    let mut meta = None;
+    let (mut prelude, mut workers, mut deps) = (Vec::new(), Vec::new(), Vec::new());
+    let keys = ["kind", "meta", "prelude", "workers", "deps"];
+    object(r, &keys, |r, key| {
+        match key {
+            0 => is_run = opt_str(r)?.as_deref() == Some("hetero-trace-run"),
+            1 => meta = Some(read_meta(r)?),
+            2 => prelude = array_of(r, read_event)?,
+            3 => workers = array_of(r, read_worker)?,
+            _ => deps = array_of(r, read_dep)?,
+        }
+        Ok(())
+    })?;
+    r.end()?;
+    if !is_run {
+        return Err("not a hetero-trace-run document".to_string().into());
+    }
+    let meta = meta.ok_or_else(|| "missing \"meta\"".to_string())?;
+    let trace = RunTrace {
+        meta,
+        prelude,
+        workers,
+    };
+    Ok((trace, deps))
 }
 
 /// Decodes a trace document produced by [`export`]. Leading `//` comment
 /// lines are skipped. Returns the trace plus the (possibly empty) list of
 /// dependency edges.
+///
+/// The format's guarantees: members may come in any order, unknown members
+/// are ignored, the first of a repeated key wins, `overwritten`,
+/// `category` and `time_unit` default to `0`, `"task"` and real
+/// nanoseconds, integers are exact over the whole `u64` range (an index
+/// that does not fit its field is an error, not a truncation), and nesting
+/// stops at [`crate::json::MAX_DEPTH`].
 pub fn parse(text: &str) -> Result<(RunTrace, Vec<(u32, u32)>), String> {
     let mut rest = text;
     loop {
@@ -222,98 +400,7 @@ pub fn parse(text: &str) -> Result<(RunTrace, Vec<(u32, u32)>), String> {
             break;
         }
     }
-    let doc = Json::parse(rest).map_err(|e| format!("trace json: {e}"))?;
-    if doc.get("kind").and_then(Json::as_str) != Some("hetero-trace-run") {
-        return Err("not a hetero-trace-run document".to_string());
-    }
-    let meta_v = doc.get("meta").ok_or("missing \"meta\"")?;
-    let time_unit = match meta_v.get("time_unit").and_then(Json::as_str) {
-        Some(label) => {
-            TimeUnit::from_label(label).ok_or_else(|| format!("unknown time unit {label:?}"))?
-        }
-        None => TimeUnit::default(),
-    };
-    let lanes = meta_v
-        .get("lanes")
-        .map(Json::items)
-        .unwrap_or_default()
-        .iter()
-        .map(|l| {
-            Ok(LaneLabel {
-                name: field_str(l, "name", "lane")?.to_string(),
-                group: opt_str(l, "group"),
-            })
-        })
-        .collect::<Result<Vec<_>, String>>()?;
-    let tasks = meta_v
-        .get("tasks")
-        .map(Json::items)
-        .unwrap_or_default()
-        .iter()
-        .map(|t| {
-            Ok(TaskInfo {
-                label: field_str(t, "label", "task")?.to_string(),
-                category: opt_str(t, "category").unwrap_or_else(|| "task".to_string()),
-                group: opt_str(t, "group"),
-            })
-        })
-        .collect::<Result<Vec<_>, String>>()?;
-    let prelude = doc
-        .get("prelude")
-        .map(Json::items)
-        .unwrap_or_default()
-        .iter()
-        .map(event_from_json)
-        .collect::<Result<Vec<_>, String>>()?;
-    let workers = doc
-        .get("workers")
-        .map(Json::items)
-        .unwrap_or_default()
-        .iter()
-        .map(|w| {
-            Ok(WorkerTrace {
-                worker: field_u64(w, "worker", "worker lane")? as usize,
-                overwritten: field_u64(w, "overwritten", "worker lane").unwrap_or(0),
-                events: w
-                    .get("events")
-                    .map(Json::items)
-                    .unwrap_or_default()
-                    .iter()
-                    .map(event_from_json)
-                    .collect::<Result<Vec<_>, String>>()?,
-            })
-        })
-        .collect::<Result<Vec<_>, String>>()?;
-    let deps = doc
-        .get("deps")
-        .map(Json::items)
-        .unwrap_or_default()
-        .iter()
-        .map(|pair| {
-            let items = pair.items();
-            match (
-                items.first().and_then(super::json::Json::as_u64),
-                items.get(1).and_then(super::json::Json::as_u64),
-            ) {
-                (Some(from), Some(to)) => Ok((from as u32, to as u32)),
-                _ => Err("deps entries must be [from, to] index pairs".to_string()),
-            }
-        })
-        .collect::<Result<Vec<_>, String>>()?;
-    let trace = RunTrace {
-        meta: TraceMeta {
-            platform: meta_v
-                .get("platform")
-                .and_then(Json::as_str)
-                .map(str::to_string),
-            lanes,
-            tasks,
-            time_unit,
-        },
-        prelude,
-        workers,
-    };
-    Ok((trace, deps))
+    read_document(&mut Reader::new(rest)).map_err(|Error(message)| message)
 }
 
 #[cfg(test)]

@@ -253,48 +253,61 @@ impl MetricsRegistry {
 
         // Ready timestamps may live on a different lane than the task's
         // execution; collect them globally first.
-        let mut ready_ts: BTreeMap<u32, u64> = BTreeMap::new();
-        for e in trace
-            .prelude
-            .iter()
-            .chain(trace.workers.iter().flat_map(|w| w.events.iter()))
-        {
-            if let crate::event::EventKind::TaskReady { task } = e.kind {
-                ready_ts.entry(task).or_insert(e.ts);
-            }
-        }
-        m.inc("readies", ready_ts.len() as u64);
+        let (ready_ts, readies) = trace.ready_timestamps();
+        m.inc("readies", readies);
 
+        // Totals are kept in locals (per lane for the group counters) and
+        // folded into the registry once, so no span pays for a name.
+        let mut latency = Histogram::default();
+        let mut queue_wait = Histogram::default();
+        let (mut dequeues, mut steals, mut cross_group_steals) = (0, 0, 0);
+        // (busy ns, spans) per labelled lane, and for lanes past the table.
+        let mut per_lane = vec![(0u64, 0u64); trace.meta.lanes.len()];
+        let mut unlabelled = (0u64, 0u64);
         for span in trace.task_spans() {
-            m.inc("tasks_executed", 1);
-            m.observe("task_latency_ns", span.end - span.start);
-            if let Some(ready) = ready_ts.get(&span.task) {
-                m.observe("queue_wait_ns", span.start.saturating_sub(*ready));
+            latency.observe(span.end - span.start);
+            if let Some(ready) = ready_ts.get(span.task) {
+                queue_wait.observe(span.start.saturating_sub(*ready));
             }
             if let Some(p) = span.provenance {
-                m.inc("dequeues", 1);
-                if p.is_steal() {
-                    m.inc("steals", 1);
-                }
-                if p.is_cross_group() {
-                    m.inc("cross_group_steals", 1);
-                }
+                dequeues += 1;
+                steals += u64::from(p.is_steal());
+                cross_group_steals += u64::from(p.is_cross_group());
             }
-            let group = trace
-                .meta
-                .lanes
-                .get(span.worker)
-                .and_then(|l| l.group.as_deref())
-                .unwrap_or("ungrouped");
-            m.inc(format!("group_busy_ns/{group}"), span.end - span.start);
-            m.inc(format!("group_tasks/{group}"), 1);
+            let (busy, spans) = per_lane.get_mut(span.worker).unwrap_or(&mut unlabelled);
+            *busy += span.end - span.start;
+            *spans += 1;
         }
+        let parks = trace
+            .workers
+            .iter()
+            .flat_map(|w| w.events.iter())
+            .filter(|e| matches!(e.kind, crate::event::EventKind::Park))
+            .count() as u64;
 
-        for w in &trace.workers {
-            for e in &w.events {
-                if matches!(e.kind, crate::event::EventKind::Park) {
-                    m.inc("parks", 1);
-                }
+        // A counter or histogram exists only once something was counted.
+        for (name, n) in [
+            ("tasks_executed", latency.count()),
+            ("dequeues", dequeues),
+            ("steals", steals),
+            ("cross_group_steals", cross_group_steals),
+            ("parks", parks),
+        ] {
+            if n > 0 {
+                m.inc(name, n);
+            }
+        }
+        let groups = trace.meta.lanes.iter().map(|l| l.group.as_deref());
+        for (group, (busy, spans)) in groups.zip(per_lane).chain([(None, unlabelled)]) {
+            if spans > 0 {
+                let group = group.unwrap_or("ungrouped");
+                m.inc(format!("group_busy_ns/{group}"), busy);
+                m.inc(format!("group_tasks/{group}"), spans);
+            }
+        }
+        for (name, histogram) in [("task_latency_ns", latency), ("queue_wait_ns", queue_wait)] {
+            if histogram.count() > 0 {
+                m.histograms.insert(name.to_string(), histogram);
             }
         }
         m

@@ -28,7 +28,7 @@
 
 use crate::event::EventKind;
 use crate::json::Json;
-use crate::trace::{RunTrace, TaskSpan};
+use crate::trace::{RunTrace, TaskMap, TaskSpan};
 use std::collections::BTreeMap;
 
 /// Profile document schema version.
@@ -181,21 +181,6 @@ fn park_intervals(trace: &RunTrace, makespan: u64) -> BTreeMap<usize, Vec<(u64, 
     out
 }
 
-/// First `TaskReady` timestamp per task, across prelude and all lanes.
-fn ready_timestamps(trace: &RunTrace) -> BTreeMap<u32, u64> {
-    let mut out = BTreeMap::new();
-    for e in trace
-        .prelude
-        .iter()
-        .chain(trace.workers.iter().flat_map(|w| w.events.iter()))
-    {
-        if let EventKind::TaskReady { task } = e.kind {
-            out.entry(task).or_insert(e.ts);
-        }
-    }
-    out
-}
-
 /// Appends the steps covering the gap `[from, to)` before a span that ran
 /// on `lane`: `[from, ready)` is scheduler time, the rest splits into
 /// park/queue-wait segments by the lane's park intervals.
@@ -275,20 +260,19 @@ pub fn critical_path(trace: &RunTrace, deps: &[(u32, u32)]) -> Result<Profile, S
         .map(|e| e.ts)
         .min()
         .unwrap_or(0);
-    let ready = ready_timestamps(trace);
+    let (ready, _) = trace.ready_timestamps();
     let parks = park_intervals(trace, makespan);
     let no_parks: Vec<(u64, u64)> = Vec::new();
 
     // Task index → span index (first span wins on duplicates).
-    let mut span_of: BTreeMap<u32, usize> = BTreeMap::new();
+    let mut span_of: TaskMap<usize> = TaskMap::for_trace(trace);
     for (i, s) in spans.iter().enumerate() {
-        span_of.entry(s.task).or_insert(i);
+        span_of.slot(s.task).get_or_insert(i);
     }
-    // Dependency predecessors per task.
-    let mut preds: BTreeMap<u32, Vec<u32>> = BTreeMap::new();
-    for &(from, to) in deps {
-        preds.entry(to).or_default().push(from);
-    }
+    // Dependency predecessors, grouped by dependent task; the sort is
+    // stable, so a task's predecessors keep the order `deps` lists them in.
+    let mut preds: Vec<(u32, u32)> = deps.iter().map(|&(from, to)| (to, from)).collect();
+    preds.sort_by_key(|&(to, _)| to);
     // Per-lane span order for same-lane predecessors, and each span's place
     // in it (the walk below would otherwise search its lane at every step).
     let mut lane_spans: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
@@ -337,7 +321,11 @@ pub fn critical_path(trace: &RunTrace, deps: &[(u32, u32)]) -> Result<Profile, S
                 best = Some(i);
             }
         };
-        for dep in preds.get(&span.task).into_iter().flatten() {
+        let first_pred = preds.partition_point(|&(to, _)| to < span.task);
+        for &(_, dep) in preds[first_pred..]
+            .iter()
+            .take_while(|&&(to, _)| to == span.task)
+        {
             if let Some(&di) = span_of.get(dep) {
                 consider(di);
             }
@@ -358,7 +346,7 @@ pub fn critical_path(trace: &RunTrace, deps: &[(u32, u32)]) -> Result<Profile, S
             &mut rev,
             gap_from,
             span.start,
-            ready.get(&span.task).copied(),
+            ready.get(span.task).copied(),
             lane,
             lane_parks,
         );
@@ -456,26 +444,32 @@ fn task_label(trace: &RunTrace, task: u32) -> String {
 /// renderer.
 pub fn folded_stacks(trace: &RunTrace) -> String {
     let lanes = lane_infos(trace);
-    let mut weights: BTreeMap<String, u64> = BTreeMap::new();
+    // Summed per lane and kind first, so a stack is spelled once, not once
+    // per span; lanes that spell the same stack merge below.
+    let mut per_lane: BTreeMap<(usize, &str), u64> = BTreeMap::new();
     for span in trace.task_spans() {
-        let lane = &lanes[span.worker];
-        let kind = if lane.is_link {
-            "transfer".to_string()
+        let kind = if lanes[span.worker].is_link {
+            "transfer"
         } else {
             trace
                 .meta
                 .tasks
                 .get(span.task as usize)
-                .map(|t| t.category.clone())
-                .unwrap_or_else(|| "task".to_string())
+                .map_or("task", |t| t.category.as_str())
         };
+        *per_lane.entry((span.worker, kind)).or_insert(0) += span.end - span.start;
+    }
+    let mut weights: BTreeMap<String, u64> = BTreeMap::new();
+    for ((lane, kind), weight) in per_lane {
+        let lane = &lanes[lane];
         let name = if lane.is_link {
-            link_base(&lane.name).to_string()
+            link_base(&lane.name)
         } else {
-            lane.name.clone()
+            &lane.name
         };
-        let stack = format!("{};{};{}", lane.group, name, kind);
-        *weights.entry(stack).or_insert(0) += span.end - span.start;
+        *weights
+            .entry(format!("{};{};{}", lane.group, name, kind))
+            .or_insert(0) += weight;
     }
     let mut out = String::new();
     for (stack, w) in weights {

@@ -209,6 +209,53 @@ impl fmt::Display for TraceError {
 
 impl std::error::Error for TraceError {}
 
+/// Per-task scratch for the passes over a trace: a vector indexed by task
+/// id, as long as the task table (as the event count when the trace has no
+/// labels, so memory stays within the trace's own size); ids beyond it —
+/// which only a label-less trace with sparse ids, or a broken one, has —
+/// fall back to a map.
+pub(crate) struct TaskMap<T> {
+    dense: Vec<Option<T>>,
+    sparse: BTreeMap<u32, Option<T>>,
+}
+
+impl<T> TaskMap<T> {
+    pub(crate) fn for_trace(trace: &RunTrace) -> Self {
+        let len = match trace.meta.tasks.len() {
+            0 => trace.total_events(),
+            tasks => tasks,
+        };
+        TaskMap {
+            dense: std::iter::repeat_with(|| None).take(len).collect(),
+            sparse: BTreeMap::new(),
+        }
+    }
+
+    /// The entry of `task`, to fill, replace or take.
+    pub(crate) fn slot(&mut self, task: u32) -> &mut Option<T> {
+        match self.dense.get_mut(task as usize) {
+            Some(slot) => slot,
+            None => self.sparse.entry(task).or_insert(None),
+        }
+    }
+
+    pub(crate) fn get(&self, task: u32) -> Option<&T> {
+        match self.dense.get(task as usize) {
+            Some(slot) => slot.as_ref(),
+            None => self.sparse.get(&task).and_then(Option::as_ref),
+        }
+    }
+
+    /// Filled entries in ascending task order.
+    fn iter(&self) -> impl Iterator<Item = (u32, &T)> {
+        let dense = self.dense.iter().zip(0u32..);
+        let sparse = self.sparse.iter().map(|(task, slot)| (slot, *task));
+        dense
+            .chain(sparse)
+            .filter_map(|(slot, task)| Some((task, slot.as_ref()?)))
+    }
+}
+
 /// One open entry on a lane's span stack during validation.
 enum Open {
     Task(u32),
@@ -269,32 +316,54 @@ impl RunTrace {
         self.workers.iter().map(|w| w.overwritten).sum()
     }
 
+    /// First `TaskReady` timestamp per task, across the prelude and all
+    /// lanes, and how many tasks have one.
+    pub(crate) fn ready_timestamps(&self) -> (TaskMap<u64>, u64) {
+        let mut first_ready = TaskMap::for_trace(self);
+        let mut tasks = 0;
+        for e in self
+            .prelude
+            .iter()
+            .chain(self.workers.iter().flat_map(|w| w.events.iter()))
+        {
+            if let EventKind::TaskReady { task } = e.kind {
+                let slot = first_ready.slot(task);
+                if slot.is_none() {
+                    *slot = Some(e.ts);
+                    tasks += 1;
+                }
+            }
+        }
+        (first_ready, tasks)
+    }
+
     /// Reconstructs every task execution interval from start/end pairs, in
     /// per-lane order. Dequeue provenance is attached from the closest
     /// preceding dequeue event for the same task on the same lane.
     pub fn task_spans(&self) -> Vec<TaskSpan> {
         let mut spans = Vec::new();
-        for w in &self.workers {
+        // Dequeues waiting for their span, with the lane that saw them: a
+        // dequeue never pairs with a span on another lane.
+        let mut dequeued: TaskMap<(usize, Provenance)> = TaskMap::for_trace(self);
+        for (lane, w) in self.workers.iter().enumerate() {
             let mut open: Vec<(u32, u64)> = Vec::new();
-            let mut provenance: BTreeMap<u32, Provenance> = BTreeMap::new();
             for e in &w.events {
                 match &e.kind {
                     EventKind::TaskDequeued {
                         task,
                         provenance: p,
-                    } => {
-                        provenance.insert(*task, *p);
-                    }
+                    } => *dequeued.slot(*task) = Some((lane, *p)),
                     EventKind::TaskStart { task } => open.push((*task, e.ts)),
                     EventKind::TaskEnd { task } => {
                         if let Some(pos) = open.iter().rposition(|(t, _)| t == task) {
                             let (_, start) = open.remove(pos);
+                            let here = dequeued.slot(*task).take_if(|(at, _)| *at == lane);
                             spans.push(TaskSpan {
                                 task: *task,
                                 worker: w.worker,
                                 start,
                                 end: e.ts,
-                                provenance: provenance.remove(task),
+                                provenance: here.map(|(_, p)| p),
                             });
                         }
                     }
@@ -329,7 +398,7 @@ impl RunTrace {
             ..TraceStats::default()
         };
         // 0 = never started, 1 = started, 2 = ended.
-        let mut task_state: BTreeMap<u32, u8> = BTreeMap::new();
+        let mut task_state: TaskMap<u8> = TaskMap::for_trace(self);
 
         let check_task = |task: u32| -> Result<(), TraceError> {
             if task_count > 0 && task as usize >= task_count {
@@ -372,9 +441,8 @@ impl RunTrace {
                     }
                     EventKind::TaskStart { task } => {
                         check_task(*task)?;
-                        match task_state.insert(*task, 1) {
-                            None => {}
-                            Some(_) => return Err(TraceError::DuplicateStart { task: *task }),
+                        if task_state.slot(*task).replace(1).is_some() {
+                            return Err(TraceError::DuplicateStart { task: *task });
                         }
                         open.push(Open::Task(*task));
                         open_start.push(e.ts);
@@ -383,7 +451,7 @@ impl RunTrace {
                         check_task(*task)?;
                         match open.pop() {
                             Some(Open::Task(t)) if t == *task => {
-                                task_state.insert(*task, 2);
+                                *task_state.slot(*task) = Some(2);
                                 stats.tasks += 1;
                                 let start = open_start.pop().unwrap_or(e.ts);
                                 if lane < lane_count {
@@ -426,7 +494,7 @@ impl RunTrace {
         }
 
         if let Some((task, _)) = task_state.iter().find(|(_, s)| **s == 1) {
-            return Err(TraceError::MissingEnd { task: *task });
+            return Err(TraceError::MissingEnd { task });
         }
         Ok(stats)
     }
@@ -508,6 +576,65 @@ mod tests {
         assert_eq!(spans[0].start, 2);
         assert_eq!(spans[0].end, 5);
         assert_eq!(spans[1].provenance.unwrap().label(), "steal-cross-group");
+    }
+
+    /// Without a task table, ids index a vector only up to the event count;
+    /// larger ones take the map, and both give what a map alone gave.
+    #[test]
+    fn sparse_ids_without_a_task_table() {
+        let far = 4_000_000_000;
+        let dequeue = |task| EventKind::TaskDequeued {
+            task,
+            provenance: Provenance::Queue,
+        };
+        let trace = RunTrace {
+            meta: meta(0),
+            prelude: vec![
+                ev(0, EventKind::TaskReady { task: far }),
+                ev(1, EventKind::TaskReady { task: 2 }),
+                ev(2, EventKind::TaskReady { task: far }),
+            ],
+            workers: vec![
+                lane(
+                    0,
+                    vec![
+                        ev(1, dequeue(far)),
+                        ev(1, dequeue(2)),
+                        ev(2, EventKind::TaskStart { task: far }),
+                        ev(5, EventKind::TaskEnd { task: far }),
+                    ],
+                ),
+                // Task 2 was dequeued on lane 0 but ran here: no provenance.
+                lane(
+                    1,
+                    vec![
+                        ev(3, EventKind::TaskStart { task: 2 }),
+                        ev(4, EventKind::TaskEnd { task: 2 }),
+                    ],
+                ),
+            ],
+        };
+        let stats = trace.validate().unwrap();
+        assert_eq!((stats.tasks, stats.readies), (2, 3));
+        let spans = trace.task_spans();
+        assert_eq!(spans[0].task, far);
+        assert_eq!(spans[0].provenance, Some(Provenance::Queue));
+        assert_eq!((spans[1].task, spans[1].provenance), (2, None));
+        let (first_ready, tasks) = trace.ready_timestamps();
+        assert_eq!(tasks, 2);
+        assert_eq!(first_ready.get(far), Some(&0));
+        assert_eq!(first_ready.get(2), Some(&1));
+        assert_eq!(first_ready.get(3), None);
+
+        let mut twice = trace.clone();
+        twice.workers[1].events.extend([
+            ev(6, EventKind::TaskStart { task: far }),
+            ev(7, EventKind::TaskEnd { task: far }),
+        ]);
+        assert_eq!(
+            twice.validate(),
+            Err(TraceError::DuplicateStart { task: far })
+        );
     }
 
     #[test]

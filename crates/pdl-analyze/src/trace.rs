@@ -169,34 +169,57 @@ pub fn check_trace(trace: &RunTrace, graph: &TaskGraph) -> Report {
     // T005: vector-clock race check over ALL spans (transfers included —
     // they strengthen per-lane ordering), with dependency edges between
     // correlated graph tasks that observed time actually respects.
-    let clocks = vector_clocks(&spans, graph, &graph_span);
+    //
+    // Only a writer and another accessor of the same handle can race, so
+    // the candidates of a task come from the accessor lists of its handles:
+    // the check costs what the graph's conflicts cost, not all task pairs.
+    let clocks = VectorClocks::of(&spans, graph, &graph_span);
+    let mut accessors: Vec<Vec<(usize, AccessMode)>> = vec![Vec::new(); graph.data.len()];
+    for task in &graph.tasks {
+        if graph_span[task.id.0].is_some() {
+            for access in &task.accesses {
+                accessors[access.handle.0].push((task.id.0, access.mode));
+            }
+        }
+    }
+    let mut later: Vec<usize> = Vec::new();
     for a in &graph.tasks {
         let Some(sa) = graph_span[a.id.0] else {
             continue;
         };
-        for b in &graph.tasks {
-            if b.id.0 <= a.id.0 {
+        later.clear();
+        for access in &a.accesses {
+            let of_handle = &accessors[access.handle.0];
+            // Lists are in task order; a pair is reported from its earlier task.
+            let after = of_handle.partition_point(|&(id, _)| id <= a.id.0);
+            later.extend(
+                of_handle[after..]
+                    .iter()
+                    .filter(|(_, mode)| {
+                        access.mode != AccessMode::Read || *mode != AccessMode::Read
+                    })
+                    .map(|&(id, _)| id),
+            );
+        }
+        later.sort_unstable();
+        later.dedup();
+        for &b in &later {
+            let b = &graph.tasks[b];
+            let sb = graph_span[b.id.0].expect("only tasks with a span are listed");
+            if clocks.ordered(sa, sb) {
                 continue;
             }
-            let Some(sb) = graph_span[b.id.0] else {
-                continue;
-            };
-            let Some(handle) = conflict(a, b) else {
-                continue;
-            };
-            let ordered = vc_leq(&clocks[sa], &clocks[sb]) || vc_leq(&clocks[sb], &clocks[sa]);
-            if !ordered {
-                out.push(
-                    Diagnostic::error(
-                        "T005",
-                        format!(
-                            "tasks {} (\"{}\") and {} (\"{}\") both access data handle {} with a write but are unordered in the observed schedule: a data race",
-                            a.id, a.label, b.id, b.label, handle
-                        ),
-                    )
-                    .with_subject(a.label.clone()),
-                );
-            }
+            let handle = conflict(a, b).expect("candidates share a written handle");
+            out.push(
+                Diagnostic::error(
+                    "T005",
+                    format!(
+                        "tasks {} (\"{}\") and {} (\"{}\") both access data handle {} with a write but are unordered in the observed schedule: a data race",
+                        a.id, a.label, b.id, b.label, handle
+                    ),
+                )
+                .with_subject(a.label.clone()),
+            );
         }
     }
 
@@ -399,73 +422,78 @@ fn conflict(a: &hetero_rt::task::Task, b: &hetero_rt::task::Task) -> Option<usiz
     None
 }
 
-/// Computes one vector clock per span. Component space is one slot per lane;
-/// a span's clock is the join of its predecessors (previous span on its
+/// One vector clock per span, `lanes` components each, in one allocation.
+/// A span's clock is the join of its predecessors (previous span on its
 /// lane, plus every time-respected declared dependency), then its own lane
 /// component is bumped to its per-lane sequence number.
-fn vector_clocks(
-    spans: &[hetero_trace::TaskSpan],
-    graph: &TaskGraph,
-    graph_span: &[Option<usize>],
-) -> Vec<Vec<u64>> {
-    // Lane → dense slot.
-    let mut slots: BTreeMap<usize, usize> = BTreeMap::new();
-    for span in spans {
-        let next = slots.len();
-        slots.entry(span.worker).or_insert(next);
-    }
-    let width = slots.len().max(1);
+struct VectorClocks {
+    lanes: usize,
+    clocks: Vec<u64>,
+}
 
-    // Per-lane predecessor chain and sequence numbers (spans are sorted by
-    // start time, so per-lane order is start order).
-    let mut prev_on_lane: BTreeMap<usize, usize> = BTreeMap::new();
-    let mut lane_pred: Vec<Option<usize>> = vec![None; spans.len()];
-    let mut seq: Vec<u64> = vec![0; spans.len()];
-    let mut lane_count: BTreeMap<usize, u64> = BTreeMap::new();
-    for (si, span) in spans.iter().enumerate() {
-        lane_pred[si] = prev_on_lane.insert(span.worker, si);
-        let c = lane_count.entry(span.worker).or_insert(0);
-        *c += 1;
-        seq[si] = *c;
-    }
+impl VectorClocks {
+    fn of(
+        spans: &[hetero_trace::TaskSpan],
+        graph: &TaskGraph,
+        graph_span: &[Option<usize>],
+    ) -> Self {
+        // Lane → dense component.
+        let mut slots: BTreeMap<usize, usize> = BTreeMap::new();
+        for span in spans {
+            let next = slots.len();
+            slots.entry(span.worker).or_insert(next);
+        }
+        let lanes = slots.len().max(1);
 
-    // Dependency predecessors, per span index of the dependent task.
-    let mut dep_preds: Vec<Vec<usize>> = vec![Vec::new(); spans.len()];
-    for task in &graph.tasks {
-        let Some(si) = graph_span[task.id.0] else {
-            continue;
-        };
-        for &dep in graph.dependencies(task.id) {
-            if let Some(di) = graph_span[dep.0] {
-                if spans[di].end <= spans[si].start {
-                    dep_preds[si].push(di);
+        // Dependency predecessors, per span index of the dependent task.
+        let mut dep_preds: Vec<Vec<usize>> = vec![Vec::new(); spans.len()];
+        for task in &graph.tasks {
+            let Some(si) = graph_span[task.id.0] else {
+                continue;
+            };
+            for &dep in graph.dependencies(task.id) {
+                if let Some(di) = graph_span[dep.0] {
+                    if spans[di].end <= spans[si].start {
+                        dep_preds[si].push(di);
+                    }
                 }
             }
         }
-    }
 
-    let mut clocks: Vec<Vec<u64>> = vec![vec![0; width]; spans.len()];
-    for si in 0..spans.len() {
-        let mut clock = vec![0u64; width];
-        let join = |pred: usize, clock: &mut Vec<u64>, clocks: &[Vec<u64>]| {
-            for (c, p) in clock.iter_mut().zip(&clocks[pred]) {
-                *c = (*c).max(*p);
+        // Spans are sorted by start time, so per-lane order is start order
+        // and a predecessor's clock is final before it is joined. The one
+        // exception, an empty span depending on an empty span of the same
+        // instant that sorts after it, joins a clock that is still zero.
+        let mut clocks = vec![0u64; lanes * spans.len()];
+        let mut last_on_lane: Vec<Option<usize>> = vec![None; lanes];
+        let mut seq_on_lane = vec![0u64; lanes];
+        for (si, span) in spans.iter().enumerate() {
+            let slot = slots[&span.worker];
+            let (done, rest) = clocks.split_at_mut(lanes * si);
+            let clock = &mut rest[..lanes];
+            let lane_pred = last_on_lane[slot].replace(si);
+            let earlier = |pred: &&usize| **pred < si;
+            for &pred in lane_pred.iter().chain(&dep_preds[si]).filter(earlier) {
+                for (c, p) in clock.iter_mut().zip(&done[lanes * pred..][..lanes]) {
+                    *c = (*c).max(*p);
+                }
             }
-        };
-        if let Some(p) = lane_pred[si] {
-            join(p, &mut clock, &clocks);
+            seq_on_lane[slot] += 1;
+            clock[slot] = seq_on_lane[slot];
         }
-        for &p in &dep_preds[si] {
-            join(p, &mut clock, &clocks);
-        }
-        clock[slots[&spans[si].worker]] = seq[si];
-        clocks[si] = clock;
+        VectorClocks { lanes, clocks }
     }
-    clocks
-}
 
-fn vc_leq(a: &[u64], b: &[u64]) -> bool {
-    a.iter().zip(b).all(|(x, y)| x <= y)
+    fn of_span(&self, span: usize) -> &[u64] {
+        &self.clocks[self.lanes * span..][..self.lanes]
+    }
+
+    /// Does one of the two spans happen before the other?
+    fn ordered(&self, a: usize, b: usize) -> bool {
+        let leq = |a: &[u64], b: &[u64]| a.iter().zip(b).all(|(x, y)| x <= y);
+        let (a, b) = (self.of_span(a), self.of_span(b));
+        leq(a, b) || leq(b, a)
+    }
 }
 
 #[cfg(test)]

@@ -207,3 +207,34 @@ fn perf_diff_requires_two_traces() {
     assert!(!ok);
     assert!(stderr.contains("two traces"), "{stderr}");
 }
+
+/// A megabyte of `[` used to recurse once per bracket and overflow the
+/// stack (`fatal runtime error`, no diagnostic). Every command that reads a
+/// trace now reports the nesting as an ordinary parse error.
+#[test]
+fn hostile_nesting_is_a_diagnostic_not_a_crash() {
+    let dir = std::env::temp_dir().join(format!("pdl-cli-nesting-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let file = dir.join("deep.trace.json");
+    std::fs::write(&file, "[".repeat(1 << 20)).unwrap();
+    let path = file.to_str().unwrap();
+
+    let (ok, _, stderr) = pdl(&["profile", path]);
+    assert!(!ok);
+    assert_eq!(stderr.lines().count(), 1, "{stderr}");
+    assert!(stderr.starts_with("pdl: trace json: "), "{stderr}");
+    assert!(stderr.contains("nesting deeper than 128"), "{stderr}");
+
+    let base = "examples/traces/perf_diff_base.trace.json";
+    let (ok, _, stderr) = pdl(&["perf-diff", base, path]);
+    assert!(!ok);
+    assert!(stderr.contains("nesting deeper than 128"), "{stderr}");
+
+    let (ok, stdout, stderr) = pdl(&["check", path]);
+    assert!(!ok);
+    assert!(
+        format!("{stdout}{stderr}").contains("nesting deeper than 128"),
+        "{stdout}{stderr}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}

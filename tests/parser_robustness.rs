@@ -117,3 +117,50 @@ fn cascabel_edge_case_corpus() {
         let _ = cascabel::parse::parse_program(src);
     }
 }
+
+/// Nesting is capped in the one JSON tokenizer, so no document — a megabyte
+/// of `[`, or of `{"k":` — recurses its readers off the stack. The tree
+/// parser, the trace codec's passing over of unknown members and its typed
+/// reads all answer with an error that names the offset.
+#[test]
+fn json_nesting_is_capped_everywhere() {
+    use hetero_trace::json::{Json, MAX_DEPTH};
+
+    for unit in ["[", "{\"k\":", "[{\"k\":"] {
+        let hostile = unit.repeat((1 << 20) / unit.len());
+        let e = Json::parse(&hostile).expect_err("the tree parser stops");
+        assert!(e.message.contains("nesting"), "{e}");
+        assert!(e.offset <= MAX_DEPTH * unit.len(), "{e}");
+
+        let e = hetero_trace::codec::parse(&hostile).expect_err("the codec stops");
+        assert!(e.contains("nesting"), "{e}");
+        // Inside a trace document, where a member is passed over — and
+        // where events are expected, whatever the complaint there.
+        for member in ["x-vendor", "meta", "prelude"] {
+            let doc = format!(r#"{{"kind":"hetero-trace-run","{member}":{hostile}"#);
+            let e = hetero_trace::codec::parse(&doc).expect_err("the codec stops");
+            assert!(
+                member == "prelude" || e.contains("nesting"),
+                "{member}: {e}"
+            );
+        }
+    }
+    // The cap is on depth, not on size: a long flat document is fine.
+    let flat = format!("[{}0]", "0,".repeat(1 << 18));
+    assert_eq!(Json::parse(&flat).unwrap().items().len(), (1 << 18) + 1);
+    let nested = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+    assert!(Json::parse(&nested).is_ok());
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn json_and_trace_codec_never_panic(input in "[\\[\\]{}\",:0-9a-z\\\\ .eE+-]{0,160}") {
+        let _ = hetero_trace::json::Json::parse(&input);
+        let _ = hetero_trace::codec::parse(&input);
+        let _ = hetero_trace::codec::parse(&format!(
+            r#"{{"kind":"hetero-trace-run","meta":{{}},"prelude":[{input}"#
+        ));
+    }
+}

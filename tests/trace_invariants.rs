@@ -12,6 +12,8 @@
 //! * every task became ready exactly once, and busy time per worker agrees
 //!   with `WorkerStats::busy` (both sides read the same clock).
 
+mod common;
+
 use hetero_rt::prelude::*;
 use proptest::prelude::*;
 
@@ -153,49 +155,9 @@ proptest! {
         ),
         dep_seeds in proptest::collection::vec((any::<u32>(), any::<u32>()), 0..8),
     ) {
-        use hetero_trace::{codec, EventKind, TraceEvent};
-        use hetero_trace::{LaneLabel, RunTrace, TaskInfo, TraceMeta, WorkerTrace};
+        use hetero_trace::codec;
 
-        let mut tasks = Vec::new();
-        let mut workers = Vec::new();
-        let mut lanes = Vec::new();
-        for (w, (overwritten, spans)) in worker_spans.iter().enumerate() {
-            lanes.push(LaneLabel {
-                name: format!("cpu{w}"),
-                group: (w % 2 == 0).then(|| "cpus".to_string()),
-            });
-            let mut events = Vec::new();
-            let mut ts = 0u64;
-            for &(gap, dur) in spans {
-                let task = tasks.len() as u32;
-                tasks.push(TaskInfo {
-                    label: format!("t{task}"),
-                    category: "task".to_string(),
-                    group: None,
-                });
-                ts += gap;
-                events.push(TraceEvent { ts, kind: EventKind::TaskStart { task } });
-                ts += dur;
-                events.push(TraceEvent { ts, kind: EventKind::TaskEnd { task } });
-            }
-            workers.push(WorkerTrace { worker: w, events, overwritten: *overwritten });
-        }
-        let n = tasks.len() as u32;
-        let deps: Vec<(u32, u32)> = dep_seeds
-            .iter()
-            .filter(|_| n > 0)
-            .map(|&(a, b)| (a % n, b % n))
-            .collect();
-        let trace = RunTrace {
-            meta: TraceMeta {
-                platform: Some("prop-machine".to_string()),
-                lanes,
-                tasks,
-                ..Default::default()
-            },
-            prelude: Vec::new(),
-            workers,
-        };
+        let (trace, deps) = common::span_trace(&worker_spans, &dep_seeds);
 
         let exported = codec::export(&trace, &deps);
         let (parsed, parsed_deps) = codec::parse(&exported)
