@@ -14,8 +14,9 @@
 //! run, and the tracing overhead (`TraceSink::Null` vs `TraceSink::ring()`)
 //! — then writes everything to `BENCH_engine_scaling.json`.
 
+use bench::baseline::SingleQueueExecutor;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use hetero_rt::thread_engine::{from_graph, SingleQueueExecutor, ThreadTask, ThreadedExecutor};
+use hetero_rt::thread_engine::{from_graph, ThreadTask, ThreadedExecutor};
 use hetero_trace::json::Json;
 use hetero_trace::TraceSink;
 use std::hint::black_box;

@@ -8,7 +8,7 @@
 //!    increment into the future, keeping the population constant. This is
 //!    exactly the steady-state access pattern of a discrete-event
 //!    simulator. The calendar [`EventQueue`] is compared against the
-//!    retired [`HeapEventQueue`] (`BinaryHeap` baseline) at ≥100k queued
+//!    retired [`HeapEventQueue`] (`bench::baseline`) at ≥100k queued
 //!    events — the regime where the heap's `O(log n)` sift cost dominates
 //!    and the calendar's O(1) bucket access pays off. The gated metric is
 //!    `speedup_vs_heap`.
@@ -22,12 +22,13 @@
 //! gaps, the classic event-set workload), so the calendar's bucket width
 //! must track a drifting, non-uniform spacing rather than a fixed grid.
 
+use bench::baseline::HeapEventQueue;
 use criterion::{criterion_group, criterion_main, Criterion};
 use hetero_rt::dyn_engine::simulate_dynamic;
 use hetero_rt::scheduler::EagerScheduler;
 use hetero_rt::sim_engine::SimOptions;
 use hetero_trace::json::Json;
-use simhw::events::{EventQueue, HeapEventQueue};
+use simhw::events::EventQueue;
 use simhw::SimTime;
 use std::hint::black_box;
 use std::time::{Duration, Instant};

@@ -8,6 +8,9 @@
 //!   descriptors;
 //! * [`ablations`] — scheduler/transfer ablation helpers shared by the
 //!   Criterion benches;
+//! * [`baseline`] — the single-queue thread engine and the binary-heap
+//!   event queue the shipped engines replaced, for `engine_scaling`,
+//!   `sim_scaling` and the differential tests;
 //! * [`regression`] — the base-vs-head `BENCH_*.json` comparison behind
 //!   the `bench_regression` CI gate.
 
@@ -15,6 +18,7 @@
 #![forbid(unsafe_code)]
 
 pub mod ablations;
+pub mod baseline;
 pub mod fig5;
 pub mod portability;
 pub mod regression;

@@ -75,8 +75,8 @@ fn assert_same_graph(got: &TaskGraph, want: &TaskGraph) {
     }
     for t in (0..want.len()).map(TaskId) {
         assert_eq!(got.dependencies(t), want.dependencies(t), "{t:?}");
-        assert_eq!(got.dependents(t), want.dependents(t), "{t:?}");
     }
+    assert_eq!(got.compile(), want.compile());
 }
 
 #[test]

@@ -107,7 +107,7 @@ pub struct DataMeta {
 pub const HOST: DeviceId = DeviceId(usize::MAX);
 
 /// The protocol-level [`Node`] for a runtime device id.
-pub(crate) fn node_of(d: DeviceId) -> Node {
+fn node_of(d: DeviceId) -> Node {
     if d == HOST {
         Node::Host
     } else {
@@ -116,7 +116,7 @@ pub(crate) fn node_of(d: DeviceId) -> Node {
 }
 
 /// The runtime device id for a protocol-level [`Node`].
-pub(crate) fn device_of(n: Node) -> DeviceId {
+fn device_of(n: Node) -> DeviceId {
     match n {
         Node::Host => HOST,
         Node::Dev(i) => DeviceId(i),
@@ -128,9 +128,9 @@ pub(crate) fn device_of(n: Node) -> DeviceId {
 /// shared. Costs come from the exact `transfer_time` computation the
 /// decorated hops carry, so pure totals and decorated totals are
 /// bit-identical floats.
-pub(crate) struct MachineCosts<'a> {
-    pub(crate) machine: &'a SimMachine,
-    pub(crate) size: f64,
+struct MachineCosts<'a> {
+    machine: &'a SimMachine,
+    size: f64,
 }
 
 impl proto::CostView for MachineCosts<'_> {
@@ -229,12 +229,7 @@ fn decorate_hop(machine: &SimMachine, size: f64, hop: &proto::Hop) -> TransferHo
 }
 
 /// Decorates every hop of a pure plan for handle `h` of `size` bytes.
-pub(crate) fn decorate(
-    machine: &SimMachine,
-    h: HandleId,
-    size: f64,
-    pure: &proto::Plan,
-) -> TransferPlan {
+fn decorate(machine: &SimMachine, h: HandleId, size: f64, pure: &proto::Plan) -> TransferPlan {
     TransferPlan {
         handle: h,
         hops: pure
@@ -250,7 +245,7 @@ pub(crate) fn decorate(
 /// `transfer_time` values the decorated hops would carry, and
 /// [`proto::Plan::total`] sums them in hop order, so the result is
 /// bit-identical to [`TransferPlan::total`].
-pub(crate) fn probe_cost(
+fn probe_cost(
     valid: &BTreeSet<Node>,
     machine: &SimMachine,
     size: f64,
@@ -264,21 +259,17 @@ pub(crate) fn probe_cost(
 
 /// Bytes moved per direction, for statistics.
 #[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct ByteCounters {
-    pub(crate) to_devices: f64,
-    pub(crate) to_host: f64,
+struct ByteCounters {
+    to_devices: f64,
+    to_host: f64,
     /// Moved directly device→device over peer interconnects.
-    pub(crate) peer: f64,
+    peer: f64,
 }
 
 /// Applies a plan to one handle's valid set through [`proto::commit`]
 /// (every hop destination gains a valid copy) and counts each physically
 /// moved hop exactly once in the matching direction counter.
-pub(crate) fn commit_plan(
-    valid: &mut BTreeSet<Node>,
-    bytes: &mut ByteCounters,
-    plan: &TransferPlan,
-) {
+fn commit_plan(valid: &mut BTreeSet<Node>, bytes: &mut ByteCounters, plan: &TransferPlan) {
     let pure = pure_plan(plan);
     proto::commit(valid, &pure);
     for (hop, pure_hop) in plan.hops.iter().zip(&pure.hops) {

@@ -17,21 +17,14 @@
 //! the same graphs, machines, coherence and cost models are used — which is
 //! exactly what the list-vs-online ablation isolates.
 
-use crate::data::{DataRegistry, HandleId};
-use crate::dispatch::{DispatchTables, Oracles};
 use crate::graph::TaskGraph;
-use crate::perfmodel::PerfModel;
 use crate::scheduler::Scheduler;
-use crate::sim_engine::{
-    publish_sim_telemetry, run_plan_on_links, LinkUse, RtError, SimOptions, SimReport,
-};
+use crate::sim_engine::{RtError, SimOptions, SimReport};
+use crate::sim_run::SimRun;
 use crate::task::TaskId;
-use simhw::energy::energy;
 use simhw::events::EventQueue;
 use simhw::machine::{DeviceId, SimMachine};
-use simhw::resource::{BucketedTimeline, Timeline};
-use simhw::time::{Duration, SimTime};
-use simhw::trace::{SpanKind, Trace};
+use std::collections::BinaryHeap;
 
 /// A ready-pool entry ordered for dispatch: higher priority first, then
 /// submission order (StarPU-style). `BinaryHeap` is a max-heap, so `Ord`
@@ -67,65 +60,32 @@ pub fn simulate_dynamic(
     scheduler: &mut dyn Scheduler,
     options: &SimOptions,
 ) -> Result<SimReport, RtError> {
-    if machine.is_empty() {
-        return Err(RtError::EmptyMachine);
+    let mut run = SimRun::new(graph, machine, options)?;
+
+    // Every task must have at least one eligible device, or the run can
+    // never finish.
+    for task in &graph.tasks {
+        if run.eligible(task).next().is_none() {
+            return Err(run.no_eligible_device(task));
+        }
     }
 
-    let n = graph.len();
-    let mut timelines: Vec<Timeline> = vec![Timeline::new(); machine.len()];
-    let mut host_bus = Timeline::new();
-    let mut data: DataRegistry = graph.data.clone();
-    let mut trace = Trace::new();
-    let mut assignments: Vec<(TaskId, DeviceId)> = Vec::with_capacity(n);
-
-    let pipeline = options.pipeline;
-    let routing = pipeline.routing();
-    let mut link_timelines: Vec<BucketedTimeline> =
-        vec![BucketedTimeline::default(); machine.links.len()];
-    let mut link_use: Vec<LinkUse> = vec![LinkUse::default(); machine.links.len()];
-    let mut link_trace = Trace::new();
-    let mut handle_ready: Vec<SimTime> = vec![SimTime::ZERO; data.len()];
-    // The online engine learns no history: its compute oracle is analytic.
-    let perfmodel = PerfModel::new();
-
-    // Dispatch tables: variant speedups and group eligibility resolved
-    // once, so the hot loop never touches strings.
-    let tables = DispatchTables::new(graph, machine);
-
-    // Readiness bookkeeping: a max-heap keyed (priority desc, submission
-    // order asc) replaces the re-sorted ready `Vec` — pushing a ready task
-    // and popping the dispatch candidate are both O(log n), where the old
-    // sort-plus-`remove(i)` scan was quadratic in the pool size.
-    let mut pending_deps: Vec<usize> = (0..n)
-        .map(|t| graph.dependencies(TaskId(t)).len())
-        .collect();
-    let mut ready: std::collections::BinaryHeap<ReadyKey> = graph
-        .sources()
-        .into_iter()
-        .map(|t| ReadyKey {
-            priority: graph.tasks[t.0].priority,
-            id: t.0,
-        })
-        .collect();
+    // Readiness bookkeeping over the compiled edges: pending counts tick
+    // down as completions fire, and a max-heap keyed (priority desc,
+    // submission order asc) makes pushing a ready task and popping the
+    // dispatch candidate both O(log n).
+    let key = |t: TaskId| ReadyKey {
+        priority: graph.tasks[t.0].priority,
+        id: t.0,
+    };
+    let edges = graph.compile();
+    let mut pending = edges.pending().to_vec();
+    let mut ready: BinaryHeap<ReadyKey> = edges.ready().iter().map(|&t| key(t)).collect();
     let mut skipped: Vec<ReadyKey> = Vec::new();
     let mut candidates: Vec<DeviceId> = Vec::with_capacity(machine.len());
     let mut completed = 0usize;
-
-    /// Completion events carry the finished task.
-    struct Completion(TaskId);
-    let mut events: EventQueue<Completion> = EventQueue::new();
-
-    // Pre-validate: every task must have at least one eligible device
-    // (otherwise the run can never finish).
-    for (t, task) in graph.tasks.iter().enumerate() {
-        if tables.eligible(task).next().is_none() {
-            return Err(RtError::NoEligibleDevice {
-                task: TaskId(t),
-                codelet: graph.codelets[task.codelet].name.clone(),
-                execution_group: task.execution_group.clone(),
-            });
-        }
-    }
+    // Completion events carry the finished task.
+    let mut events: EventQueue<TaskId> = EventQueue::new();
 
     // Dispatch loop: bind ready tasks to *idle* devices at the current
     // time (late binding — the defining property of online scheduling),
@@ -133,114 +93,29 @@ pub fn simulate_dynamic(
     // desc, submission order) order; a task with no idle compatible device
     // is parked in `skipped` until the next event. Dispatching only makes
     // devices busier, so a popped-and-skipped task can never become
-    // dispatchable within the same round — the old restart-the-scan loop
-    // and this single pass produce identical dispatch sequences, and the
-    // round ends early the moment no device is idle at all.
+    // dispatchable within the same round, and the round ends early the
+    // moment no device is idle at all.
     loop {
         let now = events.now();
         let mut idle = (0..machine.len())
-            .filter(|&d| timelines[d].free_at() <= now)
+            .filter(|&d| run.free_at(d) <= now)
             .count();
         while idle > 0 {
             let Some(key) = ready.pop() else { break };
-            let tid = TaskId(key.id);
-            let task = &graph.tasks[tid.0];
-            let codelet = &graph.codelets[task.codelet];
+            let task = &graph.tasks[key.id];
             // Idle, variant-compatible, group-compatible devices only.
             candidates.clear();
-            candidates.extend(
-                tables
-                    .eligible(task)
-                    .filter(|d| timelines[d.0].free_at() <= now),
-            );
+            candidates.extend(run.eligible(task).filter(|d| run.free_at(d.0) <= now));
             if candidates.is_empty() {
                 // No idle compatible device right now; revisit this task
                 // at the next completion event.
                 skipped.push(key);
                 continue;
             }
-
-            let chosen = Oracles {
-                machine,
-                tables: &tables,
-                data: &data,
-                timelines: &timelines,
-                perfmodel: &perfmodel,
-                routing,
-                task,
-                codelet_name: &codelet.name,
-                ready: now,
-                candidates: &candidates,
-            }
-            .pick(scheduler);
-
-            // Charge the placement.
-            let compute = tables.compute_time(machine, task, chosen);
-            let end = if pipeline.is_active() {
-                let mut arrival = SimTime::ZERO;
-                for a in &task.accesses {
-                    let plan = data.plan_acquire(machine, a.handle, chosen, a.mode, routing);
-                    let floor = if pipeline.prefetch {
-                        handle_ready[a.handle.0]
-                    } else {
-                        now
-                    };
-                    let done = run_plan_on_links(
-                        &plan,
-                        floor,
-                        pipeline.link_contention,
-                        &mut link_timelines,
-                        &mut link_use,
-                        &mut link_trace,
-                        &format!("{}:{}:in", task.label, data.meta(a.handle).label),
-                    );
-                    data.commit(&plan);
-                    data.finish_access(a.handle, chosen, a.mode);
-                    arrival = arrival.max(done);
-                }
-                let (start, end) = timelines[chosen.0].reserve(now.max(arrival), compute);
-                trace.record(chosen, task.label.clone(), SpanKind::Compute, start, end);
-                end
-            } else {
-                let mut transfer = Duration::ZERO;
-                for a in &task.accesses {
-                    transfer = transfer + data.acquire(machine, a.handle, chosen, a.mode);
-                }
-                let dispatch_ready = if options.shared_host_bus && transfer > Duration::ZERO {
-                    now.max(host_bus.free_at())
-                } else {
-                    now
-                };
-                let (start, end) = timelines[chosen.0].reserve(dispatch_ready, transfer + compute);
-                if transfer > Duration::ZERO {
-                    if options.shared_host_bus {
-                        host_bus.reserve(start, transfer);
-                    }
-                    trace.record(
-                        chosen,
-                        format!("{}:in", task.label),
-                        SpanKind::Transfer,
-                        start,
-                        start + transfer,
-                    );
-                }
-                trace.record(
-                    chosen,
-                    task.label.clone(),
-                    SpanKind::Compute,
-                    start + transfer,
-                    end,
-                );
-                end
-            };
-            for a in &task.accesses {
-                if a.mode.writes() {
-                    handle_ready[a.handle.0] = end;
-                }
-            }
-            assignments.push((tid, chosen));
-            events.schedule(end, Completion(tid));
-            if timelines[chosen.0].free_at() > now {
+            let chosen = run.pick(scheduler, task, now, &candidates);
+            let end = run.charge(task, chosen, now);
+            events.schedule(end, task.id);
+            if run.free_at(chosen.0) > now {
                 // The dispatch occupied a device; once none are idle the
                 // rest of the pool cannot dispatch until the next event.
                 idle -= 1;
@@ -250,82 +125,18 @@ pub fn simulate_dynamic(
         ready.extend(skipped.drain(..));
 
         // Advance to the next completion.
-        match events.pop() {
-            None => break,
-            Some((_, Completion(done))) => {
-                completed += 1;
-                for &dep in graph.dependents(done) {
-                    pending_deps[dep.0] -= 1;
-                    if pending_deps[dep.0] == 0 {
-                        ready.push(ReadyKey {
-                            priority: graph.tasks[dep.0].priority,
-                            id: dep.0,
-                        });
-                    }
-                }
+        let Some((_, done)) = events.pop() else { break };
+        completed += 1;
+        for &dep in edges.dependents(done) {
+            pending[dep.0] -= 1;
+            if pending[dep.0] == 0 {
+                ready.push(key(dep));
             }
         }
     }
-    debug_assert_eq!(completed, n, "all tasks completed");
+    debug_assert_eq!(completed, graph.len(), "all tasks completed");
 
-    // Flush outputs, as in the list engine.
-    if options.flush_outputs {
-        let mut written: Vec<HandleId> = graph
-            .tasks
-            .iter()
-            .flat_map(|t| t.accesses.iter())
-            .filter(|a| a.mode.writes())
-            .map(|a| a.handle)
-            .collect();
-        written.sort_unstable();
-        written.dedup();
-        for h in written {
-            if pipeline.is_active() {
-                let plan = data.plan_flush(machine, h);
-                let floor = handle_ready[h.0];
-                run_plan_on_links(
-                    &plan,
-                    floor,
-                    pipeline.link_contention,
-                    &mut link_timelines,
-                    &mut link_use,
-                    &mut link_trace,
-                    &format!("{}:out", data.meta(h).label),
-                );
-                data.commit(&plan);
-            } else if let Some(owner) = data.device_owner(h) {
-                let dur = data.flush_to_host(machine, h);
-                if dur > Duration::ZERO {
-                    let (s, e) = timelines[owner.0].reserve(SimTime::ZERO, dur);
-                    trace.record(
-                        owner,
-                        format!("{}:out", data.meta(h).label),
-                        SpanKind::Transfer,
-                        s,
-                        e,
-                    );
-                }
-            }
-        }
-    }
-
-    let makespan = trace.makespan().max(link_trace.makespan());
-    publish_sim_telemetry("dynamic", machine, &link_use, makespan);
-    let energy = energy(machine, &trace);
-    Ok(SimReport {
-        makespan,
-        device_names: machine.devices.iter().map(|d| d.pu_id.clone()).collect(),
-        assignments,
-        energy,
-        bytes_to_devices: data.bytes_to_devices(),
-        bytes_to_host: data.bytes_to_host(),
-        bytes_peer: data.bytes_peer(),
-        perfmodel,
-        policy: scheduler.name(),
-        link_names: machine.links.iter().map(|l| l.name.clone()).collect(),
-        link_trace,
-        trace,
-    })
+    Ok(run.into_report("dynamic", scheduler.name()))
 }
 
 #[cfg(test)]
@@ -335,6 +146,8 @@ mod tests {
     use crate::scheduler::{EagerScheduler, HeftScheduler};
     use crate::task::{Codelet, DataAccess, Variant};
     use pdl_discover::synthetic;
+    use simhw::time::SimTime;
+    use simhw::trace::SpanKind;
 
     fn acc(h: HandleId, mode: AccessMode) -> DataAccess {
         DataAccess { handle: h, mode }

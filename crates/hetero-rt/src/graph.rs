@@ -19,10 +19,10 @@ pub struct TaskGraph {
     pub data: DataRegistry,
     /// Tasks in submission order.
     pub tasks: Vec<Task>,
-    /// dependencies\[t\] = tasks that must finish before `t` starts.
+    /// dependencies\[t\] = tasks that must finish before `t` starts, sorted
+    /// and free of duplicates. The reverse edges are derived on demand by
+    /// [`compile`](Self::compile).
     dependencies: Vec<Vec<TaskId>>,
-    /// dependents\[t\] = tasks waiting on `t`.
-    dependents: Vec<Vec<TaskId>>,
     /// Last writer per handle (submission-time tracking), indexed by
     /// `HandleId.0` like the registry itself.
     last_writer: Vec<Option<TaskId>>,
@@ -36,9 +36,9 @@ impl TaskGraph {
         Self::default()
     }
 
-    /// An empty graph pre-sized for `tasks` submissions: the task,
-    /// dependency and dependent vectors are allocated once up front, so
-    /// million-task submission loops never re-grow them.
+    /// An empty graph pre-sized for `tasks` submissions: the task and
+    /// dependency vectors are allocated once up front, so million-task
+    /// submission loops never re-grow them.
     pub fn with_capacity(tasks: usize) -> Self {
         let mut g = Self::default();
         g.reserve(tasks);
@@ -51,7 +51,6 @@ impl TaskGraph {
     pub fn reserve(&mut self, additional: usize) {
         self.tasks.reserve(additional);
         self.dependencies.reserve(additional);
-        self.dependents.reserve(additional);
     }
 
     /// Registers a codelet, returning its index for task submission.
@@ -97,6 +96,12 @@ impl TaskGraph {
         self.readers_since_write.resize(self.data.len(), Vec::new());
 
         for a in &accesses {
+            assert!(
+                a.handle.0 < self.data.len(),
+                "unknown data handle {} (this graph registered {})",
+                a.handle.0,
+                self.data.len()
+            );
             // RAW, WAW: reads and writes alike depend on the last writer.
             deps.extend(self.last_writer[a.handle.0]);
             if a.mode.writes() {
@@ -118,10 +123,6 @@ impl TaskGraph {
             }
         }
 
-        self.dependents.push(Vec::new());
-        for &d in &deps {
-            self.dependents[d.0].push(id);
-        }
         self.dependencies.push(deps);
         self.tasks.push(Task {
             id,
@@ -150,9 +151,14 @@ impl TaskGraph {
         &self.dependencies[t.0]
     }
 
-    /// Tasks waiting on `t`.
-    pub fn dependents(&self, t: TaskId) -> &[TaskId] {
-        &self.dependents[t.0]
+    /// The graph's edges in the form every engine consumes: dependents,
+    /// pending counts and the ready seed, derived from
+    /// [`dependencies`](Self::dependencies) in one linear pass.
+    pub fn compile(&self) -> CompiledGraph {
+        CompiledGraph::from_dependencies(self.tasks.len(), |t| {
+            self.dependencies[t].iter().map(|d| d.0)
+        })
+        .expect("submit records only edges to earlier tasks")
     }
 
     /// Tasks with no dependencies (sources).
@@ -189,6 +195,104 @@ impl TaskGraph {
     }
 }
 
+/// The reverse adjacency of a dependency graph, compiled once: who waits on
+/// each task (CSR), how many tasks each one waits for, and which tasks can
+/// start at once. It knows nothing about placement, labels or costs, so the
+/// thread engine and both virtual-time engines run on the same value.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CompiledGraph {
+    /// Distinct dependencies per task.
+    pending: Vec<usize>,
+    /// `targets[offsets[t]..offsets[t + 1]]` are the dependents of `t`.
+    offsets: Vec<usize>,
+    targets: Vec<TaskId>,
+    /// Tasks with no dependencies, in submission order.
+    ready: Vec<TaskId>,
+}
+
+impl CompiledGraph {
+    /// Compiles `tasks` tasks whose dependencies `deps_of(t)` lists, in any
+    /// order and with repeats. Every dependency must name an earlier task;
+    /// the first `(task, dep)` pair that does not is returned as the error.
+    ///
+    /// This is the only place reverse edges are derived: count each task's
+    /// dependents, prefix-sum the counts into offsets, then scatter in task
+    /// order — which leaves every dependents list ascending and puts the
+    /// repeats of one edge next to each other, so no list is ever sorted.
+    pub fn from_dependencies<D: Iterator<Item = usize>>(
+        tasks: usize,
+        deps_of: impl Fn(usize) -> D,
+    ) -> Result<Self, (usize, usize)> {
+        let mut pending = vec![0usize; tasks];
+        let mut offsets = vec![0usize; tasks + 1];
+        // last_seen[d] = t + 1 once the edge d → t has been counted.
+        let mut last_seen = vec![0usize; tasks];
+        for (t, waits_for) in pending.iter_mut().enumerate() {
+            for d in deps_of(t) {
+                if d >= t {
+                    return Err((t, d));
+                }
+                if last_seen[d] != t + 1 {
+                    last_seen[d] = t + 1;
+                    *waits_for += 1;
+                    offsets[d + 1] += 1;
+                }
+            }
+        }
+        for t in 0..tasks {
+            offsets[t + 1] += offsets[t];
+        }
+        // The marker array becomes the write cursor of each dependents list.
+        let mut cursor = last_seen;
+        cursor.copy_from_slice(&offsets[..tasks]);
+        let mut targets = vec![TaskId(0); offsets[tasks]];
+        for t in 0..tasks {
+            for d in deps_of(t) {
+                let at = cursor[d];
+                if at == offsets[d] || targets[at - 1] != TaskId(t) {
+                    targets[at] = TaskId(t);
+                    cursor[d] = at + 1;
+                }
+            }
+        }
+        let ready = (0..tasks)
+            .filter(|&t| pending[t] == 0)
+            .map(TaskId)
+            .collect();
+        Ok(CompiledGraph {
+            pending,
+            offsets,
+            targets,
+            ready,
+        })
+    }
+
+    /// Number of tasks.
+    pub fn len(&self) -> usize {
+        self.pending.len()
+    }
+
+    /// Whether the graph has no tasks.
+    pub fn is_empty(&self) -> bool {
+        self.pending.is_empty()
+    }
+
+    /// Tasks waiting on `t`, ascending.
+    pub fn dependents(&self, t: TaskId) -> &[TaskId] {
+        &self.targets[self.offsets[t.0]..self.offsets[t.0 + 1]]
+    }
+
+    /// How many distinct tasks each task waits for, indexed by task.
+    pub fn pending(&self) -> &[usize] {
+        &self.pending
+    }
+
+    /// Tasks that wait for nothing, in submission order.
+    pub fn ready(&self) -> &[TaskId] {
+        &self.ready
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -212,7 +316,7 @@ mod tests {
         let t0 = g.submit(c, "w", 1.0, vec![acc(a, AccessMode::Write)], None);
         let t1 = g.submit(c, "r", 1.0, vec![acc(a, AccessMode::Read)], None);
         assert_eq!(g.dependencies(t1), &[t0]);
-        assert_eq!(g.dependents(t0), &[t1]);
+        assert_eq!(g.compile().dependents(t0), &[t1]);
     }
 
     #[test]
@@ -334,6 +438,14 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "unknown data handle 3 (this graph registered 1)")]
+    fn handle_of_another_graph_panics_with_its_number() {
+        let (mut g, c) = graph_with_codelet();
+        g.register_data("mine", 8.0);
+        g.submit(c, "x", 1.0, vec![acc(HandleId(3), AccessMode::Read)], None);
+    }
+
+    #[test]
     fn topological_order_is_submission_order() {
         let (mut g, c) = graph_with_codelet();
         let a = g.register_data("a", 8.0);
@@ -401,8 +513,68 @@ mod tests {
                 let deps: Vec<TaskId> = deps.into_iter().map(TaskId).collect();
                 assert_eq!(g.dependencies(TaskId(t)), deps, "dependencies of task {t}");
             }
+            // The compiled form against the same scan: reverse edges,
+            // pending counts and the ready seed.
+            let compiled = g.compile();
+            assert_eq!(compiled.len(), tasks.len());
             for (t, expected) in dependents.iter().enumerate() {
-                assert_eq!(g.dependents(TaskId(t)), expected, "dependents of task {t}");
+                assert_eq!(compiled.dependents(TaskId(t)), expected, "dependents of task {t}");
+                assert_eq!(compiled.pending()[t], g.dependencies(TaskId(t)).len());
+            }
+            assert_eq!(compiled.ready(), g.sources());
+        }
+
+        /// Dependency lists as `ThreadTask::after` leaves them — unsorted,
+        /// repeated, possibly naming a later task — compile to what their
+        /// sorted, deduplicated form compiles to, or fail on the first
+        /// offending pair in task-then-list order.
+        #[test]
+        fn unsorted_and_repeated_lists_compile_like_their_sorted_sets(
+            raw in proptest::collection::vec(
+                proptest::collection::vec((0usize..64, 0usize..20), 0..6),
+                0..40,
+            ),
+        ) {
+            // Mostly backward edges (`t - 1 - back`), now and then a forward one.
+            let lists: Vec<Vec<usize>> = raw
+                .iter()
+                .enumerate()
+                .map(|(t, picks)| {
+                    picks
+                        .iter()
+                        .map(|&(back, forward)| if forward == 0 || t == 0 { t + back % 3 } else { (t - 1).saturating_sub(back) })
+                        .collect()
+                })
+                .collect();
+            let compiled = CompiledGraph::from_dependencies(lists.len(), |t| lists[t].iter().copied());
+            let offender = lists
+                .iter()
+                .enumerate()
+                .find_map(|(t, deps)| deps.iter().find(|&&d| d >= t).map(|&d| (t, d)));
+            match offender {
+                Some(pair) => assert_eq!(compiled, Err(pair)),
+                None => {
+                    let sets: Vec<Vec<usize>> = lists
+                        .iter()
+                        .map(|deps| {
+                            let mut set = deps.clone();
+                            set.sort_unstable();
+                            set.dedup();
+                            set
+                        })
+                        .collect();
+                    let clean = CompiledGraph::from_dependencies(sets.len(), |t| sets[t].iter().copied());
+                    assert_eq!(compiled, clean);
+                    let compiled = compiled.unwrap();
+                    for (t, set) in sets.iter().enumerate() {
+                        assert_eq!(compiled.pending()[t], set.len());
+                        let waiting: Vec<TaskId> = (0..sets.len())
+                            .filter(|&u| sets[u].contains(&t))
+                            .map(TaskId)
+                            .collect();
+                        assert_eq!(compiled.dependents(TaskId(t)), waiting);
+                    }
+                }
             }
         }
     }

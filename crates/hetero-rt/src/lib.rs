@@ -4,13 +4,18 @@
 //! runtime-system (§IV-D). This crate is the reproduction's substitute: the
 //! same concepts — codelets with per-architecture implementation variants,
 //! data handles managed across distinct memory spaces, pluggable scheduling
-//! policies — with two execution engines:
+//! policies — with three execution engines on one task graph
+//! ([`graph::TaskGraph`], compiled once to [`graph::CompiledGraph`]):
 //!
 //! * [`sim_engine`] — list-scheduling in **virtual time** over a
 //!   PDL-derived [`simhw::machine::SimMachine`]; regenerates the paper's
 //!   Figure 5 without its hardware.
-//! * [`thread_engine`] — **real** execution of task closures on a thread
-//!   pool with identical dependency semantics, for functional testing.
+//! * [`dyn_engine`] — **online** scheduling in virtual time: an event
+//!   queue of completions, ready tasks bound to idle devices only. Same
+//!   cost model as the list engine, so differences are scheduling order.
+//! * [`thread_engine`] — **real** execution of task closures on a
+//!   work-stealing thread pool with identical dependency semantics, for
+//!   functional testing.
 //!
 //! ```
 //! use hetero_rt::prelude::*;
@@ -42,8 +47,8 @@ pub mod dyn_engine;
 pub mod graph;
 pub mod perfmodel;
 pub mod scheduler;
-pub mod sharded_data;
 pub mod sim_engine;
+mod sim_run;
 pub mod task;
 pub mod thread_engine;
 pub mod trace_bridge;
@@ -58,12 +63,11 @@ pub mod prelude {
         by_name, DmdaScheduler, EagerScheduler, EnergyAwareScheduler, HeftScheduler,
         RandomScheduler, RoundRobinScheduler, ScheduleContext, Scheduler,
     };
-    pub use crate::sharded_data::ShardedDataRegistry;
     pub use crate::sim_engine::{simulate, RtError, SimOptions, SimReport, TransferPipeline};
     pub use crate::task::{Codelet, DataAccess, Task, TaskId, Variant};
     pub use crate::thread_engine::{
-        from_graph, ExecReport, Placement, PlacementGroup, SingleQueueExecutor, ThreadTask,
-        ThreadedExecutor, WorkerStats,
+        from_graph, ExecReport, Placement, PlacementGroup, ThreadTask, ThreadedExecutor,
+        WorkerStats,
     };
     pub use crate::trace_bridge::sim_report_to_trace;
     pub use hetero_trace::TraceSink;

@@ -10,22 +10,23 @@
 //! Algorithm: tasks are visited in submission order (a topological order by
 //! construction). For each task the engine filters devices by variant
 //! compatibility and execution group, asks the [`Scheduler`] policy to pick
-//! one, charges the coherence transfers ([`DataRegistry::acquire`]) and the
+//! one, charges the coherence transfers
+//! ([`DataRegistry::acquire`](crate::data::DataRegistry::acquire)) and the
 //! compute time onto the device's timeline, and records trace spans. After
 //! the last task, written data is flushed back to host memory (the paper's
-//! vertical data-movement requirement).
+//! vertical data-movement requirement). Charging, flushing and the report
+//! are the core it shares with [`crate::dyn_engine`].
 
-use crate::data::{DataRegistry, HandleId, Routing};
-use crate::dispatch::{DispatchTables, Oracles};
+use crate::data::Routing;
 use crate::graph::TaskGraph;
 use crate::perfmodel::PerfModel;
 use crate::scheduler::Scheduler;
+use crate::sim_run::SimRun;
 use crate::task::TaskId;
-use simhw::energy::{energy, EnergyReport};
+use simhw::energy::EnergyReport;
 use simhw::machine::{DeviceId, SimMachine};
-use simhw::resource::{BucketedTimeline, Timeline};
-use simhw::time::{Duration, SimTime};
-use simhw::trace::{SpanKind, Trace};
+use simhw::time::SimTime;
+use simhw::trace::Trace;
 use std::fmt;
 
 /// Which mechanisms of the interconnect-aware transfer pipeline are active.
@@ -200,303 +201,32 @@ pub fn simulate(
     scheduler: &mut dyn Scheduler,
     options: &SimOptions,
 ) -> Result<SimReport, RtError> {
-    if machine.is_empty() {
-        return Err(RtError::EmptyMachine);
-    }
-
-    let mut timelines: Vec<Timeline> = vec![Timeline::new(); machine.len()];
-    let mut host_bus = Timeline::new();
-    let mut data: DataRegistry = graph.data.clone();
-    let mut trace = Trace::new();
+    let mut run = SimRun::new(graph, machine, options)?;
     let mut finish: Vec<SimTime> = vec![SimTime::ZERO; graph.len()];
-    let mut assignments = Vec::with_capacity(graph.len());
-    let mut perfmodel = PerfModel::new();
-
-    let pipeline = options.pipeline;
-    let routing = pipeline.routing();
-    // One bucketed FIFO timeline per physical link (pipeline mode) — the
-    // calendar-queue bucketing keeps a bounded occupancy profile per link —
-    // plus a separate trace whose "device" ids index machine.links.
-    let mut link_timelines: Vec<BucketedTimeline> =
-        vec![BucketedTimeline::default(); machine.links.len()];
-    let mut link_use: Vec<LinkUse> = vec![LinkUse::default(); machine.links.len()];
-    let mut link_trace = Trace::new();
-    // When each handle's current value came into existence (its last
-    // writer's finish time) — the earliest a prefetched transfer may start.
-    let mut handle_ready: Vec<SimTime> = vec![SimTime::ZERO; data.len()];
-
-    let tables = DispatchTables::new(graph, machine);
     let mut candidates: Vec<DeviceId> = Vec::with_capacity(machine.len());
 
-    for &tid in &graph.topological_order() {
-        let task = &graph.tasks[tid.0];
-        let codelet = &graph.codelets[task.codelet];
-
+    // Early binding: a task may be queued behind a busy device, so every
+    // eligible device is a candidate and submission order is the only
+    // order needed — edges point backwards, `finish` is always filled.
+    for task in &graph.tasks {
         candidates.clear();
-        candidates.extend(tables.eligible(task));
+        candidates.extend(run.eligible(task));
         if candidates.is_empty() {
-            return Err(RtError::NoEligibleDevice {
-                task: tid,
-                codelet: codelet.name.clone(),
-                execution_group: task.execution_group.clone(),
-            });
+            return Err(run.no_eligible_device(task));
         }
-
         let ready = graph
-            .dependencies(tid)
+            .dependencies(task.id)
             .iter()
             .map(|d| finish[d.0])
             .max()
             .unwrap_or(SimTime::ZERO);
-
-        let chosen = Oracles {
-            machine,
-            tables: &tables,
-            data: &data,
-            timelines: &timelines,
-            perfmodel: &perfmodel,
-            routing,
-            task,
-            codelet_name: &codelet.name,
-            ready,
-            candidates: &candidates,
-        }
-        .pick(scheduler);
-        let compute = tables.compute_time(machine, task, chosen);
-
-        let end = if pipeline.is_active() {
-            // Pipelined path: every input copy runs on the physical links
-            // its route occupies, concurrently with device compute. The
-            // compute span alone occupies the device.
-            let mut arrival = SimTime::ZERO;
-            for a in &task.accesses {
-                let plan = data.plan_acquire(machine, a.handle, chosen, a.mode, routing);
-                let floor = if pipeline.prefetch {
-                    handle_ready[a.handle.0]
-                } else {
-                    ready
-                };
-                let done = run_plan_on_links(
-                    &plan,
-                    floor,
-                    pipeline.link_contention,
-                    &mut link_timelines,
-                    &mut link_use,
-                    &mut link_trace,
-                    &format!("{}:{}:in", task.label, data.meta(a.handle).label),
-                );
-                data.commit(&plan);
-                data.finish_access(a.handle, chosen, a.mode);
-                arrival = arrival.max(done);
-            }
-            let (start, end) = timelines[chosen.0].reserve(ready.max(arrival), compute);
-            trace.record(chosen, task.label.clone(), SpanKind::Compute, start, end);
-            end
-        } else {
-            // Legacy synchronous path: transfers charged on the destination
-            // device's own timeline, host-staged routing.
-            let mut transfer = Duration::ZERO;
-            for a in &task.accesses {
-                transfer = transfer + data.acquire(machine, a.handle, chosen, a.mode);
-            }
-            // With bus contention on, the transfer additionally occupies
-            // the shared host bus; the task cannot start before it is free.
-            let ready = if options.shared_host_bus && transfer > Duration::ZERO {
-                ready.max(host_bus.free_at())
-            } else {
-                ready
-            };
-            let (start, end) = timelines[chosen.0].reserve(ready, transfer + compute);
-            if transfer > Duration::ZERO {
-                if options.shared_host_bus {
-                    host_bus.reserve(start, transfer);
-                }
-                trace.record(
-                    chosen,
-                    format!("{}:in", task.label),
-                    SpanKind::Transfer,
-                    start,
-                    start + transfer,
-                );
-            }
-            trace.record(
-                chosen,
-                task.label.clone(),
-                SpanKind::Compute,
-                start + transfer,
-                end,
-            );
-            end
-        };
-        finish[tid.0] = end;
-        for a in &task.accesses {
-            if a.mode.writes() {
-                handle_ready[a.handle.0] = end;
-            }
-        }
-        assignments.push((tid, chosen));
-
+        let chosen = run.pick(scheduler, task, ready, &candidates);
+        finish[task.id.0] = run.charge(task, chosen, ready);
         if options.learn_perfmodel {
-            let size: f64 = task
-                .accesses
-                .iter()
-                .map(|a| data.meta(a.handle).size_bytes)
-                .sum();
-            perfmodel.record(
-                &codelet.name,
-                &machine.devices[chosen.0].arch,
-                size,
-                compute,
-            );
+            run.learn(task, chosen);
         }
     }
-
-    // Flush outputs home: every handle written by some task returns to host.
-    if options.flush_outputs {
-        let mut written: Vec<HandleId> = graph
-            .tasks
-            .iter()
-            .flat_map(|t| t.accesses.iter())
-            .filter(|a| a.mode.writes())
-            .map(|a| a.handle)
-            .collect();
-        written.sort_unstable();
-        written.dedup();
-        for h in written {
-            if pipeline.is_active() {
-                let plan = data.plan_flush(machine, h);
-                let floor = handle_ready[h.0];
-                run_plan_on_links(
-                    &plan,
-                    floor,
-                    pipeline.link_contention,
-                    &mut link_timelines,
-                    &mut link_use,
-                    &mut link_trace,
-                    &format!("{}:out", data.meta(h).label),
-                );
-                data.commit(&plan);
-            } else if let Some(owner) = data.device_owner(h) {
-                let dur = data.flush_to_host(machine, h);
-                if dur > Duration::ZERO {
-                    let (s, e) = timelines[owner.0].reserve(SimTime::ZERO, dur);
-                    trace.record(
-                        owner,
-                        format!("{}:out", data.meta(h).label),
-                        SpanKind::Transfer,
-                        s,
-                        e,
-                    );
-                }
-            }
-        }
-    }
-
-    let makespan = trace.makespan().max(link_trace.makespan());
-    publish_sim_telemetry("list", machine, &link_use, makespan);
-    let energy = energy(machine, &trace);
-    Ok(SimReport {
-        makespan,
-        device_names: machine.devices.iter().map(|d| d.pu_id.clone()).collect(),
-        assignments,
-        energy,
-        bytes_to_devices: data.bytes_to_devices(),
-        bytes_to_host: data.bytes_to_host(),
-        bytes_peer: data.bytes_peer(),
-        perfmodel,
-        policy: scheduler.name(),
-        link_names: machine.links.iter().map(|l| l.name.clone()).collect(),
-        link_trace,
-        trace,
-    })
-}
-
-/// Places one [`TransferPlan`]'s hops onto the physical-link timelines,
-/// starting no earlier than `floor`, and records a span per (hop, link) in
-/// `link_trace`. With `contention` each hop additionally waits for (and
-/// then occupies) every link it crosses; without, links are treated as
-/// infinitely wide and the spans only document occupancy. Returns when the
-/// last hop completes (`floor` for plans that move nothing).
-pub(crate) fn run_plan_on_links(
-    plan: &crate::data::TransferPlan,
-    floor: SimTime,
-    contention: bool,
-    link_timelines: &mut [BucketedTimeline],
-    link_use: &mut [LinkUse],
-    link_trace: &mut Trace,
-    label: &str,
-) -> SimTime {
-    let mut t = floor;
-    for hop in &plan.hops {
-        if hop.links.is_empty() {
-            continue; // shared address space: bookkeeping only
-        }
-        let mut start = t;
-        if contention {
-            for &l in &hop.links {
-                start = start.max(link_timelines[l.0].free_at());
-            }
-        }
-        let end = start + hop.duration;
-        for &l in &hop.links {
-            if contention {
-                link_timelines[l.0].reserve(start, hop.duration);
-            }
-            if let Some(u) = link_use.get_mut(l.0) {
-                u.busy = u.busy + hop.duration;
-                u.bytes += hop.bytes;
-                u.transfers += 1;
-            }
-            link_trace.record(
-                DeviceId(l.0),
-                label.to_string(),
-                SpanKind::Transfer,
-                start,
-                end,
-            );
-        }
-        t = end;
-    }
-    t
-}
-
-/// Per-physical-link usage accumulated while placing transfer plans,
-/// indexed like `machine.links`. Feeds the always-on telemetry without
-/// touching the global registry inside the scheduling loop.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct LinkUse {
-    pub busy: Duration,
-    pub bytes: f64,
-    pub transfers: u64,
-}
-
-/// Publishes one simulated run into the process-wide telemetry registry
-/// (cold path, called once per `simulate`/`simulate_dynamic`): run
-/// counter, virtual-makespan histogram, and per-PDL-link bytes /
-/// occupancy / transfer counters labeled with the link name.
-pub(crate) fn publish_sim_telemetry(
-    engine: &str,
-    machine: &SimMachine,
-    link_use: &[LinkUse],
-    makespan: SimTime,
-) {
-    let tel = hetero_trace::telemetry::global();
-    tel.counter(&format!("sim_runs_total{{engine=\"{engine}\"}}"))
-        .inc();
-    tel.histogram("sim_makespan_ns")
-        .observe((makespan.seconds() * 1e9).round().max(0.0) as u64);
-    for (i, u) in link_use.iter().enumerate() {
-        if u.transfers == 0 {
-            continue;
-        }
-        let name = &machine.links[i].name;
-        tel.counter(&format!("sim_link_transfers_total{{link=\"{name}\"}}"))
-            .add(u.transfers);
-        tel.counter(&format!("sim_link_bytes_total{{link=\"{name}\"}}"))
-            .add(u.bytes.round().max(0.0) as u64);
-        tel.counter(&format!("sim_link_busy_ns_total{{link=\"{name}\"}}"))
-            .add((u.busy.seconds() * 1e9).round().max(0.0) as u64);
-    }
+    Ok(run.into_report("list", scheduler.name()))
 }
 
 #[cfg(test)]
@@ -506,6 +236,7 @@ mod tests {
     use crate::scheduler::{EagerScheduler, HeftScheduler, RandomScheduler};
     use crate::task::{Codelet, DataAccess, Variant};
     use pdl_discover::synthetic;
+    use simhw::trace::SpanKind;
 
     fn acc(h: HandleId, mode: AccessMode) -> DataAccess {
         DataAccess { handle: h, mode }

@@ -29,16 +29,22 @@
 //! own group has run completely dry, so affinity is a strong preference,
 //! never a deadlock risk.
 //!
-//! The seed single-queue engine is preserved as [`SingleQueueExecutor`] —
-//! the baseline the `engine_scaling` bench measures against.
+//! # One submission path
 //!
-//! Dependencies must point to earlier task indices (submission order), which
-//! guarantees acyclicity by construction — same rule as the graphs built by
-//! [`crate::graph::TaskGraph`].
+//! Every run executes a [`CompiledGraph`]: [`ThreadedExecutor::run`]
+//! compiles the tasks' dependency lists and runs the result once,
+//! [`ThreadedExecutor::compile_graph`] + [`ThreadedExecutor::run_compiled`]
+//! compile a [`TaskGraph`] once and run it many times. Dependencies must
+//! point to earlier task indices (submission order), which guarantees
+//! acyclicity by construction — same rule as the graphs built by
+//! [`TaskGraph`]. A task body that panics ends the run with
+//! [`ThreadEngineError::TaskPanicked`]; it never hangs the pool.
+//!
+//! The seed single-queue engine this one replaced lives on as a measured
+//! baseline in `bench::baseline`.
 
-use crate::graph::TaskGraph;
-use crate::task::Task;
-use crossbeam::channel;
+use crate::graph::{CompiledGraph, TaskGraph};
+use crate::task::{Task, TaskId};
 use crossbeam::deque::{Injector, Steal, Stealer, Worker};
 use hetero_trace::telemetry::{self, AtomicHistogram, Counter, Gauge, LocalHistogram};
 use hetero_trace::{
@@ -46,10 +52,17 @@ use hetero_trace::{
     TraceSink, WorkerTrace, WorkerTracer,
 };
 use parking_lot::Mutex;
-use pdl_core::platform::Platform;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::borrow::Cow;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar};
 use std::time::Duration as StdDuration;
+
+mod placement;
+mod report;
+
+pub use placement::{Placement, PlacementGroup};
+pub use report::{ExecReport, TaskStats, ThreadEngineError, WorkerStats};
 
 /// One executable task.
 pub struct ThreadTask {
@@ -90,278 +103,6 @@ impl ThreadTask {
     }
 }
 
-/// Statistics of one executed task.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TaskStats {
-    /// The task's label.
-    pub label: String,
-    /// Worker thread (0-based) that ran it.
-    pub worker: usize,
-    /// Wall-clock execution time.
-    pub duration: StdDuration,
-}
-
-/// Per-worker observability counters.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct WorkerStats {
-    /// Worker index (0-based).
-    pub worker: usize,
-    /// Placement-group index the worker belongs to.
-    pub group: usize,
-    /// Tasks this worker executed.
-    pub executed: usize,
-    /// Tasks obtained from anywhere other than the worker's own deque:
-    /// group injectors, same-group siblings or cross-group sources.
-    pub steals: usize,
-    /// Steals from *outside* the worker's group (subset of `steals`);
-    /// nonzero means some group ran dry and borrowed foreign work.
-    pub cross_group_steals: usize,
-    /// Full scans (own deque + injectors + every sibling) that found
-    /// nothing and sent the worker to sleep.
-    pub failed_steals: usize,
-    /// Total wall-clock time spent inside task closures.
-    pub busy: StdDuration,
-}
-
-/// Result of a pool run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ExecReport {
-    /// Per-task stats. For [`ThreadedExecutor`] these are grouped by
-    /// worker (each worker's slice in its own completion order — stats are
-    /// collected worker-locally so the hot path shares no lock); for
-    /// [`SingleQueueExecutor`] they are in global completion order.
-    pub tasks: Vec<TaskStats>,
-    /// End-to-end wall time.
-    pub wall: StdDuration,
-    /// Number of worker threads used.
-    pub workers: usize,
-    /// Per-worker counters (always `workers` entries).
-    pub worker_stats: Vec<WorkerStats>,
-    /// Placement-group names, indexed by [`WorkerStats::group`]. A single
-    /// `"all"` pseudo-group when the executor ran without a placement.
-    pub groups: Vec<String>,
-    /// The drained event trace, when the executor was built with a
-    /// recording [`TraceSink`]. Export with [`hetero_trace::chrome::export`]
-    /// or [`hetero_trace::summary::export`].
-    pub trace: Option<RunTrace>,
-}
-
-impl ExecReport {
-    /// Total successful steals across workers.
-    pub fn total_steals(&self) -> usize {
-        self.worker_stats.iter().map(|w| w.steals).sum()
-    }
-
-    /// Total cross-group steals across workers.
-    pub fn total_cross_group_steals(&self) -> usize {
-        self.worker_stats.iter().map(|w| w.cross_group_steals).sum()
-    }
-
-    /// Total failed steal scans across workers.
-    pub fn total_failed_steals(&self) -> usize {
-        self.worker_stats.iter().map(|w| w.failed_steals).sum()
-    }
-
-    /// Total busy time across workers.
-    pub fn total_busy(&self) -> StdDuration {
-        self.worker_stats.iter().map(|w| w.busy).sum()
-    }
-
-    /// Fraction of the pool's total capacity (`wall × workers`) spent
-    /// inside task closures. All durations share one monotonic clock
-    /// origin, so this is exact, not a cross-origin estimate.
-    pub fn busy_fraction(&self) -> f64 {
-        let capacity = self.wall.as_secs_f64() * self.workers.max(1) as f64;
-        if capacity <= 0.0 {
-            0.0
-        } else {
-            (self.total_busy().as_secs_f64() / capacity).min(1.0)
-        }
-    }
-
-    /// Busy time per placement group, indexed like [`ExecReport::groups`].
-    pub fn busy_by_group(&self) -> Vec<StdDuration> {
-        let mut busy = vec![StdDuration::ZERO; self.groups.len()];
-        for w in &self.worker_stats {
-            if let Some(slot) = busy.get_mut(w.group) {
-                *slot += w.busy;
-            }
-        }
-        busy
-    }
-
-    /// Per-group utilization: `(group name, busy / (wall × group
-    /// workers))` — the thread-engine equivalent of the simulated engine's
-    /// per-PU utilization, keyed by PDL logic group.
-    pub fn utilization_by_group(&self) -> Vec<(String, f64)> {
-        let wall = self.wall.as_secs_f64();
-        let mut workers_per_group = vec![0usize; self.groups.len()];
-        for w in &self.worker_stats {
-            if let Some(slot) = workers_per_group.get_mut(w.group) {
-                *slot += 1;
-            }
-        }
-        self.groups
-            .iter()
-            .zip(self.busy_by_group())
-            .zip(workers_per_group)
-            .map(|((name, busy), workers)| {
-                let capacity = wall * workers.max(1) as f64;
-                let u = if capacity <= 0.0 {
-                    0.0
-                } else {
-                    (busy.as_secs_f64() / capacity).min(1.0)
-                };
-                (name.clone(), u)
-            })
-            .collect()
-    }
-}
-
-/// Errors the threaded executors can report before running anything.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ThreadEngineError {
-    /// A dependency index points at the task itself or a later task.
-    ForwardDependency {
-        /// The offending task index.
-        task: usize,
-        /// The bad dependency index.
-        dep: usize,
-    },
-    /// A task names a placement group the executor's placement lacks.
-    UnknownGroup {
-        /// The offending task index.
-        task: usize,
-        /// The unknown group name.
-        group: String,
-    },
-    /// A group set-expression failed to resolve against the platform.
-    BadGroupExpr {
-        /// The expression.
-        expr: String,
-        /// Resolver message.
-        message: String,
-    },
-    /// A compiled graph was run on an executor whose placement differs
-    /// from the one it was compiled against.
-    PlacementMismatch {
-        /// Group names the graph was compiled with.
-        compiled: Vec<String>,
-        /// Group names the executing pool defines.
-        executor: Vec<String>,
-    },
-}
-
-impl std::fmt::Display for ThreadEngineError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ThreadEngineError::ForwardDependency { task, dep } => write!(
-                f,
-                "task {task} depends on {dep}, but dependencies must reference earlier tasks"
-            ),
-            ThreadEngineError::UnknownGroup { task, group } => write!(
-                f,
-                "task {task} is pinned to group {group:?}, which the placement does not define"
-            ),
-            ThreadEngineError::BadGroupExpr { expr, message } => {
-                write!(f, "cannot resolve group expression {expr:?}: {message}")
-            }
-            ThreadEngineError::PlacementMismatch { compiled, executor } => write!(
-                f,
-                "graph compiled for placement {compiled:?} cannot run on a pool with placement {executor:?}"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for ThreadEngineError {}
-
-/// One named worker subset of a [`Placement`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PlacementGroup {
-    /// Group name; tasks reference it via [`ThreadTask::in_group`].
-    pub name: String,
-    /// Number of worker threads dedicated to the group.
-    pub workers: usize,
-    /// PU ids backing each worker of the group, when the group was resolved
-    /// from a platform description (`members[k]` labels worker `k` of the
-    /// group in traces). Empty for hand-built groups.
-    pub members: Vec<String>,
-}
-
-/// A partition of the thread pool into named worker groups — the engine's
-/// image of PDL logic groups.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct Placement {
-    /// The groups, in worker-index order: group 0 owns workers
-    /// `0..groups[0].workers`, group 1 the next range, and so on.
-    pub groups: Vec<PlacementGroup>,
-    /// Name of the platform descriptor the placement was resolved from
-    /// (stamped into traces); `None` for hand-built placements.
-    pub platform: Option<String>,
-}
-
-impl Placement {
-    /// An empty placement.
-    pub fn new() -> Self {
-        Placement::default()
-    }
-
-    /// Adds a group with `workers` dedicated threads, builder style.
-    pub fn with_group(mut self, name: impl Into<String>, workers: usize) -> Self {
-        self.groups.push(PlacementGroup {
-            name: name.into(),
-            workers: workers.max(1),
-            members: Vec::new(),
-        });
-        self
-    }
-
-    /// Builds a placement from PDL logic groups: each set-expression (plain
-    /// group names, unions like `"gpus+cpus"`, pseudo-groups like
-    /// `"@workers"` — the `pdl-query` group grammar) becomes one placement
-    /// group with one worker per resolved processing unit.
-    ///
-    /// This is the `pdl-core → pdl-query → hetero-rt` wiring: logic-group
-    /// attributes authored in a platform description flow directly into
-    /// thread placement.
-    pub fn from_logic_groups<S: AsRef<str>>(
-        platform: &Platform,
-        exprs: &[S],
-    ) -> Result<Self, ThreadEngineError> {
-        let mut placement = Placement::new();
-        placement.platform = Some(platform.name.clone());
-        for expr in exprs {
-            let expr = expr.as_ref();
-            let members = pdl_query::groups::resolve(platform, expr).map_err(|e| {
-                ThreadEngineError::BadGroupExpr {
-                    expr: expr.to_string(),
-                    message: e.to_string(),
-                }
-            })?;
-            let pu_ids: Vec<String> = members
-                .iter()
-                .map(|&idx| platform.pu(idx).id.as_str().to_string())
-                .collect();
-            placement.groups.push(PlacementGroup {
-                name: expr.to_string(),
-                workers: pu_ids.len().max(1),
-                members: pu_ids,
-            });
-        }
-        Ok(placement)
-    }
-
-    /// Total workers across all groups.
-    pub fn total_workers(&self) -> usize {
-        self.groups.iter().map(|g| g.workers).sum()
-    }
-
-    fn group_index(&self, name: &str) -> Option<usize> {
-        self.groups.iter().position(|g| g.name == name)
-    }
-}
-
 /// Builds [`ThreadTask`]s mirroring a [`TaskGraph`]'s dependency structure
 /// and execution-group annotations; `work` supplies each task's closure.
 ///
@@ -386,165 +127,36 @@ pub fn from_graph(
 }
 
 // ---------------------------------------------------------------------------
-// Shared run plumbing
+// Submission
 // ---------------------------------------------------------------------------
 
 /// A task body, claimable exactly once by whichever worker executes it.
 type WorkSlot = Mutex<Option<Box<dyn FnOnce() + Send>>>;
 
-/// Reusable buffers for [`build_runtime`]'s CSR construction.
+/// A [`TaskGraph`] compiled for one executor's placement.
 ///
-/// Batched submission re-runs the dependency build once per batch; keeping
-/// the edge list and per-task dedup scratch alive across batches means the
-/// submit hot path allocates nothing after the first batch warms the
-/// buffers up.
-#[derive(Debug, Default)]
-pub struct BuildScratch {
-    /// `(dependency, dependent)` edge accumulator.
-    edges: Vec<(usize, usize)>,
-    /// Per-task dependency dedup buffer.
-    scratch: Vec<usize>,
-}
-
-struct ValidatedTasks {
-    pending: Vec<AtomicUsize>,
-    /// Dependents in CSR form (offsets + flat targets): avoids one small
-    /// heap allocation per task that a `Vec<Vec<usize>>` would cost.
-    dep_offsets: Vec<usize>,
-    dep_targets: Vec<usize>,
-    labels: Vec<String>,
-    work: Vec<WorkSlot>,
-}
-
-/// Borrowed view of one run's dependency state — the shape the workers
-/// actually touch. Both the owned [`ValidatedTasks`] (plain `run`) and a
-/// prebuilt [`CompiledGraph`] (batched `run_compiled`) project into this.
-#[derive(Clone, Copy)]
-struct RuntimeView<'a> {
-    pending: &'a [AtomicUsize],
-    dep_offsets: &'a [usize],
-    dep_targets: &'a [usize],
-    work: &'a [WorkSlot],
-}
-
-impl RuntimeView<'_> {
-    fn dependents(&self, i: usize) -> &[usize] {
-        &self.dep_targets[self.dep_offsets[i]..self.dep_offsets[i + 1]]
-    }
-}
-
-impl ValidatedTasks {
-    fn view(&self) -> RuntimeView<'_> {
-        RuntimeView {
-            pending: &self.pending,
-            dep_offsets: &self.dep_offsets,
-            dep_targets: &self.dep_targets,
-            work: &self.work,
-        }
-    }
-
-    fn dependents(&self, i: usize) -> &[usize] {
-        &self.dep_targets[self.dep_offsets[i]..self.dep_offsets[i + 1]]
-    }
-}
-
-/// Validates dependency indices and builds the runtime representation:
-/// atomic pending counters plus the dependents CSR. `buf` carries the
-/// reusable scratch allocations (see [`BuildScratch`]).
-fn build_runtime(
-    tasks: Vec<ThreadTask>,
-    buf: &mut BuildScratch,
-) -> Result<ValidatedTasks, ThreadEngineError> {
-    let n = tasks.len();
-    for (i, t) in tasks.iter().enumerate() {
-        for &d in &t.deps {
-            if d >= i {
-                return Err(ThreadEngineError::ForwardDependency { task: i, dep: d });
-            }
-        }
-    }
-    let mut pending = Vec::with_capacity(n);
-    buf.edges.clear();
-    for (i, t) in tasks.iter().enumerate() {
-        buf.scratch.clear();
-        buf.scratch.extend_from_slice(&t.deps);
-        buf.scratch.sort_unstable();
-        buf.scratch.dedup();
-        pending.push(AtomicUsize::new(buf.scratch.len()));
-        buf.edges.extend(buf.scratch.iter().map(|&d| (d, i)));
-    }
-    buf.edges.sort_unstable();
-    let mut dep_offsets = vec![0usize; n + 1];
-    for &(d, _) in &buf.edges {
-        dep_offsets[d + 1] += 1;
-    }
-    for i in 0..n {
-        dep_offsets[i + 1] += dep_offsets[i];
-    }
-    let dep_targets = buf.edges.iter().map(|&(_, t)| t).collect();
-    let mut labels = Vec::with_capacity(n);
-    let mut work = Vec::with_capacity(n);
-    for t in tasks {
-        labels.push(t.label);
-        work.push(Mutex::new(Some(t.work)));
-    }
-    Ok(ValidatedTasks {
-        pending,
-        dep_offsets,
-        dep_targets,
-        labels,
-        work,
-    })
-}
-
-/// A dependency graph compiled once for repeated execution.
-///
-/// [`ThreadedExecutor::compile_graph`] prebuilds everything `run` would
-/// derive per call — the dependents CSR, the initial pending counts, the
+/// [`ThreadedExecutor::compile_graph`] prebuilds everything a run needs
+/// besides the task bodies — the graph's [`CompiledGraph`], the labels, the
 /// placement-resolved group of every task — so each
 /// [`ThreadedExecutor::run_compiled`] batch only instantiates fresh atomic
-/// counters and work closures. This is the batched submission path: for a
-/// graph executed many times (or a million-task graph where the build cost
-/// is material), the per-run submit work drops to two `memcpy`-shaped
-/// passes.
+/// counters and work closures.
 #[derive(Debug, Clone)]
-pub struct CompiledGraph {
-    pending_init: Vec<usize>,
-    dep_offsets: Vec<usize>,
-    dep_targets: Vec<usize>,
+pub struct PlacedGraph {
+    graph: CompiledGraph,
     labels: Vec<String>,
     task_group: Vec<Option<usize>>,
     group_names: Vec<String>,
-    /// Task indices with no dependencies, in submission order — the seed
-    /// loop skips the full pending scan.
-    initially_ready: Vec<usize>,
 }
 
-impl CompiledGraph {
+impl PlacedGraph {
     /// Number of tasks in the compiled graph.
     pub fn len(&self) -> usize {
-        self.pending_init.len()
+        self.graph.len()
     }
 
     /// Whether the compiled graph has no tasks.
     pub fn is_empty(&self) -> bool {
-        self.pending_init.is_empty()
-    }
-}
-
-fn empty_report(wall: StdDuration, workers: usize, groups: Vec<String>) -> ExecReport {
-    ExecReport {
-        tasks: Vec::new(),
-        wall,
-        workers,
-        worker_stats: (0..workers)
-            .map(|w| WorkerStats {
-                worker: w,
-                ..WorkerStats::default()
-            })
-            .collect(),
-        groups,
-        trace: None,
+        self.graph.is_empty()
     }
 }
 
@@ -552,37 +164,27 @@ fn empty_report(wall: StdDuration, workers: usize, groups: Vec<String>) -> ExecR
 /// where the placement knows them, `w<i>` otherwise, plus the logic-group
 /// name of each worker's range.
 fn lane_labels(workers: usize, placement: Option<&Placement>) -> Vec<LaneLabel> {
-    match placement {
-        None => (0..workers)
-            .map(|w| LaneLabel {
-                name: format!("w{w}"),
-                group: None,
-            })
-            .collect(),
-        Some(p) => {
-            let mut lanes = Vec::with_capacity(workers);
-            for g in &p.groups {
-                for k in 0..g.workers {
-                    lanes.push(LaneLabel {
-                        name: g
-                            .members
-                            .get(k)
-                            .cloned()
-                            .unwrap_or_else(|| format!("w{}", lanes.len())),
-                        group: Some(g.name.clone()),
-                    });
-                }
-            }
-            lanes.truncate(workers);
-            while lanes.len() < workers {
-                lanes.push(LaneLabel {
-                    name: format!("w{}", lanes.len()),
-                    group: None,
-                });
-            }
-            lanes
+    let mut lanes = Vec::with_capacity(workers);
+    for g in placement.into_iter().flat_map(|p| &p.groups) {
+        for k in 0..g.workers {
+            lanes.push(LaneLabel {
+                name: g
+                    .members
+                    .get(k)
+                    .cloned()
+                    .unwrap_or_else(|| format!("w{}", lanes.len())),
+                group: Some(g.name.clone()),
+            });
         }
     }
+    lanes.truncate(workers);
+    while lanes.len() < workers {
+        lanes.push(LaneLabel {
+            name: format!("w{}", lanes.len()),
+            group: None,
+        });
+    }
+    lanes
 }
 
 // ---------------------------------------------------------------------------
@@ -641,6 +243,14 @@ impl ExecutorTelemetry {
             submit_latency: t.histogram("executor_submit_latency_ns"),
         }
     }
+}
+
+fn phase_start(name: &str) -> EventKind {
+    EventKind::PhaseStart { name: name.into() }
+}
+
+fn phase_end(name: &str) -> EventKind {
+    EventKind::PhaseEnd { name: name.into() }
 }
 
 impl ThreadedExecutor {
@@ -730,142 +340,61 @@ impl ThreadedExecutor {
         &self,
         groups: impl Iterator<Item = Option<&'g str>>,
     ) -> Result<Vec<Option<usize>>, ThreadEngineError> {
-        match &self.placement {
-            None => Ok(groups.map(|_| None).collect()),
-            Some(p) => groups
-                .enumerate()
-                .map(|(i, g)| match g {
-                    None => Ok(None),
-                    Some(name) => p.group_index(name).map(Some).ok_or_else(|| {
-                        ThreadEngineError::UnknownGroup {
-                            task: i,
-                            group: name.to_string(),
-                        }
+        let Some(p) = &self.placement else {
+            return Ok(groups.map(|_| None).collect());
+        };
+        groups
+            .enumerate()
+            .map(|(task, group)| match group {
+                None => Ok(None),
+                Some(name) => match p.groups.iter().position(|g| g.name == name) {
+                    Some(index) => Ok(Some(index)),
+                    None => Err(ThreadEngineError::UnknownGroup {
+                        task,
+                        group: name.to_string(),
                     }),
-                })
-                .collect(),
-        }
+                },
+            })
+            .collect()
     }
 
-    /// Executes all tasks, returning per-task and per-worker stats.
-    pub fn run(&self, tasks: Vec<ThreadTask>) -> Result<ExecReport, ThreadEngineError> {
-        self.run_with_scratch(tasks, &mut BuildScratch::default())
-    }
-
-    /// [`run`](Self::run) with caller-owned build buffers: batched
-    /// submission calls this in a loop so the CSR edge list and the dedup
-    /// scratch are reused across batches instead of reallocated per run.
-    pub fn run_with_scratch(
-        &self,
-        tasks: Vec<ThreadTask>,
-        buf: &mut BuildScratch,
-    ) -> Result<ExecReport, ThreadEngineError> {
-        let n = tasks.len();
-        // One clock for the whole run: every worker stamps events and
-        // measures durations against the same monotonic origin.
+    /// Starts a run: one clock for the whole run — every worker stamps
+    /// events and measures durations against the same monotonic origin —
+    /// and the prelude lane with the `validate` phase open.
+    fn begin(&self) -> (TraceClock, WorkerTracer) {
         let clock = TraceClock::new();
         let mut prelude = self.sink.worker_tracer();
-        prelude.record(
-            &clock,
-            EventKind::PhaseStart {
-                name: "validate".into(),
-            },
-        );
+        prelude.record(&clock, phase_start("validate"));
+        (clock, prelude)
+    }
 
-        let group_names = self.group_names();
-
-        // Resolve every task's group name to a group index up front.
+    /// Executes all tasks, returning per-task and per-worker stats: the
+    /// dependency lists are compiled, then run like any compiled graph.
+    pub fn run(&self, tasks: Vec<ThreadTask>) -> Result<ExecReport, ThreadEngineError> {
+        let start = self.begin();
         let task_group = self.resolve_task_groups(tasks.iter().map(|t| t.group.as_deref()))?;
-
-        // PDL-labeled trace metadata, built only when events are kept.
-        let meta = self.sink.enabled().then(|| TraceMeta {
-            platform: self.placement.as_ref().and_then(|p| p.platform.clone()),
-            lanes: lane_labels(self.workers, self.placement.as_ref()),
-            tasks: tasks
-                .iter()
-                .enumerate()
-                .map(|(i, t)| TaskInfo {
-                    label: t.label.clone(),
-                    category: "task".to_string(),
-                    group: task_group[i].map(|g| group_names[g].clone()),
-                })
-                .collect(),
-            time_unit: TimeUnit::RealNanos,
-        });
-
-        let mut v = build_runtime(tasks, buf)?;
-        prelude.record(
-            &clock,
-            EventKind::PhaseEnd {
-                name: "validate".into(),
-            },
-        );
-        let submit_ns = clock.now();
-        if n == 0 {
-            return Ok(empty_report(
-                StdDuration::from_nanos(clock.now()),
-                self.workers,
-                group_names,
-            ));
-        }
-
-        let mut out = self.run_inner(clock, prelude, v.view(), &task_group, None, submit_ns);
-
-        // Assemble the per-task stats outside the hot path: workers only
-        // recorded (task index, duration); labels are moved (not cloned)
-        // out of the validated set here.
-        let tasks = out
-            .records
-            .drain(..)
-            .map(|(task, worker, duration)| TaskStats {
-                label: std::mem::take(&mut v.labels[task]),
-                worker,
-                duration,
-            })
-            .collect();
-
-        Ok(self.assemble_report(tasks, out, meta, group_names))
+        let graph =
+            CompiledGraph::from_dependencies(tasks.len(), |i| tasks[i].deps.iter().copied())
+                .map_err(|(task, dep)| ThreadEngineError::ForwardDependency { task, dep })?;
+        let (labels, work): (Vec<String>, Vec<WorkSlot>) = tasks
+            .into_iter()
+            .map(|t| (t.label, Mutex::new(Some(t.work))))
+            .unzip();
+        // The labels are ours: the report takes them instead of cloning.
+        self.execute(start, &graph, &task_group, Cow::Owned(labels), work)
     }
 
     /// Compiles a [`TaskGraph`]'s structure for repeated execution with
-    /// [`run_compiled`](Self::run_compiled): the dependents CSR, the
-    /// initial pending counts, the placement-resolved group of every task
-    /// and the initially-ready seed list are all built once here, so each
-    /// subsequent run only instantiates fresh atomic counters and work
-    /// closures.
-    pub fn compile_graph(&self, graph: &TaskGraph) -> Result<CompiledGraph, ThreadEngineError> {
-        let n = graph.tasks.len();
+    /// [`run_compiled`](Self::run_compiled): [`TaskGraph::compile`] plus
+    /// the labels and the placement-resolved group of every task.
+    pub fn compile_graph(&self, graph: &TaskGraph) -> Result<PlacedGraph, ThreadEngineError> {
         let task_group =
             self.resolve_task_groups(graph.tasks.iter().map(|t| t.execution_group.as_deref()))?;
-        let mut pending_init = Vec::with_capacity(n);
-        let mut edges: Vec<(usize, usize)> = Vec::new();
-        let mut scratch: Vec<usize> = Vec::new();
-        for t in &graph.tasks {
-            scratch.clear();
-            scratch.extend(graph.dependencies(t.id).iter().map(|d| d.0));
-            scratch.sort_unstable();
-            scratch.dedup();
-            pending_init.push(scratch.len());
-            edges.extend(scratch.iter().map(|&d| (d, t.id.0)));
-        }
-        edges.sort_unstable();
-        let mut dep_offsets = vec![0usize; n + 1];
-        for &(d, _) in &edges {
-            dep_offsets[d + 1] += 1;
-        }
-        for i in 0..n {
-            dep_offsets[i + 1] += dep_offsets[i];
-        }
-        let dep_targets = edges.into_iter().map(|(_, t)| t).collect();
-        let initially_ready = (0..n).filter(|&i| pending_init[i] == 0).collect();
-        Ok(CompiledGraph {
-            pending_init,
-            dep_offsets,
-            dep_targets,
+        Ok(PlacedGraph {
+            graph: graph.compile(),
             labels: graph.tasks.iter().map(|t| t.label.clone()).collect(),
             task_group,
             group_names: self.group_names(),
-            initially_ready,
         })
     }
 
@@ -877,17 +406,10 @@ impl ThreadedExecutor {
     /// otherwise [`ThreadEngineError::PlacementMismatch`] is returned.
     pub fn run_compiled(
         &self,
-        graph: &CompiledGraph,
+        graph: &PlacedGraph,
         mut work: impl FnMut(usize) -> Box<dyn FnOnce() + Send>,
     ) -> Result<ExecReport, ThreadEngineError> {
-        let clock = TraceClock::new();
-        let mut prelude = self.sink.worker_tracer();
-        prelude.record(
-            &clock,
-            EventKind::PhaseStart {
-                name: "validate".into(),
-            },
-        );
+        let start = self.begin();
         let group_names = self.group_names();
         if group_names != graph.group_names {
             return Err(ThreadEngineError::PlacementMismatch {
@@ -895,82 +417,115 @@ impl ThreadedExecutor {
                 executor: group_names,
             });
         }
-        let n = graph.len();
+        let work = (0..graph.len())
+            .map(|i| Mutex::new(Some(work(i))))
+            .collect();
+        let labels = Cow::Borrowed(graph.labels.as_slice());
+        self.execute(start, &graph.graph, &graph.task_group, labels, work)
+    }
+
+    /// The one submission path: fresh pending counters over the compiled
+    /// edges, the pool run, and the report. `labels` are cloned into the
+    /// trace metadata when tracing is on, and moved into the per-task
+    /// stats when the caller owns them.
+    fn execute(
+        &self,
+        (clock, mut prelude): (TraceClock, WorkerTracer),
+        graph: &CompiledGraph,
+        task_group: &[Option<usize>],
+        mut labels: Cow<'_, [String]>,
+        work: Vec<WorkSlot>,
+    ) -> Result<ExecReport, ThreadEngineError> {
+        let group_names = self.group_names();
+        // PDL-labeled trace metadata, built only when events are kept.
         let meta = self.sink.enabled().then(|| TraceMeta {
             platform: self.placement.as_ref().and_then(|p| p.platform.clone()),
             lanes: lane_labels(self.workers, self.placement.as_ref()),
-            tasks: graph
-                .labels
+            tasks: labels
                 .iter()
-                .enumerate()
-                .map(|(i, label)| TaskInfo {
+                .zip(task_group)
+                .map(|(label, group)| TaskInfo {
                     label: label.clone(),
                     category: "task".to_string(),
-                    group: graph.task_group[i].map(|g| group_names[g].clone()),
+                    group: group.map(|g| group_names[g].clone()),
                 })
                 .collect(),
             time_unit: TimeUnit::RealNanos,
         });
-        // Per-run instantiation: two linear passes over prebuilt data.
         let pending: Vec<AtomicUsize> = graph
-            .pending_init
+            .pending()
             .iter()
             .map(|&p| AtomicUsize::new(p))
             .collect();
-        let slots: Vec<WorkSlot> = (0..n).map(|i| Mutex::new(Some(work(i)))).collect();
-        prelude.record(
-            &clock,
-            EventKind::PhaseEnd {
-                name: "validate".into(),
-            },
-        );
+        prelude.record(&clock, phase_end("validate"));
         let submit_ns = clock.now();
-        if n == 0 {
-            return Ok(empty_report(
-                StdDuration::from_nanos(clock.now()),
-                self.workers,
-                group_names,
-            ));
+        if graph.is_empty() {
+            return Ok(ExecReport {
+                tasks: Vec::new(),
+                wall: StdDuration::from_nanos(clock.now()),
+                workers: self.workers,
+                worker_stats: (0..self.workers)
+                    .map(|worker| WorkerStats {
+                        worker,
+                        ..WorkerStats::default()
+                    })
+                    .collect(),
+                groups: group_names,
+                trace: None,
+            });
         }
-        let view = RuntimeView {
+
+        let rt = Runtime {
+            graph,
             pending: &pending,
-            dep_offsets: &graph.dep_offsets,
-            dep_targets: &graph.dep_targets,
-            work: &slots,
+            work: &work,
+            task_group,
         };
-        let mut out = self.run_inner(
-            clock,
-            prelude,
-            view,
-            &graph.task_group,
-            Some(&graph.initially_ready),
-            submit_ns,
-        );
+        let mut out = self.run_pool(clock, prelude, rt, submit_ns)?;
+
+        // Per-task stats are assembled outside the hot path: workers only
+        // recorded (task index, duration).
         let tasks = out
             .records
             .drain(..)
             .map(|(task, worker, duration)| TaskStats {
-                label: graph.labels[task].clone(),
+                label: match &mut labels {
+                    Cow::Owned(labels) => std::mem::take(&mut labels[task]),
+                    Cow::Borrowed(labels) => labels[task].clone(),
+                },
                 worker,
                 duration,
             })
             .collect();
-        Ok(self.assemble_report(tasks, out, meta, group_names))
+        let trace = meta.map(|meta| RunTrace {
+            meta,
+            prelude: out
+                .prelude
+                .finish(self.workers)
+                .map(|wt| wt.events)
+                .unwrap_or_default(),
+            workers: out.worker_traces,
+        });
+        Ok(ExecReport {
+            tasks,
+            wall: out.wall,
+            workers: self.workers,
+            worker_stats: out.worker_stats,
+            groups: group_names,
+            trace,
+        })
     }
 
-    /// The execution core shared by [`run`](Self::run) and
-    /// [`run_compiled`](Self::run_compiled): seeds ready tasks, spawns the
-    /// scoped worker pool, joins it and collects raw per-worker output.
-    fn run_inner(
+    /// Seeds the ready tasks, spawns the scoped worker pool, joins it and
+    /// collects raw per-worker output — or the first task panic.
+    fn run_pool(
         &self,
         clock: TraceClock,
         mut prelude: WorkerTracer,
-        rt: RuntimeView<'_>,
-        task_group: &[Option<usize>],
-        ready_hint: Option<&[usize]>,
+        rt: Runtime<'_>,
         submit_ns: u64,
-    ) -> RunOutput {
-        let n = rt.pending.len();
+    ) -> Result<RunOutput, ThreadEngineError> {
+        let n = rt.graph.len();
         // Worker → group map: contiguous ranges in group order.
         let worker_group: Vec<usize> = match &self.placement {
             None => vec![0; self.workers],
@@ -997,49 +552,32 @@ impl ThreadedExecutor {
 
         // Seed initially-ready tasks round-robin across their group's
         // workers (or all workers when ungrouped), so there is no single
-        // contended entry queue even at t=0. A compiled graph supplies the
-        // ready list directly; otherwise scan the pending counters.
-        prelude.record(
-            &clock,
-            EventKind::PhaseStart {
-                name: "seed".into(),
-            },
-        );
+        // contended entry queue even at t=0.
+        prelude.record(&clock, phase_start("seed"));
         let mut rr = vec![0usize; group_count + 1];
         let mut seeded = vec![0usize; self.workers];
-        {
-            let mut seed = |i: usize| {
-                prelude.record(&clock, EventKind::TaskReady { task: i as u32 });
-                let w = match task_group[i] {
-                    Some(g) => {
-                        let targets = &group_workers[g];
-                        let slot = rr[g];
-                        rr[g] = (slot + 1) % targets.len();
-                        targets[slot]
-                    }
-                    None => {
-                        rr[group_count] = (rr[group_count] + 1) % self.workers;
-                        rr[group_count]
-                    }
-                };
-                locals[w].push(i);
-                seeded[w] += 1;
+        for &TaskId(i) in rt.graph.ready() {
+            prelude.record(&clock, EventKind::TaskReady { task: i as u32 });
+            let w = match rt.task_group[i] {
+                Some(g) => {
+                    let targets = &group_workers[g];
+                    let slot = rr[g];
+                    rr[g] = (slot + 1) % targets.len();
+                    targets[slot]
+                }
+                None => {
+                    rr[group_count] = (rr[group_count] + 1) % self.workers;
+                    rr[group_count]
+                }
             };
-            match ready_hint {
-                Some(ready) => ready.iter().for_each(|&i| seed(i)),
-                None => (0..n)
-                    .filter(|&i| rt.pending[i].load(Ordering::Relaxed) == 0)
-                    .for_each(&mut seed),
-            }
+            locals[w].push(i);
+            seeded[w] += 1;
         }
-        prelude.record(
-            &clock,
-            EventKind::PhaseEnd {
-                name: "seed".into(),
-            },
-        );
+        prelude.record(&clock, phase_end("seed"));
 
         let completed = AtomicUsize::new(0);
+        let cancelled = AtomicBool::new(false);
+        let panicked: Mutex<Option<(usize, String)>> = Mutex::new(None);
         let park = std::sync::Mutex::new(());
         let wake = Condvar::new();
         let tel = self.telemetry.then(ExecutorTelemetry::handles);
@@ -1051,12 +589,7 @@ impl ThreadedExecutor {
         let mut records: Vec<(usize, usize, StdDuration)> =
             Vec::with_capacity(if self.task_stats { n } else { 0 });
         let mut worker_traces: Vec<WorkerTrace> = Vec::new();
-        prelude.record(
-            &clock,
-            EventKind::PhaseStart {
-                name: "execute".into(),
-            },
-        );
+        prelude.record(&clock, phase_start("execute"));
         std::thread::scope(|scope| {
             let mut handles = Vec::with_capacity(self.workers);
             for (me, local) in locals.into_iter().enumerate() {
@@ -1068,9 +601,10 @@ impl ThreadedExecutor {
                     injectors: &injectors,
                     group_workers: &group_workers,
                     worker_group: &worker_group,
-                    task_group,
-                    v: rt,
+                    rt,
                     completed: &completed,
+                    cancelled: &cancelled,
+                    panicked: &panicked,
                     park: &park,
                     wake: &wake,
                     n,
@@ -1083,6 +617,8 @@ impl ThreadedExecutor {
                 handles.push(scope.spawn(move || ctx.run()));
             }
             for h in handles {
+                // Task panics are caught inside the worker; this fires
+                // only for a bug in the engine itself.
                 let (ws, recs, wt) = h.join().expect("worker panicked");
                 let worker = ws.worker;
                 worker_stats.push(ws);
@@ -1090,50 +626,32 @@ impl ThreadedExecutor {
                 worker_traces.extend(wt);
             }
         });
-        prelude.record(
-            &clock,
-            EventKind::PhaseEnd {
-                name: "execute".into(),
-            },
-        );
-        RunOutput {
+        if let Some((task, message)) = panicked.into_inner() {
+            return Err(ThreadEngineError::TaskPanicked { task, message });
+        }
+        prelude.record(&clock, phase_end("execute"));
+        Ok(RunOutput {
             records,
             worker_stats,
             worker_traces,
             prelude,
             wall: StdDuration::from_nanos(clock.now()),
-        }
-    }
-
-    /// Final report assembly shared by both run paths.
-    fn assemble_report(
-        &self,
-        tasks: Vec<TaskStats>,
-        out: RunOutput,
-        meta: Option<TraceMeta>,
-        group_names: Vec<String>,
-    ) -> ExecReport {
-        let trace = meta.map(|meta| RunTrace {
-            meta,
-            prelude: out
-                .prelude
-                .finish(self.workers)
-                .map(|wt| wt.events)
-                .unwrap_or_default(),
-            workers: out.worker_traces,
-        });
-        ExecReport {
-            tasks,
-            wall: out.wall,
-            workers: self.workers,
-            worker_stats: out.worker_stats,
-            groups: group_names,
-            trace,
-        }
+        })
     }
 }
 
-/// Raw output of [`ThreadedExecutor::run_inner`], before label resolution
+/// One run's dependency state — the shape the workers actually touch: the
+/// compiled edges (shared across batches) and this run's counters, bodies
+/// and group of every task.
+#[derive(Clone, Copy)]
+struct Runtime<'a> {
+    graph: &'a CompiledGraph,
+    pending: &'a [AtomicUsize],
+    work: &'a [WorkSlot],
+    task_group: &'a [Option<usize>],
+}
+
+/// Raw output of [`ThreadedExecutor::run_pool`], before label resolution
 /// and trace assembly.
 struct RunOutput {
     /// `(task, worker, duration)` rows; empty when task stats are off.
@@ -1153,9 +671,15 @@ struct WorkerCtx<'a> {
     injectors: &'a [Injector<usize>],
     group_workers: &'a [Vec<usize>],
     worker_group: &'a [usize],
-    task_group: &'a [Option<usize>],
-    v: RuntimeView<'a>,
+    rt: Runtime<'a>,
     completed: &'a AtomicUsize,
+    /// Raised by the worker whose task panicked, read wherever `completed`
+    /// is: the run is over, claim nothing more. It publishes no data of
+    /// its own (the panic record sits behind its mutex), but every load
+    /// decides whether another task body starts, so it is `SeqCst`.
+    cancelled: &'a AtomicBool,
+    /// The first task panic of the run: `(task, message)`.
+    panicked: &'a Mutex<Option<(usize, String)>>,
     park: &'a std::sync::Mutex<()>,
     wake: &'a Condvar,
     n: usize,
@@ -1213,7 +737,23 @@ impl Source {
     }
 }
 
+/// What a panicking task body left behind, as text.
+fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+    match payload.downcast::<String>() {
+        Ok(message) => *message,
+        Err(payload) => payload.downcast_ref::<&str>().map_or_else(
+            || "non-string panic payload".to_string(),
+            |m| (*m).to_string(),
+        ),
+    }
+}
+
 impl WorkerCtx<'_> {
+    /// Whether the run is over: every task completed, or one panicked.
+    fn finished(&self) -> bool {
+        self.cancelled.load(Ordering::SeqCst) || self.completed.load(Ordering::Acquire) >= self.n
+    }
+
     fn run(mut self) -> (WorkerStats, Vec<(usize, StdDuration)>, Option<WorkerTrace>) {
         let mut out = WorkerStats {
             worker: self.me,
@@ -1228,10 +768,7 @@ impl WorkerCtx<'_> {
         };
         let mut parks = 0u64;
         let mut tracer = std::mem::replace(&mut self.tracer, WorkerTracer::Null);
-        loop {
-            if self.completed.load(Ordering::Acquire) >= self.n {
-                break;
-            }
+        while !self.finished() {
             match self.find_task() {
                 Some((task, source)) => {
                     match source {
@@ -1249,25 +786,17 @@ impl WorkerCtx<'_> {
                     // exactly one same-group dependent, run it directly —
                     // no deque round-trip, no wake.
                     let mut provenance = source.provenance();
-                    let mut current = task;
-                    loop {
+                    let mut current = Some(task);
+                    while let Some(task) = current {
                         tracer.record(
                             &self.clock,
                             EventKind::TaskDequeued {
-                                task: current as u32,
+                                task: task as u32,
                                 provenance,
                             },
                         );
-                        let (dt, next) = self.execute(current, &mut hot, &mut tracer);
-                        out.busy += dt;
-                        out.executed += 1;
-                        match next {
-                            Some(nxt) => {
-                                current = nxt;
-                                provenance = Provenance::Local;
-                            }
-                            None => break,
-                        }
+                        current = self.execute(task, &mut out, &mut hot, &mut tracer);
+                        provenance = Provenance::Local;
                     }
                 }
                 None => {
@@ -1276,7 +805,7 @@ impl WorkerCtx<'_> {
                         .park
                         .lock()
                         .unwrap_or_else(std::sync::PoisonError::into_inner);
-                    if self.completed.load(Ordering::Acquire) >= self.n {
+                    if self.finished() {
                         break;
                     }
                     // Timed wait: a missed notification costs at most
@@ -1369,25 +898,36 @@ impl WorkerCtx<'_> {
     }
 
     /// Runs the task, records stats worker-locally, publishes newly-ready
-    /// dependents. Returns the task's duration and, when one of the ready
-    /// dependents belongs to this worker's group, that dependent as a
-    /// continuation to run directly — skipping the deque entirely.
+    /// dependents. Returns, when one of the ready dependents belongs to
+    /// this worker's group, that dependent as a continuation to run
+    /// directly — skipping the deque entirely. A body that panics cancels
+    /// the run instead: nothing is published, nothing continues.
     fn execute(
         &self,
         i: usize,
+        out: &mut WorkerStats,
         hot: &mut HotState,
         tracer: &mut WorkerTracer,
-    ) -> (StdDuration, Option<usize>) {
-        let job = self.v.work[i].lock().take().expect("task runs once");
+    ) -> Option<usize> {
+        let job = self.rt.work[i].lock().take().expect("task runs once");
         // Both the stat duration and the trace span come from the run's
         // shared clock, so per-worker busy time and the exported spans are
         // the same numbers.
         let t0 = self.clock.now();
         tracer.record_at(t0, EventKind::TaskStart { task: i as u32 });
-        job();
+        if let Err(payload) = catch_unwind(AssertUnwindSafe(job)) {
+            self.panicked
+                .lock()
+                .get_or_insert_with(|| (i, panic_message(payload)));
+            self.cancelled.store(true, Ordering::SeqCst);
+            self.wake.notify_all();
+            return None;
+        }
         let t1 = self.clock.now();
         tracer.record_at(t1, EventKind::TaskEnd { task: i as u32 });
         let dt = TraceClock::between(t0, t1);
+        out.busy += dt;
+        out.executed += 1;
         if self.collect {
             hot.records.push((i, dt));
         } else if self.tel.is_some() {
@@ -1398,10 +938,10 @@ impl WorkerCtx<'_> {
         // one notify covers all cross-group hand-offs.
         let mut next: Option<usize> = None;
         let mut woke_other_group = false;
-        for &dep in self.v.dependents(i) {
-            if self.v.pending[dep].fetch_sub(1, Ordering::AcqRel) == 1 {
+        for &TaskId(dep) in self.rt.graph.dependents(TaskId(i)) {
+            if self.rt.pending[dep].fetch_sub(1, Ordering::AcqRel) == 1 {
                 tracer.record(&self.clock, EventKind::TaskReady { task: dep as u32 });
-                match self.task_group[dep] {
+                match self.rt.task_group[dep] {
                     Some(g) if g != self.my_group => {
                         // Affinity routing: deliver to the task's group.
                         self.injectors[g].push(dep);
@@ -1428,7 +968,9 @@ impl WorkerCtx<'_> {
             // the sleepers re-scan within PARK_TIMEOUT anyway.
             self.wake.notify_all();
         }
-        (dt, next)
+        // A continuation is a task that has not started: after a panic
+        // elsewhere it stays unrun like everything still queued.
+        next.filter(|_| !self.cancelled.load(Ordering::SeqCst))
     }
 }
 
@@ -1453,202 +995,6 @@ fn steal_from(stealer: &Stealer<usize>) -> Option<usize> {
         }
     }
     None
-}
-
-// ---------------------------------------------------------------------------
-// Seed single-queue executor (baseline)
-// ---------------------------------------------------------------------------
-
-/// The seed engine: a fixed-size pool where every ready task flows through
-/// one shared MPMC channel. Kept as the measured baseline for the
-/// work-stealing engine (`cargo bench --bench engine_scaling`); placement
-/// groups are ignored.
-#[derive(Debug, Clone)]
-pub struct SingleQueueExecutor {
-    workers: usize,
-    sink: TraceSink,
-}
-
-impl SingleQueueExecutor {
-    /// A pool with the given number of worker threads (min 1).
-    pub fn new(workers: usize) -> Self {
-        SingleQueueExecutor {
-            workers: workers.max(1),
-            sink: TraceSink::Null,
-        }
-    }
-
-    /// Enables (or disables) event tracing for subsequent runs.
-    pub fn with_trace(mut self, sink: TraceSink) -> Self {
-        self.sink = sink;
-        self
-    }
-
-    /// Executes all tasks, returning per-task stats.
-    pub fn run(&self, tasks: Vec<ThreadTask>) -> Result<ExecReport, ThreadEngineError> {
-        let clock = TraceClock::new();
-        let mut prelude = self.sink.worker_tracer();
-        prelude.record(
-            &clock,
-            EventKind::PhaseStart {
-                name: "validate".into(),
-            },
-        );
-        let meta = self.sink.enabled().then(|| TraceMeta {
-            platform: None,
-            lanes: lane_labels(self.workers, None),
-            tasks: tasks
-                .iter()
-                .map(|t| TaskInfo {
-                    label: t.label.clone(),
-                    category: "task".to_string(),
-                    group: t.group.clone(),
-                })
-                .collect(),
-            time_unit: TimeUnit::RealNanos,
-        });
-        let v = build_runtime(tasks, &mut BuildScratch::default())?;
-        prelude.record(
-            &clock,
-            EventKind::PhaseEnd {
-                name: "validate".into(),
-            },
-        );
-        let n = v.labels.len();
-        if n == 0 {
-            return Ok(empty_report(
-                StdDuration::from_nanos(clock.now()),
-                self.workers,
-                vec!["all".to_string()],
-            ));
-        }
-
-        // Queue protocol: task indices flow through the channel; SHUTDOWN
-        // sentinels release blocked workers once all tasks completed (the
-        // channel can never close on its own, since every blocked worker
-        // holds a sender clone).
-        const SHUTDOWN: usize = usize::MAX;
-        let (tx, rx) = channel::unbounded::<usize>();
-        prelude.record(
-            &clock,
-            EventKind::PhaseStart {
-                name: "seed".into(),
-            },
-        );
-        for (i, p) in v.pending.iter().enumerate() {
-            if p.load(Ordering::Relaxed) == 0 {
-                prelude.record(&clock, EventKind::TaskReady { task: i as u32 });
-                tx.send(i).expect("queue open");
-            }
-        }
-        prelude.record(
-            &clock,
-            EventKind::PhaseEnd {
-                name: "seed".into(),
-            },
-        );
-
-        let completed = AtomicUsize::new(0);
-        let stats: Mutex<Vec<TaskStats>> = Mutex::new(Vec::with_capacity(n));
-        let mut worker_stats: Vec<WorkerStats> = Vec::with_capacity(self.workers);
-        let mut worker_traces: Vec<WorkerTrace> = Vec::new();
-
-        prelude.record(
-            &clock,
-            EventKind::PhaseStart {
-                name: "execute".into(),
-            },
-        );
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(self.workers);
-            for worker in 0..self.workers {
-                let rx = rx.clone();
-                let tx = tx.clone();
-                let v = &v;
-                let completed = &completed;
-                let stats = &stats;
-                let workers_total = self.workers;
-                let mut tracer = self.sink.worker_tracer();
-                handles.push(scope.spawn(move || {
-                    let mut out = WorkerStats {
-                        worker,
-                        ..WorkerStats::default()
-                    };
-                    while let Ok(i) = rx.recv() {
-                        if i == SHUTDOWN {
-                            break;
-                        }
-                        tracer.record(
-                            &clock,
-                            EventKind::TaskDequeued {
-                                task: i as u32,
-                                provenance: Provenance::Queue,
-                            },
-                        );
-                        let job = v.work[i].lock().take().expect("task runs once");
-                        let t0 = clock.now();
-                        tracer.record_at(t0, EventKind::TaskStart { task: i as u32 });
-                        job();
-                        let t1 = clock.now();
-                        tracer.record_at(t1, EventKind::TaskEnd { task: i as u32 });
-                        let dt = TraceClock::between(t0, t1);
-                        out.executed += 1;
-                        out.busy += dt;
-                        stats.lock().push(TaskStats {
-                            label: v.labels[i].clone(),
-                            worker,
-                            duration: dt,
-                        });
-                        for &dep in v.dependents(i) {
-                            if v.pending[dep].fetch_sub(1, Ordering::AcqRel) == 1 {
-                                tracer.record(&clock, EventKind::TaskReady { task: dep as u32 });
-                                let _ = tx.send(dep);
-                            }
-                        }
-                        if completed.fetch_add(1, Ordering::AcqRel) + 1 == n {
-                            // All done: wake every worker (including self on
-                            // the next recv) with shutdown sentinels.
-                            for _ in 0..workers_total {
-                                let _ = tx.send(SHUTDOWN);
-                            }
-                        }
-                    }
-                    (out, tracer.finish(worker))
-                }));
-            }
-            drop(tx);
-            drop(rx);
-            for h in handles {
-                let (ws, wt) = h.join().expect("worker panicked");
-                worker_stats.push(ws);
-                worker_traces.extend(wt);
-            }
-        });
-        prelude.record(
-            &clock,
-            EventKind::PhaseEnd {
-                name: "execute".into(),
-            },
-        );
-
-        let trace = meta.map(|meta| RunTrace {
-            meta,
-            prelude: prelude
-                .finish(self.workers)
-                .map(|wt| wt.events)
-                .unwrap_or_default(),
-            workers: worker_traces,
-        });
-
-        Ok(ExecReport {
-            tasks: stats.into_inner(),
-            wall: StdDuration::from_nanos(clock.now()),
-            workers: self.workers,
-            worker_stats,
-            groups: vec!["all".to_string()],
-            trace,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -1870,30 +1216,6 @@ mod tests {
     }
 
     #[test]
-    fn from_logic_groups_builds_placement() {
-        let mut b = Platform::builder("t");
-        let m = b.master("cpu");
-        let g0 = b.worker(m, "gpu0").unwrap();
-        b.group(g0, "gpus");
-        let g1 = b.worker(m, "gpu1").unwrap();
-        b.group(g1, "gpus");
-        let s = b.worker(m, "spe").unwrap();
-        b.group(s, "slow");
-        let p = b.build().unwrap();
-
-        let placement = Placement::from_logic_groups(&p, &["gpus", "@workers-gpus"]).unwrap();
-        assert_eq!(placement.groups.len(), 2);
-        assert_eq!(placement.groups[0].workers, 2); // gpu0, gpu1
-        assert_eq!(placement.groups[1].workers, 1); // spe
-        assert_eq!(placement.total_workers(), 3);
-        assert_eq!(placement.platform.as_deref(), Some("t"));
-        assert_eq!(placement.groups[0].members, vec!["gpu0", "gpu1"]);
-        assert_eq!(placement.groups[1].members, vec!["spe"]);
-
-        assert!(Placement::from_logic_groups(&p, &["@bogus"]).is_err());
-    }
-
-    #[test]
     fn traced_run_validates_and_matches_report() {
         let tasks: Vec<ThreadTask> = (0..40)
             .map(|i| {
@@ -1931,43 +1253,6 @@ mod tests {
             .collect();
         let plain = ThreadedExecutor::new(2).run(tasks2).unwrap();
         assert!(plain.trace.is_none());
-    }
-
-    #[test]
-    fn traced_single_queue_uses_queue_provenance() {
-        let tasks: Vec<ThreadTask> = (0..12)
-            .map(|i| ThreadTask::new(format!("t{i}"), || {}))
-            .collect();
-        let report = SingleQueueExecutor::new(3)
-            .with_trace(hetero_trace::TraceSink::ring())
-            .run(tasks)
-            .unwrap();
-        let trace = report.trace.as_ref().expect("trace collected");
-        trace.validate().expect("invariants hold");
-        for span in trace.task_spans() {
-            assert_eq!(span.provenance, Some(Provenance::Queue));
-        }
-    }
-
-    #[test]
-    fn single_queue_baseline_agrees() {
-        let counter = Arc::new(AtomicU64::new(0));
-        let tasks: Vec<ThreadTask> = (0..30)
-            .map(|i| {
-                let c = counter.clone();
-                let mut t = ThreadTask::new(format!("t{i}"), move || {
-                    c.fetch_add(1, Ordering::Relaxed);
-                });
-                if i >= 10 {
-                    t = t.after([i - 10]);
-                }
-                t
-            })
-            .collect();
-        let report = SingleQueueExecutor::new(3).run(tasks).unwrap();
-        assert_eq!(counter.load(Ordering::Relaxed), 30);
-        assert_eq!(report.tasks.len(), 30);
-        assert_eq!(report.total_steals(), 0); // no steal concept
     }
 
     #[test]
@@ -2082,29 +1367,6 @@ mod tests {
         let executed: usize = report.worker_stats.iter().map(|w| w.executed).sum();
         assert_eq!(executed, 40);
         assert!(report.wall > StdDuration::ZERO);
-    }
-
-    #[test]
-    fn scratch_reuse_across_batches() {
-        let mut buf = BuildScratch::default();
-        let pool = ThreadedExecutor::new(2);
-        for batch in 0..3 {
-            let counter = Arc::new(AtomicU64::new(0));
-            let tasks: Vec<ThreadTask> = (0..16)
-                .map(|i| {
-                    let c = counter.clone();
-                    let mut t = ThreadTask::new(format!("b{batch}t{i}"), move || {
-                        c.fetch_add(1, Ordering::Relaxed);
-                    });
-                    if i > 0 {
-                        t = t.after([i - 1]);
-                    }
-                    t
-                })
-                .collect();
-            pool.run_with_scratch(tasks, &mut buf).unwrap();
-            assert_eq!(counter.load(Ordering::Relaxed), 16);
-        }
     }
 
     #[test]

@@ -396,7 +396,7 @@ mod tests {
         assert_eq!(g.len(), 17);
         let combine = hetero_rt::task::TaskId(16);
         assert_eq!(g.dependencies(combine).len(), 16);
-        assert_eq!(g.dependents(combine).len(), 0);
+        assert_eq!(g.compile().dependents(combine).len(), 0);
     }
 
     #[test]

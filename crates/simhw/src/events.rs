@@ -1,24 +1,20 @@
-//! Deterministic discrete-event queues.
+//! A deterministic discrete-event queue.
 //!
 //! Events fire in time order; ties break by insertion sequence, so
 //! simulations are reproducible regardless of payload type. Used by the
 //! event-driven runtime engine (`hetero-rt`'s dynamic engine) and available
 //! for any future simulator component.
 //!
-//! Two implementations share the same API and the same observable order:
-//!
-//! * [`EventQueue`] — the default, a *calendar queue* (Brown 1988): fire
-//!   times hash into fixed-width buckets, so enqueue and dequeue are O(1)
-//!   amortized instead of the O(log n) of a binary heap. Bucket count and
-//!   bucket width resize automatically as the population grows, shrinks,
-//!   or drifts.
-//! * [`HeapEventQueue`] — the original `BinaryHeap` implementation, kept
-//!   as the reference baseline for differential tests and the
-//!   `sim_scaling` benchmark.
+//! [`EventQueue`] is a *calendar queue* (Brown 1988): fire times hash into
+//! fixed-width buckets, so enqueue and dequeue are O(1) amortized instead
+//! of the O(log n) of a binary heap. Bucket count and bucket width resize
+//! automatically as the population grows, shrinks, or drifts. The
+//! `BinaryHeap` queue it replaced — same API, same observable order — is
+//! `bench::baseline::HeapEventQueue`, the reference of
+//! `tests/calendar_queue.rs` and the `sim_scaling` benchmark.
 
 use crate::time::SimTime;
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
 /// A pending event: fire time + stable sequence number + payload.
 #[derive(Debug, Clone)]
@@ -26,23 +22,6 @@ struct Entry<E> {
     at: SimTime,
     seq: u64,
     payload: E,
-}
-
-impl<E> PartialEq for Entry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<E> Eq for Entry<E> {}
-impl<E> PartialOrd for Entry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<E> Ord for Entry<E> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.at.cmp(&other.at).then(self.seq.cmp(&other.seq))
-    }
 }
 
 /// Smallest bucket count the calendar ever uses.
@@ -287,80 +266,6 @@ impl<E> EventQueue<E> {
     }
 }
 
-/// The original `BinaryHeap`-backed event queue.
-///
-/// Functionally identical to [`EventQueue`] (same API, same deterministic
-/// order); kept as the reference implementation that differential tests
-/// and the `sim_scaling` benchmark compare the calendar queue against.
-#[derive(Debug, Clone)]
-pub struct HeapEventQueue<E> {
-    heap: BinaryHeap<Reverse<Entry<E>>>,
-    seq: u64,
-    now: SimTime,
-}
-
-impl<E> Default for HeapEventQueue<E> {
-    fn default() -> Self {
-        HeapEventQueue {
-            heap: BinaryHeap::new(),
-            seq: 0,
-            now: SimTime::ZERO,
-        }
-    }
-}
-
-impl<E> HeapEventQueue<E> {
-    /// An empty queue at time zero.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Current virtual time: the fire time of the last popped event.
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// Schedules `payload` to fire at `at`.
-    ///
-    /// # Panics
-    /// Panics if `at` lies in the past (before [`now`](Self::now)).
-    pub fn schedule(&mut self, at: SimTime, payload: E) {
-        assert!(
-            at >= self.now,
-            "cannot schedule into the past: {at} < now {}",
-            self.now
-        );
-        self.heap.push(Reverse(Entry {
-            at,
-            seq: self.seq,
-            payload,
-        }));
-        self.seq += 1;
-    }
-
-    /// Pops the next event, advancing the clock to its fire time.
-    pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let Reverse(e) = self.heap.pop()?;
-        self.now = e.at;
-        Some((e.at, e.payload))
-    }
-
-    /// Fire time of the next event, without popping.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|Reverse(e)| e.at)
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether the queue is drained.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -412,15 +317,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "into the past")]
-    fn heap_scheduling_into_the_past_panics() {
-        let mut q = HeapEventQueue::new();
-        q.schedule(t(5.0), ());
-        q.pop();
-        q.schedule(t(1.0), ());
-    }
-
-    #[test]
     fn peek_and_len() {
         let mut q: EventQueue<u32> = EventQueue::new();
         assert!(q.is_empty());
@@ -448,7 +344,7 @@ mod tests {
         assert_eq!(fired, vec![(1.0, 0), (2.0, 1), (3.0, 2), (4.0, 3)]);
     }
 
-    /// Deterministic PRNG so the differential test reproduces exactly.
+    /// Deterministic PRNG so the stream tests reproduce exactly.
     struct Lcg(u64);
     impl Lcg {
         fn next(&mut self) -> u64 {
@@ -460,46 +356,6 @@ mod tests {
         }
         fn f64(&mut self) -> f64 {
             (self.next() % (1 << 20)) as f64 / (1 << 20) as f64
-        }
-    }
-
-    #[test]
-    fn calendar_matches_heap_on_interleaved_streams() {
-        // Random interleaving of bursts of schedules (with deliberate
-        // time ties) and pops; the calendar queue must pop the exact same
-        // (time, payload) sequence as the heap reference.
-        let mut rng = Lcg(0x5eed_cafe);
-        let mut cal: EventQueue<u32> = EventQueue::new();
-        let mut heap: HeapEventQueue<u32> = HeapEventQueue::new();
-        let mut id = 0u32;
-        for _ in 0..20_000 {
-            let op = rng.next() % 100;
-            if op < 60 {
-                let horizon = match rng.next() % 3 {
-                    0 => 1e-6,
-                    1 => 1.0,
-                    _ => 1e4,
-                };
-                let mut at = cal.now() + Duration::new(rng.f64() * horizon);
-                if rng.next().is_multiple_of(4) {
-                    // Force an exact tie with the current clock.
-                    at = cal.now();
-                }
-                cal.schedule(at, id);
-                heap.schedule(at, id);
-                id += 1;
-            } else {
-                assert_eq!(cal.pop(), heap.pop());
-            }
-            assert_eq!(cal.len(), heap.len());
-            assert_eq!(cal.peek_time(), heap.peek_time());
-        }
-        loop {
-            let (a, b) = (cal.pop(), heap.pop());
-            assert_eq!(a, b);
-            if a.is_none() {
-                break;
-            }
         }
     }
 

@@ -36,7 +36,7 @@ pub mod time;
 pub mod trace;
 
 pub use energy::{energy, EnergyReport};
-pub use events::{EventQueue, HeapEventQueue};
+pub use events::EventQueue;
 pub use link::{LinkId, SimLink, TransferPath};
 pub use machine::{DeviceId, LinkParams, SimDevice, SimMachine};
 pub use resource::{BucketedTimeline, Timeline};

@@ -2,8 +2,8 @@
 //!
 //! The calendar [`EventQueue`] replaced the `BinaryHeap` queue as the sim
 //! core's virtual-time engine (the million-task throughput work); the heap
-//! implementation is kept as [`HeapEventQueue`] precisely so these tests
-//! can hold the two against each other:
+//! implementation is kept as [`HeapEventQueue`] in `bench::baseline`
+//! precisely so these tests can hold the two against each other:
 //!
 //! * **proptest** — on random schedules (including bursts of simultaneous
 //!   timestamps and interleaved schedule/pop sequences), both queues
@@ -12,8 +12,9 @@
 //!   increments keeps agreeing step for step, exercising the calendar's
 //!   automatic rebuilds at a steady population.
 
+use bench::baseline::HeapEventQueue;
 use proptest::prelude::*;
-use simhw::events::{EventQueue, HeapEventQueue};
+use simhw::events::EventQueue;
 use simhw::SimTime;
 
 /// One scripted operation against both queues.

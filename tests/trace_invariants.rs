@@ -14,6 +14,7 @@
 
 mod common;
 
+use bench::baseline::SingleQueueExecutor;
 use hetero_rt::prelude::*;
 use proptest::prelude::*;
 

@@ -9,13 +9,18 @@
 //!   ready them must arrive by stealing;
 //! * the full PDL wiring: logic groups resolved from a platform description
 //!   drive placement, and Cascabel call mappings produce a working
-//!   placement for graph execution via `from_graph`.
+//!   placement for graph execution via `from_graph`;
+//! * a task body that panics ends the run with `TaskPanicked` — within a
+//!   wall cap, because the engine this replaced hung instead.
 
+use bench::baseline::SingleQueueExecutor;
 use hetero_rt::prelude::*;
 use hetero_rt::thread_engine::ThreadEngineError;
 use parking_lot::Mutex;
 use proptest::prelude::*;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 /// Runs `tasks_of(log)` and returns the observed execution order.
 fn record_order(
@@ -178,6 +183,110 @@ fn unknown_group_is_reported_with_task_index() {
     );
 }
 
+/// Runs `f` on its own thread and fails the test when it has not returned
+/// within `cap`: a hang must be a failure, not a stuck test run.
+fn within<T: Send + 'static>(cap: Duration, f: impl FnOnce() -> T + Send + 'static) -> T {
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || tx.send(f()));
+    rx.recv_timeout(cap)
+        .unwrap_or_else(|_| panic!("no result within {cap:?}: the pool hung"))
+}
+
+/// A five-task chain whose task `boom` panics, on 1 and 4 workers, through
+/// `run` and through `run_compiled`: the error names the task, everything
+/// before it ran once, nothing after it ran, and the same executor (and the
+/// same compiled graph) then completes a clean run.
+#[test]
+fn panicking_task_cancels_the_run_instead_of_hanging_it() {
+    const CHAIN: usize = 5;
+    fn body(
+        ran: &Arc<Vec<AtomicUsize>>,
+        i: usize,
+        boom: Option<usize>,
+    ) -> Box<dyn FnOnce() + Send> {
+        let ran = ran.clone();
+        Box::new(move || {
+            ran[i].fetch_add(1, Ordering::SeqCst);
+            assert!(boom != Some(i), "boom in task {i}");
+        })
+    }
+    let mut chain = TaskGraph::new();
+    let codelet = chain.add_codelet(Codelet::new("k").with_variant(Variant::new("x86")));
+    let handle = chain.register_data("acc", 8.0);
+    for i in 0..CHAIN {
+        let access = DataAccess {
+            handle,
+            mode: AccessMode::ReadWrite,
+        };
+        chain.submit(codelet, format!("t{i}"), 1.0, vec![access], None);
+    }
+
+    for workers in [1, 4] {
+        for boom in [0, 2, CHAIN - 1] {
+            for compiled in [false, true] {
+                let chain = chain.clone();
+                let (first, ran_first, second, ran_second) =
+                    within(Duration::from_secs(20), move || {
+                        let pool = ThreadedExecutor::new(workers);
+                        let graph = pool.compile_graph(&chain).unwrap();
+                        let go = |boom: Option<usize>| {
+                            let ran: Arc<Vec<AtomicUsize>> =
+                                Arc::new((0..CHAIN).map(|_| AtomicUsize::new(0)).collect());
+                            let result = if compiled {
+                                pool.run_compiled(&graph, |i| body(&ran, i, boom))
+                            } else {
+                                pool.run(from_graph(&chain, |t| body(&ran, t.id.0, boom)))
+                            };
+                            let ran: Vec<usize> =
+                                ran.iter().map(|r| r.load(Ordering::SeqCst)).collect();
+                            (result.map(|report| report.tasks.len()), ran)
+                        };
+                        let (first, ran_first) = go(Some(boom));
+                        let (second, ran_second) = go(None);
+                        (first, ran_first, second, ran_second)
+                    });
+                let case = format!("{workers} workers, boom in {boom}, compiled: {compiled}");
+                match first {
+                    Err(ThreadEngineError::TaskPanicked { task, message }) => {
+                        assert_eq!(task, boom, "{case}");
+                        assert!(
+                            message.contains(&format!("boom in task {boom}")),
+                            "{case}: {message}"
+                        );
+                    }
+                    other => panic!("{case}: expected TaskPanicked, got {other:?}"),
+                }
+                let expected: Vec<usize> = (0..CHAIN).map(|i| usize::from(i <= boom)).collect();
+                assert_eq!(ran_first, expected, "{case}");
+                assert_eq!(second, Ok(CHAIN), "{case}: the pool must be reusable");
+                assert_eq!(ran_second, vec![1; CHAIN], "{case}");
+            }
+        }
+    }
+}
+
+/// The reproducer from the bug report: `a → boom → c` on two workers.
+#[test]
+fn three_task_reproducer_fails_fast() {
+    let started = std::time::Instant::now();
+    let result = within(Duration::from_secs(20), || {
+        ThreadedExecutor::new(2).run(vec![
+            ThreadTask::new("a", || {}),
+            ThreadTask::new("boom", || panic!("boom")).after([0]),
+            ThreadTask::new("c", || unreachable!("c waits on a task that panicked")).after([1]),
+        ])
+    });
+    assert!(
+        matches!(&result, Err(ThreadEngineError::TaskPanicked { task: 1, message }) if message == "boom"),
+        "{result:?}"
+    );
+    assert!(
+        started.elapsed() < Duration::from_secs(1),
+        "{:?}",
+        started.elapsed()
+    );
+}
+
 /// Decodes a random DAG from bit masks: task `i` depends on an earlier task
 /// `j` iff bit `i - 1 - j` of `masks[i]` is set (so at most the 64 nearest
 /// predecessors can be direct dependencies).
@@ -254,5 +363,52 @@ proptest! {
         prop_assert_eq!(sq.tasks.len(), masks.len());
         prop_assert_eq!(ws_log.lock().len(), sq_log.lock().len());
         prop_assert_eq!(sq.total_steals(), 0); // the baseline has no steal concept
+
+        // The same DAG as a `TaskGraph` (task `i` writes handle `i` and
+        // reads the handle of each dependency), alternating between two
+        // placement groups: through `run(from_graph(..))` and through
+        // `run_compiled(compile_graph(..))` every task runs once and never
+        // before a dependency.
+        let mut graph = TaskGraph::new();
+        let codelet = graph.add_codelet(Codelet::new("k").with_variant(Variant::new("x86")));
+        for i in 0..masks.len() {
+            let own = graph.register_data(format!("h{i}"), 8.0);
+            let mut accesses = vec![DataAccess { handle: own, mode: AccessMode::Write }];
+            accesses.extend(masked_deps(&masks, i).into_iter().map(|d| DataAccess {
+                handle: hetero_rt::data::HandleId(d),
+                mode: AccessMode::Read,
+            }));
+            let group = if i % 2 == 0 { "even" } else { "odd" };
+            graph.submit(codelet, format!("t{i}"), 1.0, accesses, Some(group.into()));
+        }
+        let pool = ThreadedExecutor::with_placement(
+            Placement::new().with_group("even", workers).with_group("odd", 1),
+        );
+        for compiled in [false, true] {
+            let log: Arc<Mutex<Vec<usize>>> = Arc::new(Mutex::new(Vec::new()));
+            let body = |i: usize| -> Box<dyn FnOnce() + Send> {
+                let log = log.clone();
+                Box::new(move || log.lock().push(i))
+            };
+            let report = if compiled {
+                pool.run_compiled(&pool.compile_graph(&graph).unwrap(), body)
+            } else {
+                pool.run(from_graph(&graph, |t| body(t.id.0)))
+            }
+            .unwrap();
+            prop_assert_eq!(report.tasks.len(), masks.len());
+            let order = log.lock().clone();
+            let mut position = vec![usize::MAX; masks.len()];
+            for (pos, &task) in order.iter().enumerate() {
+                prop_assert_eq!(position[task], usize::MAX, "task {} ran twice", task);
+                position[task] = pos;
+            }
+            for i in 0..masks.len() {
+                prop_assert!(position[i] != usize::MAX, "task {} never ran", i);
+                for d in masked_deps(&masks, i) {
+                    prop_assert!(position[d] < position[i], "task {} ran before {}", i, d);
+                }
+            }
+        }
     }
 }
