@@ -22,6 +22,7 @@ use simhw::time::SimTime;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::Duration as StdDuration;
 
 /// The seed engine: a fixed-size pool where every ready task flows through
@@ -74,8 +75,8 @@ impl SingleQueueExecutor {
                 .iter()
                 .map(|t| TaskInfo {
                     label: t.label.clone(),
-                    category: "task".to_string(),
-                    group: t.group.clone(),
+                    category: "task".into(),
+                    group: t.group.as_deref().map(Arc::from),
                 })
                 .collect(),
             time_unit: TimeUnit::RealNanos,
@@ -88,7 +89,7 @@ impl SingleQueueExecutor {
             .iter()
             .map(|&p| AtomicUsize::new(p))
             .collect();
-        let (labels, work): (Vec<String>, Vec<_>) = tasks
+        let (labels, work): (Vec<Arc<str>>, Vec<_>) = tasks
             .into_iter()
             .map(|t| (t.label, Mutex::new(Some(t.work))))
             .unzip();

@@ -52,7 +52,6 @@ use hetero_trace::{
     TraceSink, WorkerTrace, WorkerTracer,
 };
 use parking_lot::Mutex;
-use std::borrow::Cow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar};
@@ -66,8 +65,9 @@ pub use report::{ExecReport, TaskStats, ThreadEngineError, WorkerStats};
 
 /// One executable task.
 pub struct ThreadTask {
-    /// Display label.
-    pub label: String,
+    /// Display label, shared with the trace's task table and the report's
+    /// per-task stats.
+    pub label: Arc<str>,
     /// Indices of tasks that must complete first (all `<` this task's
     /// index).
     pub deps: Vec<usize>,
@@ -81,7 +81,7 @@ pub struct ThreadTask {
 
 impl ThreadTask {
     /// A task with no dependencies.
-    pub fn new(label: impl Into<String>, work: impl FnOnce() + Send + 'static) -> Self {
+    pub fn new(label: impl Into<Arc<str>>, work: impl FnOnce() + Send + 'static) -> Self {
         ThreadTask {
             label: label.into(),
             deps: Vec::new(),
@@ -118,7 +118,7 @@ pub fn from_graph(
         .tasks
         .iter()
         .map(|t| ThreadTask {
-            label: t.label.clone(),
+            label: t.label.as_str().into(),
             deps: graph.dependencies(t.id).iter().map(|d| d.0).collect(),
             group: t.execution_group.clone(),
             work: work(t),
@@ -143,7 +143,7 @@ type WorkSlot = Mutex<Option<Box<dyn FnOnce() + Send>>>;
 #[derive(Debug, Clone)]
 pub struct PlacedGraph {
     graph: CompiledGraph,
-    labels: Vec<String>,
+    labels: Vec<Arc<str>>,
     task_group: Vec<Option<usize>>,
     group_names: Vec<String>,
 }
@@ -376,12 +376,11 @@ impl ThreadedExecutor {
         let graph =
             CompiledGraph::from_dependencies(tasks.len(), |i| tasks[i].deps.iter().copied())
                 .map_err(|(task, dep)| ThreadEngineError::ForwardDependency { task, dep })?;
-        let (labels, work): (Vec<String>, Vec<WorkSlot>) = tasks
+        let (labels, work): (Vec<Option<Arc<str>>>, Vec<WorkSlot>) = tasks
             .into_iter()
-            .map(|t| (t.label, Mutex::new(Some(t.work))))
+            .map(|t| (Some(t.label), Mutex::new(Some(t.work))))
             .unzip();
-        // The labels are ours: the report takes them instead of cloning.
-        self.execute(start, &graph, &task_group, Cow::Owned(labels), work)
+        self.execute(start, &graph, &task_group, Labels::Owned(labels), work)
     }
 
     /// Compiles a [`TaskGraph`]'s structure for repeated execution with
@@ -392,7 +391,11 @@ impl ThreadedExecutor {
             self.resolve_task_groups(graph.tasks.iter().map(|t| t.execution_group.as_deref()))?;
         Ok(PlacedGraph {
             graph: graph.compile(),
-            labels: graph.tasks.iter().map(|t| t.label.clone()).collect(),
+            labels: graph
+                .tasks
+                .iter()
+                .map(|t| t.label.as_str().into())
+                .collect(),
             task_group,
             group_names: self.group_names(),
         })
@@ -420,37 +423,41 @@ impl ThreadedExecutor {
         let work = (0..graph.len())
             .map(|i| Mutex::new(Some(work(i))))
             .collect();
-        let labels = Cow::Borrowed(graph.labels.as_slice());
+        let labels = Labels::Shared(&graph.labels);
         self.execute(start, &graph.graph, &graph.task_group, labels, work)
     }
 
     /// The one submission path: fresh pending counters over the compiled
-    /// edges, the pool run, and the report. `labels` are cloned into the
-    /// trace metadata when tracing is on, and moved into the per-task
-    /// stats when the caller owns them.
+    /// edges, the pool run, and the report. The trace's task table and the
+    /// per-task stats share `labels`; nothing is copied.
     fn execute(
         &self,
         (clock, mut prelude): (TraceClock, WorkerTracer),
         graph: &CompiledGraph,
         task_group: &[Option<usize>],
-        mut labels: Cow<'_, [String]>,
+        mut labels: Labels<'_>,
         work: Vec<WorkSlot>,
     ) -> Result<ExecReport, ThreadEngineError> {
         let group_names = self.group_names();
-        // PDL-labeled trace metadata, built only when events are kept.
-        let meta = self.sink.enabled().then(|| TraceMeta {
-            platform: self.placement.as_ref().and_then(|p| p.platform.clone()),
-            lanes: lane_labels(self.workers, self.placement.as_ref()),
-            tasks: labels
-                .iter()
-                .zip(task_group)
-                .map(|(label, group)| TaskInfo {
-                    label: label.clone(),
-                    category: "task".to_string(),
-                    group: group.map(|g| group_names[g].clone()),
-                })
-                .collect(),
-            time_unit: TimeUnit::RealNanos,
+        // PDL-labeled trace metadata, built only when events are kept: a
+        // count bump per label, one category and one name per group.
+        let meta = self.sink.enabled().then(|| {
+            let category: Arc<str> = "task".into();
+            let groups: Vec<Arc<str>> = group_names.iter().map(|g| g.as_str().into()).collect();
+            TraceMeta {
+                platform: self.placement.as_ref().and_then(|p| p.platform.clone()),
+                lanes: lane_labels(self.workers, self.placement.as_ref()),
+                tasks: task_group
+                    .iter()
+                    .enumerate()
+                    .map(|(task, group)| TaskInfo {
+                        label: labels.of(task).clone(),
+                        category: category.clone(),
+                        group: group.map(|g| groups[g].clone()),
+                    })
+                    .collect(),
+                time_unit: TimeUnit::RealNanos,
+            }
         });
         let pending: Vec<AtomicUsize> = graph
             .pending()
@@ -459,29 +466,31 @@ impl ThreadedExecutor {
             .collect();
         prelude.record(&clock, phase_end("validate"));
         let submit_ns = clock.now();
-        if graph.is_empty() {
-            return Ok(ExecReport {
-                tasks: Vec::new(),
-                wall: StdDuration::from_nanos(clock.now()),
-                workers: self.workers,
+        let mut out = if graph.is_empty() {
+            // Nothing to run: no pool, and every lane of the trace is empty.
+            RunOutput {
+                records: Vec::new(),
                 worker_stats: (0..self.workers)
                     .map(|worker| WorkerStats {
                         worker,
                         ..WorkerStats::default()
                     })
                     .collect(),
-                groups: group_names,
-                trace: None,
-            });
-        }
-
-        let rt = Runtime {
-            graph,
-            pending: &pending,
-            work: &work,
-            task_group,
+                worker_traces: (0..self.workers)
+                    .filter_map(|worker| self.sink.worker_tracer().finish(worker))
+                    .collect(),
+                prelude,
+                wall: StdDuration::from_nanos(clock.now()),
+            }
+        } else {
+            let rt = Runtime {
+                graph,
+                pending: &pending,
+                work: &work,
+                task_group,
+            };
+            self.run_pool(clock, prelude, rt, submit_ns)?
         };
-        let mut out = self.run_pool(clock, prelude, rt, submit_ns)?;
 
         // Per-task stats are assembled outside the hot path: workers only
         // recorded (task index, duration).
@@ -489,10 +498,7 @@ impl ThreadedExecutor {
             .records
             .drain(..)
             .map(|(task, worker, duration)| TaskStats {
-                label: match &mut labels {
-                    Cow::Owned(labels) => std::mem::take(&mut labels[task]),
-                    Cow::Borrowed(labels) => labels[task].clone(),
-                },
+                label: labels.for_stats(task),
                 worker,
                 duration,
             })
@@ -554,10 +560,12 @@ impl ThreadedExecutor {
         // workers (or all workers when ungrouped), so there is no single
         // contended entry queue even at t=0.
         prelude.record(&clock, phase_start("seed"));
+        // Every seed is ready now, before any is pushed: one reading.
+        let seeds_ready = if prelude.enabled() { clock.now() } else { 0 };
         let mut rr = vec![0usize; group_count + 1];
         let mut seeded = vec![0usize; self.workers];
         for &TaskId(i) in rt.graph.ready() {
-            prelude.record(&clock, EventKind::TaskReady { task: i as u32 });
+            prelude.record_at(seeds_ready, EventKind::TaskReady { task: i as u32 });
             let w = match rt.task_group[i] {
                 Some(g) => {
                     let targets = &group_workers[g];
@@ -637,6 +645,31 @@ impl ThreadedExecutor {
             prelude,
             wall: StdDuration::from_nanos(clock.now()),
         })
+    }
+}
+
+/// Where a run's labels live, which decides how its report gets them.
+enum Labels<'a> {
+    /// `run` owns its tasks: each label moves into its task's stats row.
+    Owned(Vec<Option<Arc<str>>>),
+    /// `run_compiled` borrows the placed graph's: a count bump per row.
+    Shared(&'a [Arc<str>]),
+}
+
+impl Labels<'_> {
+    fn of(&self, task: usize) -> &Arc<str> {
+        match self {
+            Labels::Owned(labels) => labels[task].as_ref().expect("stats rows come last"),
+            Labels::Shared(labels) => &labels[task],
+        }
+    }
+
+    /// The label for the one stats row `task` gets.
+    fn for_stats(&mut self, task: usize) -> Arc<str> {
+        match self {
+            Labels::Owned(labels) => labels[task].take().expect("a task completes once"),
+            Labels::Shared(labels) => labels[task].clone(),
+        }
     }
 }
 
@@ -788,14 +821,7 @@ impl WorkerCtx<'_> {
                     let mut provenance = source.provenance();
                     let mut current = Some(task);
                     while let Some(task) = current {
-                        tracer.record(
-                            &self.clock,
-                            EventKind::TaskDequeued {
-                                task: task as u32,
-                                provenance,
-                            },
-                        );
-                        current = self.execute(task, &mut out, &mut hot, &mut tracer);
+                        current = self.execute(task, provenance, &mut out, &mut hot, &mut tracer);
                         provenance = Provenance::Local;
                     }
                 }
@@ -905,16 +931,20 @@ impl WorkerCtx<'_> {
     fn execute(
         &self,
         i: usize,
+        provenance: Provenance,
         out: &mut WorkerStats,
         hot: &mut HotState,
         tracer: &mut WorkerTracer,
     ) -> Option<usize> {
         let job = self.rt.work[i].lock().take().expect("task runs once");
+        let task = i as u32;
         // Both the stat duration and the trace span come from the run's
         // shared clock, so per-worker busy time and the exported spans are
-        // the same numbers.
+        // the same numbers. Tracing reuses the two readings: the claim is
+        // stamped with the start it led straight into.
         let t0 = self.clock.now();
-        tracer.record_at(t0, EventKind::TaskStart { task: i as u32 });
+        tracer.record_at(t0, EventKind::TaskDequeued { task, provenance });
+        tracer.record_at(t0, EventKind::TaskStart { task });
         if let Err(payload) = catch_unwind(AssertUnwindSafe(job)) {
             self.panicked
                 .lock()
@@ -924,7 +954,7 @@ impl WorkerCtx<'_> {
             return None;
         }
         let t1 = self.clock.now();
-        tracer.record_at(t1, EventKind::TaskEnd { task: i as u32 });
+        tracer.record_at(t1, EventKind::TaskEnd { task });
         let dt = TraceClock::between(t0, t1);
         out.busy += dt;
         out.executed += 1;
@@ -938,9 +968,22 @@ impl WorkerCtx<'_> {
         // one notify covers all cross-group hand-offs.
         let mut next: Option<usize> = None;
         let mut woke_other_group = false;
+        let mut released_at: Option<u64> = None;
         for &TaskId(dep) in self.rt.graph.dependents(TaskId(i)) {
             if self.rt.pending[dep].fetch_sub(1, Ordering::AcqRel) == 1 {
-                tracer.record(&self.clock, EventKind::TaskReady { task: dep as u32 });
+                if tracer.enabled() {
+                    // One reading per completion, taken after its first
+                    // release and before that dependent is published, so
+                    // ready ≤ dequeue. A later dependent that waited on this
+                    // task alone shares it; one with other dependencies may
+                    // have seen the last of them end after the reading, so
+                    // it gets its own and ready ≥ every dependency's end.
+                    let ts = match released_at {
+                        Some(ts) if self.rt.graph.pending()[dep] == 1 => ts,
+                        _ => *released_at.insert(self.clock.now()),
+                    };
+                    tracer.record_at(ts, EventKind::TaskReady { task: dep as u32 });
+                }
                 match self.rt.task_group[dep] {
                     Some(g) if g != self.my_group => {
                         // Affinity routing: deliver to the task's group.
@@ -1091,6 +1134,73 @@ mod tests {
         let report = ThreadedExecutor::new(2).run(Vec::new()).unwrap();
         assert!(report.tasks.is_empty());
         assert_eq!(report.worker_stats.len(), 2);
+        assert!(report.trace.is_none(), "the null sink collects nothing");
+    }
+
+    /// A traced run of nothing still returns its trace: the lanes and the
+    /// closed `validate` phase, through both entry points.
+    #[test]
+    fn empty_graph_traced_returns_a_valid_trace() {
+        let pool = ThreadedExecutor::new(2).with_trace(TraceSink::ring());
+        let placed = pool.compile_graph(&TaskGraph::new()).unwrap();
+        assert!(placed.is_empty());
+        let reports = [
+            pool.run(Vec::new()).unwrap(),
+            pool.run_compiled(&placed, |_| unreachable!("no task to build"))
+                .unwrap(),
+        ];
+        for report in reports {
+            let trace = report.trace.expect("a ring sink collects a trace");
+            assert_eq!(trace.validate().expect("invariants hold").tasks, 0);
+            assert_eq!(trace.meta.lanes.len(), 2);
+            assert_eq!(trace.workers.len(), 2);
+            let phases: Vec<EventKind> = trace.prelude.iter().map(|e| e.kind).collect();
+            assert_eq!(phases, [phase_start("validate"), phase_end("validate")]);
+        }
+        let plain = ThreadedExecutor::new(2)
+            .run_compiled(&placed, |_| unreachable!("no task to build"))
+            .unwrap();
+        assert!(plain.trace.is_none());
+    }
+
+    /// The task table and the per-task stats hold the caller's labels, not
+    /// copies, and a task table holds one category.
+    #[test]
+    fn labels_are_shared_not_copied() {
+        let tasks: Vec<ThreadTask> = (0..12)
+            .map(|i| ThreadTask::new(format!("t{i}"), || {}).after((i > 0).then(|| i - 1)))
+            .collect();
+        let given: Vec<Arc<str>> = tasks.iter().map(|t| t.label.clone()).collect();
+        let report = ThreadedExecutor::new(2)
+            .with_trace(TraceSink::ring())
+            .run(tasks)
+            .unwrap();
+        let trace = report.trace.as_ref().expect("trace collected");
+        assert_eq!(report.tasks.len(), 12);
+        for row in &report.tasks {
+            let task: usize = row.label[1..].parse().unwrap();
+            assert!(Arc::ptr_eq(&row.label, &given[task]));
+            assert!(Arc::ptr_eq(&row.label, &trace.meta.tasks[task].label));
+        }
+        let category = &trace.meta.tasks[0].category;
+        assert!(trace
+            .meta
+            .tasks
+            .iter()
+            .all(|t| Arc::ptr_eq(&t.category, category)));
+
+        // Batches of one placed graph share its labels with every report.
+        let pool = ThreadedExecutor::new(2);
+        let placed = pool.compile_graph(&diamond_graph()).unwrap();
+        let by_label = |report: ExecReport| {
+            let mut labels: Vec<Arc<str>> = report.tasks.into_iter().map(|t| t.label).collect();
+            labels.sort();
+            labels
+        };
+        let first = by_label(pool.run_compiled(&placed, |_| Box::new(|| {})).unwrap());
+        let second = by_label(pool.run_compiled(&placed, |_| Box::new(|| {})).unwrap());
+        assert_eq!(first.len(), 4);
+        assert!(first.iter().zip(&second).all(|(a, b)| Arc::ptr_eq(a, b)));
     }
 
     #[test]
@@ -1324,7 +1434,7 @@ mod tests {
             assert_eq!(order[0], 0);
             assert_eq!(order[3], 3);
             assert_eq!(report.tasks.len(), 4);
-            assert!(report.tasks.iter().any(|t| t.label == "join"));
+            assert!(report.tasks.iter().any(|t| &*t.label == "join"));
             let executed: usize = report.worker_stats.iter().map(|w| w.executed).sum();
             assert_eq!(executed, 4);
         }

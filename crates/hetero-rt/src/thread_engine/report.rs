@@ -2,13 +2,15 @@
 //! errors a run can end with.
 
 use hetero_trace::RunTrace;
+use std::sync::Arc;
 use std::time::Duration as StdDuration;
 
 /// Statistics of one executed task.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TaskStats {
-    /// The task's label.
-    pub label: String,
+    /// The task's label: the [`ThreadTask`](super::ThreadTask)'s or the
+    /// compiled graph's own, not a copy.
+    pub label: Arc<str>,
     /// Worker thread (0-based) that ran it.
     pub worker: usize,
     /// Wall-clock execution time.

@@ -23,6 +23,7 @@ use hetero_trace::{
 };
 use simhw::machine::SimMachine;
 use simhw::trace::SpanKind;
+use std::sync::Arc;
 
 /// Virtual seconds → virtual nanoseconds (rounded).
 fn virtual_ns(seconds: f64) -> u64 {
@@ -45,6 +46,14 @@ pub fn sim_report_to_trace(report: &SimReport, machine: &SimMachine) -> RunTrace
         })
         .collect();
 
+    // One value per category and per device group, shared by every span.
+    let [compute, transfer, links]: [Arc<str>; 3] = ["task", "transfer", "links"].map(Arc::from);
+    let device_group: Vec<Option<Arc<str>>> = machine
+        .devices
+        .iter()
+        .map(|d| d.groups.first().map(|g| g.as_str().into()))
+        .collect();
+
     // Each span is a task of its own: the sim trace has no stable task
     // indices, and transfers have none at all.
     let mut tasks: Vec<TaskInfo> = Vec::with_capacity(report.trace.spans().len());
@@ -53,15 +62,12 @@ pub fn sim_report_to_trace(report: &SimReport, machine: &SimMachine) -> RunTrace
         let idx = tasks.len() as u32;
         let device = span.device.0.min(per_lane.len() - 1);
         tasks.push(TaskInfo {
-            label: span.label.clone(),
+            label: span.label.as_str().into(),
             category: match span.kind {
-                SpanKind::Compute => "task".to_string(),
-                SpanKind::Transfer => "transfer".to_string(),
+                SpanKind::Compute => compute.clone(),
+                SpanKind::Transfer => transfer.clone(),
             },
-            group: machine
-                .devices
-                .get(span.device.0)
-                .and_then(|d| d.groups.first().cloned()),
+            group: device_group.get(span.device.0).cloned().flatten(),
         });
         per_lane[device].push(TraceEvent {
             ts: virtual_ns(span.start.seconds()),
@@ -113,9 +119,9 @@ pub fn sim_report_to_trace(report: &SimReport, machine: &SimMachine) -> RunTrace
             for span in ch {
                 let idx = tasks.len() as u32;
                 tasks.push(TaskInfo {
-                    label: span.label.clone(),
-                    category: "transfer".to_string(),
-                    group: Some("links".to_string()),
+                    label: span.label.as_str().into(),
+                    category: transfer.clone(),
+                    group: Some(links.clone()),
                 });
                 events.push(TraceEvent {
                     ts: virtual_ns(span.start.seconds()),
@@ -166,13 +172,14 @@ pub fn sim_report_to_trace(report: &SimReport, machine: &SimMachine) -> RunTrace
                     name: "simulate".to_string(),
                 },
             },
-        ],
+        ]
+        .into(),
         workers: per_lane
             .into_iter()
             .enumerate()
             .map(|(worker, events)| WorkerTrace {
                 worker,
-                events,
+                events: events.into(),
                 overwritten: 0,
             })
             .collect(),

@@ -160,7 +160,7 @@ fn detect_lossy(
         let name = lanes
             .get(w.worker)
             .map_or_else(|| format!("worker{}", w.worker), |l| l.name.clone());
-        let first_retained = w.events.first().map_or(start_ns, |e| e.ts);
+        let first_retained = w.events.iter().next().map_or(start_ns, |e| e.ts);
         out.push(Anomaly {
             code: "A005",
             message: format!(
@@ -284,8 +284,8 @@ fn detect_steal_storms(
         if lane.is_link {
             continue;
         }
-        for e in &w.events {
-            if let EventKind::TaskDequeued { provenance, .. } = &e.kind {
+        for e in w.events.iter() {
+            if let EventKind::TaskDequeued { provenance, .. } = e.kind {
                 let a = per_group.entry(lane.group.as_str()).or_default();
                 a.dequeues += 1;
                 if provenance.is_steal() {
@@ -387,8 +387,8 @@ mod tests {
     fn task_infos(n: usize) -> Vec<TaskInfo> {
         (0..n)
             .map(|i| TaskInfo {
-                label: format!("t{i}"),
-                category: "task".to_string(),
+                label: format!("t{i}").into(),
+                category: "task".into(),
                 group: None,
             })
             .collect()
@@ -404,7 +404,7 @@ mod tests {
     fn worker(i: usize, events: Vec<TraceEvent>) -> WorkerTrace {
         WorkerTrace {
             worker: i,
-            events,
+            events: events.into(),
             overwritten: 0,
         }
     }
@@ -428,7 +428,7 @@ mod tests {
                 tasks: task_infos(4),
                 time_unit: Default::default(),
             },
-            prelude: Vec::new(),
+            prelude: Default::default(),
             workers: vec![
                 worker(0, span_events(0, 0, 1000)),
                 worker(1, span_events(1, 0, 1000)),
@@ -457,7 +457,7 @@ mod tests {
                 tasks: task_infos(1),
                 time_unit: Default::default(),
             },
-            prelude: vec![ev(0, EventKind::TaskReady { task: 0 })],
+            prelude: vec![ev(0, EventKind::TaskReady { task: 0 })].into(),
             workers: vec![worker(0, span_events(0, 0, 900)), worker(1, Vec::new())],
         };
         let found = detect(&imbalanced, &AnomalyConfig::default());
@@ -472,7 +472,7 @@ mod tests {
                 tasks: task_infos(2),
                 time_unit: Default::default(),
             },
-            prelude: Vec::new(),
+            prelude: Default::default(),
             workers: vec![
                 worker(0, span_events(0, 0, 900)),
                 worker(1, span_events(1, 0, 880)),
@@ -512,7 +512,7 @@ mod tests {
                 tasks: task_infos(n as usize),
                 time_unit: Default::default(),
             },
-            prelude: Vec::new(),
+            prelude: Default::default(),
             workers: vec![worker(0, events)],
         };
         let found = detect(&trace, &AnomalyConfig::default());
@@ -541,7 +541,7 @@ mod tests {
                 tasks: task_infos(4),
                 time_unit: Default::default(),
             },
-            prelude: Vec::new(),
+            prelude: Default::default(),
             workers: vec![
                 worker(0, span_events(0, 600, 1000)),
                 worker(1, span_events(1, 0, 600)),
@@ -570,10 +570,10 @@ mod tests {
                 tasks: task_infos(1),
                 time_unit: Default::default(),
             },
-            prelude: Vec::new(),
+            prelude: Default::default(),
             workers: vec![WorkerTrace {
                 worker: 0,
-                events: span_events(0, 500, 900),
+                events: span_events(0, 500, 900).into(),
                 overwritten: 42,
             }],
         };
@@ -595,7 +595,7 @@ mod tests {
                 tasks: task_infos(2),
                 time_unit: Default::default(),
             },
-            prelude: Vec::new(),
+            prelude: Default::default(),
             workers: vec![
                 worker(0, span_events(0, 0, 1000)),
                 worker(1, span_events(1, 10, 990)),

@@ -104,8 +104,8 @@ pub fn export(trace: &RunTrace) -> String {
         let (lane_group, color) = lane_paint.get(span.worker).copied().unwrap_or_default();
         begin_event(
             &mut w,
-            info.map_or("task", |i| i.label.as_str()),
-            Some(info.map_or("task", |i| i.category.as_str())),
+            info.map_or("task", |i| &i.label),
+            Some(info.map_or("task", |i| &i.category)),
             "X",
         );
         w.key("ts").thousandths(span.start);
@@ -137,14 +137,14 @@ pub fn export(trace: &RunTrace) -> String {
         .map(|w| (w.worker, &w.events))
         .chain(std::iter::once((run_lane, &trace.prelude)));
     for (worker, lane_events) in lanes {
-        let mut open_phases: Vec<(&str, u64)> = Vec::new();
-        for e in lane_events {
-            match &e.kind {
+        let mut open_phases: Vec<(String, u64)> = Vec::new();
+        for e in lane_events.iter() {
+            match e.kind {
                 EventKind::PhaseStart { name } => open_phases.push((name, e.ts)),
                 EventKind::PhaseEnd { name } => {
-                    if let Some(pos) = open_phases.iter().rposition(|(n, _)| n == name) {
+                    if let Some(pos) = open_phases.iter().rposition(|(n, _)| *n == name) {
                         let (name, start) = open_phases.remove(pos);
-                        begin_event(&mut w, name, Some("phase"), "X");
+                        begin_event(&mut w, &name, Some("phase"), "X");
                         w.key("ts").thousandths(start);
                         w.key("dur").thousandths(e.ts - start);
                         w.key("pid").u64(0);
@@ -203,9 +203,9 @@ mod tests {
                     },
                 ],
                 tasks: vec![TaskInfo {
-                    label: "dgemm_tile".to_string(),
-                    category: "task".to_string(),
-                    group: Some("gpus".to_string()),
+                    label: "dgemm_tile".into(),
+                    category: "task".into(),
+                    group: Some("gpus".into()),
                 }],
                 time_unit: TimeUnit::RealNanos,
             },
@@ -222,7 +222,8 @@ mod tests {
                         name: "execute".to_string(),
                     },
                 },
-            ],
+            ]
+            .into(),
             workers: vec![
                 WorkerTrace {
                     worker: 0,
@@ -235,7 +236,8 @@ mod tests {
                             ts: 200,
                             kind: EventKind::Unpark,
                         },
-                    ],
+                    ]
+                    .into(),
                     overwritten: 0,
                 },
                 WorkerTrace {
@@ -259,7 +261,8 @@ mod tests {
                             ts: 650,
                             kind: EventKind::TaskEnd { task: 0 },
                         },
-                    ],
+                    ]
+                    .into(),
                     overwritten: 0,
                 },
             ],

@@ -13,8 +13,11 @@
 
 use crate::event::{EventKind, Provenance, TraceEvent};
 use crate::json::{JsonError, Kind, Reader, Writer};
+use crate::log::EventLog;
 use crate::trace::{LaneLabel, RunTrace, TaskInfo, TimeUnit, TraceMeta, WorkerTrace};
 use std::borrow::Cow;
+use std::collections::HashSet;
+use std::sync::Arc;
 
 /// Encodes a trace (plus optional dependency edges) as a pretty-printed
 /// JSON string. Timestamps and counts are written digit for digit.
@@ -70,9 +73,9 @@ pub fn export(trace: &RunTrace, deps: &[(u32, u32)]) -> String {
     w.finish()
 }
 
-fn write_events(w: &mut Writer, events: &[TraceEvent]) {
+fn write_events(w: &mut Writer, events: &EventLog) {
     w.begin_arr();
-    for e in events {
+    for e in events.iter() {
         w.begin_obj();
         w.key("ts").u64(e.ts);
         let (ev, task) = match &e.kind {
@@ -162,21 +165,41 @@ fn object<'a>(
     Ok(())
 }
 
-/// The elements of the next value if it is an array; any other value is
-/// passed over and counts as an empty one.
+/// Reads each element of the next value if it is an array; any other value
+/// is passed over and counts as an empty one.
+fn each_of<'a>(
+    r: &mut Reader<'a>,
+    mut element: impl FnMut(&mut Reader<'a>) -> Result<(), Error>,
+) -> Result<(), Error> {
+    if r.peek()? != Kind::Arr {
+        return Ok(r.skip()?);
+    }
+    r.begin_arr()?;
+    while r.next_elem()? {
+        element(r)?;
+    }
+    Ok(())
+}
+
+/// The elements [`each_of`] reads, collected.
 fn array_of<'a, T>(
     r: &mut Reader<'a>,
     mut element: impl FnMut(&mut Reader<'a>) -> Result<T, Error>,
 ) -> Result<Vec<T>, Error> {
     let mut out = Vec::new();
-    if r.peek()? == Kind::Arr {
-        r.begin_arr()?;
-        while r.next_elem()? {
-            out.push(element(r)?);
-        }
-    } else {
-        r.skip()?;
-    }
+    each_of(r, |r| {
+        out.push(element(r)?);
+        Ok(())
+    })?;
+    Ok(out)
+}
+
+fn read_events(r: &mut Reader<'_>) -> Result<EventLog, Error> {
+    let mut out = EventLog::new();
+    each_of(r, |r| {
+        out.push(read_event(r)?);
+        Ok(())
+    })?;
     Ok(out)
 }
 
@@ -277,27 +300,45 @@ fn read_lane(r: &mut Reader<'_>) -> Result<LaneLabel, Error> {
     })
 }
 
-fn read_task(r: &mut Reader<'_>) -> Result<TaskInfo, Error> {
+/// The values a task table repeats — categories and groups — held once
+/// each.
+#[derive(Default)]
+struct Shared(HashSet<Arc<str>>);
+
+impl Shared {
+    fn get(&mut self, value: &str) -> Arc<str> {
+        if let Some(held) = self.0.get(value) {
+            return held.clone();
+        }
+        let held: Arc<str> = value.into();
+        self.0.insert(held.clone());
+        held
+    }
+}
+
+fn read_task(r: &mut Reader<'_>, shared: &mut Shared) -> Result<TaskInfo, Error> {
     let mut fields = [None, None, None];
     object(r, &["label", "category", "group"], |r, key| {
-        fields[key] = owned(opt_str(r)?);
+        fields[key] = opt_str(r)?;
         Ok(())
     })?;
     let [label, category, group] = fields;
     Ok(TaskInfo {
-        label: label.ok_or_else(|| missing("task", "string", "label"))?,
-        category: category.unwrap_or_else(|| "task".to_string()),
-        group,
+        label: label
+            .ok_or_else(|| missing("task", "string", "label"))?
+            .into(),
+        category: shared.get(category.as_deref().unwrap_or("task")),
+        group: group.map(|g| shared.get(&g)),
     })
 }
 
 fn read_worker(r: &mut Reader<'_>) -> Result<WorkerTrace, Error> {
-    let (mut worker, mut overwritten, mut events) = (None, None, Vec::new());
+    let (mut worker, mut overwritten, mut events) = (None, None, EventLog::new());
     object(r, &["worker", "overwritten", "events"], |r, key| {
         match key {
             0 => worker = opt_u64(r)?,
             1 => overwritten = opt_u64(r)?,
-            _ => events = array_of(r, read_event)?,
+            _ => events = read_events(r)?,
         }
         Ok(())
     })?;
@@ -334,6 +375,7 @@ fn read_dep(r: &mut Reader<'_>) -> Result<(u32, u32), Error> {
 /// A `"meta"` that is not an object reads as an empty one.
 fn read_meta(r: &mut Reader<'_>) -> Result<TraceMeta, Error> {
     let mut meta = TraceMeta::default();
+    let mut shared = Shared::default();
     object(r, &["platform", "time_unit", "lanes", "tasks"], |r, key| {
         match key {
             0 => meta.platform = owned(opt_str(r)?),
@@ -344,7 +386,7 @@ fn read_meta(r: &mut Reader<'_>) -> Result<TraceMeta, Error> {
                 }
             }
             2 => meta.lanes = array_of(r, read_lane)?,
-            _ => meta.tasks = array_of(r, read_task)?,
+            _ => meta.tasks = array_of(r, |r| read_task(r, &mut shared))?,
         }
         Ok(())
     })?;
@@ -354,13 +396,13 @@ fn read_meta(r: &mut Reader<'_>) -> Result<TraceMeta, Error> {
 fn read_document(r: &mut Reader<'_>) -> Result<(RunTrace, Vec<(u32, u32)>), Error> {
     let mut is_run = false;
     let mut meta = None;
-    let (mut prelude, mut workers, mut deps) = (Vec::new(), Vec::new(), Vec::new());
+    let (mut prelude, mut workers, mut deps) = (EventLog::new(), Vec::new(), Vec::new());
     let keys = ["kind", "meta", "prelude", "workers", "deps"];
     object(r, &keys, |r, key| {
         match key {
             0 => is_run = opt_str(r)?.as_deref() == Some("hetero-trace-run"),
             1 => meta = Some(read_meta(r)?),
-            2 => prelude = array_of(r, read_event)?,
+            2 => prelude = read_events(r)?,
             3 => workers = array_of(r, read_worker)?,
             _ => deps = array_of(r, read_dep)?,
         }
@@ -422,16 +464,17 @@ mod tests {
                     },
                 ],
                 tasks: vec![TaskInfo {
-                    label: "k".to_string(),
-                    category: "task".to_string(),
-                    group: Some("cpus".to_string()),
+                    label: "k".into(),
+                    category: "task".into(),
+                    group: Some("cpus".into()),
                 }],
                 time_unit: TimeUnit::VirtualNanos,
             },
             prelude: vec![TraceEvent {
                 ts: 0,
                 kind: EventKind::TaskReady { task: 0 },
-            }],
+            }]
+            .into(),
             workers: vec![WorkerTrace {
                 worker: 0,
                 events: vec![
@@ -473,7 +516,8 @@ mod tests {
                             name: "drain".to_string(),
                         },
                     },
-                ],
+                ]
+                .into(),
                 overwritten: 3,
             }],
         }

@@ -461,26 +461,27 @@ mod tests {
                 ],
                 tasks: vec![
                     TaskInfo {
-                        label: "copy".to_string(),
-                        category: "transfer".to_string(),
+                        label: "copy".into(),
+                        category: "transfer".into(),
                         group: None,
                     },
                     TaskInfo {
-                        label: "k".to_string(),
-                        category: "task".to_string(),
+                        label: "k".into(),
+                        category: "task".into(),
                         group: None,
                     },
                 ],
                 time_unit: Default::default(),
             },
-            prelude: Vec::new(),
+            prelude: Default::default(),
             workers: vec![
                 WorkerTrace {
                     worker: 1,
                     events: vec![
                         ev(0, EventKind::TaskStart { task: 0 }),
                         ev(transfer_ns, EventKind::TaskEnd { task: 0 }),
-                    ],
+                    ]
+                    .into(),
                     overwritten: 0,
                 },
                 WorkerTrace {
@@ -488,7 +489,8 @@ mod tests {
                     events: vec![
                         ev(transfer_ns, EventKind::TaskStart { task: 1 }),
                         ev(transfer_ns + 300, EventKind::TaskEnd { task: 1 }),
-                    ],
+                    ]
+                    .into(),
                     overwritten: 0,
                 },
             ],

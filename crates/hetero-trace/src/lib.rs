@@ -13,8 +13,9 @@
 //!   own-group vs cross-group), worker park/unpark, and named phase spans
 //!   (graph-level engine phases, Cascabel compile phases).
 //! * **Lock-free hot path**: each worker records into its own bounded
-//!   [`RingBuffer`] — unshared until the run ends, so recording is a plain
-//!   store, no atomics, no locks. Buffers are drained when workers join.
+//!   [`RingBuffer`] — unshared until the run ends, so recording is one
+//!   16-byte store into a packed [`EventLog`], no atomics, no locks.
+//!   Buffers are drained when workers join.
 //! * **One monotonic clock** ([`TraceClock`]): a single `Instant` epoch per
 //!   run; every timestamp is nanoseconds since that epoch, so events from
 //!   different workers are directly comparable.
@@ -64,6 +65,7 @@ pub mod codec;
 pub mod diff;
 mod event;
 pub mod json;
+mod log;
 mod metrics;
 mod phase;
 pub mod profile;
@@ -75,6 +77,7 @@ mod trace;
 
 pub use clock::TraceClock;
 pub use event::{EventKind, Provenance, TraceEvent};
+pub use log::EventLog;
 pub use metrics::{Histogram, MetricsRegistry};
 pub use phase::{PhaseSpan, PhaseTimer};
 pub use ring::RingBuffer;

@@ -455,13 +455,13 @@ mod tests {
                 ],
                 tasks: vec![
                     TaskInfo {
-                        label: "a".to_string(),
-                        category: "task".to_string(),
+                        label: "a".into(),
+                        category: "task".into(),
                         group: None,
                     },
                     TaskInfo {
-                        label: "b".to_string(),
-                        category: "task".to_string(),
+                        label: "b".into(),
+                        category: "task".into(),
                         group: None,
                     },
                 ],
@@ -470,7 +470,8 @@ mod tests {
             prelude: vec![TraceEvent {
                 ts: 0,
                 kind: EventKind::TaskReady { task: 0 },
-            }],
+            }]
+            .into(),
             workers: vec![
                 WorkerTrace {
                     worker: 0,
@@ -490,7 +491,8 @@ mod tests {
                             ts: 40,
                             kind: EventKind::TaskEnd { task: 0 },
                         },
-                    ],
+                    ]
+                    .into(),
                     overwritten: 0,
                 },
                 WorkerTrace {
@@ -518,7 +520,8 @@ mod tests {
                             ts: 61,
                             kind: EventKind::Park,
                         },
-                    ],
+                    ]
+                    .into(),
                     overwritten: 0,
                 },
             ],

@@ -159,7 +159,7 @@ fn park_intervals(trace: &RunTrace, makespan: u64) -> BTreeMap<usize, Vec<(u64, 
     for w in &trace.workers {
         let mut open: Option<u64> = None;
         let intervals = out.entry(w.worker).or_default();
-        for e in &w.events {
+        for e in w.events.iter() {
             match e.kind {
                 EventKind::Park => open = open.or(Some(e.ts)),
                 EventKind::Unpark => {
@@ -434,8 +434,7 @@ fn task_label(trace: &RunTrace, task: u32) -> String {
         .meta
         .tasks
         .get(task as usize)
-        .map(|t| t.label.clone())
-        .unwrap_or_else(|| format!("task{task}"))
+        .map_or_else(|| format!("task{task}"), |t| t.label.to_string())
 }
 
 /// Renders every span of the trace as folded flamegraph stacks
@@ -455,7 +454,7 @@ pub fn folded_stacks(trace: &RunTrace) -> String {
                 .meta
                 .tasks
                 .get(span.task as usize)
-                .map_or("task", |t| t.category.as_str())
+                .map_or("task", |t| &t.category)
         };
         *per_lane.entry((span.worker, kind)).or_insert(0) += span.end - span.start;
     }
@@ -557,7 +556,7 @@ mod tests {
     fn lane(worker: usize, events: Vec<TraceEvent>) -> WorkerTrace {
         WorkerTrace {
             worker,
-            events,
+            events: events.into(),
             overwritten: 0,
         }
     }
@@ -578,14 +577,14 @@ mod tests {
                 ],
                 tasks: (0..3)
                     .map(|i| TaskInfo {
-                        label: format!("t{i}"),
-                        category: "task".to_string(),
+                        label: format!("t{i}").into(),
+                        category: "task".into(),
                         group: None,
                     })
                     .collect(),
                 time_unit: Default::default(),
             },
-            prelude: vec![ev(0, EventKind::TaskReady { task: 0 })],
+            prelude: vec![ev(0, EventKind::TaskReady { task: 0 })].into(),
             workers: vec![
                 lane(
                     0,
@@ -655,10 +654,9 @@ mod tests {
     fn park_time_is_blamed_separately() {
         let mut trace = two_lane_trace();
         // gpu lane parked 110..115 inside the wait window.
-        trace.workers[1].events.insert(1, ev(110, EventKind::Park));
-        trace.workers[1]
-            .events
-            .insert(2, ev(115, EventKind::Unpark));
+        let mut gpu: Vec<TraceEvent> = trace.workers[1].events.iter().collect();
+        gpu.splice(1..1, [ev(110, EventKind::Park), ev(115, EventKind::Unpark)]);
+        trace.workers[1].events = gpu.into();
         let p = critical_path(&trace, &[(0, 1)]).unwrap();
         let get = |c: &str| p.blame.iter().find(|b| b.category == c).map(|b| b.ns);
         assert_eq!(get("park/gpus"), Some(5));
@@ -684,19 +682,19 @@ mod tests {
                 ],
                 tasks: vec![
                     TaskInfo {
-                        label: "copy".to_string(),
-                        category: "transfer".to_string(),
+                        label: "copy".into(),
+                        category: "transfer".into(),
                         group: None,
                     },
                     TaskInfo {
-                        label: "k".to_string(),
-                        category: "task".to_string(),
+                        label: "k".into(),
+                        category: "task".into(),
                         group: None,
                     },
                 ],
                 time_unit: Default::default(),
             },
-            prelude: Vec::new(),
+            prelude: Default::default(),
             workers: vec![
                 lane(
                     1,
@@ -731,7 +729,7 @@ mod tests {
     fn empty_trace_is_an_error() {
         let trace = RunTrace {
             meta: TraceMeta::default(),
-            prelude: Vec::new(),
+            prelude: Default::default(),
             workers: Vec::new(),
         };
         assert!(critical_path(&trace, &[]).is_err());

@@ -1,13 +1,14 @@
 //! Bounded per-worker event storage.
 
 use crate::event::TraceEvent;
+use crate::log::EventLog;
 
 /// A bounded ring buffer of trace events, owned by exactly one worker.
 ///
-/// Recording is a plain `Vec` store (the buffer is unshared until the run
-/// ends), so the hot path takes no lock and issues no atomic operation.
-/// Memory is bounded: the buffer grows lazily up to `capacity` events and
-/// then wraps.
+/// Recording is one 16-byte store into an [`EventLog`] (the buffer is
+/// unshared until the run ends), so the hot path takes no lock and issues
+/// no atomic operation. Memory is bounded: the log grows lazily up to
+/// `capacity` events and then wraps.
 ///
 /// **Overflow policy: overwrite-oldest.** Once full, each new event
 /// replaces the oldest one and bumps the `overwritten` counter — the tail
@@ -17,7 +18,7 @@ use crate::event::TraceEvent;
 #[derive(Debug, Clone, PartialEq)]
 pub struct RingBuffer {
     capacity: usize,
-    buf: Vec<TraceEvent>,
+    log: EventLog,
     /// Index of the oldest event once the buffer has wrapped.
     head: usize,
     overwritten: u64,
@@ -28,7 +29,7 @@ impl RingBuffer {
     pub fn new(capacity: usize) -> Self {
         RingBuffer {
             capacity: capacity.max(1),
-            buf: Vec::new(),
+            log: EventLog::new(),
             head: 0,
             overwritten: 0,
         }
@@ -37,10 +38,10 @@ impl RingBuffer {
     /// Records one event.
     #[inline]
     pub fn push(&mut self, event: TraceEvent) {
-        if self.buf.len() < self.capacity {
-            self.buf.push(event);
+        if self.log.len() < self.capacity {
+            self.log.push(event);
         } else {
-            self.buf[self.head] = event;
+            self.log.overwrite_oldest(self.head, event);
             self.head = (self.head + 1) % self.capacity;
             self.overwritten += 1;
         }
@@ -48,12 +49,12 @@ impl RingBuffer {
 
     /// Events currently held.
     pub fn len(&self) -> usize {
-        self.buf.len()
+        self.log.len()
     }
 
     /// Whether nothing has been recorded.
     pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
+        self.log.is_empty()
     }
 
     /// The configured capacity.
@@ -67,9 +68,9 @@ impl RingBuffer {
     }
 
     /// Drains the ring into recording order (oldest retained event first).
-    pub fn into_events(mut self) -> (Vec<TraceEvent>, u64) {
-        self.buf.rotate_left(self.head);
-        (self.buf, self.overwritten)
+    pub fn into_events(mut self) -> (EventLog, u64) {
+        self.log.rotate_left(self.head);
+        (self.log, self.overwritten)
     }
 }
 
@@ -123,8 +124,25 @@ mod tests {
         r.push(ev(2));
         assert_eq!(r.capacity(), 1);
         let (events, overwritten) = r.into_events();
-        assert_eq!(events.len(), 1);
-        assert_eq!(events[0].ts, 2);
+        assert_eq!(events.iter().map(|e| e.ts).collect::<Vec<_>>(), [2]);
         assert_eq!(overwritten, 1);
+    }
+
+    #[test]
+    fn an_overwritten_phase_releases_its_name() {
+        let phase = |ts: u64| TraceEvent {
+            ts,
+            kind: EventKind::PhaseStart {
+                name: format!("p{ts}"),
+            },
+        };
+        let mut r = RingBuffer::new(3);
+        for e in [phase(0), ev(1), phase(2), phase(3), ev(4)] {
+            r.push(e);
+        }
+        let (events, overwritten) = r.into_events();
+        assert_eq!(overwritten, 2);
+        assert_eq!(events.out_of_line(), 2);
+        assert_eq!(events, EventLog::from(vec![phase(2), phase(3), ev(4)]));
     }
 }

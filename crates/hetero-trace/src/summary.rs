@@ -188,13 +188,13 @@ mod tests {
                     group: Some("cpus".to_string()),
                 }],
                 tasks: vec![TaskInfo {
-                    label: "t".to_string(),
-                    category: "task".to_string(),
+                    label: "t".into(),
+                    category: "task".into(),
                     group: None,
                 }],
                 time_unit: Default::default(),
             },
-            prelude: Vec::new(),
+            prelude: Default::default(),
             workers: vec![WorkerTrace {
                 worker: 0,
                 events: vec![
@@ -213,7 +213,8 @@ mod tests {
                         ts: 11,
                         kind: EventKind::TaskEnd { task: 0 },
                     },
-                ],
+                ]
+                .into(),
                 overwritten: 0,
             }],
         };
@@ -239,13 +240,14 @@ mod tests {
     fn invalid_trace_embeds_error() {
         let trace = RunTrace {
             meta: TraceMeta::default(),
-            prelude: Vec::new(),
+            prelude: Default::default(),
             workers: vec![WorkerTrace {
                 worker: 0,
                 events: vec![TraceEvent {
                     ts: 0,
                     kind: EventKind::TaskStart { task: 0 },
-                }],
+                }]
+                .into(),
                 overwritten: 0,
             }],
         };
@@ -264,13 +266,13 @@ mod tests {
                 platform: None,
                 lanes: vec![LaneLabel::default()],
                 tasks: vec![TaskInfo {
-                    label: "t".to_string(),
-                    category: "task".to_string(),
+                    label: "t".into(),
+                    category: "task".into(),
                     group: None,
                 }],
                 time_unit: Default::default(),
             },
-            prelude: Vec::new(),
+            prelude: Default::default(),
             workers: vec![WorkerTrace {
                 worker: 0,
                 events: vec![
@@ -286,7 +288,8 @@ mod tests {
                         ts: 26,
                         kind: EventKind::Park,
                     },
-                ],
+                ]
+                .into(),
                 // The ring dropped events: validate() refuses the trace.
                 overwritten: 7,
             }],

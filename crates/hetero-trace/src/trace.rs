@@ -1,9 +1,11 @@
 //! The drained trace of one run, its PDL metadata and its invariants.
 
 use crate::event::{EventKind, Provenance, TraceEvent};
+use crate::log::EventLog;
 use crate::phase::PhaseSpan;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// What the timestamps mean.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -45,15 +47,17 @@ pub struct LaneLabel {
 }
 
 /// Static description of one task, referenced by index from task events.
+/// The strings are shared: a task table holds one allocation per distinct
+/// category and group, and a label is the engine's own.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct TaskInfo {
     /// Display label.
-    pub label: String,
+    pub label: Arc<str>,
     /// Category (`"task"`, `"transfer"`, …) — becomes the Chrome trace
     /// `cat` field.
-    pub category: String,
+    pub category: Arc<str>,
     /// The execution group the task was pinned to, if any.
-    pub group: Option<String>,
+    pub group: Option<Arc<str>>,
 }
 
 /// Run-level metadata: the PDL identity every event is resolved against.
@@ -75,7 +79,7 @@ pub struct WorkerTrace {
     /// The worker (lane) index.
     pub worker: usize,
     /// Events, oldest retained first.
-    pub events: Vec<TraceEvent>,
+    pub events: EventLog,
     /// Events lost to ring overflow (see [`crate::RingBuffer`]).
     pub overwritten: u64,
 }
@@ -87,7 +91,7 @@ pub struct RunTrace {
     pub meta: TraceMeta,
     /// Events recorded outside any worker (initial task readiness, run-level
     /// phases); exported as a synthetic `run` lane.
-    pub prelude: Vec<TraceEvent>,
+    pub prelude: EventLog,
     /// Per-worker event streams.
     pub workers: Vec<WorkerTrace>,
 }
@@ -272,9 +276,9 @@ impl RunTrace {
         // strict LIFO order (ends are emitted before the next start).
         let mut sorted: Vec<&PhaseSpan> = phases.iter().collect();
         sorted.sort_by(|a, b| a.start_ns.cmp(&b.start_ns).then(b.end_ns.cmp(&a.end_ns)));
-        let mut prelude = Vec::with_capacity(phases.len() * 2);
+        let mut prelude = EventLog::new();
         let mut open: Vec<&PhaseSpan> = Vec::new();
-        let close_until = |open: &mut Vec<&PhaseSpan>, prelude: &mut Vec<TraceEvent>, ts| {
+        let close_until = |open: &mut Vec<&PhaseSpan>, prelude: &mut EventLog, ts| {
             while open.last().is_some_and(|p| p.end_ns <= ts) {
                 let p = open.pop().expect("checked non-empty");
                 prelude.push(TraceEvent {
@@ -347,19 +351,19 @@ impl RunTrace {
         let mut dequeued: TaskMap<(usize, Provenance)> = TaskMap::for_trace(self);
         for (lane, w) in self.workers.iter().enumerate() {
             let mut open: Vec<(u32, u64)> = Vec::new();
-            for e in &w.events {
-                match &e.kind {
+            for e in w.events.iter() {
+                match e.kind {
                     EventKind::TaskDequeued {
                         task,
                         provenance: p,
-                    } => *dequeued.slot(*task) = Some((lane, *p)),
-                    EventKind::TaskStart { task } => open.push((*task, e.ts)),
+                    } => *dequeued.slot(task) = Some((lane, p)),
+                    EventKind::TaskStart { task } => open.push((task, e.ts)),
                     EventKind::TaskEnd { task } => {
-                        if let Some(pos) = open.iter().rposition(|(t, _)| t == task) {
+                        if let Some(pos) = open.iter().rposition(|(t, _)| *t == task) {
                             let (_, start) = open.remove(pos);
-                            let here = dequeued.slot(*task).take_if(|(at, _)| *at == lane);
+                            let here = dequeued.slot(task).take_if(|(at, _)| *at == lane);
                             spans.push(TaskSpan {
-                                task: *task,
+                                task,
                                 worker: w.worker,
                                 start,
                                 end: e.ts,
@@ -511,7 +515,7 @@ mod tests {
     fn lane(worker: usize, events: Vec<TraceEvent>) -> WorkerTrace {
         WorkerTrace {
             worker,
-            events,
+            events: events.into(),
             overwritten: 0,
         }
     }
@@ -520,8 +524,8 @@ mod tests {
         TraceMeta {
             tasks: (0..tasks)
                 .map(|i| TaskInfo {
-                    label: format!("t{i}"),
-                    category: "task".to_string(),
+                    label: format!("t{i}").into(),
+                    category: "task".into(),
                     group: None,
                 })
                 .collect(),
@@ -533,7 +537,7 @@ mod tests {
     fn valid_trace_produces_stats() {
         let trace = RunTrace {
             meta: meta(2),
-            prelude: vec![ev(0, EventKind::TaskReady { task: 0 })],
+            prelude: vec![ev(0, EventKind::TaskReady { task: 0 })].into(),
             workers: vec![lane(
                 0,
                 vec![
@@ -593,7 +597,8 @@ mod tests {
                 ev(0, EventKind::TaskReady { task: far }),
                 ev(1, EventKind::TaskReady { task: 2 }),
                 ev(2, EventKind::TaskReady { task: far }),
-            ],
+            ]
+            .into(),
             workers: vec![
                 lane(
                     0,
@@ -627,10 +632,12 @@ mod tests {
         assert_eq!(first_ready.get(3), None);
 
         let mut twice = trace.clone();
-        twice.workers[1].events.extend([
-            ev(6, EventKind::TaskStart { task: far }),
-            ev(7, EventKind::TaskEnd { task: far }),
-        ]);
+        for again in [
+            EventKind::TaskStart { task: far },
+            EventKind::TaskEnd { task: far },
+        ] {
+            twice.workers[1].events.push(ev(6, again));
+        }
         assert_eq!(
             twice.validate(),
             Err(TraceError::DuplicateStart { task: far })
@@ -641,7 +648,7 @@ mod tests {
     fn backwards_time_rejected() {
         let trace = RunTrace {
             meta: meta(1),
-            prelude: Vec::new(),
+            prelude: Default::default(),
             workers: vec![lane(
                 0,
                 vec![
@@ -663,7 +670,7 @@ mod tests {
     fn duplicate_start_rejected() {
         let trace = RunTrace {
             meta: meta(1),
-            prelude: Vec::new(),
+            prelude: Default::default(),
             workers: vec![lane(
                 0,
                 vec![
@@ -684,7 +691,7 @@ mod tests {
     fn missing_end_rejected() {
         let trace = RunTrace {
             meta: meta(1),
-            prelude: Vec::new(),
+            prelude: Default::default(),
             workers: vec![lane(0, vec![ev(1, EventKind::TaskStart { task: 0 })])],
         };
         assert_eq!(trace.validate(), Err(TraceError::MissingEnd { task: 0 }));
@@ -695,7 +702,7 @@ mod tests {
         // start 0, start 1, end 0 — spans must nest.
         let trace = RunTrace {
             meta: meta(2),
-            prelude: Vec::new(),
+            prelude: Default::default(),
             workers: vec![lane(
                 0,
                 vec![
@@ -719,10 +726,10 @@ mod tests {
     fn lossy_trace_rejected() {
         let trace = RunTrace {
             meta: meta(0),
-            prelude: Vec::new(),
+            prelude: Default::default(),
             workers: vec![WorkerTrace {
                 worker: 0,
-                events: Vec::new(),
+                events: EventLog::new(),
                 overwritten: 7,
             }],
         };
@@ -739,7 +746,7 @@ mod tests {
     fn out_of_range_task_rejected() {
         let trace = RunTrace {
             meta: meta(1),
-            prelude: Vec::new(),
+            prelude: Default::default(),
             workers: vec![lane(0, vec![ev(1, EventKind::TaskReady { task: 9 })])],
         };
         assert_eq!(trace.validate(), Err(TraceError::UnknownTask { task: 9 }));
@@ -774,7 +781,8 @@ mod tests {
                         name: "outer".to_string(),
                     },
                 ),
-            ],
+            ]
+            .into(),
             workers: Vec::new(),
         };
         assert!(ok.validate().is_ok());
@@ -786,7 +794,8 @@ mod tests {
                 EventKind::PhaseStart {
                     name: "open".to_string(),
                 },
-            )],
+            )]
+            .into(),
             workers: Vec::new(),
         };
         assert!(matches!(

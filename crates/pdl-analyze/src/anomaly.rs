@@ -74,7 +74,7 @@ mod tests {
     fn tasks(n: usize) -> Vec<TaskInfo> {
         (0..n)
             .map(|i| TaskInfo {
-                label: format!("t{i}"),
+                label: format!("t{i}").into(),
                 category: "task".into(),
                 group: None,
             })
@@ -94,16 +94,16 @@ mod tests {
                 tasks: tasks(4),
                 time_unit: hetero_trace::TimeUnit::default(),
             },
-            prelude: Vec::new(),
+            prelude: Default::default(),
             workers: vec![
                 WorkerTrace {
                     worker: 0,
-                    events: span(0, 0, 1000),
+                    events: span(0, 0, 1000).into(),
                     overwritten: 0,
                 },
                 WorkerTrace {
                     worker: 1,
-                    events: span(1, 0, 1000),
+                    events: span(1, 0, 1000).into(),
                     overwritten: 0,
                 },
                 WorkerTrace {
@@ -111,7 +111,7 @@ mod tests {
                     events: {
                         let mut e = span(2, 0, 500);
                         e.extend(span(3, 1500, 2000));
-                        e
+                        e.into()
                     },
                     overwritten: 0,
                 },
@@ -142,10 +142,10 @@ mod tests {
                 tasks: tasks(1),
                 time_unit: hetero_trace::TimeUnit::default(),
             },
-            prelude: Vec::new(),
+            prelude: Default::default(),
             workers: vec![WorkerTrace {
                 worker: 0,
-                events: span(0, 100, 300),
+                events: span(0, 100, 300).into(),
                 overwritten: 9,
             }],
         };

@@ -69,7 +69,7 @@ pub fn check_trace(trace: &RunTrace, graph: &TaskGraph) -> Report {
         let mut by_label: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
         for (si, span) in spans.iter().enumerate() {
             if let Some(info) = trace.meta.tasks.get(span.task as usize) {
-                by_label.entry(info.label.as_str()).or_default().push(si);
+                by_label.entry(&info.label).or_default().push(si);
             }
         }
         for queue in by_label.values_mut() {
@@ -540,9 +540,9 @@ mod tests {
                 .tasks
                 .iter()
                 .map(|t| TaskInfo {
-                    label: t.label.clone(),
+                    label: t.label.as_str().into(),
                     category: "task".into(),
-                    group: t.execution_group.clone(),
+                    group: t.execution_group.as_deref().map(Into::into),
                 })
                 .collect(),
             time_unit: hetero_trace::TimeUnit::default(),
@@ -573,7 +573,7 @@ mod tests {
         let g = chain_graph();
         let trace = RunTrace {
             meta: meta_for(&g, vec![LaneLabel::default()]),
-            prelude: Vec::new(),
+            prelude: Default::default(),
             workers: vec![lane(
                 0,
                 vec![(0, start(0)), (5, end(0)), (6, start(1)), (9, end(1))],
@@ -588,7 +588,7 @@ mod tests {
         let g = chain_graph();
         let trace = RunTrace {
             meta: meta_for(&g, vec![LaneLabel::default()]),
-            prelude: Vec::new(),
+            prelude: Default::default(),
             // Task 0 never ends: bad nesting.
             workers: vec![lane(0, vec![(0, start(0)), (6, start(1)), (9, end(1))])],
         };
@@ -600,7 +600,7 @@ mod tests {
         let g = chain_graph();
         let trace = RunTrace {
             meta: meta_for(&g, vec![LaneLabel::default()]),
-            prelude: Vec::new(),
+            prelude: Default::default(),
             workers: vec![lane(0, vec![(0, start(0)), (5, end(0))])],
         };
         assert_eq!(check_trace(&trace, &g).codes(), ["T002"]);
@@ -613,7 +613,7 @@ mod tests {
         // conflicting accesses become unordered → T003 and T005.
         let trace = RunTrace {
             meta: meta_for(&g, vec![LaneLabel::default(), LaneLabel::default()]),
-            prelude: Vec::new(),
+            prelude: Default::default(),
             workers: vec![
                 lane(0, vec![(0, start(0)), (5, end(0))]),
                 lane(1, vec![(2, start(1)), (7, end(1))]),
@@ -635,7 +635,7 @@ mod tests {
                     group: Some("cpus".into()),
                 }],
             ),
-            prelude: Vec::new(),
+            prelude: Default::default(),
             workers: vec![lane(0, vec![(0, start(0)), (5, end(0))])],
         };
         assert_eq!(check_trace(&trace, &g).codes(), ["T004"]);
@@ -671,7 +671,7 @@ mod tests {
         );
         let trace = RunTrace {
             meta: meta_for(&g, vec![LaneLabel::default(), LaneLabel::default()]),
-            prelude: Vec::new(),
+            prelude: Default::default(),
             workers: vec![
                 lane(0, vec![(0, start(0)), (5, end(0))]),
                 lane(1, vec![(2, start(1)), (7, end(1))]),
@@ -695,14 +695,14 @@ mod tests {
                     .collect(),
                 tasks: (0..busy.len())
                     .map(|i| TaskInfo {
-                        label: format!("t{i}"),
+                        label: format!("t{i}").into(),
                         category: "task".into(),
                         group: None,
                     })
                     .collect(),
                 time_unit: hetero_trace::TimeUnit::default(),
             },
-            prelude: Vec::new(),
+            prelude: Default::default(),
             workers: busy
                 .iter()
                 .enumerate()
@@ -766,7 +766,7 @@ mod tests {
                 tasks: Vec::new(),
                 time_unit: hetero_trace::TimeUnit::default(),
             },
-            prelude: Vec::new(),
+            prelude: Default::default(),
             workers: Vec::new(),
         }
     }

@@ -247,24 +247,24 @@ mod fig5_replay {
                 .meta
                 .tasks
                 .iter()
-                .position(|info| info.label == label)
+                .position(|info| &*info.label == label)
                 .expect("graph task appears in trace") as u32
         };
         let (id_d, id_t) = (trace_id(&label_of(d)), trace_id(&label_of(t)));
 
         let mut corrupted = trace.clone();
         for lane in &mut corrupted.workers {
-            for ev in &mut lane.events {
-                let task = match &mut ev.kind {
-                    EventKind::TaskStart { task } | EventKind::TaskEnd { task } => task,
-                    _ => continue,
-                };
-                if *task == id_d {
-                    *task = id_t;
-                } else if *task == id_t {
-                    *task = id_d;
+            let swapped = lane.events.iter().map(|mut ev| {
+                if let EventKind::TaskStart { task } | EventKind::TaskEnd { task } = &mut ev.kind {
+                    if *task == id_d {
+                        *task = id_t;
+                    } else if *task == id_t {
+                        *task = id_d;
+                    }
                 }
-            }
+                ev
+            });
+            lane.events = swapped.collect();
         }
 
         let report = check_trace(&corrupted, &graph);

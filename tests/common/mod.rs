@@ -30,8 +30,8 @@ pub fn span_trace(worker_spans: &WorkerSpans, dep_seeds: &[(u32, u32)]) -> (RunT
         for &(gap, dur) in spans {
             let task = tasks.len() as u32;
             tasks.push(TaskInfo {
-                label: format!("t{task}"),
-                category: "task".to_string(),
+                label: format!("t{task}").into(),
+                category: "task".into(),
                 group: None,
             });
             ts += gap;
@@ -47,7 +47,7 @@ pub fn span_trace(worker_spans: &WorkerSpans, dep_seeds: &[(u32, u32)]) -> (RunT
         }
         workers.push(WorkerTrace {
             worker: w,
-            events,
+            events: events.into(),
             overwritten: *overwritten,
         });
     }
@@ -64,7 +64,7 @@ pub fn span_trace(worker_spans: &WorkerSpans, dep_seeds: &[(u32, u32)]) -> (RunT
             tasks,
             ..Default::default()
         },
-        prelude: Vec::new(),
+        prelude: Default::default(),
         workers,
     };
     (trace, deps)
@@ -137,13 +137,13 @@ pub fn enrich(trace: &mut RunTrace, seed: u64) {
     }
     for task in &mut trace.meta.tasks {
         if rng.one_in(3) {
-            task.label = name(rng);
+            task.label = name(rng).into();
         }
         if rng.one_in(4) {
-            task.category = (*rng.pick(&["transfer", "", "ta\"sk"])).to_string();
+            task.category = (*rng.pick(&["transfer", "", "ta\"sk"])).into();
         }
         if rng.one_in(4) {
-            task.group = Some(name(rng));
+            task.group = Some(name(rng).into());
         }
     }
     for lane in &mut trace.meta.lanes {
@@ -159,7 +159,7 @@ pub fn enrich(trace: &mut RunTrace, seed: u64) {
     for w in &mut trace.workers {
         let mut events = Vec::with_capacity(w.events.len() * 2);
         let mut phases: Vec<String> = Vec::new();
-        for e in std::mem::take(&mut w.events) {
+        for e in w.events.iter() {
             let ts = e.ts;
             let mut push = |kind| events.push(TraceEvent { ts, kind });
             if let EventKind::TaskStart { task } = e.kind {
@@ -217,7 +217,7 @@ pub fn enrich(trace: &mut RunTrace, seed: u64) {
                 });
             }
         }
-        w.events = events;
+        w.events = events.into();
     }
 
     let tasks = trace.meta.tasks.len() as u32;
@@ -238,7 +238,7 @@ pub fn enrich(trace: &mut RunTrace, seed: u64) {
         }
     }
     if matches!(
-        trace.prelude.first().map(|e| &e.kind),
+        trace.prelude.iter().next().map(|e| e.kind),
         Some(EventKind::PhaseStart { .. })
     ) {
         trace.prelude.push(TraceEvent {
@@ -256,7 +256,7 @@ pub fn enrich(trace: &mut RunTrace, seed: u64) {
             at,
             WorkerTrace {
                 worker: trace.workers.len() + rng.below(3),
-                events: Vec::new(),
+                events: Default::default(),
                 overwritten: 0,
             },
         );

@@ -150,11 +150,11 @@ pub fn codec_to_json(trace: &RunTrace, deps: &[(u32, u32)]) -> Json {
         .iter()
         .map(|t| {
             Json::obj([
-                ("label", Json::str(t.label.clone())),
-                ("category", Json::str(t.category.clone())),
+                ("label", Json::str(&*t.label)),
+                ("category", Json::str(&*t.category)),
                 (
                     "group",
-                    t.group.clone().map(Json::Str).unwrap_or(Json::Null),
+                    t.group.as_deref().map(Json::str).unwrap_or(Json::Null),
                 ),
             ])
         })
@@ -168,7 +168,7 @@ pub fn codec_to_json(trace: &RunTrace, deps: &[(u32, u32)]) -> Json {
                 ("overwritten", Json::Num(w.overwritten as f64)),
                 (
                     "events",
-                    Json::Arr(w.events.iter().map(event_to_json).collect()),
+                    Json::Arr(w.events.iter().map(|e| event_to_json(&e)).collect()),
                 ),
             ])
         })
@@ -204,7 +204,7 @@ pub fn codec_to_json(trace: &RunTrace, deps: &[(u32, u32)]) -> Json {
         ),
         (
             "prelude",
-            Json::Arr(trace.prelude.iter().map(event_to_json).collect()),
+            Json::Arr(trace.prelude.iter().map(|e| event_to_json(&e)).collect()),
         ),
         ("workers", Json::Arr(workers)),
     ])
@@ -367,9 +367,9 @@ pub fn codec_parse(text: &str) -> Result<(RunTrace, Vec<(u32, u32)>), String> {
         .iter()
         .map(|t| {
             Ok(TaskInfo {
-                label: field_str(t, "label", "task")?.to_string(),
-                category: opt_str(t, "category").unwrap_or_else(|| "task".to_string()),
-                group: opt_str(t, "group"),
+                label: field_str(t, "label", "task")?.into(),
+                category: opt_str(t, "category").map_or_else(|| "task".into(), Into::into),
+                group: opt_str(t, "group").map(Into::into),
             })
         })
         .collect::<Result<Vec<_>, String>>()?;
@@ -379,7 +379,8 @@ pub fn codec_parse(text: &str) -> Result<(RunTrace, Vec<(u32, u32)>), String> {
         .unwrap_or_default()
         .iter()
         .map(event_from_json)
-        .collect::<Result<Vec<_>, String>>()?;
+        .collect::<Result<Vec<_>, String>>()?
+        .into();
     let workers = doc
         .get("workers")
         .map(Json::items)
@@ -395,7 +396,8 @@ pub fn codec_parse(text: &str) -> Result<(RunTrace, Vec<(u32, u32)>), String> {
                     .unwrap_or_default()
                     .iter()
                     .map(event_from_json)
-                    .collect::<Result<Vec<_>, String>>()?,
+                    .collect::<Result<Vec<_>, String>>()?
+                    .into(),
             })
         })
         .collect::<Result<Vec<_>, String>>()?;
@@ -522,11 +524,11 @@ pub fn chrome_to_json(trace: &RunTrace) -> Json {
         let mut members = vec![
             (
                 "name".to_string(),
-                Json::str(info.map(|i| i.label.as_str()).unwrap_or("task")),
+                Json::str(info.map(|i| &*i.label).unwrap_or("task")),
             ),
             (
                 "cat".to_string(),
-                Json::str(info.map(|i| i.category.as_str()).unwrap_or("task")),
+                Json::str(info.map(|i| &*i.category).unwrap_or("task")),
             ),
             ("ph".to_string(), Json::str("X")),
             ("ts".to_string(), us(span.start)),
@@ -549,8 +551,9 @@ pub fn chrome_to_json(trace: &RunTrace) -> Json {
         .chain(std::iter::once((run_lane, &trace.prelude)));
     for (worker, lane_events) in lanes {
         let tid = Json::Num(worker as f64);
+        let lane_events: Vec<TraceEvent> = lane_events.iter().collect();
         let mut open_phases: Vec<(&str, u64)> = Vec::new();
-        for e in lane_events {
+        for e in &lane_events {
             match &e.kind {
                 EventKind::PhaseStart { name } => open_phases.push((name, e.ts)),
                 EventKind::PhaseEnd { name } => {

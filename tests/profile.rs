@@ -24,15 +24,15 @@ fn ev(ts: u64, kind: EventKind) -> TraceEvent {
 fn lane(worker: usize, events: Vec<TraceEvent>) -> WorkerTrace {
     WorkerTrace {
         worker,
-        events,
+        events: events.into(),
         overwritten: 0,
     }
 }
 
 fn task(label: &str, category: &str) -> TaskInfo {
     TaskInfo {
-        label: label.to_string(),
-        category: category.to_string(),
+        label: label.into(),
+        category: category.into(),
         group: None,
     }
 }
@@ -71,7 +71,7 @@ fn injected_trace() -> (RunTrace, Vec<(u32, u32)>) {
             ],
             time_unit: Default::default(),
         },
-        prelude: vec![ev(0, EventKind::TaskReady { task: 0 })],
+        prelude: vec![ev(0, EventKind::TaskReady { task: 0 })].into(),
         workers: vec![
             lane(
                 0,
@@ -168,10 +168,11 @@ fn park_on_the_chain_is_blamed_as_imbalance() {
     let (mut trace, deps) = injected_trace();
     // The GPU lane parks 160..175 while its task's inputs are ready from
     // 170: scheduler 160..170, park 170..175, queue-wait 175..180.
-    trace.workers[1].events.insert(0, ev(160, EventKind::Park));
-    trace.workers[1]
-        .events
-        .insert(1, ev(175, EventKind::Unpark));
+    let parked = [ev(160, EventKind::Park), ev(175, EventKind::Unpark)];
+    trace.workers[1].events = parked
+        .into_iter()
+        .chain(trace.workers[1].events.iter())
+        .collect();
     let p = critical_path(&trace, &deps).unwrap();
     assert_profile_invariants(&p);
     assert_eq!(blame_ns(&p, "scheduler"), Some(10));

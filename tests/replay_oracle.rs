@@ -52,7 +52,7 @@ fn reference_check_trace(trace: &RunTrace, graph: &TaskGraph) -> Report {
         let mut by_label: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
         for (si, span) in spans.iter().enumerate() {
             if let Some(info) = trace.meta.tasks.get(span.task as usize) {
-                by_label.entry(info.label.as_str()).or_default().push(si);
+                by_label.entry(&info.label).or_default().push(si);
             }
         }
         for queue in by_label.values_mut() {
@@ -315,20 +315,20 @@ fn trace_of(lane_events: Vec<Vec<TraceEvent>>, labels: Vec<String>) -> RunTrace 
             tasks: labels
                 .into_iter()
                 .map(|label| TaskInfo {
-                    label,
-                    category: "task".to_string(),
+                    label: label.into(),
+                    category: "task".into(),
                     group: None,
                 })
                 .collect(),
             ..TraceMeta::default()
         },
-        prelude: Vec::new(),
+        prelude: Default::default(),
         workers: lane_events
             .into_iter()
             .enumerate()
             .map(|(worker, events)| WorkerTrace {
                 worker,
-                events,
+                events: events.into(),
                 overwritten: 0,
             })
             .collect(),

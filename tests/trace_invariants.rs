@@ -10,12 +10,15 @@
 //! * trace steal events equal `ExecReport::total_steals()` and the
 //!   cross-group subset equals `ExecReport::total_cross_group_steals()`;
 //! * every task became ready exactly once, and busy time per worker agrees
-//!   with `WorkerStats::busy` (both sides read the same clock).
+//!   with `WorkerStats::busy` (both sides read the same clock);
+//! * the thread engine's stamp rules (`check_stamps`): which clock reading
+//!   each event carries, through `run` and through `run_compiled`.
 
 mod common;
 
 use bench::baseline::SingleQueueExecutor;
 use hetero_rt::prelude::*;
+use hetero_trace::EventKind;
 use proptest::prelude::*;
 
 /// Dependency mask decoding shared with `tests/work_stealing.rs`: task `i`
@@ -76,8 +79,181 @@ fn check_trace(report: &ExecReport, n: usize) {
     // Timestamps are monotonic per worker lane (validate() enforces it, but
     // assert the raw ordering too so a validate() regression is caught).
     for w in &trace.workers {
-        for pair in w.events.windows(2) {
-            assert!(pair[0].ts <= pair[1].ts);
+        let ts: Vec<u64> = w.events.iter().map(|e| e.ts).collect();
+        assert!(ts.is_sorted(), "worker {} lane goes backwards", w.worker);
+    }
+}
+
+/// The same DAG as a `TaskGraph`: task `i` writes handle `i` and reads the
+/// handle of each dependency.
+fn dag_graph(masks: &[u64], group_of: impl Fn(usize) -> Option<&'static str>) -> TaskGraph {
+    let mut graph = TaskGraph::new();
+    let codelet = graph.add_codelet(Codelet::new("k").with_variant(Variant::new("x86")));
+    for i in 0..masks.len() {
+        let own = graph.register_data(format!("h{i}"), 8.0);
+        let mut accesses = vec![DataAccess {
+            handle: own,
+            mode: AccessMode::Write,
+        }];
+        accesses.extend(masked_deps(masks, i).into_iter().map(|d| DataAccess {
+            handle: HandleId(d),
+            mode: AccessMode::Read,
+        }));
+        let group = group_of(i).map(String::from);
+        graph.submit(codelet, format!("t{i}"), 1.0, accesses, group);
+    }
+    graph
+}
+
+/// Runs the DAG traced on `pool`, through `run` and through `run_compiled`,
+/// and checks both reports.
+fn check_both_paths(
+    pool: &ThreadedExecutor,
+    masks: &[u64],
+    group_of: impl Fn(usize) -> Option<&'static str> + Copy,
+) -> [ExecReport; 2] {
+    let pool = pool.clone().with_trace(TraceSink::ring());
+    let graph = dag_graph(masks, group_of);
+    let placed = pool.compile_graph(&graph).unwrap();
+    let reports = [
+        pool.run(dag_tasks(masks, group_of)).unwrap(),
+        pool.run_compiled(&placed, |i| {
+            Box::new(move || {
+                std::hint::black_box(i.wrapping_mul(0x9e37));
+            })
+        })
+        .unwrap(),
+    ];
+    for report in &reports {
+        check_trace(report, masks.len());
+        check_stamps(report, masks);
+    }
+    reports
+}
+
+/// The thread engine's stamp rules, as invariants of its traces:
+///
+/// * per task `ready ≤ dequeue == start ≤ end`: the claim carries the
+///   reading the start takes anyway;
+/// * every seed on the prelude carries one reading;
+/// * a `TaskReady` on a worker lane follows the `TaskEnd` of one of the
+///   task's dependencies (the completion that released it) and is no
+///   earlier than the end of *every* dependency;
+/// * a completion reads the clock once for its releases: a `TaskReady` that
+///   is not the first after its `TaskEnd` repeats the timestamp before it —
+///   unless the task had other dependencies, whose ends a reading taken
+///   before its release might precede.
+fn check_stamps(report: &ExecReport, masks: &[u64]) {
+    let trace = report.trace.as_ref().expect("ring sink collects a trace");
+    let n = masks.len();
+    let (mut ready, mut dequeue) = (vec![None; n], vec![None; n]);
+    let (mut start, mut end) = (vec![None; n], vec![None; n]);
+
+    let seeds: Vec<u64> = trace
+        .prelude
+        .iter()
+        .filter_map(|e| match e.kind {
+            EventKind::TaskReady { task } => {
+                ready[task as usize] = Some(e.ts);
+                Some(e.ts)
+            }
+            _ => None,
+        })
+        .collect();
+    assert!(!seeds.is_empty(), "a DAG has a source");
+    assert!(
+        seeds.iter().all(|ts| *ts == seeds[0]),
+        "seeds share one reading: {seeds:?}"
+    );
+
+    // Worker-lane readies, with what the lane says about each: the task
+    // whose end came before it, and the ready just before it if that one
+    // followed the same end.
+    let mut released: Vec<(usize, u64, usize, Option<u64>)> = Vec::new();
+    for w in &trace.workers {
+        let mut last_end: Option<usize> = None;
+        let mut earlier: Option<u64> = None;
+        for e in w.events.iter() {
+            match e.kind {
+                EventKind::TaskReady { task } => {
+                    let by = last_end.expect("a lane readies a task only after ending one");
+                    released.push((task as usize, e.ts, by, earlier));
+                    ready[task as usize] = Some(e.ts);
+                    earlier = Some(e.ts);
+                }
+                EventKind::TaskDequeued { task, .. } => dequeue[task as usize] = Some(e.ts),
+                EventKind::TaskStart { task } => start[task as usize] = Some(e.ts),
+                EventKind::TaskEnd { task } => {
+                    end[task as usize] = Some(e.ts);
+                    last_end = Some(task as usize);
+                    earlier = None;
+                }
+                _ => {}
+            }
+        }
+    }
+
+    for task in 0..n {
+        let stamps = (ready[task], dequeue[task], start[task], end[task]);
+        let (Some(ready), Some(dequeue), Some(start), Some(end)) = stamps else {
+            panic!("task {task} lacks an event: {stamps:?}");
+        };
+        assert!(ready <= dequeue, "task {task} claimed before it was ready");
+        assert_eq!(
+            dequeue, start,
+            "task {task}: the claim shares the start's reading"
+        );
+        assert!(start <= end, "task {task} ends before it starts");
+    }
+    for (task, ts, by, earlier) in released {
+        let deps = masked_deps(masks, task);
+        assert!(
+            deps.contains(&by),
+            "task {task} readied after task {by}, not a dependency"
+        );
+        for d in &deps {
+            assert!(
+                end[*d] <= Some(ts),
+                "task {task} ready before dependency {d} ended"
+            );
+        }
+        if let (Some(earlier), [_only]) = (earlier, deps.as_slice()) {
+            assert_eq!(
+                ts, earlier,
+                "task {task}: one reading per releasing completion"
+            );
+        }
+    }
+}
+
+/// On a fork-join graph every dependent a completion releases after its
+/// first waited on that completion alone, so each completion's readies
+/// carry exactly one reading — at any worker count, on both paths.
+#[test]
+fn fork_join_completions_read_the_clock_once() {
+    const WIDTH: usize = 8;
+    // Per stage WIDTH forks, each after the previous join, then their join.
+    let masks: Vec<u64> = (0..6 * (WIDTH + 1))
+        .map(|i| match (i / (WIDTH + 1), i % (WIDTH + 1)) {
+            (0, fork) if fork < WIDTH => 0,
+            (_, fork) if fork < WIDTH => 1 << fork,
+            _ => (1 << WIDTH) - 1,
+        })
+        .collect();
+    for workers in 1..=4 {
+        for report in check_both_paths(&ThreadedExecutor::new(workers), &masks, |_| None) {
+            for w in &report.trace.as_ref().unwrap().workers {
+                let mut since_end: Option<u64> = None;
+                for e in w.events.iter() {
+                    match e.kind {
+                        EventKind::TaskEnd { .. } => since_end = None,
+                        EventKind::TaskReady { .. } => {
+                            assert_eq!(*since_end.get_or_insert(e.ts), e.ts);
+                        }
+                        _ => {}
+                    }
+                }
+            }
         }
     }
 }
@@ -88,14 +264,16 @@ proptest! {
     #[test]
     fn traced_random_dags_validate(
         masks in proptest::collection::vec(any::<u64>(), 1..48),
+        thin in 0u32..4,
         workers in 1usize..9,
     ) {
-        let n = masks.len();
-        let report = ThreadedExecutor::new(workers)
-            .with_trace(TraceSink::ring())
-            .run(dag_tasks(&masks, |_| None))
-            .unwrap();
-        check_trace(&report, n);
+        // Thinned masks leave tasks with a single dependency, the ones a
+        // completion's shared reading is for.
+        let masks: Vec<u64> = masks
+            .iter()
+            .map(|m| (0..thin).fold(*m, |m, k| m & m.rotate_left(7 + 6 * k)))
+            .collect();
+        check_both_paths(&ThreadedExecutor::new(workers), &masks, |_| None);
     }
 
     #[test]
@@ -105,29 +283,27 @@ proptest! {
     ) {
         // Two placement groups; tasks alternate between them and ungrouped,
         // which exercises injector hand-offs and cross-group steals.
-        let n = masks.len();
         let placement = Placement::new().with_group("a", split).with_group("b", 2);
-        let report = ThreadedExecutor::with_placement(placement)
-            .with_trace(TraceSink::ring())
-            .run(dag_tasks(&masks, |i| match i % 3 {
-                0 => Some("a"),
-                1 => Some("b"),
-                _ => None,
-            }))
-            .unwrap();
-        check_trace(&report, n);
+        let pool = ThreadedExecutor::with_placement(placement);
+        let reports = check_both_paths(&pool, &masks, |i| match i % 3 {
+            0 => Some("a"),
+            1 => Some("b"),
+            _ => None,
+        });
         // Cross-group steal provenance is per-span recoverable.
-        let trace = report.trace.as_ref().unwrap();
-        let cross = trace
-            .task_spans()
-            .iter()
-            .filter(|s| {
-                s.provenance
-                    .as_ref()
-                    .is_some_and(hetero_trace::Provenance::is_cross_group)
-            })
-            .count();
-        prop_assert_eq!(cross, report.total_cross_group_steals());
+        for report in &reports {
+            let trace = report.trace.as_ref().unwrap();
+            let cross = trace
+                .task_spans()
+                .iter()
+                .filter(|s| {
+                    s.provenance
+                        .as_ref()
+                        .is_some_and(hetero_trace::Provenance::is_cross_group)
+                })
+                .count();
+            prop_assert_eq!(cross, report.total_cross_group_steals());
+        }
     }
 
     #[test]

@@ -87,7 +87,7 @@ fn report_accounts_every_task_exactly_once() {
     let executed: usize = report.worker_stats.iter().map(|w| w.executed).sum();
     assert_eq!(executed, n, "per-worker executed counters must sum to n");
     // Every label shows up exactly once.
-    let mut labels: Vec<&str> = report.tasks.iter().map(|t| t.label.as_str()).collect();
+    let mut labels: Vec<&str> = report.tasks.iter().map(|t| &*t.label).collect();
     labels.sort_unstable();
     labels.dedup();
     assert_eq!(labels.len(), n);
@@ -132,7 +132,7 @@ fn group_fan_out_forces_steals() {
             .tasks
             .iter()
             .filter(|t| t.worker == w.worker)
-            .filter(|t| (t.label == "source") != (report.groups[w.group] == "src"))
+            .filter(|t| (&*t.label == "source") != (report.groups[w.group] == "src"))
             .count();
         assert_eq!(
             foreign, w.cross_group_steals,
