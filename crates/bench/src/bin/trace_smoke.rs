@@ -4,7 +4,7 @@
 //! then checks the whole observability chain end to end:
 //!
 //! 1. the collected trace passes every structural invariant
-//!    ([`RunTrace::validate`]);
+//!    ([`hetero_trace::RunTrace::validate`]);
 //! 2. its counters reconcile **exactly** with the engine's own
 //!    [`ExecReport`] numbers;
 //! 3. the Chrome-trace export and the run-summary export both re-parse as

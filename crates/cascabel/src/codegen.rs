@@ -289,7 +289,7 @@ fn build_graph_for_call(
     // group filter is skipped for them (None) and the static mapping stands.
     let group = match mapping.execution_group.as_str() {
         "" => None,
-        g if g.chars().all(|c| c.is_alphanumeric() || c == '_') => Some(g.to_string()),
+        g if g.chars().all(|c| c.is_alphanumeric() || c == '_') => Some(g),
         _ => None,
     };
 
@@ -308,7 +308,7 @@ fn build_graph_for_call(
                 expr: size_expr.unwrap_or("N").to_string(),
             })?;
             let tile = spec.tile.unwrap_or_else(|| (n / 4).max(1));
-            workloads::emit_dgemm(graph, n, tile, group);
+            workloads::emit_dgemm(graph, n, tile, group.map(str::to_owned));
         }
         "I_vecadd" => {
             let n = n.ok_or_else(|| CodegenError::UnresolvedSize {
@@ -325,7 +325,7 @@ fn build_graph_for_call(
             } else {
                 1
             };
-            workloads::emit_vecadd(graph, n, chunks, group);
+            workloads::emit_vecadd(graph, n, chunks, group.map(str::to_owned));
         }
         other => {
             // Generic interface: codelet from the kept variants; one task
@@ -371,37 +371,29 @@ fn build_graph_for_call(
             // independent (BLOCK semantics); whole-object args share one
             // handle across chunks.
             let chunk_bytes = n.map(|n| (n * 8) as f64 / chunks as f64).unwrap_or(8.0);
+            let flops = flops / chunks as f64;
+            let mut accesses = Vec::with_capacity(call.args.len());
             for chunk in 0..chunks {
-                let accesses = call
-                    .args
-                    .iter()
-                    .enumerate()
-                    .map(|(i, arg)| {
-                        let h = graph.register_data(
-                            if chunks == 1 {
-                                arg.clone()
-                            } else {
-                                format!("{arg}[{chunk}]")
-                            },
-                            chunk_bytes,
-                        );
-                        hetero_rt::task::DataAccess {
-                            handle: h,
-                            mode: mode_of(i),
-                        }
-                    })
-                    .collect();
-                graph.submit(
-                    c,
-                    if chunks == 1 {
-                        format!("{other}@L{}", call.line)
+                accesses.clear();
+                for (i, arg) in call.args.iter().enumerate() {
+                    let handle = if chunks == 1 {
+                        graph.register_data(arg, chunk_bytes)
                     } else {
-                        format!("{other}@L{}[{chunk}]", call.line)
-                    },
-                    flops / chunks as f64,
-                    accesses,
-                    group.clone(),
-                );
+                        graph.register_data(format_args!("{arg}[{chunk}]"), chunk_bytes)
+                    };
+                    accesses.push(hetero_rt::task::DataAccess {
+                        handle,
+                        mode: mode_of(i),
+                    });
+                }
+                let accesses = accesses.iter().copied();
+                let line = call.line;
+                if chunks == 1 {
+                    graph.submit(c, format_args!("{other}@L{line}"), flops, accesses, group);
+                } else {
+                    let label = format_args!("{other}@L{line}[{chunk}]");
+                    graph.submit(c, label, flops, accesses, group);
+                }
             }
         }
     }
@@ -504,8 +496,9 @@ custom(X);
         spec.flops_hints.insert("I_custom".into(), 5e9);
         let out = translate(src, &p, &spec);
         assert_eq!(out.graph.len(), 1);
-        assert_eq!(out.graph.tasks[0].flops, 5e9);
-        assert_eq!(out.graph.tasks[0].accesses.len(), 1);
+        let task = out.graph.tasks().next().unwrap();
+        assert_eq!(task.flops, 5e9);
+        assert_eq!(task.accesses.len(), 1);
     }
 
     #[test]

@@ -33,7 +33,7 @@ macro_rules! string_id {
             /// Returns `true` if the identifier is empty.
             ///
             /// Empty identifiers are rejected by
-            /// [`validate`](crate::validate::validate), but can transiently
+            /// [`validate::check`](crate::validate::check), but can transiently
             /// exist while a description is being authored.
             pub fn is_empty(&self) -> bool {
                 self.0.is_empty()

@@ -13,7 +13,7 @@
 //!   PUs are present at inner nodes of the PU hierarchy and must always be
 //!   controlled either by other Hybrid or Master units."
 //!
-//! These structural rules are enforced by [`validate`](crate::validate::validate).
+//! These structural rules are enforced by [`validate::check`](crate::validate::check).
 
 use crate::descriptor::Descriptor;
 use crate::id::{GroupId, PuId, PuIdx};

@@ -18,7 +18,7 @@
 //!   ground-truth freshness per copy, split acquire/finish actions to
 //!   expose interleavings, and named [`model::Mutation`]s (deliberate
 //!   bugs) for validating the checker.
-//! * [`explore`] — BFS over every reachable state under a bounded number
+//! * [`mod@explore`] — BFS over every reachable state under a bounded number
 //!   of outstanding accesses, checking five invariants on every
 //!   transition (valid-somewhere, single-writer, no-lost-update,
 //!   probe==charge, monotone-staging) and minimizing counterexample

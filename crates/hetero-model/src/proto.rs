@@ -4,7 +4,7 @@
 //! `hetero_rt::data::DataRegistry` delegates every transition to the
 //! functions in this module (decorating the resulting hops with physical
 //! links and durations), and the model checker in [`crate::model`] /
-//! [`crate::explore`] enumerates exactly the same functions over bounded
+//! [`mod@crate::explore`] enumerates exactly the same functions over bounded
 //! topologies — so the checked model and the shipping implementation
 //! cannot drift apart.
 //!

@@ -15,14 +15,20 @@
 //! durations drawn from the [`SimMachine`], so the exhaustively explored
 //! model and the shipping implementation cannot drift apart (see
 //! `docs/MODEL.md` and `pdl model-check`).
+//!
+//! A [`DataRegistry`] is columns: every label in one `String`, sizes in a
+//! `Vec<f64>`, nothing allocated per handle; [`DataMeta`] is the borrowed
+//! view of one handle. That table never changes once a handle is
+//! registered, so clones share it — a simulation that starts from
+//! `graph.data.clone()` copies the coherence state only.
 
 use hetero_model::proto::{self, HopKind, Node};
 use simhw::link::LinkId;
 use simhw::machine::{DeviceId, SimMachine};
 use simhw::time::Duration;
 use std::collections::BTreeSet;
-use std::fmt;
-use std::sync::LazyLock;
+use std::fmt::{self, Write as _};
+use std::sync::{Arc, LazyLock};
 
 pub use hetero_model::proto::{AccessMode, Routing};
 
@@ -90,16 +96,22 @@ impl fmt::Display for HandleId {
     }
 }
 
-/// Metadata for one registered datum.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DataMeta {
+/// Metadata for one registered datum, as a view into its registry.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct DataMeta<'r> {
     /// Handle id.
     pub id: HandleId,
     /// Label for traces (`A[0][1]`).
-    pub label: String,
+    pub label: &'r str,
     /// Payload size in bytes.
     pub size_bytes: f64,
 }
+
+/// A `Copy` view cannot grow a `String` field back.
+const _: fn() = || {
+    fn is_copy<T: Copy>() {}
+    is_copy::<DataMeta<'static>>();
+};
 
 /// The host memory "device id" used by the coherence tracker. Host memory
 /// is where registered data initially lives; it is not a schedulable device,
@@ -282,10 +294,21 @@ fn commit_plan(valid: &mut BTreeSet<Node>, bytes: &mut ByteCounters, plan: &Tran
     }
 }
 
+/// What registration fixes about every handle, indexed by `HandleId.0`.
+#[derive(Debug, Clone, Default)]
+struct HandleTable {
+    /// Every label, back to back; handle `h`'s ends at `label_ends[h]` and
+    /// starts where the previous one ends.
+    labels: String,
+    label_ends: Vec<u32>,
+    sizes: Vec<f64>,
+}
+
 /// Registry of data handles plus their coherence state.
 #[derive(Debug, Clone, Default)]
 pub struct DataRegistry {
-    metas: Vec<DataMeta>,
+    /// Shared between clones; [`register`](Self::register) un-shares it.
+    table: Arc<HandleTable>,
     /// Per handle: memory spaces holding a valid copy, stored as the
     /// protocol's own node set so transitions and probes read it in place.
     /// `None` is the registered state — valid on the host only — which a
@@ -304,13 +327,14 @@ impl DataRegistry {
     }
 
     /// Registers a datum of `size_bytes`, initially valid on the host only.
-    pub fn register(&mut self, label: impl Into<String>, size_bytes: f64) -> HandleId {
-        let id = HandleId(self.metas.len());
-        self.metas.push(DataMeta {
-            id,
-            label: label.into(),
-            size_bytes,
-        });
+    pub fn register(&mut self, label: impl fmt::Display, size_bytes: f64) -> HandleId {
+        let table = Arc::make_mut(&mut self.table);
+        let id = HandleId(table.sizes.len());
+        write!(table.labels, "{label}").expect("a label's Display does not fail");
+        let end = u32::try_from(table.labels.len())
+            .unwrap_or_else(|_| panic!("data registry exceeds u32 offsets: label bytes"));
+        table.label_ends.push(end);
+        table.sizes.push(size_bytes);
         self.valid.push(None);
         id
     }
@@ -325,18 +349,26 @@ impl DataRegistry {
     }
 
     /// Metadata for a handle.
-    pub fn meta(&self, h: HandleId) -> &DataMeta {
-        &self.metas[h.0]
+    pub fn meta(&self, h: HandleId) -> DataMeta<'_> {
+        let table = &*self.table;
+        let start =
+            h.0.checked_sub(1)
+                .map_or(0, |p| table.label_ends[p] as usize);
+        DataMeta {
+            id: h,
+            label: &table.labels[start..table.label_ends[h.0] as usize],
+            size_bytes: table.sizes[h.0],
+        }
     }
 
     /// Number of registered handles.
     pub fn len(&self) -> usize {
-        self.metas.len()
+        self.table.sizes.len()
     }
 
     /// Whether no data is registered.
     pub fn is_empty(&self) -> bool {
-        self.metas.is_empty()
+        self.table.sizes.is_empty()
     }
 
     /// Devices currently holding a valid copy of `h`.
@@ -373,7 +405,7 @@ impl DataRegistry {
         mode: AccessMode,
         routing: Routing,
     ) -> TransferPlan {
-        let size = self.metas[h.0].size_bytes;
+        let size = self.table.sizes[h.0];
         let pure = proto::plan_acquire(
             self.valid(h),
             node_of(device),
@@ -389,7 +421,7 @@ impl DataRegistry {
     /// sharing the host address space (free flush); otherwise the first
     /// owner pays its host route.
     pub fn plan_flush(&self, machine: &SimMachine, h: HandleId) -> TransferPlan {
-        let size = self.metas[h.0].size_bytes;
+        let size = self.table.sizes[h.0];
         let pure = proto::plan_flush(self.valid(h), &MachineCosts { machine, size });
         decorate(machine, h, size, &pure)
     }
@@ -449,7 +481,7 @@ impl DataRegistry {
         mode: AccessMode,
         routing: Routing,
     ) -> Duration {
-        let size = self.metas[h.0].size_bytes;
+        let size = self.table.sizes[h.0];
         probe_cost(self.valid(h), machine, size, device, mode, routing)
     }
 
@@ -706,6 +738,43 @@ mod tests {
         assert_eq!(plan.hops[0].links.len(), 1);
         assert_eq!(plan.hops[1].links.len(), 1);
         assert_ne!(plan.hops[0].links, plan.hops[1].links);
+    }
+
+    #[test]
+    fn clones_share_nothing_mutable() {
+        let m = machine();
+        let mut r = DataRegistry::new();
+        let a = r.register("A", 600e6);
+        let mut c = r.clone();
+        c.acquire(&m, a, gpu0(&m), AccessMode::Read);
+        c.acquire(&m, a, gpu1(&m), AccessMode::Write);
+        let b = c.register("B", 20.0);
+        assert_eq!((c.len(), c.meta(a).label, c.meta(b).label), (2, "A", "B"));
+        assert_eq!(c.bytes_to_devices(), 600e6);
+        assert_eq!(c.valid_on(a), BTreeSet::from([gpu1(&m)]));
+        // The original saw none of it.
+        assert_eq!((r.len(), r.meta(a).label), (1, "A"));
+        assert_eq!(r.valid_on(a), BTreeSet::from([HOST]));
+        assert_eq!(r.bytes_to_devices(), 0.0);
+        // And goes its own way from the shared prefix.
+        let b2 = r.register("B2", 30.0);
+        assert_eq!(
+            (b2, r.meta(b2).label, r.meta(b2).size_bytes),
+            (b, "B2", 30.0)
+        );
+        assert_eq!((c.meta(b).label, c.meta(b).size_bytes), ("B", 20.0));
+    }
+
+    #[test]
+    fn labels_are_exactly_what_display_wrote() {
+        let mut r = DataRegistry::new();
+        let empty = r.register("", 1.0);
+        let tile = r.register(format_args!("größe[{}][{}]", 3, 14), 2.0);
+        let owned = r.register(String::from("任务"), 3.0);
+        assert_eq!(r.meta(empty).label, "");
+        assert_eq!(r.meta(tile).label, "größe[3][14]");
+        assert_eq!(r.meta(owned).label, "任务");
+        assert_eq!(r.meta(tile).id, tile);
     }
 
     #[test]

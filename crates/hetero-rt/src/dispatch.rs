@@ -16,17 +16,19 @@ use crate::task::Task;
 use simhw::machine::{DeviceId, SimMachine};
 use simhw::resource::Timeline;
 use simhw::time::{Duration, SimTime};
-use std::collections::BTreeMap;
 
 /// Per-run look-up tables replacing per-dispatch `variant_for` string
 /// matching (and its software-platform `Vec` allocations) and group-name
 /// comparisons with indexed loads.
 pub(crate) struct DispatchTables<'g> {
+    /// The graph whose tasks are dispatched: it knows each task's group index.
+    graph: &'g TaskGraph,
     /// `[codelet][device]`: speedup of the variant the device would run,
     /// `None` when it can run none.
     variants: Vec<Vec<Option<f64>>>,
-    /// Device membership of every execution group the graph mentions.
-    groups: BTreeMap<&'g str, Vec<bool>>,
+    /// `[group][device]`: device membership of every execution group the
+    /// graph interned, indexed like the graph's group list.
+    groups: Vec<Vec<bool>>,
 }
 
 impl<'g> DispatchTables<'g> {
@@ -48,26 +50,29 @@ impl<'g> DispatchTables<'g> {
                     .collect()
             })
             .collect();
-        let mut groups: BTreeMap<&str, Vec<bool>> = BTreeMap::new();
-        for task in &graph.tasks {
-            if let Some(g) = task.execution_group.as_deref() {
-                groups.entry(g).or_insert_with(|| {
-                    machine
-                        .devices
-                        .iter()
-                        .map(|d| d.groups.iter().any(|dg| dg == g))
-                        .collect()
-                });
-            }
+        let groups = graph
+            .groups()
+            .iter()
+            .map(|g| {
+                machine
+                    .devices
+                    .iter()
+                    .map(|d| d.groups.contains(g))
+                    .collect()
+            })
+            .collect();
+        DispatchTables {
+            graph,
+            variants,
+            groups,
         }
-        DispatchTables { variants, groups }
     }
 
     /// Devices able to run `task` (variant-compatible ∩ execution group),
     /// in device order.
-    pub(crate) fn eligible<'s>(&'s self, task: &Task) -> impl Iterator<Item = DeviceId> + 's {
+    pub(crate) fn eligible(&self, task: Task<'_>) -> impl Iterator<Item = DeviceId> + '_ {
         let variants = &self.variants[task.codelet];
-        let group = task.execution_group.as_deref().map(|g| &self.groups[g]);
+        let group = self.graph.group_index(task.id).map(|g| &self.groups[g]);
         (0..variants.len())
             .filter(move |&d| variants[d].is_some() && group.is_none_or(|g| g[d]))
             .map(DeviceId)
@@ -78,7 +83,7 @@ impl<'g> DispatchTables<'g> {
     pub(crate) fn compute_time(
         &self,
         machine: &SimMachine,
-        task: &Task,
+        task: Task<'_>,
         device: DeviceId,
     ) -> Duration {
         let speedup = self.variants[task.codelet][device.0].expect("eligible device has a variant");
@@ -99,7 +104,7 @@ pub(crate) struct Oracles<'a> {
     pub perfmodel: &'a PerfModel,
     /// Routing the engine will charge transfers under.
     pub routing: Routing,
-    pub task: &'a Task,
+    pub task: Task<'a>,
     pub codelet_name: &'a str,
     /// Earliest time the task may start.
     pub ready: SimTime,
@@ -154,5 +159,43 @@ impl Oracles<'_> {
             "policy must pick a candidate"
         );
         chosen
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::prelude::*;
+    use simhw::machine::SimMachine;
+
+    /// Group membership is resolved by interned index; the error still
+    /// names the group, and names the first task that asked for it.
+    #[test]
+    fn a_group_the_machine_lacks_fails_on_its_first_task_by_name() {
+        let machine = SimMachine::from_platform(&pdl_discover::synthetic::xeon_2gpu_testbed());
+        let mut g = TaskGraph::new();
+        let c = g.add_codelet(
+            Codelet::new("k")
+                .with_variant(Variant::new("x86"))
+                .with_variant(Variant::new("gpu").requiring("Cuda")),
+        );
+        for group in [
+            Some("gpus"),
+            None,
+            Some("fpgas"),
+            Some("gpus"),
+            Some("fpgas"),
+        ] {
+            g.submit(c, "t", 1e9, [], group);
+        }
+        let expected = RtError::NoEligibleDevice {
+            task: TaskId(2),
+            codelet: "k".into(),
+            execution_group: Some("fpgas".into()),
+        };
+        let options = SimOptions::default();
+        let list = simulate(&g, &machine, &mut EagerScheduler, &options);
+        assert_eq!(list.unwrap_err(), expected);
+        let online = simulate_dynamic(&g, &machine, &mut EagerScheduler, &options);
+        assert_eq!(online.unwrap_err(), expected);
     }
 }

@@ -64,7 +64,7 @@ pub fn simulate_dynamic(
 
     // Every task must have at least one eligible device, or the run can
     // never finish.
-    for task in &graph.tasks {
+    for task in graph.tasks() {
         if run.eligible(task).next().is_none() {
             return Err(run.no_eligible_device(task));
         }
@@ -75,7 +75,7 @@ pub fn simulate_dynamic(
     // submission order asc) makes pushing a ready task and popping the
     // dispatch candidate both O(log n).
     let key = |t: TaskId| ReadyKey {
-        priority: graph.tasks[t.0].priority,
+        priority: graph.task(t).priority,
         id: t.0,
     };
     let edges = graph.compile();
@@ -102,7 +102,7 @@ pub fn simulate_dynamic(
             .count();
         while idle > 0 {
             let Some(key) = ready.pop() else { break };
-            let task = &graph.tasks[key.id];
+            let task = graph.task(TaskId(key.id));
             // Idle, variant-compatible, group-compatible devices only.
             candidates.clear();
             candidates.extend(run.eligible(task).filter(|d| run.free_at(d.0) <= now));

@@ -6,9 +6,40 @@
 //! on all previous readers/writers of everything it writes (WAR/WAW).
 //! "Explicit task outlining with parameter access-specifiers helps compilers
 //! and runtime-systems to derive inter-task data-dependencies" (§IV-A).
+//!
+//! # Layout
+//!
+//! A graph is columns, not rows: one fixed-size `TaskRow` per task
+//! (codelet, interned group, priority, flops) over three buffers every task
+//! shares — a `String` of labels, a `Vec<DataAccess>` and a `Vec<TaskId>`
+//! of sorted, deduplicated dependencies. A row records only where its
+//! slices **end**; it starts where the previous row ends. Nothing is
+//! allocated per task, so building a graph costs a few appends and dropping
+//! one frees a handful of blocks. [`Task`] is the borrowed view of one row.
 
 use crate::data::{DataRegistry, HandleId};
 use crate::task::{Codelet, DataAccess, Task, TaskId};
+use std::fmt::{self, Write as _};
+
+/// One task of the graph. The three `*_end` fields index the graph's
+/// shared buffers.
+#[derive(Debug, Clone, Copy)]
+struct TaskRow {
+    flops: f64,
+    codelet: u32,
+    /// 1 + the index into `groups`; 0 = unrestricted.
+    group: u32,
+    priority: i32,
+    label_end: u32,
+    accesses_end: u32,
+    dependencies_end: u32,
+}
+
+/// `len` as a column offset. Offsets are `u32`: a graph is limited to 2³²
+/// tasks, label bytes, accesses and edges.
+fn offset(len: usize, column: &str) -> u32 {
+    u32::try_from(len).unwrap_or_else(|_| panic!("task graph exceeds u32 offsets: {len} {column}"))
+}
 
 /// A complete submitted program: codelets, data and tasks with edges.
 #[derive(Debug, Clone, Default)]
@@ -18,16 +49,29 @@ pub struct TaskGraph {
     /// Data registry (sizes + coherence state used at simulation time).
     pub data: DataRegistry,
     /// Tasks in submission order.
-    pub tasks: Vec<Task>,
-    /// dependencies\[t\] = tasks that must finish before `t` starts, sorted
-    /// and free of duplicates. The reverse edges are derived on demand by
-    /// [`compile`](Self::compile).
-    dependencies: Vec<Vec<TaskId>>,
-    /// Last writer per handle (submission-time tracking), indexed by
-    /// `HandleId.0` like the registry itself.
-    last_writer: Vec<Option<TaskId>>,
-    /// Readers since the last write, per handle.
-    readers_since_write: Vec<Vec<TaskId>>,
+    rows: Vec<TaskRow>,
+    /// Every label, back to back.
+    labels: String,
+    /// Every task's accesses in parameter order, back to back.
+    accesses: Vec<DataAccess>,
+    /// Every task's dependencies — the tasks that must finish before it
+    /// starts, sorted and free of duplicates — back to back. The reverse
+    /// edges are derived on demand by [`compile`](Self::compile).
+    dependencies: Vec<TaskId>,
+    /// Execution-group names in order of first use.
+    groups: Vec<String>,
+    /// Submission-time tracking, indexed by `HandleId.0` like the registry
+    /// itself: 1 + the last writer of each handle, 0 = never written.
+    last_writer: Vec<u32>,
+    /// 1 + the index in `readers` of the latest reader since the last
+    /// write, 0 = none.
+    reader_head: Vec<u32>,
+    /// Reader lists threaded through one pool: `(task, next)` with `next`
+    /// encoded like `reader_head`. A write unlinks its handle's list; the
+    /// pool never outgrows the access column.
+    readers: Vec<(u32, u32)>,
+    /// The dependencies of the task being submitted, before sorting.
+    scratch: Vec<TaskId>,
 }
 
 impl TaskGraph {
@@ -36,9 +80,9 @@ impl TaskGraph {
         Self::default()
     }
 
-    /// An empty graph pre-sized for `tasks` submissions: the task and
-    /// dependency vectors are allocated once up front, so million-task
-    /// submission loops never re-grow them.
+    /// An empty graph pre-sized for `tasks` submissions: the task rows are
+    /// allocated once up front, so million-task submission loops never
+    /// re-grow them.
     pub fn with_capacity(tasks: usize) -> Self {
         let mut g = Self::default();
         g.reserve(tasks);
@@ -49,8 +93,7 @@ impl TaskGraph {
     /// [`with_capacity`](Self::with_capacity) does for a new graph), for
     /// builders that emit into a graph they did not create.
     pub fn reserve(&mut self, additional: usize) {
-        self.tasks.reserve(additional);
-        self.dependencies.reserve(additional);
+        self.rows.reserve(additional);
     }
 
     /// Registers a codelet, returning its index for task submission.
@@ -60,7 +103,7 @@ impl TaskGraph {
     }
 
     /// Registers a datum.
-    pub fn register_data(&mut self, label: impl Into<String>, size_bytes: f64) -> HandleId {
+    pub fn register_data(&mut self, label: impl fmt::Display, size_bytes: f64) -> HandleId {
         self.data.register(label, size_bytes)
     }
 
@@ -69,10 +112,10 @@ impl TaskGraph {
     pub fn submit(
         &mut self,
         codelet: usize,
-        label: impl Into<String>,
+        label: impl fmt::Display,
         flops: f64,
-        accesses: Vec<DataAccess>,
-        execution_group: Option<String>,
+        accesses: impl IntoIterator<Item = DataAccess>,
+        execution_group: Option<&str>,
     ) -> TaskId {
         self.submit_prioritized(codelet, label, flops, accesses, execution_group, 0)
     }
@@ -82,114 +125,194 @@ impl TaskGraph {
     pub fn submit_prioritized(
         &mut self,
         codelet: usize,
-        label: impl Into<String>,
+        label: impl fmt::Display,
         flops: f64,
-        accesses: Vec<DataAccess>,
-        execution_group: Option<String>,
+        accesses: impl IntoIterator<Item = DataAccess>,
+        execution_group: Option<&str>,
         priority: i32,
     ) -> TaskId {
         assert!(codelet < self.codelets.len(), "unknown codelet index");
-        let id = TaskId(self.tasks.len());
-        let mut deps: Vec<TaskId> = Vec::new();
+        let id = self.rows.len();
+        let submitted = offset(id + 1, "tasks");
+        // A submission that panicked half-way left a tail behind: a row
+        // starts where the previous one ends.
+        let (label_start, first_access, first_dependency) = self.starts(id);
+        self.labels.truncate(label_start);
+        self.accesses.truncate(first_access);
+        self.dependencies.truncate(first_dependency);
         // Handles registered since the last submission start untracked.
-        self.last_writer.resize(self.data.len(), None);
-        self.readers_since_write.resize(self.data.len(), Vec::new());
+        let handles = self.data.len();
+        self.last_writer.resize(handles, 0);
+        self.reader_head.resize(handles, 0);
 
-        for a in &accesses {
+        write!(self.labels, "{label}").expect("a label's Display does not fail");
+        self.accesses.extend(accesses);
+
+        self.scratch.clear();
+        for a in &self.accesses[first_access..] {
+            let h = a.handle.0;
             assert!(
-                a.handle.0 < self.data.len(),
-                "unknown data handle {} (this graph registered {})",
-                a.handle.0,
-                self.data.len()
+                h < handles,
+                "unknown data handle {h} (this graph registered {handles})"
             );
             // RAW, WAW: reads and writes alike depend on the last writer.
-            deps.extend(self.last_writer[a.handle.0]);
+            if let Some(writer) = self.last_writer[h].checked_sub(1) {
+                self.scratch.push(TaskId(writer as usize));
+            }
             if a.mode.writes() {
                 // WAR: a write also depends on the readers since.
-                deps.extend_from_slice(&self.readers_since_write[a.handle.0]);
+                let mut at = self.reader_head[h];
+                while let Some(entry) = at.checked_sub(1) {
+                    let (reader, next) = self.readers[entry as usize];
+                    self.scratch.push(TaskId(reader as usize));
+                    at = next;
+                }
             }
         }
-        deps.sort_unstable();
-        deps.dedup();
-        deps.retain(|&d| d != id);
+        // Tracking only ever names earlier tasks, so no edge is a self-edge.
+        self.scratch.sort_unstable();
+        self.scratch.dedup();
+        self.dependencies.extend_from_slice(&self.scratch);
 
-        // Update submission-time tracking.
-        for a in &accesses {
-            if a.mode.writes() {
-                self.last_writer[a.handle.0] = Some(id);
-                self.readers_since_write[a.handle.0].clear();
-            } else if a.mode.reads() {
-                self.readers_since_write[a.handle.0].push(id);
-            }
-        }
-
-        self.dependencies.push(deps);
-        self.tasks.push(Task {
-            id,
-            codelet,
-            label: label.into(),
-            flops,
-            accesses,
-            execution_group,
-            priority,
+        let group = execution_group.map_or(0, |name| {
+            let index = self.groups.iter().position(|g| g == name);
+            let index = index.unwrap_or_else(|| {
+                self.groups.push(name.to_owned());
+                self.groups.len() - 1
+            });
+            offset(index + 1, "execution groups")
         });
-        id
+        let row = TaskRow {
+            flops,
+            codelet: offset(codelet, "codelets"),
+            group,
+            priority,
+            label_end: offset(self.labels.len(), "label bytes"),
+            accesses_end: offset(self.accesses.len(), "accesses"),
+            dependencies_end: offset(self.dependencies.len(), "edges"),
+        };
+
+        // Every check has passed: update submission-time tracking.
+        for a in &self.accesses[first_access..] {
+            let h = a.handle.0;
+            if a.mode.writes() {
+                self.last_writer[h] = submitted;
+                self.reader_head[h] = 0;
+            } else if a.mode.reads() {
+                self.readers.push((submitted - 1, self.reader_head[h]));
+                // One entry per read access at most, and those fit.
+                self.reader_head[h] = offset(self.readers.len(), "reads");
+            }
+        }
+        self.rows.push(row);
+        TaskId(id)
+    }
+
+    /// Where row `t` starts in the label, access and dependency buffers:
+    /// the ends of the row before it. `starts(len())` is where the buffers'
+    /// committed part ends.
+    fn starts(&self, t: usize) -> (usize, usize, usize) {
+        t.checked_sub(1).map_or((0, 0, 0), |previous| {
+            let row = &self.rows[previous];
+            (
+                row.label_end as usize,
+                row.accesses_end as usize,
+                row.dependencies_end as usize,
+            )
+        })
     }
 
     /// Number of tasks.
     pub fn len(&self) -> usize {
-        self.tasks.len()
+        self.rows.len()
     }
 
     /// Whether the graph has no tasks.
     pub fn is_empty(&self) -> bool {
-        self.tasks.is_empty()
+        self.rows.is_empty()
+    }
+
+    /// The task `t`.
+    pub fn task(&self, t: TaskId) -> Task<'_> {
+        let row = &self.rows[t.0];
+        let (label_start, first_access, _) = self.starts(t.0);
+        Task {
+            id: t,
+            codelet: row.codelet as usize,
+            label: &self.labels[label_start..row.label_end as usize],
+            flops: row.flops,
+            accesses: &self.accesses[first_access..row.accesses_end as usize],
+            execution_group: self.group_index(t).map(|g| self.groups[g].as_str()),
+            priority: row.priority,
+        }
+    }
+
+    /// The tasks in submission order.
+    pub fn tasks(&self) -> impl ExactSizeIterator<Item = Task<'_>> + Clone {
+        (0..self.rows.len()).map(|t| self.task(TaskId(t)))
+    }
+
+    /// Execution-group names in order of first use.
+    pub(crate) fn groups(&self) -> &[String] {
+        &self.groups
+    }
+
+    /// The index in [`groups`](Self::groups) of the group `t` names.
+    pub(crate) fn group_index(&self, t: TaskId) -> Option<usize> {
+        (self.rows[t.0].group as usize).checked_sub(1)
+    }
+
+    /// The accesses of every task, in submission then parameter order.
+    pub(crate) fn accesses(&self) -> &[DataAccess] {
+        &self.accesses[..self.starts(self.rows.len()).1]
     }
 
     /// Tasks `t` must wait for.
     pub fn dependencies(&self, t: TaskId) -> &[TaskId] {
-        &self.dependencies[t.0]
+        let (_, _, first) = self.starts(t.0);
+        &self.dependencies[first..self.rows[t.0].dependencies_end as usize]
     }
 
     /// The graph's edges in the form every engine consumes: dependents,
     /// pending counts and the ready seed, derived from
     /// [`dependencies`](Self::dependencies) in one linear pass.
     pub fn compile(&self) -> CompiledGraph {
-        CompiledGraph::from_dependencies(self.tasks.len(), |t| {
-            self.dependencies[t].iter().map(|d| d.0)
+        CompiledGraph::from_dependencies(self.len(), |t| {
+            self.dependencies(TaskId(t)).iter().map(|d| d.0)
         })
         .expect("submit records only edges to earlier tasks")
     }
 
     /// Tasks with no dependencies (sources).
     pub fn sources(&self) -> Vec<TaskId> {
-        (0..self.tasks.len())
+        (0..self.len())
             .map(TaskId)
-            .filter(|t| self.dependencies[t.0].is_empty())
+            .filter(|&t| self.dependencies(t).is_empty())
             .collect()
     }
 
     /// A topological order (submission order is always one, since edges only
     /// point backwards in submission time).
     pub fn topological_order(&self) -> Vec<TaskId> {
-        (0..self.tasks.len()).map(TaskId).collect()
+        (0..self.len()).map(TaskId).collect()
     }
 
     /// Total FLOPs over all tasks.
     pub fn total_flops(&self) -> f64 {
-        self.tasks.iter().map(|t| t.flops).sum()
+        self.rows.iter().map(|row| row.flops).sum()
     }
 
     /// Critical-path FLOPs: the heaviest dependency chain. A lower bound on
     /// any schedule's compute span given infinite parallelism.
     pub fn critical_path_flops(&self) -> f64 {
-        let mut best = vec![0.0f64; self.tasks.len()];
-        for t in 0..self.tasks.len() {
-            let deps_max = self.dependencies[t]
+        let mut best = vec![0.0f64; self.len()];
+        for t in 0..self.len() {
+            let deps_max = self
+                .dependencies(TaskId(t))
                 .iter()
                 .map(|d| best[d.0])
                 .fold(0.0f64, f64::max);
-            best[t] = deps_max + self.tasks[t].flops;
+            best[t] = deps_max + self.rows[t].flops;
         }
         best.into_iter().fold(0.0, f64::max)
     }
@@ -446,6 +569,26 @@ mod tests {
     }
 
     #[test]
+    fn a_panicked_submission_leaves_nothing_behind() {
+        let (mut g, c) = graph_with_codelet();
+        let a = g.register_data("a", 8.0);
+        let w = g.submit(c, "w", 1.0, [acc(a, AccessMode::Write)], None);
+        let bad = [acc(a, AccessMode::Read), acc(HandleId(9), AccessMode::Read)];
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            g.submit(c, "bad", 1.0, bad, Some("gpus"));
+        }));
+        assert!(caught.is_err());
+        assert_eq!(g.len(), 1);
+        let next = g.submit(c, "next", 1.0, [acc(a, AccessMode::Write)], None);
+        let task = g.task(next);
+        assert_eq!(task.label, "next");
+        assert_eq!(task.accesses, [acc(a, AccessMode::Write)]);
+        // The read that never happened is not waited for.
+        assert_eq!(g.dependencies(next), [w]);
+        assert_eq!(g.task(w).label, "w");
+    }
+
+    #[test]
     fn topological_order_is_submission_order() {
         let (mut g, c) = graph_with_codelet();
         let a = g.register_data("a", 8.0);
@@ -490,7 +633,7 @@ mod tests {
                     }
                 }
                 let accesses = accesses.iter().map(|&(h, m)| acc(HandleId(h), modes[m]));
-                g.submit(c, "t", 1.0, accesses.collect(), None);
+                g.submit(c, "t", 1.0, accesses, None);
             }
 
             let writes = |t: usize, h: usize| tasks[t].iter().any(|&(x, m)| x == h && modes[m].writes());

@@ -30,7 +30,7 @@ pub struct ScheduleContext<'a> {
     /// The machine being scheduled onto (device rates, power, groups).
     pub machine: &'a SimMachine,
     /// The task being placed.
-    pub task: &'a Task,
+    pub task: Task<'a>,
     /// Name of the task's codelet.
     pub codelet_name: &'a str,
     /// Time all dependencies have finished.
@@ -229,13 +229,13 @@ mod tests {
     use super::*;
     use crate::task::TaskId;
 
-    fn dummy_task() -> Task {
+    fn dummy_task() -> Task<'static> {
         Task {
             id: TaskId(0),
             codelet: 0,
-            label: "t".into(),
+            label: "t",
             flops: 1.0,
-            accesses: vec![],
+            accesses: &[],
             execution_group: None,
             priority: 0,
         }
@@ -251,7 +251,7 @@ mod tests {
 
     fn ctx<'a>(
         machine: &'a SimMachine,
-        task: &'a Task,
+        task: Task<'a>,
         candidates: &'a [DeviceId],
         free_at: &'a dyn Fn(DeviceId) -> SimTime,
         est_finish: &'a dyn Fn(DeviceId) -> SimTime,
@@ -278,7 +278,7 @@ mod tests {
         let est = |_d: DeviceId| SimTime::ZERO;
         let mut s = EagerScheduler;
         assert_eq!(
-            s.pick(&ctx(&machine, &task, &candidates, &free, &est)),
+            s.pick(&ctx(&machine, task, &candidates, &free, &est)),
             DeviceId(1)
         );
         assert_eq!(s.name(), "eager");
@@ -294,7 +294,7 @@ mod tests {
         let est = |d: DeviceId| SimTime::new([10.0, 4.0][d.0]);
         let mut s = HeftScheduler;
         assert_eq!(
-            s.pick(&ctx(&machine, &task, &candidates, &free, &est)),
+            s.pick(&ctx(&machine, task, &candidates, &free, &est)),
             DeviceId(1)
         );
     }
@@ -307,11 +307,11 @@ mod tests {
         let free = |_d: DeviceId| SimTime::ZERO;
         let est = |_d: DeviceId| SimTime::new(1.0);
         assert_eq!(
-            EagerScheduler.pick(&ctx(&machine, &task, &candidates, &free, &est)),
+            EagerScheduler.pick(&ctx(&machine, task, &candidates, &free, &est)),
             DeviceId(0)
         );
         assert_eq!(
-            HeftScheduler.pick(&ctx(&machine, &task, &candidates, &free, &est)),
+            HeftScheduler.pick(&ctx(&machine, task, &candidates, &free, &est)),
             DeviceId(0)
         );
     }
@@ -326,7 +326,7 @@ mod tests {
         let picks = |seed| {
             let mut s = RandomScheduler::new(seed);
             (0..20)
-                .map(|_| s.pick(&ctx(&machine, &task, &candidates, &free, &est)).0)
+                .map(|_| s.pick(&ctx(&machine, task, &candidates, &free, &est)).0)
                 .collect::<Vec<_>>()
         };
         assert_eq!(picks(7), picks(7)); // deterministic
@@ -346,7 +346,7 @@ mod tests {
         let est = |_d: DeviceId| SimTime::ZERO;
         let mut s = RoundRobinScheduler::default();
         let seq: Vec<usize> = (0..4)
-            .map(|_| s.pick(&ctx(&machine, &task, &candidates, &free, &est)).0)
+            .map(|_| s.pick(&ctx(&machine, task, &candidates, &free, &est)).0)
             .collect();
         assert_eq!(seq, [0, 1, 0, 1]);
     }
@@ -362,7 +362,7 @@ mod tests {
         let free = |_d: DeviceId| SimTime::ZERO;
         let est = |_d: DeviceId| SimTime::new(1.0);
         let mut s = EnergyAwareScheduler;
-        let picked = s.pick(&ctx(&machine, &task, &candidates, &free, &est));
+        let picked = s.pick(&ctx(&machine, task, &candidates, &free, &est));
         // dev0: 10 GF/s @ 200 W -> 20 J/GFLOP; dev1: 10 GF/s @ 50 W -> 5 J.
         assert_eq!(picked, DeviceId(1));
         assert_eq!(s.name(), "energy");
@@ -384,14 +384,14 @@ mod tests {
         // (device id breaking the 1.0 tie) — one probe per candidate, where
         // probing both sides of every comparison took six.
         let machine = test_machine();
-        let picked = EnergyAwareScheduler.pick(&ctx(&machine, &task, &candidates, &free, &est));
+        let picked = EnergyAwareScheduler.pick(&ctx(&machine, task, &candidates, &free, &est));
         assert_eq!(picked, DeviceId(1));
         assert!(probes.get() <= candidates.len(), "{} probes", probes.get());
         // Distinct energies decide alone: no probe at all.
         probes.set(0);
         let machine = SimMachine::from_platform(&pdl_discover_stub());
         let candidates = [DeviceId(0), DeviceId(1)];
-        let picked = EnergyAwareScheduler.pick(&ctx(&machine, &task, &candidates, &free, &est));
+        let picked = EnergyAwareScheduler.pick(&ctx(&machine, task, &candidates, &free, &est));
         assert_eq!(picked, DeviceId(1));
         assert_eq!(probes.get(), 0);
     }
@@ -426,7 +426,7 @@ mod tests {
                                                 // device 1 holds the data already.
         let transfer = |d: DeviceId| Duration::new([10.0, 0.0][d.0]);
         let compute = |d: DeviceId| Duration::new([1.0, 4.0][d.0]);
-        let mut c = ctx(&machine, &task, &candidates, &free, &est);
+        let mut c = ctx(&machine, task, &candidates, &free, &est);
         c.transfer_cost = &transfer;
         c.est_compute = &compute;
         let mut s = DmdaScheduler;

@@ -208,7 +208,7 @@ pub fn simulate(
     // Early binding: a task may be queued behind a busy device, so every
     // eligible device is a candidate and submission order is the only
     // order needed — edges point backwards, `finish` is always filled.
-    for task in &graph.tasks {
+    for task in graph.tasks() {
         candidates.clear();
         candidates.extend(run.eligible(task));
         if candidates.is_empty() {
@@ -345,7 +345,7 @@ mod tests {
             "gpu-only",
             1.0,
             vec![acc(h, AccessMode::Write)],
-            Some("gpus".into()),
+            Some("gpus"),
         );
         let r = simulate(&g, &machine, &mut EagerScheduler, &SimOptions::default()).unwrap();
         let (_, dev) = r.assignments[0];
@@ -375,7 +375,7 @@ mod tests {
             "t",
             1.0,
             vec![acc(h, AccessMode::Write)],
-            Some("gpus".into()), // CPU-only machine has no gpus group
+            Some("gpus"), // CPU-only machine has no gpus group
         );
         let err = simulate(&g, &machine, &mut EagerScheduler, &SimOptions::default()).unwrap_err();
         assert!(matches!(err, RtError::NoEligibleDevice { .. }));

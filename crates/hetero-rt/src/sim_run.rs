@@ -91,16 +91,16 @@ impl<'a> SimRun<'a> {
 
     /// Devices able to run `task` (variant-compatible ∩ execution group),
     /// in device order.
-    pub(crate) fn eligible<'s>(&'s self, task: &Task) -> impl Iterator<Item = DeviceId> + 's {
+    pub(crate) fn eligible(&self, task: Task<'_>) -> impl Iterator<Item = DeviceId> + '_ {
         self.tables.eligible(task)
     }
 
     /// The error for a task [`eligible`](Self::eligible) finds no device for.
-    pub(crate) fn no_eligible_device(&self, task: &Task) -> RtError {
+    pub(crate) fn no_eligible_device(&self, task: Task<'_>) -> RtError {
         RtError::NoEligibleDevice {
             task: task.id,
             codelet: self.graph.codelets[task.codelet].name.clone(),
-            execution_group: task.execution_group.clone(),
+            execution_group: task.execution_group.map(str::to_owned),
         }
     }
 
@@ -109,7 +109,7 @@ impl<'a> SimRun<'a> {
     pub(crate) fn pick(
         &self,
         scheduler: &mut dyn Scheduler,
-        task: &Task,
+        task: Task<'_>,
         ready: SimTime,
         candidates: &[DeviceId],
     ) -> DeviceId {
@@ -131,7 +131,7 @@ impl<'a> SimRun<'a> {
     /// Charges `task`, startable at `ready`, onto `chosen`: its coherence
     /// transfers, its compute span, the trace spans and the assignment.
     /// Returns when the task ends.
-    pub(crate) fn charge(&mut self, task: &Task, chosen: DeviceId, ready: SimTime) -> SimTime {
+    pub(crate) fn charge(&mut self, task: Task<'_>, chosen: DeviceId, ready: SimTime) -> SimTime {
         let machine = self.machine;
         let pipeline = self.options.pipeline;
         let compute = self.tables.compute_time(machine, task, chosen);
@@ -140,7 +140,7 @@ impl<'a> SimRun<'a> {
             // its route occupies, concurrently with device compute. The
             // compute span alone occupies the device.
             let mut arrival = SimTime::ZERO;
-            for a in &task.accesses {
+            for a in task.accesses {
                 let plan =
                     self.data
                         .plan_acquire(machine, a.handle, chosen, a.mode, pipeline.routing());
@@ -157,13 +157,13 @@ impl<'a> SimRun<'a> {
             }
             let (start, end) = self.timelines[chosen.0].reserve(ready.max(arrival), compute);
             self.trace
-                .record(chosen, task.label.clone(), SpanKind::Compute, start, end);
+                .record(chosen, task.label.to_owned(), SpanKind::Compute, start, end);
             end
         } else {
             // Legacy synchronous path: transfers charged on the destination
             // device's own timeline, host-staged routing.
             let mut transfer = Duration::ZERO;
-            for a in &task.accesses {
+            for a in task.accesses {
                 transfer = transfer + self.data.acquire(machine, a.handle, chosen, a.mode);
             }
             // With bus contention on, the transfer additionally occupies
@@ -189,14 +189,14 @@ impl<'a> SimRun<'a> {
             }
             self.trace.record(
                 chosen,
-                task.label.clone(),
+                task.label.to_owned(),
                 SpanKind::Compute,
                 start + transfer,
                 end,
             );
             end
         };
-        for a in &task.accesses {
+        for a in task.accesses {
             if a.mode.writes() {
                 self.handle_ready[a.handle.0] = end;
             }
@@ -207,7 +207,7 @@ impl<'a> SimRun<'a> {
 
     /// Feeds the analytic duration of `task` on `chosen` into the history
     /// model, keyed by the bytes the task touches.
-    pub(crate) fn learn(&mut self, task: &Task, chosen: DeviceId) {
+    pub(crate) fn learn(&mut self, task: Task<'_>, chosen: DeviceId) {
         let size: f64 = task
             .accesses
             .iter()
@@ -267,17 +267,11 @@ impl<'a> SimRun<'a> {
     /// Flushes outputs home: every handle written by some task returns to
     /// host memory (the paper's vertical data-movement requirement).
     fn flush(&mut self) {
-        let mut written: Vec<HandleId> = self
-            .graph
-            .tasks
-            .iter()
-            .flat_map(|t| t.accesses.iter())
-            .filter(|a| a.mode.writes())
-            .map(|a| a.handle)
-            .collect();
-        written.sort_unstable();
-        written.dedup();
-        for h in written {
+        let mut written = vec![false; self.data.len()];
+        for a in self.graph.accesses() {
+            written[a.handle.0] |= a.mode.writes();
+        }
+        for h in (0..written.len()).filter(|&h| written[h]).map(HandleId) {
             if self.options.pipeline.is_active() {
                 let plan = self.data.plan_flush(self.machine, h);
                 let label = format!("{}:out", self.data.meta(h).label);

@@ -6,6 +6,13 @@
 //! implementations for different heterogeneous platforms but offers same
 //! functionality and function signature", §IV-A). A **task** is one
 //! invocation of a codelet on concrete data handles.
+//!
+//! Codelets are owned values; a task is not. A
+//! [`TaskGraph`](crate::graph::TaskGraph) stores its tasks as columns, and
+//! [`Task`] is the borrowed, `Copy` view of one row that
+//! [`TaskGraph::task`](crate::graph::TaskGraph::task) and
+//! [`TaskGraph::tasks`](crate::graph::TaskGraph::tasks) hand out: its label,
+//! accesses and group are slices of the graph's shared buffers.
 
 use crate::data::{AccessMode, HandleId};
 use std::fmt;
@@ -134,26 +141,32 @@ pub struct DataAccess {
     pub mode: AccessMode,
 }
 
-/// One invocation of a codelet.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Task {
+/// One invocation of a codelet, as a view into the graph that holds it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Task<'g> {
     /// Task id within its graph.
     pub id: TaskId,
     /// Index of the codelet in the graph's codelet table.
     pub codelet: usize,
     /// Display label (`dgemm[2,3]`).
-    pub label: String,
+    pub label: &'g str,
     /// Work in double-precision FLOPs (drives the simulated compute time).
     pub flops: f64,
     /// Data accesses in parameter order.
-    pub accesses: Vec<DataAccess>,
+    pub accesses: &'g [DataAccess],
     /// Optional device restriction: the task must run on a device whose PU
     /// belongs to this logic group (the paper's *executiongroup*).
-    pub execution_group: Option<String>,
+    pub execution_group: Option<&'g str>,
     /// Scheduling priority (higher = dispatched earlier by the online
     /// engine; StarPU-style). Defaults to 0.
     pub priority: i32,
 }
+
+/// A `Copy` view cannot grow a `String` or `Vec` field back.
+const _: fn() = || {
+    fn is_copy<T: Copy>() {}
+    is_copy::<Task<'static>>();
+};
 
 #[cfg(test)]
 mod tests {

@@ -112,15 +112,14 @@ impl ThreadTask {
 /// `execution_group` becomes its placement group.
 pub fn from_graph(
     graph: &TaskGraph,
-    mut work: impl FnMut(&Task) -> Box<dyn FnOnce() + Send>,
+    mut work: impl FnMut(Task<'_>) -> Box<dyn FnOnce() + Send>,
 ) -> Vec<ThreadTask> {
     graph
-        .tasks
-        .iter()
+        .tasks()
         .map(|t| ThreadTask {
-            label: t.label.as_str().into(),
+            label: t.label.into(),
             deps: graph.dependencies(t.id).iter().map(|d| d.0).collect(),
-            group: t.execution_group.clone(),
+            group: t.execution_group.map(str::to_owned),
             work: work(t),
         })
         .collect()
@@ -387,15 +386,10 @@ impl ThreadedExecutor {
     /// [`run_compiled`](Self::run_compiled): [`TaskGraph::compile`] plus
     /// the labels and the placement-resolved group of every task.
     pub fn compile_graph(&self, graph: &TaskGraph) -> Result<PlacedGraph, ThreadEngineError> {
-        let task_group =
-            self.resolve_task_groups(graph.tasks.iter().map(|t| t.execution_group.as_deref()))?;
+        let task_group = self.resolve_task_groups(graph.tasks().map(|t| t.execution_group))?;
         Ok(PlacedGraph {
             graph: graph.compile(),
-            labels: graph
-                .tasks
-                .iter()
-                .map(|t| t.label.as_str().into())
-                .collect(),
+            labels: graph.tasks().map(|t| t.label.into()).collect(),
             task_group,
             group_names: self.group_names(),
         })
@@ -1378,14 +1372,14 @@ mod tests {
             "w",
             1.0,
             vec![acc(crate::data::AccessMode::Write)],
-            Some("gpus".into()),
+            Some("gpus"),
         );
         g.submit(c, "r", 1.0, vec![acc(crate::data::AccessMode::Read)], None);
 
         let log = Arc::new(Mutex::new(Vec::new()));
         let tasks = from_graph(&g, |t| {
             let log = log.clone();
-            let label = t.label.clone();
+            let label = t.label.to_owned();
             Box::new(move || log.lock().push(label))
         });
         assert_eq!(tasks.len(), 2);
@@ -1487,7 +1481,7 @@ mod tests {
         );
         for i in 0..8 {
             let group = if i % 2 == 0 { "cpus" } else { "gpus" };
-            g.submit(c, format!("t{i}"), 1.0, vec![], Some(group.into()));
+            g.submit(c, format!("t{i}"), 1.0, vec![], Some(group));
         }
         let pool = ThreadedExecutor::with_placement(
             Placement::new().with_group("cpus", 2).with_group("gpus", 2),

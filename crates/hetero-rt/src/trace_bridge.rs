@@ -3,7 +3,7 @@
 //! The [`sim_engine`](crate::sim_engine) and
 //! [`dyn_engine`](crate::dyn_engine) record occupancy spans in virtual
 //! seconds on a [`simhw`] machine. This module converts a
-//! [`SimReport`](crate::sim_engine::SimReport) into a
+//! [`SimReport`] into a
 //! [`RunTrace`] — one lane per device, labeled with the device's PDL PU id
 //! and first logic group, timestamps in **virtual nanoseconds**
 //! ([`TimeUnit::VirtualNanos`]) — so the same Chrome-trace and run-summary

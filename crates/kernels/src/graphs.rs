@@ -28,6 +28,13 @@ fn rw(handle: HandleId) -> DataAccess {
     }
 }
 
+fn write(handle: HandleId) -> DataAccess {
+    DataAccess {
+        handle,
+        mode: AccessMode::Write,
+    }
+}
+
 /// The DGEMM codelet with the paper's three implementations:
 /// the serial input task (`GotoBLAS`, `x86`), the `CuBLAS` GPU variant and an
 /// `OpenCL` variant.
@@ -65,17 +72,17 @@ pub fn emit_dgemm(g: &mut TaskGraph, n: usize, tile: usize, execution_group: Opt
     let mut c = Vec::with_capacity(tiles * tiles);
     for i in 0..tiles {
         for j in 0..tiles {
-            a.push(g.register_data(format!("A[{i}][{j}]"), tile_bytes));
+            a.push(g.register_data(format_args!("A[{i}][{j}]"), tile_bytes));
         }
     }
     for i in 0..tiles {
         for j in 0..tiles {
-            b.push(g.register_data(format!("B[{i}][{j}]"), tile_bytes));
+            b.push(g.register_data(format_args!("B[{i}][{j}]"), tile_bytes));
         }
     }
     for i in 0..tiles {
         for j in 0..tiles {
-            c.push(g.register_data(format!("C[{i}][{j}]"), tile_bytes));
+            c.push(g.register_data(format_args!("C[{i}][{j}]"), tile_bytes));
         }
     }
 
@@ -85,14 +92,14 @@ pub fn emit_dgemm(g: &mut TaskGraph, n: usize, tile: usize, execution_group: Opt
             for k in 0..tiles {
                 g.submit(
                     codelet,
-                    format!("dgemm[{i},{j},{k}]"),
+                    format_args!("dgemm[{i},{j},{k}]"),
                     tile_flops,
-                    vec![
+                    [
                         read(a[i * tiles + k]),
                         read(b[k * tiles + j]),
                         rw(c[i * tiles + j]),
                     ],
-                    execution_group.clone(),
+                    execution_group.as_deref(),
                 );
             }
         }
@@ -112,7 +119,7 @@ pub fn dgemm_serial_graph(n: usize) -> TaskGraph {
         codelet,
         "dgemm",
         dgemm_flops(n),
-        vec![read(a), read(b), rw(c)],
+        [read(a), read(b), rw(c)],
         None,
     );
     g
@@ -141,14 +148,14 @@ pub fn emit_vecadd(g: &mut TaskGraph, n: usize, chunks: usize, execution_group: 
     let codelet = g.add_codelet(vecadd_codelet());
     for (idx, (lo, hi)) in block_ranges(n, chunks).into_iter().enumerate() {
         let len = hi - lo;
-        let a = g.register_data(format!("A[{idx}]"), vector_bytes(len));
-        let b = g.register_data(format!("B[{idx}]"), vector_bytes(len));
+        let a = g.register_data(format_args!("A[{idx}]"), vector_bytes(len));
+        let b = g.register_data(format_args!("B[{idx}]"), vector_bytes(len));
         g.submit(
             codelet,
-            format!("vecadd[{idx}]"),
+            format_args!("vecadd[{idx}]"),
             vecadd_flops(len),
-            vec![rw(a), read(b)],
-            execution_group.clone(),
+            [rw(a), read(b)],
+            execution_group.as_deref(),
         );
     }
 }
@@ -169,7 +176,7 @@ pub fn stencil_graph(n: usize, strips: usize, sweeps: usize) -> TaskGraph {
     let strip_bytes = grid_bytes(n) / strips as f64;
     let buf = |g: &mut TaskGraph, name: &str| -> Vec<HandleId> {
         (0..strips)
-            .map(|s| g.register_data(format!("{name}[{s}]"), strip_bytes))
+            .map(|s| g.register_data(format_args!("{name}[{s}]"), strip_bytes))
             .collect()
     };
     let buffers = [buf(&mut g, "even"), buf(&mut g, "odd")];
@@ -179,24 +186,15 @@ pub fn stencil_graph(n: usize, strips: usize, sweeps: usize) -> TaskGraph {
         let src = &buffers[sweep % 2];
         let dst = &buffers[(sweep + 1) % 2];
         for s in 0..strips {
-            let mut accesses = vec![
-                read(src[s]),
-                DataAccess {
-                    handle: dst[s],
-                    mode: AccessMode::Write,
-                },
-            ];
-            if s > 0 {
-                accesses.push(read(src[s - 1]));
-            }
-            if s + 1 < strips {
-                accesses.push(read(src[s + 1]));
-            }
+            // Own strip, then the halo neighbours that exist.
+            let halo = [s.checked_sub(1), Some(s + 1).filter(|&n| n < strips)];
             g.submit(
                 codelet,
-                format!("jacobi[{sweep},{s}]"),
+                format_args!("jacobi[{sweep},{s}]"),
                 strip_flops,
-                accesses,
+                [read(src[s]), write(dst[s])]
+                    .into_iter()
+                    .chain(halo.into_iter().flatten().map(|n| read(src[n]))),
                 None,
             );
         }
@@ -217,18 +215,12 @@ pub fn spmv_graph(n: usize, strips: usize) -> TaskGraph {
     );
     let x = g.register_data("x", vector_bytes(n));
     for (idx, (lo, hi)) in block_ranges(n, strips.max(1)).into_iter().enumerate() {
-        let y_strip = g.register_data(format!("y[{idx}]"), vector_bytes(hi - lo));
+        let y_strip = g.register_data(format_args!("y[{idx}]"), vector_bytes(hi - lo));
         g.submit(
             codelet,
-            format!("spmv[{idx}]"),
+            format_args!("spmv[{idx}]"),
             matrix.strip_flops(lo, hi),
-            vec![
-                read(x),
-                DataAccess {
-                    handle: y_strip,
-                    mode: AccessMode::Write,
-                },
-            ],
+            [read(x), write(y_strip)],
             None,
         );
     }
@@ -249,28 +241,18 @@ pub fn reduce_graph(n: usize, chunks: usize) -> TaskGraph {
     let mut partials = Vec::with_capacity(chunks);
     for (idx, (lo, hi)) in block_ranges(n, chunks).into_iter().enumerate() {
         let len = hi - lo;
-        let input = g.register_data(format!("in[{idx}]"), vector_bytes(len));
-        let partial = g.register_data(format!("part[{idx}]"), 8.0);
+        let input = g.register_data(format_args!("in[{idx}]"), vector_bytes(len));
+        let partial = g.register_data(format_args!("part[{idx}]"), 8.0);
         g.submit(
             codelet,
-            format!("partial[{idx}]"),
+            format_args!("partial[{idx}]"),
             reduce_flops(len),
-            vec![
-                read(input),
-                DataAccess {
-                    handle: partial,
-                    mode: AccessMode::Write,
-                },
-            ],
+            [read(input), write(partial)],
             None,
         );
         partials.push(partial);
     }
-    let mut accesses: Vec<DataAccess> = partials.into_iter().map(read).collect();
-    accesses.push(DataAccess {
-        handle: result,
-        mode: AccessMode::Write,
-    });
+    let accesses = partials.into_iter().map(read).chain([write(result)]);
     g.submit(codelet, "combine", reduce_flops(chunks), accesses, None);
     g
 }
@@ -293,39 +275,30 @@ pub fn fork_join_graph(width: usize, stages: usize, execution_group: Option<Stri
     let codelet = g.add_codelet(Codelet::new("I_forkjoin").with_variant(Variant::new("x86")));
     let flops = 1000.0;
 
+    let execution_group = execution_group.as_deref();
     let mut join_prev: Option<HandleId> = None;
+    // One buffer of partial handles, reused by every stage.
+    let mut partials = Vec::with_capacity(width);
     for s in 0..stages {
-        let join = g.register_data(format!("join[{s}]"), 8.0);
-        let mut partials = Vec::with_capacity(width);
+        let join = g.register_data(format_args!("join[{s}]"), 8.0);
+        partials.clear();
         for i in 0..width {
-            let partial = g.register_data(format!("part[{s}][{i}]"), 8.0);
-            let mut accesses = vec![DataAccess {
-                handle: partial,
-                mode: AccessMode::Write,
-            }];
-            if let Some(prev) = join_prev {
-                accesses.push(read(prev));
-            }
+            let partial = g.register_data(format_args!("part[{s}][{i}]"), 8.0);
             g.submit(
                 codelet,
-                format!("fork[{s}][{i}]"),
+                format_args!("fork[{s}][{i}]"),
                 flops,
-                accesses,
-                execution_group.clone(),
+                [write(partial)].into_iter().chain(join_prev.map(read)),
+                execution_group,
             );
             partials.push(partial);
         }
-        let mut accesses: Vec<DataAccess> = partials.into_iter().map(read).collect();
-        accesses.push(DataAccess {
-            handle: join,
-            mode: AccessMode::Write,
-        });
         g.submit(
             codelet,
-            format!("join[{s}]"),
+            format_args!("join[{s}]"),
             flops,
-            accesses,
-            execution_group.clone(),
+            partials.iter().copied().map(read).chain([write(join)]),
+            execution_group,
         );
         join_prev = Some(join);
     }
@@ -335,6 +308,7 @@ pub fn fork_join_graph(width: usize, stages: usize, execution_group: Option<Stri
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hetero_rt::task::TaskId;
 
     #[test]
     fn dgemm_graph_shape() {
@@ -368,10 +342,7 @@ mod tests {
         assert_eq!(g.len(), 8);
         assert_eq!(g.sources().len(), 8);
         assert!((g.total_flops() - 1_000_000.0).abs() < 1e-9);
-        assert!(g
-            .tasks
-            .iter()
-            .all(|t| t.execution_group.as_deref() == Some("gpus")));
+        assert!(g.tasks().all(|t| t.execution_group == Some("gpus")));
     }
 
     #[test]
@@ -382,11 +353,11 @@ mod tests {
         assert_eq!(g.sources().len(), 4);
         // Sweep 1 strip 1 depends on sweep 0 strips 0,1,2: it reads their
         // freshly written buffer entries (own strip + both halos).
-        let t = hetero_rt::task::TaskId(4 + 1);
+        let t = TaskId(4 + 1);
         let deps = g.dependencies(t);
         assert_eq!(deps.len(), 3, "{deps:?}");
         // Edge strip of sweep 1 has only 2 upstream writers.
-        let edge = hetero_rt::task::TaskId(4);
+        let edge = TaskId(4);
         assert_eq!(g.dependencies(edge).len(), 2);
     }
 
@@ -394,7 +365,7 @@ mod tests {
     fn reduce_graph_fans_in() {
         let g = reduce_graph(1_000_000, 16);
         assert_eq!(g.len(), 17);
-        let combine = hetero_rt::task::TaskId(16);
+        let combine = TaskId(16);
         assert_eq!(g.dependencies(combine).len(), 16);
         assert_eq!(g.compile().dependents(combine).len(), 0);
     }
@@ -407,7 +378,7 @@ mod tests {
         let m = crate::spmv::CsrMatrix::poisson_1d(1000);
         assert_eq!(g.total_flops(), m.spmv_flops());
         // Boundary strips are lighter than interior strips.
-        let costs: Vec<f64> = g.tasks.iter().map(|t| t.flops).collect();
+        let costs: Vec<f64> = g.tasks().map(|t| t.flops).collect();
         assert!(costs[0] < costs[3]);
     }
 
@@ -416,22 +387,22 @@ mod tests {
         let width = 6;
         let stages = 4;
         let g = fork_join_graph(width, stages, Some("cpus".into()));
-        assert_eq!(g.tasks.len(), stages * (width + 1));
+        assert_eq!(g.len(), stages * (width + 1));
         for s in 0..stages {
-            let join = &g.tasks[s * (width + 1) + width];
+            let join = g.task(TaskId(s * (width + 1) + width));
             assert_eq!(join.label, format!("join[{s}]"));
             // The join waits on every fork of its stage.
             assert_eq!(g.dependencies(join.id).len(), width);
             // Stage s forks wait on the previous join (and nothing else).
             for i in 0..width {
-                let fork = &g.tasks[s * (width + 1) + i];
+                let fork = g.task(TaskId(s * (width + 1) + i));
                 let deps = g.dependencies(fork.id);
                 if s == 0 {
                     assert!(deps.is_empty());
                 } else {
-                    assert_eq!(deps, vec![g.tasks[(s - 1) * (width + 1) + width].id]);
+                    assert_eq!(deps, [TaskId((s - 1) * (width + 1) + width)]);
                 }
-                assert_eq!(fork.execution_group.as_deref(), Some("cpus"));
+                assert_eq!(fork.execution_group, Some("cpus"));
             }
         }
     }

@@ -30,6 +30,7 @@
 
 use hetero_rt::data::AccessMode;
 use hetero_rt::graph::TaskGraph;
+use hetero_rt::task::{Task, TaskId};
 use hetero_trace::RunTrace;
 use pdl_core::diag::{Diagnostic, Report};
 use std::collections::BTreeMap;
@@ -75,15 +76,13 @@ pub fn check_trace(trace: &RunTrace, graph: &TaskGraph) -> Report {
         for queue in by_label.values_mut() {
             queue.reverse(); // pop() yields earliest start first
         }
-        for task in &graph.tasks {
-            graph_span[task.id.0] = by_label
-                .get_mut(task.label.as_str())
-                .and_then(std::vec::Vec::pop);
+        for task in graph.tasks() {
+            graph_span[task.id.0] = by_label.get_mut(task.label).and_then(std::vec::Vec::pop);
         }
     }
 
     // T002: declared tasks that never ran.
-    for task in &graph.tasks {
+    for task in graph.tasks() {
         if graph_span[task.id.0].is_none() {
             out.push(
                 Diagnostic::error(
@@ -93,13 +92,13 @@ pub fn check_trace(trace: &RunTrace, graph: &TaskGraph) -> Report {
                         task.id, task.label
                     ),
                 )
-                .with_subject(task.label.clone()),
+                .with_subject(task.label),
             );
         }
     }
 
     // T003: dependency edges must be respected by observed time.
-    for task in &graph.tasks {
+    for task in graph.tasks() {
         let Some(si) = graph_span[task.id.0] else {
             continue;
         };
@@ -117,11 +116,11 @@ pub fn check_trace(trace: &RunTrace, graph: &TaskGraph) -> Report {
                             task.label,
                             spans[si].start,
                             dep,
-                            graph.tasks[dep.0].label,
+                            graph.task(dep).label,
                             spans[di].end
                         ),
                     )
-                    .with_subject(task.label.clone()),
+                    .with_subject(task.label),
                 );
             }
         }
@@ -129,11 +128,11 @@ pub fn check_trace(trace: &RunTrace, graph: &TaskGraph) -> Report {
 
     // T004: group placement. The declared pin comes from the graph (or the
     // trace's own task table); the lane's group from the trace meta.
-    for task in &graph.tasks {
+    for task in graph.tasks() {
         let Some(si) = graph_span[task.id.0] else {
             continue;
         };
-        let declared = task.execution_group.as_deref().or_else(|| {
+        let declared = task.execution_group.or_else(|| {
             trace
                 .meta
                 .tasks
@@ -160,7 +159,7 @@ pub fn check_trace(trace: &RunTrace, graph: &TaskGraph) -> Report {
                             lane_group
                         ),
                     )
-                    .with_subject(task.label.clone()),
+                    .with_subject(task.label),
                 );
             }
         }
@@ -175,20 +174,20 @@ pub fn check_trace(trace: &RunTrace, graph: &TaskGraph) -> Report {
     // the check costs what the graph's conflicts cost, not all task pairs.
     let clocks = VectorClocks::of(&spans, graph, &graph_span);
     let mut accessors: Vec<Vec<(usize, AccessMode)>> = vec![Vec::new(); graph.data.len()];
-    for task in &graph.tasks {
+    for task in graph.tasks() {
         if graph_span[task.id.0].is_some() {
-            for access in &task.accesses {
+            for access in task.accesses {
                 accessors[access.handle.0].push((task.id.0, access.mode));
             }
         }
     }
     let mut later: Vec<usize> = Vec::new();
-    for a in &graph.tasks {
+    for a in graph.tasks() {
         let Some(sa) = graph_span[a.id.0] else {
             continue;
         };
         later.clear();
-        for access in &a.accesses {
+        for access in a.accesses {
             let of_handle = &accessors[access.handle.0];
             // Lists are in task order; a pair is reported from its earlier task.
             let after = of_handle.partition_point(|&(id, _)| id <= a.id.0);
@@ -204,7 +203,7 @@ pub fn check_trace(trace: &RunTrace, graph: &TaskGraph) -> Report {
         later.sort_unstable();
         later.dedup();
         for &b in &later {
-            let b = &graph.tasks[b];
+            let b = graph.task(TaskId(b));
             let sb = graph_span[b.id.0].expect("only tasks with a span are listed");
             if clocks.ordered(sa, sb) {
                 continue;
@@ -218,7 +217,7 @@ pub fn check_trace(trace: &RunTrace, graph: &TaskGraph) -> Report {
                         a.id, a.label, b.id, b.label, handle
                     ),
                 )
-                .with_subject(a.label.clone()),
+                .with_subject(a.label),
             );
         }
     }
@@ -409,9 +408,9 @@ pub fn analyze_trace_source(
 }
 
 /// First shared handle two tasks access conflictingly (≥ 1 write).
-fn conflict(a: &hetero_rt::task::Task, b: &hetero_rt::task::Task) -> Option<usize> {
-    for aa in &a.accesses {
-        for ba in &b.accesses {
+fn conflict(a: Task<'_>, b: Task<'_>) -> Option<usize> {
+    for aa in a.accesses {
+        for ba in b.accesses {
             if aa.handle == ba.handle
                 && (aa.mode != AccessMode::Read || ba.mode != AccessMode::Read)
             {
@@ -447,7 +446,7 @@ impl VectorClocks {
 
         // Dependency predecessors, per span index of the dependent task.
         let mut dep_preds: Vec<Vec<usize>> = vec![Vec::new(); spans.len()];
-        for task in &graph.tasks {
+        for task in graph.tasks() {
             let Some(si) = graph_span[task.id.0] else {
                 continue;
             };
@@ -537,12 +536,11 @@ mod tests {
             platform: None,
             lanes,
             tasks: graph
-                .tasks
-                .iter()
+                .tasks()
                 .map(|t| TaskInfo {
-                    label: t.label.as_str().into(),
+                    label: t.label.into(),
                     category: "task".into(),
-                    group: t.execution_group.as_deref().map(Into::into),
+                    group: t.execution_group.map(Into::into),
                 })
                 .collect(),
             time_unit: hetero_trace::TimeUnit::default(),
@@ -626,7 +624,7 @@ mod tests {
     fn group_violation_is_t004() {
         let mut g = TaskGraph::new();
         let c = g.add_codelet(Codelet::new("k"));
-        g.submit(c, "pinned", 1.0, Vec::new(), Some("gpus".into()));
+        g.submit(c, "pinned", 1.0, Vec::new(), Some("gpus"));
         let trace = RunTrace {
             meta: meta_for(
                 &g,

@@ -12,7 +12,7 @@
 //!   bottleneck analysis), feeding code generation (§IV-C step 3);
 //! * [`capability`] — requirement matching for variant pre-selection and
 //!   platform-pattern detection;
-//! * [`diff`] — structural diffing of descriptor snapshots (dynamic-resource
+//! * [`mod@diff`] — structural diffing of descriptor snapshots (dynamic-resource
 //!   tracking, paper future work).
 //!
 //! ```

@@ -10,7 +10,7 @@
 //! tracks line/column for diagnostics and guarantees well-formedness:
 //! matching tags, unique attributes per element, single root element.
 //! Character data, attribute values, names and whitespace are consumed a
-//! run at a time ([`Parser::run`]); `tests/xml_oracle.rs` holds the
+//! run at a time (`Parser::run`); `tests/xml_oracle.rs` holds the
 //! one-`char`-at-a-time cursor this replaced and requires the same tree,
 //! positions and errors from both.
 

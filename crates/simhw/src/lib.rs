@@ -15,7 +15,7 @@
 //!   paths ([`link::TransferPath`]) derived from interconnect entities;
 //! * [`resource`] — serializing occupancy timelines for devices and links;
 //! * [`trace`] — execution spans, makespan/utilization, text Gantt charts;
-//! * [`energy`] — energy accounting from PDL `TDP`/`IDLE_POWER` properties.
+//! * [`mod@energy`] — energy accounting from PDL `TDP`/`IDLE_POWER` properties.
 //!
 //! ```
 //! use simhw::machine::SimMachine;

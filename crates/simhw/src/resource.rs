@@ -78,7 +78,7 @@ const MAX_OCCUPANCY_BUCKETS: usize = 256;
 /// bucketed variant keeps reserve O(1) amortized (same FIFO horizon rule)
 /// while exposing a bounded occupancy profile: bucket width starts at
 /// `initial_width` and doubles (folding the histogram) whenever the run
-/// outgrows [`MAX_OCCUPANCY_BUCKETS`] — the same automatic width resizing
+/// outgrows `MAX_OCCUPANCY_BUCKETS` — the same automatic width resizing
 /// the calendar event queue applies to its buckets.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BucketedTimeline {

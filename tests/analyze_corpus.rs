@@ -241,7 +241,7 @@ mod fig5_replay {
             })
             .next()
             .expect("fig5 graph has dependencies");
-        let label_of = |task: TaskId| graph.tasks[task.0].label.clone();
+        let label_of = |task: TaskId| graph.task(task).label;
         let trace_id = |label: &str| -> u32 {
             trace
                 .meta
@@ -250,7 +250,7 @@ mod fig5_replay {
                 .position(|info| &*info.label == label)
                 .expect("graph task appears in trace") as u32
         };
-        let (id_d, id_t) = (trace_id(&label_of(d)), trace_id(&label_of(t)));
+        let (id_d, id_t) = (trace_id(label_of(d)), trace_id(label_of(t)));
 
         let mut corrupted = trace.clone();
         for lane in &mut corrupted.workers {

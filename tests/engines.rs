@@ -65,7 +65,7 @@ fn dependency_edges_match_between_graph_and_threaded_form() {
     let tile = 8;
     let tiles = n / tile;
     let graph = kernels::graphs::dgemm_graph(n, tile, None);
-    for (t_index, task) in graph.tasks.iter().enumerate() {
+    for (t_index, task) in graph.tasks().enumerate() {
         let tk = t_index % tiles;
         let deps = graph.dependencies(task.id);
         if tk == 0 {

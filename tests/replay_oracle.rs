@@ -58,15 +58,13 @@ fn reference_check_trace(trace: &RunTrace, graph: &TaskGraph) -> Report {
         for queue in by_label.values_mut() {
             queue.reverse(); // pop() yields earliest start first
         }
-        for task in &graph.tasks {
-            graph_span[task.id.0] = by_label
-                .get_mut(task.label.as_str())
-                .and_then(std::vec::Vec::pop);
+        for task in graph.tasks() {
+            graph_span[task.id.0] = by_label.get_mut(task.label).and_then(std::vec::Vec::pop);
         }
     }
 
     // T002: declared tasks that never ran.
-    for task in &graph.tasks {
+    for task in graph.tasks() {
         if graph_span[task.id.0].is_none() {
             out.push(
                 Diagnostic::error(
@@ -76,13 +74,13 @@ fn reference_check_trace(trace: &RunTrace, graph: &TaskGraph) -> Report {
                         task.id, task.label
                     ),
                 )
-                .with_subject(task.label.clone()),
+                .with_subject(task.label),
             );
         }
     }
 
     // T003: dependency edges must be respected by observed time.
-    for task in &graph.tasks {
+    for task in graph.tasks() {
         let Some(si) = graph_span[task.id.0] else {
             continue;
         };
@@ -100,11 +98,11 @@ fn reference_check_trace(trace: &RunTrace, graph: &TaskGraph) -> Report {
                             task.label,
                             spans[si].start,
                             dep,
-                            graph.tasks[dep.0].label,
+                            graph.task(dep).label,
                             spans[di].end
                         ),
                     )
-                    .with_subject(task.label.clone()),
+                    .with_subject(task.label),
                 );
             }
         }
@@ -112,11 +110,11 @@ fn reference_check_trace(trace: &RunTrace, graph: &TaskGraph) -> Report {
 
     // T004: group placement. The declared pin comes from the graph (or the
     // trace's own task table); the lane's group from the trace meta.
-    for task in &graph.tasks {
+    for task in graph.tasks() {
         let Some(si) = graph_span[task.id.0] else {
             continue;
         };
-        let declared = task.execution_group.as_deref().or_else(|| {
+        let declared = task.execution_group.or_else(|| {
             trace
                 .meta
                 .tasks
@@ -143,7 +141,7 @@ fn reference_check_trace(trace: &RunTrace, graph: &TaskGraph) -> Report {
                             lane_group
                         ),
                     )
-                    .with_subject(task.label.clone()),
+                    .with_subject(task.label),
                 );
             }
         }
@@ -153,11 +151,11 @@ fn reference_check_trace(trace: &RunTrace, graph: &TaskGraph) -> Report {
     // they strengthen per-lane ordering), with dependency edges between
     // correlated graph tasks that observed time actually respects.
     let clocks = vector_clocks(&spans, graph, &graph_span);
-    for a in &graph.tasks {
+    for a in graph.tasks() {
         let Some(sa) = graph_span[a.id.0] else {
             continue;
         };
-        for b in &graph.tasks {
+        for b in graph.tasks() {
             if b.id.0 <= a.id.0 {
                 continue;
             }
@@ -177,7 +175,7 @@ fn reference_check_trace(trace: &RunTrace, graph: &TaskGraph) -> Report {
                             a.id, a.label, b.id, b.label, handle
                         ),
                     )
-                    .with_subject(a.label.clone()),
+                    .with_subject(a.label),
                 );
             }
         }
@@ -189,9 +187,9 @@ fn reference_check_trace(trace: &RunTrace, graph: &TaskGraph) -> Report {
 }
 
 /// First shared handle two tasks access conflictingly (≥ 1 write).
-fn conflict(a: &hetero_rt::task::Task, b: &hetero_rt::task::Task) -> Option<usize> {
-    for aa in &a.accesses {
-        for ba in &b.accesses {
+fn conflict(a: hetero_rt::task::Task<'_>, b: hetero_rt::task::Task<'_>) -> Option<usize> {
+    for aa in a.accesses {
+        for ba in b.accesses {
             if aa.handle == ba.handle
                 && (aa.mode != AccessMode::Read || ba.mode != AccessMode::Read)
             {
@@ -234,7 +232,7 @@ fn vector_clocks(
 
     // Dependency predecessors, per span index of the dependent task.
     let mut dep_preds: Vec<Vec<usize>> = vec![Vec::new(); spans.len()];
-    for task in &graph.tasks {
+    for task in graph.tasks() {
         let Some(si) = graph_span[task.id.0] else {
             continue;
         };
@@ -344,23 +342,20 @@ fn schedule(drawn: &[DrawnTask], lanes: usize, labelled: bool) -> (TaskGraph, Ru
         .map(|h| graph.register_data(format!("h{h}"), 8.0))
         .collect();
     for (i, (accesses, label, _, _, _, fate)) in drawn.iter().enumerate() {
-        let accesses = accesses
-            .iter()
-            .map(|&(h, mode)| DataAccess {
-                handle: handles[h],
-                mode: [AccessMode::Read, AccessMode::Write, AccessMode::ReadWrite][mode as usize],
-            })
-            .collect();
+        let accesses = accesses.iter().map(|&(h, mode)| DataAccess {
+            handle: handles[h],
+            mode: [AccessMode::Read, AccessMode::Write, AccessMode::ReadWrite][mode as usize],
+        });
         // Few labels, so that some repeat and correlate by start order.
-        let group = (*fate == PINNED).then(|| GROUPS[i % 2].to_string());
+        let group = (*fate == PINNED).then(|| GROUPS[i % 2]);
         graph.submit(codelet, format!("t{}", label % 12), 1.0, accesses, group);
     }
 
-    let mut labels: Vec<String> = graph.tasks.iter().map(|t| t.label.clone()).collect();
+    let mut labels: Vec<String> = graph.tasks().map(|t| t.label.to_owned()).collect();
     let mut lane_events: Vec<Vec<TraceEvent>> = vec![Vec::new(); lanes];
     let mut lane_free = vec![0u64; lanes];
     let mut end_of: Vec<Option<u64>> = vec![None; graph.len()];
-    for (task, &(_, _, lane, gap, duration, fate)) in graph.tasks.iter().zip(drawn) {
+    for (task, &(_, _, lane, gap, duration, fate)) in graph.tasks().zip(drawn) {
         if fate == NEVER_RUNS {
             continue;
         }
@@ -503,7 +498,7 @@ fn replay_of_32768_dgemm_tiles_is_quick() {
     let mut lane_events: Vec<Vec<TraceEvent>> = vec![Vec::new(); lanes];
     let mut lane_free = vec![0u64; lanes];
     let mut end_of = vec![0u64; graph.len()];
-    for task in &graph.tasks {
+    for task in graph.tasks() {
         let lane = task.id.0 % lanes;
         let ready = graph
             .dependencies(task.id)
@@ -517,7 +512,7 @@ fn replay_of_32768_dgemm_tiles_is_quick() {
         lane_free[lane] = end;
         end_of[task.id.0] = end;
     }
-    let labels = graph.tasks.iter().map(|t| t.label.clone()).collect();
+    let labels = graph.tasks().map(|t| t.label.to_owned()).collect();
     let trace = trace_of(lane_events, labels);
     let started = std::time::Instant::now();
     let report = check_trace(&trace, &graph);

@@ -99,8 +99,7 @@ fn dag_graph(masks: &[u64], group_of: impl Fn(usize) -> Option<&'static str>) ->
             handle: HandleId(d),
             mode: AccessMode::Read,
         }));
-        let group = group_of(i).map(String::from);
-        graph.submit(codelet, format!("t{i}"), 1.0, accesses, group);
+        graph.submit(codelet, format!("t{i}"), 1.0, accesses, group_of(i));
     }
     graph
 }

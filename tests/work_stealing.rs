@@ -379,7 +379,7 @@ proptest! {
                 mode: AccessMode::Read,
             }));
             let group = if i % 2 == 0 { "even" } else { "odd" };
-            graph.submit(codelet, format!("t{i}"), 1.0, accesses, Some(group.into()));
+            graph.submit(codelet, format!("t{i}"), 1.0, accesses, Some(group));
         }
         let pool = ThreadedExecutor::with_placement(
             Placement::new().with_group("even", workers).with_group("odd", 1),
