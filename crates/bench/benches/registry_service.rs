@@ -8,15 +8,13 @@
 //! central claim: reads are snapshot-isolated and never blocked by
 //! publishes beyond the pointer swap.
 //!
-//! The one-shot summary reports request throughput plus tail latency
-//! (p50/p90/p99 per request kind, from the registry's always-on
-//! `registry_*_ns` telemetry histograms) and writes
-//! `BENCH_registry_service.json`; the bench-regression CI gate keys on
-//! the higher-is-better `*_per_sec` metrics and the lower-is-better
-//! `p*_ns` quantiles.
+//! Two groups: `registry_service` times one request of each kind against
+//! a fixed snapshot, `registry_concurrent` seeding plus the whole mixed
+//! drive. Per-request tail latencies are what the registry's always-on
+//! `registry_*_ns` telemetry histograms record
+//! (`crates/pdl-registry/tests/telemetry.rs`).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use hetero_trace::json::Json;
 use pdl_core::platform::Platform;
 use pdl_core::property::Property;
 use pdl_discover::synthetic::{self, TestbedOptions};
@@ -26,7 +24,6 @@ use std::hint::black_box;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread;
-use std::time::Instant;
 
 /// Series in the synthetic catalog (the issue floor is 200).
 const PLATFORMS: usize = 224;
@@ -87,29 +84,8 @@ fn seeded_registry() -> Arc<Registry> {
     reg
 }
 
-/// One request kind's latency distribution, as recorded by the
-/// registry's always-on telemetry during the drive phase.
-fn latency_json(histogram: &str) -> Json {
-    let snap = hetero_trace::telemetry::global()
-        .histogram(histogram)
-        .snapshot();
-    let q = |p: f64| snap.quantile(p).unwrap_or(0) as f64;
-    let mean = if snap.count() == 0 {
-        0.0
-    } else {
-        snap.sum() as f64 / snap.count() as f64
-    };
-    Json::obj([
-        ("count", Json::Num(snap.count() as f64)),
-        ("mean_ns", Json::Num(mean)),
-        ("p50_ns", Json::Num(q(0.5))),
-        ("p90_ns", Json::Num(q(0.9))),
-        ("p99_ns", Json::Num(q(0.99))),
-    ])
-}
-
-/// The concurrent read phase; returns (total requests, wall seconds).
-fn drive_requests(reg: &Arc<Registry>) -> (u64, f64) {
+/// The concurrent read phase; returns the total requests served.
+fn drive_requests(reg: &Arc<Registry>) -> u64 {
     let stop = Arc::new(AtomicBool::new(false));
 
     // Publisher: keeps revising a rotating subset of series while readers
@@ -132,7 +108,6 @@ fn drive_requests(reg: &Arc<Registry>) -> (u64, f64) {
     };
 
     let gpu_reqs = RequirementSet::new().with(Requirement::Architecture("gpu".into()));
-    let t0 = Instant::now();
     let readers: Vec<_> = (0..READERS)
         .map(|r| {
             let reg = Arc::clone(reg);
@@ -169,125 +144,13 @@ fn drive_requests(reg: &Arc<Registry>) -> (u64, f64) {
         .collect();
 
     let total: u64 = readers.into_iter().map(|h| h.join().unwrap()).sum();
-    let wall = t0.elapsed().as_secs_f64();
     stop.store(true, Ordering::Relaxed);
     let published = publisher.join().unwrap();
     assert!(published > 0, "publisher never ran");
-    (total, wall)
-}
-
-fn print_summary() {
-    println!(
-        "\nregistry_service: {PLATFORMS}-platform catalog, {READERS} readers x {ROUNDS} rounds"
-    );
-
-    let t0 = Instant::now();
-    let reg = seeded_registry();
-    let publish_secs = t0.elapsed().as_secs_f64();
-    let seeded = reg.snapshot();
-    let publishes = seeded.total_releases() as f64;
-    println!(
-        "  seed: {} series, {} releases, {} distinct contents in {:.1} ms ({:.0} publishes/s)",
-        seeded.len(),
-        seeded.total_releases(),
-        seeded.distinct_contents(),
-        publish_secs * 1e3,
-        publishes / publish_secs,
-    );
-
-    // Isolate the drive phase in the process-global latency histograms
-    // (seeding resolves/diffs internally during publish).
-    hetero_trace::telemetry::global().reset();
-    let (requests, wall) = drive_requests(&reg);
-    let per_sec = requests as f64 / wall;
-    let final_snap = reg.snapshot();
-    println!(
-        "  served {requests} concurrent requests in {:.1} ms ({per_sec:.0} req/s), epoch {} -> {}",
-        wall * 1e3,
-        seeded.epoch(),
-        final_snap.epoch(),
-    );
-    assert!(requests >= 10_000, "workload must drive >=10k requests");
-    let latency: Vec<(&str, Json)> = [
-        ("resolve", "registry_resolve_ns"),
-        ("select", "registry_select_ns"),
-        ("diff", "registry_diff_ns"),
-    ]
-    .map(|(op, hist)| (op, latency_json(hist)))
-    .into_iter()
-    .collect();
-    for (op, row) in &latency {
-        let get = |k| row.get(k).and_then(Json::as_u64).unwrap_or(0);
-        println!(
-            "  {op:>8}: {} requests, p50 {} ns, p90 {} ns, p99 {} ns",
-            get("count"),
-            get("p50_ns"),
-            get("p90_ns"),
-            get("p99_ns"),
-        );
-        assert!(get("count") > 0, "{op} latency histogram stayed empty");
-    }
-    println!();
-
-    let doc = Json::obj([
-        (
-            "schema",
-            Json::Num(hetero_trace::summary::SCHEMA_VERSION as f64),
-        ),
-        ("kind", Json::str("registry-service")),
-        (
-            "catalog",
-            Json::obj([
-                ("platforms", Json::Num(seeded.len() as f64)),
-                ("releases", Json::Num(seeded.total_releases() as f64)),
-                (
-                    "distinct_contents",
-                    Json::Num(seeded.distinct_contents() as f64),
-                ),
-            ]),
-        ),
-        (
-            "publish",
-            Json::obj([
-                ("publishes", Json::Num(publishes)),
-                ("wall_ms", Json::Num(publish_secs * 1e3)),
-                ("publishes_per_sec", Json::Num(publishes / publish_secs)),
-            ]),
-        ),
-        (
-            "service",
-            Json::obj([
-                ("readers", Json::Num(READERS as f64)),
-                ("requests", Json::Num(requests as f64)),
-                ("wall_ms", Json::Num(wall * 1e3)),
-                ("requests_per_sec", Json::Num(per_sec)),
-                ("final_epoch", Json::Num(final_snap.epoch() as f64)),
-            ]),
-        ),
-        (
-            "latency",
-            Json::Obj(
-                latency
-                    .into_iter()
-                    .map(|(op, row)| (op.to_string(), row))
-                    .collect(),
-            ),
-        ),
-    ]);
-    let dir = std::path::PathBuf::from(std::env::var("BENCH_OUT_DIR").unwrap_or_default());
-    if !dir.as_os_str().is_empty() {
-        let _ = std::fs::create_dir_all(&dir);
-    }
-    let out = dir.join("BENCH_registry_service.json");
-    match std::fs::write(&out, doc.to_pretty()) {
-        Ok(()) => println!("  wrote {}\n", out.display()),
-        Err(e) => println!("  could not write {}: {e}\n", out.display()),
-    }
+    total
 }
 
 fn registry_service(c: &mut Criterion) {
-    print_summary();
-
     let reg = seeded_registry();
     let snap = reg.snapshot();
     let gpu_reqs = RequirementSet::new().with(Requirement::Architecture("gpu".into()));
@@ -322,7 +185,8 @@ fn registry_service(c: &mut Criterion) {
     group.bench_function("mixed_requests_under_publish", |b| {
         b.iter(|| {
             let reg = seeded_registry();
-            drive_requests(&reg)
+            let requests = drive_requests(&reg);
+            assert!(requests >= 10_000, "workload must drive >=10k requests");
         });
     });
     group.finish();

@@ -8,18 +8,14 @@
 //! pre-aggregated worker-locally and merged in one batch (reusing the
 //! timestamps the engine already takes — zero extra hot-path work).
 //!
-//! The one-shot summary prints the median delta, sanity-checks that the
-//! counters actually counted, and writes `BENCH_telemetry_overhead.json`
-//! with the measured `overhead_pct` against the 5% budget the telemetry
-//! layer is designed to stay (far) under.
+//! The `off`/`on` pair is the measurement; the layer is designed to stay
+//! far under 5 %. That the instruments count every task is asserted by
+//! `tests/executor_telemetry.rs`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use hetero_rt::thread_engine::{from_graph, ThreadTask, ThreadedExecutor};
-use hetero_trace::json::Json;
-use hetero_trace::telemetry;
 use hetero_trace::TraceSink;
 use std::hint::black_box;
-use std::time::{Duration, Instant};
 
 /// Tasks per fork stage (matches `engine_scaling`).
 const WIDTH: usize = 64;
@@ -27,10 +23,6 @@ const WIDTH: usize = 64;
 const STAGES: usize = 240;
 /// Worker threads.
 const WORKERS: usize = 8;
-/// Repetitions per configuration; the median is reported.
-const REPS: usize = 21;
-/// The overhead budget the telemetry layer must stay under (percent).
-const BUDGET_PCT: f64 = 5.0;
 
 fn fork_join_tasks() -> Vec<ThreadTask> {
     let graph = kernels::graphs::fork_join_graph(WIDTH, STAGES, None);
@@ -42,139 +34,20 @@ fn fork_join_tasks() -> Vec<ThreadTask> {
     })
 }
 
-fn median(mut samples: Vec<Duration>) -> Duration {
-    samples.sort_unstable();
-    samples[samples.len() / 2]
-}
-
-fn run_once(telemetry_on: bool) -> Duration {
-    let tasks = fork_join_tasks();
-    let t0 = Instant::now();
-    ThreadedExecutor::new(WORKERS)
-        .with_trace(TraceSink::Null)
-        .with_telemetry(telemetry_on)
-        .run(tasks)
-        .unwrap();
-    t0.elapsed()
-}
-
-fn print_summary() {
-    let task_count = WIDTH * STAGES + STAGES;
-    println!(
-        "\ntelemetry_overhead: fork-join {WIDTH}x{STAGES} ({task_count} tasks), \
-         {WORKERS} workers, trace sink off"
-    );
-
-    // Interleave off/on reps so thermal drift hits both sides equally,
-    // and alternate which side goes first within a pair — the second run
-    // of a pair is systematically slower on some machines (allocator and
-    // scheduler state), which would otherwise bias one side.
-    let mut off_samples = Vec::with_capacity(REPS);
-    let mut on_samples = Vec::with_capacity(REPS);
-    for rep in 0..REPS {
-        if rep % 2 == 0 {
-            off_samples.push(run_once(false));
-            on_samples.push(run_once(true));
-        } else {
-            on_samples.push(run_once(true));
-            off_samples.push(run_once(false));
-        }
-    }
-    let off = median(off_samples);
-    let on = median(on_samples);
-    let overhead_pct = (on.as_secs_f64() / off.as_secs_f64() - 1.0) * 100.0;
-    println!(
-        "  telemetry off {off:>12?}  on {on:>12?}  ({overhead_pct:+.2}%, budget {BUDGET_PCT}%)"
-    );
-
-    // The instruments must have actually counted: one run's worth of tasks
-    // lands in the global counter and the latency histogram.
-    let tel = telemetry::global();
-    tel.reset();
-    run_once(true);
-    let counted = tel.counter("executor_tasks_total").get();
-    let observed = tel.histogram("executor_task_latency_ns").count();
-    assert_eq!(
-        counted as usize, task_count,
-        "executor_tasks_total miscounted"
-    );
-    assert_eq!(
-        observed as usize, task_count,
-        "task latency histogram missed tasks"
-    );
-    let p99 = tel
-        .histogram("executor_task_latency_ns")
-        .snapshot()
-        .quantile(0.99)
-        .unwrap();
-    println!("  task latency p99 {p99} ns over {observed} observations");
-    if overhead_pct > BUDGET_PCT {
-        println!("  WARNING: overhead exceeds the {BUDGET_PCT}% budget on this machine");
-    }
-    println!();
-
-    let doc = Json::obj([
-        (
-            "schema",
-            Json::Num(hetero_trace::summary::SCHEMA_VERSION as f64),
-        ),
-        ("kind", Json::str("telemetry-overhead")),
-        (
-            "workload",
-            Json::obj([
-                ("shape", Json::str("fork-join")),
-                ("width", Json::Num(WIDTH as f64)),
-                ("stages", Json::Num(STAGES as f64)),
-                ("tasks", Json::Num(task_count as f64)),
-                ("workers", Json::Num(WORKERS as f64)),
-            ]),
-        ),
-        (
-            "telemetry_overhead",
-            Json::obj([
-                ("off_ns", Json::Num(off.as_nanos() as f64)),
-                ("on_ns", Json::Num(on.as_nanos() as f64)),
-                ("overhead_pct", Json::Num(overhead_pct)),
-                ("budget_pct", Json::Num(BUDGET_PCT)),
-                ("within_budget", Json::Bool(overhead_pct <= BUDGET_PCT)),
-            ]),
-        ),
-        ("task_latency_p99_ns", Json::Num(p99 as f64)),
-    ]);
-    let dir = std::path::PathBuf::from(std::env::var("BENCH_OUT_DIR").unwrap_or_default());
-    if !dir.as_os_str().is_empty() {
-        let _ = std::fs::create_dir_all(&dir);
-    }
-    let out = dir.join("BENCH_telemetry_overhead.json");
-    match std::fs::write(&out, doc.to_pretty()) {
-        Ok(()) => println!("  wrote {}\n", out.display()),
-        Err(e) => println!("  could not write {}: {e}\n", out.display()),
-    }
-}
-
 fn telemetry_overhead(c: &mut Criterion) {
-    print_summary();
-
     let mut group = c.benchmark_group("telemetry_overhead");
     group.sample_size(10);
-    group.bench_function("off", |b| {
-        b.iter(|| {
-            ThreadedExecutor::new(WORKERS)
-                .with_trace(TraceSink::Null)
-                .with_telemetry(false)
-                .run(fork_join_tasks())
-                .unwrap()
+    for (name, telemetry_on) in [("off", false), ("on", true)] {
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                ThreadedExecutor::new(WORKERS)
+                    .with_trace(TraceSink::Null)
+                    .with_telemetry(telemetry_on)
+                    .run(fork_join_tasks())
+                    .unwrap()
+            });
         });
-    });
-    group.bench_function("on", |b| {
-        b.iter(|| {
-            ThreadedExecutor::new(WORKERS)
-                .with_trace(TraceSink::Null)
-                .with_telemetry(true)
-                .run(fork_join_tasks())
-                .unwrap()
-        });
-    });
+    }
     group.finish();
 }
 

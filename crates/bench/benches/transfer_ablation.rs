@@ -3,10 +3,10 @@
 //! and Abl. I, the transfer-pipeline ablation: what each stage of the
 //! interconnect-aware data pipeline (overlap, link contention, P2P
 //! routing, prefetch, transfer-cost-aware scheduling) buys on the Fig. 5
-//! DGEMM, written to `BENCH_transfer_pipeline.json`.
+//! DGEMM. Both tables are deterministic virtual-time results, printed once;
+//! `bench::ablations` asserts the pipeline's acceptance ratio in its tests.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use hetero_trace::json::Json;
 
 /// Problem size for the pipeline ablation: 256-float tiles of a 2048²
 /// DGEMM keep per-task transfer and compute comparable, which is where
@@ -14,82 +14,34 @@ use hetero_trace::json::Json;
 const PIPE_N: usize = 2048;
 const PIPE_TILE: usize = 256;
 
-fn print_pipeline_summary() {
-    let rows = bench::ablations::transfer_pipeline_ablation(PIPE_N, PIPE_TILE);
-    let baseline = rows[0].makespan_s;
-    println!("\nAbl. I — DGEMM {PIPE_N}/{PIPE_TILE} transfer-pipeline ablation (NVLink testbed):");
-    println!("  config        makespan    speedup   to-dev MB   to-host MB   peer MB");
-    let mut json_rows: Vec<Json> = Vec::new();
-    for r in &rows {
-        let speedup = baseline / r.makespan_s;
-        println!(
-            "  {:<12} {:>8.4} s  {:>6.2}x  {:>9.1}  {:>10.1}  {:>8.1}",
-            r.config,
-            r.makespan_s,
-            speedup,
-            r.bytes_to_devices / 1e6,
-            r.bytes_to_host / 1e6,
-            r.bytes_peer / 1e6,
-        );
-        json_rows.push(Json::obj([
-            ("config", Json::str(r.config)),
-            ("makespan_s", Json::Num(r.makespan_s)),
-            ("speedup_vs_baseline", Json::Num(speedup)),
-            ("bytes_to_devices", Json::Num(r.bytes_to_devices)),
-            ("bytes_to_host", Json::Num(r.bytes_to_host)),
-            ("bytes_peer", Json::Num(r.bytes_peer)),
-        ]));
-    }
-    let best = rows
-        .iter()
-        .map(|r| r.makespan_s)
-        .fold(f64::INFINITY, f64::min);
-    println!(
-        "  best speedup: {:.2}x (acceptance floor 1.3x)",
-        baseline / best
-    );
-
-    let doc = Json::obj([
-        (
-            "schema",
-            Json::Num(hetero_trace::summary::SCHEMA_VERSION as f64),
-        ),
-        ("kind", Json::str("transfer-pipeline")),
-        ("platform", Json::str("xeon-x5550-gtx480-gtx285-nvlink")),
-        (
-            "workload",
-            Json::obj([
-                ("shape", Json::str("dgemm")),
-                ("n", Json::Num(PIPE_N as f64)),
-                ("tile", Json::Num(PIPE_TILE as f64)),
-            ]),
-        ),
-        ("rows", Json::Arr(json_rows)),
-        ("best_speedup", Json::Num(baseline / best)),
-    ]);
-    // Cargo runs bench binaries with the package directory as cwd; CI sets
-    // BENCH_OUT_DIR to collect the JSON from a known place.
-    let dir = std::path::PathBuf::from(std::env::var("BENCH_OUT_DIR").unwrap_or_default());
-    if !dir.as_os_str().is_empty() {
-        let _ = std::fs::create_dir_all(&dir);
-    }
-    let out = dir.join("BENCH_transfer_pipeline.json");
-    match std::fs::write(&out, doc.to_pretty()) {
-        Ok(()) => println!("  wrote {}\n", out.display()),
-        Err(e) => println!("  could not write {}: {e}\n", out.display()),
-    }
-}
-
-fn transfer_ablation(c: &mut Criterion) {
-    // Report the series once: where does offloading break even?
+fn print_tables() {
+    // Where does offloading break even?
     println!("\nAbl. B — DGEMM 4096/1024 GPU speedup vs PCIe bandwidth:");
     for gbs in [0.05, 0.25, 1.0, 2.0, 6.0, 16.0] {
         let s = bench::ablations::speedup_vs_pcie(4096, 1024, gbs);
         println!("  {gbs:>6.2} GB/s: {s:>6.2}x");
     }
-    println!();
 
-    print_pipeline_summary();
+    let rows = bench::ablations::transfer_pipeline_ablation(PIPE_N, PIPE_TILE);
+    let baseline = rows[0].makespan_s;
+    println!("\nAbl. I — DGEMM {PIPE_N}/{PIPE_TILE} transfer-pipeline ablation (NVLink testbed):");
+    println!("  config        makespan    speedup   to-dev MB   to-host MB   peer MB");
+    for r in &rows {
+        println!(
+            "  {:<12} {:>8.4} s  {:>6.2}x  {:>9.1}  {:>10.1}  {:>8.1}",
+            r.config,
+            r.makespan_s,
+            baseline / r.makespan_s,
+            r.bytes_to_devices / 1e6,
+            r.bytes_to_host / 1e6,
+            r.bytes_peer / 1e6,
+        );
+    }
+    println!();
+}
+
+fn transfer_ablation(c: &mut Criterion) {
+    print_tables();
 
     let mut group = c.benchmark_group("transfer_ablation");
     group.sample_size(10);

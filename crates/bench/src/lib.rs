@@ -10,9 +10,7 @@
 //!   Criterion benches;
 //! * [`baseline`] — the single-queue thread engine and the binary-heap
 //!   event queue the shipped engines replaced, for `engine_scaling`,
-//!   `sim_scaling` and the differential tests;
-//! * [`regression`] — the base-vs-head `BENCH_*.json` comparison behind
-//!   the `bench_regression` CI gate.
+//!   `sim_scaling` and the differential tests.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -21,4 +19,3 @@ pub mod ablations;
 pub mod baseline;
 pub mod fig5;
 pub mod portability;
-pub mod regression;

@@ -46,10 +46,10 @@
 use crate::graph::{CompiledGraph, TaskGraph};
 use crate::task::{Task, TaskId};
 use crossbeam::deque::{Injector, Steal, Stealer, Worker};
-use hetero_trace::telemetry::{self, AtomicHistogram, Counter, Gauge, LocalHistogram};
+use hetero_trace::telemetry::{self, AtomicHistogram, Counter, Gauge};
 use hetero_trace::{
-    EventKind, LaneLabel, Provenance, RunTrace, TaskInfo, TimeUnit, TraceClock, TraceMeta,
-    TraceSink, WorkerTrace, WorkerTracer,
+    EventKind, Histogram, LaneLabel, Provenance, RunTrace, TaskInfo, TimeUnit, TraceClock,
+    TraceMeta, TraceSink, WorkerTrace, WorkerTracer,
 };
 use parking_lot::Mutex;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -263,14 +263,6 @@ impl ThreadedExecutor {
             telemetry: true,
             task_stats: true,
         }
-    }
-
-    /// A pool sized to the machine's available parallelism.
-    pub fn with_available_parallelism() -> Self {
-        let n = std::thread::available_parallelism()
-            .map(std::num::NonZero::get)
-            .unwrap_or(1);
-        Self::new(n)
     }
 
     /// A pool partitioned according to `placement`: one dedicated worker
@@ -728,7 +720,7 @@ struct HotState {
     records: Vec<(usize, StdDuration)>,
     /// Task latencies pre-aggregated locally when stats collection is off
     /// (otherwise derived from `records` at flush).
-    latencies: LocalHistogram,
+    latencies: Histogram,
     /// Estimate of this worker's own deque depth: seeded count, +1 per
     /// local push, -1 per local pop, reset on steal/inject (the deque was
     /// observed empty). Never reads the deque, so it costs nothing.
@@ -789,7 +781,7 @@ impl WorkerCtx<'_> {
         };
         let mut hot = HotState {
             records: Vec::new(),
-            latencies: LocalHistogram::new(),
+            latencies: Histogram::new(),
             depth: self.seeded,
             depth_peak: self.seeded,
         };
@@ -854,7 +846,7 @@ impl WorkerCtx<'_> {
             t.failed_steals.add(out.failed_steals as u64);
             t.parks.add(parks);
             if self.collect {
-                let mut latencies = LocalHistogram::new();
+                let mut latencies = Histogram::new();
                 for &(_, dt) in &hot.records {
                     latencies.observe(dt.as_nanos() as u64);
                 }

@@ -1,55 +1,92 @@
-//! Counters and fixed-bucket histograms summarizing a run.
+//! Counters and the fixed log₂-bucket histogram summarizing a run.
 
 use crate::json::Json;
 use crate::trace::RunTrace;
 use std::collections::BTreeMap;
 
-/// A fixed-bucket histogram (cumulative-free, bucket upper bounds are
-/// inclusive). The default bounds are powers of four in nanoseconds from
-/// 256 ns to ~4.4 s — coarse but allocation-free and mergeable, which is
-/// all latency attribution needs.
+/// Smallest bucket exponent: the first bucket holds values `<= 2^4` (16 ns).
+const MIN_EXP: u32 = 4;
+/// Largest bounded bucket exponent (2^40 ns ≈ 18 min); above is overflow.
+const MAX_EXP: u32 = 40;
+/// Buckets of every histogram in the crate: one per exponent in
+/// `MIN_EXP..=MAX_EXP` plus the overflow bucket.
+pub(crate) const BUCKETS: usize = (MAX_EXP - MIN_EXP + 2) as usize;
+
+/// The one plain histogram: fixed log₂ buckets in nanoseconds — inclusive
+/// upper bounds 2⁴, 2⁵, … 2⁴⁰, then overflow — in an inline array, so it
+/// is allocation-free, mergeable and `observe` is branch-free arithmetic.
+/// [`crate::telemetry::AtomicHistogram`] is the same scheme behind
+/// atomics and snapshots into this type, so every quantile in the suite
+/// comes from [`Histogram::quantile`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Histogram {
-    bounds: Vec<u64>,
-    /// `bounds.len() + 1` buckets; the last is the overflow bucket.
-    counts: Vec<u64>,
-    count: u64,
-    sum: u64,
-    min: u64,
-    max: u64,
+    pub(crate) counts: [u64; BUCKETS],
+    pub(crate) count: u64,
+    pub(crate) sum: u64,
+    /// `u64::MAX` while empty.
+    pub(crate) min: u64,
+    pub(crate) max: u64,
 }
 
-impl Histogram {
-    /// A histogram with explicit inclusive bucket upper bounds
-    /// (must be strictly increasing).
-    pub fn with_bounds(bounds: Vec<u64>) -> Self {
-        debug_assert!(bounds.windows(2).all(|w| w[0] < w[1]));
-        let buckets = bounds.len() + 1;
+impl Default for Histogram {
+    fn default() -> Self {
         Histogram {
-            bounds,
-            counts: vec![0; buckets],
+            counts: [0; BUCKETS],
             count: 0,
             sum: 0,
             min: u64::MAX,
             max: 0,
         }
     }
+}
 
-    /// The default duration histogram: powers of 4 ns, 256 ns .. ~4.4 s.
-    pub fn duration_ns() -> Self {
-        // 4^4 .. 4^16: 256ns, 1µs, 4µs, 16µs, 65µs, 262µs, 1ms, 4.2ms,
-        // 16.8ms, 67ms, 268ms, 1.07s, 4.29s.
-        Self::with_bounds((4..=16).map(|e| 4u64.pow(e)).collect())
+impl Histogram {
+    /// An empty histogram.
+    pub fn new() -> Self {
+        Histogram::default()
     }
 
-    /// Records one observation.
+    /// Bucket index of a value: the smallest `i` with `value <= 2^(4+i)`,
+    /// or the overflow bucket past 2⁴⁰.
+    #[inline]
+    pub fn bucket(value: u64) -> usize {
+        if value <= (1 << MIN_EXP) {
+            return 0;
+        }
+        // ceil(log2(value)) for value > 1.
+        let bits = u64::BITS - (value - 1).leading_zeros();
+        ((bits - MIN_EXP) as usize).min(BUCKETS - 1)
+    }
+
+    /// Inclusive upper bound of bucket `i` (`u64::MAX` for overflow).
+    fn upper_bound(i: usize) -> u64 {
+        if i + 1 < BUCKETS {
+            1 << (MIN_EXP + i as u32)
+        } else {
+            u64::MAX
+        }
+    }
+
+    /// Records one observation — pure arithmetic, no allocation.
+    #[inline]
     pub fn observe(&mut self, value: u64) {
-        let idx = self.bounds.partition_point(|&b| b < value);
-        self.counts[idx] += 1;
+        self.counts[Self::bucket(value)] += 1;
         self.count += 1;
         self.sum = self.sum.saturating_add(value);
         self.min = self.min.min(value);
         self.max = self.max.max(value);
+    }
+
+    /// Adds every observation of `other` (a worker's batch, another
+    /// shard) to this histogram.
+    pub fn merge(&mut self, other: &Histogram) {
+        for (acc, n) in self.counts.iter_mut().zip(other.counts) {
+            *acc += n;
+        }
+        self.count += other.count;
+        self.sum = self.sum.saturating_add(other.sum);
+        self.min = self.min.min(other.min);
+        self.max = self.max.max(other.max);
     }
 
     /// Observations recorded.
@@ -84,11 +121,10 @@ impl Histogram {
     /// `(inclusive upper bound, count)` per bucket; the final bucket is
     /// `(u64::MAX, overflow count)`.
     pub fn buckets(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.bounds
+        self.counts
             .iter()
-            .copied()
-            .chain(std::iter::once(u64::MAX))
-            .zip(self.counts.iter().copied())
+            .enumerate()
+            .map(|(i, &n)| (Self::upper_bound(i), n))
     }
 
     /// Estimates the `q`-quantile (`0.0 ..= 1.0`) by linear interpolation
@@ -106,12 +142,10 @@ impl Histogram {
         if q >= 1.0 {
             return Some(self.max);
         }
-        let q = q.clamp(0.0, 1.0);
         let target = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
         let mut cum = 0u64;
         let mut lo = 0u64;
-        for (i, &n) in self.counts.iter().enumerate() {
-            let hi = self.bounds.get(i).copied().unwrap_or(self.max);
+        for (hi, n) in self.buckets() {
             if n > 0 && cum + n >= target {
                 let lo = lo.max(self.min).min(hi);
                 let hi = hi.min(self.max).max(lo);
@@ -123,29 +157,6 @@ impl Histogram {
             lo = hi;
         }
         Some(self.max)
-    }
-
-    /// Rebuilds a histogram from already-accumulated parts (the snapshot
-    /// path of `telemetry::AtomicHistogram`). `counts` must have
-    /// `bounds.len() + 1` entries; `min`/`max` follow the internal
-    /// convention (`u64::MAX` / `0` when empty).
-    pub(crate) fn from_parts(
-        bounds: Vec<u64>,
-        counts: Vec<u64>,
-        count: u64,
-        sum: u64,
-        min: u64,
-        max: u64,
-    ) -> Self {
-        debug_assert_eq!(counts.len(), bounds.len() + 1);
-        Histogram {
-            bounds,
-            counts,
-            count,
-            sum,
-            min,
-            max,
-        }
     }
 
     /// The histogram as JSON.
@@ -183,12 +194,6 @@ impl Histogram {
     }
 }
 
-impl Default for Histogram {
-    fn default() -> Self {
-        Self::duration_ns()
-    }
-}
-
 /// Named counters plus named histograms — the run-level metrics surface.
 ///
 /// [`MetricsRegistry::from_trace`] derives the standard metric set from a
@@ -216,8 +221,7 @@ impl MetricsRegistry {
         self.counters.get(name).copied().unwrap_or(0)
     }
 
-    /// Records an observation into a histogram (creating it with the
-    /// default duration buckets).
+    /// Records an observation into a histogram (creating it empty).
     pub fn observe(&mut self, name: impl Into<String>, value: u64) {
         self.histograms
             .entry(name.into())
@@ -364,46 +368,93 @@ mod tests {
     use crate::trace::{LaneLabel, TaskInfo, TraceMeta, WorkerTrace};
 
     #[test]
+    fn histogram_bucket_math() {
+        assert_eq!(Histogram::bucket(0), 0);
+        assert_eq!(Histogram::bucket(16), 0);
+        assert_eq!(Histogram::bucket(17), 1);
+        assert_eq!(Histogram::bucket(32), 1);
+        assert_eq!(Histogram::bucket(33), 2);
+        assert_eq!(Histogram::bucket(1 << 40), BUCKETS - 2);
+        assert_eq!(Histogram::bucket((1 << 40) + 1), BUCKETS - 1);
+        assert_eq!(Histogram::bucket(u64::MAX), BUCKETS - 1);
+    }
+
+    #[test]
+    fn default_histogram_spans_ns_to_minutes() {
+        let bounds: Vec<u64> = Histogram::default().buckets().map(|(le, _)| le).collect();
+        assert_eq!(bounds.len(), BUCKETS);
+        assert_eq!(bounds[0], 16);
+        assert_eq!(bounds[BUCKETS - 2], 1 << 40);
+        assert_eq!(bounds[BUCKETS - 1], u64::MAX);
+        assert!(bounds.windows(2).all(|w| w[0] < w[1]));
+    }
+
+    #[test]
     fn histogram_buckets_and_stats() {
-        let mut h = Histogram::with_bounds(vec![10, 100]);
-        for v in [5, 10, 11, 1000] {
+        let mut h = Histogram::new();
+        for v in [5, 16, 17, 1000, 1 << 41] {
             h.observe(v);
         }
-        assert_eq!(h.count(), 4);
-        assert_eq!(h.sum(), 1026);
+        assert_eq!(h.count(), 5);
+        assert_eq!(h.sum(), 1038 + (1 << 41));
         assert_eq!(h.min(), Some(5));
-        assert_eq!(h.max(), Some(1000));
-        let buckets: Vec<(u64, u64)> = h.buckets().collect();
-        // ≤10 → 2 (5 and the inclusive 10), ≤100 → 1, overflow → 1.
-        assert_eq!(buckets, vec![(10, 2), (100, 1), (u64::MAX, 1)]);
+        assert_eq!(h.max(), Some(1 << 41));
+        let occupied: Vec<(u64, u64)> = h.buckets().filter(|&(_, n)| n > 0).collect();
+        // ≤16 → 2 (5 and the inclusive 16), ≤32 → 1, ≤1024 → 1, overflow → 1.
+        assert_eq!(occupied, vec![(16, 2), (32, 1), (1024, 1), (u64::MAX, 1)]);
         let json = h.to_json();
-        assert_eq!(json.get("count").and_then(Json::as_u64), Some(4));
+        assert_eq!(json.get("count").and_then(Json::as_u64), Some(5));
+        assert_eq!(json.get("buckets").unwrap().items().len(), BUCKETS);
+    }
+
+    #[test]
+    fn merge_equals_observing_everything_in_one() {
+        let (mut a, mut b, mut all) = (Histogram::new(), Histogram::new(), Histogram::new());
+        for v in [5u64, 16, 17, 300] {
+            a.observe(v);
+            all.observe(v);
+        }
+        for v in [4_000u64, 1 << 41, 77, 77] {
+            b.observe(v);
+            all.observe(v);
+        }
+        a.merge(&b);
+        assert_eq!(a, all);
+        // Merging an empty histogram changes nothing, min/max included.
+        a.merge(&Histogram::new());
+        assert_eq!(a, all);
     }
 
     #[test]
     fn quantiles_interpolate_and_clamp() {
-        let mut h = Histogram::with_bounds(vec![10, 100, 1000]);
+        let mut h = Histogram::new();
         assert_eq!(h.quantile(0.5), None);
         for v in 1..=100u64 {
             h.observe(v);
         }
-        // Uniform 1..=100: p50 lands in the (10, 100] bucket.
-        let p50 = h.quantile(0.5).unwrap();
-        assert!((40..=60).contains(&p50), "p50 = {p50}");
+        // Uniform 1..=100: 32 observations lie at or below 32, so the 50th
+        // is 18/32 of the way through the (32, 64] bucket.
+        assert_eq!(h.quantile(0.5), Some(50));
         // Extremes are exact, not interpolated.
         assert_eq!(h.quantile(0.0), Some(1));
         assert_eq!(h.quantile(1.0), Some(100));
+        // The top bucket (64, 128] is clamped to the observed maximum.
+        let p99 = h.quantile(0.99).unwrap();
+        assert!((90..=100).contains(&p99), "p99 = {p99}");
         // A single observation reports itself at every quantile.
-        let mut one = Histogram::duration_ns();
+        let mut one = Histogram::new();
         one.observe(5_000);
         assert_eq!(one.quantile(0.5), Some(5_000));
         assert_eq!(one.quantile(0.99), Some(5_000));
         // Overflow-bucket observations are bounded by max.
-        let mut big = Histogram::with_bounds(vec![10]);
-        big.observe(70);
-        big.observe(90);
+        let mut big = Histogram::new();
+        big.observe((1 << 41) + 70);
+        big.observe((1 << 41) + 90);
         let p99 = big.quantile(0.99).unwrap();
-        assert!((70..=90).contains(&p99), "p99 = {p99}");
+        assert!(
+            ((1 << 41) + 70..=(1 << 41) + 90).contains(&p99),
+            "p99 = {p99}"
+        );
         let json = big.to_json();
         assert!(json.get("p99").and_then(Json::as_u64).is_some());
     }
@@ -411,31 +462,25 @@ mod tests {
     #[test]
     fn quantile_edges_return_min_max_and_none() {
         // Empty histogram: every quantile is None, including the edges.
-        let empty = Histogram::duration_ns();
+        let empty = Histogram::new();
         for q in [0.0, 0.5, 1.0] {
             assert_eq!(empty.quantile(q), None);
         }
         // q=0 / q=1 return the exact observed extremes even when both
-        // land inside a wide bucket that interpolation would smear.
-        let mut h = Histogram::with_bounds(vec![1_000_000]);
-        h.observe(37);
+        // land inside one wide bucket — (2^19, 2^20] — that interpolation
+        // would smear.
+        let mut h = Histogram::new();
+        h.observe(600_000);
         h.observe(999_999);
-        assert_eq!(h.quantile(0.0), Some(37));
+        assert_eq!(Histogram::bucket(600_000), Histogram::bucket(999_999));
+        assert_eq!(h.quantile(0.0), Some(600_000));
         assert_eq!(h.quantile(1.0), Some(999_999));
         // Out-of-range q clamps to the same exact edges.
-        assert_eq!(h.quantile(-3.0), Some(37));
+        assert_eq!(h.quantile(-3.0), Some(600_000));
         assert_eq!(h.quantile(7.0), Some(999_999));
         // Interior quantiles stay within the observed range.
         let p50 = h.quantile(0.5).unwrap();
-        assert!((37..=999_999).contains(&p50));
-    }
-
-    #[test]
-    fn default_histogram_spans_ns_to_seconds() {
-        let h = Histogram::duration_ns();
-        let bounds: Vec<u64> = h.buckets().map(|(le, _)| le).collect();
-        assert_eq!(bounds[0], 256);
-        assert!(bounds[bounds.len() - 2] > 4_000_000_000);
+        assert!((600_000..=999_999).contains(&p50));
     }
 
     #[test]

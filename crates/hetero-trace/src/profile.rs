@@ -244,14 +244,23 @@ fn attribute_gap(
 /// on task `from` — using the trace's task indices (the codec's optional
 /// `"deps"` array carries exactly this). Missing edges degrade the chain
 /// (same-lane ordering still applies); they never break the invariant
-/// that blame sums to the critical-path length.
+/// that blame sums to the critical-path length. A trace with no completed
+/// span, or with a span that ends before it starts, is an error.
 pub fn critical_path(trace: &RunTrace, deps: &[(u32, u32)]) -> Result<Profile, String> {
     let mut spans = trace.task_spans();
     if spans.is_empty() {
         return Err("trace contains no completed task spans".to_string());
     }
-    spans.sort_by_key(|s| (s.start, s.end, s.worker));
     let lanes = lane_infos(trace);
+    // Not `validate()`: lossy windows must stay profilable. A reversed
+    // span is the one defect every duration below would wrap on.
+    if let Some(s) = spans.iter().find(|s| s.end < s.start) {
+        return Err(format!(
+            "task {} on lane {} ends at {} before it starts at {}",
+            s.task, lanes[s.worker].name, s.end, s.start
+        ));
+    }
+    spans.sort_by_key(|s| (s.start, s.end, s.worker));
     let makespan = spans.iter().map(|s| s.end).max().unwrap_or(0);
     let start_ns = trace
         .prelude

@@ -22,7 +22,7 @@
 //! folded into the series labels.
 
 use crate::json::Json;
-use crate::metrics::Histogram;
+use crate::metrics::{Histogram, BUCKETS};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock, RwLock};
@@ -127,13 +127,6 @@ impl Gauge {
     }
 }
 
-/// Smallest number of power-of-two bucket exponent (2^4 = 16 ns).
-const HIST_MIN_EXP: u32 = 4;
-/// Largest bucket exponent (2^40 ≈ 1100 s); above that is overflow.
-const HIST_MAX_EXP: u32 = 40;
-/// Bounded buckets (one per exponent in `HIST_MIN_EXP..=HIST_MAX_EXP`).
-const HIST_BUCKETS: usize = (HIST_MAX_EXP - HIST_MIN_EXP + 1) as usize;
-
 /// One histogram shard: per-bucket counts plus count/sum/min/max, padded
 /// as a block (the arrays inside share lines, but different shards do
 /// not). min/max live **per shard** so `observe` never touches a cache
@@ -142,7 +135,7 @@ const HIST_BUCKETS: usize = (HIST_MAX_EXP - HIST_MIN_EXP + 1) as usize;
 #[derive(Debug)]
 #[repr(align(64))]
 struct HistShard {
-    counts: [AtomicU64; HIST_BUCKETS + 1],
+    counts: [AtomicU64; BUCKETS],
     count: AtomicU64,
     sum: AtomicU64,
     min: AtomicU64,
@@ -161,9 +154,9 @@ impl Default for HistShard {
     }
 }
 
-/// A lock-free log₂-bucketed histogram (16 ns .. ~18 min in powers of
-/// two, plus overflow). [`AtomicHistogram::snapshot`] converts it into a
-/// plain [`Histogram`] so quantile logic lives in one place.
+/// A lock-free histogram on [`Histogram`]'s buckets (16 ns .. ~18 min in
+/// powers of two, plus overflow). [`AtomicHistogram::snapshot`] reads it
+/// out as a plain [`Histogram`], so quantile logic lives in one place.
 #[derive(Debug)]
 pub struct AtomicHistogram {
     shards: [HistShard; SHARDS],
@@ -183,23 +176,12 @@ impl AtomicHistogram {
         AtomicHistogram::default()
     }
 
-    /// Bucket index for a value: smallest `i` with `value <= 2^(4+i)`.
-    #[inline]
-    fn bucket(value: u64) -> usize {
-        if value <= (1 << HIST_MIN_EXP) {
-            return 0;
-        }
-        // ceil(log2(value)) for value > 1.
-        let bits = u64::BITS - (value - 1).leading_zeros();
-        (bits.saturating_sub(HIST_MIN_EXP) as usize).min(HIST_BUCKETS)
-    }
-
     /// Records one observation — a handful of relaxed atomic RMWs, no
     /// locks, no clock reads.
     #[inline]
     pub fn observe(&self, value: u64) {
         let shard = &self.shards[shard_index()];
-        shard.counts[Self::bucket(value)].fetch_add(1, Ordering::Relaxed);
+        shard.counts[Histogram::bucket(value)].fetch_add(1, Ordering::Relaxed);
         shard.count.fetch_add(1, Ordering::Relaxed);
         shard.sum.fetch_add(value, Ordering::Relaxed);
         shard.min.fetch_min(value, Ordering::Relaxed);
@@ -214,43 +196,41 @@ impl AtomicHistogram {
             .sum()
     }
 
-    /// Merges the shards into a plain [`Histogram`] (shared bucket math,
-    /// quantiles, JSON export).
+    /// Merges the shards into a plain [`Histogram`] (quantiles, JSON
+    /// export).
     pub fn snapshot(&self) -> Histogram {
-        let bounds: Vec<u64> = (HIST_MIN_EXP..=HIST_MAX_EXP).map(|e| 1u64 << e).collect();
-        let mut counts = vec![0u64; HIST_BUCKETS + 1];
-        let mut count = 0u64;
-        let mut sum = 0u64;
-        let mut min = u64::MAX;
-        let mut max = 0u64;
+        let mut out = Histogram::new();
         for shard in &self.shards {
-            for (acc, c) in counts.iter_mut().zip(shard.counts.iter()) {
-                *acc += c.load(Ordering::Relaxed);
-            }
-            count += shard.count.load(Ordering::Relaxed);
-            sum = sum.saturating_add(shard.sum.load(Ordering::Relaxed));
-            min = min.min(shard.min.load(Ordering::Relaxed));
-            max = max.max(shard.max.load(Ordering::Relaxed));
+            out.merge(&Histogram {
+                counts: std::array::from_fn(|i| shard.counts[i].load(Ordering::Relaxed)),
+                count: shard.count.load(Ordering::Relaxed),
+                sum: shard.sum.load(Ordering::Relaxed),
+                min: shard.min.load(Ordering::Relaxed),
+                max: shard.max.load(Ordering::Relaxed),
+            });
         }
-        Histogram::from_parts(bounds, counts, count, sum, min, max)
+        out
     }
 
-    /// Merges a batch of pre-aggregated observations in one atomic add
-    /// per non-empty bucket — see [`LocalHistogram`].
-    pub fn merge(&self, local: &LocalHistogram) {
-        if local.count == 0 {
+    /// Merges a batch a single owner pre-aggregated in a plain
+    /// [`Histogram`] — one atomic add per non-empty bucket. This is how
+    /// the executors flush per-task latencies at join: thousands of
+    /// individual `observe` calls from every worker at once measurably
+    /// contend on the shared buckets, a batched merge does not.
+    pub fn merge(&self, batch: &Histogram) {
+        if batch.count == 0 {
             return;
         }
         let shard = &self.shards[shard_index()];
-        for (c, &n) in shard.counts.iter().zip(local.counts.iter()) {
+        for (c, &n) in shard.counts.iter().zip(batch.counts.iter()) {
             if n > 0 {
                 c.fetch_add(n, Ordering::Relaxed);
             }
         }
-        shard.count.fetch_add(local.count, Ordering::Relaxed);
-        shard.sum.fetch_add(local.sum, Ordering::Relaxed);
-        shard.min.fetch_min(local.min, Ordering::Relaxed);
-        shard.max.fetch_max(local.max, Ordering::Relaxed);
+        shard.count.fetch_add(batch.count, Ordering::Relaxed);
+        shard.sum.fetch_add(batch.sum, Ordering::Relaxed);
+        shard.min.fetch_min(batch.min, Ordering::Relaxed);
+        shard.max.fetch_max(batch.max, Ordering::Relaxed);
     }
 
     /// Zeroes the histogram (cold path, for benches and tests).
@@ -264,56 +244,6 @@ impl AtomicHistogram {
             shard.min.store(u64::MAX, Ordering::Relaxed);
             shard.max.store(0, Ordering::Relaxed);
         }
-    }
-}
-
-/// A plain single-owner histogram for **batching**: a worker observes
-/// into it with no atomics at all, then merges the whole batch into an
-/// [`AtomicHistogram`] with one atomic add per non-empty bucket
-/// ([`AtomicHistogram::merge`]). This is how the executors flush
-/// per-task latencies at join — thousands of individual `observe` calls
-/// from every worker at once measurably contend on the shared buckets,
-/// a batched merge does not (the `telemetry_overhead` bench gates it).
-#[derive(Debug, Clone)]
-pub struct LocalHistogram {
-    counts: [u64; HIST_BUCKETS + 1],
-    count: u64,
-    sum: u64,
-    min: u64,
-    max: u64,
-}
-
-impl Default for LocalHistogram {
-    fn default() -> Self {
-        LocalHistogram {
-            counts: [0; HIST_BUCKETS + 1],
-            count: 0,
-            sum: 0,
-            min: u64::MAX,
-            max: 0,
-        }
-    }
-}
-
-impl LocalHistogram {
-    /// An empty local histogram.
-    pub fn new() -> Self {
-        LocalHistogram::default()
-    }
-
-    /// Records one observation — pure arithmetic, no atomics.
-    #[inline]
-    pub fn observe(&mut self, value: u64) {
-        self.counts[AtomicHistogram::bucket(value)] += 1;
-        self.count += 1;
-        self.sum = self.sum.saturating_add(value);
-        self.min = self.min.min(value);
-        self.max = self.max.max(value);
-    }
-
-    /// Observations batched so far.
-    pub fn count(&self) -> u64 {
-        self.count
     }
 }
 
@@ -597,16 +527,6 @@ mod tests {
     }
 
     #[test]
-    fn histogram_bucket_math() {
-        assert_eq!(AtomicHistogram::bucket(0), 0);
-        assert_eq!(AtomicHistogram::bucket(16), 0);
-        assert_eq!(AtomicHistogram::bucket(17), 1);
-        assert_eq!(AtomicHistogram::bucket(32), 1);
-        assert_eq!(AtomicHistogram::bucket(33), 2);
-        assert_eq!(AtomicHistogram::bucket(u64::MAX), HIST_BUCKETS);
-    }
-
-    #[test]
     fn histogram_snapshot_matches_observations() {
         let h = AtomicHistogram::new();
         for v in [100, 200, 400, 100_000] {
@@ -631,27 +551,21 @@ mod tests {
     }
 
     #[test]
-    fn local_histogram_merge_matches_direct_observes() {
+    fn snapshot_equals_the_plain_histogram_of_the_same_observations() {
         let direct = AtomicHistogram::new();
         let batched = AtomicHistogram::new();
-        let mut local = LocalHistogram::new();
+        let mut plain = Histogram::new();
         let values = [5u64, 16, 17, 300, 4_000, 1 << 41, 77, 77];
         for &v in &values {
             direct.observe(v);
-            local.observe(v);
+            plain.observe(v);
         }
-        assert_eq!(local.count(), values.len() as u64);
-        batched.merge(&local);
-        let (d, b) = (direct.snapshot(), batched.snapshot());
-        assert_eq!(d.count(), b.count());
-        assert_eq!(d.sum(), b.sum());
-        assert_eq!(d.min(), b.min());
-        assert_eq!(d.max(), b.max());
-        assert_eq!(d.quantile(0.5), b.quantile(0.5));
-        assert_eq!(d.quantile(0.99), b.quantile(0.99));
+        batched.merge(&plain);
+        assert_eq!(direct.snapshot(), plain);
+        assert_eq!(batched.snapshot(), plain);
         // Merging an empty batch is a no-op.
-        batched.merge(&LocalHistogram::new());
-        assert_eq!(batched.snapshot().count(), d.count());
+        batched.merge(&Histogram::new());
+        assert_eq!(batched.snapshot(), plain);
     }
 
     #[test]

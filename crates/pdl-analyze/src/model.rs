@@ -5,6 +5,8 @@
 //! renders any invariant violation as a stable M-series [`Diagnostic`]
 //! whose notes carry the *minimized* counterexample trace:
 //!
+//! * `M000` — the exploration hit the state cap before the bounded space
+//!   was enumerated: nothing was violated, and nothing was proved.
 //! * `M001` — single-writer broken: a finished write left other copies
 //!   valid.
 //! * `M002` — lost update: a stale copy is exposed as valid.
@@ -13,9 +15,9 @@
 //!   from what commit charged.
 //! * `M005` — non-monotone staging: committing transfers removed validity.
 //!
-//! `pdl model-check` and the `model_check_smoke` CI gate call
-//! [`bounded_configs`] + [`check_configs`]; [`model_check_json`] produces
-//! the schema-versioned machine-readable report CI archives.
+//! `pdl model-check` and `tests/model_check.rs` call [`bounded_configs`] +
+//! [`check_configs`]; [`model_check_json`] produces the schema-versioned
+//! machine-readable report CI archives.
 
 use hetero_model::explore::{explore, Bounds, Exploration, Invariant, Violation};
 use hetero_model::model::{Model, Mutation};
@@ -48,11 +50,11 @@ pub struct ModelCheckOutcome {
     pub exploration: Exploration,
 }
 
-/// The bounded configurations the smoke gate and `pdl model-check`
-/// explore: 3 devices (cpu0 sharing host memory, two `PCIe` GPUs) × 2
-/// handles of different sizes, once over the plain `PCIe` testbed and once
-/// over its `NVLink` variant (which adds the peer route the
-/// `Routing::PeerToPeer` arm needs).
+/// The bounded configurations `pdl model-check` and the tests explore:
+/// 3 devices (cpu0 sharing host memory, two `PCIe` GPUs) × 2 handles of
+/// different sizes, once over the plain `PCIe` testbed and once over its
+/// `NVLink` variant (which adds the peer route the `Routing::PeerToPeer`
+/// arm needs).
 ///
 /// The topologies are projected from the same synthetic platform
 /// descriptions the rest of the test suite uses, through the same
@@ -110,7 +112,9 @@ pub fn violation_to_diagnostic(config: &str, violation: &Violation) -> Diagnosti
 
 /// Explores every configuration under `bounds` (with `mutation` injected,
 /// [`Mutation::None`] for the faithful protocol), collecting violations
-/// into a report and per-config statistics into outcomes.
+/// into a report and per-config statistics into outcomes. An exploration
+/// the state cap stopped before it found a violation is an `M000` error:
+/// an unfinished search must not read as a pass.
 pub fn check_configs(
     configs: &[ModelConfig],
     bounds: &Bounds,
@@ -123,6 +127,17 @@ pub fn check_configs(
         let exploration = explore(&model, bounds);
         if let Some(v) = &exploration.violation {
             report.push(violation_to_diagnostic(&config.name, v));
+        } else if !exploration.complete {
+            report.push(
+                Diagnostic::error(
+                    "M000",
+                    format!(
+                        "exploration incomplete: {} states reached, state cap is {}",
+                        exploration.states, bounds.max_states
+                    ),
+                )
+                .with_subject(config.name.clone()),
+            );
         }
         outcomes.push(ModelCheckOutcome {
             config: config.name.clone(),
@@ -134,24 +149,30 @@ pub fn check_configs(
 
 /// The schema-versioned machine-readable report `pdl model-check --json`
 /// writes and CI archives: totals, per-config statistics, per-invariant
-/// status and the violation (if any) with its minimized trace.
+/// status and the violation (if any) with its minimized trace. An
+/// invariant is `"ok"` only when every config was explored to the end;
+/// otherwise it is `"violated"` or, with nothing found, `"incomplete"`.
 pub fn model_check_json(outcomes: &[ModelCheckOutcome], elapsed_seconds: f64) -> Json {
     let violations: Vec<(&str, &Violation)> = outcomes
         .iter()
         .filter_map(|o| Some((o.config.as_str(), o.exploration.violation.as_ref()?)))
         .collect();
+    let all_complete = outcomes.iter().all(|o| o.exploration.complete);
 
     let invariants = Invariant::ALL
         .iter()
         .map(|inv| {
-            let broken = violations.iter().any(|(_, v)| v.invariant == *inv);
+            let status = if violations.iter().any(|(_, v)| v.invariant == *inv) {
+                "violated"
+            } else if all_complete {
+                "ok"
+            } else {
+                "incomplete"
+            };
             Json::Obj(vec![
                 ("code".into(), Json::str(inv.code())),
                 ("name".into(), Json::str(inv.name())),
-                (
-                    "status".into(),
-                    Json::str(if broken { "violated" } else { "ok" }),
-                ),
+                ("status".into(), Json::str(status)),
             ])
         })
         .collect();
@@ -244,6 +265,27 @@ mod tests {
         assert!(d.notes.iter().any(|n| n.contains("acquire")), "{d:?}");
         assert!(d.notes.iter().any(|n| n.contains("finish")), "{d:?}");
         assert!(outcomes[0].exploration.violation.is_some());
+    }
+
+    #[test]
+    fn capped_exploration_is_m000_not_a_pass() {
+        let capped = Bounds {
+            max_pending: 1,
+            max_states: 100,
+        };
+        let (report, outcomes) = check_configs(&bounded_configs(), &capped, Mutation::None);
+        assert_eq!(report.codes(), ["M000", "M000"]);
+        let d = report.iter().next().unwrap();
+        assert_eq!(d.subject.as_deref(), Some("xeon-2gpu-pcie"));
+        assert!(d.message.contains("state cap is 100"), "{}", d.message);
+        assert!(outcomes.iter().all(|o| !o.exploration.complete));
+        // No invariant was proved, and the report says so.
+        let json = model_check_json(&outcomes, 0.0);
+        let invs = json.get("invariants").unwrap().items();
+        assert!(invs
+            .iter()
+            .all(|i| i.get("status").and_then(Json::as_str) == Some("incomplete")));
+        assert_eq!(json.get("violations").and_then(Json::as_u64), Some(0));
     }
 
     #[test]

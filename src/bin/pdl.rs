@@ -481,7 +481,11 @@ fn cmd_model_check(args: &[String]) -> Result<(), String> {
     }
     if !report.is_empty() {
         println!("{}", report.render());
-        return Err(format!("{} invariant violation(s)", report.error_count()));
+        let incomplete = report.iter().filter(|d| d.code == "M000").count();
+        return Err(format!(
+            "{} invariant violation(s), {incomplete} incomplete exploration(s)",
+            report.error_count() - incomplete
+        ));
     }
     Ok(())
 }

@@ -238,3 +238,49 @@ fn hostile_nesting_is_a_diagnostic_not_a_crash() {
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A span that ends before it starts used to become 2^64 − 50 ns of blame
+/// in a release build and an overflow panic in a debug build, both with
+/// exit code 0 or a backtrace. Every command that profiles a trace now
+/// names the span and exits 1.
+#[test]
+fn reversed_span_is_a_diagnostic_not_a_wrapped_duration() {
+    let dir = std::env::temp_dir().join(format!("pdl-cli-reversed-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let file = dir.join("reversed.trace.json");
+    std::fs::write(
+        &file,
+        r#"{"kind": "hetero-trace-run",
+            "meta": {"lanes": [{"name": "gpu0", "group": "gpus"}],
+                     "tasks": [{"label": "k", "category": "task", "group": null}]},
+            "prelude": [],
+            "workers": [{"worker": 0, "overwritten": 0, "events": [
+                {"ts": 100, "ev": "start", "task": 0},
+                {"ts": 50, "ev": "end", "task": 0}]}]}"#,
+    )
+    .unwrap();
+    let path = file.to_str().unwrap();
+    let base = "examples/traces/perf_diff_base.trace.json";
+
+    for (args, prefix) in [
+        (vec!["profile", path], "pdl: task 0 on lane gpu0"),
+        (
+            vec!["perf-diff", base, path],
+            "pdl: head: task 0 on lane gpu0",
+        ),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_pdl"))
+            .args(&args)
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{stderr}");
+        assert!(stderr.starts_with(prefix), "{stderr}");
+        assert!(
+            stderr.contains("ends at 50 before it starts at 100"),
+            "{stderr}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

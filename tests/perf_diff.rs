@@ -62,6 +62,55 @@ fn injected_transfer_regression_is_attributed_to_the_link() {
         "expected A004 on PCIe:host-gpu0, got {anomalies:?}"
     );
     assert!(detect(&base, &AnomalyConfig::default()).is_empty());
+
+    // The median task — the 60-ns kernel — is the same span in both runs,
+    // and both sides read it off the same buckets: only the tail moved.
+    let latency = d
+        .quantiles
+        .iter()
+        .find(|q| q.name == "task_latency_ns")
+        .expect("p99 shifted, so the histogram is listed");
+    assert_eq!(latency.base_p50, latency.head_p50);
+    assert!(latency.head_p99 > latency.base_p99);
+}
+
+/// Machine-generated traces: the Fig. 5 testbed simulated with healthy
+/// (32 GB/s) and degraded (2 GB/s) `PCIe`, pipelined and bridged. Sim
+/// traces renumber tasks, so the diff runs without dependency edges —
+/// sum-exactness must hold regardless.
+#[test]
+fn live_simulated_pair_stays_sum_exact() {
+    use hetero_rt::prelude::*;
+    let sim_trace = |pcie_gbs: f64| {
+        let platform = bench::ablations::testbed_with_pcie(pcie_gbs);
+        let machine = simhw::machine::SimMachine::from_platform(&platform);
+        let mut graph = TaskGraph::new();
+        let k = graph
+            .add_codelet(Codelet::new("k").with_variant(Variant::new("gpu").requiring("Cuda")));
+        let handle = graph.register_data("A", 600e6);
+        for (label, mode) in [
+            ("produce", AccessMode::Write),
+            ("consume", AccessMode::Read),
+        ] {
+            graph.submit(k, label, 1e10, [DataAccess { handle, mode }], None);
+        }
+        let options = SimOptions {
+            pipeline: TransferPipeline::full(),
+            ..Default::default()
+        };
+        let report = simulate(
+            &graph,
+            &machine,
+            &mut RoundRobinScheduler::default(),
+            &options,
+        )
+        .expect("testbed simulation runs");
+        sim_report_to_trace(&report, &machine)
+    };
+    let d = perf_diff(&sim_trace(32.0), &[], &sim_trace(2.0), &[]).unwrap();
+    assert!(d.delta_ns() > 0, "degrading PCIe slows the simulated run");
+    let sum: i64 = d.categories.iter().map(CategoryDelta::delta_ns).sum();
+    assert_eq!(sum, d.delta_ns());
 }
 
 #[test]

@@ -234,8 +234,17 @@ proptest! {
         assert_profile_invariants(&p);
         prop_assert!(!p.chain_tasks().is_empty());
         // The chain ends at the very last span to finish.
-        let last_end = trace.task_spans().iter().map(|s| s.end).max().unwrap();
+        let spans = trace.task_spans();
+        let last_end = spans.iter().map(|s| s.end).max().unwrap();
         prop_assert_eq!(p.makespan_ns, last_end);
+        // The flamegraph covers all spans, not only the chain: its weights
+        // sum to the total busy time.
+        let folded_total: u64 = folded_stacks(trace)
+            .lines()
+            .map(|l| l.rsplit(' ').next().unwrap().parse::<u64>().unwrap())
+            .sum();
+        let busy_total: u64 = spans.iter().map(|s| s.end - s.start).sum();
+        prop_assert_eq!(folded_total, busy_total);
 
         // And the profile is reproducible from the on-disk form.
         let (parsed, parsed_deps) =
