@@ -25,7 +25,7 @@ pub struct SweepCell {
 }
 
 /// The platforms of the sweep.
-pub fn sweep_platforms() -> Vec<Platform> {
+pub(crate) fn sweep_platforms() -> Vec<Platform> {
     vec![
         synthetic::xeon_x5550_host(),
         synthetic::build_testbed(
@@ -43,7 +43,7 @@ pub fn sweep_platforms() -> Vec<Platform> {
 }
 
 /// Workload sources (name, annotated program, spec).
-pub fn sweep_workloads() -> Vec<(String, &'static str, ProblemSpec)> {
+pub(crate) fn sweep_workloads() -> Vec<(String, &'static str, ProblemSpec)> {
     let mut dgemm_spec = ProblemSpec::with_size("N", 4096);
     dgemm_spec.tile = Some(1024);
     vec![

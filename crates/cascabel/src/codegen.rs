@@ -110,7 +110,7 @@ pub struct GeneratedOutput {
 ///
 /// Split out of [`generate`] so the driver can time the mapping step as its
 /// own compile phase; [`generate_with_mappings`] consumes the result.
-pub fn map_calls(
+pub(crate) fn map_calls(
     program: &Program,
     selections: &[InterfaceSelection],
     platform: &Platform,
@@ -125,26 +125,11 @@ pub fn map_calls(
         .collect()
 }
 
-/// Generates output for an annotated program against a target platform.
-///
-/// `selections` must come from [`crate::preselect::preselect`] over the same
-/// repository and platform.
-pub fn generate(
-    program: &Program,
-    repository: &TaskRepository,
-    selections: &[InterfaceSelection],
-    platform: &Platform,
-    spec: &ProblemSpec,
-) -> Result<GeneratedOutput, CodegenError> {
-    let mappings = map_calls(program, selections, platform)?;
-    generate_with_mappings(program, repository, selections, platform, spec, mappings)
-}
-
 /// [`generate`] with call mappings precomputed by [`map_calls`].
 ///
 /// Call sites beyond the supplied mappings (never the case when the same
 /// program produced them) are mapped on the fly.
-pub fn generate_with_mappings(
+pub(crate) fn generate_with_mappings(
     program: &Program,
     repository: &TaskRepository,
     selections: &[InterfaceSelection],
@@ -427,7 +412,8 @@ vector_add(A, B);
             let _ = repo.register_function(f);
         }
         let selections = preselect(&repo, platform);
-        generate(&prog, &repo, &selections, platform, spec).unwrap()
+        let mappings = map_calls(&prog, &selections, platform).unwrap();
+        generate_with_mappings(&prog, &repo, &selections, platform, spec, mappings).unwrap()
     }
 
     #[test]
@@ -455,7 +441,16 @@ vector_add(A, B);
             let _ = repo.register_function(f);
         }
         let selections = preselect(&repo, &p);
-        let err = generate(&prog, &repo, &selections, &p, &ProblemSpec::default()).unwrap_err();
+        let mappings = map_calls(&prog, &selections, &p).unwrap();
+        let err = generate_with_mappings(
+            &prog,
+            &repo,
+            &selections,
+            &p,
+            &ProblemSpec::default(),
+            mappings,
+        )
+        .unwrap_err();
         assert!(matches!(err, CodegenError::UnresolvedSize { .. }));
         assert!(err.to_string().contains("N"));
     }

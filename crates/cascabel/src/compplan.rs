@@ -81,7 +81,7 @@ impl fmt::Display for CompilationPlan {
 /// Derives the plan: `sources_by_arch` maps architecture → generated source
 /// files; compiler names come from the first PU of each architecture that
 /// declares a `COMPILER` property.
-pub fn derive_plan(
+pub(crate) fn derive_plan(
     platform: &Platform,
     sources_by_arch: &BTreeMap<String, Vec<String>>,
     output: &str,

@@ -187,11 +187,6 @@ impl Cascabel {
         Ok(c)
     }
 
-    /// The target platform.
-    pub fn platform(&self) -> &Platform {
-        &self.platform
-    }
-
     /// The registry pin (`name@version (hash)`) the platform was resolved
     /// from, if [`Cascabel::from_registry`] was used.
     pub fn provenance(&self) -> Option<&str> {
@@ -285,7 +280,7 @@ mod tests {
 
     /// The paper's experiment input: a serial program whose single annotated
     /// call multiplies two 8192×8192 matrices via an optimized BLAS library.
-    pub const DGEMM_INPUT: &str = r#"
+    pub(crate) const DGEMM_INPUT: &str = r#"
 #include <cblas.h>
 
 #pragma cascabel task : x86 : I_dgemm : dgemm_serial : (A: read, B: read, C: readwrite)

@@ -139,7 +139,7 @@ impl fmt::Display for PragmaError {
 impl std::error::Error for PragmaError {}
 
 /// Whether a preprocessor line is a cascabel pragma at all.
-pub fn is_cascabel_pragma(line: &str) -> bool {
+pub(crate) fn is_cascabel_pragma(line: &str) -> bool {
     let rest = line.trim_start();
     let Some(rest) = rest.strip_prefix('#') else {
         return false;

@@ -81,7 +81,7 @@ impl std::error::Error for PreselectError {}
 
 /// The requirement set a variant imposes on a PU, derived from its target
 /// platforms.
-pub fn variant_requirements(imp: &TaskImpl) -> Vec<RequirementSet> {
+pub(crate) fn variant_requirements(imp: &TaskImpl) -> Vec<RequirementSet> {
     imp.arch_requirements()
         .into_iter()
         .map(|(arch, sw)| {
@@ -95,7 +95,7 @@ pub fn variant_requirements(imp: &TaskImpl) -> Vec<RequirementSet> {
 }
 
 /// Pre-selects variants of one interface for a target platform.
-pub fn preselect_interface(
+pub(crate) fn preselect_interface(
     interface: &TaskInterface,
     platform: &Platform,
 ) -> Result<InterfaceSelection, PreselectError> {
@@ -143,9 +143,7 @@ pub fn preselect_interface(
 /// repository may hold implementations for programs other than the one
 /// being compiled. They are returned with every variant pruned; invoking
 /// such an interface surfaces as a mapping error
-/// ([`crate::mapping::MappingError::EmptyMapping`]). Use
-/// [`preselect_interface`] for the strict per-interface check (§IV-C's
-/// fall-back guarantee).
+/// ([`crate::mapping::MappingError::EmptyMapping`]).
 pub fn preselect(repository: &TaskRepository, platform: &Platform) -> Vec<InterfaceSelection> {
     repository
         .interfaces()

@@ -26,7 +26,7 @@ pub enum ImplOrigin {
 
 /// Maps an annotation target platform (`x86`, `OpenCL`, `Cuda`, `CellSDK`)
 /// to the PDL vocabulary: (ARCHITECTURE, required `SOFTWARE_PLATFORM`).
-pub fn platform_to_arch(platform: &str) -> (&'static str, Option<&'static str>) {
+pub(crate) fn platform_to_arch(platform: &str) -> (&'static str, Option<&'static str>) {
     match platform.to_ascii_lowercase().as_str() {
         "x86" | "cpu" | "serial" => ("x86", None),
         "opencl" => ("gpu", Some("OpenCL")),
@@ -57,7 +57,7 @@ pub struct TaskImpl {
 
 impl TaskImpl {
     /// `(arch, software_platform)` pairs this implementation can run on.
-    pub fn arch_requirements(&self) -> Vec<(&'static str, Option<&'static str>)> {
+    pub(crate) fn arch_requirements(&self) -> Vec<(&'static str, Option<&'static str>)> {
         self.target_platforms
             .iter()
             .map(|p| platform_to_arch(p))
@@ -65,7 +65,7 @@ impl TaskImpl {
     }
 
     /// Whether this is a sequential CPU fall-back.
-    pub fn is_cpu_fallback(&self) -> bool {
+    pub(crate) fn is_cpu_fallback(&self) -> bool {
         self.arch_requirements().iter().any(|(a, _)| *a == "x86")
     }
 }
@@ -203,7 +203,7 @@ impl TaskRepository {
     }
 
     /// Registers from a parsed task pragma.
-    pub fn register_pragma(
+    pub(crate) fn register_pragma(
         &mut self,
         pragma: &TaskPragma,
         source: String,
@@ -270,18 +270,8 @@ impl TaskRepository {
     }
 
     /// All interfaces, sorted by identifier.
-    pub fn interfaces(&self) -> impl Iterator<Item = &TaskInterface> {
+    pub(crate) fn interfaces(&self) -> impl Iterator<Item = &TaskInterface> {
         self.interfaces.values()
-    }
-
-    /// Number of interfaces.
-    pub fn len(&self) -> usize {
-        self.interfaces.len()
-    }
-
-    /// Whether the repository is empty.
-    pub fn is_empty(&self) -> bool {
-        self.interfaces.is_empty()
     }
 }
 

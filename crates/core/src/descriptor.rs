@@ -6,7 +6,7 @@
 //! the descriptor), so a single [`Descriptor`] type suffices; the
 //! [`DescriptorKind`] tag records the XML element name for round-tripping.
 
-use crate::property::{Property, PropertyValue};
+use crate::property::Property;
 use std::fmt;
 
 /// Which entity a descriptor belongs to; determines the XML element name.
@@ -20,23 +20,12 @@ pub enum DescriptorKind {
     Ic,
 }
 
-impl DescriptorKind {
-    /// XML element name for this descriptor kind.
-    pub fn element_name(self) -> &'static str {
-        match self {
-            DescriptorKind::Pu => "PUDescriptor",
-            DescriptorKind::Mr => "MRDescriptor",
-            DescriptorKind::Ic => "ICDescriptor",
-        }
-    }
-}
-
 /// An ordered property list attached to a PU, memory region or interconnect.
 ///
 /// Order is preserved for faithful XML round-trips; lookup by name returns
 /// the first match (duplicate names are legal in the PDL — later subschema
 /// entries may shadow base entries — and all matches are reachable via
-/// [`Descriptor::get_all`]).
+/// [`Descriptor::iter`]).
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Descriptor {
     properties: Vec<Property>,
@@ -81,16 +70,6 @@ impl Descriptor {
         self.properties.iter().find(|p| p.name == name)
     }
 
-    /// Mutable access to the first property with the given name.
-    pub fn get_mut(&mut self, name: &str) -> Option<&mut Property> {
-        self.properties.iter_mut().find(|p| p.name == name)
-    }
-
-    /// All properties with the given name, in order.
-    pub fn get_all<'a>(&'a self, name: &'a str) -> impl Iterator<Item = &'a Property> + 'a {
-        self.properties.iter().filter(move |p| p.name == name)
-    }
-
     /// Textual value of the first property with the given name.
     pub fn value(&self, name: &str) -> Option<&str> {
         self.get(name).map(|p| p.value.text.as_str())
@@ -123,50 +102,9 @@ impl Descriptor {
         }
     }
 
-    /// Removes all properties with the given name, returning how many were
-    /// removed.
-    pub fn remove(&mut self, name: &str) -> usize {
-        let before = self.properties.len();
-        self.properties.retain(|p| p.name != name);
-        before - self.properties.len()
-    }
-
     /// Iterates over all properties in insertion order.
     pub fn iter(&self) -> impl Iterator<Item = &Property> {
         self.properties.iter()
-    }
-
-    /// Mutable iteration over all properties in insertion order.
-    pub fn iter_mut(&mut self) -> impl Iterator<Item = &mut Property> {
-        self.properties.iter_mut()
-    }
-
-    /// Properties that are still *unfixed* and empty, i.e. placeholders a
-    /// later toolchain stage must instantiate (paper §III-B).
-    pub fn unresolved(&self) -> impl Iterator<Item = &Property> {
-        self.properties
-            .iter()
-            .filter(|p| !p.fixed && p.value.is_empty())
-    }
-
-    /// Instantiates every unfixed property for which `resolve` returns a
-    /// value. Returns the number of instantiated properties. This models the
-    /// paper's "later instantiation by a runtime or other machine dependent
-    /// library".
-    pub fn instantiate_with<F>(&mut self, mut resolve: F) -> usize
-    where
-        F: FnMut(&str) -> Option<PropertyValue>,
-    {
-        let mut n = 0;
-        for p in &mut self.properties {
-            if !p.fixed {
-                if let Some(v) = resolve(&p.name) {
-                    p.value = v;
-                    n += 1;
-                }
-            }
-        }
-        n
     }
 }
 
@@ -240,40 +178,11 @@ mod tests {
     }
 
     #[test]
-    fn remove_counts() {
-        let mut d = sample();
-        d.push(Property::fixed("CORES", "32"));
-        assert_eq!(d.remove("CORES"), 2);
-        assert_eq!(d.remove("CORES"), 0);
-        assert_eq!(d.len(), 2);
-    }
-
-    #[test]
-    fn duplicates_all_reachable() {
+    fn value_returns_the_first_duplicate() {
         let mut d = Descriptor::new();
         d.push(Property::fixed("X", "1"));
         d.push(Property::fixed("X", "2"));
-        let vals: Vec<_> = d.get_all("X").map(|p| p.value.text.as_str()).collect();
-        assert_eq!(vals, ["1", "2"]);
-        // get returns the first
         assert_eq!(d.value("X"), Some("1"));
-    }
-
-    #[test]
-    fn unresolved_and_instantiate() {
-        let mut d = sample();
-        let unresolved: Vec<_> = d.unresolved().map(|p| p.name.clone()).collect();
-        assert_eq!(unresolved, ["DEVICE_NAME"]);
-        let n = d.instantiate_with(|name| {
-            (name == "DEVICE_NAME").then(|| PropertyValue::text("GeForce GTX 480"))
-        });
-        assert_eq!(n, 1);
-        assert_eq!(d.value("DEVICE_NAME"), Some("GeForce GTX 480"));
-        assert_eq!(d.unresolved().count(), 0);
-        // Fixed properties are never instantiated.
-        let n = d.instantiate_with(|_| Some(PropertyValue::text("clobber")));
-        assert_eq!(n, 1); // only the (still unfixed) DEVICE_NAME
-        assert_eq!(d.value("ARCHITECTURE"), Some("gpu"));
     }
 
     #[test]
@@ -281,13 +190,6 @@ mod tests {
         let d = sample();
         let names: Vec<_> = d.iter().map(|p| p.name.as_str()).collect();
         assert_eq!(names, ["ARCHITECTURE", "DEVICE_NAME", "CORES"]);
-    }
-
-    #[test]
-    fn element_names() {
-        assert_eq!(DescriptorKind::Pu.element_name(), "PUDescriptor");
-        assert_eq!(DescriptorKind::Mr.element_name(), "MRDescriptor");
-        assert_eq!(DescriptorKind::Ic.element_name(), "ICDescriptor");
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! machine-readable subject. Codes are partitioned by prefix:
 //!
 //! * `P0xx` — structural platform rules (paper §III-A), migrated from
-//!   [`crate::validate::check`].
+//!   [`Platform::issues`](crate::platform::Platform::issues).
 //! * `P1xx` — deeper platform analyses (cycles, reachability, endpoint
 //!   resolution, subschema typing) and schema-level XML findings.
 //! * `C0xx` — Cascabel program/mapping analyses.
@@ -120,7 +120,7 @@ impl Diagnostic {
     }
 
     /// A new diagnostic with an explicit severity.
-    pub fn new(code: &'static str, severity: Severity, message: impl Into<String>) -> Self {
+    pub(crate) fn new(code: &'static str, severity: Severity, message: impl Into<String>) -> Self {
         Diagnostic {
             code,
             severity,
@@ -154,7 +154,7 @@ impl Diagnostic {
 
     /// Renders the diagnostic in the human `severity[code]: message` form,
     /// followed by indented notes.
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         let mut out = String::new();
         if let Some(span) = &self.span {
             out.push_str(&format!("{span}: "));

@@ -63,7 +63,7 @@ pub enum ValidationIssue {
 impl ValidationIssue {
     /// The stable diagnostic code for this issue (the `P0xx` range of the
     /// shared code space in [`crate::diag`]).
-    pub fn code(&self) -> &'static str {
+    pub(crate) fn code(&self) -> &'static str {
         use ValidationIssue::*;
         match self {
             DuplicatePuId(_) => "P001",
@@ -84,7 +84,7 @@ impl ValidationIssue {
 
     /// The PU id (or interconnect endpoint id) this issue is about, when it
     /// has one — used as the diagnostic subject.
-    pub fn subject(&self) -> Option<&str> {
+    pub(crate) fn subject(&self) -> Option<&str> {
         use ValidationIssue::*;
         match self {
             DuplicatePuId(id)
@@ -107,7 +107,7 @@ impl ValidationIssue {
 
     /// Converts the issue into a [`crate::diag::Diagnostic`] (always an
     /// error — §III-A rules are hard requirements).
-    pub fn to_diagnostic(&self) -> crate::diag::Diagnostic {
+    pub(crate) fn to_diagnostic(&self) -> crate::diag::Diagnostic {
         let mut d = crate::diag::Diagnostic::error(self.code(), self.to_string());
         if let Some(s) = self.subject() {
             d = d.with_subject(s);

@@ -24,20 +24,6 @@ macro_rules! string_id {
             pub fn as_str(&self) -> &str {
                 &self.0
             }
-
-            /// Consumes the identifier, returning the underlying `String`.
-            pub fn into_string(self) -> String {
-                self.0
-            }
-
-            /// Returns `true` if the identifier is empty.
-            ///
-            /// Empty identifiers are rejected by
-            /// [`validate::check`](crate::validate::check), but can transiently
-            /// exist while a description is being authored.
-            pub fn is_empty(&self) -> bool {
-                self.0.is_empty()
-            }
         }
 
         impl fmt::Display for $name {
@@ -167,12 +153,6 @@ mod tests {
         let p = PuId::new("gpu0");
         let g = GroupId::new("gpu0");
         assert_eq!(p.as_str(), g.as_str());
-    }
-
-    #[test]
-    fn empty_detection() {
-        assert!(PuId::new("").is_empty());
-        assert!(!PuId::new("0").is_empty());
     }
 
     #[test]

@@ -84,11 +84,6 @@ impl Interconnect {
         self.directionality == Directionality::Bidirectional && self.from == *b && self.to == *a
     }
 
-    /// Whether the edge touches the given PU in either role.
-    pub fn touches(&self, pu: &PuId) -> bool {
-        self.from == *pu || self.to == *pu
-    }
-
     /// Given one endpoint, returns the other; `None` if `pu` is not an
     /// endpoint, or if the edge is unidirectional *into* `pu` (no outgoing
     /// traversal possible).
@@ -146,14 +141,6 @@ mod tests {
         assert_eq!(ic.other_endpoint(&PuId::new("a")), Some(&PuId::new("b")));
         assert_eq!(ic.other_endpoint(&PuId::new("b")), None);
         assert_eq!(ic.other_endpoint(&PuId::new("c")), None);
-    }
-
-    #[test]
-    fn touches_either_endpoint() {
-        let ic = Interconnect::new("PCIe", "0", "1");
-        assert!(ic.touches(&PuId::new("0")));
-        assert!(ic.touches(&PuId::new("1")));
-        assert!(!ic.touches(&PuId::new("2")));
     }
 
     #[test]

@@ -71,7 +71,7 @@ pub mod prelude {
     pub use crate::platform::{Platform, PlatformBuilder, PuHandle};
     pub use crate::property::{Property, PropertyValue, SubschemaRef};
     pub use crate::pu::{ProcessingUnit, PuClass};
-    pub use crate::units::{Dimension, Unit};
+    pub use crate::units::Unit;
     pub use crate::version::Version;
     pub use crate::wellknown;
 }

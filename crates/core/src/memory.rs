@@ -45,11 +45,6 @@ impl MemoryRegion {
     pub fn bandwidth_bps(&self) -> Option<f64> {
         self.descriptor.value_base(wellknown::BANDWIDTH)
     }
-
-    /// Access latency in seconds, from the well-known `LATENCY` property.
-    pub fn latency_s(&self) -> Option<f64> {
-        self.descriptor.value_base(wellknown::LATENCY)
-    }
 }
 
 #[cfg(test)]
@@ -77,7 +72,6 @@ mod tests {
         );
         assert_eq!(mr.size_bytes(), Some(1_572_864_000.0));
         assert_eq!(mr.bandwidth_bps(), Some(177.4e9));
-        assert_eq!(mr.latency_s(), None);
     }
 
     #[test]

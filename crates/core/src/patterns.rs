@@ -7,7 +7,7 @@
 //! paper and the literature it cites, and a [`PatternKind`] vocabulary that
 //! `pdl-query` matches concrete platforms against.
 
-use crate::platform::{Platform, PlatformBuilder, PuHandle};
+use crate::platform::Platform;
 use crate::property::Property;
 use std::fmt;
 
@@ -122,16 +122,6 @@ pub fn multi_master(masters: u32) -> Platform {
         }
     }
     b.build().expect("pattern is structurally valid")
-}
-
-/// Wires an interconnect between two PUs identified by builder handles —
-/// convenience so pattern builders need not track ids separately.
-pub fn link(b: &mut PlatformBuilder, from: PuHandle, to: PuHandle, ic_type: &str) {
-    let from_id = b.id_of(from).clone();
-    let to_id = b.id_of(to).clone();
-    b.interconnect(crate::interconnect::Interconnect::new(
-        ic_type, from_id, to_id,
-    ));
 }
 
 #[cfg(test)]

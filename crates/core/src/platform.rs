@@ -15,7 +15,7 @@ use crate::property::Property;
 use crate::pu::{ProcessingUnit, PuClass};
 use crate::validate;
 use crate::version::Version;
-use crate::visit::{Bfs, Dfs};
+use crate::visit::Dfs;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -84,14 +84,6 @@ impl Platform {
         &self.interconnects
     }
 
-    /// Interconnects touching the given PU.
-    pub fn interconnects_of<'a>(
-        &'a self,
-        id: &'a PuId,
-    ) -> impl Iterator<Item = &'a Interconnect> + 'a {
-        self.interconnects.iter().filter(move |ic| ic.touches(id))
-    }
-
     /// Iterates over all `(PuIdx, &ProcessingUnit)` pairs in arena order.
     pub fn iter(&self) -> impl Iterator<Item = (PuIdx, &ProcessingUnit)> {
         self.pus
@@ -110,13 +102,11 @@ impl Platform {
         Dfs::over_subtree(self, root)
     }
 
-    /// Breadth-first traversal over the whole forest.
-    pub fn bfs(&self) -> Bfs<'_> {
-        Bfs::over_forest(self)
-    }
-
     /// All PUs of the given class.
-    pub fn by_class(&self, class: PuClass) -> impl Iterator<Item = (PuIdx, &ProcessingUnit)> {
+    pub(crate) fn by_class(
+        &self,
+        class: PuClass,
+    ) -> impl Iterator<Item = (PuIdx, &ProcessingUnit)> {
         self.iter().filter(move |(_, p)| p.class == class)
     }
 
@@ -155,7 +145,7 @@ impl Platform {
     }
 
     /// Path of arena indices from the root down to (and including) `idx`.
-    pub fn path_from_root(&self, idx: PuIdx) -> Vec<PuIdx> {
+    pub(crate) fn path_from_root(&self, idx: PuIdx) -> Vec<PuIdx> {
         let mut path = vec![idx];
         let mut cur = self.pus[idx.index()].parent;
         while let Some(p) = cur {
@@ -509,11 +499,6 @@ impl PlatformBuilder {
         self
     }
 
-    /// Id of the PU behind a handle (useful when wiring interconnects).
-    pub fn id_of(&self, pu: PuHandle) -> &PuId {
-        &self.pus[pu.0.index()].id
-    }
-
     /// Validates and releases the platform.
     pub fn build(self) -> Result<Platform, ModelError> {
         let p = self.build_unchecked();
@@ -588,7 +573,6 @@ mod tests {
         assert_eq!(p.depth(widx), 1);
         assert_eq!(p.height(), 1);
         assert_eq!(p.interconnects().len(), 1);
-        assert_eq!(p.interconnects_of(&PuId::new("1")).count(), 1);
     }
 
     #[test]

@@ -87,14 +87,8 @@ impl PropertyValue {
         }
     }
 
-    /// An empty value, typical for *unfixed* properties awaiting
-    /// instantiation by a later tool.
-    pub fn empty() -> Self {
-        Self::text("")
-    }
-
     /// Whether the value is empty (whitespace counts as empty).
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.text.trim().is_empty()
     }
 
@@ -104,18 +98,8 @@ impl PropertyValue {
     }
 
     /// Parses the value as a float, ignoring surrounding whitespace.
-    pub fn as_f64(&self) -> Option<f64> {
+    pub(crate) fn as_f64(&self) -> Option<f64> {
         self.text.trim().parse().ok()
-    }
-
-    /// Parses the value as a boolean (`true`/`false`/`1`/`0`, case
-    /// insensitive).
-    pub fn as_bool(&self) -> Option<bool> {
-        match self.text.trim().to_ascii_lowercase().as_str() {
-            "true" | "1" | "yes" => Some(true),
-            "false" | "0" | "no" => Some(false),
-            _ => None,
-        }
     }
 
     /// Numeric value converted to the base unit of its dimension
@@ -197,17 +181,6 @@ impl Property {
         self.fixed = fixed;
         self
     }
-
-    /// Instantiates an *unfixed* property with a concrete value, as a
-    /// runtime or machine-dependent library would (paper §III-B). Returns
-    /// `false` (and leaves the property untouched) if the property is fixed.
-    pub fn instantiate(&mut self, value: PropertyValue) -> bool {
-        if self.fixed {
-            return false;
-        }
-        self.value = value;
-        true
-    }
 }
 
 impl fmt::Display for Property {
@@ -263,28 +236,10 @@ mod tests {
     }
 
     #[test]
-    fn unfixed_instantiation() {
-        let mut p = Property::unfixed("DEVICE_NAME", "");
-        assert!(p.value.is_empty());
-        assert!(p.instantiate(PropertyValue::text("GeForce GTX 480")));
-        assert_eq!(p.value.text, "GeForce GTX 480");
-    }
-
-    #[test]
-    fn fixed_rejects_instantiation() {
-        let mut p = Property::fixed("ARCHITECTURE", "x86");
-        assert!(!p.instantiate(PropertyValue::text("gpu")));
-        assert_eq!(p.value.text, "x86");
-    }
-
-    #[test]
     fn typed_accessors() {
         let v = PropertyValue::text(" 42 ");
         assert_eq!(v.as_i64(), Some(42));
         assert_eq!(v.as_f64(), Some(42.0));
-        assert_eq!(PropertyValue::text("true").as_bool(), Some(true));
-        assert_eq!(PropertyValue::text("0").as_bool(), Some(false));
-        assert_eq!(PropertyValue::text("maybe").as_bool(), None);
         assert_eq!(PropertyValue::text("x").as_i64(), None);
     }
 

@@ -13,7 +13,8 @@
 //!   PUs are present at inner nodes of the PU hierarchy and must always be
 //!   controlled either by other Hybrid or Master units."
 //!
-//! These structural rules are enforced by [`validate::check`](crate::validate::check).
+//! These structural rules are enforced by
+//! [`Platform::issues`](crate::platform::Platform::issues).
 
 use crate::descriptor::Descriptor;
 use crate::id::{GroupId, PuId, PuIdx};
@@ -44,13 +45,8 @@ impl PuClass {
 
     /// Whether this class may *control* other PUs, i.e. delegate tasks to
     /// children (the paper's logical control-relationship).
-    pub fn may_control(self) -> bool {
+    pub(crate) fn may_control(self) -> bool {
         matches!(self, PuClass::Master | PuClass::Hybrid)
-    }
-
-    /// Whether this class must itself be controlled (have a parent).
-    pub fn must_be_controlled(self) -> bool {
-        matches!(self, PuClass::Hybrid | PuClass::Worker)
     }
 
     /// Parses an XML element name into a class.
@@ -96,7 +92,7 @@ pub struct ProcessingUnit {
 
 impl ProcessingUnit {
     /// Creates a PU with quantity 1 and empty payload.
-    pub fn new(id: impl Into<PuId>, class: PuClass) -> Self {
+    pub(crate) fn new(id: impl Into<PuId>, class: PuClass) -> Self {
         Self {
             id: id.into(),
             class,
@@ -117,11 +113,6 @@ impl ProcessingUnit {
     /// Arena indices of controlled PUs, in declaration order.
     pub fn children(&self) -> &[PuIdx] {
         &self.children
-    }
-
-    /// Whether the PU is a leaf of the control hierarchy.
-    pub fn is_leaf(&self) -> bool {
-        self.children.is_empty()
     }
 
     /// Whether the PU belongs to the named logic group.
@@ -190,9 +181,6 @@ mod tests {
         assert!(PuClass::Master.may_control());
         assert!(PuClass::Hybrid.may_control());
         assert!(!PuClass::Worker.may_control());
-        assert!(!PuClass::Master.must_be_controlled());
-        assert!(PuClass::Hybrid.must_be_controlled());
-        assert!(PuClass::Worker.must_be_controlled());
     }
 
     #[test]
@@ -214,7 +202,6 @@ mod tests {
         assert_eq!(pu.cores(), Some(15));
         assert_eq!(pu.software_platforms(), ["OpenCL", "Cuda"]);
         assert_eq!(pu.efficiency(), 1.0);
-        assert!(pu.is_leaf());
     }
 
     #[test]

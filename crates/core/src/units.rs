@@ -78,7 +78,7 @@ pub enum Unit {
 impl Unit {
     /// The multiplier that converts a value in this unit to the canonical
     /// base unit of its dimension.
-    pub fn to_base_factor(self) -> f64 {
+    pub(crate) fn to_base_factor(self) -> f64 {
         use Unit::*;
         match self {
             Byte => 1.0,
@@ -104,22 +104,6 @@ impl Unit {
             Second => 1.0,
             Watt => 1.0,
             KiloWatt => 1e3,
-        }
-    }
-
-    /// Dimension of the unit; values are only comparable within one
-    /// dimension.
-    pub fn dimension(self) -> Dimension {
-        use Unit::*;
-        match self {
-            Byte | KiloByte | MegaByte | GigaByte | TeraByte | KibiByte | MebiByte | GibiByte => {
-                Dimension::Capacity
-            }
-            Hertz | MegaHertz | GigaHertz => Dimension::Frequency,
-            FlopPerSec | GigaFlopPerSec | TeraFlopPerSec => Dimension::ComputeRate,
-            BytePerSec | MegaBytePerSec | GigaBytePerSec => Dimension::Bandwidth,
-            NanoSecond | MicroSecond | MilliSecond | Second => Dimension::Duration,
-            Watt | KiloWatt => Dimension::Power,
         }
     }
 
@@ -208,32 +192,10 @@ impl FromStr for Unit {
     }
 }
 
-/// Physical dimension of a [`Unit`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Dimension {
-    /// Storage capacity (base: bytes).
-    Capacity,
-    /// Clock frequency (base: hertz).
-    Frequency,
-    /// Compute throughput (base: FLOP/s).
-    ComputeRate,
-    /// Transfer bandwidth (base: bytes/second).
-    Bandwidth,
-    /// Time (base: seconds).
-    Duration,
-    /// Electrical power (base: watts).
-    Power,
-}
-
 /// Converts `value` expressed in `unit` to the canonical base unit of the
 /// unit's dimension (e.g. `kB` → bytes).
-pub fn to_base(value: f64, unit: Unit) -> f64 {
+pub(crate) fn to_base(value: f64, unit: Unit) -> f64 {
     value * unit.to_base_factor()
-}
-
-/// Converts a base-unit `value` to the given display `unit`.
-pub fn from_base(value: f64, unit: Unit) -> f64 {
-    value / unit.to_base_factor()
 }
 
 #[cfg(test)]
@@ -290,22 +252,11 @@ mod tests {
         // The GTX480 global memory from Listing 2: 1572864 kB.
         let bytes = to_base(1_572_864.0, Unit::KiloByte);
         assert_eq!(bytes, 1_572_864_000.0);
-        assert_eq!(from_base(bytes, Unit::GigaByte), 1.572864);
     }
 
     #[test]
     fn binary_prefixes() {
         assert_eq!(to_base(1.0, Unit::GibiByte), 1024.0 * 1024.0 * 1024.0);
-    }
-
-    #[test]
-    fn dimensions_partition_units() {
-        assert_eq!(Unit::KiloByte.dimension(), Dimension::Capacity);
-        assert_eq!(Unit::GigaHertz.dimension(), Dimension::Frequency);
-        assert_eq!(Unit::GigaFlopPerSec.dimension(), Dimension::ComputeRate);
-        assert_eq!(Unit::GigaBytePerSec.dimension(), Dimension::Bandwidth);
-        assert_eq!(Unit::MicroSecond.dimension(), Dimension::Duration);
-        assert_eq!(Unit::Watt.dimension(), Dimension::Power);
     }
 
     #[test]

@@ -16,14 +16,14 @@ use std::collections::BTreeSet;
 
 /// Collects all structural issues in the given platform. An empty vector
 /// means the description is valid.
-pub fn check(platform: &Platform) -> Vec<ValidationIssue> {
+pub(crate) fn check(platform: &Platform) -> Vec<ValidationIssue> {
     let mut issues = Vec::new();
     let mut seen_ids = BTreeSet::new();
 
     for (i, pu) in platform.arena().iter().enumerate() {
         let idx = PuIdx::from_usize(i);
 
-        if pu.id.is_empty() {
+        if pu.id.as_str().is_empty() {
             issues.push(ValidationIssue::EmptyPuId(idx));
         } else if !seen_ids.insert(pu.id.clone()) {
             issues.push(ValidationIssue::DuplicatePuId(pu.id.clone()));
@@ -65,7 +65,7 @@ pub fn check(platform: &Platform) -> Vec<ValidationIssue> {
         }
 
         for g in &pu.groups {
-            if g.is_empty() {
+            if g.as_str().is_empty() {
                 issues.push(ValidationIssue::EmptyGroupName(pu.id.clone()));
             }
         }
@@ -103,10 +103,10 @@ pub fn check(platform: &Platform) -> Vec<ValidationIssue> {
     issues
 }
 
-/// Like [`check`], but returns the issues as [`crate::diag::Diagnostic`]s
-/// in the shared `P0xx` code space. The [`check`] API remains the source of
-/// truth; this is the diagnostics-facing view used by `pdl-analyze` and
-/// `pdl-lint`.
+/// Like [`Platform::issues`], but returns the issues as
+/// [`crate::diag::Diagnostic`]s in the shared `P0xx` code space. That list
+/// remains the source of truth; this is the diagnostics-facing view used by
+/// `pdl-analyze`.
 pub fn diagnostics(platform: &Platform) -> crate::diag::Report {
     check(platform)
         .iter()

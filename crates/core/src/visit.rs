@@ -3,7 +3,6 @@
 use crate::id::PuIdx;
 use crate::platform::Platform;
 use crate::pu::ProcessingUnit;
-use std::collections::VecDeque;
 
 /// Depth-first pre-order traversal.
 pub struct Dfs<'a> {
@@ -40,32 +39,6 @@ impl<'a> Iterator for Dfs<'a> {
     }
 }
 
-/// Breadth-first (level-order) traversal.
-pub struct Bfs<'a> {
-    platform: &'a Platform,
-    queue: VecDeque<PuIdx>,
-}
-
-impl<'a> Bfs<'a> {
-    pub(crate) fn over_forest(platform: &'a Platform) -> Self {
-        Self {
-            platform,
-            queue: platform.roots().iter().copied().collect(),
-        }
-    }
-}
-
-impl<'a> Iterator for Bfs<'a> {
-    type Item = (PuIdx, &'a ProcessingUnit);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        let idx = self.queue.pop_front()?;
-        let pu = self.platform.pu(idx);
-        self.queue.extend(pu.children().iter().copied());
-        Some((idx, pu))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use crate::platform::Platform;
@@ -98,13 +71,6 @@ mod tests {
     }
 
     #[test]
-    fn bfs_levelorder() {
-        let p = forest();
-        let order: Vec<String> = p.bfs().map(|(_, pu)| pu.id.to_string()).collect();
-        assert_eq!(order, ["m1", "m2", "h1", "w3", "w4", "w1", "w2"]);
-    }
-
-    #[test]
     fn dfs_subtree() {
         let p = forest();
         let h1 = p.index_of("h1").unwrap();
@@ -116,13 +82,11 @@ mod tests {
     fn traversals_cover_every_pu_once() {
         let p = forest();
         assert_eq!(p.dfs().count(), p.len());
-        assert_eq!(p.bfs().count(), p.len());
     }
 
     #[test]
     fn empty_platform_traversals() {
         let p = Platform::builder("empty").build().unwrap();
         assert_eq!(p.dfs().count(), 0);
-        assert_eq!(p.bfs().count(), 0);
     }
 }

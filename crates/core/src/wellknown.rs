@@ -24,9 +24,6 @@ pub const FREQUENCY: &str = "FREQUENCY";
 /// Peak double-precision compute rate (unit-annotated, canonical FLOP/s).
 pub const PEAK_GFLOPS_DP: &str = "PEAK_GFLOPS_DP";
 
-/// Peak single-precision compute rate (unit-annotated, canonical FLOP/s).
-pub const PEAK_GFLOPS_SP: &str = "PEAK_GFLOPS_SP";
-
 /// Sustained fraction of peak achievable by tuned kernels (0.0–1.0).
 /// Used by the simulator to derate peak numbers.
 pub const EFFICIENCY: &str = "EFFICIENCY";
@@ -64,50 +61,3 @@ pub const RUNTIME_SYSTEM: &str = "RUNTIME_SYSTEM";
 
 /// Memory-region kind: `ram`, `vram`, `local-store`, `cache`, `scratchpad`.
 pub const MEMORY_KIND: &str = "MEMORY_KIND";
-
-/// Names of all base-vocabulary properties, for validation/lint tooling.
-pub const ALL: &[&str] = &[
-    ARCHITECTURE,
-    DEVICE_NAME,
-    VENDOR,
-    CORES,
-    FREQUENCY,
-    PEAK_GFLOPS_DP,
-    PEAK_GFLOPS_SP,
-    EFFICIENCY,
-    SIZE,
-    BANDWIDTH,
-    LATENCY,
-    TDP,
-    IDLE_POWER,
-    SOFTWARE_PLATFORM,
-    COMPILER,
-    LINK_LIBS,
-    RUNTIME_SYSTEM,
-    MEMORY_KIND,
-];
-
-/// Whether `name` belongs to the base vocabulary.
-pub fn is_wellknown(name: &str) -> bool {
-    ALL.contains(&name)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use std::collections::HashSet;
-
-    #[test]
-    fn vocabulary_is_duplicate_free() {
-        let set: HashSet<_> = ALL.iter().collect();
-        assert_eq!(set.len(), ALL.len());
-    }
-
-    #[test]
-    fn membership() {
-        assert!(is_wellknown("ARCHITECTURE"));
-        assert!(is_wellknown("PEAK_GFLOPS_DP"));
-        assert!(!is_wellknown("architecture")); // names are case-sensitive
-        assert!(!is_wellknown("MAX_COMPUTE_UNITS")); // ocl: subschema name
-    }
-}

@@ -122,7 +122,7 @@ pub struct Exploration {
 
 /// Checks every invariant on one applied transition. Returns the first
 /// violated invariant (in [`Invariant::ALL`] order) with a rendered detail.
-pub fn check_transition(
+pub(crate) fn check_transition(
     pre: &State,
     post: &State,
     action: Action,
@@ -315,14 +315,6 @@ fn path_to(arena: &[(State, Option<(usize, Action)>)], mut i: usize) -> Vec<Acti
     }
     rev.reverse();
     rev
-}
-
-/// Convenience: the number of enumerated interleavings `explore` will
-/// check for a model, without storing traces (used by quick sanity
-/// passes).
-pub fn state_count(model: &Model, bounds: &Bounds) -> (usize, usize) {
-    let ex = explore(model, bounds);
-    (ex.states, ex.transitions)
 }
 
 #[cfg(test)]

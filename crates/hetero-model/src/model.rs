@@ -37,7 +37,7 @@ impl HandleState {
     }
 
     /// Renders the copies map: `{host, dev1 (stale)}`.
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         let parts: Vec<String> = self
             .copies
             .iter()
@@ -141,15 +141,6 @@ pub enum Mutation {
 }
 
 impl Mutation {
-    /// Every non-trivial mutation, for gate-validation sweeps.
-    pub const ALL: [Mutation; 5] = [
-        Mutation::SkipWriteInvalidate,
-        Mutation::DropWriteUpdate,
-        Mutation::VanishOnWrite,
-        Mutation::UnderCharge,
-        Mutation::MoveNotCopy,
-    ];
-
     /// The M-series diagnostic code this mutation must be caught as.
     pub fn expected_code(self) -> Option<&'static str> {
         match self {
@@ -238,12 +229,12 @@ impl Model {
     }
 
     /// Number of handles the model tracks.
-    pub fn handles(&self) -> usize {
+    pub(crate) fn handles(&self) -> usize {
         self.topos.len()
     }
 
     /// Number of devices in the shared topology.
-    pub fn devices(&self) -> usize {
+    pub(crate) fn devices(&self) -> usize {
         self.topos[0].devices()
     }
 
@@ -262,7 +253,7 @@ impl Model {
     }
 
     /// All actions enabled in `state` under an outstanding-access bound.
-    pub fn enabled(&self, state: &State, max_pending: usize) -> Vec<Action> {
+    pub(crate) fn enabled(&self, state: &State, max_pending: usize) -> Vec<Action> {
         let mut actions = Vec::new();
         for (handle, hs) in state.handles.iter().enumerate() {
             let mut seen = BTreeSet::new();
@@ -291,7 +282,7 @@ impl Model {
     }
 
     /// Whether `action` is enabled in `state` (used by trace replay).
-    pub fn is_enabled(&self, state: &State, action: Action, max_pending: usize) -> bool {
+    pub(crate) fn is_enabled(&self, state: &State, action: Action, max_pending: usize) -> bool {
         match action {
             Action::Acquire { handle, dev, .. } => {
                 handle < self.handles()
@@ -461,7 +452,13 @@ mod tests {
 
     #[test]
     fn mutations_have_distinct_codes_and_parse_round_trips() {
-        for m in Mutation::ALL {
+        for m in [
+            Mutation::SkipWriteInvalidate,
+            Mutation::DropWriteUpdate,
+            Mutation::VanishOnWrite,
+            Mutation::UnderCharge,
+            Mutation::MoveNotCopy,
+        ] {
             assert_eq!(Mutation::parse(m.name()), Some(m));
             assert_eq!(Mutation::parse(m.expected_code().unwrap()), Some(m));
         }

@@ -197,15 +197,10 @@ impl Plan {
         self.hops.iter().fold(0.0, |acc, h| acc + h.cost)
     }
 
-    /// Whether the plan moves no data.
-    pub fn is_empty(&self) -> bool {
-        self.hops.is_empty()
-    }
-
     /// The routing class the plan realizes: peer if any hop is a direct
     /// device→device move, staged if it moves bytes through host memory,
     /// local otherwise (shared address space or nothing to do).
-    pub fn routing_class(&self) -> PlanClass {
+    pub(crate) fn routing_class(&self) -> PlanClass {
         if self.hops.iter().any(|h| h.kind() == HopKind::Peer) {
             PlanClass::Peer
         } else if self.hops.iter().any(|h| h.moves_bytes) {
@@ -463,7 +458,7 @@ mod tests {
             Routing::HostStaged,
             &TwoGpus,
         );
-        assert!(plan.is_empty());
+        assert!(plan.hops.is_empty());
         finish_access(&mut valid, Node::Dev(1), AccessMode::Write);
         assert_eq!(valid.iter().copied().collect::<Vec<_>>(), [Node::Dev(1)]);
     }

@@ -65,24 +65,11 @@ pub struct TransferPlan {
 }
 
 impl TransferPlan {
-    /// An empty plan (data already where it needs to be).
-    pub fn empty(handle: HandleId) -> Self {
-        TransferPlan {
-            handle,
-            hops: Vec::new(),
-        }
-    }
-
     /// Total modeled time when hops run back-to-back without contention.
     pub fn total(&self) -> Duration {
         self.hops
             .iter()
             .fold(Duration::ZERO, |acc, hop| acc + hop.duration)
-    }
-
-    /// Whether the plan moves no data.
-    pub fn is_empty(&self) -> bool {
-        self.hops.is_empty()
     }
 }
 
@@ -483,18 +470,6 @@ impl DataRegistry {
     ) -> Duration {
         let size = self.table.sizes[h.0];
         probe_cost(self.valid(h), machine, size, device, mode, routing)
-    }
-
-    /// [`probe_acquire_via`](Self::probe_acquire_via) with host-staged
-    /// routing. Schedulers use this to compare candidate devices.
-    pub fn probe_acquire(
-        &self,
-        machine: &SimMachine,
-        h: HandleId,
-        device: DeviceId,
-        mode: AccessMode,
-    ) -> Duration {
-        self.probe_acquire_via(machine, h, device, mode, Routing::HostStaged)
     }
 
     /// Plans and commits the transfer bringing `h` back to host memory.

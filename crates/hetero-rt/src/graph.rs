@@ -291,12 +291,6 @@ impl TaskGraph {
             .collect()
     }
 
-    /// A topological order (submission order is always one, since edges only
-    /// point backwards in submission time).
-    pub fn topological_order(&self) -> Vec<TaskId> {
-        (0..self.len()).map(TaskId).collect()
-    }
-
     /// Total FLOPs over all tasks.
     pub fn total_flops(&self) -> f64 {
         self.rows.iter().map(|row| row.flops).sum()
@@ -586,28 +580,6 @@ mod tests {
         // The read that never happened is not waited for.
         assert_eq!(g.dependencies(next), [w]);
         assert_eq!(g.task(w).label, "w");
-    }
-
-    #[test]
-    fn topological_order_is_submission_order() {
-        let (mut g, c) = graph_with_codelet();
-        let a = g.register_data("a", 8.0);
-        for i in 0..5 {
-            g.submit(
-                c,
-                format!("t{i}"),
-                1.0,
-                vec![acc(a, AccessMode::ReadWrite)],
-                None,
-            );
-        }
-        let order = g.topological_order();
-        for (pos, t) in order.iter().enumerate() {
-            for d in g.dependencies(*t) {
-                let dpos = order.iter().position(|x| x == d).unwrap();
-                assert!(dpos < pos);
-            }
-        }
     }
 
     proptest::proptest! {

@@ -12,38 +12,24 @@ use std::collections::BTreeMap;
 
 /// Running statistics of a bucket.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct BucketStats {
+pub(crate) struct BucketStats {
     /// Number of observations.
     pub count: u64,
     /// Mean observed duration in seconds.
     pub mean_s: f64,
-    /// Sum of squared deviations (for variance).
-    m2: f64,
 }
 
 impl BucketStats {
     fn record(&mut self, seconds: f64) {
-        // Welford's online mean/variance.
         self.count += 1;
-        let delta = seconds - self.mean_s;
-        self.mean_s += delta / self.count as f64;
-        self.m2 += delta * (seconds - self.mean_s);
-    }
-
-    /// Sample variance (0 with fewer than two observations).
-    pub fn variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / (self.count - 1) as f64
-        }
+        self.mean_s += (seconds - self.mean_s) / self.count as f64;
     }
 }
 
 /// A history-based performance model.
 ///
 /// Buckets are stored codelet → arch → size-bucket so the hot scheduler
-/// lookup path ([`estimate`](Self::estimate)) works entirely on borrowed
+/// lookup path (`estimate`) works entirely on borrowed
 /// `&str` keys, without allocating.
 #[derive(Debug, Clone, Default)]
 pub struct PerfModel {
@@ -62,12 +48,12 @@ fn size_bucket(size: f64) -> u32 {
 
 impl PerfModel {
     /// An empty model.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Records an observed execution.
-    pub fn record(&mut self, codelet: &str, arch: &str, size: f64, duration: Duration) {
+    pub(crate) fn record(&mut self, codelet: &str, arch: &str, size: f64, duration: Duration) {
         // Allocation only on the cold path: a bucket's first observation.
         if let Some(archs) = self.buckets.get_mut(codelet) {
             if let Some(sizes) = archs.get_mut(arch) {
@@ -99,15 +85,10 @@ impl PerfModel {
 
     /// Estimated duration, if the model has seen this (codelet, arch, size
     /// bucket) before.
-    pub fn estimate(&self, codelet: &str, arch: &str, size: f64) -> Option<Duration> {
+    pub(crate) fn estimate(&self, codelet: &str, arch: &str, size: f64) -> Option<Duration> {
         self.bucket(codelet, arch, size)
             .filter(|s| s.count > 0)
             .map(|s| Duration::new(s.mean_s))
-    }
-
-    /// Statistics of a bucket, if present.
-    pub fn stats(&self, codelet: &str, arch: &str, size: f64) -> Option<BucketStats> {
-        self.bucket(codelet, arch, size).copied()
     }
 
     /// Number of populated buckets.
@@ -137,9 +118,6 @@ mod tests {
         m.record("dgemm", "gpu", 1100.0, Duration::new(3.0)); // same bucket
         let est = m.estimate("dgemm", "gpu", 1500.0).unwrap(); // 2^10 bucket
         assert!((est.seconds() - 2.0).abs() < 1e-12);
-        let stats = m.stats("dgemm", "gpu", 1024.0).unwrap();
-        assert_eq!(stats.count, 2);
-        assert!((stats.variance() - 2.0).abs() < 1e-12);
     }
 
     #[test]
@@ -163,12 +141,5 @@ mod tests {
         assert_eq!(size_bucket(1023.0), 9);
         assert_eq!(size_bucket(1024.0), 10);
         assert_eq!(size_bucket(2047.0), 10);
-    }
-
-    #[test]
-    fn variance_zero_with_one_sample() {
-        let mut m = PerfModel::new();
-        m.record("k", "x86", 10.0, Duration::new(5.0));
-        assert_eq!(m.stats("k", "x86", 10.0).unwrap().variance(), 0.0);
     }
 }

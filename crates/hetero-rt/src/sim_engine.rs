@@ -60,12 +60,12 @@ impl TransferPipeline {
     }
 
     /// Whether any mechanism is on (off means the legacy synchronous path).
-    pub fn is_active(self) -> bool {
+    pub(crate) fn is_active(self) -> bool {
         self.peer_to_peer || self.link_contention || self.prefetch
     }
 
     /// The data-routing policy this configuration implies.
-    pub fn routing(self) -> Routing {
+    pub(crate) fn routing(self) -> Routing {
         if self.peer_to_peer {
             Routing::PeerToPeer
         } else {

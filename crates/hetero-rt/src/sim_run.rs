@@ -17,7 +17,7 @@ use crate::sim_engine::{RtError, SimOptions, SimReport};
 use crate::task::{Task, TaskId};
 use simhw::energy::energy;
 use simhw::machine::{DeviceId, SimMachine};
-use simhw::resource::{BucketedTimeline, Timeline};
+use simhw::resource::Timeline;
 use simhw::time::{Duration, SimTime};
 use simhw::trace::{SpanKind, Trace};
 
@@ -42,9 +42,9 @@ pub(crate) struct SimRun<'a> {
     host_bus: Timeline,
     data: DataRegistry,
     trace: Trace,
-    /// One bucketed FIFO timeline per physical link (pipeline mode), plus a
+    /// One FIFO timeline per physical link (pipeline mode), plus a
     /// separate trace whose "device" ids index `machine.links`.
-    link_timelines: Vec<BucketedTimeline>,
+    link_timelines: Vec<Timeline>,
     link_use: Vec<LinkUse>,
     link_trace: Trace,
     /// When each handle's current value came into existence (its last
@@ -74,7 +74,7 @@ impl<'a> SimRun<'a> {
             timelines: vec![Timeline::new(); machine.len()],
             host_bus: Timeline::new(),
             trace: Trace::new(),
-            link_timelines: vec![BucketedTimeline::default(); machine.links.len()],
+            link_timelines: vec![Timeline::new(); machine.links.len()],
             link_use: vec![LinkUse::default(); machine.links.len()],
             link_trace: Trace::new(),
             handle_ready: vec![SimTime::ZERO; data.len()],

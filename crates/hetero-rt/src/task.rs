@@ -67,7 +67,7 @@ impl Variant {
 
     /// Whether this variant can run on a device with the given architecture
     /// and software platforms.
-    pub fn runs_on(&self, arch: &str, software_platforms: &[&str]) -> bool {
+    pub(crate) fn runs_on(&self, arch: &str, software_platforms: &[&str]) -> bool {
         if self.arch != arch {
             return false;
         }
@@ -106,7 +106,7 @@ impl Codelet {
 
     /// The variant usable on the given device characteristics, if any.
     /// When several match, the fastest (highest speedup) wins.
-    pub fn variant_for(&self, arch: &str, software_platforms: &[&str]) -> Option<&Variant> {
+    pub(crate) fn variant_for(&self, arch: &str, software_platforms: &[&str]) -> Option<&Variant> {
         self.variants
             .iter()
             .filter(|v| v.runs_on(arch, software_platforms))
@@ -115,14 +115,6 @@ impl Codelet {
                     .partial_cmp(&b.speedup)
                     .unwrap_or(std::cmp::Ordering::Equal)
             })
-    }
-
-    /// Architectures this codelet has variants for.
-    pub fn supported_archs(&self) -> Vec<&str> {
-        let mut archs: Vec<&str> = self.variants.iter().map(|v| v.arch.as_str()).collect();
-        archs.sort_unstable();
-        archs.dedup();
-        archs
     }
 
     /// Whether a sequential CPU fall-back exists (paper §IV-C: "At least one
@@ -207,10 +199,8 @@ mod tests {
     }
 
     #[test]
-    fn supported_archs_deduped() {
-        let c = dgemm_codelet();
-        assert_eq!(c.supported_archs(), ["gpu", "x86"]);
-        assert!(c.has_cpu_fallback());
+    fn cpu_fallback_needs_a_cpu_variant() {
+        assert!(dgemm_codelet().has_cpu_fallback());
         let gpu_only = Codelet::new("k").with_variant(Variant::new("gpu"));
         assert!(!gpu_only.has_cpu_fallback());
     }

@@ -149,13 +149,8 @@ pub struct PlacedGraph {
 
 impl PlacedGraph {
     /// Number of tasks in the compiled graph.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.graph.len()
-    }
-
-    /// Whether the compiled graph has no tasks.
-    pub fn is_empty(&self) -> bool {
-        self.graph.is_empty()
     }
 }
 
@@ -310,11 +305,6 @@ impl ThreadedExecutor {
     pub fn with_task_stats(mut self, enabled: bool) -> Self {
         self.task_stats = enabled;
         self
-    }
-
-    /// The configured placement, if any.
-    pub fn placement(&self) -> Option<&Placement> {
-        self.placement.as_ref()
     }
 
     /// Group names under the configured placement (a single `"all"`
@@ -1129,7 +1119,7 @@ mod tests {
     fn empty_graph_traced_returns_a_valid_trace() {
         let pool = ThreadedExecutor::new(2).with_trace(TraceSink::ring());
         let placed = pool.compile_graph(&TaskGraph::new()).unwrap();
-        assert!(placed.is_empty());
+        assert_eq!(placed.len(), 0);
         let reports = [
             pool.run(Vec::new()).unwrap(),
             pool.run_compiled(&placed, |_| unreachable!("no task to build"))

@@ -95,7 +95,7 @@ impl ExecReport {
     }
 
     /// Busy time per placement group, indexed like [`ExecReport::groups`].
-    pub fn busy_by_group(&self) -> Vec<StdDuration> {
+    pub(crate) fn busy_by_group(&self) -> Vec<StdDuration> {
         let mut busy = vec![StdDuration::ZERO; self.groups.len()];
         for w in &self.worker_stats {
             if let Some(slot) = busy.get_mut(w.group) {

@@ -15,8 +15,7 @@
 //! shifts derived from [`MetricsRegistry::from_trace`] on both traces:
 //! counter deltas (steals, parks, per-group busy time, …) and histogram
 //! p50/p99 shifts (task latency, queue wait). External telemetry
-//! snapshots (the [`crate::telemetry::Telemetry::to_json`] document) can
-//! be merged with [`PerfDiff::merge_telemetry_json`].
+//! snapshots can be merged with [`PerfDiff::merge_telemetry_json`].
 //!
 //! The diff renders as a human-readable table
 //! ([`PerfDiff::render_table`]) and as schema-versioned JSON
@@ -67,7 +66,7 @@ pub struct CounterDelta {
 
 impl CounterDelta {
     /// Signed change.
-    pub fn delta(&self) -> i64 {
+    pub(crate) fn delta(&self) -> i64 {
         self.head as i64 - self.base as i64
     }
 }
@@ -118,7 +117,7 @@ impl PerfDiff {
 
     /// Builds the wall-time decomposition from two profiles (no
     /// telemetry deltas; [`perf_diff`] adds those from the traces).
-    pub fn from_profiles(base: &Profile, head: &Profile) -> PerfDiff {
+    pub(crate) fn from_profiles(base: &Profile, head: &Profile) -> PerfDiff {
         let mut by_cat: BTreeMap<&str, (u64, u64)> = BTreeMap::new();
         for b in &base.blame {
             by_cat.entry(&b.category).or_default().0 = b.ns;
@@ -150,7 +149,7 @@ impl PerfDiff {
 
     /// Adds counter deltas and histogram p50/p99 shifts from two metric
     /// registries (only changed instruments are recorded).
-    pub fn merge_metrics(&mut self, base: &MetricsRegistry, head: &MetricsRegistry) {
+    pub(crate) fn merge_metrics(&mut self, base: &MetricsRegistry, head: &MetricsRegistry) {
         let mut counters: BTreeMap<&str, (u64, u64)> = BTreeMap::new();
         for (name, v) in base.counters() {
             counters.entry(name).or_default().0 = v;
@@ -177,9 +176,8 @@ impl PerfDiff {
         }
     }
 
-    /// Merges two external telemetry snapshots (the
-    /// [`crate::telemetry::Telemetry::to_json`] document shape:
-    /// `counters` as numbers, `histograms` with `p50`/`p99` members).
+    /// Merges two external telemetry snapshots (JSON documents with
+    /// `counters` as numbers and `histograms` with `p50`/`p99` members).
     pub fn merge_telemetry_json(&mut self, base: &Json, head: &Json) {
         let num = |doc: &Json, section: &str, name: &str| -> u64 {
             doc.get(section)

@@ -26,7 +26,7 @@ pub enum Provenance {
 impl Provenance {
     /// Whether this dequeue counts as a steal (anything that did not come
     /// off the worker's own deque or the shared baseline queue).
-    pub fn is_steal(&self) -> bool {
+    pub(crate) fn is_steal(&self) -> bool {
         matches!(self, Provenance::Inject { .. } | Provenance::Steal { .. })
     }
 
@@ -103,19 +103,6 @@ pub enum EventKind {
     },
 }
 
-impl EventKind {
-    /// The task index this event refers to, if any.
-    pub fn task(&self) -> Option<u32> {
-        match self {
-            EventKind::TaskReady { task }
-            | EventKind::TaskDequeued { task, .. }
-            | EventKind::TaskStart { task }
-            | EventKind::TaskEnd { task } => Some(*task),
-            _ => None,
-        }
-    }
-}
-
 /// One recorded event: a timestamp (nanoseconds since the run's
 /// [`crate::TraceClock`] epoch) plus what happened.
 #[derive(Debug, Clone, PartialEq)]
@@ -148,18 +135,5 @@ mod tests {
             cross_group: true
         }
         .is_cross_group());
-    }
-
-    #[test]
-    fn task_extraction() {
-        assert_eq!(EventKind::TaskStart { task: 7 }.task(), Some(7));
-        assert_eq!(EventKind::Park.task(), None);
-        assert_eq!(
-            EventKind::PhaseStart {
-                name: "x".to_string()
-            }
-            .task(),
-            None
-        );
     }
 }

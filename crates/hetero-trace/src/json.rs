@@ -5,9 +5,9 @@
 //! exported files back and checks them structurally — no serde in the
 //! offline workspace.
 //!
-//! There is one layout and one tokenizer. [`Writer`] appends a document
+//! There is one layout and one tokenizer. `Writer` appends a document
 //! piece by piece and [`Json::to_pretty`] / `Display` drive it from a tree;
-//! [`Reader`] pulls a document apart value by value and [`Json::parse`]
+//! `Reader` pulls a document apart value by value and [`Json::parse`]
 //! builds a tree from it. The trace codec and the Chrome exporter use the
 //! two directly, so a trace of any size goes between [`crate::RunTrace`]
 //! and text without a [`Json`] node.
@@ -233,7 +233,7 @@ fn write_str(s: &str, out: &mut String) {
 /// `begin_*`/`end_*` balanced and writes a [`Writer::key`] before every
 /// value inside an object.
 #[derive(Debug)]
-pub struct Writer {
+pub(crate) struct Writer {
     out: String,
     pretty: bool,
     /// Per open container: does it hold an item yet?
@@ -245,7 +245,7 @@ pub struct Writer {
 impl Writer {
     /// A writer in the [`Json::to_pretty`] layout, with room for
     /// `capacity` bytes.
-    pub fn pretty(capacity: usize) -> Self {
+    pub(crate) fn pretty(capacity: usize) -> Self {
         Writer {
             out: String::with_capacity(capacity),
             pretty: true,
@@ -256,7 +256,7 @@ impl Writer {
 
     /// A writer in the compact `Display` layout, with room for `capacity`
     /// bytes.
-    pub fn compact(capacity: usize) -> Self {
+    pub(crate) fn compact(capacity: usize) -> Self {
         Writer {
             pretty: false,
             ..Writer::pretty(capacity)
@@ -295,27 +295,27 @@ impl Writer {
     }
 
     /// Opens an object.
-    pub fn begin_obj(&mut self) {
+    pub(crate) fn begin_obj(&mut self) {
         self.begin('{');
     }
 
     /// Closes the innermost object.
-    pub fn end_obj(&mut self) {
+    pub(crate) fn end_obj(&mut self) {
         self.end('}');
     }
 
     /// Opens an array.
-    pub fn begin_arr(&mut self) {
+    pub(crate) fn begin_arr(&mut self) {
         self.begin('[');
     }
 
     /// Closes the innermost array.
-    pub fn end_arr(&mut self) {
+    pub(crate) fn end_arr(&mut self) {
         self.end(']');
     }
 
     /// Writes a member key; the next call writes its value.
-    pub fn key(&mut self, key: &str) -> &mut Self {
+    pub(crate) fn key(&mut self, key: &str) -> &mut Self {
         self.item();
         write_str(key, &mut self.out);
         self.out.push_str(if self.pretty { ": " } else { ":" });
@@ -324,25 +324,25 @@ impl Writer {
     }
 
     /// Writes `null`.
-    pub fn null(&mut self) {
+    pub(crate) fn null(&mut self) {
         self.item();
         self.out.push_str("null");
     }
 
     /// Writes `true` / `false`.
-    pub fn bool(&mut self, b: bool) {
+    pub(crate) fn bool(&mut self, b: bool) {
         self.item();
         self.out.push_str(if b { "true" } else { "false" });
     }
 
     /// Writes an integer, every digit of it.
-    pub fn u64(&mut self, n: u64) {
+    pub(crate) fn u64(&mut self, n: u64) {
         self.item();
         write_u64(n, &mut self.out);
     }
 
     /// Writes a number as [`Json::Num`] prints it (`null` when not finite).
-    pub fn f64(&mut self, n: f64) {
+    pub(crate) fn f64(&mut self, n: f64) {
         self.item();
         write_num(n, &mut self.out);
     }
@@ -354,7 +354,7 @@ impl Writer {
     /// That is the shortest decimal that reads back as the same `f64` as
     /// long as neighbouring `f64`s lie closer than 0.001 apart, which they
     /// do below 2^43; from there on the number goes through `f64`.
-    pub fn thousandths(&mut self, thousandths: u64) {
+    pub(crate) fn thousandths(&mut self, thousandths: u64) {
         if thousandths >= 1000 << 43 {
             return self.f64(thousandths as f64 / 1000.0);
         }
@@ -373,13 +373,13 @@ impl Writer {
     }
 
     /// Writes a string, escaped.
-    pub fn str(&mut self, s: &str) {
+    pub(crate) fn str(&mut self, s: &str) {
         self.item();
         write_str(s, &mut self.out);
     }
 
     /// Writes a string, or `null` for `None`.
-    pub fn opt_str(&mut self, s: Option<&str>) {
+    pub(crate) fn opt_str(&mut self, s: Option<&str>) {
         match s {
             Some(s) => self.str(s),
             None => self.null(),
@@ -387,7 +387,7 @@ impl Writer {
     }
 
     /// The finished document.
-    pub fn finish(mut self) -> String {
+    pub(crate) fn finish(mut self) -> String {
         debug_assert!(self.open.is_empty(), "a container is still open");
         if self.pretty {
             self.out.push('\n');
@@ -413,14 +413,14 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
-/// [`Reader`] rejects containers nested deeper than this: deeper than any
+/// `Reader` rejects containers nested deeper than this: deeper than any
 /// document this workspace writes, and shallow enough that a client may
 /// recurse once per level, as [`Json::parse`] does.
 pub const MAX_DEPTH: usize = 128;
 
 /// What the next value in a [`Reader`] is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Kind {
+pub(crate) enum Kind {
     /// `null`
     Null,
     /// `true` / `false`
@@ -444,7 +444,7 @@ pub enum Kind {
 /// `None`, with exactly one value consumed per step. [`Reader::end`]
 /// closes the document.
 #[derive(Debug)]
-pub struct Reader<'a> {
+pub(crate) struct Reader<'a> {
     text: &'a str,
     pos: usize,
     depth: usize,
@@ -454,7 +454,7 @@ pub struct Reader<'a> {
 
 impl<'a> Reader<'a> {
     /// A reader at the start of `text`.
-    pub fn new(text: &'a str) -> Self {
+    pub(crate) fn new(text: &'a str) -> Self {
         Reader {
             text,
             pos: 0,
@@ -499,7 +499,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Skips whitespace and names the value that starts here.
-    pub fn peek(&mut self) -> Result<Kind, JsonError> {
+    pub(crate) fn peek(&mut self) -> Result<Kind, JsonError> {
         self.skip_ws();
         match self.byte() {
             Some(b'n') => Ok(Kind::Null),
@@ -514,12 +514,12 @@ impl<'a> Reader<'a> {
     }
 
     /// Consumes `null`.
-    pub fn null(&mut self) -> Result<(), JsonError> {
+    pub(crate) fn null(&mut self) -> Result<(), JsonError> {
         self.literal("null")
     }
 
     /// Consumes `true` / `false`.
-    pub fn bool(&mut self) -> Result<bool, JsonError> {
+    pub(crate) fn bool(&mut self) -> Result<bool, JsonError> {
         if self.byte() == Some(b't') {
             self.literal("true").map(|()| true)
         } else {
@@ -532,7 +532,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Consumes a number.
-    pub fn f64(&mut self) -> Result<f64, JsonError> {
+    pub(crate) fn f64(&mut self) -> Result<f64, JsonError> {
         let start = self.pos;
         while self.byte().is_some_and(|c| c.is_ascii_digit()) || self.at_number_punctuation() {
             self.pos += 1;
@@ -545,7 +545,7 @@ impl<'a> Reader<'a> {
     /// Consumes a number and returns it as an exact `u64`; `None` when it
     /// is negative, fractional or 2^64 and above. Digits are read as
     /// digits, so integers above 2^53 are not rounded through `f64`.
-    pub fn u64(&mut self) -> Result<Option<u64>, JsonError> {
+    pub(crate) fn u64(&mut self) -> Result<Option<u64>, JsonError> {
         let start = self.pos;
         let mut n = Some(0u64);
         while let Some(digit) = self.byte().filter(u8::is_ascii_digit) {
@@ -566,7 +566,7 @@ impl<'a> Reader<'a> {
 
     /// Consumes a string; borrowed from the input unless it holds an
     /// escape.
-    pub fn str(&mut self) -> Result<Cow<'a, str>, JsonError> {
+    pub(crate) fn str(&mut self) -> Result<Cow<'a, str>, JsonError> {
         self.expect(b'"')?;
         let mut unescaped: Option<String> = None;
         loop {
@@ -657,23 +657,23 @@ impl<'a> Reader<'a> {
     }
 
     /// Opens an array.
-    pub fn begin_arr(&mut self) -> Result<(), JsonError> {
+    pub(crate) fn begin_arr(&mut self) -> Result<(), JsonError> {
         self.begin(b'[')
     }
 
     /// Moves to the next element; `false` once the array is closed.
-    pub fn next_elem(&mut self) -> Result<bool, JsonError> {
+    pub(crate) fn next_elem(&mut self) -> Result<bool, JsonError> {
         self.next_item(b']')
     }
 
     /// Opens an object.
-    pub fn begin_obj(&mut self) -> Result<(), JsonError> {
+    pub(crate) fn begin_obj(&mut self) -> Result<(), JsonError> {
         self.begin(b'{')
     }
 
     /// Moves to the next member and returns its key; `None` once the
     /// object is closed.
-    pub fn next_key(&mut self) -> Result<Option<Cow<'a, str>>, JsonError> {
+    pub(crate) fn next_key(&mut self) -> Result<Option<Cow<'a, str>>, JsonError> {
         if !self.next_item(b'}')? {
             return Ok(None);
         }
@@ -684,7 +684,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Consumes one value of any kind, checking its syntax.
-    pub fn skip(&mut self) -> Result<(), JsonError> {
+    pub(crate) fn skip(&mut self) -> Result<(), JsonError> {
         match self.peek()? {
             Kind::Null => self.null(),
             Kind::Bool => self.bool().map(drop),
@@ -708,7 +708,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Ends the document: only whitespace may follow its value.
-    pub fn end(&mut self) -> Result<(), JsonError> {
+    pub(crate) fn end(&mut self) -> Result<(), JsonError> {
         self.skip_ws();
         if self.pos == self.text.len() {
             Ok(())

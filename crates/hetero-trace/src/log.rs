@@ -106,7 +106,7 @@ pub struct EventLog {
 
 impl EventLog {
     /// An empty log.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         EventLog::default()
     }
 

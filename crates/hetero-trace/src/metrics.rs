@@ -49,7 +49,7 @@ impl Histogram {
     /// Bucket index of a value: the smallest `i` with `value <= 2^(4+i)`,
     /// or the overflow bucket past 2⁴⁰.
     #[inline]
-    pub fn bucket(value: u64) -> usize {
+    pub(crate) fn bucket(value: u64) -> usize {
         if value <= (1 << MIN_EXP) {
             return 0;
         }
@@ -79,7 +79,7 @@ impl Histogram {
 
     /// Adds every observation of `other` (a worker's batch, another
     /// shard) to this histogram.
-    pub fn merge(&mut self, other: &Histogram) {
+    pub(crate) fn merge(&mut self, other: &Histogram) {
         for (acc, n) in self.counts.iter_mut().zip(other.counts) {
             *acc += n;
         }
@@ -95,12 +95,12 @@ impl Histogram {
     }
 
     /// Sum of observations.
-    pub fn sum(&self) -> u64 {
+    pub(crate) fn sum(&self) -> u64 {
         self.sum
     }
 
     /// Mean observation (0 when empty).
-    pub fn mean(&self) -> f64 {
+    pub(crate) fn mean(&self) -> f64 {
         if self.count == 0 {
             0.0
         } else {
@@ -109,7 +109,7 @@ impl Histogram {
     }
 
     /// Smallest observation (`None` when empty).
-    pub fn min(&self) -> Option<u64> {
+    pub(crate) fn min(&self) -> Option<u64> {
         (self.count > 0).then_some(self.min)
     }
 
@@ -160,7 +160,7 @@ impl Histogram {
     }
 
     /// The histogram as JSON.
-    pub fn to_json(&self) -> Json {
+    pub(crate) fn to_json(&self) -> Json {
         Json::obj([
             ("count", Json::Num(self.count as f64)),
             ("sum", Json::Num(self.sum as f64)),
@@ -207,40 +207,27 @@ pub struct MetricsRegistry {
 
 impl MetricsRegistry {
     /// An empty registry.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         MetricsRegistry::default()
     }
 
     /// Adds `by` to a counter (creating it at 0).
-    pub fn inc(&mut self, name: impl Into<String>, by: u64) {
+    pub(crate) fn inc(&mut self, name: impl Into<String>, by: u64) {
         *self.counters.entry(name.into()).or_insert(0) += by;
     }
 
     /// Reads a counter (0 when absent).
-    pub fn counter(&self, name: &str) -> u64 {
+    pub(crate) fn counter(&self, name: &str) -> u64 {
         self.counters.get(name).copied().unwrap_or(0)
     }
 
-    /// Records an observation into a histogram (creating it empty).
-    pub fn observe(&mut self, name: impl Into<String>, value: u64) {
-        self.histograms
-            .entry(name.into())
-            .or_default()
-            .observe(value);
-    }
-
-    /// Reads a histogram.
-    pub fn histogram(&self, name: &str) -> Option<&Histogram> {
-        self.histograms.get(name)
-    }
-
     /// All counters in name order.
-    pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
+    pub(crate) fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
         self.counters.iter().map(|(k, v)| (k.as_str(), *v))
     }
 
     /// All histograms in name order.
-    pub fn histograms(&self) -> impl Iterator<Item = (&str, &Histogram)> {
+    pub(crate) fn histograms(&self) -> impl Iterator<Item = (&str, &Histogram)> {
         self.histograms.iter().map(|(k, h)| (k.as_str(), h))
     }
 
@@ -337,7 +324,7 @@ impl MetricsRegistry {
     }
 
     /// The registry as JSON (`counters` object + `histograms` object).
-    pub fn to_json(&self) -> Json {
+    pub(crate) fn to_json(&self) -> Json {
         Json::obj([
             (
                 "counters",
@@ -579,11 +566,11 @@ mod tests {
         assert_eq!(m.counter("group_busy_ns/cpus"), 30);
         assert_eq!(m.counter("group_busy_ns/gpus"), 40);
         assert_eq!(m.counter("group_tasks/gpus"), 1);
-        let lat = m.histogram("task_latency_ns").unwrap();
+        let lat = &m.histograms["task_latency_ns"];
         assert_eq!(lat.count(), 2);
         assert_eq!(lat.sum(), 70);
         // Only task 0 had a ready event: one queue-wait sample of 10 ns.
-        let wait = m.histogram("queue_wait_ns").unwrap();
+        let wait = &m.histograms["queue_wait_ns"];
         assert_eq!(wait.count(), 1);
         assert_eq!(wait.sum(), 10);
 

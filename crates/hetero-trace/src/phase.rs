@@ -47,11 +47,6 @@ impl PhaseTimer {
         PhaseTimer::default()
     }
 
-    /// The timer's clock (for stamping related events on the same origin).
-    pub fn clock(&self) -> TraceClock {
-        self.clock
-    }
-
     /// Opens a phase. Phases may nest; close with [`PhaseTimer::end`].
     pub fn start(&mut self, name: impl Into<String>) {
         self.open.push((name.into(), self.clock.now()));

@@ -32,7 +32,7 @@ use crate::trace::{RunTrace, TaskMap, TaskSpan};
 use std::collections::BTreeMap;
 
 /// Profile document schema version.
-pub const PROFILE_SCHEMA_VERSION: u64 = 1;
+pub(crate) const PROFILE_SCHEMA_VERSION: u64 = 1;
 
 /// One step on the critical path; steps tile `[start_ns, makespan_ns]`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -50,7 +50,7 @@ pub struct ProfileStep {
 
 impl ProfileStep {
     /// Step duration.
-    pub fn ns(&self) -> u64 {
+    pub(crate) fn ns(&self) -> u64 {
         self.end - self.start
     }
 }

@@ -57,11 +57,6 @@ impl RingBuffer {
         self.log.is_empty()
     }
 
-    /// The configured capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Events lost to the overwrite-oldest policy.
     pub fn overwritten(&self) -> u64 {
         self.overwritten
@@ -122,7 +117,6 @@ mod tests {
         let mut r = RingBuffer::new(0);
         r.push(ev(1));
         r.push(ev(2));
-        assert_eq!(r.capacity(), 1);
         let (events, overwritten) = r.into_events();
         assert_eq!(events.iter().map(|e| e.ts).collect::<Vec<_>>(), [2]);
         assert_eq!(overwritten, 1);

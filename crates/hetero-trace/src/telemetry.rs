@@ -21,7 +21,6 @@
 //! format; instrument names may carry a `{label="value"}` suffix which is
 //! folded into the series labels.
 
-use crate::json::Json;
 use crate::metrics::{Histogram, BUCKETS};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -64,11 +63,6 @@ impl Default for Counter {
 }
 
 impl Counter {
-    /// A zeroed counter.
-    pub fn new() -> Self {
-        Counter::default()
-    }
-
     /// Adds one.
     #[inline]
     pub fn inc(&self) {
@@ -88,13 +82,6 @@ impl Counter {
             .map(|s| s.0.load(Ordering::Relaxed))
             .sum()
     }
-
-    /// Zeroes the counter (cold path, for benches and tests).
-    pub fn reset(&self) {
-        for s in &self.shards {
-            s.0.store(0, Ordering::Relaxed);
-        }
-    }
 }
 
 /// A last-value-wins gauge (e.g. the registry snapshot epoch).
@@ -104,11 +91,6 @@ pub struct Gauge {
 }
 
 impl Gauge {
-    /// A gauge at zero.
-    pub fn new() -> Self {
-        Gauge::default()
-    }
-
     /// Sets the gauge.
     #[inline]
     pub fn set(&self, v: u64) {
@@ -171,11 +153,6 @@ impl Default for AtomicHistogram {
 }
 
 impl AtomicHistogram {
-    /// An empty histogram.
-    pub fn new() -> Self {
-        AtomicHistogram::default()
-    }
-
     /// Records one observation — a handful of relaxed atomic RMWs, no
     /// locks, no clock reads.
     #[inline]
@@ -232,19 +209,6 @@ impl AtomicHistogram {
         shard.min.fetch_min(batch.min, Ordering::Relaxed);
         shard.max.fetch_max(batch.max, Ordering::Relaxed);
     }
-
-    /// Zeroes the histogram (cold path, for benches and tests).
-    pub fn reset(&self) {
-        for shard in &self.shards {
-            for c in &shard.counts {
-                c.store(0, Ordering::Relaxed);
-            }
-            shard.count.store(0, Ordering::Relaxed);
-            shard.sum.store(0, Ordering::Relaxed);
-            shard.min.store(u64::MAX, Ordering::Relaxed);
-            shard.max.store(0, Ordering::Relaxed);
-        }
-    }
 }
 
 /// The process-wide instrument registry. Handle lookup takes a lock once
@@ -283,20 +247,6 @@ impl Telemetry {
     /// Gets or creates a histogram handle.
     pub fn histogram(&self, name: &str) -> Arc<AtomicHistogram> {
         get_or_create(&self.histograms, name)
-    }
-
-    /// Zeroes every registered instrument (handles stay valid). Benches
-    /// use this to isolate a measurement phase.
-    pub fn reset(&self) {
-        for c in self.counters.read().expect("poisoned").values() {
-            c.reset();
-        }
-        for g in self.gauges.read().expect("poisoned").values() {
-            g.set(0);
-        }
-        for h in self.histograms.read().expect("poisoned").values() {
-            h.reset();
-        }
     }
 
     /// Renders every instrument in the Prometheus text exposition format.
@@ -382,46 +332,6 @@ impl Telemetry {
         }
         out
     }
-
-    /// The registry as JSON: counters/gauges as numbers, histograms via
-    /// [`Histogram::to_json`] (quantiles included).
-    pub fn to_json(&self) -> Json {
-        Json::obj([
-            (
-                "counters",
-                Json::Obj(
-                    self.counters
-                        .read()
-                        .expect("poisoned")
-                        .iter()
-                        .map(|(k, c)| (k.clone(), Json::Num(c.get() as f64)))
-                        .collect(),
-                ),
-            ),
-            (
-                "gauges",
-                Json::Obj(
-                    self.gauges
-                        .read()
-                        .expect("poisoned")
-                        .iter()
-                        .map(|(k, g)| (k.clone(), Json::Num(g.get() as f64)))
-                        .collect(),
-                ),
-            ),
-            (
-                "histograms",
-                Json::Obj(
-                    self.histograms
-                        .read()
-                        .expect("poisoned")
-                        .iter()
-                        .map(|(k, h)| (k.clone(), h.snapshot().to_json()))
-                        .collect(),
-                ),
-            ),
-        ])
-    }
 }
 
 /// Splits `base{labels}` into `(base, Some(labels))`.
@@ -497,7 +407,7 @@ mod tests {
 
     #[test]
     fn counter_sums_across_threads() {
-        let c = Arc::new(Counter::new());
+        let c = Arc::new(Counter::default());
         let handles: Vec<_> = (0..8)
             .map(|_| {
                 let c = Arc::clone(&c);
@@ -512,13 +422,11 @@ mod tests {
             h.join().unwrap();
         }
         assert_eq!(c.get(), 8000);
-        c.reset();
-        assert_eq!(c.get(), 0);
     }
 
     #[test]
     fn gauge_set_and_raise() {
-        let g = Gauge::new();
+        let g = Gauge::default();
         g.set(5);
         g.raise(3);
         assert_eq!(g.get(), 5);
@@ -528,7 +436,7 @@ mod tests {
 
     #[test]
     fn histogram_snapshot_matches_observations() {
-        let h = AtomicHistogram::new();
+        let h = AtomicHistogram::default();
         for v in [100, 200, 400, 100_000] {
             h.observe(v);
         }
@@ -543,17 +451,17 @@ mod tests {
         // out of the bucket range.
         assert_eq!(snap.quantile(0.0), Some(100));
         assert_eq!(snap.quantile(1.0), Some(100_000));
-        h.reset();
-        assert_eq!(h.snapshot().count(), 0);
-        assert_eq!(h.snapshot().quantile(0.0), None);
-        assert_eq!(h.snapshot().quantile(0.99), None);
-        assert_eq!(h.snapshot().quantile(1.0), None);
+        let empty = AtomicHistogram::default().snapshot();
+        assert_eq!(empty.count(), 0);
+        assert_eq!(empty.quantile(0.0), None);
+        assert_eq!(empty.quantile(0.99), None);
+        assert_eq!(empty.quantile(1.0), None);
     }
 
     #[test]
     fn snapshot_equals_the_plain_histogram_of_the_same_observations() {
-        let direct = AtomicHistogram::new();
-        let batched = AtomicHistogram::new();
+        let direct = AtomicHistogram::default();
+        let batched = AtomicHistogram::default();
         let mut plain = Histogram::new();
         let values = [5u64, 16, 17, 300, 4_000, 1 << 41, 77, 77];
         for &v in &values {
@@ -570,7 +478,7 @@ mod tests {
 
     #[test]
     fn concurrent_histogram_observations_all_land() {
-        let h = Arc::new(AtomicHistogram::new());
+        let h = Arc::new(AtomicHistogram::default());
         let handles: Vec<_> = (0..4)
             .map(|t| {
                 let h = Arc::clone(&h);
@@ -588,7 +496,7 @@ mod tests {
     }
 
     #[test]
-    fn registry_handles_are_shared_and_resettable() {
+    fn registry_handles_are_shared() {
         let t = Telemetry::new();
         let a = t.counter("x_total");
         let b = t.counter("x_total");
@@ -597,10 +505,8 @@ mod tests {
         assert_eq!(t.counter("x_total").get(), 2);
         t.histogram("lat_ns").observe(100);
         t.gauge("epoch").set(7);
-        t.reset();
-        assert_eq!(a.get(), 0);
-        assert_eq!(t.histogram("lat_ns").count(), 0);
-        assert_eq!(t.gauge("epoch").get(), 0);
+        assert_eq!(t.histogram("lat_ns").count(), 1);
+        assert_eq!(t.gauge("epoch").get(), 7);
     }
 
     #[test]

@@ -27,15 +27,6 @@ impl Matrix {
         }
     }
 
-    /// Identity matrix.
-    pub fn identity(n: usize) -> Self {
-        let mut m = Self::zeros(n);
-        for i in 0..n {
-            m.data[i * n + i] = 1.0;
-        }
-        m
-    }
-
     /// Matrix filled by `f(row, col)`.
     pub fn from_fn(n: usize, mut f: impl FnMut(usize, usize) -> f64) -> Self {
         let mut m = Self::zeros(n);
@@ -47,16 +38,6 @@ impl Matrix {
         m
     }
 
-    /// Element accessor.
-    pub fn get(&self, i: usize, j: usize) -> f64 {
-        self.data[i * self.n + j]
-    }
-
-    /// Element mutator.
-    pub fn set(&mut self, i: usize, j: usize, v: f64) {
-        self.data[i * self.n + j] = v;
-    }
-
     /// Max-abs difference to another matrix.
     pub fn max_abs_diff(&self, other: &Matrix) -> f64 {
         assert_eq!(self.n, other.n);
@@ -66,11 +47,6 @@ impl Matrix {
             .map(|(a, b)| (a - b).abs())
             .fold(0.0, f64::max)
     }
-
-    /// Size of the matrix payload in bytes.
-    pub fn size_bytes(&self) -> f64 {
-        (self.n * self.n * std::mem::size_of::<f64>()) as f64
-    }
 }
 
 /// FLOPs of an `n×n` DGEMM (`2n³`: one multiply + one add per inner step).
@@ -79,7 +55,7 @@ pub fn dgemm_flops(n: usize) -> f64 {
 }
 
 /// Bytes of one `n×n` f64 matrix.
-pub fn matrix_bytes(n: usize) -> f64 {
+pub(crate) fn matrix_bytes(n: usize) -> f64 {
     (n * n * 8) as f64
 }
 
@@ -193,7 +169,7 @@ mod tests {
     #[test]
     fn identity_is_neutral() {
         let (a, _) = sample(16);
-        let i = Matrix::identity(16);
+        let i = Matrix::from_fn(16, |r, c| if r == c { 1.0 } else { 0.0 });
         let mut c = Matrix::zeros(16);
         dgemm_naive(&a, &i, &mut c);
         assert_eq!(c.max_abs_diff(&a), 0.0);
@@ -222,12 +198,8 @@ mod tests {
         dgemm_naive(&a, &b, &mut c);
         let mut product = Matrix::zeros(8);
         dgemm_naive(&a, &b, &mut product);
-        for i in 0..8 {
-            for j in 0..8 {
-                let expect = pre.get(i, j) + product.get(i, j);
-                assert!((c.get(i, j) - expect).abs() < 1e-12);
-            }
-        }
+        let expect = Matrix::from_fn(8, |i, j| pre.data[i * 8 + j] + product.data[i * 8 + j]);
+        assert!(c.max_abs_diff(&expect) < 1e-12);
     }
 
     #[test]

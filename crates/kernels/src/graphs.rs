@@ -38,7 +38,7 @@ fn write(handle: HandleId) -> DataAccess {
 /// The DGEMM codelet with the paper's three implementations:
 /// the serial input task (`GotoBLAS`, `x86`), the `CuBLAS` GPU variant and an
 /// `OpenCL` variant.
-pub fn dgemm_codelet() -> Codelet {
+pub(crate) fn dgemm_codelet() -> Codelet {
     Codelet::new("I_dgemm")
         .with_variant(Variant::new("x86"))
         .with_variant(Variant::new("gpu").requiring("Cuda"))
@@ -126,7 +126,7 @@ pub fn dgemm_serial_graph(n: usize) -> TaskGraph {
 }
 
 /// The vecadd codelet (paper §IV-A): x86 fall-back plus GPU offload.
-pub fn vecadd_codelet() -> Codelet {
+pub(crate) fn vecadd_codelet() -> Codelet {
     Codelet::new("I_vecadd")
         .with_variant(Variant::new("x86"))
         .with_variant(Variant::new("gpu").requiring("OpenCL"))
@@ -376,7 +376,7 @@ mod tests {
         assert_eq!(g.len(), 8);
         assert_eq!(g.sources().len(), 8); // strips independent
         let m = crate::spmv::CsrMatrix::poisson_1d(1000);
-        assert_eq!(g.total_flops(), m.spmv_flops());
+        assert_eq!(g.total_flops(), m.strip_flops(0, 1000));
         // Boundary strips are lighter than interior strips.
         let costs: Vec<f64> = g.tasks().map(|t| t.flops).collect();
         assert!(costs[0] < costs[3]);

@@ -1,44 +1,10 @@
-//! Parallel reduction (sum) — the canonical tree-shaped task workload,
-//! exercising deep dependency chains in the scheduler ablations.
+//! Cost model of a parallel reduction (sum) — the canonical tree-shaped
+//! task workload, exercising deep dependency chains in the scheduler
+//! ablations.
 
 /// FLOPs of an `n`-element sum.
-pub fn reduce_flops(n: usize) -> f64 {
+pub(crate) fn reduce_flops(n: usize) -> f64 {
     n.saturating_sub(1) as f64
-}
-
-/// Sequential reference sum (Kahan-compensated so large test vectors
-/// compare reliably against tree order).
-pub fn sum_sequential(data: &[f64]) -> f64 {
-    let mut sum = 0.0;
-    let mut c = 0.0;
-    for &x in data {
-        let y = x - c;
-        let t = sum + y;
-        c = (t - sum) - y;
-        sum = t;
-    }
-    sum
-}
-
-/// Pairwise (tree) sum — the order a parallel reduction produces.
-pub fn sum_pairwise(data: &[f64]) -> f64 {
-    match data.len() {
-        0 => 0.0,
-        1 => data[0],
-        n => {
-            let mid = n / 2;
-            sum_pairwise(&data[..mid]) + sum_pairwise(&data[mid..])
-        }
-    }
-}
-
-/// Partial sums of `chunks` contiguous blocks — stage one of a two-phase
-/// parallel reduction.
-pub fn partial_sums(data: &[f64], chunks: usize) -> Vec<f64> {
-    crate::vecadd::block_ranges(data.len(), chunks)
-        .into_iter()
-        .map(|(lo, hi)| sum_sequential(&data[lo..hi]))
-        .collect()
 }
 
 #[cfg(test)]
@@ -46,27 +12,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn orders_agree() {
-        let data: Vec<f64> = (0..1000).map(|i| (i as f64) * 0.25 - 3.0).collect();
-        let seq = sum_sequential(&data);
-        let pair = sum_pairwise(&data);
-        assert!((seq - pair).abs() < 1e-9);
-    }
-
-    #[test]
-    fn two_phase_reduction() {
-        let data: Vec<f64> = (0..777).map(|i| (i % 13) as f64).collect();
-        let partials = partial_sums(&data, 8);
-        assert_eq!(partials.len(), 8);
-        let total = sum_sequential(&partials);
-        assert!((total - sum_sequential(&data)).abs() < 1e-9);
-    }
-
-    #[test]
     fn edge_cases() {
-        assert_eq!(sum_sequential(&[]), 0.0);
-        assert_eq!(sum_pairwise(&[]), 0.0);
-        assert_eq!(sum_pairwise(&[42.0]), 42.0);
         assert_eq!(reduce_flops(0), 0.0);
         assert_eq!(reduce_flops(100), 99.0);
     }

@@ -1,10 +1,10 @@
-//! Sparse matrix–vector multiplication (CSR) — a memory-bound, irregular
-//! workload complementing the dense kernels; used by the scheduler
-//! ablations to exercise non-uniform task costs.
+//! Cost model of sparse matrix–vector multiplication (CSR) — a
+//! memory-bound, irregular workload complementing the dense kernels; used
+//! by the scheduler ablations to exercise non-uniform task costs.
 
 /// A sparse matrix in compressed-sparse-row format.
 #[derive(Debug, Clone, PartialEq)]
-pub struct CsrMatrix {
+pub(crate) struct CsrMatrix {
     /// Number of rows.
     pub rows: usize,
     /// Number of columns.
@@ -20,7 +20,7 @@ pub struct CsrMatrix {
 impl CsrMatrix {
     /// Builds a CSR matrix from `(row, col, value)` triplets. Duplicate
     /// coordinates are summed; triplets may arrive in any order.
-    pub fn from_triplets(
+    pub(crate) fn from_triplets(
         rows: usize,
         cols: usize,
         triplets: impl IntoIterator<Item = (usize, usize, f64)>,
@@ -53,7 +53,7 @@ impl CsrMatrix {
 
     /// A tridiagonal test matrix (2 on the diagonal, -1 off-diagonal) — the
     /// 1D Poisson operator.
-    pub fn poisson_1d(n: usize) -> Self {
+    pub(crate) fn poisson_1d(n: usize) -> Self {
         let mut t = Vec::with_capacity(3 * n);
         for i in 0..n {
             t.push((i, i, 2.0));
@@ -67,37 +67,8 @@ impl CsrMatrix {
         Self::from_triplets(n, n, t)
     }
 
-    /// Number of stored non-zeros.
-    pub fn nnz(&self) -> usize {
-        self.values.len()
-    }
-
-    /// `y = A x`.
-    pub fn spmv(&self, x: &[f64], y: &mut [f64]) {
-        assert_eq!(x.len(), self.cols, "x length");
-        assert_eq!(y.len(), self.rows, "y length");
-        self.spmv_rows(x, y, 0, self.rows);
-    }
-
-    /// `y[lo..hi] = (A x)[lo..hi]` — row-strip task body.
-    pub fn spmv_rows(&self, x: &[f64], y: &mut [f64], lo: usize, hi: usize) {
-        assert!(lo <= hi && hi <= self.rows);
-        for (r, out) in y.iter_mut().enumerate().take(hi).skip(lo) {
-            let mut acc = 0.0;
-            for k in self.row_ptr[r]..self.row_ptr[r + 1] {
-                acc += self.values[k] * x[self.col_idx[k]];
-            }
-            *out = acc;
-        }
-    }
-
-    /// FLOPs of one `SpMV` (2 per stored non-zero).
-    pub fn spmv_flops(&self) -> f64 {
-        2.0 * self.nnz() as f64
-    }
-
     /// FLOPs of the row strip `[lo, hi)`.
-    pub fn strip_flops(&self, lo: usize, hi: usize) -> f64 {
+    pub(crate) fn strip_flops(&self, lo: usize, hi: usize) -> f64 {
         2.0 * (self.row_ptr[hi] - self.row_ptr[lo]) as f64
     }
 }
@@ -109,54 +80,34 @@ mod tests {
     #[test]
     fn triplet_construction() {
         let m = CsrMatrix::from_triplets(2, 3, [(0, 1, 5.0), (1, 0, 3.0), (0, 1, 2.0)]);
-        assert_eq!(m.nnz(), 2); // duplicate (0,1) summed
-        assert_eq!(m.row_ptr, vec![0, 1, 2]);
+        assert_eq!(m.row_ptr, vec![0, 1, 2]); // duplicate (0,1) summed
         assert_eq!(m.col_idx, vec![1, 0]);
         assert_eq!(m.values, vec![7.0, 3.0]);
     }
 
     #[test]
-    fn poisson_spmv() {
+    fn poisson_pattern() {
         let m = CsrMatrix::poisson_1d(5);
-        assert_eq!(m.nnz(), 13); // 5 diag + 2*4 off-diag
-        let x = vec![1.0; 5];
-        let mut y = vec![0.0; 5];
-        m.spmv(&x, &mut y);
-        // Interior rows: 2 - 1 - 1 = 0; boundary rows: 2 - 1 = 1.
-        assert_eq!(y, vec![1.0, 0.0, 0.0, 0.0, 1.0]);
-    }
-
-    #[test]
-    fn strips_compose() {
-        let m = CsrMatrix::poisson_1d(100);
-        let x: Vec<f64> = (0..100).map(|i| (i as f64).sin()).collect();
-        let mut full = vec![0.0; 100];
-        m.spmv(&x, &mut full);
-        let mut strips = vec![0.0; 100];
-        for (lo, hi) in crate::vecadd::block_ranges(100, 7) {
-            m.spmv_rows(&x, &mut strips, lo, hi);
-        }
-        assert_eq!(full, strips);
+        // 5 diag + 2*4 off-diag; boundary rows hold two entries.
+        assert_eq!(m.row_ptr, vec![0, 2, 5, 8, 11, 13]);
     }
 
     #[test]
     fn flop_accounting() {
         let m = CsrMatrix::poisson_1d(10);
-        assert_eq!(m.spmv_flops(), 2.0 * m.nnz() as f64);
         let total: f64 = crate::vecadd::block_ranges(10, 3)
             .into_iter()
             .map(|(lo, hi)| m.strip_flops(lo, hi))
             .sum();
-        assert_eq!(total, m.spmv_flops());
+        assert_eq!(total, m.strip_flops(0, 10));
+        assert_eq!(total, 2.0 * 28.0); // 10 diag + 2*9 off-diag
     }
 
     #[test]
     fn empty_rows_are_fine() {
         let m = CsrMatrix::from_triplets(3, 3, [(0, 0, 1.0), (2, 2, 1.0)]);
-        let x = vec![1.0, 1.0, 1.0];
-        let mut y = vec![9.0; 3];
-        m.spmv(&x, &mut y);
-        assert_eq!(y, vec![1.0, 0.0, 1.0]);
+        assert_eq!(m.row_ptr, vec![0, 1, 1, 2]);
+        assert_eq!(m.strip_flops(1, 2), 0.0);
     }
 
     #[test]

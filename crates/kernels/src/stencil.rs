@@ -1,9 +1,9 @@
-//! 2D 5-point Jacobi stencil — a second domain workload (memory-bound, the
-//! opposite regime from DGEMM) for the portability sweep.
+//! Cost model of a 2D 5-point Jacobi stencil — a second domain workload
+//! (memory-bound, the opposite regime from DGEMM) for the portability sweep.
 
 /// FLOPs per sweep of an `n×n` 5-point Jacobi update (4 adds + 1 multiply
 /// per interior point).
-pub fn stencil_flops(n: usize) -> f64 {
+pub(crate) fn stencil_flops(n: usize) -> f64 {
     if n < 3 {
         return 0.0;
     }
@@ -11,104 +11,13 @@ pub fn stencil_flops(n: usize) -> f64 {
 }
 
 /// Bytes of the `n×n` grid.
-pub fn grid_bytes(n: usize) -> f64 {
+pub(crate) fn grid_bytes(n: usize) -> f64 {
     (n * n * 8) as f64
-}
-
-/// One Jacobi sweep: `dst[i][j] = 0.25*(src up+down+left+right)` on interior
-/// points; boundary copied.
-pub fn jacobi_sweep(src: &[f64], dst: &mut [f64], n: usize) {
-    assert_eq!(src.len(), n * n);
-    assert_eq!(dst.len(), n * n);
-    dst.copy_from_slice(src);
-    for i in 1..n.saturating_sub(1) {
-        for j in 1..n - 1 {
-            dst[i * n + j] = 0.25
-                * (src[(i - 1) * n + j]
-                    + src[(i + 1) * n + j]
-                    + src[i * n + j - 1]
-                    + src[i * n + j + 1]);
-        }
-    }
-}
-
-/// Sweeps rows `[row_lo, row_hi)` only (interior rows of a horizontal strip
-/// decomposition). The caller provides the full `src` including halo rows.
-pub fn jacobi_sweep_rows(src: &[f64], dst: &mut [f64], n: usize, row_lo: usize, row_hi: usize) {
-    assert!(row_lo >= 1 && row_hi <= n.saturating_sub(1) && row_lo <= row_hi);
-    for i in row_lo..row_hi {
-        for j in 1..n - 1 {
-            dst[i * n + j] = 0.25
-                * (src[(i - 1) * n + j]
-                    + src[(i + 1) * n + j]
-                    + src[i * n + j - 1]
-                    + src[i * n + j + 1]);
-        }
-    }
-}
-
-/// Max-abs residual between two grids.
-pub fn residual(a: &[f64], b: &[f64]) -> f64 {
-    a.iter()
-        .zip(b)
-        .map(|(x, y)| (x - y).abs())
-        .fold(0.0, f64::max)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn hot_edge_grid(n: usize) -> Vec<f64> {
-        let mut g = vec![0.0; n * n];
-        g[..n].fill(100.0); // top edge hot
-        g
-    }
-
-    #[test]
-    fn sweep_averages_neighbours() {
-        let n = 3;
-        let src = hot_edge_grid(n);
-        let mut dst = vec![0.0; n * n];
-        jacobi_sweep(&src, &mut dst, n);
-        // Center = average of (top=100, bottom=0, left=0, right=0) = 25.
-        assert_eq!(dst[n + 1], 25.0);
-        // Boundary preserved.
-        assert_eq!(dst[0], 100.0);
-        assert_eq!(dst[2 * n], 0.0);
-    }
-
-    #[test]
-    fn converges_toward_smoothness() {
-        let n = 16;
-        let mut a = hot_edge_grid(n);
-        let mut b = vec![0.0; n * n];
-        let mut last_delta = f64::INFINITY;
-        for _ in 0..50 {
-            jacobi_sweep(&a, &mut b, n);
-            let delta = residual(&a, &b);
-            assert!(delta <= last_delta + 1e-12, "not contracting");
-            last_delta = delta;
-            std::mem::swap(&mut a, &mut b);
-        }
-        assert!(last_delta < 1.0);
-    }
-
-    #[test]
-    fn strip_decomposition_matches_full_sweep() {
-        let n = 12;
-        let src = hot_edge_grid(n);
-        let mut full = vec![0.0; n * n];
-        jacobi_sweep(&src, &mut full, n);
-
-        let mut strips = src.clone();
-        // Interior rows 1..n-1 split into 3 strips.
-        let bounds = [(1, 4), (4, 8), (8, n - 1)];
-        for (lo, hi) in bounds {
-            jacobi_sweep_rows(&src, &mut strips, n, lo, hi);
-        }
-        assert_eq!(residual(&full, &strips), 0.0);
-    }
 
     #[test]
     fn costs() {

@@ -2,12 +2,12 @@
 //! `void vectoradd(double *A, double *B)` with `A: readwrite, B: read`).
 
 /// FLOPs of an `n`-element vector addition.
-pub fn vecadd_flops(n: usize) -> f64 {
+pub(crate) fn vecadd_flops(n: usize) -> f64 {
     n as f64
 }
 
 /// Bytes of an `n`-element f64 vector.
-pub fn vector_bytes(n: usize) -> f64 {
+pub(crate) fn vector_bytes(n: usize) -> f64 {
     (n * 8) as f64
 }
 

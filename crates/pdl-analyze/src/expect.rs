@@ -11,8 +11,8 @@
 //!
 //! The optional `[platform=NAME]` bracket (repeatable, comma-separated) names
 //! the builtin platforms the program fixture should be mapping-checked
-//! against.  `pdl-lint --expect` and the corpus golden tests both parse these
-//! headers with [`parse_expectation`].
+//! against.  The corpus golden tests (`tests/analyze_corpus.rs`) parse these headers
+//! with [`parse_expectation`].
 
 /// A parsed `expect:` header.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]

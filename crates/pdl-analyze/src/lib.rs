@@ -22,8 +22,8 @@
 //!   counterexample trace.
 //!
 //! Every code is documented, with a minimal triggering example, in
-//! `docs/ANALYSIS.md`.  The `pdl-lint` binary (and `pdl check`) drive all the
-//! passes from the command line; [`render_json`] provides machine-readable
+//! `docs/ANALYSIS.md`.  `pdl check` drives all the passes
+//! from the command line; [`render_json`] provides machine-readable
 //! output for CI.
 //!
 //! ```

@@ -29,7 +29,7 @@ use simhw::machine::SimMachine;
 
 /// Version tag of the JSON report emitted by [`model_check_json`]. Bump on
 /// any structural change; CI consumers pin against it.
-pub const MODEL_CHECK_SCHEMA: &str = "pdl-model-check/1";
+pub(crate) const MODEL_CHECK_SCHEMA: &str = "pdl-model-check/1";
 
 /// One bounded configuration the checker explores: a name for reports plus
 /// the model (one per-handle topology each, same device set).

@@ -4,7 +4,7 @@
 //!
 //! * [`analyze_platform`] — analyzes an already-decoded
 //!   [`Platform`] model: the structural rules of
-//!   [`pdl_core::validate::check`] (re-coded `P001`–`P013`) plus the deeper
+//!   [`Platform::issues`] (re-coded `P001`–`P013`) plus the deeper
 //!   graph and typing analyses (`P1xx`).
 //! * [`analyze_platform_source`] — analyzes raw XML text. This path also
 //!   reports syntax (`P100`) and schema (`P105`/`P106`/`P12x`) findings
@@ -22,7 +22,7 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// Analyzes a decoded platform model.
 ///
-/// Runs every structural rule of [`pdl_core::validate::check`] (except
+/// Runs every structural rule of [`Platform::issues`] (except
 /// `P008`, whose endpoint resolution is re-derived here with memory-region
 /// awareness as `P103`/`P104`) plus the `P1xx` analyses: control-cycle
 /// detection, Master-reachability, interconnect endpoint resolution,

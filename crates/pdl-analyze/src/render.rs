@@ -5,7 +5,7 @@ use hetero_trace::json::Json;
 use pdl_core::diag::{Diagnostic, Report};
 
 /// Converts one diagnostic to a JSON object.
-pub fn diagnostic_to_json(d: &Diagnostic) -> Json {
+pub(crate) fn diagnostic_to_json(d: &Diagnostic) -> Json {
     let mut members: Vec<(String, Json)> = vec![
         ("code".into(), Json::str(d.code)),
         ("severity".into(), Json::str(d.severity.label())),

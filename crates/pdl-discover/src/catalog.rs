@@ -52,7 +52,7 @@ impl From<std::io::Error> for CatalogError {
 }
 
 /// File suffix of stored descriptors.
-pub const FILE_SUFFIX: &str = ".pdl.xml";
+pub(crate) const FILE_SUFFIX: &str = ".pdl.xml";
 
 /// An in-memory catalog of named platform descriptors.
 #[derive(Debug, Clone, Default)]
@@ -101,11 +101,6 @@ impl Catalog {
         self.entries.get(name)
     }
 
-    /// Removes an entry.
-    pub fn remove(&mut self, name: &str) -> Option<Platform> {
-        self.entries.remove(name)
-    }
-
     /// Number of stored descriptors.
     pub fn len(&self) -> usize {
         self.entries.len()
@@ -114,11 +109,6 @@ impl Catalog {
     /// Whether the catalog is empty.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
-    }
-
-    /// All names, sorted.
-    pub fn names(&self) -> impl Iterator<Item = &str> {
-        self.entries.keys().map(String::as_str)
     }
 
     /// All entries.
@@ -214,7 +204,7 @@ mod tests {
         assert!(c.get("cell-be").is_some());
         assert!(c.get("xeon-x5550-gtx480-gtx285").is_some());
         assert!(c.get("imaginary").is_none());
-        let names: Vec<&str> = c.names().collect();
+        let names: Vec<&str> = c.iter().map(|(name, _)| name).collect();
         assert!(names.windows(2).all(|w| w[0] < w[1])); // sorted
     }
 
@@ -300,7 +290,7 @@ mod tests {
         let snap = reg.snapshot();
         assert_eq!(snap.len(), c.len());
         assert_eq!(snap.total_releases(), c.len());
-        for name in c.names() {
+        for (name, _) in c.iter() {
             assert!(snap.resolve_str(name, "latest").is_ok(), "{name}");
         }
     }

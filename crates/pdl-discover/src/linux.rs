@@ -12,7 +12,7 @@ use std::fs;
 
 /// Information extracted from `/proc/cpuinfo`.
 #[derive(Debug, Clone, PartialEq, Default)]
-pub struct CpuInfo {
+pub(crate) struct CpuInfo {
     /// Model name of the first processor entry.
     pub model_name: String,
     /// Vendor string of the first processor entry.
@@ -24,7 +24,7 @@ pub struct CpuInfo {
 }
 
 /// Parses `/proc/cpuinfo` content.
-pub fn parse_cpuinfo(content: &str) -> CpuInfo {
+pub(crate) fn parse_cpuinfo(content: &str) -> CpuInfo {
     let mut info = CpuInfo::default();
     for line in content.lines() {
         let Some((key, value)) = line.split_once(':') else {
@@ -44,7 +44,7 @@ pub fn parse_cpuinfo(content: &str) -> CpuInfo {
 }
 
 /// Parses `MemTotal` out of `/proc/meminfo`, returning bytes.
-pub fn parse_meminfo_total_bytes(content: &str) -> Option<f64> {
+pub(crate) fn parse_meminfo_total_bytes(content: &str) -> Option<f64> {
     for line in content.lines() {
         if let Some(rest) = line.strip_prefix("MemTotal:") {
             let mut parts = rest.split_whitespace();
@@ -65,7 +65,11 @@ pub fn parse_meminfo_total_bytes(content: &str) -> Option<f64> {
 /// Builds a PDL descriptor for a host from parsed information: one Master
 /// PU per host with one Worker per logical CPU, a `ram` memory region and
 /// shared-memory interconnects.
-pub fn platform_from_cpuinfo(name: &str, cpu: &CpuInfo, mem_total_bytes: Option<f64>) -> Platform {
+pub(crate) fn platform_from_cpuinfo(
+    name: &str,
+    cpu: &CpuInfo,
+    mem_total_bytes: Option<f64>,
+) -> Platform {
     let mut b = Platform::builder(name);
     let host = b.master("host");
     b.prop(host, Property::fixed(wellknown::ARCHITECTURE, "x86"));

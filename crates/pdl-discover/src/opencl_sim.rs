@@ -148,7 +148,7 @@ impl DeviceSpec {
 
     /// Generates the well-known (base schema) performance properties the
     /// simulator and schedulers consume.
-    pub fn wellknown_properties(&self) -> Vec<Property> {
+    pub(crate) fn wellknown_properties(&self) -> Vec<Property> {
         vec![
             Property::fixed(wellknown::ARCHITECTURE, "gpu"),
             Property::fixed(wellknown::DEVICE_NAME, self.device_name),
@@ -173,7 +173,7 @@ impl DeviceSpec {
     }
 
     /// The device-global memory region (`vram`), with size and bandwidth.
-    pub fn memory_region(&self) -> MemoryRegion {
+    pub(crate) fn memory_region(&self) -> MemoryRegion {
         MemoryRegion::new("vram").with_descriptor(
             Descriptor::new()
                 .with(

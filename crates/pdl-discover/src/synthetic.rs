@@ -13,13 +13,13 @@ use pdl_core::prelude::*;
 
 /// Per-core peak DP GFLOP/s of a 2.66 GHz Nehalem core
 /// (4 DP FLOP/cycle × 2.66 GHz).
-pub const XEON_X5550_CORE_GFLOPS_DP: f64 = 10.64;
+pub(crate) const XEON_X5550_CORE_GFLOPS_DP: f64 = 10.64;
 
 /// Sustained fraction of peak for `GotoBLAS2` DGEMM on Nehalem.
-pub const GOTOBLAS_EFFICIENCY: f64 = 0.90;
+pub(crate) const GOTOBLAS_EFFICIENCY: f64 = 0.90;
 
 /// Effective `PCIe` 2.0 ×16 bandwidth (GB/s) — ~6 of the theoretical 8.
-pub const PCIE2_X16_EFFECTIVE_GBS: f64 = 6.0;
+pub(crate) const PCIE2_X16_EFFECTIVE_GBS: f64 = 6.0;
 
 /// Options controlling the testbed descriptor generation.
 #[derive(Debug, Clone)]
@@ -68,10 +68,10 @@ pub fn xeon_2gpu_testbed() -> Platform {
 }
 
 /// Effective NVLink-style peer bandwidth between the two GPUs (GB/s).
-pub const NVLINK_EFFECTIVE_GBS: f64 = 25.0;
+pub(crate) const NVLINK_EFFECTIVE_GBS: f64 = 25.0;
 
 /// `NVLink` peer latency (µs).
-pub const NVLINK_LATENCY_US: f64 = 2.0;
+pub(crate) const NVLINK_LATENCY_US: f64 = 2.0;
 
 /// The 2-GPU testbed with a direct NVLink-style GPU↔GPU interconnect
 /// declared in addition to the per-GPU `PCIe` links — a what-if variant for

@@ -49,7 +49,7 @@ pub enum Requirement {
 
 impl Requirement {
     /// Whether the PU satisfies this requirement.
-    pub fn satisfied_by(&self, pu: &ProcessingUnit) -> bool {
+    pub(crate) fn satisfied_by(&self, pu: &ProcessingUnit) -> bool {
         match self {
             Requirement::Architecture(a) => pu.architecture() == Some(a.as_str()),
             Requirement::SoftwarePlatform(sp) => pu
@@ -109,7 +109,7 @@ impl RequirementSet {
     }
 
     /// Whether the PU satisfies every requirement.
-    pub fn satisfied_by(&self, pu: &ProcessingUnit) -> bool {
+    pub(crate) fn satisfied_by(&self, pu: &ProcessingUnit) -> bool {
         self.requirements.iter().all(|r| r.satisfied_by(pu))
     }
 
@@ -186,11 +186,6 @@ pub fn opencl_gpu_requirements(min_mem_bytes: f64) -> RequirementSet {
         .with(Requirement::Architecture("gpu".into()))
         .with(Requirement::SoftwarePlatform("OpenCL".into()))
         .with(Requirement::MinMemoryBytes(min_mem_bytes))
-}
-
-/// Convenience: requirement set for a plain CPU (fallback) variant.
-pub fn cpu_fallback_requirements() -> RequirementSet {
-    RequirementSet::new().with(Requirement::Architecture("x86".into()))
 }
 
 #[cfg(test)]

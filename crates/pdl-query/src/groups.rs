@@ -20,6 +20,10 @@ use pdl_core::pu::PuClass;
 use std::collections::BTreeSet;
 use std::fmt;
 
+/// Parentheses nested deeper than this are rejected: `ExprParser` recurses
+/// once per level, and no expression a person writes comes close.
+const MAX_DEPTH: usize = 64;
+
 /// Error parsing or evaluating a group expression.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GroupExprError(pub String);
@@ -34,7 +38,11 @@ impl std::error::Error for GroupExprError {}
 
 /// Resolves a group set-expression to PU indices (document order).
 pub fn resolve(platform: &Platform, expr: &str) -> Result<Vec<PuIdx>, GroupExprError> {
-    let mut p = ExprParser { input: expr, at: 0 };
+    let mut p = ExprParser {
+        input: expr,
+        at: 0,
+        depth: 0,
+    };
     let set = p.parse_expr(platform)?;
     p.skip_ws();
     if p.at != p.input.len() {
@@ -54,14 +62,11 @@ pub fn resolve(platform: &Platform, expr: &str) -> Result<Vec<PuIdx>, GroupExprE
     Ok(out)
 }
 
-/// Resolves a plain group name (no expression operators).
-pub fn members(platform: &Platform, group: &str) -> Vec<PuIdx> {
-    platform.group_members(group)
-}
-
 struct ExprParser<'a> {
     input: &'a str,
     at: usize,
+    /// Open parentheses around the cursor.
+    depth: usize,
 }
 
 impl<'a> ExprParser<'a> {
@@ -104,8 +109,16 @@ impl<'a> ExprParser<'a> {
         self.skip_ws();
         match self.peek() {
             Some('(') => {
+                if self.depth == MAX_DEPTH {
+                    return Err(GroupExprError(format!(
+                        "parentheses nested deeper than {MAX_DEPTH} levels at byte {}",
+                        self.at
+                    )));
+                }
                 self.at += 1;
+                self.depth += 1;
                 let inner = self.parse_expr(p)?;
+                self.depth -= 1;
                 self.skip_ws();
                 if self.peek() == Some(')') {
                     self.at += 1;
@@ -234,6 +247,21 @@ mod tests {
         assert!(resolve(&p, "gpus)").is_err());
         assert!(resolve(&p, "@bogus").is_err());
         assert!(resolve(&p, "gpus ^ fast").is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped() {
+        let p = testbed();
+        let nested = |depth: usize| format!("{}gpus{}", "(".repeat(depth), ")".repeat(depth));
+        assert_eq!(
+            ids(&p, &resolve(&p, &nested(MAX_DEPTH)).unwrap()),
+            ["gpu0", "gpu1"]
+        );
+        let e = resolve(&p, &nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(e.0.contains("deeper than 64 levels at byte 64"), "{e}");
+        // By the tens of thousands, closed or not: an error, not a stack overflow.
+        assert!(resolve(&p, &nested(30_000)).is_err());
+        assert!(resolve(&p, &"(".repeat(30_000)).is_err());
     }
 
     #[test]

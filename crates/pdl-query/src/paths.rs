@@ -47,7 +47,7 @@ pub struct Route {
 
 impl Route {
     /// The trivial route from a PU to itself.
-    pub fn trivial() -> Self {
+    pub(crate) fn trivial() -> Self {
         Route {
             hops: Vec::new(),
             time_s: 0.0,
@@ -77,11 +77,6 @@ impl LinkCost {
             time_s: latency_s + size_bytes / bandwidth_bps,
         }
     }
-}
-
-/// Transfer-time model for one link: `latency + size / bandwidth`.
-pub fn link_time_s(ic: &Interconnect, size_bytes: f64) -> f64 {
-    LinkCost::of(ic, size_bytes).time_s
 }
 
 /// Out-edges per PU as `(neighbour, interconnect index)`, in declaration

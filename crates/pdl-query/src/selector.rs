@@ -60,7 +60,7 @@ pub enum CmpOp {
 impl CmpOp {
     /// Applies the operator to an ordering obtained from comparing
     /// left to right.
-    pub fn eval(self, ord: std::cmp::Ordering) -> bool {
+    pub(crate) fn eval(self, ord: std::cmp::Ordering) -> bool {
         use std::cmp::Ordering::*;
         match self {
             CmpOp::Eq => ord == Equal,

@@ -47,12 +47,8 @@ fn put_u32(buf: &mut Vec<u8>, v: u32) {
 }
 
 /// Normalized textual form of a property value: trimmed, numbers
-/// re-rendered canonically.
-pub fn norm_value(text: &str) -> String {
-    norm(text).into_owned()
-}
-
-/// [`norm_value`], borrowing the text unless a number is re-rendered.
+/// re-rendered canonically; borrows the text unless a number is
+/// re-rendered.
 fn norm(text: &str) -> Cow<'_, str> {
     let t = text.trim();
     match t.parse::<f64>() {
@@ -418,10 +414,10 @@ mod tests {
 
     #[test]
     fn norm_value_rules() {
-        assert_eq!(norm_value(" 42 "), "42");
-        assert_eq!(norm_value("42.0"), "42");
-        assert_eq!(norm_value("1.50"), "1.5");
-        assert_eq!(norm_value("  x86  "), "x86");
-        assert_eq!(norm_value("NaN"), "NaN"); // non-finite stays textual
+        assert_eq!(norm(" 42 "), "42");
+        assert_eq!(norm("42.0"), "42");
+        assert_eq!(norm("1.50"), "1.5");
+        assert_eq!(norm("  x86  "), "x86");
+        assert_eq!(norm("NaN"), "NaN"); // non-finite stays textual
     }
 }

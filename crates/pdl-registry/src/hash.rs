@@ -19,20 +19,15 @@ pub struct ContentHash([u8; 32]);
 
 impl ContentHash {
     /// Digest of a byte string.
-    pub fn of(bytes: &[u8]) -> Self {
+    pub(crate) fn of(bytes: &[u8]) -> Self {
         let mut h = Sha256::new();
         h.update(bytes);
         ContentHash(h.finish())
     }
 
-    /// The raw digest bytes.
-    pub fn as_bytes(&self) -> &[u8; 32] {
-        &self.0
-    }
-
     /// Lowercase hex form, `sha256:`-prefixed (the registry's display and
     /// lookup syntax).
-    pub fn to_hex(&self) -> String {
+    pub(crate) fn to_hex(self) -> String {
         let mut s = String::with_capacity(7 + 64);
         s.push_str("sha256:");
         for b in self.0 {
@@ -42,23 +37,8 @@ impl ContentHash {
     }
 
     /// Short 12-hex-digit prefix, for logs and reports.
-    pub fn short(&self) -> String {
+    pub(crate) fn short(&self) -> String {
         self.to_hex()[7..19].to_string()
-    }
-
-    /// Parses the `sha256:<64 hex digits>` form (full digests only).
-    pub fn parse(s: &str) -> Option<Self> {
-        let hex = s.strip_prefix("sha256:")?;
-        if hex.len() != 64 {
-            return None;
-        }
-        let mut out = [0u8; 32];
-        for (i, chunk) in hex.as_bytes().chunks(2).enumerate() {
-            let hi = (chunk[0] as char).to_digit(16)?;
-            let lo = (chunk[1] as char).to_digit(16)?;
-            out[i] = (hi * 16 + lo) as u8;
-        }
-        Some(ContentHash(out))
     }
 }
 
@@ -75,7 +55,7 @@ impl fmt::Debug for ContentHash {
 }
 
 /// Streaming SHA-256 state (FIPS 180-4).
-pub struct Sha256 {
+pub(crate) struct Sha256 {
     state: [u32; 8],
     buf: [u8; 64],
     buf_len: usize,
@@ -101,7 +81,7 @@ impl Default for Sha256 {
 
 impl Sha256 {
     /// Fresh hash state.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Sha256 {
             state: [
                 0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab,
@@ -114,7 +94,7 @@ impl Sha256 {
     }
 
     /// Absorbs bytes.
-    pub fn update(&mut self, mut data: &[u8]) {
+    pub(crate) fn update(&mut self, mut data: &[u8]) {
         self.total_len = self.total_len.wrapping_add(data.len() as u64);
         if self.buf_len > 0 {
             let take = (64 - self.buf_len).min(data.len());
@@ -140,7 +120,7 @@ impl Sha256 {
     }
 
     /// Pads and produces the digest.
-    pub fn finish(mut self) -> [u8; 32] {
+    pub(crate) fn finish(mut self) -> [u8; 32] {
         let bit_len = self.total_len.wrapping_mul(8);
         self.update(&[0x80]);
         while self.buf_len != 56 {
@@ -252,17 +232,14 @@ mod tests {
         for c in data.chunks(13) {
             h.update(c);
         }
-        assert_eq!(one.as_bytes(), &h.finish());
+        assert_eq!(one.0, h.finish());
     }
 
     #[test]
-    fn hex_round_trip() {
+    fn hex_forms() {
         let h = ContentHash::of(b"platform");
-        let parsed = ContentHash::parse(&h.to_hex()).unwrap();
-        assert_eq!(h, parsed);
         assert!(h.to_hex().starts_with("sha256:"));
+        assert_eq!(h.to_hex().len(), 7 + 64);
         assert_eq!(h.short().len(), 12);
-        assert!(ContentHash::parse("sha256:abc").is_none());
-        assert!(ContentHash::parse("md5:00").is_none());
     }
 }

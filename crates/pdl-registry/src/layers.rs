@@ -36,17 +36,6 @@ pub enum LayerKind {
     Environment,
 }
 
-impl LayerKind {
-    /// Stable lowercase label used in reports and encodings.
-    pub fn label(self) -> &'static str {
-        match self {
-            LayerKind::Isa => "isa",
-            LayerKind::Microarchitecture => "microarchitecture",
-            LayerKind::Environment => "environment",
-        }
-    }
-}
-
 /// Which PUs one overlay entry applies to.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Target {
@@ -100,7 +89,7 @@ impl Layer {
     }
 
     /// The overlay entries in application order.
-    pub fn entries(&self) -> &[(Target, Property)] {
+    pub(crate) fn entries(&self) -> &[(Target, Property)] {
         &self.entries
     }
 }

@@ -119,7 +119,7 @@ impl Series {
     }
 
     /// The release with the exact version.
-    pub fn release(&self, v: SemVer) -> Option<&Release> {
+    pub(crate) fn release(&self, v: SemVer) -> Option<&Release> {
         self.releases.iter().find(|r| r.version == v)
     }
 }
@@ -192,24 +192,9 @@ impl Snapshot {
         self.by_name.values().map(|s| s.releases().len()).sum()
     }
 
-    /// Number of distinct interned descriptors (content addresses).
-    pub fn distinct_contents(&self) -> usize {
-        self.by_hash.len()
-    }
-
-    /// All series names, sorted.
-    pub fn names(&self) -> impl Iterator<Item = &str> {
-        self.by_name.keys().map(String::as_str)
-    }
-
     /// The release series for a name.
     pub fn series(&self, name: &str) -> Option<&Arc<Series>> {
         self.by_name.get(name)
-    }
-
-    /// Fetches an interned descriptor by content address.
-    pub fn get_by_hash(&self, hash: &ContentHash) -> Option<&Arc<InternedPlatform>> {
-        self.by_hash.get(hash)
     }
 
     /// Resolves `name` at the newest version matching `req`.
@@ -284,24 +269,6 @@ impl Snapshot {
         })();
         observe_since(&metrics().diff_ns, t0);
         result
-    }
-
-    /// Compatibility verdict between two releases of one series.
-    pub fn compatibility(
-        &self,
-        name: &str,
-        from: &VersionReq,
-        to: &VersionReq,
-    ) -> Result<Compatibility, RegistryError> {
-        let a = self.resolve(name, from)?;
-        let b = self.resolve(name, to)?;
-        let same = a.platform.hash() == b.platform.hash();
-        let changes = if same {
-            Vec::new()
-        } else {
-            diff(a.platform.platform(), b.platform.platform())
-        };
-        Ok(classify(&changes, same))
     }
 }
 
@@ -567,10 +534,6 @@ mod tests {
             )
             .unwrap();
         assert!(!d.is_empty());
-        assert_eq!(
-            snap.compatibility("node", &latest, &latest).unwrap(),
-            Compatibility::Identical
-        );
     }
 
     #[test]
@@ -585,7 +548,6 @@ mod tests {
         // Names participate in the hash, so these are distinct contents;
         // but republishing identical content under the same name reuses
         // the interned Arc.
-        assert_eq!(snap.distinct_contents(), 2);
         let r1 = snap.resolve_str("a", "latest").unwrap();
         let r2 = snap.resolve_str("a", "=1.0.0").unwrap();
         assert!(Arc::ptr_eq(&r1.platform, &r2.platform));

@@ -45,7 +45,7 @@ impl SemVer {
     }
 
     /// The next version after applying a change of the given compatibility.
-    pub fn bumped(self, compat: Compatibility) -> SemVer {
+    pub(crate) fn bumped(self, compat: Compatibility) -> SemVer {
         match compat {
             Compatibility::Identical => self,
             Compatibility::Patch => SemVer::new(self.major, self.minor, self.patch + 1),
@@ -55,7 +55,7 @@ impl SemVer {
     }
 
     /// Parses `"1"`, `"1.2"` or `"1.2.3"` (missing fields are zero).
-    pub fn parse(s: &str) -> Option<Self> {
+    pub(crate) fn parse(s: &str) -> Option<Self> {
         let mut it = s.trim().split('.');
         let major = it.next()?.parse().ok()?;
         let minor = match it.next() {
@@ -94,7 +94,7 @@ pub enum Compatibility {
 
 impl Compatibility {
     /// Stable lowercase label for reports.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             Compatibility::Identical => "identical",
             Compatibility::Patch => "patch",
@@ -196,7 +196,7 @@ impl VersionReq {
     }
 
     /// Whether a concrete version satisfies this requirement.
-    pub fn matches(&self, v: SemVer) -> bool {
+    pub(crate) fn matches(&self, v: SemVer) -> bool {
         match self {
             VersionReq::Latest => true,
             VersionReq::Exact(want) => v == *want,
@@ -208,7 +208,7 @@ impl VersionReq {
     }
 
     /// Picks the newest matching version out of a sorted-ascending list.
-    pub fn select(&self, versions: &[SemVer]) -> Option<SemVer> {
+    pub(crate) fn select(&self, versions: &[SemVer]) -> Option<SemVer> {
         versions.iter().rev().copied().find(|v| self.matches(*v))
     }
 }

@@ -30,7 +30,7 @@ impl Node {
     }
 
     /// The textual content, if this is a text or CDATA node.
-    pub fn as_text(&self) -> Option<&str> {
+    pub(crate) fn as_text(&self) -> Option<&str> {
         match self {
             Node::Text(t) | Node::CData(t) => Some(t),
             _ => None,
@@ -74,26 +74,20 @@ impl Element {
     }
 
     /// Builder: adds an attribute.
-    pub fn attr(mut self, name: impl Into<String>, value: impl Into<String>) -> Self {
+    pub(crate) fn attr(mut self, name: impl Into<String>, value: impl Into<String>) -> Self {
         self.attributes.push((name.into(), value.into()));
         self
     }
 
     /// Builder: adds a child element.
-    pub fn child(mut self, child: Element) -> Self {
+    pub(crate) fn child(mut self, child: Element) -> Self {
         self.children.push(Node::Element(child));
         self
     }
 
     /// Builder: adds a text child.
-    pub fn text(mut self, text: impl Into<String>) -> Self {
+    pub(crate) fn text(mut self, text: impl Into<String>) -> Self {
         self.children.push(Node::Text(text.into()));
-        self
-    }
-
-    /// Builder: adds a comment child.
-    pub fn comment(mut self, text: impl Into<String>) -> Self {
-        self.children.push(Node::Comment(text.into()));
         self
     }
 
@@ -113,28 +107,26 @@ impl Element {
         }
     }
 
-    /// Namespace prefix of the element name (`ocl:value` → `Some("ocl")`).
-    pub fn prefix(&self) -> Option<&str> {
-        self.name.split_once(':').map(|(p, _)| p)
-    }
-
     /// Child elements, in order.
     pub fn elements(&self) -> impl Iterator<Item = &Element> {
         self.children.iter().filter_map(Node::as_element)
     }
 
     /// Child elements whose *local* name matches.
-    pub fn elements_named<'a>(&'a self, local: &'a str) -> impl Iterator<Item = &'a Element> + 'a {
+    pub(crate) fn elements_named<'a>(
+        &'a self,
+        local: &'a str,
+    ) -> impl Iterator<Item = &'a Element> + 'a {
         self.elements().filter(move |e| e.local_name() == local)
     }
 
     /// First child element with the given local name.
-    pub fn first_named(&self, local: &str) -> Option<&Element> {
+    pub(crate) fn first_named(&self, local: &str) -> Option<&Element> {
         self.elements().find(|e| e.local_name() == local)
     }
 
     /// Concatenated character data of direct text/CDATA children, trimmed.
-    pub fn text_content(&self) -> String {
+    pub(crate) fn text_content(&self) -> String {
         let mut s = String::new();
         for c in &self.children {
             if let Some(t) = c.as_text() {
@@ -142,11 +134,6 @@ impl Element {
             }
         }
         s.trim().to_string()
-    }
-
-    /// Whether the element has no children at all (serialized self-closing).
-    pub fn is_empty(&self) -> bool {
-        self.children.is_empty()
     }
 
     /// All descendant elements (self included), in document order.
@@ -215,7 +202,7 @@ pub struct Document {
 
 impl Document {
     /// Wraps an element as a document.
-    pub fn new(root: Element) -> Self {
+    pub(crate) fn new(root: Element) -> Self {
         Document {
             prolog_comments: Vec::new(),
             root,
@@ -290,11 +277,9 @@ mod tests {
     fn namespaced_names() {
         let e = Element::new("ocl:value").attr("unit", "kB").text("48");
         assert_eq!(e.local_name(), "value");
-        assert_eq!(e.prefix(), Some("ocl"));
         assert_eq!(e.text_content(), "48");
         let plain = Element::new("value");
         assert_eq!(plain.local_name(), "value");
-        assert_eq!(plain.prefix(), None);
     }
 
     #[test]

@@ -11,13 +11,6 @@ pub struct Pos {
     pub col: u32,
 }
 
-impl Pos {
-    /// Position of the document start.
-    pub fn start() -> Self {
-        Pos { line: 1, col: 1 }
-    }
-}
-
 impl fmt::Display for Pos {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}:{}", self.line, self.col)
@@ -66,6 +59,12 @@ pub enum SyntaxErrorKind {
     NoRootElement,
     /// Literal `<` or malformed markup in character data.
     StrayMarkup(String),
+    /// Elements nested deeper than the parser's cap
+    /// ([`MAX_DEPTH`](crate::parser::MAX_DEPTH)).
+    TooDeep {
+        /// The cap.
+        limit: usize,
+    },
 }
 
 impl fmt::Display for SyntaxError {
@@ -91,6 +90,7 @@ impl fmt::Display for SyntaxError {
             TrailingContent => write!(f, "content after document element"),
             NoRootElement => write!(f, "document contains no root element"),
             StrayMarkup(s) => write!(f, "stray markup {s:?} in character data"),
+            TooDeep { limit } => write!(f, "elements nested deeper than {limit} levels"),
         }
     }
 }
@@ -232,7 +232,6 @@ mod tests {
     #[test]
     fn positions_display() {
         assert_eq!(Pos { line: 3, col: 14 }.to_string(), "3:14");
-        assert_eq!(Pos::start().to_string(), "1:1");
     }
 
     #[test]

@@ -62,13 +62,6 @@ pub fn from_xml(xml: &str) -> Result<Platform, XmlError> {
     decode_document(&doc, &SchemaRegistry::with_builtins())
 }
 
-/// One-call convenience with an explicit subschema registry (for toolchains
-/// that registered vendor subschemas).
-pub fn from_xml_with(xml: &str, registry: &SchemaRegistry) -> Result<Platform, XmlError> {
-    let doc = parse_document(xml)?;
-    decode_document(&doc, registry)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -83,13 +76,5 @@ mod tests {
     fn from_xml_reports_schema_errors() {
         let err = from_xml("<Bogus/>").unwrap_err();
         assert!(matches!(err, XmlError::Schema(_)));
-    }
-
-    #[test]
-    fn from_xml_with_custom_registry() {
-        let mut reg = SchemaRegistry::empty();
-        reg.register(schema::ocl_subschema());
-        let p = from_xml_with("<Master id=\"0\"/>", &reg).unwrap();
-        assert_eq!(p.masters().count(), 1);
     }
 }

@@ -8,7 +8,8 @@
 //!
 //! The parser is a hand-rolled recursive-descent cursor over `&str` that
 //! tracks line/column for diagnostics and guarantees well-formedness:
-//! matching tags, unique attributes per element, single root element.
+//! matching tags, unique attributes per element, single root element,
+//! nesting no deeper than [`MAX_DEPTH`].
 //! Character data, attribute values, names and whitespace are consumed a
 //! run at a time (`Parser::run`); `tests/xml_oracle.rs` holds the
 //! one-`char`-at-a-time cursor this replaced and requires the same tree,
@@ -16,6 +17,18 @@
 
 use crate::dom::{Document, Element, Node};
 use crate::error::{Pos, SyntaxError, SyntaxErrorKind};
+use std::collections::HashSet;
+
+/// Elements nested deeper than this are rejected: far deeper than any
+/// descriptor (a PU hierarchy plus three levels of descriptor markup), and
+/// shallow enough that `Parser::parse_element`, dropping the tree and
+/// every client that recurses once per level fit a 2 MB thread stack in a
+/// debug build.
+pub const MAX_DEPTH: usize = 256;
+
+/// An element's first attributes are checked for duplicates by comparing
+/// names; past this many, by a set, so a tag of any width costs linear time.
+const SCANNED_ATTRIBUTES: usize = 16;
 
 /// Parses a complete XML document.
 pub fn parse_document(input: &str) -> Result<Document, SyntaxError> {
@@ -83,6 +96,8 @@ struct Parser<'a> {
     at: usize,
     line: u32,
     col: u32,
+    /// Open elements around the cursor.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -92,6 +107,7 @@ impl<'a> Parser<'a> {
             at: 0,
             line: 1,
             col: 1,
+            depth: 0,
         }
     }
 
@@ -356,13 +372,33 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// One level of recursion per open element, which [`MAX_DEPTH`] bounds;
+    /// the start tag is parsed in a frame of its own so that a level costs
+    /// only what the content loop needs.
     fn parse_element(&mut self) -> Result<Element, SyntaxError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(SyntaxErrorKind::TooDeep { limit: MAX_DEPTH }));
+        }
+        let (mut element, has_content) = self.parse_start_tag()?;
+        if has_content {
+            self.depth += 1;
+            let content = self.parse_content(&mut element);
+            self.depth -= 1;
+            content?;
+        }
+        Ok(element)
+    }
+
+    /// Parses `<name attr="v" …>` or `<name …/>`; the flag is whether
+    /// content and a close tag follow.
+    fn parse_start_tag(&mut self) -> Result<(Element, bool), SyntaxError> {
         let pos = self.pos();
         self.expect("<")?;
         let mut element = Element::new(self.parse_name()?);
         element.pos = pos;
+        // Names past the first `SCANNED_ATTRIBUTES`.
+        let mut later_names: HashSet<&'a str> = HashSet::new();
 
-        // Attributes.
         loop {
             let had_space = {
                 let before = self.at;
@@ -372,16 +408,20 @@ impl<'a> Parser<'a> {
             match self.peek() {
                 Some('>') => {
                     self.bump();
-                    break;
+                    return Ok((element, true));
                 }
                 Some('/') => {
                     self.bump();
                     self.expect(">")?;
-                    return Ok(element); // self-closing
+                    return Ok((element, false));
                 }
                 Some(c) if Self::is_name_start(c) && had_space => {
                     let attr_name = self.parse_name()?;
-                    if element.attributes.iter().any(|(n, _)| n == attr_name) {
+                    let attrs = &element.attributes;
+                    let scanned = &attrs[..attrs.len().min(SCANNED_ATTRIBUTES)];
+                    if scanned.iter().any(|(n, _)| n == attr_name)
+                        || (attrs.len() >= SCANNED_ATTRIBUTES && !later_names.insert(attr_name))
+                    {
                         return Err(self.err(SyntaxErrorKind::DuplicateAttribute(attr_name.into())));
                     }
                     self.skip_whitespace();
@@ -399,8 +439,10 @@ impl<'a> Parser<'a> {
                 }
             }
         }
+    }
 
-        // Content.
+    /// Parses an open element's children up to and including its close tag.
+    fn parse_content(&mut self, element: &mut Element) -> Result<(), SyntaxError> {
         let mut text = String::new();
         loop {
             let run = self.run(|b| b != b'<' && b != b'&');
@@ -412,19 +454,19 @@ impl<'a> Parser<'a> {
                 text.push(self.parse_entity()?);
                 continue;
             }
-            Self::flush_text(&mut text, run, &mut element);
+            Self::flush_text(&mut text, run, element);
             if self.starts_with("</") {
                 self.bump_str("</");
                 let close = self.parse_name()?;
                 if close != element.name {
                     return Err(self.err(SyntaxErrorKind::MismatchedClose {
-                        open: element.name,
+                        open: element.name.clone(),
                         close: close.to_string(),
                     }));
                 }
                 self.skip_whitespace();
                 self.expect(">")?;
-                return Ok(element);
+                return Ok(());
             } else if self.starts_with("<!--") {
                 let c = self.parse_comment()?;
                 element.children.push(Node::Comment(c));
@@ -466,7 +508,7 @@ mod tests {
     fn minimal_document() {
         let doc = parse_document("<a/>").unwrap();
         assert_eq!(doc.root.name, "a");
-        assert!(doc.root.is_empty());
+        assert!(doc.root.attributes.is_empty() && doc.root.children.is_empty());
     }
 
     #[test]
@@ -567,7 +609,7 @@ mod tests {
             doc.root.attribute("xsi:type"),
             Some("ocl:oclDevicePropertyType")
         );
-        assert_eq!(doc.root.first_named("name").unwrap().prefix(), Some("ocl"));
+        assert_eq!(doc.root.first_named("name").unwrap().name, "ocl:name");
     }
 
     #[test]

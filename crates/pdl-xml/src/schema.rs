@@ -38,7 +38,7 @@ pub struct PropertyTypeDecl {
 
 impl PropertyTypeDecl {
     /// A closed type declaring an explicit property-name vocabulary.
-    pub fn closed(type_name: impl Into<String>, props: &[&str]) -> Self {
+    pub(crate) fn closed(type_name: impl Into<String>, props: &[&str]) -> Self {
         PropertyTypeDecl {
             type_name: type_name.into(),
             known_properties: props.iter().map(std::string::ToString::to_string).collect(),
@@ -48,7 +48,7 @@ impl PropertyTypeDecl {
     }
 
     /// An open type accepting any property name.
-    pub fn open(type_name: impl Into<String>) -> Self {
+    pub(crate) fn open(type_name: impl Into<String>) -> Self {
         PropertyTypeDecl {
             type_name: type_name.into(),
             known_properties: Vec::new(),
@@ -57,15 +57,9 @@ impl PropertyTypeDecl {
         }
     }
 
-    /// Declares the base type this one extends, builder style.
-    pub fn extending(mut self, base: impl Into<String>) -> Self {
-        self.extends = Some(base.into());
-        self
-    }
-
     /// Whether this type *directly* accepts the given property name
     /// (inheritance is resolved by [`Subschema::type_accepts`]).
-    pub fn accepts(&self, name: &str) -> bool {
+    pub(crate) fn accepts(&self, name: &str) -> bool {
         self.open || self.known_properties.iter().any(|p| p == name)
     }
 }
@@ -114,7 +108,7 @@ impl Subschema {
 }
 
 /// The `OpenCL` device-property subschema of Listing 2, shipped as a built-in.
-pub fn ocl_subschema() -> Subschema {
+pub(crate) fn ocl_subschema() -> Subschema {
     Subschema {
         prefix: "ocl".to_string(),
         uri: "http://pdl.example.org/subschema/opencl".to_string(),
@@ -142,7 +136,7 @@ pub fn ocl_subschema() -> Subschema {
 /// A CUDA device subschema (open type — tooling may add arbitrary
 /// `cuda:`-properties), shipped as a built-in to demonstrate multiple
 /// coexisting subschemas.
-pub fn cuda_subschema() -> Subschema {
+pub(crate) fn cuda_subschema() -> Subschema {
     Subschema {
         prefix: "cuda".to_string(),
         uri: "http://pdl.example.org/subschema/cuda".to_string(),
@@ -168,7 +162,7 @@ impl Default for SchemaRegistry {
 
 impl SchemaRegistry {
     /// An empty registry (base schema only).
-    pub fn empty() -> Self {
+    pub(crate) fn empty() -> Self {
         SchemaRegistry {
             subschemas: BTreeMap::new(),
             tool_version: Version::CURRENT,
@@ -184,18 +178,13 @@ impl SchemaRegistry {
     }
 
     /// Registers (or replaces) a subschema under its prefix.
-    pub fn register(&mut self, s: Subschema) {
+    pub(crate) fn register(&mut self, s: Subschema) {
         self.subschemas.insert(s.prefix.clone(), s);
     }
 
     /// Looks up a subschema by prefix.
     pub fn subschema(&self, prefix: &str) -> Option<&Subschema> {
         self.subschemas.get(prefix)
-    }
-
-    /// Registered prefixes, sorted.
-    pub fn prefixes(&self) -> impl Iterator<Item = &str> {
-        self.subschemas.keys().map(String::as_str)
     }
 
     /// Validates a document against the base schema and this registry.
@@ -593,8 +582,6 @@ mod tests {
         assert!(r.subschema("ocl").is_none());
         r.register(ocl_subschema());
         assert!(r.subschema("ocl").is_some());
-        let prefixes: Vec<_> = r.prefixes().collect();
-        assert_eq!(prefixes, ["ocl"]);
         // Vendor registers a new subschema for a novel platform.
         r.register(Subschema {
             prefix: "npu".into(),
@@ -616,10 +603,10 @@ mod tests {
         // existing descriptors can be provided by … hardware vendors").
         let mut reg = SchemaRegistry::empty();
         let mut ocl = ocl_subschema();
-        ocl.property_types.push(
-            PropertyTypeDecl::closed("oclFermiPropertyType", &["ECC_ENABLED", "L2_CACHE_SIZE"])
-                .extending("oclDevicePropertyType"),
-        );
+        ocl.property_types.push(PropertyTypeDecl {
+            extends: Some("oclDevicePropertyType".into()),
+            ..PropertyTypeDecl::closed("oclFermiPropertyType", &["ECC_ENABLED", "L2_CACHE_SIZE"])
+        });
         reg.register(ocl);
         let doc = parse_document(
             r#"<Master id="0"><PUDescriptor>
@@ -655,8 +642,14 @@ mod tests {
             uri: "u".into(),
             version: Version::new(1, 0),
             property_types: vec![
-                PropertyTypeDecl::closed("A", &["P"]).extending("B"),
-                PropertyTypeDecl::closed("B", &["Q"]).extending("A"),
+                PropertyTypeDecl {
+                    extends: Some("B".into()),
+                    ..PropertyTypeDecl::closed("A", &["P"])
+                },
+                PropertyTypeDecl {
+                    extends: Some("A".into()),
+                    ..PropertyTypeDecl::closed("B", &["Q"])
+                },
             ],
         };
         assert!(sub.type_accepts("A", "P"));

@@ -5,7 +5,7 @@ use std::fmt::Write as _;
 
 /// Output options for the writer.
 #[derive(Debug, Clone)]
-pub struct WriteOptions {
+pub(crate) struct WriteOptions {
     /// Indentation per nesting level.
     pub indent: String,
     /// Whether to emit the `<?xml …?>` declaration.
@@ -55,27 +55,13 @@ fn attr_entity(b: u8) -> Option<&'static str> {
     }
 }
 
-/// Escapes character data (`<`, `&`, `>`).
-pub fn escape_text(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    escape_into(&mut out, s, text_entity);
-    out
-}
-
-/// Escapes an attribute value (quoted with `"`).
-pub fn escape_attr(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    escape_into(&mut out, s, attr_entity);
-    out
-}
-
 /// Serializes a document with default options.
-pub fn write_document(doc: &Document) -> String {
+pub(crate) fn write_document(doc: &Document) -> String {
     write_document_with(doc, &WriteOptions::default())
 }
 
 /// Serializes a document with explicit options.
-pub fn write_document_with(doc: &Document, opts: &WriteOptions) -> String {
+pub(crate) fn write_document_with(doc: &Document, opts: &WriteOptions) -> String {
     let mut out = String::new();
     if opts.declaration {
         out.push_str("<?xml version=\"1.0\" encoding=\"UTF-8\"?>\n");
@@ -85,13 +71,6 @@ pub fn write_document_with(doc: &Document, opts: &WriteOptions) -> String {
     }
     write_element(&mut out, &doc.root, 0, opts);
     out.push('\n');
-    out
-}
-
-/// Serializes a single element (no declaration), e.g. for embedding.
-pub fn write_fragment(element: &Element) -> String {
-    let mut out = String::new();
-    write_element(&mut out, element, 0, &WriteOptions::default());
     out
 }
 
@@ -157,9 +136,14 @@ mod tests {
 
     #[test]
     fn escaping() {
-        assert_eq!(escape_text("a<b&c>d"), "a&lt;b&amp;c&gt;d");
+        let escaped = |s: &str, entity: fn(u8) -> Option<&'static str>| {
+            let mut out = String::new();
+            escape_into(&mut out, s, entity);
+            out
+        };
+        assert_eq!(escaped("a<b&c>d", text_entity), "a&lt;b&amp;c&gt;d");
         assert_eq!(
-            escape_attr("say \"hi\" & <go>"),
+            escaped("say \"hi\" & <go>", attr_entity),
             "say &quot;hi&quot; &amp; &lt;go>"
         );
     }
@@ -169,9 +153,10 @@ mod tests {
         let mut e = Element::new("a")
             .attr("k", "x\ty\n\"<&>ü")
             .child(Element::new("b").text(" <in&line> ü "))
-            .text("  loose > text  ")
-            .comment(" note ")
-            .child(Element::new("c").child(Element::new("d")));
+            .text("  loose > text  ");
+        e.children.push(Node::Comment(" note ".into()));
+        e.children
+            .push(Node::Element(Element::new("c").child(Element::new("d"))));
         e.children.push(Node::CData("raw <&>".into()));
         e.children.push(Node::Element(Element {
             children: vec![Node::Text("t".into()), Node::CData("u".into())],
@@ -202,7 +187,7 @@ mod tests {
             .attr("id", "0")
             .child(Element::new("name").text("ARCHITECTURE"))
             .child(Element::new("Worker").attr("id", "1"));
-        let s = write_fragment(&e);
+        let s = write_document(&Document::new(e));
         assert!(s.contains("<name>ARCHITECTURE</name>"));
         assert!(s.contains("<Worker id=\"1\"/>"));
     }

@@ -39,6 +39,6 @@ pub use energy::{energy, EnergyReport};
 pub use events::EventQueue;
 pub use link::{LinkId, SimLink, TransferPath};
 pub use machine::{DeviceId, LinkParams, SimDevice, SimMachine};
-pub use resource::{BucketedTimeline, Timeline};
+pub use resource::Timeline;
 pub use time::{Duration, SimTime};
 pub use trace::{Span, SpanKind, Trace};

@@ -8,7 +8,6 @@
 //! reports which PUs needed them.
 
 use crate::link::{LinkId, SimLink, TransferPath};
-use crate::time::Duration;
 use pdl_core::interconnect::Directionality;
 use pdl_core::platform::Platform;
 use pdl_core::pu::PuClass;
@@ -24,7 +23,7 @@ pub const SHARED_MEM_IC: &str = "shared-mem";
 
 /// Default effective compute rate when a PU declares no `PEAK_GFLOPS_DP`:
 /// one conservative GFLOP/s.
-pub const DEFAULT_FLOPS_DP: f64 = 1e9;
+pub(crate) const DEFAULT_FLOPS_DP: f64 = 1e9;
 
 /// Index of a simulated device within a machine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -43,24 +42,6 @@ pub struct LinkParams {
     pub bandwidth_bps: f64,
     /// Seconds per message.
     pub latency_s: f64,
-}
-
-impl LinkParams {
-    /// A link so fast transfers are effectively free (same address space).
-    pub fn shared_memory() -> Self {
-        LinkParams {
-            bandwidth_bps: f64::INFINITY,
-            latency_s: 0.0,
-        }
-    }
-
-    /// Modeled time to move `bytes` over this link.
-    pub fn transfer_time(&self, bytes: f64) -> Duration {
-        if self.bandwidth_bps.is_infinite() {
-            return Duration::new(self.latency_s);
-        }
-        Duration::new(self.latency_s + bytes / self.bandwidth_bps)
-    }
 }
 
 /// One schedulable execution resource of the simulated machine.
@@ -86,14 +67,6 @@ pub struct SimDevice {
     /// Software platforms available on the PU (`SOFTWARE_PLATFORM`
     /// property), e.g. `["OpenCL", "Cuda"]`.
     pub software_platforms: Vec<String>,
-}
-
-impl SimDevice {
-    /// Modeled compute time for a task of `flops` double-precision
-    /// operations on this device.
-    pub fn compute_time(&self, flops: f64) -> Duration {
-        Duration::new(flops / self.flops_dp)
-    }
 }
 
 /// A simulated machine: devices extracted from a platform description.
@@ -291,11 +264,6 @@ impl SimMachine {
         self.peer_routes.get(&(from.0, to.0))
     }
 
-    /// Physical link by id.
-    pub fn link(&self, id: LinkId) -> &SimLink {
-        &self.links[id.0]
-    }
-
     /// Number of devices.
     pub fn len(&self) -> usize {
         self.devices.len()
@@ -309,13 +277,6 @@ impl SimMachine {
     /// Device by PU id.
     pub fn device_by_pu(&self, pu_id: &str) -> Option<&SimDevice> {
         self.index.get(pu_id).map(|&i| &self.devices[i.0])
-    }
-
-    /// Devices whose PU belongs to the given logic group.
-    pub fn devices_in_group<'a>(&'a self, group: &'a str) -> impl Iterator<Item = &'a SimDevice> {
-        self.devices
-            .iter()
-            .filter(move |d| d.groups.iter().any(|g| g == group))
     }
 
     /// Devices of the given architecture.
@@ -350,7 +311,6 @@ mod tests {
         let cpu = m.device_by_pu("cpu0").unwrap();
         // Xeon core: 10.64 × 0.9 ≈ 9.58 GF/s.
         assert!((cpu.flops_dp - 9.576e9).abs() < 0.05e9, "{}", cpu.flops_dp);
-        assert_eq!(m.devices_in_group("gpus").count(), 2);
         assert_eq!(m.devices_with_arch("x86").count(), 6);
     }
 
@@ -378,26 +338,6 @@ mod tests {
         assert_eq!(machine.len(), 1);
         assert_eq!(machine.devices[0].pu_id, "cpu");
         assert_eq!(machine.devices[0].flops_dp, 10e9);
-    }
-
-    #[test]
-    fn compute_and_transfer_times() {
-        let p = synthetic::xeon_2gpu_testbed();
-        let m = SimMachine::from_platform(&p);
-        let gpu = m.device_by_pu("gpu0").unwrap();
-        // 1 GFLOP on ~100.8 GF/s ≈ 9.9 ms.
-        let t = gpu.compute_time(1e9);
-        assert!((t.seconds() - 1.0 / 100.8).abs() < 1e-4);
-        let link = gpu.link.unwrap();
-        // 600 MB over 6 GB/s ≈ 0.1 s + 15us.
-        let tt = link.transfer_time(600e6);
-        assert!((tt.seconds() - 0.100015).abs() < 1e-6);
-    }
-
-    #[test]
-    fn shared_memory_link_is_free() {
-        let l = LinkParams::shared_memory();
-        assert_eq!(l.transfer_time(1e12).seconds(), 0.0);
     }
 
     #[test]
@@ -471,7 +411,7 @@ mod tests {
         let a1 = m.device_by_pu("acc1").unwrap().id;
         let fwd = m.peer_route(a0, a1).expect("direct NVLink route");
         assert_eq!(fwd.links.len(), 1);
-        assert_eq!(m.link(fwd.links[0]).name, "NVLink:acc0-acc1");
+        assert_eq!(m.links[fwd.links[0].0].name, "NVLink:acc0-acc1");
         // Bidirectional by default: reverse direction routes too.
         let rev = m.peer_route(a1, a0).expect("reverse NVLink route");
         assert_eq!(rev.links, fwd.links);
@@ -511,13 +451,13 @@ mod tests {
         let [a0, a1, a2] = ["acc0", "acc1", "acc2"].map(|id| m.device_by_pu(id).unwrap().id);
 
         let push = m.peer_route(a0, a1).expect("declared direction routes");
-        assert_eq!(m.link(push.links[0]).name, "dma:acc0-acc1");
+        assert_eq!(m.links[push.links[0].0].name, "dma:acc0-acc1");
         assert!(m.peer_route(a1, a0).is_none(), "unidirectional link");
         assert!(m.peer_route(a0, a2).is_none(), "no link declared");
 
         for (from, to) in [(a1, a2), (a2, a1)] {
             let r = m.peer_route(from, to).expect("parallel links route");
-            assert_eq!(m.link(r.links[0]).name, "fast:acc2-acc1");
+            assert_eq!(m.links[r.links[0].0].name, "fast:acc2-acc1");
             assert_eq!(r.bandwidth_bps, 25e9);
         }
     }

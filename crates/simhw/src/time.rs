@@ -33,17 +33,8 @@ impl SimTime {
     }
 
     /// The later of two times.
-    pub fn max(self, other: SimTime) -> SimTime {
+    pub(crate) fn max(self, other: SimTime) -> SimTime {
         if self.0 >= other.0 {
-            self
-        } else {
-            other
-        }
-    }
-
-    /// The earlier of two times.
-    pub fn min(self, other: SimTime) -> SimTime {
-        if self.0 <= other.0 {
             self
         } else {
             other

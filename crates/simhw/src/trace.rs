@@ -35,7 +35,7 @@ pub struct Span {
 
 impl Span {
     /// Span length.
-    pub fn duration(&self) -> Duration {
+    pub(crate) fn duration(&self) -> Duration {
         self.end - self.start
     }
 }
@@ -95,42 +95,9 @@ impl Trace {
         map
     }
 
-    /// Compute-only busy time per device.
-    pub fn compute_busy_by_device(&self) -> BTreeMap<DeviceId, Duration> {
-        let mut map: BTreeMap<DeviceId, Duration> = BTreeMap::new();
-        for s in self.spans.iter().filter(|s| s.kind == SpanKind::Compute) {
-            let e = map.entry(s.device).or_insert(Duration::ZERO);
-            *e = *e + s.duration();
-        }
-        map
-    }
-
     /// Count of spans of a kind.
     pub fn count(&self, kind: SpanKind) -> usize {
         self.spans.iter().filter(|s| s.kind == kind).count()
-    }
-
-    /// Exports the trace as CSV (`device,label,kind,start_s,end_s`), for
-    /// external analysis/plotting.
-    pub fn to_csv(&self, device_names: &[String]) -> String {
-        let mut out = String::from("device,label,kind,start_s,end_s\n");
-        for s in &self.spans {
-            let name = device_names
-                .get(s.device.0)
-                .map(String::as_str)
-                .unwrap_or("?");
-            let kind = match s.kind {
-                SpanKind::Compute => "compute",
-                SpanKind::Transfer => "transfer",
-            };
-            let label = s.label.replace(',', ";");
-            out.push_str(&format!(
-                "{name},{label},{kind},{:.9},{:.9}\n",
-                s.start.seconds(),
-                s.end.seconds()
-            ));
-        }
-        out
     }
 
     /// Renders a fixed-width text Gantt chart with `width` columns,
@@ -186,8 +153,6 @@ mod tests {
         let busy = tr.busy_by_device();
         assert_eq!(busy[&DeviceId(0)].seconds(), 2.5);
         assert_eq!(busy[&DeviceId(1)].seconds(), 3.0);
-        let compute = tr.compute_busy_by_device();
-        assert_eq!(compute[&DeviceId(0)].seconds(), 2.0);
         assert_eq!(tr.count(SpanKind::Compute), 2);
         assert_eq!(tr.count(SpanKind::Transfer), 1);
     }
@@ -214,24 +179,6 @@ mod tests {
         assert!(lines[1].contains('~'));
         assert!(lines[1].contains('#'));
         assert!(lines[2].contains("2.0000s"));
-    }
-
-    #[test]
-    fn csv_export() {
-        let mut tr = Trace::new();
-        tr.record(DeviceId(0), "dgemm[0,0]", SpanKind::Compute, t(0.0), t(1.5));
-        tr.record(DeviceId(1), "A,in", SpanKind::Transfer, t(0.0), t(0.25));
-        let csv = tr.to_csv(&["cpu0".into(), "gpu0".into()]);
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines[0], "device,label,kind,start_s,end_s");
-        assert!(
-            lines[1].starts_with("cpu0,dgemm[0;0],compute,0.000000000,1.500000000"),
-            "{}",
-            lines[1]
-        );
-        // Commas in labels are sanitized so the CSV stays 5 columns.
-        assert!(lines[2].starts_with("gpu0,A;in,transfer,"));
-        assert_eq!(lines[2].split(',').count(), 5);
     }
 
     #[test]

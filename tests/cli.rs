@@ -239,6 +239,42 @@ fn hostile_nesting_is_a_diagnostic_not_a_crash() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// 50 000 nested elements and 30 000 nested parentheses each used to recurse
+/// once per level and end in `fatal runtime error: stack overflow` (exit
+/// 134, no `pdl:` line). Both parsers now cap their nesting and say so.
+#[test]
+fn hostile_xml_and_group_nesting_are_diagnostics_not_aborts() {
+    let dir = std::env::temp_dir().join(format!("pdl-cli-deep-xml-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let file = dir.join("deep.xml");
+    std::fs::write(
+        &file,
+        format!("{}{}", "<a>".repeat(50_000), "</a>".repeat(50_000)),
+    )
+    .unwrap();
+    let parens = format!("{}pu{}", "(".repeat(30_000), ")".repeat(30_000));
+
+    for (args, limit) in [
+        (vec!["validate", file.to_str().unwrap()], "256"),
+        (vec!["groups", "xeon-x5550-8core", parens.as_str()], "64"),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_pdl"))
+            .args(&args)
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{}: {stderr}", args[0]);
+        assert_eq!(stderr.lines().count(), 1, "{stderr}");
+        assert!(stderr.starts_with("pdl: "), "{stderr}");
+        assert!(
+            stderr.contains("nest") && stderr.contains(limit),
+            "{stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{stderr}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A span that ends before it starts used to become 2^64 − 50 ns of blame
 /// in a release build and an overflow panic in a debug build, both with
 /// exit code 0 or a backtrace. Every command that profiles a trace now

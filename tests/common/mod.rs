@@ -8,15 +8,15 @@ use hetero_trace::{
 };
 
 /// Dependency edges in codec orientation.
-pub type Deps = Vec<(u32, u32)>;
+pub(crate) type Deps = Vec<(u32, u32)>;
 
 /// What `proptest` draws for [`span_trace`]: per worker an `overwritten`
 /// tally and its `(gap, duration)` spans.
-pub type WorkerSpans = Vec<(u64, Vec<(u64, u64)>)>;
+pub(crate) type WorkerSpans = Vec<(u64, Vec<(u64, u64)>)>;
 
 /// A labelled trace of back-to-back task spans, possibly lossy, with
 /// dependency edges folded into the task range.
-pub fn span_trace(worker_spans: &WorkerSpans, dep_seeds: &[(u32, u32)]) -> (RunTrace, Deps) {
+pub(crate) fn span_trace(worker_spans: &WorkerSpans, dep_seeds: &[(u32, u32)]) -> (RunTrace, Deps) {
     let mut tasks = Vec::new();
     let mut workers = Vec::new();
     let mut lanes = Vec::new();
@@ -72,10 +72,10 @@ pub fn span_trace(worker_spans: &WorkerSpans, dep_seeds: &[(u32, u32)]) -> (RunT
 
 /// A small deterministic generator (splitmix64) for decisions derived from
 /// one drawn seed.
-pub struct Rng(pub u64);
+pub(crate) struct Rng(pub u64);
 
 impl Rng {
-    pub fn next(&mut self) -> u64 {
+    pub(crate) fn next(&mut self) -> u64 {
         self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
         let mut z = self.0;
         z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
@@ -83,19 +83,19 @@ impl Rng {
         z ^ (z >> 31)
     }
 
-    pub fn below(&mut self, n: usize) -> usize {
+    pub(crate) fn below(&mut self, n: usize) -> usize {
         (self.next() % n as u64) as usize
     }
 
-    pub fn one_in(&mut self, n: usize) -> bool {
+    pub(crate) fn one_in(&mut self, n: usize) -> bool {
         self.below(n) == 0
     }
 
-    pub fn pick<'a, T>(&mut self, items: &'a [T]) -> &'a T {
+    pub(crate) fn pick<'a, T>(&mut self, items: &'a [T]) -> &'a T {
         &items[self.below(items.len())]
     }
 
-    pub fn shuffle<T>(&mut self, items: &mut [T]) {
+    pub(crate) fn shuffle<T>(&mut self, items: &mut [T]) {
         for i in (1..items.len()).rev() {
             items.swap(i, self.below(i + 1));
         }
@@ -105,7 +105,7 @@ impl Rng {
 /// Strings a writer has to escape and a reader has to give back: quotes,
 /// backslashes, every short escape, other control characters, non-ASCII of
 /// two to four bytes, and the empty string.
-pub const AWKWARD: [&str; 12] = [
+pub(crate) const AWKWARD: [&str; 12] = [
     "",
     "plain",
     "quo\"te",
@@ -125,7 +125,7 @@ pub const AWKWARD: [&str; 12] = [
 /// time, lanes without events or without a label, ready events, dequeues of
 /// every provenance, park markers and phases (nested, on lanes and in the
 /// prelude, now and then unbalanced).
-pub fn enrich(trace: &mut RunTrace, seed: u64) {
+pub(crate) fn enrich(trace: &mut RunTrace, seed: u64) {
     let rng = &mut Rng(seed);
     let name = |rng: &mut Rng| (*rng.pick(&AWKWARD)).to_string();
 

@@ -1,3 +1,5 @@
+//! Guards `hetero_trace::codec::{export, parse}`, `hetero_trace::chrome::export` and `hetero_trace::json::Json::to_pretty`; goes when they do.
+//!
 //! The tree-building codec, Chrome exporter and tree printer these paths
 //! replaced, kept as they were (every integer through `Json::Num(x as f64)`)
 //! as the reference the streaming paths are held to.
@@ -15,7 +17,7 @@ use hetero_trace::{
 use std::fmt;
 
 /// `Json::to_pretty` as the tree printed it before the writer existed.
-pub fn to_pretty(value: &Json) -> String {
+pub(crate) fn to_pretty(value: &Json) -> String {
     let mut out = String::new();
     write_pretty(value, &mut out, 0);
     out.push('\n');
@@ -23,7 +25,7 @@ pub fn to_pretty(value: &Json) -> String {
 }
 
 /// `Json`'s `Display` as the tree printed it before the writer existed.
-pub fn to_compact(value: &Json) -> String {
+pub(crate) fn to_compact(value: &Json) -> String {
     let mut out = String::new();
     write(value, &mut out);
     out
@@ -129,7 +131,7 @@ fn write_str(s: &str, out: &mut String) {
 }
 
 /// Encodes a trace (plus optional dependency edges) as a JSON value.
-pub fn codec_to_json(trace: &RunTrace, deps: &[(u32, u32)]) -> Json {
+pub(crate) fn codec_to_json(trace: &RunTrace, deps: &[(u32, u32)]) -> Json {
     let lanes = trace
         .meta
         .lanes
@@ -326,7 +328,7 @@ fn event_from_json(v: &Json) -> Result<TraceEvent, String> {
 }
 
 /// The decoder: a whole-document `Json::parse`, then lookups by key.
-pub fn codec_parse(text: &str) -> Result<(RunTrace, Vec<(u32, u32)>), String> {
+pub(crate) fn codec_parse(text: &str) -> Result<(RunTrace, Vec<(u32, u32)>), String> {
     let mut rest = text;
     loop {
         let trimmed = rest.trim_start();
@@ -451,7 +453,7 @@ fn us(ns: u64) -> Json {
 }
 
 /// The Chrome-trace document as a [`Json`] value.
-pub fn chrome_to_json(trace: &RunTrace) -> Json {
+pub(crate) fn chrome_to_json(trace: &RunTrace) -> Json {
     let mut events: Vec<Json> = Vec::new();
     let pid = Json::Num(0.0);
 

@@ -1,3 +1,5 @@
+//! Guards `hetero_trace::RingBuffer` over `hetero_trace::EventLog`; goes when they do.
+//!
 //! Differential oracle for the packed event storage.
 //!
 //! `RingBuffer` fills an `EventLog` — 16 bytes an event, phase names and

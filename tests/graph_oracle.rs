@@ -1,3 +1,5 @@
+//! Guards `hetero_rt::graph::TaskGraph::submit` (and `kernels::graphs::*` built on it); goes when it does.
+//!
 //! The row-of-structs task graph as the oracle for the columnar one.
 //!
 //! `hetero_rt::graph::TaskGraph` used to hold one owned `Task` (a `String`

@@ -94,6 +94,57 @@ fn xml_edge_case_corpus() {
     }
 }
 
+/// XML nesting is capped (`pdl_xml::parser::MAX_DEPTH`), so neither
+/// `parse_element` nor dropping the tree can run a thread out of stack; a
+/// document at the cap parses, decodes and drops on this 2 MB test thread in
+/// a debug build. Width is not capped and costs linear time.
+#[test]
+fn xml_nesting_is_capped_and_width_is_linear() {
+    use pdl_xml::error::{Pos, SyntaxErrorKind};
+    use pdl_xml::parser::MAX_DEPTH;
+
+    let nested = |depth: usize| format!("{}{}", "<a>".repeat(depth), "</a>".repeat(depth));
+    let at_cap = pdl_xml::parse_document(&nested(MAX_DEPTH)).expect("the cap itself parses");
+    drop(at_cap);
+    let e = pdl_xml::parse_document(&nested(MAX_DEPTH + 1)).expect_err("one level more does not");
+    assert_eq!(e.kind, SyntaxErrorKind::TooDeep { limit: MAX_DEPTH });
+    let col = u32::try_from(3 * MAX_DEPTH + 1).unwrap();
+    assert_eq!(e.pos, Pos { line: 1, col });
+    assert!(
+        e.to_string()
+            .contains(&format!("nested deeper than {MAX_DEPTH}")),
+        "{e}"
+    );
+    // By the hundred kilobytes, closed or not: an error, not an abort.
+    assert!(pdl_xml::parse_document(&nested(50_000)).is_err());
+    assert!(pdl_xml::parse_document(&"<a>".repeat(50_000)).is_err());
+    assert!(pdl_xml::parser::parse_fragment(&nested(50_000)).is_err());
+
+    // A descriptor as deep as the cap allows goes through the whole pipeline.
+    let hybrids = MAX_DEPTH - 1;
+    let mut deep = String::from("<Master id=\"m\">");
+    for i in 0..hybrids {
+        deep.push_str(&format!("<Hybrid id=\"h{i}\">"));
+    }
+    deep.push_str(&"</Hybrid>".repeat(hybrids));
+    deep.push_str("</Master>");
+    let platform = pdl_xml::from_xml(&deep).expect("a deep chain is a valid descriptor");
+    assert_eq!(platform.len(), MAX_DEPTH);
+
+    // One element, 100 000 distinct attributes: the duplicate check used to
+    // compare each name with every earlier one (26 s here); linear is ≈ 20 ms.
+    let mut wide = String::from("<a");
+    for i in 0..100_000 {
+        wide.push_str(&format!(" k{i}=\"v\""));
+    }
+    wide.push_str("/>");
+    let started = std::time::Instant::now();
+    let doc = pdl_xml::parse_document(&wide).expect("distinct attributes parse");
+    assert_eq!(doc.root.attributes.len(), 100_000);
+    let took = started.elapsed();
+    assert!(took < std::time::Duration::from_secs(5), "{took:?}");
+}
+
 /// Curated nasty cascabel inputs.
 #[test]
 fn cascabel_edge_case_corpus() {

@@ -1,3 +1,5 @@
+//! Guards `pdl_analyze::check_trace`; goes when it does.
+//!
 //! Differential oracle for the trace-replay check.
 //!
 //! `pdl_analyze::check_trace` finds T005 candidates from per-handle accessor

@@ -1,3 +1,5 @@
+//! Guards `pdl_xml::parser::parse_document`; goes when it does.
+//!
 //! The XML parser's oracle, kept here and not in the shipped crate.
 //!
 //! `pdl_xml::parser` consumes character data, attribute values, names and
@@ -21,7 +23,7 @@ mod oracle {
     use super::{Document, Element, Node, Pos, SyntaxError, SyntaxErrorKind};
 
     /// The replaced parser's `parse_document`, verbatim.
-    pub fn parse_document(input: &str) -> Result<Document, SyntaxError> {
+    pub(crate) fn parse_document(input: &str) -> Result<Document, SyntaxError> {
         let mut p = Parser::new(input);
         p.skip_bom();
         let mut prolog_comments = Vec::new();
@@ -498,6 +500,59 @@ fn example_corpora_parse_identically() {
         }
     }
     assert!(seen >= 10, "corpus went missing: {seen} files");
+}
+
+/// The shipped duplicate-attribute check scans the first few attributes and
+/// hashes the rest; the cursor scanned them all. The first duplicate in
+/// document order, at the position just past the repeated name, is what both
+/// report — whichever side of the threshold either occurrence falls on, and
+/// whatever else is wrong later in the tag.
+#[test]
+fn duplicate_attributes_are_reported_identically() {
+    for width in [2usize, 3, 15, 16, 17, 18, 33, 200] {
+        let names: Vec<String> = (0..width).map(|i| format!("k{i}")).collect();
+        // (index of the attribute repeated, index it is repeated at)
+        let pairs = [
+            (0, 1),
+            (width / 2, width / 2 + 1),
+            (width - 1, width),
+            (0, width),
+            (width / 2, width),
+        ];
+        for (of, at) in pairs {
+            let mut attrs = names.clone();
+            attrs.insert(at, names[of].clone());
+            let tag = |attrs: &[String], tail: &str| {
+                let list: Vec<String> = attrs.iter().map(|n| format!("{n}=\"v\"")).collect();
+                format!("<e\n {}{tail}", list.join("\n "))
+            };
+            let doc = tag(&attrs, "/>");
+            let e = pdl_xml::parse_document(&doc).expect_err("a duplicate is an error");
+            assert_eq!(
+                e.kind,
+                SyntaxErrorKind::DuplicateAttribute(names[of].clone()),
+                "{width} {of} {at}"
+            );
+            assert_same(&doc);
+            // A second duplicate, or broken markup, after the first changes nothing.
+            let mut twice = attrs.clone();
+            twice.push(names[0].clone());
+            assert_same(&tag(&twice, "/>"));
+            assert_same(&tag(&attrs, " <"));
+            // Broken markup before it is what is reported instead.
+            let mut broken = attrs.clone();
+            broken[0] = "0bad".into();
+            assert_same(&tag(&broken, "/>"));
+        }
+        assert_same(&format!(
+            "<e {}/>",
+            names
+                .iter()
+                .map(|n| format!("{n}='v'"))
+                .collect::<Vec<_>>()
+                .join(" ")
+        ));
+    }
 }
 
 /// splitmix64, so the generator below depends on nothing but its seed.
