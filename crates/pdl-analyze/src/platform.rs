@@ -18,7 +18,7 @@ use pdl_core::platform::Platform;
 use pdl_core::pu::PuClass;
 use pdl_xml::dom::Document;
 use pdl_xml::{Pos, SchemaError, SchemaRegistry, XmlError};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 
 /// Analyzes a decoded platform model.
 ///
@@ -128,7 +128,7 @@ fn span_at(pos: Pos) -> Span {
 /// arena: a Worker element containing PU children (`P004`, with the span of
 /// the offending child — the arena model simply skips such subtrees).
 fn dom_checks(doc: &Document, file: &str, out: &mut Vec<Diagnostic>) {
-    for e in doc.root.descendants() {
+    for e in doc.root().descendants() {
         if e.local_name() != "Worker" {
             continue;
         }
@@ -143,7 +143,7 @@ fn dom_checks(doc: &Document, file: &str, out: &mut Vec<Diagnostic>) {
                             child.attribute("id").unwrap_or("?"),
                         ),
                     )
-                    .with_span(span_at(child.pos).in_file(file)),
+                    .with_span(span_at(child.pos()).in_file(file)),
                 );
             }
         }
@@ -433,19 +433,38 @@ fn typed_descriptor(
     }
 }
 
-/// Attaches source spans (by PU-id subject lookup in the DOM) and returns
-/// the sorted report.
+/// Source position of every PU element (`Master`/`Hybrid`/`Worker`) by its
+/// `id` attribute — of the first in document order, where ids repeat.
+fn pu_positions<'d>(doc: &'d Document) -> HashMap<&'d str, Pos> {
+    let mut positions = HashMap::new();
+    for e in doc.root().descendants() {
+        if let ("Master" | "Hybrid" | "Worker", Some(id)) = (e.local_name(), e.attribute("id")) {
+            positions.entry(id).or_insert_with(|| e.pos());
+        }
+    }
+    positions
+}
+
+/// Attaches source spans (a diagnostic about a decoded PU points back at
+/// its XML element, found by the subject's id) and returns the sorted
+/// report. The id lookup is one pass over the document, made when the
+/// first diagnostic asks, however many do.
 fn finish(mut diags: Vec<Diagnostic>, doc: Option<&Document>, file: Option<&str>) -> Report {
     if let Some(doc) = doc {
+        let mut positions = None;
         for d in &mut diags {
-            if d.span.is_none() {
-                if let Some(pos) = d.subject.as_ref().and_then(|s| doc.root.pos_of_pu(s)) {
-                    let mut span = span_at(pos);
-                    if let Some(file) = file {
-                        span = span.in_file(file);
-                    }
-                    d.span = Some(span);
+            let (None, Some(subject)) = (&d.span, d.subject.as_deref()) else {
+                continue;
+            };
+            if let Some(&pos) = positions
+                .get_or_insert_with(|| pu_positions(doc))
+                .get(subject)
+            {
+                let mut span = span_at(pos);
+                if let Some(file) = file {
+                    span = span.in_file(file);
                 }
+                d.span = Some(span);
             }
         }
     }

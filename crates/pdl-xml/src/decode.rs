@@ -46,7 +46,7 @@ pub fn decode_unchecked(doc: &Document) -> Result<Platform, XmlError> {
 }
 
 fn decode_to_builder(doc: &Document, lenient: bool) -> Result<PlatformBuilder, XmlError> {
-    let root = &doc.root;
+    let root = doc.root();
     let mut builder;
     match root.local_name() {
         "Platform" => {
@@ -101,7 +101,7 @@ fn decode_to_builder(doc: &Document, lenient: bool) -> Result<PlatformBuilder, X
 
 fn decode_pu_tree(
     builder: &mut PlatformBuilder,
-    e: &Element,
+    e: Element<'_, '_>,
     parent: Option<PuHandle>,
     lenient: bool,
 ) -> Result<(), XmlError> {
@@ -164,7 +164,7 @@ fn decode_pu_tree(
     Ok(())
 }
 
-fn decode_interconnect(e: &Element, lenient: bool) -> Result<Interconnect, XmlError> {
+fn decode_interconnect(e: Element<'_, '_>, lenient: bool) -> Result<Interconnect, XmlError> {
     let ic_type = e.attribute("type").unwrap_or_default().to_string();
     let from = e.attribute("from").unwrap_or_default().to_string();
     let to = e.attribute("to").unwrap_or_default().to_string();
@@ -181,7 +181,7 @@ fn decode_interconnect(e: &Element, lenient: bool) -> Result<Interconnect, XmlEr
     Ok(ic)
 }
 
-fn decode_descriptor(e: &Element, lenient: bool) -> Result<Descriptor, XmlError> {
+fn decode_descriptor(e: Element<'_, '_>, lenient: bool) -> Result<Descriptor, XmlError> {
     let mut d = Descriptor::new();
     for p in e.elements_named("Property") {
         d.push(decode_property(p, lenient)?);
@@ -189,10 +189,12 @@ fn decode_descriptor(e: &Element, lenient: bool) -> Result<Descriptor, XmlError>
     Ok(d)
 }
 
-fn decode_property(e: &Element, lenient: bool) -> Result<Property, XmlError> {
+fn decode_property(e: Element<'_, '_>, lenient: bool) -> Result<Property, XmlError> {
+    // `fixed` defaults to false when absent (the attribute is optional in
+    // the paper's schema; both listings spell it explicitly).
     let fixed = match e.attribute("fixed") {
-        Some("true") | None => e.attribute("fixed").is_some(),
-        Some("false") => false,
+        None | Some("false") => false,
+        Some("true") => true,
         Some(_) if lenient => false,
         Some(other) => {
             return Err(XmlError::Schema(SchemaError::BadAttributeValue {
@@ -201,13 +203,6 @@ fn decode_property(e: &Element, lenient: bool) -> Result<Property, XmlError> {
                 value: other.to_string(),
             }))
         }
-    };
-    // `fixed` defaults to false when absent (the attribute is optional in
-    // the paper's schema; both listings spell it explicitly).
-    let fixed = if e.attribute("fixed").is_none() {
-        false
-    } else {
-        fixed
     };
 
     let subschema = match e.attribute("xsi:type") {
@@ -225,7 +220,7 @@ fn decode_property(e: &Element, lenient: bool) -> Result<Property, XmlError> {
 
     let name = e
         .first_named("name")
-        .map(super::dom::Element::text_content)
+        .map(|n| n.text_content().into_owned())
         .unwrap_or_default();
 
     let (text, unit) = match e.first_named("value") {
@@ -244,7 +239,7 @@ fn decode_property(e: &Element, lenient: bool) -> Result<Property, XmlError> {
                 },
                 None => None,
             };
-            (v.text_content(), unit)
+            (v.text_content().into_owned(), unit)
         }
         None => (String::new(), None),
     };

@@ -4,23 +4,25 @@
 //! Masters + platform-level interconnects), which round-trips every model
 //! feature. [`encode_master_fragment`] emits the bare-Master form of
 //! Listing 1 for single-root platforms.
+//!
+//! The document borrows the platform's ids, names and values; only what is
+//! formatted on the way (a quantity, a version, a prefixed name) is owned.
 
-use crate::dom::{Document, Element};
+use crate::dom::Document;
+use crate::error::{Pos, SyntaxError};
 use crate::writer;
 use pdl_core::prelude::*;
+use std::borrow::Cow;
 
-/// Encodes a platform as a `<Platform>` document.
-pub fn encode_document(platform: &Platform) -> Document {
-    let mut root = Element::new("Platform")
-        .attr("name", platform.name.clone())
-        .attr("schemaVersion", platform.schema_version.to_string());
-    for &r in platform.roots() {
-        root = root.child(encode_pu(platform, r));
-    }
-    for ic in platform.interconnects() {
-        root = root.child(encode_interconnect(ic));
-    }
-    Document::new(root)
+/// A platform that fits in memory encodes to far fewer nodes than a
+/// document indexes.
+const FITS: &str = "a platform's nodes and attributes fit a document";
+
+/// Encodes a platform as a `<Platform>` document that borrows it.
+pub fn encode_document(platform: &Platform) -> Document<'_> {
+    let mut doc = Document::default();
+    encode_platform(&mut doc, platform).expect(FITS);
+    doc
 }
 
 /// Serializes a platform to an XML string.
@@ -32,89 +34,128 @@ pub fn to_xml(platform: &Platform) -> String {
 /// shape), with interconnects nested in the Master scope. Returns `None`
 /// when the platform does not have exactly one root.
 pub fn encode_master_fragment(platform: &Platform) -> Option<String> {
-    if platform.roots().len() != 1 {
+    let &[root] = platform.roots() else {
         return None;
-    }
-    let mut root = encode_pu(platform, platform.roots()[0]);
-    for ic in platform.interconnects() {
-        root = root.child(encode_interconnect(ic));
-    }
-    Some(writer::write_document(&Document::new(root)))
+    };
+    let mut doc = Document::default();
+    encode_pu(&mut doc, platform, root, platform.interconnects()).expect(FITS);
+    Some(writer::write_document(&doc))
 }
 
-fn encode_pu(platform: &Platform, idx: PuIdx) -> Element {
+fn encode_platform<'p>(doc: &mut Document<'p>, platform: &'p Platform) -> Result<(), SyntaxError> {
+    doc.open("Platform", Pos::default())?;
+    doc.attr("name", platform.name.as_str())?;
+    doc.attr("schemaVersion", platform.schema_version.to_string())?;
+    for &r in platform.roots() {
+        encode_pu(doc, platform, r, &[])?;
+    }
+    for ic in platform.interconnects() {
+        encode_interconnect(doc, ic)?;
+    }
+    doc.close();
+    Ok(())
+}
+
+/// Encodes a PU and its subtree, with `nested` interconnects as its last
+/// children.
+fn encode_pu<'p>(
+    doc: &mut Document<'p>,
+    platform: &'p Platform,
+    idx: PuIdx,
+    nested: &'p [Interconnect],
+) -> Result<(), SyntaxError> {
     let pu = platform.pu(idx);
-    let mut e = Element::new(pu.class.element_name()).attr("id", pu.id.as_str());
+    doc.open(pu.class.element_name(), Pos::default())?;
+    doc.attr("id", pu.id.as_str())?;
     if pu.quantity != 1 {
-        e = e.attr("quantity", pu.quantity.to_string());
+        doc.attr("quantity", pu.quantity.to_string())?;
     }
-    if !pu.descriptor.is_empty() {
-        e = e.child(encode_descriptor("PUDescriptor", &pu.descriptor));
-    }
+    encode_descriptor(doc, "PUDescriptor", &pu.descriptor)?;
     for mr in &pu.memory_regions {
-        let mut m = Element::new("MemoryRegion").attr("id", mr.id.as_str());
-        if !mr.descriptor.is_empty() {
-            m = m.child(encode_descriptor("MRDescriptor", &mr.descriptor));
-        }
-        e = e.child(m);
+        doc.open("MemoryRegion", Pos::default())?;
+        doc.attr("id", mr.id.as_str())?;
+        encode_descriptor(doc, "MRDescriptor", &mr.descriptor)?;
+        doc.close();
     }
     for g in &pu.groups {
-        e = e.child(Element::new("LogicGroupAttribute").attr("name", g.as_str()));
+        doc.open("LogicGroupAttribute", Pos::default())?;
+        doc.attr("name", g.as_str())?;
+        doc.close();
     }
     for &c in pu.children() {
-        e = e.child(encode_pu(platform, c));
+        encode_pu(doc, platform, c, &[])?;
     }
-    e
+    for ic in nested {
+        encode_interconnect(doc, ic)?;
+    }
+    doc.close();
+    Ok(())
 }
 
-fn encode_interconnect(ic: &Interconnect) -> Element {
-    let mut e = Element::new("Interconnect")
-        .attr("type", ic.ic_type.clone())
-        .attr("from", ic.from.as_str())
-        .attr("to", ic.to.as_str());
+fn encode_interconnect<'p>(
+    doc: &mut Document<'p>,
+    ic: &'p Interconnect,
+) -> Result<(), SyntaxError> {
+    doc.open("Interconnect", Pos::default())?;
+    doc.attr("type", ic.ic_type.as_str())?;
+    doc.attr("from", ic.from.as_str())?;
+    doc.attr("to", ic.to.as_str())?;
     if !ic.scheme.is_empty() {
-        e = e.attr("scheme", ic.scheme.clone());
+        doc.attr("scheme", ic.scheme.as_str())?;
     }
     if ic.directionality == Directionality::Unidirectional {
-        e = e.attr("direction", "uni");
+        doc.attr("direction", "uni")?;
     }
-    if !ic.descriptor.is_empty() {
-        e = e.child(encode_descriptor("ICDescriptor", &ic.descriptor));
-    }
-    e
+    encode_descriptor(doc, "ICDescriptor", &ic.descriptor)?;
+    doc.close();
+    Ok(())
 }
 
-fn encode_descriptor(element_name: &str, d: &Descriptor) -> Element {
-    let mut e = Element::new(element_name);
+/// Encodes a descriptor that has properties; an empty one is left out.
+fn encode_descriptor<'p>(
+    doc: &mut Document<'p>,
+    element_name: &'static str,
+    d: &'p Descriptor,
+) -> Result<(), SyntaxError> {
+    if d.is_empty() {
+        return Ok(());
+    }
+    doc.open(element_name, Pos::default())?;
     for p in d.iter() {
-        e = e.child(encode_property(p));
+        encode_property(doc, p)?;
     }
-    e
+    doc.close();
+    Ok(())
 }
 
-fn encode_property(p: &Property) -> Element {
-    let mut e = Element::new("Property").attr("fixed", if p.fixed { "true" } else { "false" });
+fn encode_property<'p>(doc: &mut Document<'p>, p: &'p Property) -> Result<(), SyntaxError> {
+    doc.open("Property", Pos::default())?;
+    doc.attr("fixed", if p.fixed { "true" } else { "false" })?;
     // Typed properties use the subschema prefix on name/value children,
     // exactly as in Listing 2.
-    let (name_el, value_el) = match &p.subschema {
+    let (name_el, value_el): (Cow<str>, Cow<str>) = match &p.subschema {
         Some(s) => {
-            e = e.attr("xsi:type", s.qualified());
+            doc.attr("xsi:type", s.qualified())?;
             (
-                format!("{}:name", s.namespace),
-                format!("{}:value", s.namespace),
+                format!("{}:name", s.namespace).into(),
+                format!("{}:value", s.namespace).into(),
             )
         }
-        None => ("name".to_string(), "value".to_string()),
+        None => ("name".into(), "value".into()),
     };
-    e = e.child(Element::new(name_el).text(p.name.clone()));
-    let mut v = Element::new(value_el);
+    doc.open(name_el, Pos::default())?;
+    doc.text(p.name.as_str())?;
+    doc.close();
+    doc.open(value_el, Pos::default())?;
     if let Some(u) = p.value.unit {
-        v = v.attr("unit", u.as_str());
+        doc.attr("unit", u.as_str())?;
     }
     if !p.value.text.is_empty() {
-        v = v.text(p.value.text.clone());
+        doc.text(p.value.text.as_str())?;
     }
-    e.child(v)
+    doc.close();
+    doc.close();
+    Ok(())
 }
 
 #[cfg(test)]

@@ -65,6 +65,12 @@ pub enum SyntaxErrorKind {
         /// The cap.
         limit: usize,
     },
+    /// More nodes, or more attributes, than a
+    /// [`Document`](crate::dom::Document) indexes.
+    TooLarge {
+        /// The most of either it holds.
+        limit: usize,
+    },
 }
 
 impl fmt::Display for SyntaxError {
@@ -91,6 +97,7 @@ impl fmt::Display for SyntaxError {
             NoRootElement => write!(f, "document contains no root element"),
             StrayMarkup(s) => write!(f, "stray markup {s:?} in character data"),
             TooDeep { limit } => write!(f, "elements nested deeper than {limit} levels"),
+            TooLarge { limit } => write!(f, "more than {limit} nodes or attributes"),
         }
     }
 }

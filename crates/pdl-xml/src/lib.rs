@@ -8,9 +8,17 @@
 //! ## Pipeline
 //!
 //! ```text
-//! &str --parse--> Document --validate--> (schema ok) --decode--> Platform
-//! Platform --encode--> Document --write--> String
+//! &'a str --parse--> Document<'a> --validate--> (schema ok) --decode--> Platform
+//! &'p Platform --encode--> Document<'p> --write--> String
 //! ```
+//!
+//! A [`dom::Document`] is one flat column of rows — a node each, in
+//! document order — plus one column of attributes, and its strings borrow
+//! what it was made from: the XML text on the way in (owned only where an
+//! entity reference was resolved), the platform's ids, names and values on
+//! the way out. It therefore cannot outlive that text or platform;
+//! [`from_xml`] and [`to_xml`] build one, use it and drop it, so their
+//! callers see only `&str`, `String` and `Platform`.
 //!
 //! ## Example
 //!

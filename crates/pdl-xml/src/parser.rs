@@ -11,30 +11,31 @@
 //! matching tags, unique attributes per element, single root element,
 //! nesting no deeper than [`MAX_DEPTH`].
 //! Character data, attribute values, names and whitespace are consumed a
-//! run at a time (`Parser::run`); `tests/xml_oracle.rs` holds the
-//! one-`char`-at-a-time cursor this replaced and requires the same tree,
-//! positions and errors from both.
+//! run at a time (`Parser::run`) and pushed into the [`Document`] as slices
+//! of the input — copied only where an entity reference has to be resolved;
+//! `tests/xml_oracle.rs` holds the one-`char`-at-a-time cursor and the tree
+//! of `String`s this replaced and requires the same nodes, positions and
+//! errors from both.
 
-use crate::dom::{Document, Element, Node};
+use crate::dom::Document;
 use crate::error::{Pos, SyntaxError, SyntaxErrorKind};
+use std::borrow::Cow;
 use std::collections::HashSet;
 
 /// Elements nested deeper than this are rejected: far deeper than any
 /// descriptor (a PU hierarchy plus three levels of descriptor markup), and
-/// shallow enough that `Parser::parse_element`, dropping the tree and
-/// every client that recurses once per level fit a 2 MB thread stack in a
-/// debug build.
+/// shallow enough that `Parser::parse_element` and every client that
+/// recurses once per level fit a 2 MB thread stack in a debug build.
 pub const MAX_DEPTH: usize = 256;
 
 /// An element's first attributes are checked for duplicates by comparing
 /// names; past this many, by a set, so a tag of any width costs linear time.
 const SCANNED_ATTRIBUTES: usize = 16;
 
-/// Parses a complete XML document.
-pub fn parse_document(input: &str) -> Result<Document, SyntaxError> {
+/// Parses a complete XML document, whose strings borrow `input`.
+pub fn parse_document(input: &str) -> Result<Document<'_>, SyntaxError> {
     let mut p = Parser::new(input);
     p.skip_bom();
-    let mut prolog_comments = Vec::new();
 
     // Prolog: declaration, whitespace, comments, PIs.
     loop {
@@ -42,7 +43,8 @@ pub fn parse_document(input: &str) -> Result<Document, SyntaxError> {
         if p.starts_with("<?") {
             p.skip_pi()?;
         } else if p.starts_with("<!--") {
-            prolog_comments.push(p.parse_comment()?);
+            let c = p.parse_comment()?;
+            p.doc.comment(c)?;
         } else if p.starts_with("<!DOCTYPE") {
             p.skip_doctype()?;
         } else {
@@ -54,7 +56,7 @@ pub fn parse_document(input: &str) -> Result<Document, SyntaxError> {
     if p.eof() || !p.starts_with("<") {
         return Err(p.err(SyntaxErrorKind::NoRootElement));
     }
-    let root = p.parse_element()?;
+    p.parse_element()?;
 
     // Epilog: only whitespace, comments and PIs allowed.
     loop {
@@ -70,24 +72,21 @@ pub fn parse_document(input: &str) -> Result<Document, SyntaxError> {
         }
     }
 
-    Ok(Document {
-        prolog_comments,
-        root,
-    })
+    Ok(p.doc)
 }
 
 /// Parses a single element (fragment parsing, used by tests and tools that
 /// embed PDL snippets).
-pub fn parse_fragment(input: &str) -> Result<Element, SyntaxError> {
+pub fn parse_fragment(input: &str) -> Result<Document<'_>, SyntaxError> {
     let mut p = Parser::new(input);
     p.skip_bom();
     p.skip_whitespace();
-    let e = p.parse_element()?;
+    p.parse_element()?;
     p.skip_whitespace();
     if !p.eof() {
         return Err(p.err(SyntaxErrorKind::TrailingContent));
     }
-    Ok(e)
+    Ok(p.doc)
 }
 
 struct Parser<'a> {
@@ -96,8 +95,8 @@ struct Parser<'a> {
     at: usize,
     line: u32,
     col: u32,
-    /// Open elements around the cursor.
-    depth: usize,
+    /// What has been parsed; its open elements are those around the cursor.
+    doc: Document<'a>,
 }
 
 impl<'a> Parser<'a> {
@@ -107,7 +106,7 @@ impl<'a> Parser<'a> {
             at: 0,
             line: 1,
             col: 1,
-            depth: 0,
+            doc: Document::default(),
         }
     }
 
@@ -247,7 +246,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn parse_comment(&mut self) -> Result<String, SyntaxError> {
+    fn parse_comment(&mut self) -> Result<&'a str, SyntaxError> {
         self.bump_str("<!--");
         let start = self.at;
         loop {
@@ -255,7 +254,7 @@ impl<'a> Parser<'a> {
                 return Err(self.err(SyntaxErrorKind::UnexpectedEof("comment")));
             }
             if self.starts_with("-->") {
-                let text = self.input[start..self.at].to_string();
+                let text = &self.input[start..self.at];
                 self.bump_str("-->");
                 return Ok(text);
             }
@@ -263,7 +262,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn parse_cdata(&mut self) -> Result<String, SyntaxError> {
+    fn parse_cdata(&mut self) -> Result<&'a str, SyntaxError> {
         self.bump_str("<![CDATA[");
         let start = self.at;
         loop {
@@ -271,7 +270,7 @@ impl<'a> Parser<'a> {
                 return Err(self.err(SyntaxErrorKind::UnexpectedEof("CDATA section")));
             }
             if self.starts_with("]]>") {
-                let text = self.input[start..self.at].to_string();
+                let text = &self.input[start..self.at];
                 self.bump_str("]]>");
                 return Ok(text);
             }
@@ -345,7 +344,8 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn parse_attr_value(&mut self) -> Result<String, SyntaxError> {
+    /// A slice of the input unless the value holds an entity reference.
+    fn parse_attr_value(&mut self) -> Result<Cow<'a, str>, SyntaxError> {
         let quote = match self.peek() {
             Some(c @ ('"' | '\'')) => c,
             _ => {
@@ -357,16 +357,21 @@ impl<'a> Parser<'a> {
             }
         };
         self.bump();
-        let mut value = String::new();
+        let plain = move |b| b != quote as u8 && b != b'&' && b != b'<';
+        let mut value = Cow::Borrowed(self.run(plain));
         loop {
-            value.push_str(self.run(|b| b != quote as u8 && b != b'&' && b != b'<'));
             match self.peek() {
                 None => return Err(self.err(SyntaxErrorKind::UnexpectedEof("attribute value"))),
                 Some(c) if c == quote => {
                     self.bump();
                     return Ok(value);
                 }
-                Some('&') => value.push(self.parse_entity()?),
+                Some('&') => {
+                    let c = self.parse_entity()?;
+                    let owned = value.to_mut();
+                    owned.push(c);
+                    owned.push_str(self.run(plain));
+                }
                 Some(_) => return Err(self.err(SyntaxErrorKind::StrayMarkup("<".into()))),
             }
         }
@@ -375,27 +380,25 @@ impl<'a> Parser<'a> {
     /// One level of recursion per open element, which [`MAX_DEPTH`] bounds;
     /// the start tag is parsed in a frame of its own so that a level costs
     /// only what the content loop needs.
-    fn parse_element(&mut self) -> Result<Element, SyntaxError> {
-        if self.depth == MAX_DEPTH {
+    fn parse_element(&mut self) -> Result<(), SyntaxError> {
+        if self.doc.depth() == MAX_DEPTH {
             return Err(self.err(SyntaxErrorKind::TooDeep { limit: MAX_DEPTH }));
         }
-        let (mut element, has_content) = self.parse_start_tag()?;
+        let (name, has_content) = self.parse_start_tag()?;
         if has_content {
-            self.depth += 1;
-            let content = self.parse_content(&mut element);
-            self.depth -= 1;
-            content?;
+            self.parse_content(name)?;
         }
-        Ok(element)
+        self.doc.close();
+        Ok(())
     }
 
-    /// Parses `<name attr="v" …>` or `<name …/>`; the flag is whether
-    /// content and a close tag follow.
-    fn parse_start_tag(&mut self) -> Result<(Element, bool), SyntaxError> {
+    /// Parses `<name attr="v" …>` or `<name …/>` and opens the element; the
+    /// flag is whether content and a close tag follow.
+    fn parse_start_tag(&mut self) -> Result<(&'a str, bool), SyntaxError> {
         let pos = self.pos();
         self.expect("<")?;
-        let mut element = Element::new(self.parse_name()?);
-        element.pos = pos;
+        let name = self.parse_name()?;
+        self.doc.open(name, pos)?;
         // Names past the first `SCANNED_ATTRIBUTES`.
         let mut later_names: HashSet<&'a str> = HashSet::new();
 
@@ -408,16 +411,16 @@ impl<'a> Parser<'a> {
             match self.peek() {
                 Some('>') => {
                     self.bump();
-                    return Ok((element, true));
+                    return Ok((name, true));
                 }
                 Some('/') => {
                     self.bump();
                     self.expect(">")?;
-                    return Ok((element, false));
+                    return Ok((name, false));
                 }
                 Some(c) if Self::is_name_start(c) && had_space => {
                     let attr_name = self.parse_name()?;
-                    let attrs = &element.attributes;
+                    let attrs = self.doc.innermost().expect("just opened").attributes();
                     let scanned = &attrs[..attrs.len().min(SCANNED_ATTRIBUTES)];
                     if scanned.iter().any(|(n, _)| n == attr_name)
                         || (attrs.len() >= SCANNED_ATTRIBUTES && !later_names.insert(attr_name))
@@ -428,7 +431,7 @@ impl<'a> Parser<'a> {
                     self.expect("=")?;
                     self.skip_whitespace();
                     let value = self.parse_attr_value()?;
-                    element.attributes.push((attr_name.to_string(), value));
+                    self.doc.attr(attr_name, value)?;
                 }
                 _ => {
                     let found: String = self.rest().chars().take(1).collect();
@@ -441,8 +444,10 @@ impl<'a> Parser<'a> {
         }
     }
 
-    /// Parses an open element's children up to and including its close tag.
-    fn parse_content(&mut self, element: &mut Element) -> Result<(), SyntaxError> {
+    /// Parses the children of the open element `name` up to and including
+    /// its close tag.
+    fn parse_content(&mut self, name: &'a str) -> Result<(), SyntaxError> {
+        // What entity references have made of the character data so far.
         let mut text = String::new();
         loop {
             let run = self.run(|b| b != b'<' && b != b'&');
@@ -454,13 +459,23 @@ impl<'a> Parser<'a> {
                 text.push(self.parse_entity()?);
                 continue;
             }
-            Self::flush_text(&mut text, run, element);
+            // The character data before this piece of markup is a text node
+            // unless it is pure inter-element whitespace.
+            let whole = if text.is_empty() {
+                Cow::Borrowed(run)
+            } else {
+                text.push_str(run);
+                Cow::Owned(std::mem::take(&mut text))
+            };
+            if !whole.trim().is_empty() {
+                self.doc.text(whole)?;
+            }
             if self.starts_with("</") {
                 self.bump_str("</");
                 let close = self.parse_name()?;
-                if close != element.name {
+                if close != name {
                     return Err(self.err(SyntaxErrorKind::MismatchedClose {
-                        open: element.name.clone(),
+                        open: name.to_string(),
                         close: close.to_string(),
                     }));
                 }
@@ -469,46 +484,30 @@ impl<'a> Parser<'a> {
                 return Ok(());
             } else if self.starts_with("<!--") {
                 let c = self.parse_comment()?;
-                element.children.push(Node::Comment(c));
+                self.doc.comment(c)?;
             } else if self.starts_with("<![CDATA[") {
                 let c = self.parse_cdata()?;
-                element.children.push(Node::CData(c));
+                self.doc.cdata(c)?;
             } else if self.starts_with("<?") {
                 self.skip_pi()?;
             } else {
-                let child = self.parse_element()?;
-                element.children.push(Node::Element(child));
+                self.parse_element()?;
             }
         }
-    }
-
-    /// Pushes the character data before a piece of markup — what entity
-    /// references left in `text`, then `run` — as a text node unless it is
-    /// pure inter-element whitespace.
-    fn flush_text(text: &mut String, run: &str, element: &mut Element) {
-        let whole = if text.is_empty() {
-            run
-        } else {
-            text.push_str(run);
-            text.as_str()
-        };
-        if !whole.trim().is_empty() {
-            element.children.push(Node::Text(whole.to_string()));
-        }
-        text.clear();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dom::Node;
     use crate::error::SyntaxErrorKind;
 
     #[test]
     fn minimal_document() {
         let doc = parse_document("<a/>").unwrap();
-        assert_eq!(doc.root.name, "a");
-        assert!(doc.root.attributes.is_empty() && doc.root.children.is_empty());
+        assert_eq!(doc.root().name(), "a");
+        assert!(doc.root().attributes().is_empty() && doc.root().children().next().is_none());
     }
 
     #[test]
@@ -517,8 +516,8 @@ mod tests {
             "<?xml version=\"1.0\" encoding=\"UTF-8\"?>\n<!-- XML HEADER -->\n<Master id=\"0\"/>",
         )
         .unwrap();
-        assert_eq!(doc.prolog_comments, vec![" XML HEADER "]);
-        assert_eq!(doc.root.attribute("id"), Some("0"));
+        assert_eq!(doc.prolog_comments().collect::<Vec<_>>(), [" XML HEADER "]);
+        assert_eq!(doc.root().attribute("id"), Some("0"));
     }
 
     #[test]
@@ -527,7 +526,7 @@ mod tests {
             "<Property fixed=\"true\"><name>ARCHITECTURE</name><value>x86</value></Property>",
         )
         .unwrap();
-        let r = &doc.root;
+        let r = doc.root();
         assert_eq!(r.attribute("fixed"), Some("true"));
         assert_eq!(
             r.first_named("name").unwrap().text_content(),
@@ -539,27 +538,89 @@ mod tests {
     #[test]
     fn entities_resolved() {
         let doc = parse_document("<v a=\"&lt;&amp;&gt;\">&quot;x&apos; &#65;&#x42;</v>").unwrap();
-        assert_eq!(doc.root.attribute("a"), Some("<&>"));
-        assert_eq!(doc.root.text_content(), "\"x' AB");
+        assert_eq!(doc.root().attribute("a"), Some("<&>"));
+        assert_eq!(doc.root().text_content(), "\"x' AB");
+    }
+
+    /// Every string a document holds, in document order.
+    fn strings<'d>(doc: &'d Document) -> Vec<&'d str> {
+        let mut all = Vec::new();
+        for (_, node, _) in doc.nodes() {
+            match node {
+                Node::Element(e) => {
+                    all.push(e.name());
+                    for (n, v) in e.attributes() {
+                        all.extend([&**n, &**v]);
+                    }
+                }
+                Node::Text(t) | Node::Comment(t) | Node::CData(t) => all.push(t),
+            }
+        }
+        all
+    }
+
+    #[test]
+    fn parsed_strings_borrow_the_input() {
+        let inside = |input: &str, s: &str| {
+            let (from, at) = (input.as_ptr() as usize, s.as_ptr() as usize);
+            from <= at && at + s.len() <= from + input.len()
+        };
+        let plain = "<?xml version=\"1.0\"?>\n<!-- head -->\n<pdl:Master id=\"m\" größe='1 > 2'>\n  \
+                     <name>ARCH</name>\n  <!-- note --><![CDATA[<raw>]]>\n  <Worker id=\"w\"/> tail\n\
+                     </pdl:Master>\n<!-- dropped -->";
+        let doc = parse_document(plain).unwrap();
+        let all = strings(&doc);
+        assert_eq!(
+            all,
+            [
+                " head ",
+                "pdl:Master",
+                "id",
+                "m",
+                "größe",
+                "1 > 2",
+                "name",
+                "ARCH",
+                " note ",
+                "<raw>",
+                "Worker",
+                "id",
+                "w",
+                " tail\n"
+            ]
+        );
+        assert!(all.iter().all(|s| inside(plain, s)), "{all:?}");
+        // 3 elements + 5 kept leaves; whitespace between elements is no row.
+        assert_eq!(doc.nodes().count(), 8);
+
+        // An entity reference resolved: that string, and no other, is owned.
+        let resolved = "<a k=\"v\" amp=\"a&amp;b\"><b>plain</b><c>c&amp;d</c></a>";
+        let doc = parse_document(resolved).unwrap();
+        let owned: Vec<&str> = strings(&doc)
+            .into_iter()
+            .filter(|s| !inside(resolved, s))
+            .collect();
+        assert_eq!(owned, ["a&b", "c&d"]);
+        assert_eq!(strings(&doc).len(), 9);
     }
 
     #[test]
     fn cdata_preserved_verbatim() {
         let doc = parse_document("<c><![CDATA[ <not-a-tag> & raw ]]></c>").unwrap();
-        assert_eq!(doc.root.text_content(), "<not-a-tag> & raw");
+        assert_eq!(doc.root().text_content(), "<not-a-tag> & raw");
     }
 
     #[test]
     fn interelement_whitespace_dropped() {
         let doc = parse_document("<a>\n  <b/>\n  <c/>\n</a>").unwrap();
-        assert_eq!(doc.root.children.len(), 2);
+        assert_eq!(doc.root().children().count(), 2);
     }
 
     #[test]
     fn mixed_content_kept() {
         let doc = parse_document("<a>hello <b/> world</a>").unwrap();
-        assert_eq!(doc.root.children.len(), 3);
-        assert_eq!(doc.root.text_content(), "hello  world");
+        assert_eq!(doc.root().children().count(), 3);
+        assert_eq!(doc.root().text_content(), "hello  world");
     }
 
     #[test]
@@ -606,42 +667,42 @@ mod tests {
         )
         .unwrap();
         assert_eq!(
-            doc.root.attribute("xsi:type"),
+            doc.root().attribute("xsi:type"),
             Some("ocl:oclDevicePropertyType")
         );
-        assert_eq!(doc.root.first_named("name").unwrap().name, "ocl:name");
+        assert_eq!(doc.root().first_named("name").unwrap().name(), "ocl:name");
     }
 
     #[test]
     fn doctype_skipped() {
         let doc = parse_document("<!DOCTYPE pdl [<!ELEMENT a ANY>]><a/>").unwrap();
-        assert_eq!(doc.root.name, "a");
+        assert_eq!(doc.root().name(), "a");
     }
 
     #[test]
     fn processing_instructions_skipped_in_content() {
         let doc = parse_document("<a><?pi data?><b/></a>").unwrap();
-        assert_eq!(doc.root.elements().count(), 1);
+        assert_eq!(doc.root().elements().count(), 1);
     }
 
     #[test]
     fn fragment_parsing() {
         let e = parse_fragment("  <Worker id=\"1\"/> ").unwrap();
-        assert_eq!(e.name, "Worker");
+        assert_eq!(e.root().name(), "Worker");
         assert!(parse_fragment("<a/><b/>").is_err());
     }
 
     #[test]
     fn bom_skipped() {
         let doc = parse_document("\u{feff}<a/>").unwrap();
-        assert_eq!(doc.root.name, "a");
+        assert_eq!(doc.root().name(), "a");
     }
 
     #[test]
     fn attribute_whitespace_tolerated() {
         let doc = parse_document("<a x = \"1\"\n y='2'/>").unwrap();
-        assert_eq!(doc.root.attribute("x"), Some("1"));
-        assert_eq!(doc.root.attribute("y"), Some("2"));
+        assert_eq!(doc.root().attribute("x"), Some("1"));
+        assert_eq!(doc.root().attribute("y"), Some("2"));
     }
 
     #[test]
@@ -660,6 +721,6 @@ mod tests {
             s.push_str(&format!("</n{i}>"));
         }
         let doc = parse_document(&s).unwrap();
-        assert_eq!(doc.root.name, "n0");
+        assert_eq!(doc.root().name(), "n0");
     }
 }

@@ -198,7 +198,7 @@ impl SchemaRegistry {
     /// diagnostics can point at the offending source.
     pub fn validate_at(&self, doc: &Document) -> Vec<(SchemaError, Pos)> {
         let mut errs = Vec::new();
-        let root = &doc.root;
+        let root = doc.root();
         match root.local_name() {
             "Platform" => {
                 if let Some(v) = root.attribute("schemaVersion") {
@@ -210,7 +210,7 @@ impl SchemaRegistry {
                                         document: v.to_string(),
                                         tool: self.tool_version.to_string(),
                                     },
-                                    root.pos,
+                                    root.pos(),
                                 ));
                             }
                         }
@@ -220,7 +220,7 @@ impl SchemaRegistry {
                                 attribute: "schemaVersion".into(),
                                 value: v.to_string(),
                             },
-                            root.pos,
+                            root.pos(),
                         )),
                     }
                 }
@@ -233,7 +233,7 @@ impl SchemaRegistry {
                                 element: other.to_string(),
                                 parent: "Platform".to_string(),
                             },
-                            child.pos,
+                            child.pos(),
                         )),
                     }
                 }
@@ -244,20 +244,20 @@ impl SchemaRegistry {
                     element: other.to_string(),
                     parent: String::new(),
                 },
-                root.pos,
+                root.pos(),
             )),
         }
         errs
     }
 
-    fn validate_pu(&self, e: &Element, errs: &mut Vec<(SchemaError, Pos)>) {
+    fn validate_pu(&self, e: Element<'_, '_>, errs: &mut Vec<(SchemaError, Pos)>) {
         if e.attribute("id").is_none() {
             errs.push((
                 SchemaError::MissingAttribute {
                     element: e.local_name().to_string(),
                     attribute: "id",
                 },
-                e.pos,
+                e.pos(),
             ));
         }
         if let Some(q) = e.attribute("quantity") {
@@ -268,7 +268,7 @@ impl SchemaRegistry {
                         attribute: "quantity".into(),
                         value: q.to_string(),
                     },
-                    e.pos,
+                    e.pos(),
                 ));
             }
         }
@@ -282,7 +282,7 @@ impl SchemaRegistry {
                                 element: "MemoryRegion".to_string(),
                                 attribute: "id",
                             },
-                            child.pos,
+                            child.pos(),
                         ));
                     }
                     for d in child.elements() {
@@ -293,7 +293,7 @@ impl SchemaRegistry {
                                     element: other.to_string(),
                                     parent: "MemoryRegion".to_string(),
                                 },
-                                d.pos,
+                                d.pos(),
                             )),
                         }
                     }
@@ -306,7 +306,7 @@ impl SchemaRegistry {
                                 element: "LogicGroupAttribute".to_string(),
                                 attribute: "name",
                             },
-                            child.pos,
+                            child.pos(),
                         ));
                     }
                 }
@@ -320,7 +320,7 @@ impl SchemaRegistry {
                             element: "Master".to_string(),
                             parent: e.local_name().to_string(),
                         },
-                        child.pos,
+                        child.pos(),
                     ));
                 }
                 other => errs.push((
@@ -328,13 +328,13 @@ impl SchemaRegistry {
                         element: other.to_string(),
                         parent: e.local_name().to_string(),
                     },
-                    child.pos,
+                    child.pos(),
                 )),
             }
         }
     }
 
-    fn validate_interconnect(&self, e: &Element, errs: &mut Vec<(SchemaError, Pos)>) {
+    fn validate_interconnect(&self, e: Element<'_, '_>, errs: &mut Vec<(SchemaError, Pos)>) {
         for required in ["type", "from", "to"] {
             if e.attribute(required).is_none() {
                 errs.push((
@@ -346,7 +346,7 @@ impl SchemaRegistry {
                             _ => "to",
                         },
                     },
-                    e.pos,
+                    e.pos(),
                 ));
             }
         }
@@ -358,13 +358,13 @@ impl SchemaRegistry {
                         element: other.to_string(),
                         parent: "Interconnect".to_string(),
                     },
-                    child.pos,
+                    child.pos(),
                 )),
             }
         }
     }
 
-    fn validate_descriptor(&self, e: &Element, errs: &mut Vec<(SchemaError, Pos)>) {
+    fn validate_descriptor(&self, e: Element<'_, '_>, errs: &mut Vec<(SchemaError, Pos)>) {
         for child in e.elements() {
             match child.local_name() {
                 "Property" => self.validate_property(child, errs),
@@ -373,20 +373,20 @@ impl SchemaRegistry {
                         element: other.to_string(),
                         parent: e.local_name().to_string(),
                     },
-                    child.pos,
+                    child.pos(),
                 )),
             }
         }
     }
 
-    fn validate_property(&self, e: &Element, errs: &mut Vec<(SchemaError, Pos)>) {
+    fn validate_property(&self, e: Element<'_, '_>, errs: &mut Vec<(SchemaError, Pos)>) {
         // xsi:type → subschema reference check.
         if let Some(t) = e.attribute("xsi:type") {
             match t.split_once(':') {
                 Some((prefix, type_name)) => match self.subschema(prefix) {
-                    None => errs.push((SchemaError::UnknownSubschema(t.to_string()), e.pos)),
+                    None => errs.push((SchemaError::UnknownSubschema(t.to_string()), e.pos())),
                     Some(sub) => match sub.property_type(type_name) {
-                        None => errs.push((SchemaError::UnknownSubschema(t.to_string()), e.pos)),
+                        None => errs.push((SchemaError::UnknownSubschema(t.to_string()), e.pos())),
                         Some(_) => {
                             if let Some(name_el) = e.first_named("name") {
                                 let prop_name = name_el.text_content();
@@ -394,16 +394,16 @@ impl SchemaRegistry {
                                     errs.push((
                                         SchemaError::UnknownSubschemaProperty {
                                             subschema: prefix.to_string(),
-                                            property: prop_name,
+                                            property: prop_name.into_owned(),
                                         },
-                                        name_el.pos,
+                                        name_el.pos(),
                                     ));
                                 }
                             }
                         }
                     },
                 },
-                None => errs.push((SchemaError::UnknownSubschema(t.to_string()), e.pos)),
+                None => errs.push((SchemaError::UnknownSubschema(t.to_string()), e.pos())),
             }
         }
         // `fixed` must be boolean when present.
@@ -415,7 +415,7 @@ impl SchemaRegistry {
                         attribute: "fixed".into(),
                         value: fixed.to_string(),
                     },
-                    e.pos,
+                    e.pos(),
                 ));
             }
         }
@@ -428,7 +428,7 @@ impl SchemaRegistry {
                         element: other.to_string(),
                         parent: "Property".to_string(),
                     },
-                    child.pos,
+                    child.pos(),
                 )),
             }
         }

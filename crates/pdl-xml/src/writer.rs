@@ -1,7 +1,6 @@
 //! XML serialization: escaping and pretty-printing.
 
-use crate::dom::{Document, Element, Node};
-use std::fmt::Write as _;
+use crate::dom::{Document, Node};
 
 /// Output options for the writer.
 #[derive(Debug, Clone)]
@@ -60,54 +59,70 @@ pub(crate) fn write_document(doc: &Document) -> String {
     write_document_with(doc, &WriteOptions::default())
 }
 
-/// Serializes a document with explicit options.
+/// Serializes a document with explicit options: one pass over its nodes in
+/// document order, the elements still open around the cursor on a stack.
 pub(crate) fn write_document_with(doc: &Document, opts: &WriteOptions) -> String {
+    /// An element whose close tag is still to come.
+    struct Open<'d> {
+        name: &'d str,
+        /// The row its subtree ends before.
+        end: u32,
+        /// Text-only elements are rendered inline: <name>value</name>.
+        text_only: bool,
+    }
+    let pad = |out: &mut String, depth: usize| (0..depth).for_each(|_| out.push_str(&opts.indent));
+    let close = |out: &mut String, open: &mut Vec<Open>| {
+        let e = open.pop().expect("an open element");
+        if !e.text_only {
+            out.push('\n');
+            pad(out, open.len());
+        }
+        out.push_str("</");
+        out.push_str(e.name);
+        out.push('>');
+    };
+
     let mut out = String::new();
     if opts.declaration {
         out.push_str("<?xml version=\"1.0\" encoding=\"UTF-8\"?>\n");
     }
-    for c in &doc.prolog_comments {
-        let _ = writeln!(out, "<!--{c}-->");
-    }
-    write_element(&mut out, &doc.root, 0, opts);
-    out.push('\n');
-    out
-}
-
-fn write_element(out: &mut String, e: &Element, depth: usize, opts: &WriteOptions) {
-    let pad = |out: &mut String, depth: usize| (0..depth).for_each(|_| out.push_str(&opts.indent));
-    pad(out, depth);
-    out.push('<');
-    out.push_str(&e.name);
-    for (n, v) in &e.attributes {
-        out.push(' ');
-        out.push_str(n);
-        out.push_str("=\"");
-        escape_into(out, v, attr_entity);
-        out.push('"');
-    }
-    if e.children.is_empty() {
-        out.push_str("/>");
-        return;
-    }
-    out.push('>');
-
-    // Text-only elements are rendered inline: <name>value</name>.
-    let text_only = e
-        .children
-        .iter()
-        .all(|c| matches!(c, Node::Text(_) | Node::CData(_)));
-    for c in &e.children {
-        if !text_only {
-            out.push('\n');
-            if !matches!(c, Node::Element(_)) {
-                pad(out, depth + 1);
-            }
+    let mut open: Vec<Open> = Vec::new();
+    for (row, node, end) in doc.nodes() {
+        while open.last().is_some_and(|e| e.end == row) {
+            close(&mut out, &mut open);
         }
-        match c {
-            Node::Element(child) => write_element(out, child, depth + 1, opts),
-            Node::Text(t) if text_only => escape_into(out, t, text_entity),
-            Node::Text(t) => escape_into(out, t.trim(), text_entity),
+        let inline = open.last().is_some_and(|e| e.text_only);
+        if !open.is_empty() && !inline {
+            out.push('\n');
+            pad(&mut out, open.len());
+        }
+        match node {
+            Node::Element(e) => {
+                out.push('<');
+                out.push_str(e.name());
+                for (n, v) in e.attributes() {
+                    out.push(' ');
+                    out.push_str(n);
+                    out.push_str("=\"");
+                    escape_into(&mut out, v, attr_entity);
+                    out.push('"');
+                }
+                if end == row + 1 {
+                    out.push_str("/>");
+                } else {
+                    out.push('>');
+                    let text_only = e
+                        .children()
+                        .all(|c| matches!(c, Node::Text(_) | Node::CData(_)));
+                    open.push(Open {
+                        name: e.name(),
+                        end,
+                        text_only,
+                    });
+                }
+            }
+            Node::Text(t) if inline => escape_into(&mut out, t, text_entity),
+            Node::Text(t) => escape_into(&mut out, t.trim(), text_entity),
             Node::CData(t) => {
                 out.push_str("<![CDATA[");
                 out.push_str(t);
@@ -117,22 +132,33 @@ fn write_element(out: &mut String, e: &Element, depth: usize, opts: &WriteOption
                 out.push_str("<!--");
                 out.push_str(t);
                 out.push_str("-->");
+                // Before the root element: a line of its own.
+                if open.is_empty() {
+                    out.push('\n');
+                }
             }
         }
     }
-    if !text_only {
-        out.push('\n');
-        pad(out, depth);
+    while !open.is_empty() {
+        close(&mut out, &mut open);
     }
-    out.push_str("</");
-    out.push_str(&e.name);
-    out.push('>');
+    out.push('\n');
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::Pos;
     use crate::parser::parse_document;
+
+    /// An element in the making; `close` it when its children are in.
+    fn open<'a>(doc: &mut Document<'a>, name: &'a str, attrs: &[(&'a str, &'a str)]) {
+        doc.open(name, Pos::default()).unwrap();
+        for &(n, v) in attrs {
+            doc.attr(n, v).unwrap();
+        }
+    }
 
     #[test]
     fn escaping() {
@@ -150,24 +176,29 @@ mod tests {
 
     #[test]
     fn mixed_content_layout_is_pinned() {
-        let mut e = Element::new("a")
-            .attr("k", "x\ty\n\"<&>ü")
-            .child(Element::new("b").text(" <in&line> ü "))
-            .text("  loose > text  ");
-        e.children.push(Node::Comment(" note ".into()));
-        e.children
-            .push(Node::Element(Element::new("c").child(Element::new("d"))));
-        e.children.push(Node::CData("raw <&>".into()));
-        e.children.push(Node::Element(Element {
-            children: vec![Node::Text("t".into()), Node::CData("u".into())],
-            ..Element::new("e")
-        }));
+        let mut doc = Document::default();
+        open(&mut doc, "a", &[("k", "x\ty\n\"<&>ü")]);
+        open(&mut doc, "b", &[]);
+        doc.text(" <in&line> ü ").unwrap();
+        doc.close();
+        doc.text("  loose > text  ").unwrap();
+        doc.comment(" note ").unwrap();
+        open(&mut doc, "c", &[]);
+        open(&mut doc, "d", &[]);
+        doc.close();
+        doc.close();
+        doc.cdata("raw <&>").unwrap();
+        open(&mut doc, "e", &[]);
+        doc.text("t").unwrap();
+        doc.cdata("u").unwrap();
+        doc.close();
+        doc.close();
         let opts = WriteOptions {
             indent: "\t".into(),
             declaration: false,
         };
         assert_eq!(
-            write_document_with(&Document::new(e), &opts),
+            write_document_with(&doc, &opts),
             "<a k=\"x&#9;y&#10;&quot;&lt;&amp;>ü\">\n\
              \t<b> &lt;in&amp;line&gt; ü </b>\n\
              \tloose &gt; text\n\
@@ -183,11 +214,15 @@ mod tests {
 
     #[test]
     fn self_closing_and_inline_text() {
-        let e = Element::new("Master")
-            .attr("id", "0")
-            .child(Element::new("name").text("ARCHITECTURE"))
-            .child(Element::new("Worker").attr("id", "1"));
-        let s = write_document(&Document::new(e));
+        let mut doc = Document::default();
+        open(&mut doc, "Master", &[("id", "0")]);
+        open(&mut doc, "name", &[]);
+        doc.text("ARCHITECTURE").unwrap();
+        doc.close();
+        open(&mut doc, "Worker", &[("id", "1")]);
+        doc.close();
+        doc.close();
+        let s = write_document(&doc);
         assert!(s.contains("<name>ARCHITECTURE</name>"));
         assert!(s.contains("<Worker id=\"1\"/>"));
     }
@@ -198,19 +233,19 @@ mod tests {
         let doc1 = parse_document(src).unwrap();
         let out = write_document(&doc1);
         let doc2 = parse_document(&out).unwrap();
-        assert_eq!(doc1.root, doc2.root);
+        assert_eq!(doc1, doc2);
     }
 
     #[test]
     fn round_trip_with_special_characters() {
-        let e = Element::new("v")
-            .attr("a", "x<y & \"z\"")
-            .text("body <&> text");
-        let doc = Document::new(e);
+        let mut doc = Document::default();
+        open(&mut doc, "v", &[("a", "x<y & \"z\"")]);
+        doc.text("body <&> text").unwrap();
+        doc.close();
         let out = write_document(&doc);
         let back = parse_document(&out).unwrap();
-        assert_eq!(back.root.attribute("a"), Some("x<y & \"z\""));
-        assert_eq!(back.root.text_content(), "body <&> text");
+        assert_eq!(back.root().attribute("a"), Some("x<y & \"z\""));
+        assert_eq!(back.root().text_content(), "body <&> text");
     }
 
     #[test]
@@ -219,12 +254,14 @@ mod tests {
         let doc = parse_document(src).unwrap();
         let out = write_document(&doc);
         let back = parse_document(&out).unwrap();
-        assert_eq!(back.root.text_content(), "raw <markup> & stuff");
+        assert_eq!(back.root().text_content(), "raw <markup> & stuff");
     }
 
     #[test]
     fn declaration_togglable() {
-        let doc = Document::new(Element::new("a"));
+        let mut doc = Document::default();
+        open(&mut doc, "a", &[]);
+        doc.close();
         let with = write_document(&doc);
         assert!(with.starts_with("<?xml"));
         let without = write_document_with(
@@ -239,8 +276,10 @@ mod tests {
 
     #[test]
     fn prolog_comments_written() {
-        let mut doc = Document::new(Element::new("a"));
-        doc.prolog_comments.push(" XML HEADER ".into());
+        let mut doc = Document::default();
+        doc.comment(" XML HEADER ").unwrap();
+        open(&mut doc, "a", &[]);
+        doc.close();
         let out = write_document(&doc);
         assert!(out.contains("<!-- XML HEADER -->"));
     }
@@ -252,6 +291,6 @@ mod tests {
         let out = write_document(&doc);
         assert!(out.contains("<!-- Additional properties -->"));
         let back = parse_document(&out).unwrap();
-        assert_eq!(doc.root, back.root);
+        assert_eq!(doc, back);
     }
 }

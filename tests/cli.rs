@@ -275,6 +275,43 @@ fn hostile_xml_and_group_nesting_are_diagnostics_not_aborts() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// One finding per element, 40 000 times: giving each its `line:col` used
+/// to scan the document from the top per finding (15 s in a release build
+/// for this 0.9 MB file, four times that at twice the size). The ids are
+/// looked up in one map now, so the wall cap scales with the input.
+#[test]
+fn check_cost_is_linear_in_findings() {
+    const WORKERS: usize = 40_000;
+    let dir = std::env::temp_dir().join(format!("pdl-cli-wide-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let file = dir.join("wide.xml");
+    let mut xml = String::from("<Master id=\"m\" quantity=\"0\">\n");
+    for i in 0..WORKERS {
+        xml.push_str(&format!("  <Worker id=\"w{i}\"/>\n"));
+    }
+    xml.push_str("</Master>\n");
+    std::fs::write(&file, xml).unwrap();
+    let path = file.to_str().unwrap();
+
+    let started = std::time::Instant::now();
+    let out = Command::new(env!("CARGO_BIN_EXE_pdl"))
+        .args(["check", path])
+        .output()
+        .expect("binary runs");
+    let took = started.elapsed();
+    assert_eq!(out.status.code(), Some(1));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let unreachable: Vec<&str> = stdout.lines().filter(|l| l.contains("[P102]")).collect();
+    assert_eq!(unreachable.len(), WORKERS);
+    // Each points at its own element: Worker `i` stands on line `i + 2`.
+    for (i, line) in unreachable.iter().enumerate() {
+        let at = format!("{path}:{}:3: error[P102]: processing unit \"w{i}\"", i + 2);
+        assert!(line.starts_with(&at), "{line}");
+    }
+    assert!(took < std::time::Duration::from_secs(5), "{took:?}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A span that ends before it starts used to become 2^64 − 50 ns of blame
 /// in a release build and an overflow panic in a debug build, both with
 /// exit code 0 or a backtrace. Every command that profiles a trace now

@@ -1,21 +1,60 @@
-//! Guards `pdl_xml::parser::parse_document`; goes when it does.
+//! Guards `pdl_xml::parser::parse_document` and `pdl_xml::dom::Document`; goes when they do.
 //!
 //! The XML parser's oracle, kept here and not in the shipped crate.
 //!
 //! `pdl_xml::parser` consumes character data, attribute values, names and
-//! whitespace a run at a time and carries line/column along in the same
-//! byte scan. The cursor it replaced — one `char` per step, a line/column
-//! update and a `String::push` each — lives on in [`oracle`] as the
-//! reference. Both must produce the same tree with the same
-//! [`Element::pos`] on every element, or the same `SyntaxError` kind at the
-//! same position, on every input: every descriptor `pdl_discover`
-//! generates, the example corpora (well-formed and not), and generated
+//! whitespace a run at a time, carries line/column along in the same byte
+//! scan, and pushes what it finds into a flat `pdl_xml::dom::Document` whose
+//! strings borrow the input. What it replaced — a cursor taking one `char`
+//! per step, a line/column update and a `String::push` each, building a
+//! tree of owned [`Element`]s with a `Vec` of children apiece — lives on in
+//! [`oracle`] as the reference. Both must produce the same nodes in the
+//! same order with the same position on every element, or the same
+//! `SyntaxError` kind at the same position, on every input: every
+//! descriptor `pdl_discover` generates, the example corpora (well-formed and
+//! not), the paper's listings cut at every character, and generated
 //! documents with everything the parser knows about, cut at a random
 //! character boundary.
 
-use pdl_xml::dom::{Document, Element, Node};
+use pdl_xml::dom;
 use pdl_xml::error::{Pos, SyntaxError, SyntaxErrorKind};
 use proptest::prelude::*;
+
+/// A node of the owned tree `pdl_xml::dom` was.
+#[derive(Debug, Clone, PartialEq)]
+enum Node {
+    Element(Element),
+    Text(String),
+    Comment(String),
+    CData(String),
+}
+
+/// The element `pdl_xml::dom::Element` was: a name, a `Vec` of attributes
+/// and a `Vec` of children, each string its own.
+#[derive(Debug, Clone, Default, PartialEq)]
+struct Element {
+    name: String,
+    attributes: Vec<(String, String)>,
+    children: Vec<Node>,
+    /// Position of the opening `<`.
+    pos: Pos,
+}
+
+impl Element {
+    fn new(name: impl Into<String>) -> Self {
+        Element {
+            name: name.into(),
+            ..Default::default()
+        }
+    }
+}
+
+/// The document `pdl_xml::dom::Document` was.
+#[derive(Debug)]
+struct Document {
+    prolog_comments: Vec<String>,
+    root: Element,
+}
 
 /// The per-`char` cursor `pdl_xml::parser` used before run scanning,
 /// verbatim apart from its entry point's visibility.
@@ -424,48 +463,70 @@ mod oracle {
     }
 }
 
-/// Flattens a tree into (depth, position, name, attributes, non-element
-/// children) rows: `Element`'s own `==` ignores `pos`, this does not.
-fn walk<'a>(
-    e: &'a Element,
-    depth: usize,
-    rows: &mut Vec<(usize, Pos, &'a Element, Vec<&'a Node>)>,
-) {
-    let leaves = e
-        .children
-        .iter()
-        .filter(|c| c.as_element().is_none())
-        .collect();
-    rows.push((depth, e.pos, e, leaves));
-    for child in e.elements() {
-        walk(child, depth + 1, rows);
+/// One node as either tree has it: depth, what it is, its name or text,
+/// and for an element its position and attributes.
+type Row<'x> = (usize, &'static str, &'x str, Pos, Vec<(&'x str, &'x str)>);
+
+fn leaf<'x>(depth: usize, kind: &'static str, text: &'x str) -> Row<'x> {
+    (depth, kind, text, Pos::default(), Vec::new())
+}
+
+/// The owned tree's nodes in document order.
+fn owned_rows<'x>(e: &'x Element, depth: usize, rows: &mut Vec<Row<'x>>) {
+    let attributes = e.attributes.iter().map(|(n, v)| (&**n, &**v)).collect();
+    rows.push((depth, "element", &e.name, e.pos, attributes));
+    for child in &e.children {
+        match child {
+            Node::Element(child) => owned_rows(child, depth + 1, rows),
+            Node::Text(t) => rows.push(leaf(depth + 1, "text", t)),
+            Node::Comment(t) => rows.push(leaf(depth + 1, "comment", t)),
+            Node::CData(t) => rows.push(leaf(depth + 1, "cdata", t)),
+        }
     }
 }
 
-fn assert_same(input: &str) {
+/// The shipped document's nodes in document order.
+fn shipped_rows<'x>(e: dom::Element<'x, '_>, depth: usize, rows: &mut Vec<Row<'x>>) {
+    let attributes = e.attributes().iter().map(|(n, v)| (&**n, &**v)).collect();
+    rows.push((depth, "element", e.name(), e.pos(), attributes));
+    for child in e.children() {
+        match child {
+            dom::Node::Element(child) => shipped_rows(child, depth + 1, rows),
+            dom::Node::Text(t) => rows.push(leaf(depth + 1, "text", t)),
+            dom::Node::Comment(t) => rows.push(leaf(depth + 1, "comment", t)),
+            dom::Node::CData(t) => rows.push(leaf(depth + 1, "cdata", t)),
+        }
+    }
+}
+
+/// Both parsers on `input`: the same rows or the same error, which is
+/// returned.
+fn assert_same(input: &str) -> Option<SyntaxError> {
     let new = pdl_xml::parse_document(input);
     let old = oracle::parse_document(input);
-    match (&new, &old) {
+    match (new, old) {
         (Ok(new), Ok(old)) => {
-            assert_eq!(new.prolog_comments, old.prolog_comments, "{input:?}");
-            assert_eq!(new.root, old.root, "{input:?}");
+            let comments: Vec<&str> = new.prolog_comments().collect();
+            assert_eq!(comments, old.prolog_comments, "{input:?}");
             let (mut a, mut b) = (Vec::new(), Vec::new());
-            walk(&new.root, 0, &mut a);
-            walk(&old.root, 0, &mut b);
+            shipped_rows(new.root(), 0, &mut a);
+            owned_rows(&old.root, 0, &mut b);
             assert_eq!(a.len(), b.len(), "{input:?}");
             for (x, y) in a.iter().zip(&b) {
-                assert_eq!((x.0, x.1, &x.2.name), (y.0, y.1, &y.2.name), "{input:?}");
-                assert_eq!(x.2.attributes, y.2.attributes, "{input:?}");
-                assert_eq!(x.3, y.3, "{input:?}");
+                assert_eq!(x, y, "{input:?}");
             }
+            None
         }
-        (Err(new), Err(old)) => assert_eq!(new, old, "{input:?}"),
-        _ => panic!("parsers disagree on {input:?}:\n new {new:?}\n old {old:?}"),
+        (Err(new), Err(old)) => {
+            assert_eq!(new, old, "{input:?}");
+            Some(new)
+        }
+        (new, old) => panic!("parsers disagree on {input:?}:\n new {new:?}\n old {old:?}"),
     }
 }
 
-#[test]
-fn generated_descriptors_parse_identically() {
+/// Every built-in catalog platform, then six synthetic ones.
+fn descriptors() -> Vec<pdl_core::platform::Platform> {
     use pdl_discover::synthetic;
     let mut all: Vec<_> = pdl_discover::catalog::Catalog::with_builtin_platforms()
         .iter()
@@ -479,10 +540,82 @@ fn generated_descriptors_parse_identically() {
         synthetic::xeon_2gpu_nvlink_testbed(),
         synthetic::cell_be(),
     ]);
-    for platform in &all {
+    all
+}
+
+#[test]
+fn generated_descriptors_parse_identically() {
+    for platform in &descriptors() {
         let xml = pdl_xml::to_xml(platform);
-        assert!(pdl_xml::parse_document(&xml).is_ok(), "{}", platform.name);
-        assert_same(&xml);
+        assert!(assert_same(&xml).is_none(), "{}", platform.name);
+    }
+}
+
+/// `to_xml` writes the bytes the owned tree's writer wrote: FNV-1a of each
+/// of [`descriptors`], recorded at the last commit that had that tree.
+#[test]
+fn to_xml_bytes_are_pinned() {
+    let digests: Vec<(String, u64)> = descriptors()
+        .iter()
+        .map(|p| {
+            let h = pdl_xml::to_xml(p)
+                .bytes()
+                .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+                    (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+                });
+            (p.name.clone(), h)
+        })
+        .collect();
+    let pinned: [(&str, u64); 11] = [
+        ("cell-be", 0x2687_c610_d941_bfdd),
+        ("gpgpu-cluster-4x2", 0x1703_714f_2eae_b7d3),
+        ("numa-2x4", 0xd3fd_f6d3_b084_ca32),
+        ("xeon-x5550-8core", 0x70fa_6b9e_7344_cf16),
+        ("xeon-x5550-gtx480-gtx285", 0xb3da_40e5_805f_ecec),
+        ("gpgpu-cluster-16x3", 0xe5c6_c583_5fc9_72bd),
+        ("numa-4x8", 0x6e15_3c93_4329_e5d0),
+        ("xeon-x5550-8core", 0x70fa_6b9e_7344_cf16),
+        ("xeon-x5550-gtx480-gtx285", 0xb3da_40e5_805f_ecec),
+        ("xeon-x5550-gtx480-gtx285-nvlink", 0x0bb5_1e67_a8ca_549b),
+        ("cell-be", 0x2687_c610_d941_bfdd),
+    ];
+    for (got, want) in digests.iter().zip(pinned) {
+        assert_eq!((got.0.as_str(), got.1), want, "{:#018x}", got.1);
+    }
+    assert_eq!(digests.len(), pinned.len());
+}
+
+/// The raw string a listing's golden test holds, out of that test's source.
+fn listing(test_source: &str) -> &str {
+    let (_, rest) = test_source.split_once("r#\"").expect("a raw string");
+    rest.split_once("\"#").expect("its end").0.trim_end()
+}
+
+/// A document cut short is an error, found no later than where the text
+/// ends — after every character of both of the paper's listings and of one
+/// generated descriptor (a small one: the work is quadratic in its length).
+#[test]
+fn truncation_at_every_character_is_the_same_error() {
+    let cluster = pdl_xml::to_xml(&pdl_discover::synthetic::gpgpu_cluster(1, 1));
+    for doc in [
+        listing(include_str!("listing1.rs")),
+        listing(include_str!("listing2.rs")),
+        cluster.trim_end(),
+    ] {
+        assert!(assert_same(doc).is_none(), "whole, it parses");
+        let (mut line, mut col) = (1, 1);
+        for (cut, c) in doc.char_indices() {
+            let e = assert_same(&doc[..cut]).expect("a proper prefix is no document");
+            assert!(
+                (e.pos.line, e.pos.col) <= (line, col),
+                "{e} past {line}:{col}"
+            );
+            (line, col) = if c == '\n' {
+                (line + 1, 1)
+            } else {
+                (line, col + 1)
+            };
+        }
     }
 }
 
