@@ -3,21 +3,25 @@
 # and at this checkout, and holds the second to the first.
 #
 # Builds both `pipeline-ledger` binaries offline (the base in a temporary
-# `git worktree`), then runs every workload of BENCHMARK.json for three
-# pairs of five seconds: pair k uses seed k on both sides, and the side
-# that goes first alternates, because the host drifts by more than the
-# bounds within minutes and only neighbouring runs compare. A run exits
+# `git worktree`), then runs every workload of BENCHMARK.json for `pairs`
+# (default three) pairs of five seconds: pair k uses seed k on both sides,
+# and the side that goes first alternates, because the host drifts by more
+# than the bounds within minutes and only neighbouring runs compare. A run exits
 # non-zero when a pass fails one of the workload's own correctness checks,
 # and that ends the script. Last, `pipeline-ledger --compare base head`
 # applies BENCHMARK.json's bounds to the medians and requires zero failed
-# operations and bit-identical simulated makespans.
+# operations and bit-identical simulated makespans, and its verdict is the
+# script's exit code. After it, one line per workload and end-to-end metric
+# counts the pairs in which head was ahead and behind: medians say how far,
+# the sign count says how reliably, and a claimed gain needs both.
 #
 # Head results are left in benchmark/out/ (CI uploads them).
 #
-# Usage: ci/ledger_compare.sh <base-ref>
+# Usage: ci/ledger_compare.sh <base-ref> [pairs]
 set -euo pipefail
 
-base_ref="${1:?usage: ci/ledger_compare.sh <base-ref>}"
+base_ref="${1:?usage: ci/ledger_compare.sh <base-ref> [pairs]}"
+pairs="${2:-3}"
 root="$(git -C "$(dirname "$0")/.." rev-parse --show-toplevel)"
 work="$(mktemp -d)"
 cleanup() {
@@ -48,7 +52,7 @@ run() {
     (cd "$checkout" && "./$ledger" --workload "$2" --seed "$3" --seconds 5 --out "$out")
 }
 
-for pair in 1 2 3; do
+for pair in $(seq "$pairs"); do
     sides="base head"
     if [ $((pair % 2)) -eq 0 ]; then
         sides="head base"
@@ -60,4 +64,33 @@ for pair in 1 2 3; do
     done
 done
 
-"$root/$ledger" --compare "$work/out" "$root/benchmark/out"
+status=0
+"$root/$ledger" --compare "$work/out" "$root/benchmark/out" || status=$?
+
+# value <result file> <metric>: the number under "metrics" → <metric> → "value".
+value() {
+    awk -v key="\"$2\": {" 'index($0, key) { getline; sub(/.*: /, ""); sub(/,.*/, ""); print; exit }' "$1"
+}
+
+echo
+echo "sign counts, pair k of base against pair k of head:"
+sed -n '/"end_to_end"/,/"per_layer"/p' "$root/BENCHMARK.json" |
+    awk -F'"' '/"name"/ { name = $4 } /"better"/ { print name, $4 }' |
+    while read -r metric better; do
+        for workload in $workloads; do
+            ahead=0 behind=0
+            for pair in $(seq "$pairs"); do
+                b="$(value "$work/out/$workload.seed$pair.json" "$metric")"
+                h="$(value "$root/benchmark/out/$workload.seed$pair.json" "$metric")"
+                case "$(awk -v b="$b" -v h="$h" -v better="$better" 'BEGIN {
+                    d = (better == "lower") ? b - h : h - b
+                    print (d > 0) ? "ahead" : (d < 0) ? "behind" : "level" }')" in
+                ahead) ahead=$((ahead + 1)) ;;
+                behind) behind=$((behind + 1)) ;;
+                esac
+            done
+            printf '  %-18s %-12s head better in %d of %d pairs, worse in %d\n' \
+                "$workload" "$metric" "$ahead" "$pairs" "$behind"
+        done
+    done
+exit "$status"

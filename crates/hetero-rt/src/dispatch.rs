@@ -19,16 +19,21 @@ use simhw::time::{Duration, SimTime};
 
 /// Per-run look-up tables replacing per-dispatch `variant_for` string
 /// matching (and its software-platform `Vec` allocations) and group-name
-/// comparisons with indexed loads.
+/// comparisons with indexed loads. The only place that decides which
+/// devices a task may use.
 pub(crate) struct DispatchTables<'g> {
     /// The graph whose tasks are dispatched: it knows each task's group index.
     graph: &'g TaskGraph,
     /// `[codelet][device]`: speedup of the variant the device would run,
     /// `None` when it can run none.
     variants: Vec<Vec<Option<f64>>>,
-    /// `[group][device]`: device membership of every execution group the
-    /// graph interned, indexed like the graph's group list.
-    groups: Vec<Vec<bool>>,
+    /// `[codelet × (groups + 1) + group slot]` (slot 0 = unrestricted,
+    /// 1 + g = the graph's g-th execution group): the pair's class.
+    class_of: Vec<usize>,
+    /// Per eligibility class, the devices its tasks may run on (variant-
+    /// compatible ∩ execution group) in device order. Pairs with equal
+    /// lists share a class.
+    classes: Vec<Vec<DeviceId>>,
 }
 
 impl<'g> DispatchTables<'g> {
@@ -38,7 +43,7 @@ impl<'g> DispatchTables<'g> {
             .iter()
             .map(|d| d.software_platforms.iter().map(String::as_str).collect())
             .collect();
-        let variants = graph
+        let variants: Vec<Vec<Option<f64>>> = graph
             .codelets
             .iter()
             .map(|codelet| {
@@ -50,32 +55,44 @@ impl<'g> DispatchTables<'g> {
                     .collect()
             })
             .collect();
-        let groups = graph
-            .groups()
-            .iter()
-            .map(|g| {
-                machine
-                    .devices
-                    .iter()
-                    .map(|d| d.groups.contains(g))
-                    .collect()
-            })
-            .collect();
+        let mut classes: Vec<Vec<DeviceId>> = Vec::new();
+        let mut class_of = Vec::with_capacity(variants.len() * (graph.groups().len() + 1));
+        for runs in &variants {
+            for group in std::iter::once(None).chain(graph.groups().iter().map(Some)) {
+                let devices: Vec<DeviceId> = (0..machine.len())
+                    .filter(|&d| runs[d].is_some())
+                    .filter(|&d| group.is_none_or(|g| machine.devices[d].groups.contains(g)))
+                    .map(DeviceId)
+                    .collect();
+                let known = classes.iter().position(|c| *c == devices);
+                class_of.push(known.unwrap_or_else(|| {
+                    classes.push(devices);
+                    classes.len() - 1
+                }));
+            }
+        }
         DispatchTables {
             graph,
             variants,
-            groups,
+            class_of,
+            classes,
         }
     }
 
-    /// Devices able to run `task` (variant-compatible ∩ execution group),
-    /// in device order.
-    pub(crate) fn eligible(&self, task: Task<'_>) -> impl Iterator<Item = DeviceId> + '_ {
-        let variants = &self.variants[task.codelet];
-        let group = self.graph.group_index(task.id).map(|g| &self.groups[g]);
-        (0..variants.len())
-            .filter(move |&d| variants[d].is_some() && group.is_none_or(|g| g[d]))
-            .map(DeviceId)
+    /// How many eligibility classes the run has.
+    pub(crate) fn class_count(&self) -> usize {
+        self.classes.len()
+    }
+
+    /// The eligibility class of `task`.
+    pub(crate) fn class_of(&self, task: Task<'_>) -> usize {
+        let slot = self.graph.group_index(task.id).map_or(0, |g| g + 1);
+        self.class_of[task.codelet * (self.graph.groups().len() + 1) + slot]
+    }
+
+    /// Devices able to run the tasks of `class`, in device order.
+    pub(crate) fn devices(&self, class: usize) -> &[DeviceId] {
+        &self.classes[class]
     }
 
     /// Analytic compute time of `task` on an eligible `device`:
@@ -197,5 +214,63 @@ mod tests {
         assert_eq!(list.unwrap_err(), expected);
         let online = simulate_dynamic(&g, &machine, &mut EagerScheduler, &options);
         assert_eq!(online.unwrap_err(), expected);
+    }
+
+    /// A rate no duration can be divided by is refused before anything is
+    /// charged, by the constructor both engines share.
+    #[test]
+    fn a_device_without_a_usable_rate_is_an_error_in_both_engines() {
+        let mut g = TaskGraph::new();
+        let c = g.add_codelet(Codelet::new("k").with_variant(Variant::new("x86")));
+        g.submit(c, "t", 1e9, [], None);
+        let options = SimOptions::default();
+        for rate in [0.0, -9.576e9, f64::INFINITY] {
+            let mut machine =
+                SimMachine::from_platform(&pdl_discover::synthetic::xeon_2gpu_testbed());
+            machine.devices[3].flops_dp = rate;
+            let expected = RtError::UnusableRate {
+                pu_id: machine.devices[3].pu_id.clone(),
+                flops_dp: rate,
+            };
+            let list = simulate(&g, &machine, &mut HeftScheduler, &options);
+            assert_eq!(list.unwrap_err(), expected);
+            let online = simulate_dynamic(&g, &machine, &mut HeftScheduler, &options);
+            assert_eq!(online.unwrap_err(), expected);
+            assert!(expected.to_string().contains(&machine.devices[3].pu_id));
+        }
+    }
+
+    /// Equal device lists are one class whichever (codelet, group) pair
+    /// they come from; a pair nothing can run is a class without devices.
+    #[test]
+    fn pairs_with_equal_device_lists_share_a_class() {
+        let machine = SimMachine::from_platform(&pdl_discover::synthetic::xeon_2gpu_testbed());
+        let mut g = TaskGraph::new();
+        let x86 = g.add_codelet(Codelet::new("x").with_variant(Variant::new("x86")));
+        let both = g.add_codelet(
+            Codelet::new("b")
+                .with_variant(Variant::new("x86"))
+                .with_variant(Variant::new("gpu").requiring("Cuda")),
+        );
+        let ids = [
+            g.submit(x86, "t0", 1e9, [], None),
+            g.submit(both, "t1", 1e9, [], Some("cpus")),
+            g.submit(x86, "t2", 1e9, [], Some("cpus")),
+            g.submit(both, "t3", 1e9, [], None),
+            g.submit(both, "t4", 1e9, [], Some("gpus")),
+        ];
+        let tables = super::DispatchTables::new(&g, &machine);
+        let class = ids.map(|t| tables.class_of(g.task(t)));
+        assert_eq!(class[0], class[1]);
+        assert_eq!(class[0], class[2]);
+        assert_ne!(class[0], class[3]);
+        assert_ne!(class[3], class[4]);
+        assert_eq!(tables.devices(class[3]).len(), machine.len());
+        assert!(tables
+            .devices(class[4])
+            .iter()
+            .all(|d| machine.devices[d.0].arch == "gpu"));
+        // x86 codelet × gpus group: unused here, and empty.
+        assert_eq!(tables.class_count(), 4);
     }
 }

@@ -7,11 +7,18 @@
 //! idle devices. This engine models that loop with a discrete-event queue
 //! ([`simhw::events::EventQueue`]):
 //!
-//! 1. all dependency-free tasks enter the ready pool at t = 0;
-//! 2. whenever a device is idle and the pool is non-empty, the policy picks
-//!    a placement; transfers and compute are charged as in the list engine;
+//! 1. all dependency-free tasks enter the ready pool at t = 0. The pool is
+//!    one priority queue per *eligibility class* — a distinct set of
+//!    devices a task may run on, resolved once per run from its codelet's
+//!    variants and its execution group;
+//! 2. whenever a class has both a ready task and an idle device, the policy
+//!    picks a placement among the class's idle devices for the best ready
+//!    task of all such classes; transfers and compute are charged as in the
+//!    list engine. A class found without an idle device is *closed* until
+//!    the next event, so a ready task is looked at when it is dispatched
+//!    and at no other time;
 //! 3. each task completion is an event; firing it releases dependents into
-//!    the pool and re-triggers step 2.
+//!    their classes' queues and re-triggers step 2.
 //!
 //! Differences from the list engine are pure *scheduling-order* effects —
 //! the same graphs, machines, coherence and cost models are used — which is
@@ -24,30 +31,13 @@ use crate::sim_run::SimRun;
 use crate::task::TaskId;
 use simhw::events::EventQueue;
 use simhw::machine::{DeviceId, SimMachine};
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 /// A ready-pool entry ordered for dispatch: higher priority first, then
-/// submission order (StarPU-style). `BinaryHeap` is a max-heap, so `Ord`
-/// treats the *smaller* task id as greater.
-#[derive(PartialEq, Eq)]
-struct ReadyKey {
-    priority: i32,
-    id: usize,
-}
-
-impl Ord for ReadyKey {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.priority
-            .cmp(&other.priority)
-            .then_with(|| other.id.cmp(&self.id))
-    }
-}
-
-impl PartialOrd for ReadyKey {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
+/// submission order (StarPU-style). `BinaryHeap` is a max-heap, hence the
+/// reversed task id.
+type ReadyKey = (i32, Reverse<usize>);
 
 /// Simulates the graph with online (event-driven) scheduling.
 ///
@@ -62,26 +52,31 @@ pub fn simulate_dynamic(
 ) -> Result<SimReport, RtError> {
     let mut run = SimRun::new(graph, machine, options)?;
 
+    // Readiness bookkeeping over the compiled edges: pending counts tick
+    // down as completions fire, and one max-heap per eligibility class keyed
+    // (priority desc, submission order asc) makes pushing a ready task and
+    // popping the dispatch candidate both O(log n).
+    let edges = graph.compile();
+    let mut pending = edges.pending().to_vec();
+    let classes = run.tables.class_count();
+    let mut ready: Vec<BinaryHeap<ReadyKey>> = vec![BinaryHeap::new(); classes];
+    let push = |ready: &mut [BinaryHeap<ReadyKey>], run: &SimRun<'_>, t: TaskId| {
+        let task = graph.task(t);
+        ready[run.tables.class_of(task)].push((task.priority, Reverse(t.0)));
+    };
+
     // Every task must have at least one eligible device, or the run can
-    // never finish.
-    for task in graph.tasks() {
-        if run.eligible(task).next().is_none() {
+    // never finish: a class without devices fails on its first task.
+    let empty = |class: usize| run.tables.devices(class).is_empty();
+    if (0..classes).any(empty) {
+        if let Some(task) = graph.tasks().find(|&t| empty(run.tables.class_of(t))) {
             return Err(run.no_eligible_device(task));
         }
     }
-
-    // Readiness bookkeeping over the compiled edges: pending counts tick
-    // down as completions fire, and a max-heap keyed (priority desc,
-    // submission order asc) makes pushing a ready task and popping the
-    // dispatch candidate both O(log n).
-    let key = |t: TaskId| ReadyKey {
-        priority: graph.task(t).priority,
-        id: t.0,
-    };
-    let edges = graph.compile();
-    let mut pending = edges.pending().to_vec();
-    let mut ready: BinaryHeap<ReadyKey> = edges.ready().iter().map(|&t| key(t)).collect();
-    let mut skipped: Vec<ReadyKey> = Vec::new();
+    for &t in edges.ready() {
+        push(&mut ready, &run, t);
+    }
+    let mut open: Vec<usize> = Vec::with_capacity(classes);
     let mut candidates: Vec<DeviceId> = Vec::with_capacity(machine.len());
     let mut completed = 0usize;
     // Completion events carry the finished task.
@@ -89,40 +84,41 @@ pub fn simulate_dynamic(
 
     // Dispatch loop: bind ready tasks to *idle* devices at the current
     // time (late binding — the defining property of online scheduling),
-    // then advance to the next completion event. Tasks pop in (priority
-    // desc, submission order) order; a task with no idle compatible device
-    // is parked in `skipped` until the next event. Dispatching only makes
-    // devices busier, so a popped-and-skipped task can never become
-    // dispatchable within the same round, and the round ends early the
-    // moment no device is idle at all.
+    // then advance to the next completion event. A round starts with every
+    // class that has a ready task *open* and serves the greatest head among
+    // the open classes — (priority desc, submission order) over the whole
+    // pool. A class none of whose devices is idle is closed for the rest of
+    // the round without a pop: dispatching only makes devices busier, so
+    // none of its tasks can become dispatchable before the next event. The
+    // round ends when no class is open, having touched only the tasks it
+    // dispatched.
     loop {
         let now = events.now();
-        let mut idle = (0..machine.len())
-            .filter(|&d| run.free_at(d) <= now)
-            .count();
-        while idle > 0 {
-            let Some(key) = ready.pop() else { break };
-            let task = graph.task(TaskId(key.id));
-            // Idle, variant-compatible, group-compatible devices only.
+        open.clear();
+        open.extend((0..classes).filter(|&c| !ready[c].is_empty()));
+        while let Some(at) = (0..open.len()).max_by_key(|&at| ready[open[at]].peek()) {
+            let class = open[at];
+            // Idle devices of the class only.
             candidates.clear();
-            candidates.extend(run.eligible(task).filter(|d| run.free_at(d.0) <= now));
+            candidates.extend(
+                run.tables
+                    .devices(class)
+                    .iter()
+                    .filter(|d| run.free_at(d.0) <= now),
+            );
             if candidates.is_empty() {
-                // No idle compatible device right now; revisit this task
-                // at the next completion event.
-                skipped.push(key);
+                open.swap_remove(at);
                 continue;
             }
+            let (_, Reverse(id)) = ready[class].pop().expect("an open class has a head");
+            if ready[class].is_empty() {
+                open.swap_remove(at);
+            }
+            let task = graph.task(TaskId(id));
             let chosen = run.pick(scheduler, task, now, &candidates);
             let end = run.charge(task, chosen, now);
             events.schedule(end, task.id);
-            if run.free_at(chosen.0) > now {
-                // The dispatch occupied a device; once none are idle the
-                // rest of the pool cannot dispatch until the next event.
-                idle -= 1;
-            }
         }
-        // Parked tasks return to the pool for the next round.
-        ready.extend(skipped.drain(..));
 
         // Advance to the next completion.
         let Some((_, done)) = events.pop() else { break };
@@ -130,7 +126,7 @@ pub fn simulate_dynamic(
         for &dep in edges.dependents(done) {
             pending[dep.0] -= 1;
             if pending[dep.0] == 0 {
-                ready.push(key(dep));
+                push(&mut ready, &run, dep);
             }
         }
     }
@@ -324,6 +320,60 @@ mod tests {
             .map(|s| s.label.as_str())
             .collect();
         assert_eq!(order, ["high", "mid", "low"]);
+    }
+
+    /// A round costs what it dispatches. The two GPUs are idle for the
+    /// whole run and useless to an x86-only codelet; an engine that looks at
+    /// every ready task while some device is idle does width²/2 ≈ 2 × 10⁸
+    /// look-ups per stage here and takes minutes in a debug build.
+    #[test]
+    fn wide_forks_beside_unusable_idle_devices_stay_linear() {
+        const WIDTH: usize = 20_000;
+        const STAGES: usize = 3;
+        let machine = SimMachine::from_platform(&synthetic::xeon_2gpu_testbed());
+        let mut g = TaskGraph::with_capacity(STAGES * (WIDTH + 1));
+        let c = g.add_codelet(Codelet::new("k").with_variant(Variant::new("x86")));
+        let mut previous = None;
+        for s in 0..STAGES {
+            let join = g.register_data(format_args!("join{s}"), 8.0);
+            let parts: Vec<HandleId> = (0..WIDTH)
+                .map(|i| g.register_data(format_args!("p{s}.{i}"), 8.0))
+                .collect();
+            for &p in &parts {
+                let read = previous.map(|h| acc(h, AccessMode::Read));
+                g.submit(
+                    c,
+                    "fork",
+                    1e3,
+                    read.into_iter().chain([acc(p, AccessMode::Write)]),
+                    None,
+                );
+            }
+            let reads = parts.iter().map(|&p| acc(p, AccessMode::Read));
+            g.submit(
+                c,
+                "join",
+                1e3,
+                reads.chain([acc(join, AccessMode::Write)]),
+                None,
+            );
+            previous = Some(join);
+        }
+
+        let started = std::time::Instant::now();
+        let online =
+            simulate_dynamic(&g, &machine, &mut EagerScheduler, &SimOptions::default()).unwrap();
+        let took = started.elapsed();
+        assert_eq!(online.assignments.len(), STAGES * (WIDTH + 1));
+        let list =
+            crate::sim_engine::simulate(&g, &machine, &mut EagerScheduler, &SimOptions::default())
+                .unwrap();
+        let (online, list) = (online.makespan.seconds(), list.makespan.seconds());
+        assert!(
+            (online - list).abs() <= 1e-9 * list,
+            "dynamic {online} vs list {list}"
+        );
+        assert!(took < std::time::Duration::from_secs(5), "{took:?}");
     }
 
     #[test]

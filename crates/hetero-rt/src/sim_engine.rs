@@ -119,6 +119,14 @@ pub enum RtError {
     },
     /// The machine has no devices at all.
     EmptyMachine,
+    /// A device's compute rate is not a positive finite number, so no task
+    /// duration can be derived from it.
+    UnusableRate {
+        /// The PU the device was built from.
+        pu_id: String,
+        /// The rate its descriptor gives (FLOP/s, double precision).
+        flops_dp: f64,
+    },
 }
 
 impl fmt::Display for RtError {
@@ -136,6 +144,10 @@ impl fmt::Display for RtError {
                 write!(f, ") — provide a fall-back variant or widen the group")
             }
             RtError::EmptyMachine => write!(f, "the simulated machine has no devices"),
+            RtError::UnusableRate { pu_id, flops_dp } => write!(
+                f,
+                "PU {pu_id:?} has a compute rate of {flops_dp} FLOP/s — PEAK_GFLOPS_DP × EFFICIENCY must be positive and finite"
+            ),
         }
     }
 }
@@ -203,14 +215,12 @@ pub fn simulate(
 ) -> Result<SimReport, RtError> {
     let mut run = SimRun::new(graph, machine, options)?;
     let mut finish: Vec<SimTime> = vec![SimTime::ZERO; graph.len()];
-    let mut candidates: Vec<DeviceId> = Vec::with_capacity(machine.len());
 
     // Early binding: a task may be queued behind a busy device, so every
     // eligible device is a candidate and submission order is the only
     // order needed — edges point backwards, `finish` is always filled.
     for task in graph.tasks() {
-        candidates.clear();
-        candidates.extend(run.eligible(task));
+        let candidates = run.tables.devices(run.tables.class_of(task));
         if candidates.is_empty() {
             return Err(run.no_eligible_device(task));
         }
@@ -220,7 +230,7 @@ pub fn simulate(
             .map(|d| finish[d.0])
             .max()
             .unwrap_or(SimTime::ZERO);
-        let chosen = run.pick(scheduler, task, ready, &candidates);
+        let chosen = run.pick(scheduler, task, ready, candidates);
         finish[task.id.0] = run.charge(task, chosen, ready);
         if options.learn_perfmodel {
             run.learn(task, chosen);

@@ -5,7 +5,7 @@
 //! *when*; what a placement costs — coherence transfers, link occupancy,
 //! the compute span, the final flush home — and what a finished run reports
 //! are one question. [`SimRun`] holds the state that question reads and
-//! answers it once: `eligible` → `pick` → `charge` per task, then
+//! answers it once: `tables.devices` → `pick` → `charge` per task, then
 //! `into_report`.
 
 use crate::data::{DataRegistry, HandleId, TransferPlan};
@@ -36,7 +36,8 @@ pub(crate) struct SimRun<'a> {
     graph: &'a TaskGraph,
     machine: &'a SimMachine,
     options: &'a SimOptions,
-    tables: DispatchTables<'a>,
+    /// Which devices each task may use, by eligibility class.
+    pub(crate) tables: DispatchTables<'a>,
     /// Device timelines, indexed by device id.
     timelines: Vec<Timeline>,
     host_bus: Timeline,
@@ -65,6 +66,18 @@ impl<'a> SimRun<'a> {
         if machine.is_empty() {
             return Err(RtError::EmptyMachine);
         }
+        // A compute time is `flops / rate`: a descriptor may validate and
+        // still give a rate no duration can be derived from.
+        if let Some(d) = machine
+            .devices
+            .iter()
+            .find(|d| !(d.flops_dp.is_finite() && d.flops_dp > 0.0))
+        {
+            return Err(RtError::UnusableRate {
+                pu_id: d.pu_id.clone(),
+                flops_dp: d.flops_dp,
+            });
+        }
         let data = graph.data.clone();
         Ok(SimRun {
             graph,
@@ -73,7 +86,9 @@ impl<'a> SimRun<'a> {
             tables: DispatchTables::new(graph, machine),
             timelines: vec![Timeline::new(); machine.len()],
             host_bus: Timeline::new(),
-            trace: Trace::new(),
+            // One compute span per task: doubling a multi-megabyte vector
+            // moves glibc's mmap threshold and with it the peak RSS.
+            trace: Trace::with_capacity(graph.len()),
             link_timelines: vec![Timeline::new(); machine.links.len()],
             link_use: vec![LinkUse::default(); machine.links.len()],
             link_trace: Trace::new(),
@@ -89,13 +104,7 @@ impl<'a> SimRun<'a> {
         self.timelines[device].free_at()
     }
 
-    /// Devices able to run `task` (variant-compatible ∩ execution group),
-    /// in device order.
-    pub(crate) fn eligible(&self, task: Task<'_>) -> impl Iterator<Item = DeviceId> + '_ {
-        self.tables.eligible(task)
-    }
-
-    /// The error for a task [`eligible`](Self::eligible) finds no device for.
+    /// The error for a task whose class has no device.
     pub(crate) fn no_eligible_device(&self, task: Task<'_>) -> RtError {
         RtError::NoEligibleDevice {
             task: task.id,

@@ -52,6 +52,13 @@ impl Trace {
         Self::default()
     }
 
+    /// An empty trace with room for `spans` spans.
+    pub fn with_capacity(spans: usize) -> Self {
+        Trace {
+            spans: Vec::with_capacity(spans),
+        }
+    }
+
     /// Records a span.
     pub fn record(
         &mut self,

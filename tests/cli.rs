@@ -312,6 +312,40 @@ fn check_cost_is_linear_in_findings() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A descriptor whose PUs peak at 0 GFLOPS validates and checks clean, and
+/// `simulate` used to divide by the rate and abort in `Duration::new`
+/// (`panicked at crates/simhw/src/time.rs`, exit 101, no `pdl:` line). The
+/// engines refuse the machine by PU id now.
+#[test]
+fn zero_compute_rate_is_a_diagnostic_not_a_panic() {
+    let dir = std::env::temp_dir().join(format!("pdl-cli-zero-rate-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let file = dir.join("zero.xml");
+    let xml = std::fs::read_to_string("examples/platforms/xeon_x5550_host.xml").unwrap();
+    let zeroed = xml.replace(
+        "<value unit=\"GFLOPS\">10.64</value>",
+        "<value unit=\"GFLOPS\">0</value>",
+    );
+    assert_ne!(zeroed, xml);
+    std::fs::write(&file, zeroed).unwrap();
+    let path = file.to_str().unwrap();
+
+    let (ok, stdout, _) = pdl(&["validate", path]);
+    assert!(ok && stdout.contains("valid (9 PUs"), "{stdout}");
+
+    let out = Command::new(env!("CARGO_BIN_EXE_pdl"))
+        .args(["simulate", path, "512", "256"])
+        .output()
+        .expect("binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert_eq!(stderr.lines().count(), 1, "{stderr}");
+    assert!(stderr.starts_with("pdl: PU \"cpu0\""), "{stderr}");
+    assert!(stderr.contains("0 FLOP/s"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A span that ends before it starts used to become 2^64 − 50 ns of blame
 /// in a release build and an overflow panic in a debug build, both with
 /// exit code 0 or a backtrace. Every command that profiles a trace now

@@ -3,7 +3,9 @@
 //! * XML round-trip: `decode(encode(p)) == p` for arbitrary valid platforms;
 //! * validation: randomly generated valid trees pass, mutations fail;
 //! * scheduling: every schedule is complete, respects dependencies, and its
-//!   makespan is bounded below by work/aggregate-rate and critical path;
+//!   makespan is bounded below by work/aggregate-rate and critical path; the
+//!   online engine never leaves a usable device idle beside a ready task and
+//!   dispatches a device class's tasks in priority order;
 //! * coherence: reads always find a valid copy, writers end up exclusive;
 //! * DGEMM implementation variants agree with the naive reference.
 
@@ -277,6 +279,194 @@ proptest! {
         .seconds();
         // HEFT is greedy, not optimal, but should never be drastically worse.
         prop_assert!(heft <= random * 1.5 + 1e-9, "heft {heft} vs random {random}");
+    }
+}
+
+/// The three codelets a heterogeneous program mixes: x86 only, gpu only, both.
+fn hetero_codelets() -> [Codelet; 3] {
+    let x86 = || Variant::new("x86");
+    let gpu = || Variant::new("gpu").requiring("Cuda");
+    [
+        Codelet::new("cpu_only").with_variant(x86()),
+        Codelet::new("gpu_only").with_variant(gpu()),
+        Codelet::new("both").with_variant(x86()).with_variant(gpu()),
+    ]
+}
+
+/// Random graph over [`hetero_codelets`]: 1–60 tasks over 6 handles, random
+/// priorities, an execution group now and then (dropped when the codelet has
+/// no variant for it), one task in eight free of work.
+fn arb_hetero_graph() -> impl Strategy<Value = TaskGraph> {
+    let task = (
+        0usize..3,
+        0usize..6,
+        0u64..8,
+        any::<bool>(),
+        -3i32..4,
+        0usize..6,
+    );
+    proptest::collection::vec(task, 1..61).prop_map(|tasks| {
+        let mut g = TaskGraph::new();
+        let codelets = hetero_codelets().map(|c| g.add_codelet(c));
+        let handles: Vec<_> = (0..6)
+            .map(|i| g.register_data(format!("d{i}"), 1e6))
+            .collect();
+        for (i, (codelet, h, work, writes, priority, group)) in tasks.into_iter().enumerate() {
+            let mode = if writes {
+                AccessMode::ReadWrite
+            } else {
+                AccessMode::Read
+            };
+            let group = match (group, codelet) {
+                (0, 0 | 2) => Some("cpus"),
+                (1, 1 | 2) => Some("gpus"),
+                _ => None,
+            };
+            g.submit_prioritized(
+                codelets[codelet],
+                format!("t{i}"),
+                work as f64 * 25e6,
+                [DataAccess {
+                    handle: handles[h],
+                    mode,
+                }],
+                group,
+                priority,
+            );
+        }
+        g
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Late binding, stated on the trace: the event engine starts a ready
+    /// task the moment a device that may run it is idle, best key first.
+    #[test]
+    fn online_schedules_conserve_work_and_honour_priorities(
+        graph in arb_hetero_graph(),
+        policy_idx in 0usize..4,
+        seed in any::<u64>(),
+    ) {
+        use simhw::time::SimTime;
+        use simhw::trace::SpanKind;
+
+        let machine = simhw::machine::SimMachine::from_platform(
+            &pdl_discover::synthetic::xeon_2gpu_testbed(),
+        );
+        let mut policy: Box<dyn Scheduler> = match policy_idx {
+            0 => Box::new(EagerScheduler),
+            1 => Box::new(HeftScheduler),
+            2 => Box::new(DmdaScheduler),
+            _ => Box::new(RandomScheduler::new(seed)),
+        };
+        let report =
+            simulate_dynamic(&graph, &machine, policy.as_mut(), &SimOptions::default()).unwrap();
+
+        // Every task exactly once.
+        prop_assert_eq!(report.assignments.len(), graph.len());
+        let mut seen = vec![false; graph.len()];
+        for (t, _) in &report.assignments {
+            prop_assert!(!std::mem::replace(&mut seen[t.0], true), "{t} ran twice");
+        }
+
+        // Per task, from the trace: when its first span (the input transfer,
+        // if it had one) starts and when its compute span ends. Spans are
+        // recorded in dispatch order, like the assignments.
+        let mut start = vec![SimTime::ZERO; graph.len()];
+        let mut end = vec![SimTime::ZERO; graph.len()];
+        let mut dispatched = report.assignments.iter();
+        let mut transfer_start = None;
+        for span in report.trace.spans() {
+            if span.kind == SpanKind::Compute {
+                let (t, device) = dispatched.next().expect("one compute span per task");
+                prop_assert_eq!(span.device, *device);
+                prop_assert_eq!(span.label.as_str(), graph.task(*t).label);
+                start[t.0] = transfer_start.take().unwrap_or(span.start);
+                end[t.0] = span.end;
+            } else if span.label.ends_with(":in") {
+                transfer_start = Some(span.start);
+            }
+        }
+        prop_assert!(dispatched.next().is_none());
+
+        // No task starts before each of its dependencies has ended.
+        let ready: Vec<SimTime> = graph
+            .tasks()
+            .map(|t| graph.dependencies(t.id).iter().map(|d| end[d.0]).max().unwrap_or(SimTime::ZERO))
+            .collect();
+        for t in 0..graph.len() {
+            prop_assert!(start[t] >= ready[t], "t{t} starts at {} before {}", start[t], ready[t]);
+        }
+
+        // Spans of one device do not overlap.
+        let mut lanes: Vec<Vec<(SimTime, SimTime)>> = vec![Vec::new(); machine.len()];
+        for span in report.trace.spans() {
+            lanes[span.device.0].push((span.start, span.end));
+        }
+        for lane in &mut lanes {
+            lane.sort();
+            for pair in lane.windows(2) {
+                prop_assert!(pair[1].0 >= pair[0].1, "{pair:?} overlap");
+            }
+        }
+
+        // Which devices a task may use, worked out from the descriptor's
+        // strings rather than asked of the runtime.
+        let class_of = |t: Task<'_>| -> Vec<usize> {
+            let archs: &[&str] = match graph.codelets[t.codelet].name.as_str() {
+                "cpu_only" => &["x86"],
+                "gpu_only" => &["gpu"],
+                _ => &["x86", "gpu"],
+            };
+            (0..machine.len())
+                .filter(|&d| {
+                    let device = &machine.devices[d];
+                    archs.contains(&device.arch.as_str())
+                        && t.execution_group.is_none_or(|g| device.groups.iter().any(|x| x == g))
+                })
+                .collect()
+        };
+        let tasks: Vec<Task<'_>> = graph.tasks().collect();
+        let class: Vec<Vec<usize>> = tasks.iter().map(|&t| class_of(t)).collect();
+
+        // Work conservation: while a task waited, every device of its class
+        // was busy — its lane has no gap anywhere in [ready, start).
+        for t in &tasks {
+            let (r, s) = (ready[t.id.0], start[t.id.0]);
+            for &d in &class[t.id.0] {
+                let mut covered = r;
+                for &(a, b) in &lanes[d] {
+                    if covered >= s || a > covered {
+                        break;
+                    }
+                    covered = covered.max(b);
+                }
+                prop_assert!(
+                    covered >= s,
+                    "{} waited over [{r}, {s}) while device {d} sat idle from {covered}",
+                    t.label
+                );
+            }
+        }
+
+        // Priority order within a class: a task that was ready strictly
+        // before another one started, and started strictly after it, has
+        // the smaller (priority, −id) key.
+        for t1 in &tasks {
+            for t2 in &tasks {
+                let s1 = start[t1.id.0];
+                if ready[t2.id.0] < s1 && start[t2.id.0] > s1 && class[t1.id.0] == class[t2.id.0] {
+                    prop_assert!(
+                        (t1.priority, std::cmp::Reverse(t1.id.0))
+                            > (t2.priority, std::cmp::Reverse(t2.id.0)),
+                        "{} (priority {}) overtook {} (priority {})",
+                        t1.label, t1.priority, t2.label, t2.priority
+                    );
+                }
+            }
+        }
     }
 }
 

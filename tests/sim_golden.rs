@@ -1,9 +1,10 @@
-//! Simulator outputs pinned across the engine refactor.
+//! Simulator outputs pinned across the engine refactors.
 //!
-//! Every digest below was recorded at commit `1ec8f70` (the parent of the
-//! change that moved both virtual-time engines onto one charging core) by
-//! running this file there with an empty table and pasting what the failure
-//! message printed. A digest folds everything a [`SimReport`] says about the
+//! The first twelve rows below were recorded at commit `1ec8f70` (the parent
+//! of the change that moved both virtual-time engines onto one charging
+//! core) by running this file there with an empty table and pasting what the
+//! failure message printed; the last six the same way at `c4983ef` (see
+//! [`actual`]). A digest folds everything a [`SimReport`] says about the
 //! schedule — makespan bits, every assignment, the three byte counters,
 //! every span of `trace` and `link_trace` (lane, kind, start and end bits,
 //! label) and the perf-model entry count — so "bit-identical" is checked,
@@ -86,32 +87,97 @@ fn option_sets() -> [SimOptions; 5] {
     ]
 }
 
+/// What the event engine's per-class ready pools could get wrong, in one
+/// graph: three codelets (x86 only; gpu only; both) interleaved, five
+/// priorities spread across them, zero-FLOP tasks (a dispatch that leaves
+/// its device idle), a `cpus`-pinned and a `gpus`-pinned stretch of the
+/// two-variant codelet (their device sets equal the one-variant codelets'),
+/// and two fan-outs of 24 — wider than either device class.
+fn hetero_graph() -> TaskGraph {
+    let mut g = TaskGraph::new();
+    let x86 = || Variant::new("x86");
+    let gpu = || Variant::new("gpu").requiring("Cuda");
+    let codelets = [
+        g.add_codelet(Codelet::new("cpu_only").with_variant(x86())),
+        g.add_codelet(Codelet::new("gpu_only").with_variant(gpu())),
+        g.add_codelet(
+            Codelet::new("both")
+                .with_variant(x86())
+                .with_variant(gpu().with_speedup(1.5)),
+        ),
+    ];
+    let acc = |handle, mode| DataAccess { handle, mode };
+    let seed = g.register_data("seed", 1e6);
+    let wide: Vec<HandleId> = (0..24)
+        .map(|i| g.register_data(format!("w{i}"), 1e5 * (1 + i % 3) as f64))
+        .collect();
+    let joined: Vec<HandleId> = (0..6)
+        .map(|i| g.register_data(format!("j{i}"), 4e5))
+        .collect();
+    g.submit(
+        codelets[2],
+        "root",
+        1e9,
+        [acc(seed, AccessMode::Write)],
+        None,
+    );
+    for stage in 0..2 {
+        for (i, &w) in wide.iter().enumerate() {
+            let (codelet, group) = match i {
+                6..=9 => (codelets[2], Some("cpus")),
+                14..=16 => (codelets[2], Some("gpus")),
+                _ => (codelets[(i + stage) % 3], None),
+            };
+            let flops = if i % 7 == 3 {
+                0.0
+            } else {
+                2e8 * (1 + i % 4) as f64
+            };
+            let source = if stage == 0 { seed } else { joined[i % 6] };
+            g.submit_prioritized(
+                codelet,
+                format!("s{stage}w{i}"),
+                flops,
+                [acc(source, AccessMode::Read), acc(w, AccessMode::ReadWrite)],
+                group,
+                (i * 3 % 5) as i32 - 2,
+            );
+        }
+        for (i, &j) in joined.iter().enumerate() {
+            let reads = (0..4).map(|k| acc(wide[i + 6 * k], AccessMode::Read));
+            g.submit_prioritized(
+                codelets[(i + 1) % 3],
+                format!("s{stage}j{i}"),
+                if i == 2 { 0.0 } else { 5e8 },
+                reads.chain([acc(j, AccessMode::ReadWrite)]),
+                None,
+                i as i32 % 3,
+            );
+        }
+    }
+    g
+}
+
 type Engine = fn(&TaskGraph, &SimMachine, &mut dyn Scheduler, &SimOptions) -> SimReport;
 
+const LIST: Engine = |g, m, s, o| simulate(g, m, s, o).expect("list engine");
+const EVENT: Engine = |g, m, s, o| simulate_dynamic(g, m, s, o).expect("event engine");
+
 /// One row per engine × testbed × graph; within a row, policy-major over
-/// {Eager, HEFT, DMDA} × the five option sets.
-fn actual() -> Vec<[u64; 15]> {
-    let engines: [Engine; 2] = [
-        |g, m, s, o| simulate(g, m, s, o).expect("list engine"),
-        |g, m, s, o| simulate_dynamic(g, m, s, o).expect("event engine"),
-    ];
+/// the three policies × the five option sets.
+fn rows(engines: &[Engine], graphs: &[TaskGraph], policies: [&str; 3]) -> Vec<[u64; 15]> {
     let machines = [
         SimMachine::from_platform(&synthetic::xeon_2gpu_testbed()),
         SimMachine::from_platform(&synthetic::xeon_2gpu_nvlink_testbed()),
-    ];
-    let graphs = [
-        dgemm_graph(256, 64, None),
-        fork_join_graph(8, 6, None),
-        grouped_graph(),
     ];
     let options = option_sets();
     let mut rows = Vec::new();
     for engine in engines {
         for machine in &machines {
-            for graph in &graphs {
+            for graph in graphs {
                 let mut row = [0u64; 15];
                 let mut cell = row.iter_mut();
-                for policy in ["eager", "heft", "dmda"] {
+                for policy in policies {
                     for o in &options {
                         let mut scheduler = by_name(policy).expect("built-in policy");
                         *cell.next().expect("15 cells") =
@@ -123,6 +189,25 @@ fn actual() -> Vec<[u64; 15]> {
         }
     }
     rows
+}
+
+/// The twelve rows recorded at `1ec8f70`, then six recorded at `c4983ef`
+/// (the parent of the change that gave the event engine one ready pool per
+/// set of eligible devices): [`hetero_graph`] under both engines, and under
+/// the event engine with the policies whose state — or whose view of every
+/// candidate — depends on the order and the lists they are consulted with.
+fn actual() -> Vec<[u64; 15]> {
+    let stateless = ["eager", "heft", "dmda"];
+    let pinned = [
+        dgemm_graph(256, 64, None),
+        fork_join_graph(8, 6, None),
+        grouped_graph(),
+    ];
+    let hetero = [hetero_graph()];
+    let mut all = rows(&[LIST, EVENT], &pinned, stateless);
+    all.extend(rows(&[LIST, EVENT], &hetero, stateless));
+    all.extend(rows(&[EVENT], &hetero, ["random", "round-robin", "energy"]));
+    all
 }
 
 #[test]
@@ -148,7 +233,7 @@ fn reports_match_the_digests_recorded_at_the_parent_commit() {
 }
 
 #[rustfmt::skip]
-const GOLDEN: [[u64; 15]; 12] = [
+const GOLDEN: [[u64; 15]; 18] = [
     [
         0x0d1e63e0593cb392, 0xadec3fba7750f6d4, 0x885c144e860aa06d,
         0x36569fcde5d8e7ae, 0xcf28d5ce435e1f50, 0xd6a3556522ec613e,
@@ -232,5 +317,47 @@ const GOLDEN: [[u64; 15]; 12] = [
         0x8424f218c456733b, 0x4375b8e9e54ef87b, 0x83db7c173e2569fc,
         0x1d116ddf99fe4032, 0x1d116ddf99fe4032, 0x8424f218c456733b,
         0x4375b8e9e54ef87b, 0x83db7c173e2569fc, 0x1d116ddf99fe4032,
+    ],
+    [
+        0x6ede9b0fefd55719, 0xed394c1d3f7a21b5, 0xd16977408630c5d1,
+        0x3bd4cf31dc5c7a4a, 0x960329d0a34a5032, 0x755e92a018c6d953,
+        0x462a60d8c2e175f3, 0xccacfa057640ed58, 0x747dfbc9c732cf5c,
+        0x104475cd4f734bf8, 0x755e92a018c6d953, 0x462a60d8c2e175f3,
+        0xccacfa057640ed58, 0x747dfbc9c732cf5c, 0xb9e975283b0bf6fe,
+    ],
+    [
+        0x6ede9b0fefd55719, 0xed394c1d3f7a21b5, 0xf94e327e8b7e62d4,
+        0x3bd4cf31dc5c7a4a, 0x960329d0a34a5032, 0x755e92a018c6d953,
+        0x462a60d8c2e175f3, 0x7ea11b98ea9208c7, 0x747dfbc9c732cf5c,
+        0x104475cd4f734bf8, 0x755e92a018c6d953, 0x462a60d8c2e175f3,
+        0x7ea11b98ea9208c7, 0x747dfbc9c732cf5c, 0xb9e975283b0bf6fe,
+    ],
+    [
+        0xcd64b105f10c378c, 0x87a055eb5635c4a3, 0xd6a6e92505c99ec8,
+        0x83554fc215d67827, 0xcd64b105f10c378c, 0xa89932315a45c635,
+        0x1b5ac591cc15667d, 0xe3e967e1e1f6dc5c, 0xf9deb5c781fe5f1b,
+        0xa89932315a45c635, 0xa89932315a45c635, 0x1b5ac591cc15667d,
+        0xe3e967e1e1f6dc5c, 0xf9deb5c781fe5f1b, 0xa89932315a45c635,
+    ],
+    [
+        0xcd64b105f10c378c, 0x87a055eb5635c4a3, 0x87c6e95b12cc1d90,
+        0x83554fc215d67827, 0xcd64b105f10c378c, 0xa89932315a45c635,
+        0x1b5ac591cc15667d, 0xaf29e7cb054a4c98, 0xf9deb5c781fe5f1b,
+        0xa89932315a45c635, 0xa89932315a45c635, 0x1b5ac591cc15667d,
+        0xaf29e7cb054a4c98, 0xf9deb5c781fe5f1b, 0xa89932315a45c635,
+    ],
+    [
+        0x76534eb6d6af4539, 0x8eb3c8d4e1d1c57a, 0x771c0989bb4a15b3,
+        0xb971466e827806c2, 0x76534eb6d6af4539, 0xd9ae8de5ee2656e1,
+        0x4719f9b6f61a434e, 0x0faaf21a49708f0c, 0x7d6e6ff5c7a9d1d0,
+        0xd9ae8de5ee2656e1, 0xc5aa17664547155d, 0x224ea15b43ae5659,
+        0x8d7ccf517a834cb1, 0xa15564c3249c602a, 0xc5aa17664547155d,
+    ],
+    [
+        0x76534eb6d6af4539, 0x8eb3c8d4e1d1c57a, 0xe44f27a0e1c76016,
+        0xb971466e827806c2, 0x76534eb6d6af4539, 0xd9ae8de5ee2656e1,
+        0x4719f9b6f61a434e, 0x237df2b7843f5fbb, 0x7d6e6ff5c7a9d1d0,
+        0xd9ae8de5ee2656e1, 0xc5aa17664547155d, 0x224ea15b43ae5659,
+        0xf2b1e21e57de28b9, 0xa15564c3249c602a, 0xc5aa17664547155d,
     ],
 ];
