@@ -187,10 +187,8 @@ pub(crate) fn check_transition(
         let pre_set = pre.handles[h].valid();
         let post_set = post.handles[h].valid();
         if !pre_set.is_subset(&post_set) {
-            let lost: Vec<String> = pre_set
-                .difference(&post_set)
-                .map(ToString::to_string)
-                .collect();
+            let lost = pre_set.iter().filter(|n| !post_set.contains(*n));
+            let lost: Vec<String> = lost.map(|n| n.to_string()).collect();
             return Some((
                 Invariant::MonotoneStaging,
                 format!(

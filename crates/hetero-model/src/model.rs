@@ -11,7 +11,7 @@
 //! deliberate, named deviations used to validate that the checker and the
 //! fuzzer actually catch protocol bugs.
 
-use crate::proto::{self, AccessMode, Charges, Node, Plan, PlanClass, Routing};
+use crate::proto::{self, AccessMode, Charges, Node, NodeSet, Plan, PlanClass, Routing};
 use crate::topo::Topo;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -32,7 +32,7 @@ pub struct HandleState {
 impl HandleState {
     /// The registry-visible valid set (what `DataRegistry::valid_on`
     /// would report).
-    pub fn valid(&self) -> BTreeSet<Node> {
+    pub fn valid(&self) -> NodeSet {
         self.copies.keys().copied().collect()
     }
 
@@ -345,24 +345,22 @@ impl Model {
         let charges = proto::commit(&mut set, plan);
 
         let mut fresh = hs.copies.clone();
-        for hop in &plan.hops {
+        for hop in plan.hops() {
             let f = *fresh.get(&hop.from).unwrap_or(&true);
             fresh.insert(hop.to, f);
         }
         if self.mutation == Mutation::MoveNotCopy {
-            for hop in &plan.hops {
-                set.remove(&hop.from);
+            for hop in plan.hops() {
+                set.remove(hop.from);
             }
         }
         hs.copies = set
             .iter()
-            .map(|n| (*n, *fresh.get(n).unwrap_or(&true)))
+            .map(|n| (n, *fresh.get(&n).unwrap_or(&true)))
             .collect();
 
-        let charged = match self.mutation {
-            Mutation::UnderCharge if !plan.hops.is_empty() => {
-                probe - plan.hops[plan.hops.len() - 1].cost
-            }
+        let charged = match (self.mutation, plan.hops().last()) {
+            (Mutation::UnderCharge, Some(last)) => probe - last.cost,
             _ => probe,
         };
         StepEffects {
@@ -397,7 +395,7 @@ impl Model {
                 _ => {
                     let mut set = hs.valid();
                     proto::finish_access(&mut set, accessor, mode);
-                    hs.copies = set.into_iter().map(|n| (n, true)).collect();
+                    hs.copies = set.iter().map(|n| (n, true)).collect();
                 }
             }
         } else if mode.reads() {
@@ -407,7 +405,7 @@ impl Model {
             // served by the host's address space: it inherits the host
             // copy's freshness.
             let inherited = *hs.copies.get(&Node::Host).unwrap_or(&true);
-            for n in set {
+            for n in set.iter() {
                 hs.copies.entry(n).or_insert(inherited);
             }
         }

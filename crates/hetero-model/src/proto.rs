@@ -11,14 +11,13 @@
 //! The protocol is MSI-style write-invalidate over a star (host-staged)
 //! or star+peer (NVLink-era) topology:
 //!
-//! * a datum is valid on a set of [`Node`]s, initially the host;
+//! * a datum is valid on a [`NodeSet`] of [`Node`]s, initially the host;
 //! * a reading access first stages a copy to the host (unless one exists)
 //!   and then to the reader, or takes a direct peer hop when one is
 //!   declared *and* cheaper;
 //! * committing a plan only ever **adds** valid copies;
 //! * finishing a writing access invalidates every other copy.
 
-use std::collections::BTreeSet;
 use std::fmt;
 
 /// A memory space the protocol tracks copies in.
@@ -26,11 +25,12 @@ use std::fmt;
 /// Variant order matters: `Dev(i)` sorts before `Host`, mirroring the
 /// runtime's `DeviceId` ordering where the host sentinel is `usize::MAX`.
 /// Owner selection ("first valid owner") is defined over this order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub enum Node {
     /// A device memory space, identified by its index in the topology.
     Dev(usize),
     /// Host memory, where registered data initially lives.
+    #[default]
     Host,
 }
 
@@ -40,6 +40,121 @@ impl fmt::Display for Node {
             Node::Dev(i) => write!(f, "dev{i}"),
             Node::Host => f.write_str("host"),
         }
+    }
+}
+
+/// A set of [`Node`]s — a datum's valid copies — as a bitset: the host and
+/// devices `0..63` in one word, devices past them in one heap block that
+/// grows on demand and is never freed by [`clear`](Self::clear).
+/// Iteration follows [`Node`] order (devices ascending, then the host),
+/// which is what "first owner" means; equality ignores the block's length.
+#[derive(Debug, Clone, Default)]
+pub struct NodeSet {
+    /// Bit `g % 64` of word `g / 64` — this one, then the block's — is
+    /// node `g`: the host is 0, device `d` is `d + 1`.
+    word: u64,
+    spill: Box<[u64]>,
+}
+
+/// The word index and bit of `node`.
+fn locate(node: Node) -> (usize, u64) {
+    let g = if let Node::Dev(d) = node { d + 1 } else { 0 };
+    (g / 64, 1 << (g % 64))
+}
+
+impl NodeSet {
+    fn word(&self, i: usize) -> u64 {
+        match i.checked_sub(1) {
+            None => self.word,
+            Some(s) => self.spill.get(s).copied().unwrap_or(0),
+        }
+    }
+
+    fn word_mut(&mut self, i: usize) -> &mut u64 {
+        let Some(s) = i.checked_sub(1) else {
+            return &mut self.word;
+        };
+        if s >= self.spill.len() {
+            let mut grown = vec![0; s + 1];
+            grown[..self.spill.len()].copy_from_slice(&self.spill);
+            self.spill = grown.into_boxed_slice();
+        }
+        &mut self.spill[s]
+    }
+
+    /// Whether `node` is in the set.
+    pub fn contains(&self, node: Node) -> bool {
+        let (i, bit) = locate(node);
+        self.word(i) & bit != 0
+    }
+
+    /// Adds `node`.
+    pub fn insert(&mut self, node: Node) {
+        let (i, bit) = locate(node);
+        *self.word_mut(i) |= bit;
+    }
+
+    /// Removes `node`.
+    pub fn remove(&mut self, node: Node) {
+        let (i, bit) = locate(node);
+        *self.word_mut(i) &= !bit;
+    }
+
+    /// Removes every node, keeping the block.
+    pub fn clear(&mut self) {
+        self.word = 0;
+        // Not `fill(0)`: its `memset` costs ≈ 120 ns even on an empty block.
+        self.spill.iter_mut().for_each(|w| *w = 0);
+    }
+
+    /// Number of nodes in the set.
+    pub fn len(&self) -> usize {
+        self.iter().count()
+    }
+
+    /// Whether the set is empty.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Whether every node of `self` is in `other`.
+    pub fn is_subset(&self, other: &NodeSet) -> bool {
+        (0..=self.spill.len()).all(|i| self.word(i) & !other.word(i) == 0)
+    }
+
+    /// The nodes in [`Node`] order: devices ascending, then the host.
+    pub fn iter(&self) -> impl Iterator<Item = Node> + '_ {
+        let words = std::iter::once(self.word & !1).chain(self.spill.iter().copied());
+        let devices = words.enumerate().flat_map(|(i, mut bits)| {
+            std::iter::from_fn(move || {
+                let bit = (bits != 0).then(|| bits.trailing_zeros() as usize)?;
+                bits &= bits - 1;
+                Some(Node::Dev(64 * i + bit - 1))
+            })
+        });
+        devices.chain(self.contains(Node::Host).then_some(Node::Host))
+    }
+
+    /// The first node in [`Node`] order.
+    pub fn first(&self) -> Option<Node> {
+        self.iter().next()
+    }
+}
+
+impl PartialEq for NodeSet {
+    fn eq(&self, other: &Self) -> bool {
+        let words = self.spill.len().max(other.spill.len());
+        (0..=words).all(|i| self.word(i) == other.word(i))
+    }
+}
+
+impl Eq for NodeSet {}
+
+impl FromIterator<Node> for NodeSet {
+    fn from_iter<I: IntoIterator<Item = Node>>(nodes: I) -> Self {
+        let mut set = NodeSet::default();
+        nodes.into_iter().for_each(|n| set.insert(n));
+        set
     }
 }
 
@@ -154,7 +269,7 @@ pub enum HopKind {
 }
 
 /// One planned data movement between two memory spaces.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Hop {
     /// Memory space the copy departs from.
     pub from: Node,
@@ -182,28 +297,48 @@ impl Hop {
 }
 
 /// The ordered hops required before one access — the pure skeleton the
-/// runtime decorates with physical links and durations.
-#[derive(Debug, Clone, PartialEq, Default)]
+/// runtime decorates with physical links and durations. At most two (staged:
+/// owner→host→device; peer, flush: one), held inline: planning allocates
+/// nothing.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Plan {
-    /// Hops in dependency order (a later hop needs the earlier one done).
-    pub hops: Vec<Hop>,
+    /// `hops[..len]` in dependency order (a later hop needs the earlier one
+    /// done); the slots past `len` stay default.
+    hops: [Hop; 2],
+    len: u8,
 }
 
+/// A heap-holding plan cannot come back.
+const _: fn() = || {
+    fn is_copy<T: Copy>() {}
+    is_copy::<Plan>();
+};
+
 impl Plan {
+    /// The hops, in dependency order.
+    pub fn hops(&self) -> &[Hop] {
+        &self.hops[..usize::from(self.len)]
+    }
+
+    fn push(&mut self, hop: Hop) {
+        self.hops[usize::from(self.len)] = hop;
+        self.len += 1;
+    }
+
     /// Total modeled cost when hops run back-to-back without contention.
     /// Summation order matches the hop order so a cost-preserving
     /// decoration reproduces the exact same float.
     pub fn total(&self) -> f64 {
-        self.hops.iter().fold(0.0, |acc, h| acc + h.cost)
+        self.hops().iter().fold(0.0, |acc, h| acc + h.cost)
     }
 
     /// The routing class the plan realizes: peer if any hop is a direct
     /// device→device move, staged if it moves bytes through host memory,
     /// local otherwise (shared address space or nothing to do).
     pub(crate) fn routing_class(&self) -> PlanClass {
-        if self.hops.iter().any(|h| h.kind() == HopKind::Peer) {
+        if self.hops().iter().any(|h| h.kind() == HopKind::Peer) {
             PlanClass::Peer
-        } else if self.hops.iter().any(|h| h.moves_bytes) {
+        } else if self.hops().iter().any(|h| h.moves_bytes) {
             PlanClass::Staged
         } else {
             PlanClass::Local
@@ -271,28 +406,25 @@ fn stage_to_host(owner: Node, view: &impl CostView) -> Hop {
 /// Panics when `valid` is empty — "a datum is always valid somewhere" is
 /// a protocol invariant the caller maintains.
 pub fn plan_acquire(
-    valid: &BTreeSet<Node>,
+    valid: &NodeSet,
     device: Node,
     mode: AccessMode,
     routing: Routing,
     view: &impl CostView,
 ) -> Plan {
     let mut plan = Plan::default();
-    if !mode.reads() || valid.contains(&device) {
+    if !mode.reads() || valid.contains(device) {
         return plan;
     }
 
     // Host-staged route: stage to host first when needed.
-    if !valid.contains(&Node::Host) {
-        let owner = *valid
-            .iter()
-            .next()
-            .expect("a datum is always valid somewhere");
-        plan.hops.push(stage_to_host(owner, view));
+    if !valid.contains(Node::Host) {
+        let owner = valid.first().expect("a datum is always valid somewhere");
+        plan.push(stage_to_host(owner, view));
     }
     if let Node::Dev(d) = device {
         if let Some(cost) = view.host_cost(d) {
-            plan.hops.push(Hop {
+            plan.push(Hop {
                 from: Node::Host,
                 to: device,
                 cost,
@@ -306,7 +438,7 @@ pub fn plan_acquire(
             // Cheapest direct route from any current owner, if one beats
             // the staged plan. First owner wins ties, like the runtime.
             let mut best: Option<Hop> = None;
-            for &owner in valid {
+            for owner in valid.iter() {
                 let Node::Dev(o) = owner else { continue };
                 if o == d {
                     continue;
@@ -325,7 +457,8 @@ pub fn plan_acquire(
             }
             if let Some(peer) = best {
                 if peer.cost < plan.total() {
-                    plan.hops = vec![peer];
+                    plan = Plan::default();
+                    plan.push(peer);
                 }
             }
         }
@@ -339,18 +472,17 @@ pub fn plan_acquire(
 ///
 /// # Panics
 /// Panics when `valid` is empty (see [`plan_acquire`]).
-pub fn plan_flush(valid: &BTreeSet<Node>, view: &impl CostView) -> Plan {
+pub fn plan_flush(valid: &NodeSet, view: &impl CostView) -> Plan {
     let mut plan = Plan::default();
-    if valid.contains(&Node::Host) {
+    if valid.contains(Node::Host) {
         return plan;
     }
     let owner = valid
         .iter()
-        .copied()
         .find(|n| matches!(n, Node::Dev(d) if view.host_cost(*d).is_none()))
-        .or_else(|| valid.iter().next().copied())
+        .or_else(|| valid.first())
         .expect("a datum is always valid somewhere");
-    plan.hops.push(stage_to_host(owner, view));
+    plan.push(stage_to_host(owner, view));
     plan
 }
 
@@ -369,9 +501,9 @@ pub struct Charges {
 /// Applies a plan's coherence effects to a valid set: every hop
 /// destination gains a valid copy. Returns how many physical hops charged
 /// each direction counter (the runtime multiplies by the datum size).
-pub fn commit(valid: &mut BTreeSet<Node>, plan: &Plan) -> Charges {
+pub fn commit(valid: &mut NodeSet, plan: &Plan) -> Charges {
     let mut charges = Charges::default();
-    for hop in &plan.hops {
+    for hop in plan.hops() {
         valid.insert(hop.to);
         match hop.kind() {
             HopKind::ToHost => charges.to_host_hops += 1,
@@ -386,7 +518,7 @@ pub fn commit(valid: &mut BTreeSet<Node>, plan: &Plan) -> Charges {
 /// Records the access itself after its transfers committed: a write
 /// invalidates every other copy (MSI write-invalidate), a read leaves the
 /// reader holding a valid copy.
-pub fn finish_access(valid: &mut BTreeSet<Node>, device: Node, mode: AccessMode) {
+pub fn finish_access(valid: &mut NodeSet, device: Node, mode: AccessMode) {
     if mode.writes() {
         valid.clear();
         valid.insert(device);
@@ -411,13 +543,9 @@ mod tests {
         }
     }
 
-    fn host_only() -> BTreeSet<Node> {
-        [Node::Host].into_iter().collect()
-    }
-
     #[test]
     fn reads_stage_through_host() {
-        let mut valid: BTreeSet<_> = [Node::Dev(1)].into_iter().collect();
+        let mut valid: NodeSet = [Node::Dev(1)].into_iter().collect();
         let plan = plan_acquire(
             &valid,
             Node::Dev(2),
@@ -425,17 +553,17 @@ mod tests {
             Routing::HostStaged,
             &TwoGpus,
         );
-        assert_eq!(plan.hops.len(), 2);
+        assert_eq!(plan.hops().len(), 2);
         assert_eq!(plan.total(), 20.0);
         assert_eq!(plan.routing_class(), PlanClass::Staged);
         let charges = commit(&mut valid, &plan);
         assert_eq!((charges.to_host_hops, charges.to_device_hops), (1, 1));
-        assert!(valid.contains(&Node::Host) && valid.contains(&Node::Dev(2)));
+        assert!(valid.contains(Node::Host) && valid.contains(Node::Dev(2)));
     }
 
     #[test]
     fn peer_route_replaces_staging_when_cheaper() {
-        let valid: BTreeSet<_> = [Node::Dev(1)].into_iter().collect();
+        let valid: NodeSet = [Node::Dev(1)].into_iter().collect();
         let plan = plan_acquire(
             &valid,
             Node::Dev(2),
@@ -443,14 +571,14 @@ mod tests {
             Routing::PeerToPeer,
             &TwoGpus,
         );
-        assert_eq!(plan.hops.len(), 1);
+        assert_eq!(plan.hops().len(), 1);
         assert_eq!(plan.total(), 3.0);
         assert_eq!(plan.routing_class(), PlanClass::Peer);
     }
 
     #[test]
     fn writes_plan_nothing_and_invalidate_on_finish() {
-        let mut valid = host_only();
+        let mut valid: NodeSet = [Node::Host].into_iter().collect();
         let plan = plan_acquire(
             &valid,
             Node::Dev(1),
@@ -458,14 +586,14 @@ mod tests {
             Routing::HostStaged,
             &TwoGpus,
         );
-        assert!(plan.hops.is_empty());
+        assert!(plan.hops().is_empty());
         finish_access(&mut valid, Node::Dev(1), AccessMode::Write);
-        assert_eq!(valid.iter().copied().collect::<Vec<_>>(), [Node::Dev(1)]);
+        assert_eq!(valid.iter().collect::<Vec<_>>(), [Node::Dev(1)]);
     }
 
     #[test]
     fn shared_space_staging_is_free() {
-        let valid: BTreeSet<_> = [Node::Dev(0)].into_iter().collect();
+        let valid: NodeSet = [Node::Dev(0)].into_iter().collect();
         let plan = plan_acquire(
             &valid,
             Node::Dev(1),
@@ -475,18 +603,92 @@ mod tests {
         );
         // dev0 shares the host space: the staging hop is free bookkeeping,
         // only host→dev1 moves bytes.
-        assert_eq!(plan.hops.len(), 2);
-        assert!(!plan.hops[0].moves_bytes);
+        assert_eq!(plan.hops().len(), 2);
+        assert!(!plan.hops()[0].moves_bytes);
         assert_eq!(plan.total(), 10.0);
     }
 
     #[test]
     fn flush_prefers_shared_space_owner() {
-        let valid: BTreeSet<_> = [Node::Dev(0), Node::Dev(1)].into_iter().collect();
+        let valid: NodeSet = [Node::Dev(0), Node::Dev(1)].into_iter().collect();
         let plan = plan_flush(&valid, &TwoGpus);
-        assert_eq!(plan.hops.len(), 1);
-        assert!(!plan.hops[0].moves_bytes);
-        assert_eq!(plan.hops[0].from, Node::Dev(0));
+        assert_eq!(plan.hops().len(), 1);
+        assert!(!plan.hops()[0].moves_bytes);
+        assert_eq!(plan.hops()[0].from, Node::Dev(0));
+    }
+
+    /// `NodeSet` replays every operation `BTreeSet<Node>` — the set it
+    /// replaced — saw, over devices on both sides of the inline word.
+    #[test]
+    fn node_set_agrees_with_the_btree_set_it_replaced() {
+        use std::collections::BTreeSet;
+        let mut state = 0x9e37_79b9_7f4a_7c15_u64;
+        let mut next = move |n: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % n) as usize
+        };
+        let node = |draw: usize| match draw {
+            200 => Node::Host,
+            // Half the draws near the inline word's edge, half anywhere.
+            d if d % 2 == 0 => Node::Dev(59 + d % 9),
+            d => Node::Dev(d),
+        };
+        let (mut set, mut oracle) = (NodeSet::default(), BTreeSet::new());
+        let (mut other, mut other_oracle) = (NodeSet::default(), BTreeSet::new());
+        for step in 0..20_000 {
+            let n = node(next(201));
+            match next(10) {
+                0..=3 => {
+                    set.insert(n);
+                    oracle.insert(n);
+                }
+                4..=6 => {
+                    set.remove(n);
+                    oracle.remove(&n);
+                }
+                7 if next(8) == 0 => {
+                    set.clear();
+                    oracle.clear();
+                }
+                _ => {
+                    other.insert(n);
+                    other_oracle.insert(n);
+                    if next(16) == 0 {
+                        other.clear();
+                        other_oracle.clear();
+                    }
+                }
+            }
+            let probe = node(next(201));
+            assert_eq!(set.contains(probe), oracle.contains(&probe), "step {step}");
+            assert_eq!(set.first(), oracle.first().copied(), "step {step}");
+            assert!(set.iter().eq(oracle.iter().copied()), "step {step}");
+            assert_eq!(set.len(), oracle.len(), "step {step}");
+            assert_eq!(set.is_empty(), oracle.is_empty(), "step {step}");
+            assert_eq!(
+                set.is_subset(&other),
+                oracle.is_subset(&other_oracle),
+                "step {step}"
+            );
+            assert_eq!(
+                other.is_subset(&set),
+                other_oracle.is_subset(&oracle),
+                "step {step}"
+            );
+            assert_eq!(set == other, oracle == other_oracle, "step {step}");
+        }
+        // Equal members, one set inline and one whose block has grown.
+        let mut spilled: NodeSet = [Node::Dev(3), Node::Dev(190), Node::Host]
+            .into_iter()
+            .collect();
+        spilled.remove(Node::Dev(190));
+        let inline: NodeSet = [Node::Host, Node::Dev(3)].into_iter().collect();
+        assert!(!spilled.spill.is_empty() && inline.spill.is_empty());
+        assert_eq!(spilled, inline);
+        assert_eq!(inline, spilled);
+        assert!(spilled.is_subset(&inline) && inline.is_subset(&spilled));
     }
 
     #[test]

@@ -22,13 +22,13 @@
 //! registered, so clones share it — a simulation that starts from
 //! `graph.data.clone()` copies the coherence state only.
 
-use hetero_model::proto::{self, HopKind, Node};
+use hetero_model::proto::{self, HopKind, Node, NodeSet};
 use simhw::link::LinkId;
 use simhw::machine::{DeviceId, SimMachine};
 use simhw::time::Duration;
 use std::collections::BTreeSet;
 use std::fmt::{self, Write as _};
-use std::sync::{Arc, LazyLock};
+use std::sync::Arc;
 
 pub use hetero_model::proto::{AccessMode, Routing};
 
@@ -62,6 +62,8 @@ pub struct TransferPlan {
     pub handle: HandleId,
     /// Hops in dependency order (a later hop needs the earlier one done).
     pub hops: Vec<TransferHop>,
+    /// The protocol's plan these hops decorate, which commit applies.
+    pure: proto::Plan,
 }
 
 impl TransferPlan {
@@ -180,23 +182,6 @@ pub fn model_topo(
     topo
 }
 
-/// Rebuilds the pure skeleton of a decorated plan, for delegating commit
-/// classification to the protocol.
-fn pure_plan(plan: &TransferPlan) -> proto::Plan {
-    proto::Plan {
-        hops: plan
-            .hops
-            .iter()
-            .map(|hop| proto::Hop {
-                from: node_of(hop.from),
-                to: node_of(hop.to),
-                cost: hop.duration.seconds(),
-                moves_bytes: !hop.links.is_empty() || hop.bytes > 0.0,
-            })
-            .collect(),
-    }
-}
-
 /// Decorates one pure hop with the physical links and modeled duration of
 /// the route it crosses. Free bookkeeping hops stay free.
 fn decorate_hop(machine: &SimMachine, size: f64, hop: &proto::Hop) -> TransferHop {
@@ -228,32 +213,14 @@ fn decorate_hop(machine: &SimMachine, size: f64, hop: &proto::Hop) -> TransferHo
 }
 
 /// Decorates every hop of a pure plan for handle `h` of `size` bytes.
-fn decorate(machine: &SimMachine, h: HandleId, size: f64, pure: &proto::Plan) -> TransferPlan {
+fn decorate(machine: &SimMachine, h: HandleId, size: f64, pure: proto::Plan) -> TransferPlan {
     TransferPlan {
         handle: h,
-        hops: pure
-            .hops
-            .iter()
+        hops: (pure.hops().iter())
             .map(|hop| decorate_hop(machine, size, hop))
             .collect(),
+        pure,
     }
-}
-
-/// Prices one access from the pure plan alone, without decorating it:
-/// the hop costs [`MachineCosts`] hands the planner are the very
-/// `transfer_time` values the decorated hops would carry, and
-/// [`proto::Plan::total`] sums them in hop order, so the result is
-/// bit-identical to [`TransferPlan::total`].
-fn probe_cost(
-    valid: &BTreeSet<Node>,
-    machine: &SimMachine,
-    size: f64,
-    device: DeviceId,
-    mode: AccessMode,
-    routing: Routing,
-) -> Duration {
-    let costs = MachineCosts { machine, size };
-    Duration::new(proto::plan_acquire(valid, node_of(device), mode, routing, &costs).total())
 }
 
 /// Bytes moved per direction, for statistics.
@@ -265,17 +232,17 @@ struct ByteCounters {
     peer: f64,
 }
 
-/// Applies a plan to one handle's valid set through [`proto::commit`]
+/// Applies a pure plan to one handle's valid set through [`proto::commit`]
 /// (every hop destination gains a valid copy) and counts each physically
-/// moved hop exactly once in the matching direction counter.
-fn commit_plan(valid: &mut BTreeSet<Node>, bytes: &mut ByteCounters, plan: &TransferPlan) {
-    let pure = pure_plan(plan);
-    proto::commit(valid, &pure);
-    for (hop, pure_hop) in plan.hops.iter().zip(&pure.hops) {
-        match pure_hop.kind() {
-            HopKind::ToHost => bytes.to_host += hop.bytes,
-            HopKind::ToDevice => bytes.to_devices += hop.bytes,
-            HopKind::Peer => bytes.peer += hop.bytes,
+/// moved hop exactly once, as `size` bytes, in the matching direction
+/// counter.
+fn commit_plan(valid: &mut NodeSet, bytes: &mut ByteCounters, plan: &proto::Plan, size: f64) {
+    proto::commit(valid, plan);
+    for hop in plan.hops() {
+        match hop.kind() {
+            HopKind::ToHost => bytes.to_host += size,
+            HopKind::ToDevice => bytes.to_devices += size,
+            HopKind::Peer => bytes.peer += size,
             HopKind::Local => {}
         }
     }
@@ -297,15 +264,11 @@ pub struct DataRegistry {
     /// Shared between clones; [`register`](Self::register) un-shares it.
     table: Arc<HandleTable>,
     /// Per handle: memory spaces holding a valid copy, stored as the
-    /// protocol's own node set so transitions and probes read it in place.
-    /// `None` is the registered state — valid on the host only — which a
-    /// graph with a million untouched handles should not pay a set for.
-    valid: Vec<Option<BTreeSet<Node>>>,
+    /// protocol's own node set so transitions and probes read it in place —
+    /// one word unless a device past the 63rd ever held a copy.
+    valid: Vec<NodeSet>,
     bytes: ByteCounters,
 }
-
-/// The valid set of a handle no transition has touched yet.
-static HOST_ONLY: LazyLock<BTreeSet<Node>> = LazyLock::new(|| BTreeSet::from([Node::Host]));
 
 impl DataRegistry {
     /// An empty registry.
@@ -322,17 +285,8 @@ impl DataRegistry {
             .unwrap_or_else(|_| panic!("data registry exceeds u32 offsets: label bytes"));
         table.label_ends.push(end);
         table.sizes.push(size_bytes);
-        self.valid.push(None);
+        self.valid.push([Node::Host].into_iter().collect());
         id
-    }
-
-    fn valid(&self, h: HandleId) -> &BTreeSet<Node> {
-        self.valid[h.0].as_ref().unwrap_or(&HOST_ONLY)
-    }
-
-    /// The handle's valid set, materialised for a transition to mutate.
-    fn valid_mut(slot: &mut Option<BTreeSet<Node>>) -> &mut BTreeSet<Node> {
-        slot.get_or_insert_with(|| HOST_ONLY.clone())
     }
 
     /// Metadata for a handle.
@@ -360,19 +314,19 @@ impl DataRegistry {
 
     /// Devices currently holding a valid copy of `h`.
     pub fn valid_on(&self, h: HandleId) -> BTreeSet<DeviceId> {
-        self.valid(h).iter().copied().map(device_of).collect()
+        self.valid[h.0].iter().map(device_of).collect()
     }
 
     /// Whether device `d` holds a valid copy of `h`.
     pub fn is_valid_on(&self, h: HandleId, d: DeviceId) -> bool {
-        self.valid(h).contains(&node_of(d))
+        self.valid[h.0].contains(node_of(d))
     }
 
     /// The first device (not host memory) holding a valid copy of `h`.
     pub(crate) fn device_owner(&self, h: HandleId) -> Option<DeviceId> {
         // `Node::Dev` sorts before `Node::Host`.
-        match self.valid(h).first()? {
-            Node::Dev(d) => Some(DeviceId(*d)),
+        match self.valid[h.0].first()? {
+            Node::Dev(d) => Some(DeviceId(d)),
             Node::Host => None,
         }
     }
@@ -393,14 +347,9 @@ impl DataRegistry {
         routing: Routing,
     ) -> TransferPlan {
         let size = self.table.sizes[h.0];
-        let pure = proto::plan_acquire(
-            self.valid(h),
-            node_of(device),
-            mode,
-            routing,
-            &MachineCosts { machine, size },
-        );
-        decorate(machine, h, size, &pure)
+        let costs = MachineCosts { machine, size };
+        let pure = proto::plan_acquire(&self.valid[h.0], node_of(device), mode, routing, &costs);
+        decorate(machine, h, size, pure)
     }
 
     /// Plans the transfer bringing `h` back to host memory (end of run /
@@ -409,27 +358,29 @@ impl DataRegistry {
     /// owner pays its host route.
     pub fn plan_flush(&self, machine: &SimMachine, h: HandleId) -> TransferPlan {
         let size = self.table.sizes[h.0];
-        let pure = proto::plan_flush(self.valid(h), &MachineCosts { machine, size });
-        decorate(machine, h, size, &pure)
+        let pure = proto::plan_flush(&self.valid[h.0], &MachineCosts { machine, size });
+        decorate(machine, h, size, pure)
     }
 
     /// Applies a plan's coherence and byte-accounting effects: every hop
     /// destination gains a valid copy, and each physically moved hop is
     /// counted exactly once in the matching direction counter.
     pub fn commit(&mut self, plan: &TransferPlan) {
-        let valid = Self::valid_mut(&mut self.valid[plan.handle.0]);
-        commit_plan(valid, &mut self.bytes, plan);
+        let h = plan.handle.0;
+        let size = self.table.sizes[h];
+        commit_plan(&mut self.valid[h], &mut self.bytes, &plan.pure, size);
     }
 
     /// Records the access itself after its transfers committed: a write
     /// invalidates every other copy (MSI write-invalidate), a read leaves
     /// the reader holding a valid copy.
     pub fn finish_access(&mut self, h: HandleId, device: DeviceId, mode: AccessMode) {
-        proto::finish_access(Self::valid_mut(&mut self.valid[h.0]), node_of(device), mode);
+        proto::finish_access(&mut self.valid[h.0], node_of(device), mode);
     }
 
     /// Plans, commits and completes one access under the given routing,
-    /// returning the modeled uncontended transfer time.
+    /// returning the modeled uncontended transfer time. Commits the pure
+    /// plan it prices: nothing here needs the links a decorated plan names.
     pub fn acquire_via(
         &mut self,
         machine: &SimMachine,
@@ -438,10 +389,13 @@ impl DataRegistry {
         mode: AccessMode,
         routing: Routing,
     ) -> Duration {
-        let plan = self.plan_acquire(machine, h, device, mode, routing);
-        self.commit(&plan);
-        self.finish_access(h, device, mode);
-        plan.total()
+        let size = self.table.sizes[h.0];
+        let valid = &mut self.valid[h.0];
+        let costs = MachineCosts { machine, size };
+        let plan = proto::plan_acquire(valid, node_of(device), mode, routing, &costs);
+        commit_plan(valid, &mut self.bytes, &plan, size);
+        proto::finish_access(valid, node_of(device), mode);
+        Duration::new(plan.total())
     }
 
     /// [`acquire_via`](Self::acquire_via) with host-staged routing — the
@@ -458,8 +412,8 @@ impl DataRegistry {
 
     /// Estimates the transfer time [`acquire_via`](Self::acquire_via) would
     /// charge, **without** changing coherence state. Equal by construction:
-    /// both price the same pure [`proto::plan_acquire`] plan; the probe
-    /// just skips decorating it with links.
+    /// both price the same pure [`proto::plan_acquire`] plan, whose hop costs
+    /// are the `transfer_time`s decorated hops carry, summed in hop order.
     pub fn probe_acquire_via(
         &self,
         machine: &SimMachine,
@@ -469,7 +423,9 @@ impl DataRegistry {
         routing: Routing,
     ) -> Duration {
         let size = self.table.sizes[h.0];
-        probe_cost(self.valid(h), machine, size, device, mode, routing)
+        let costs = MachineCosts { machine, size };
+        let plan = proto::plan_acquire(&self.valid[h.0], node_of(device), mode, routing, &costs);
+        Duration::new(plan.total())
     }
 
     /// Plans and commits the transfer bringing `h` back to host memory.

@@ -240,6 +240,57 @@ mod tests {
         }
     }
 
+    /// The graph's two factors of the same division — a variant's speedup
+    /// and a task's FLOP count — are refused the same way, naming the
+    /// codelet and variant architecture, or the task.
+    #[test]
+    fn a_graph_without_a_usable_rate_is_an_error_in_both_engines() {
+        let machine = SimMachine::from_platform(&pdl_discover::synthetic::xeon_2gpu_testbed());
+        let options = SimOptions::default();
+        let graph = |speedup: f64, flops: f64| {
+            let mut g = TaskGraph::new();
+            let c = g.add_codelet(
+                Codelet::new("k")
+                    .with_variant(Variant::new("x86"))
+                    .with_variant(Variant::new("gpu").with_speedup(speedup)),
+            );
+            g.submit(c, "t0", 1e9, [], None);
+            g.submit(c, "t1", flops, [], None);
+            g
+        };
+        let mut cases = Vec::new();
+        for speedup in [0.0, -2.0, f64::NAN, f64::INFINITY] {
+            cases.push((
+                graph(speedup, 1e9),
+                "codelet \"k\", variant \"gpu\"",
+                speedup,
+            ));
+        }
+        for flops in [-1.0, f64::NAN, f64::INFINITY] {
+            cases.push((graph(1.0, flops), "task t1", flops));
+        }
+        for (g, origin, value) in cases {
+            let list = simulate(&g, &machine, &mut HeftScheduler, &options).unwrap_err();
+            let online = simulate_dynamic(&g, &machine, &mut HeftScheduler, &options).unwrap_err();
+            // A NaN field is unequal to itself; its `Debug` form is not.
+            let expected = RtError::UnusableWork {
+                origin: origin.into(),
+                value,
+            };
+            assert_eq!(format!("{list:?}"), format!("{expected:?}"));
+            assert_eq!(format!("{online:?}"), format!("{expected:?}"));
+            assert!(list.to_string().starts_with(origin), "{list}");
+        }
+        // A zero-FLOP task and a huge speedup are still fine.
+        assert!(simulate(
+            &graph(f64::MAX, 0.0),
+            &machine,
+            &mut HeftScheduler,
+            &options
+        )
+        .is_ok());
+    }
+
     /// Equal device lists are one class whichever (codelet, group) pair
     /// they come from; a pair nothing can run is a class without devices.
     #[test]

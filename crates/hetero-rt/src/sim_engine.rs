@@ -127,6 +127,14 @@ pub enum RtError {
         /// The rate its descriptor gives (FLOP/s, double precision).
         flops_dp: f64,
     },
+    /// A variant's speedup is not positive and finite, or a task's FLOP
+    /// count is not non-negative and finite.
+    UnusableWork {
+        /// `codelet "k", variant "gpu"` or `task t3`.
+        origin: String,
+        /// The speedup or FLOP count it gives.
+        value: f64,
+    },
 }
 
 impl fmt::Display for RtError {
@@ -147,6 +155,10 @@ impl fmt::Display for RtError {
             RtError::UnusableRate { pu_id, flops_dp } => write!(
                 f,
                 "PU {pu_id:?} has a compute rate of {flops_dp} FLOP/s — PEAK_GFLOPS_DP × EFFICIENCY must be positive and finite"
+            ),
+            RtError::UnusableWork { origin, value } => write!(
+                f,
+                "{origin} gives {value} — a speedup must be positive and a FLOP count non-negative, both finite"
             ),
         }
     }

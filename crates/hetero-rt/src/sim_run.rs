@@ -78,7 +78,24 @@ impl<'a> SimRun<'a> {
                 flops_dp: d.flops_dp,
             });
         }
+        // The graph gives the other two factors of that division.
+        let bad_variant = (graph.codelets.iter())
+            .flat_map(|c| c.variants.iter().map(move |v| (c, v)))
+            .find(|(_, v)| !(v.speedup.is_finite() && v.speedup > 0.0))
+            .map(|(c, v)| {
+                (
+                    format!("codelet {:?}, variant {:?}", c.name, v.arch),
+                    v.speedup,
+                )
+            });
+        let bad_task = (graph.tasks())
+            .find(|t| !(t.flops.is_finite() && t.flops >= 0.0))
+            .map(|t| (format!("task {}", t.id), t.flops));
+        if let Some((origin, value)) = bad_variant.or(bad_task) {
+            return Err(RtError::UnusableWork { origin, value });
+        }
         let data = graph.data.clone();
+        let spans_per_task = if options.pipeline.is_active() { 1 } else { 2 };
         Ok(SimRun {
             graph,
             machine,
@@ -86,9 +103,10 @@ impl<'a> SimRun<'a> {
             tables: DispatchTables::new(graph, machine),
             timelines: vec![Timeline::new(); machine.len()],
             host_bus: Timeline::new(),
-            // One compute span per task: doubling a multi-megabyte vector
-            // moves glibc's mmap threshold and with it the peak RSS.
-            trace: Trace::with_capacity(graph.len()),
+            // A compute span per task, and an `:in` span on the synchronous
+            // path: regrowing a multi-megabyte vector moves glibc's mmap
+            // threshold and with it the peak RSS.
+            trace: Trace::with_capacity(spans_per_task * graph.len()),
             link_timelines: vec![Timeline::new(); machine.links.len()],
             link_use: vec![LinkUse::default(); machine.links.len()],
             link_trace: Trace::new(),
@@ -158,8 +176,8 @@ impl<'a> SimRun<'a> {
                 } else {
                     ready
                 };
-                let label = format!("{}:{}:in", task.label, self.data.meta(a.handle).label);
-                let done = self.run_plan_on_links(&plan, floor, &label);
+                let done =
+                    self.run_plan_on_links(&plan, floor, |h| format!("{}:{h}:in", task.label));
                 self.data.commit(&plan);
                 self.data.finish_access(a.handle, chosen, a.mode);
                 arrival = arrival.max(done);
@@ -232,13 +250,20 @@ impl<'a> SimRun<'a> {
 
     /// Places one [`TransferPlan`]'s hops onto the physical-link timelines,
     /// starting no earlier than `floor`, and records a span per (hop, link)
-    /// in `link_trace`. With link contention each hop additionally waits
-    /// for (and then occupies) every link it crosses; without, links are
-    /// treated as infinitely wide and the spans only document occupancy.
-    /// Returns when the last hop completes (`floor` for plans that move
-    /// nothing).
-    fn run_plan_on_links(&mut self, plan: &TransferPlan, floor: SimTime, label: &str) -> SimTime {
+    /// in `link_trace`, labelled `label(handle label)` — built on the first
+    /// span, so a plan that moves nothing formats nothing. With link
+    /// contention each hop additionally waits for (and then occupies) every
+    /// link it crosses; without, links are treated as infinitely wide and
+    /// the spans only document occupancy. Returns when the last hop
+    /// completes (`floor` for plans that move nothing).
+    fn run_plan_on_links(
+        &mut self,
+        plan: &TransferPlan,
+        floor: SimTime,
+        label: impl Fn(&str) -> String,
+    ) -> SimTime {
         let contention = self.options.pipeline.link_contention;
+        let mut built: Option<String> = None;
         let mut t = floor;
         for hop in &plan.hops {
             if hop.links.is_empty() {
@@ -260,13 +285,9 @@ impl<'a> SimRun<'a> {
                     u.bytes += hop.bytes;
                     u.transfers += 1;
                 }
-                self.link_trace.record(
-                    DeviceId(l.0),
-                    label.to_string(),
-                    SpanKind::Transfer,
-                    start,
-                    end,
-                );
+                let name = built.get_or_insert_with(|| label(self.data.meta(plan.handle).label));
+                self.link_trace
+                    .record(DeviceId(l.0), name.clone(), SpanKind::Transfer, start, end);
             }
             t = end;
         }
@@ -283,8 +304,7 @@ impl<'a> SimRun<'a> {
         for h in (0..written.len()).filter(|&h| written[h]).map(HandleId) {
             if self.options.pipeline.is_active() {
                 let plan = self.data.plan_flush(self.machine, h);
-                let label = format!("{}:out", self.data.meta(h).label);
-                self.run_plan_on_links(&plan, self.handle_ready[h.0], &label);
+                self.run_plan_on_links(&plan, self.handle_ready[h.0], |h| format!("{h}:out"));
                 self.data.commit(&plan);
             } else if let Some(owner) = self.data.device_owner(h) {
                 let dur = self.data.flush_to_host(self.machine, h);

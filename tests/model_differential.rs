@@ -85,7 +85,7 @@ impl Harness {
     fn mapped_valid(&self, state: &State, h: usize) -> BTreeSet<DeviceId> {
         state.handles[h]
             .valid()
-            .into_iter()
+            .iter()
             .map(|n| match n {
                 Node::Host => HOST,
                 Node::Dev(i) => self.devices[i],

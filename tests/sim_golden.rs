@@ -3,12 +3,12 @@
 //! The first twelve rows below were recorded at commit `1ec8f70` (the parent
 //! of the change that moved both virtual-time engines onto one charging
 //! core) by running this file there with an empty table and pasting what the
-//! failure message printed; the last six the same way at `c4983ef` (see
-//! [`actual`]). A digest folds everything a [`SimReport`] says about the
-//! schedule — makespan bits, every assignment, the three byte counters,
-//! every span of `trace` and `link_trace` (lane, kind, start and end bits,
-//! label) and the perf-model entry count — so "bit-identical" is checked,
-//! not eyeballed.
+//! failure message printed; the next six the same way at `c4983ef`, the last
+//! two at `5c26f97` (see [`actual`]). A digest folds everything a
+//! [`SimReport`] says about the schedule — makespan bits, every assignment,
+//! the three byte counters, every span of `trace` and `link_trace` (lane,
+//! kind, start and end bits, label) and the perf-model entry count — so
+//! "bit-identical" is checked, not eyeballed.
 
 use hetero_rt::prelude::*;
 use kernels::graphs::{dgemm_graph, emit_dgemm, emit_vecadd, fork_join_graph};
@@ -163,17 +163,26 @@ type Engine = fn(&TaskGraph, &SimMachine, &mut dyn Scheduler, &SimOptions) -> Si
 const LIST: Engine = |g, m, s, o| simulate(g, m, s, o).expect("list engine");
 const EVENT: Engine = |g, m, s, o| simulate_dynamic(g, m, s, o).expect("event engine");
 
-/// One row per engine × testbed × graph; within a row, policy-major over
-/// the three policies × the five option sets.
-fn rows(engines: &[Engine], graphs: &[TaskGraph], policies: [&str; 3]) -> Vec<[u64; 15]> {
-    let machines = [
+/// The two testbeds every row set but the last runs on.
+fn testbeds() -> [SimMachine; 2] {
+    [
         SimMachine::from_platform(&synthetic::xeon_2gpu_testbed()),
         SimMachine::from_platform(&synthetic::xeon_2gpu_nvlink_testbed()),
-    ];
+    ]
+}
+
+/// One row per engine × machine × graph; within a row, policy-major over
+/// the three policies × the five option sets.
+fn rows(
+    engines: &[Engine],
+    machines: &[SimMachine],
+    graphs: &[TaskGraph],
+    policies: [&str; 3],
+) -> Vec<[u64; 15]> {
     let options = option_sets();
     let mut rows = Vec::new();
     for engine in engines {
-        for machine in &machines {
+        for machine in machines {
             for graph in graphs {
                 let mut row = [0u64; 15];
                 let mut cell = row.iter_mut();
@@ -196,17 +205,39 @@ fn rows(engines: &[Engine], graphs: &[TaskGraph], policies: [&str; 3]) -> Vec<[u
 /// set of eligible devices): [`hetero_graph`] under both engines, and under
 /// the event engine with the policies whose state — or whose view of every
 /// candidate — depends on the order and the lists they are consulted with.
+/// Last, two recorded at `5c26f97` (the parent of the change that made
+/// valid sets a bitset): a small DGEMM under both engines on a cluster with
+/// more devices than the set's inline word holds.
 fn actual() -> Vec<[u64; 15]> {
     let stateless = ["eager", "heft", "dmda"];
+    let testbeds = testbeds();
     let pinned = [
         dgemm_graph(256, 64, None),
         fork_join_graph(8, 6, None),
         grouped_graph(),
     ];
     let hetero = [hetero_graph()];
-    let mut all = rows(&[LIST, EVENT], &pinned, stateless);
-    all.extend(rows(&[LIST, EVENT], &hetero, stateless));
-    all.extend(rows(&[EVENT], &hetero, ["random", "round-robin", "energy"]));
+    let mut all = rows(&[LIST, EVENT], &testbeds, &pinned, stateless);
+    all.extend(rows(&[LIST, EVENT], &testbeds, &hetero, stateless));
+    all.extend(rows(
+        &[EVENT],
+        &testbeds,
+        &hetero,
+        ["random", "round-robin", "energy"],
+    ));
+    let cluster = [SimMachine::from_platform(&synthetic::gpgpu_cluster(32, 3))];
+    let dgemm = [dgemm_graph(384, 64, None)];
+    let eager = LIST(
+        &dgemm[0],
+        &cluster[0],
+        &mut EagerScheduler,
+        &option_sets()[0],
+    );
+    assert!(
+        eager.assignments.iter().any(|(_, d)| d.0 >= 64),
+        "the cluster rows must place copies past the inline word"
+    );
+    all.extend(rows(&[LIST, EVENT], &cluster, &dgemm, stateless));
     all
 }
 
@@ -233,7 +264,7 @@ fn reports_match_the_digests_recorded_at_the_parent_commit() {
 }
 
 #[rustfmt::skip]
-const GOLDEN: [[u64; 15]; 18] = [
+const GOLDEN: [[u64; 15]; 20] = [
     [
         0x0d1e63e0593cb392, 0xadec3fba7750f6d4, 0x885c144e860aa06d,
         0x36569fcde5d8e7ae, 0xcf28d5ce435e1f50, 0xd6a3556522ec613e,
@@ -359,5 +390,19 @@ const GOLDEN: [[u64; 15]; 18] = [
         0x4719f9b6f61a434e, 0x237df2b7843f5fbb, 0x7d6e6ff5c7a9d1d0,
         0xd9ae8de5ee2656e1, 0xc5aa17664547155d, 0x224ea15b43ae5659,
         0xf2b1e21e57de28b9, 0xa15564c3249c602a, 0xc5aa17664547155d,
+    ],
+    [
+        0x0f301695fee685e9, 0xb08da8bd2949df95, 0xce22ce050ccf705d,
+        0xedc0d9946104d456, 0xf0354f8cf3f73bc8, 0x13573319d8c9d239,
+        0x39168bf2e6038364, 0xb6dff3de6df82f53, 0xb4094e6ddcefe188,
+        0xf45c6c10cdda8818, 0x13573319d8c9d239, 0x39168bf2e6038364,
+        0xb6dff3de6df82f53, 0xb4094e6ddcefe188, 0xf45c6c10cdda8818,
+    ],
+    [
+        0x4f9704d721edd901, 0xbc3c9b9274f3208a, 0x60bc7d2fe3e3fd76,
+        0xeac0c91559a7321c, 0x4f9704d721edd901, 0xec4ebf819c40c349,
+        0x14086b390b091f30, 0xf790157b3ead7a53, 0x58999588a9022cf8,
+        0xec4ebf819c40c349, 0xec4ebf819c40c349, 0x14086b390b091f30,
+        0xf790157b3ead7a53, 0x58999588a9022cf8, 0xec4ebf819c40c349,
     ],
 ];
