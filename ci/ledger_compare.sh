@@ -18,7 +18,10 @@
 # and behind: medians say how far, the sign count says how reliably, and a
 # claimed gain needs both.
 #
-# Head results are left in benchmark/out/ (CI uploads them).
+# Both sides write to sibling directories of one length under one temporary
+# directory, because the length of `--out` alone moves `peak_rss_mb` (by
+# ≈ 8 MB on `execute_forkjoin`); head results are copied to benchmark/out/
+# on exit (CI uploads them).
 #
 # Usage: ci/ledger_compare.sh <base-ref> [pairs] [workload…]
 set -euo pipefail
@@ -29,7 +32,11 @@ shift $(($# < 2 ? $# : 2))
 chosen="$*"
 root="$(git -C "$(dirname "$0")/.." rev-parse --show-toplevel)"
 work="$(mktemp -d)"
+base_out="$work/out/base" head_out="$work/out/head"
 cleanup() {
+    if [ -d "$head_out" ]; then
+        cp -r "$head_out" "$root/benchmark/out"
+    fi
     git -C "$root" worktree remove --force "$work/base" 2>/dev/null || true
     rm -rf "$work"
 }
@@ -49,9 +56,9 @@ rm -rf "$root/benchmark/out"
 # run <side> <workload> <seed>, from the side's checkout so that the result
 # is stamped with its revision.
 run() {
-    local checkout="$root" out="$root/benchmark/out"
+    local checkout="$root" out="$head_out"
     if [ "$1" = base ]; then
-        checkout="$work/base" out="$work/out"
+        checkout="$work/base" out="$base_out"
     fi
     printf '%s, pair %s: ' "$1" "$3"
     (cd "$checkout" && "./$ledger" --workload "$2" --seed "$3" --seconds 5 --out "$out")
@@ -70,7 +77,7 @@ for pair in $(seq "$pairs"); do
 done
 
 status=0
-"$root/$ledger" --compare "$work/out" "$root/benchmark/out" | tee "$work/compare.txt" || status=$?
+"$root/$ledger" --compare "$base_out" "$head_out" | tee "$work/compare.txt" || status=$?
 if [ -n "$chosen" ]; then
     # --compare fails the workloads that did not run; judge the chosen ones.
     status=0
@@ -95,8 +102,8 @@ sed -n '/"end_to_end"/,/"per_layer"/p' "$root/BENCHMARK.json" |
         for workload in $workloads; do
             ahead=0 behind=0
             for pair in $(seq "$pairs"); do
-                b="$(value "$work/out/$workload.seed$pair.json" "$metric")"
-                h="$(value "$root/benchmark/out/$workload.seed$pair.json" "$metric")"
+                b="$(value "$base_out/$workload.seed$pair.json" "$metric")"
+                h="$(value "$head_out/$workload.seed$pair.json" "$metric")"
                 case "$(awk -v b="$b" -v h="$h" -v better="$better" 'BEGIN {
                     d = (better == "lower") ? b - h : h - b
                     print (d > 0) ? "ahead" : (d < 0) ? "behind" : "level" }')" in

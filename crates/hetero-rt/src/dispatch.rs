@@ -16,6 +16,7 @@ use crate::task::Task;
 use simhw::machine::{DeviceId, SimMachine};
 use simhw::resource::Timeline;
 use simhw::time::{Duration, SimTime};
+use std::cell::OnceCell;
 
 /// Per-run look-up tables replacing per-dispatch `variant_for` string
 /// matching (and its software-platform `Vec` allocations) and group-name
@@ -149,13 +150,15 @@ impl Oracles<'_> {
             self.timelines[d.0].probe(self.ready, busy).1
         };
         let transfer_cost = |d: DeviceId| self.transfers(d, self.routing);
-        let size: f64 = self
-            .task
-            .accesses
-            .iter()
-            .map(|a| self.data.meta(a.handle).size_bytes)
-            .sum();
+        // The bytes the task touches, summed on first use: only a policy
+        // that asks for a compute estimate needs them.
+        let size = OnceCell::new();
         let est_compute = |d: DeviceId| {
+            let size = *size.get_or_init(|| {
+                (self.task.accesses.iter())
+                    .map(|a| self.data.size(a.handle))
+                    .sum::<f64>()
+            });
             self.perfmodel
                 .estimate(self.codelet_name, &self.machine.devices[d.0].arch, size)
                 .unwrap_or_else(|| analytic(d))

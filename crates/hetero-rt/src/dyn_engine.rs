@@ -140,10 +140,10 @@ mod tests {
     use super::*;
     use crate::data::{AccessMode, HandleId};
     use crate::scheduler::{EagerScheduler, HeftScheduler};
+    use crate::sim_engine::SpanKind;
     use crate::task::{Codelet, DataAccess, Variant};
     use pdl_discover::synthetic;
     use simhw::time::SimTime;
-    use simhw::trace::SpanKind;
 
     fn acc(h: HandleId, mode: AccessMode) -> DataAccess {
         DataAccess { handle: h, mode }
@@ -221,7 +221,7 @@ mod tests {
             .trace
             .spans()
             .iter()
-            .filter(|s| s.kind == SpanKind::Compute)
+            .filter(|s| s.kind() == SpanKind::Compute)
             .collect();
         for w in spans.windows(2) {
             assert!(w[1].start >= w[0].end);
@@ -312,12 +312,16 @@ mod tests {
         mk(&mut g, "mid", 2);
         let r =
             simulate_dynamic(&g, &machine, &mut EagerScheduler, &SimOptions::default()).unwrap();
-        let order: Vec<&str> = r
+        let order: Vec<String> = r
             .trace
             .spans()
             .iter()
-            .filter(|s| s.kind == SpanKind::Compute)
-            .map(|s| s.label.as_str())
+            .filter(|s| s.kind() == SpanKind::Compute)
+            .map(|s| {
+                let mut label = String::new();
+                r.label(s, &mut label);
+                label
+            })
             .collect();
         assert_eq!(order, ["high", "mid", "low"]);
     }

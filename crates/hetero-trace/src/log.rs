@@ -130,6 +130,12 @@ impl EventLog {
         self.slots.push(slot);
     }
 
+    /// Makes room for exactly `additional` more events, so a writer that
+    /// knows its count fills the log without regrowing it.
+    pub fn reserve_exact(&mut self, additional: usize) {
+        self.slots.reserve_exact(additional);
+    }
+
     /// Puts `event`, the newest, where the oldest event sits at `oldest`,
     /// releasing what that one held out of line.
     #[inline]

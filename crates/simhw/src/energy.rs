@@ -2,12 +2,13 @@
 //!
 //! The paper motivates heterogeneous many-cores as "a way to cope with
 //! energy consumption limitations" — this module closes that loop: given a
-//! machine (per-device power from PDL `TDP`/`IDLE_POWER` properties) and a
-//! trace, it computes the energy each schedule would consume, letting
-//! schedulers be compared on energy as well as makespan.
+//! machine (per-device power from PDL `TDP`/`IDLE_POWER` properties) and how
+//! long a schedule kept each device busy, it computes the energy the schedule
+//! would consume, letting schedulers be compared on energy as well as
+//! makespan.
 
 use crate::machine::SimMachine;
-use crate::trace::Trace;
+use crate::time::{Duration, SimTime};
 use std::collections::BTreeMap;
 
 /// Energy breakdown for one simulated run.
@@ -37,23 +38,23 @@ impl EnergyReport {
     }
 }
 
-/// Computes the energy a trace consumes on a machine.
+/// Computes the energy a schedule consumes on a machine, given each
+/// device's busy time (indexed by device id; a device past the end of
+/// `busy` was never busy) and the makespan.
 ///
 /// Each device draws `active_power_w` while busy and `idle_power_w` from
 /// time zero to the global makespan while not busy. Devices with zero
 /// configured power contribute nothing (untracked).
-pub fn energy(machine: &SimMachine, trace: &Trace) -> EnergyReport {
-    let makespan = trace.makespan().seconds();
-    let busy = trace.busy_by_device();
+pub fn energy(machine: &SimMachine, busy: &[Duration], makespan: SimTime) -> EnergyReport {
+    let makespan = makespan.seconds();
     let mut active_j = 0.0;
     let mut idle_j = 0.0;
     let mut per_device = BTreeMap::new();
 
     for dev in &machine.devices {
         let busy_s = busy
-            .get(&dev.id)
-            .map(|d| d.seconds())
-            .unwrap_or(0.0)
+            .get(dev.id.0)
+            .map_or(0.0, |d| d.seconds())
             .min(makespan);
         let a = busy_s * dev.active_power_w;
         let i = (makespan - busy_s) * dev.idle_power_w;
@@ -72,9 +73,6 @@ pub fn energy(machine: &SimMachine, trace: &Trace) -> EnergyReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::machine::DeviceId;
-    use crate::time::SimTime;
-    use crate::trace::SpanKind;
     use pdl_core::prelude::*;
 
     fn machine_with_power() -> SimMachine {
@@ -111,28 +109,24 @@ mod tests {
         SimMachine::from_platform(&b.build().unwrap())
     }
 
+    /// Busy times indexed by device id, from `(device, seconds)` pairs.
+    fn busy(m: &SimMachine, of: &[(&str, f64)]) -> Vec<Duration> {
+        let mut busy = vec![Duration::ZERO; m.len()];
+        for &(pu, s) in of {
+            busy[m.device_by_pu(pu).unwrap().id.0] = Duration::new(s);
+        }
+        busy
+    }
+
     #[test]
     fn active_and_idle_split() {
         let m = machine_with_power();
-        let gpu = m.device_by_pu("gpu").unwrap().id;
-        let cpu = m.device_by_pu("cpu").unwrap().id;
-        let mut tr = Trace::new();
-        // GPU busy 0-2s, CPU busy 0-4s → makespan 4s.
-        tr.record(
-            gpu,
-            "k",
-            SpanKind::Compute,
-            SimTime::ZERO,
-            SimTime::new(2.0),
-        );
-        tr.record(
-            cpu,
-            "k",
-            SpanKind::Compute,
-            SimTime::ZERO,
+        // GPU busy 2s, CPU busy 4s → makespan 4s.
+        let e = energy(
+            &m,
+            &busy(&m, &[("gpu", 2.0), ("cpu", 4.0)]),
             SimTime::new(4.0),
         );
-        let e = energy(&m, &tr);
         // GPU: 2s×200W + 2s×50W = 500 J; CPU: 4s×100W = 400 J.
         assert_eq!(e.per_device_j["gpu"], 500.0);
         assert_eq!(e.per_device_j["cpu"], 400.0);
@@ -145,7 +139,7 @@ mod tests {
     #[test]
     fn empty_trace_zero_energy() {
         let m = machine_with_power();
-        let e = energy(&m, &Trace::new());
+        let e = energy(&m, &[], SimTime::ZERO);
         assert_eq!(e.total_j(), 0.0);
         assert_eq!(e.average_power_w(0.0), 0.0);
     }
@@ -154,15 +148,7 @@ mod tests {
     fn untracked_devices_contribute_nothing() {
         let p = pdl_core::patterns::host_device(1); // no power properties
         let m = SimMachine::from_platform(&p);
-        let mut tr = Trace::new();
-        tr.record(
-            DeviceId(0),
-            "k",
-            SpanKind::Compute,
-            SimTime::ZERO,
-            SimTime::new(10.0),
-        );
-        let e = energy(&m, &tr);
+        let e = energy(&m, &[Duration::new(10.0)], SimTime::new(10.0));
         assert_eq!(e.total_j(), 0.0);
     }
 
@@ -170,45 +156,11 @@ mod tests {
     fn faster_schedule_saves_idle_energy() {
         // Same busy work, shorter makespan → less idle energy.
         let m = machine_with_power();
-        let gpu = m.device_by_pu("gpu").unwrap().id;
-        let cpu = m.device_by_pu("cpu").unwrap().id;
-
-        let mut balanced = Trace::new();
-        balanced.record(
-            gpu,
-            "a",
-            SpanKind::Compute,
-            SimTime::ZERO,
-            SimTime::new(2.0),
-        );
-        balanced.record(
-            cpu,
-            "b",
-            SpanKind::Compute,
-            SimTime::ZERO,
-            SimTime::new(2.0),
-        );
-
-        let mut skewed = Trace::new();
-        skewed.record(
-            gpu,
-            "a",
-            SpanKind::Compute,
-            SimTime::ZERO,
-            SimTime::new(2.0),
-        );
-        skewed.record(
-            cpu,
-            "b",
-            SpanKind::Compute,
-            SimTime::new(2.0),
-            SimTime::new(4.0),
-        );
-
-        let eb = energy(&m, &balanced);
-        let es = energy(&m, &skewed);
-        assert_eq!(eb.active_j, es.active_j);
-        assert!(eb.idle_j < es.idle_j);
-        assert!(eb.total_j() < es.total_j());
+        let work = busy(&m, &[("gpu", 2.0), ("cpu", 2.0)]);
+        let balanced = energy(&m, &work, SimTime::new(2.0));
+        let skewed = energy(&m, &work, SimTime::new(4.0));
+        assert_eq!(balanced.active_j, skewed.active_j);
+        assert!(balanced.idle_j < skewed.idle_j);
+        assert!(balanced.total_j() < skewed.total_j());
     }
 }

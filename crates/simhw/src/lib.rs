@@ -14,8 +14,10 @@
 //! * [`link`] — physical links ([`link::SimLink`]) and routed transfer
 //!   paths ([`link::TransferPath`]) derived from interconnect entities;
 //! * [`resource`] — serializing occupancy timelines for devices and links;
-//! * [`trace`] — execution spans, makespan/utilization, text Gantt charts;
 //! * [`mod@energy`] — energy accounting from PDL `TDP`/`IDLE_POWER` properties.
+//!
+//! What ran where and when is recorded by the runtime that drives these
+//! (`hetero_rt::sim_engine::Trace`).
 //!
 //! ```
 //! use simhw::machine::SimMachine;
@@ -33,7 +35,6 @@ pub mod link;
 pub mod machine;
 pub mod resource;
 pub mod time;
-pub mod trace;
 
 pub use energy::{energy, EnergyReport};
 pub use events::EventQueue;
@@ -41,4 +42,3 @@ pub use link::{LinkId, SimLink, TransferPath};
 pub use machine::{DeviceId, LinkParams, SimDevice, SimMachine};
 pub use resource::Timeline;
 pub use time::{Duration, SimTime};
-pub use trace::{Span, SpanKind, Trace};

@@ -197,6 +197,11 @@ fn cmd_route(args: &[String]) -> Result<(), String> {
     let mb: f64 = need(args, 3, "<MB>")?
         .parse()
         .map_err(|_| "size must be a number (MB)".to_string())?;
+    if !(mb.is_finite() && mb >= 0.0) {
+        return Err(format!(
+            "<MB> must be a finite size of at least 0, got {mb}"
+        ));
+    }
     match pdl_query::route(&platform, from, to, mb * 1e6) {
         None => Err(format!("no data path from {from:?} to {to:?}")),
         Some(r) => {
@@ -490,6 +495,10 @@ fn cmd_model_check(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
+/// The most tile tasks `pdl simulate` builds a DGEMM graph of: 128³, the
+/// 8192 × 8192 matrix in tiles of 64.
+const SIMULATE_MAX_TASKS: usize = 1 << 21;
+
 fn cmd_simulate(args: &[String]) -> Result<(), String> {
     let platform = load(need(args, 0, "<file>")?)?;
     let n: usize = args
@@ -500,6 +509,18 @@ fn cmd_simulate(args: &[String]) -> Result<(), String> {
         .get(2)
         .map_or(Ok((n / 4).max(1)), |a| a.parse())
         .map_err(|_| "TILE must be a number")?;
+    if !(1..=n).contains(&tile) {
+        return Err(format!("TILE must be in 1..=N (N = {n}), got {tile}"));
+    }
+    let tiles = n.div_ceil(tile);
+    if tiles
+        .checked_pow(3)
+        .is_none_or(|tasks| tasks > SIMULATE_MAX_TASKS)
+    {
+        return Err(format!(
+            "N/TILE = {tiles} makes {tiles}³ tasks, over the limit of {SIMULATE_MAX_TASKS}"
+        ));
+    }
     let machine = SimMachine::from_platform(&platform);
     if machine.is_empty() {
         return Err("platform has no schedulable devices".into());

@@ -391,3 +391,41 @@ fn reversed_span_is_a_diagnostic_not_a_wrapped_duration() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Arguments `simulate` and `route` cannot use used to panic (`tile must be
+/// in 1..=n`, `capacity overflow`, exit 101) or be priced: a negative size
+/// printed a negative time, NaN and infinity claimed there was no path.
+/// Each is refused at the command line now, naming the argument.
+#[test]
+fn unusable_sizes_are_diagnostics_not_panics() {
+    let gpus = "xeon-x5550-gtx480-gtx285";
+    for (args, message) in [
+        (vec!["simulate", gpus, "8192", "0"], "TILE must be in 1..=N"),
+        (vec!["simulate", gpus, "1", "4096"], "TILE must be in 1..=N"),
+        (vec!["simulate", gpus, "0"], "TILE must be in 1..=N"),
+        (
+            vec!["simulate", gpus, "4000000", "1"],
+            "over the limit of 2097152",
+        ),
+        (
+            vec!["simulate", gpus, "8192", "63"],
+            "over the limit of 2097152",
+        ),
+        (vec!["route", gpus, "cpu0", "gpu0", "-5"], "<MB> must be"),
+        (vec!["route", gpus, "cpu0", "gpu0", "NaN"], "<MB> must be"),
+        (vec!["route", gpus, "cpu0", "gpu0", "inf"], "<MB> must be"),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_pdl"))
+            .args(&args)
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{stderr}");
+        assert!(stderr.starts_with("pdl: "), "{stderr}");
+        assert!(stderr.contains(message), "{args:?}: {stderr}");
+    }
+    // The limit admits what it names, and a size of zero is a size.
+    let (ok, stdout, stderr) = pdl(&["route", gpus, "cpu0", "gpu0", "0"]);
+    assert!(ok && stdout.contains("total:"), "{stdout}{stderr}");
+}

@@ -349,8 +349,8 @@ proptest! {
         policy_idx in 0usize..4,
         seed in any::<u64>(),
     ) {
+        use hetero_rt::sim_engine::SpanKind;
         use simhw::time::SimTime;
-        use simhw::trace::SpanKind;
 
         let machine = simhw::machine::SimMachine::from_platform(
             &pdl_discover::synthetic::xeon_2gpu_testbed(),
@@ -378,14 +378,17 @@ proptest! {
         let mut end = vec![SimTime::ZERO; graph.len()];
         let mut dispatched = report.assignments.iter();
         let mut transfer_start = None;
+        let mut label = String::new();
         for span in report.trace.spans() {
-            if span.kind == SpanKind::Compute {
+            label.clear();
+            report.label(span, &mut label);
+            if span.kind() == SpanKind::Compute {
                 let (t, device) = dispatched.next().expect("one compute span per task");
-                prop_assert_eq!(span.device, *device);
-                prop_assert_eq!(span.label.as_str(), graph.task(*t).label);
+                prop_assert_eq!(span.lane as usize, device.0);
+                prop_assert_eq!(label.as_str(), graph.task(*t).label);
                 start[t.0] = transfer_start.take().unwrap_or(span.start);
                 end[t.0] = span.end;
-            } else if span.label.ends_with(":in") {
+            } else if label.ends_with(":in") {
                 transfer_start = Some(span.start);
             }
         }
@@ -403,7 +406,7 @@ proptest! {
         // Spans of one device do not overlap.
         let mut lanes: Vec<Vec<(SimTime, SimTime)>> = vec![Vec::new(); machine.len()];
         for span in report.trace.spans() {
-            lanes[span.device.0].push((span.start, span.end));
+            lanes[span.lane as usize].push((span.start, span.end));
         }
         for lane in &mut lanes {
             lane.sort();
