@@ -16,7 +16,10 @@
 # workloads that ran is the script's exit code. After it, one line per
 # workload and end-to-end metric counts the pairs in which head was ahead
 # and behind: medians say how far, the sign count says how reliably, and a
-# claimed gain needs both.
+# claimed gain needs both. Under each count, the two sides' medians and
+# quartiles over the pairs, the median gain (positive when head is better)
+# and the base's interquartile range: a claimed gain is ahead in ≥ 9 of 10
+# pairs with a median gain above the base's IQR. These lines only print.
 #
 # Both sides write to sibling directories of one length under one temporary
 # directory, because the length of `--out` alone moves `peak_rss_mb` (by
@@ -94,16 +97,32 @@ value() {
     awk -v key="\"$2\": {" 'index($0, key) { getline; sub(/.*: /, ""); sub(/,.*/, ""); print; exit }' "$1"
 }
 
+# quartiles <value…>: Q1, median and Q3 by the rule of Python's
+# `statistics.quantiles(n=4)`, the rule the ledger's own spreads use.
+quartiles() {
+    printf '%s\n' "$@" | sort -g | awk '{ v[NR] = $1 } END {
+        n = NR
+        if (n < 2) { print v[1], v[1], v[1]; exit }
+        for (i = 1; i <= 3; i++) {
+            j = int(i * (n + 1) / 4)
+            j = (j < 1) ? 1 : (j > n - 1) ? n - 1 : j
+            d = i * (n + 1) - 4 * j
+            q[i] = (v[j] * (4 - d) + v[j + 1] * d) / 4
+        }
+        print q[1], q[2], q[3] }'
+}
+
 echo
 echo "sign counts, pair k of base against pair k of head:"
 sed -n '/"end_to_end"/,/"per_layer"/p' "$root/BENCHMARK.json" |
     awk -F'"' '/"name"/ { name = $4 } /"better"/ { print name, $4 }' |
     while read -r metric better; do
         for workload in $workloads; do
-            ahead=0 behind=0
+            ahead=0 behind=0 bs="" hs=""
             for pair in $(seq "$pairs"); do
                 b="$(value "$base_out/$workload.seed$pair.json" "$metric")"
                 h="$(value "$head_out/$workload.seed$pair.json" "$metric")"
+                bs="$bs $b" hs="$hs $h"
                 case "$(awk -v b="$b" -v h="$h" -v better="$better" 'BEGIN {
                     d = (better == "lower") ? b - h : h - b
                     print (d > 0) ? "ahead" : (d < 0) ? "behind" : "level" }')" in
@@ -113,6 +132,12 @@ sed -n '/"end_to_end"/,/"per_layer"/p' "$root/BENCHMARK.json" |
             done
             printf '  %-18s %-12s head better in %d of %d pairs, worse in %d\n' \
                 "$workload" "$metric" "$ahead" "$pairs" "$behind"
+            # shellcheck disable=SC2086 # one word per pair
+            awk -v base="$(quartiles $bs)" -v head="$(quartiles $hs)" -v better="$better" 'BEGIN {
+                split(base, b, " "); split(head, h, " ")
+                gain = (better == "lower") ? b[2] - h[2] : h[2] - b[2]
+                printf "  %32s base %.5g [%.5g, %.5g], head %.5g [%.5g, %.5g]; median gain %.5g, base IQR %.5g\n",
+                    "", b[2], b[1], b[3], h[2], h[1], h[3], gain, b[3] - b[1] }'
         done
     done
 exit "$status"

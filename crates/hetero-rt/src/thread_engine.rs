@@ -37,12 +37,16 @@
 //! compile a [`TaskGraph`] once and run it many times. Dependencies must
 //! point to earlier task indices (submission order), which guarantees
 //! acyclicity by construction — same rule as the graphs built by
-//! [`TaskGraph`]. A task body that panics ends the run with
+//! [`TaskGraph`]. Either way a worker obtains a task's body only once it
+//! has claimed the task: `run` takes it out of the task list, and
+//! `run_compiled` has its factory build it on that worker. A task body (or
+//! a factory) that panics ends the run with
 //! [`ThreadEngineError::TaskPanicked`]; it never hangs the pool.
 //!
 //! The seed single-queue engine this one replaced lives on as a measured
 //! baseline in `bench::baseline`.
 
+use crate::data;
 use crate::graph::{CompiledGraph, TaskGraph};
 use crate::task::{Task, TaskId};
 use crossbeam::deque::{Injector, Steal, Stealer, Worker};
@@ -54,7 +58,7 @@ use hetero_trace::{
 use parking_lot::Mutex;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar};
+use std::sync::{Arc, Condvar, OnceLock};
 use std::time::Duration as StdDuration;
 
 mod placement;
@@ -129,20 +133,23 @@ pub fn from_graph(
 // Submission
 // ---------------------------------------------------------------------------
 
-/// A task body, claimable exactly once by whichever worker executes it.
-type WorkSlot = Mutex<Option<Box<dyn FnOnce() + Send>>>;
+/// Builds task `i`'s body, on the worker that has just claimed task `i`.
+type BodyFactory<'a> = &'a (dyn Fn(usize) -> Box<dyn FnOnce() + Send> + Sync);
 
 /// A [`TaskGraph`] compiled for one executor's placement.
 ///
 /// [`ThreadedExecutor::compile_graph`] prebuilds everything a run needs
-/// besides the task bodies — the graph's [`CompiledGraph`], the labels, the
-/// placement-resolved group of every task — so each
+/// besides the task bodies — the graph's [`CompiledGraph`], its label
+/// column, the placement-resolved group of every task — so each
 /// [`ThreadedExecutor::run_compiled`] batch only instantiates fresh atomic
-/// counters and work closures.
+/// counters. The labels stay one text column until a batch reports them
+/// (task stats on, or a recording trace sink): that batch cuts one
+/// `Arc<str>` per task, and every later batch shares those.
 #[derive(Debug, Clone)]
 pub struct PlacedGraph {
     graph: CompiledGraph,
-    labels: Vec<Arc<str>>,
+    labels: data::Labels,
+    cut_labels: OnceLock<Vec<Arc<str>>>,
     task_group: Vec<Option<usize>>,
     group_names: Vec<String>,
 }
@@ -151,6 +158,12 @@ impl PlacedGraph {
     /// Number of tasks in the compiled graph.
     pub(crate) fn len(&self) -> usize {
         self.graph.len()
+    }
+
+    /// One shared label per task, cut from the column on first use.
+    fn labels(&self) -> &[Arc<str>] {
+        self.cut_labels
+            .get_or_init(|| (0..self.len()).map(|i| self.labels.get(i).into()).collect())
     }
 }
 
@@ -298,9 +311,10 @@ impl ThreadedExecutor {
     ///
     /// With stats off, [`ExecReport::tasks`] comes back empty and workers
     /// skip the per-task `(index, duration)` record — at a million tasks
-    /// per run, that record (and the label clone it implies at assembly
-    /// time) is the dominant fixed cost, so throughput benchmarks and
-    /// embedders that only need the aggregate counters turn it off.
+    /// per run, that record and its stats row are the dominant fixed cost,
+    /// so throughput benchmarks and embedders that only need the aggregate
+    /// counters turn it off. A [`PlacedGraph`] run with stats off and no
+    /// recording trace sink never cuts its labels into `Arc`s at all.
     /// Worker-level stats, traces and telemetry are unaffected.
     pub fn with_task_stats(mut self, enabled: bool) -> Self {
         self.task_stats = enabled;
@@ -357,28 +371,40 @@ impl ThreadedExecutor {
         let graph =
             CompiledGraph::from_dependencies(tasks.len(), |i| tasks[i].deps.iter().copied())
                 .map_err(|(task, dep)| ThreadEngineError::ForwardDependency { task, dep })?;
-        let (labels, work): (Vec<Option<Arc<str>>>, Vec<WorkSlot>) = tasks
+        // Each body is claimable exactly once, by whichever worker runs it.
+        let (labels, slots): (Vec<Option<Arc<str>>>, Vec<Mutex<Option<_>>>) = tasks
             .into_iter()
             .map(|t| (Some(t.label), Mutex::new(Some(t.work))))
             .unzip();
-        self.execute(start, &graph, &task_group, Labels::Owned(labels), work)
+        let take = |i: usize| slots[i].lock().take().expect("task runs once");
+        let labels = ReportLabels::Owned(labels);
+        self.execute(start, &graph, &task_group, labels, &take)
     }
 
     /// Compiles a [`TaskGraph`]'s structure for repeated execution with
     /// [`run_compiled`](Self::run_compiled): [`TaskGraph::compile`] plus
-    /// the labels and the placement-resolved group of every task.
+    /// the label column and the placement-resolved group of every task.
     pub fn compile_graph(&self, graph: &TaskGraph) -> Result<PlacedGraph, ThreadEngineError> {
         let task_group = self.resolve_task_groups(graph.tasks().map(|t| t.execution_group))?;
         Ok(PlacedGraph {
             graph: graph.compile(),
-            labels: graph.tasks().map(|t| t.label.into()).collect(),
+            labels: graph.labels(),
+            cut_labels: OnceLock::new(),
             task_group,
             group_names: self.group_names(),
         })
     }
 
     /// Executes a graph compiled by [`compile_graph`](Self::compile_graph);
-    /// `work` supplies each task's closure by task index.
+    /// `work` builds each task's body from its task index.
+    ///
+    /// `work` is called on a worker thread, right after that worker claims
+    /// the task and before the body's timed interval starts. It is called
+    /// at most once per task, only for tasks that start — after a panic
+    /// cancels the run, no further body is built — and possibly from
+    /// several workers at once, hence `Sync`. A panic inside `work` is
+    /// treated like a panic in the body it was building: the run ends with
+    /// [`ThreadEngineError::TaskPanicked`] naming that task.
     ///
     /// The executor must define the same placement groups the graph was
     /// compiled against (group indices are baked in at compile time);
@@ -386,7 +412,7 @@ impl ThreadedExecutor {
     pub fn run_compiled(
         &self,
         graph: &PlacedGraph,
-        mut work: impl FnMut(usize) -> Box<dyn FnOnce() + Send>,
+        work: impl Fn(usize) -> Box<dyn FnOnce() + Send> + Sync,
     ) -> Result<ExecReport, ThreadEngineError> {
         let start = self.begin();
         let group_names = self.group_names();
@@ -396,11 +422,8 @@ impl ThreadedExecutor {
                 executor: group_names,
             });
         }
-        let work = (0..graph.len())
-            .map(|i| Mutex::new(Some(work(i))))
-            .collect();
-        let labels = Labels::Shared(&graph.labels);
-        self.execute(start, &graph.graph, &graph.task_group, labels, work)
+        let labels = ReportLabels::Shared(graph);
+        self.execute(start, &graph.graph, &graph.task_group, labels, &work)
     }
 
     /// The one submission path: fresh pending counters over the compiled
@@ -411,8 +434,8 @@ impl ThreadedExecutor {
         (clock, mut prelude): (TraceClock, WorkerTracer),
         graph: &CompiledGraph,
         task_group: &[Option<usize>],
-        mut labels: Labels<'_>,
-        work: Vec<WorkSlot>,
+        mut labels: ReportLabels<'_>,
+        work: BodyFactory<'_>,
     ) -> Result<ExecReport, ThreadEngineError> {
         let group_names = self.group_names();
         // PDL-labeled trace metadata, built only when events are kept: a
@@ -442,7 +465,7 @@ impl ThreadedExecutor {
             .collect();
         prelude.record(&clock, phase_end("validate"));
         let submit_ns = clock.now();
-        let mut out = if graph.is_empty() {
+        let out = if graph.is_empty() {
             // Nothing to run: no pool, and every lane of the trace is empty.
             RunOutput {
                 records: Vec::new(),
@@ -462,23 +485,22 @@ impl ThreadedExecutor {
             let rt = Runtime {
                 graph,
                 pending: &pending,
-                work: &work,
+                work,
                 task_group,
             };
             self.run_pool(clock, prelude, rt, submit_ns)?
         };
 
-        // Per-task stats are assembled outside the hot path: workers only
-        // recorded (task index, duration).
-        let tasks = out
-            .records
-            .drain(..)
-            .map(|(task, worker, duration)| TaskStats {
-                label: labels.for_stats(task),
+        // Per-task stats are assembled outside the hot path, straight from
+        // what each worker recorded: (task index, nanoseconds).
+        let mut tasks = Vec::with_capacity(out.records.iter().map(Vec::len).sum());
+        for (worker, records) in out.records.into_iter().enumerate() {
+            tasks.extend(records.into_iter().map(|(task, ns)| TaskStats {
+                label: labels.for_stats(task as usize),
                 worker,
-                duration,
-            })
-            .collect();
+                duration: StdDuration::from_nanos(ns),
+            }));
+        }
         let trace = meta.map(|meta| RunTrace {
             meta,
             prelude: out
@@ -570,8 +592,7 @@ impl ThreadedExecutor {
         }
 
         let mut worker_stats: Vec<WorkerStats> = Vec::with_capacity(self.workers);
-        let mut records: Vec<(usize, usize, StdDuration)> =
-            Vec::with_capacity(if self.task_stats { n } else { 0 });
+        let mut records = Vec::with_capacity(self.workers);
         let mut worker_traces: Vec<WorkerTrace> = Vec::new();
         prelude.record(&clock, phase_start("execute"));
         std::thread::scope(|scope| {
@@ -604,9 +625,8 @@ impl ThreadedExecutor {
                 // Task panics are caught inside the worker; this fires
                 // only for a bug in the engine itself.
                 let (ws, recs, wt) = h.join().expect("worker panicked");
-                let worker = ws.worker;
                 worker_stats.push(ws);
-                records.extend(recs.into_iter().map(|(task, dt)| (task, worker, dt)));
+                records.push(recs);
                 worker_traces.extend(wt);
             }
         });
@@ -624,47 +644,50 @@ impl ThreadedExecutor {
     }
 }
 
-/// Where a run's labels live, which decides how its report gets them.
-enum Labels<'a> {
+/// Where a run's labels live, which decides how its report gets them. Only
+/// a report that carries labels asks for one.
+enum ReportLabels<'a> {
     /// `run` owns its tasks: each label moves into its task's stats row.
     Owned(Vec<Option<Arc<str>>>),
-    /// `run_compiled` borrows the placed graph's: a count bump per row.
-    Shared(&'a [Arc<str>]),
+    /// `run_compiled` borrows the placed graph's, cut on first use: a count
+    /// bump per row.
+    Shared(&'a PlacedGraph),
 }
 
-impl Labels<'_> {
+impl ReportLabels<'_> {
     fn of(&self, task: usize) -> &Arc<str> {
         match self {
-            Labels::Owned(labels) => labels[task].as_ref().expect("stats rows come last"),
-            Labels::Shared(labels) => &labels[task],
+            ReportLabels::Owned(labels) => labels[task].as_ref().expect("stats rows come last"),
+            ReportLabels::Shared(graph) => &graph.labels()[task],
         }
     }
 
     /// The label for the one stats row `task` gets.
     fn for_stats(&mut self, task: usize) -> Arc<str> {
         match self {
-            Labels::Owned(labels) => labels[task].take().expect("a task completes once"),
-            Labels::Shared(labels) => labels[task].clone(),
+            ReportLabels::Owned(labels) => labels[task].take().expect("a task completes once"),
+            ReportLabels::Shared(graph) => graph.labels()[task].clone(),
         }
     }
 }
 
 /// One run's dependency state — the shape the workers actually touch: the
-/// compiled edges (shared across batches) and this run's counters, bodies
-/// and group of every task.
+/// compiled edges (shared across batches), this run's counters, the body
+/// factory and the group of every task.
 #[derive(Clone, Copy)]
 struct Runtime<'a> {
     graph: &'a CompiledGraph,
     pending: &'a [AtomicUsize],
-    work: &'a [WorkSlot],
+    work: BodyFactory<'a>,
     task_group: &'a [Option<usize>],
 }
 
 /// Raw output of [`ThreadedExecutor::run_pool`], before label resolution
 /// and trace assembly.
 struct RunOutput {
-    /// `(task, worker, duration)` rows; empty when task stats are off.
-    records: Vec<(usize, usize, StdDuration)>,
+    /// Each worker's `(task, nanoseconds)` rows, in worker order; empty
+    /// rows when task stats are off.
+    records: Vec<Vec<(u32, u64)>>,
     worker_stats: Vec<WorkerStats>,
     worker_traces: Vec<WorkerTrace>,
     prelude: WorkerTracer,
@@ -706,8 +729,8 @@ struct WorkerCtx<'a> {
 /// Worker-local accumulation that the hot loop writes without touching any
 /// shared atomics; flushed once at join time.
 struct HotState {
-    /// `(task, duration)` rows, only filled when stats collection is on.
-    records: Vec<(usize, StdDuration)>,
+    /// `(task, nanoseconds)` rows, only filled when stats collection is on.
+    records: Vec<(u32, u64)>,
     /// Task latencies pre-aggregated locally when stats collection is off
     /// (otherwise derived from `records` at flush).
     latencies: Histogram,
@@ -763,7 +786,7 @@ impl WorkerCtx<'_> {
         self.cancelled.load(Ordering::SeqCst) || self.completed.load(Ordering::Acquire) >= self.n
     }
 
-    fn run(mut self) -> (WorkerStats, Vec<(usize, StdDuration)>, Option<WorkerTrace>) {
+    fn run(mut self) -> (WorkerStats, Vec<(u32, u64)>, Option<WorkerTrace>) {
         let mut out = WorkerStats {
             worker: self.me,
             group: self.my_group,
@@ -837,8 +860,8 @@ impl WorkerCtx<'_> {
             t.parks.add(parks);
             if self.collect {
                 let mut latencies = Histogram::new();
-                for &(_, dt) in &hot.records {
-                    latencies.observe(dt.as_nanos() as u64);
+                for &(_, ns) in &hot.records {
+                    latencies.observe(ns);
                 }
                 t.task_latency.merge(&latencies);
             } else {
@@ -899,11 +922,12 @@ impl WorkerCtx<'_> {
         None
     }
 
-    /// Runs the task, records stats worker-locally, publishes newly-ready
-    /// dependents. Returns, when one of the ready dependents belongs to
-    /// this worker's group, that dependent as a continuation to run
-    /// directly — skipping the deque entirely. A body that panics cancels
-    /// the run instead: nothing is published, nothing continues.
+    /// Builds and runs the task, records stats worker-locally, publishes
+    /// newly-ready dependents. Returns, when one of the ready dependents
+    /// belongs to this worker's group, that dependent as a continuation to
+    /// run directly — skipping the deque entirely. A body (or its factory)
+    /// that panics cancels the run instead: nothing is published, nothing
+    /// continues.
     fn execute(
         &self,
         i: usize,
@@ -912,16 +936,18 @@ impl WorkerCtx<'_> {
         hot: &mut HotState,
         tracer: &mut WorkerTracer,
     ) -> Option<usize> {
-        let job = self.rt.work[i].lock().take().expect("task runs once");
-        let task = i as u32;
         // Both the stat duration and the trace span come from the run's
         // shared clock, so per-worker busy time and the exported spans are
-        // the same numbers. Tracing reuses the two readings: the claim is
-        // stamped with the start it led straight into.
-        let t0 = self.clock.now();
-        tracer.record_at(t0, EventKind::TaskDequeued { task, provenance });
-        tracer.record_at(t0, EventKind::TaskStart { task });
-        if let Err(payload) = catch_unwind(AssertUnwindSafe(job)) {
+        // the same numbers. They time the body alone, not its building.
+        // Tracing reuses the two readings: the claim is stamped with the
+        // start it led straight into.
+        let mut t0 = 0;
+        let ran = catch_unwind(AssertUnwindSafe(|| {
+            let job = (self.rt.work)(i);
+            t0 = self.clock.now();
+            job();
+        }));
+        if let Err(payload) = ran {
             self.panicked
                 .lock()
                 .get_or_insert_with(|| (i, panic_message(payload)));
@@ -930,14 +956,17 @@ impl WorkerCtx<'_> {
             return None;
         }
         let t1 = self.clock.now();
+        let task = i as u32;
+        tracer.record_at(t0, EventKind::TaskDequeued { task, provenance });
+        tracer.record_at(t0, EventKind::TaskStart { task });
         tracer.record_at(t1, EventKind::TaskEnd { task });
-        let dt = TraceClock::between(t0, t1);
-        out.busy += dt;
+        let ns = t1.saturating_sub(t0);
+        out.busy += StdDuration::from_nanos(ns);
         out.executed += 1;
         if self.collect {
-            hot.records.push((i, dt));
+            hot.records.push((task, ns));
         } else if self.tel.is_some() {
-            hot.latencies.observe(dt.as_nanos() as u64);
+            hot.latencies.observe(ns);
         }
         // Fused wakeups: the first runnable-here dependent becomes the
         // continuation, the rest go to the deque in one pass, and at most
@@ -1177,6 +1206,118 @@ mod tests {
         let second = by_label(pool.run_compiled(&placed, |_| Box::new(|| {})).unwrap());
         assert_eq!(first.len(), 4);
         assert!(first.iter().zip(&second).all(|(a, b)| Arc::ptr_eq(a, b)));
+
+        // A batch that reports no label cuts none. The stats-on batch and
+        // the traced batch after it share the labels the first one cut.
+        let fresh = pool.compile_graph(&diamond_graph()).unwrap();
+        let quiet = pool
+            .clone()
+            .with_task_stats(false)
+            .run_compiled(&fresh, |_| Box::new(|| {}))
+            .unwrap();
+        assert!(quiet.tasks.is_empty() && quiet.trace.is_none());
+        assert!(fresh.cut_labels.get().is_none(), "no label was read");
+        let stats = pool.run_compiled(&fresh, |_| Box::new(|| {})).unwrap();
+        let traced = pool
+            .clone()
+            .with_trace(TraceSink::ring())
+            .run_compiled(&fresh, |_| Box::new(|| {}))
+            .unwrap();
+        let cut = fresh.cut_labels.get().expect("the stats batch cut them");
+        assert_eq!(cut.len(), 4);
+        for row in stats.tasks.iter().chain(&traced.tasks) {
+            assert!(cut.iter().any(|label| Arc::ptr_eq(label, &row.label)));
+        }
+        let table = &traced.trace.as_ref().expect("trace collected").meta.tasks;
+        assert!(cut.iter().zip(table).all(|(a, t)| Arc::ptr_eq(a, &t.label)));
+    }
+
+    /// Each body is built exactly once, for a task that starts, on the
+    /// worker that runs it — never on the caller's thread.
+    #[test]
+    fn bodies_are_built_on_the_worker_that_runs_them() {
+        let caller = std::thread::current().id();
+        for workers in [1, 3] {
+            let pool = ThreadedExecutor::new(workers);
+            let placed = pool.compile_graph(&independent_graph(24)).unwrap();
+            let built = Mutex::new(Vec::new());
+            let ran = Arc::new(Mutex::new(Vec::new()));
+            pool.run_compiled(&placed, |i| {
+                built.lock().push((i, std::thread::current().id()));
+                let ran = ran.clone();
+                Box::new(move || ran.lock().push((i, std::thread::current().id())))
+            })
+            .unwrap();
+            let mut built = built.into_inner();
+            let mut ran = ran.lock().clone();
+            built.sort_by_key(|&(i, _)| i);
+            ran.sort_by_key(|&(i, _)| i);
+            assert_eq!(built, ran, "{workers} workers");
+            assert!(built.iter().map(|&(i, _)| i).eq(0..24));
+            assert!(built.iter().all(|&(_, at)| at != caller));
+        }
+    }
+
+    /// After a body panics, no task that had not started gets a body built:
+    /// every body built is a body that ran.
+    #[test]
+    fn no_body_is_built_after_a_panic() {
+        const BOOM: usize = 5;
+        for workers in [1, 4] {
+            let pool = ThreadedExecutor::new(workers);
+            let placed = pool.compile_graph(&independent_graph(32)).unwrap();
+            let built: Vec<AtomicU64> = (0..32).map(|_| AtomicU64::new(0)).collect();
+            let ran = Arc::new((0..32).map(|_| AtomicU64::new(0)).collect::<Vec<_>>());
+            let err = pool
+                .run_compiled(&placed, |i| {
+                    built[i].fetch_add(1, Ordering::SeqCst);
+                    let ran = ran.clone();
+                    Box::new(move || {
+                        ran[i].fetch_add(1, Ordering::SeqCst);
+                        assert!(i != BOOM, "boom");
+                    })
+                })
+                .unwrap_err();
+            assert!(matches!(
+                err,
+                ThreadEngineError::TaskPanicked { task: BOOM, .. }
+            ));
+            let counts = |v: &[AtomicU64]| -> Vec<u64> {
+                v.iter().map(|c| c.load(Ordering::SeqCst)).collect()
+            };
+            assert_eq!(counts(&built), counts(&ran), "{workers} workers");
+            if workers == 1 {
+                // One worker pops its seeds last-first: 31 down to the boom.
+                let expect: Vec<u64> = (0..32).map(|i| u64::from(i >= BOOM)).collect();
+                assert_eq!(counts(&built), expect);
+            }
+        }
+    }
+
+    /// A factory that panics fails its task like a body would, and the
+    /// same pool runs the next batch.
+    #[test]
+    fn factory_panic_is_a_task_panic() {
+        const BOOM: usize = 2;
+        for workers in [1, 4] {
+            let pool = ThreadedExecutor::new(workers);
+            let placed = pool.compile_graph(&diamond_graph()).unwrap();
+            let err = pool
+                .run_compiled(&placed, |i| {
+                    assert!(i != BOOM, "no body for task {i}");
+                    Box::new(|| {})
+                })
+                .unwrap_err();
+            match err {
+                ThreadEngineError::TaskPanicked { task, message } => {
+                    assert_eq!(task, BOOM);
+                    assert_eq!(message, format!("no body for task {BOOM}"));
+                }
+                other => panic!("expected TaskPanicked, got {other:?}"),
+            }
+            let report = pool.run_compiled(&placed, |_| Box::new(|| {})).unwrap();
+            assert_eq!(report.tasks.len(), 4, "{workers} workers");
+        }
     }
 
     #[test]
@@ -1386,6 +1527,18 @@ mod tests {
         g.submit(c, "l", 1.0, vec![acc(h, Read), acc(a, Write)], None);
         g.submit(c, "r", 1.0, vec![acc(h, Read), acc(b, Write)], None);
         g.submit(c, "join", 1.0, vec![acc(a, Read), acc(b, Read)], None);
+        g
+    }
+
+    /// `n` tasks with no dependencies, all seeded at once.
+    fn independent_graph(n: usize) -> TaskGraph {
+        let mut g = TaskGraph::with_capacity(n);
+        let c = g.add_codelet(
+            crate::task::Codelet::new("k").with_variant(crate::task::Variant::new("x86")),
+        );
+        for i in 0..n {
+            g.submit(c, format!("t{i}"), 1.0, vec![], None);
+        }
         g
     }
 

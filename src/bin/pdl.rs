@@ -435,6 +435,10 @@ fn cmd_model_check(args: &[String]) -> Result<(), String> {
                     .ok_or("--pending needs a value")?
                     .parse()
                     .map_err(|_| "--pending must be a number".to_string())?;
+                // A bound of 0 admits no access: nothing would be checked.
+                if bounds.max_pending == 0 {
+                    return Err("--pending must be 1 or more: 0 admits no access to check".into());
+                }
             }
             "--mutate" => {
                 let name = it.next().ok_or("--mutate needs a value")?;

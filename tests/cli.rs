@@ -414,6 +414,10 @@ fn unusable_sizes_are_diagnostics_not_panics() {
         (vec!["route", gpus, "cpu0", "gpu0", "-5"], "<MB> must be"),
         (vec!["route", gpus, "cpu0", "gpu0", "NaN"], "<MB> must be"),
         (vec!["route", gpus, "cpu0", "gpu0", "inf"], "<MB> must be"),
+        (
+            vec!["model-check", "--pending", "0"],
+            "--pending must be 1 or more",
+        ),
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_pdl"))
             .args(&args)
