@@ -3,17 +3,17 @@
 //! The first twelve rows below were recorded at commit `1ec8f70` (the parent
 //! of the change that moved both virtual-time engines onto one charging
 //! core) by running this file there with an empty table and pasting what the
-//! failure message printed; the next six the same way at `c4983ef`, the last
-//! two at `5c26f97` (see [`actual`]). A digest folds everything a
-//! [`SimReport`] says about the schedule — makespan bits, every assignment,
-//! the three byte counters, every span of `trace` and `link_trace` (lane,
-//! kind, start and end bits, label) and the perf-model entry count — so
-//! "bit-identical" is checked, not eyeballed.
+//! failure message printed; the next six the same way at `c4983ef`, two at
+//! `5c26f97` and the last six at `e9b7584` (see [`actual`]). A digest folds
+//! everything a [`SimReport`] says about the schedule — makespan bits, every
+//! assignment, the three byte counters, every span of `trace` and
+//! `link_trace` (lane, kind, start and end bits, label) and the perf-model
+//! entry count — so "bit-identical" is checked, not eyeballed.
 //!
 //! A second table, recorded at `1957000` (the parent of the change that
-//! rebuilt the virtual-time trace path) the same way, pins what the bridge
-//! makes of every cell: an FNV digest of the codec export of
-//! `sim_report_to_trace(&report, &machine)`.
+//! rebuilt the virtual-time trace path) the same way, its last six rows at
+//! `e9b7584`, pins what the bridge makes of every cell: an FNV digest of the
+//! codec export of `sim_report_to_trace(&report, &machine)`.
 
 use hetero_rt::prelude::*;
 use hetero_rt::sim_engine::{SpanKind, Trace};
@@ -181,6 +181,59 @@ type Engine = fn(&TaskGraph, &SimMachine, &mut dyn Scheduler, &SimOptions) -> Si
 const LIST: Engine = |g, m, s, o| simulate(g, m, s, o).expect("list engine");
 const EVENT: Engine = |g, m, s, o| simulate_dynamic(g, m, s, o).expect("event engine");
 
+/// A machine whose seven devices fall into four route classes: `cpu0`
+/// shares host memory; `gpu0`–`gpu2` sit on equal `PCIe` routes and `gpu0`
+/// ↔ `gpu1` are also joined by `NVLink`; `gpu3` and `gpu5` share a route
+/// with `gpu0`'s latency and twice its bandwidth; `gpu4` has `gpu0`'s
+/// bandwidth at a third of its latency.
+fn route_class_machine() -> SimMachine {
+    use pdl_core::prelude::{wellknown, Descriptor, Interconnect, Platform, Property, Unit};
+    let link = |ty: &str, from: &str, to: &str, gbps: &str, us: &str| {
+        Interconnect::new(ty, from, to).with_descriptor(
+            Descriptor::new()
+                .with(Property::fixed(wellknown::BANDWIDTH, gbps).with_unit(Unit::GigaBytePerSec))
+                .with(Property::fixed(wellknown::LATENCY, us).with_unit(Unit::MicroSecond)),
+        )
+    };
+    let mut b = Platform::builder("route-classes");
+    let host = b.master("host");
+    b.prop(host, Property::fixed(wellknown::ARCHITECTURE, "x86"));
+    let devices = [
+        ("cpu0", "x86", "10.64", "cpus", None),
+        ("gpu0", "gpu", "168", "gpus", Some(("6", "15"))),
+        ("gpu1", "gpu", "168", "gpus", Some(("6", "15"))),
+        ("gpu2", "gpu", "168", "gpus", Some(("6", "15"))),
+        ("gpu3", "gpu", "168", "gpus", Some(("12", "15"))),
+        ("gpu4", "gpu", "168", "gpus", Some(("6", "5"))),
+        ("gpu5", "gpu", "168", "gpus", Some(("12", "15"))),
+    ];
+    for (id, arch, gflops, group, pcie) in devices {
+        let w = b.worker(host, id).expect("the master controls its workers");
+        b.prop(w, Property::fixed(wellknown::ARCHITECTURE, arch));
+        b.prop(
+            w,
+            Property::fixed(wellknown::PEAK_GFLOPS_DP, gflops).with_unit(Unit::GigaFlopPerSec),
+        );
+        let (software, watts) = if arch == "gpu" {
+            ("OpenCL, Cuda", "250")
+        } else {
+            ("x86", "12")
+        };
+        b.prop(w, Property::fixed(wellknown::SOFTWARE_PLATFORM, software));
+        b.prop(
+            w,
+            Property::fixed(wellknown::TDP, watts).with_unit(Unit::Watt),
+        );
+        b.group(w, group);
+        b.interconnect(match pcie {
+            Some((gbps, us)) => link("PCIe", "host", id, gbps, us),
+            None => link("shared-mem", "host", id, "32", "0.1"),
+        });
+    }
+    b.interconnect(link("NVLink", "gpu0", "gpu1", "25", "2"));
+    SimMachine::from_platform(&b.build().expect("the machine is structurally valid"))
+}
+
 /// The two testbeds every row set but the last runs on.
 fn testbeds() -> [SimMachine; 2] {
     [
@@ -226,7 +279,11 @@ fn rows(
 /// candidate — depends on the order and the lists they are consulted with.
 /// Last, two recorded at `5c26f97` (the parent of the change that made
 /// valid sets a bitset): a small DGEMM under both engines on a cluster with
-/// more devices than the set's inline word holds.
+/// more devices than the set's inline word holds. Then six recorded at
+/// `e9b7584` (the parent of the change that prices a transfer once per
+/// route class): a DGEMM and [`hetero_graph`] under both engines and every
+/// policy kind on [`route_class_machine`], where a wrong class key would
+/// misprice some device.
 fn actual(digest: Digest) -> Vec<[u64; 15]> {
     let stateless = ["eager", "heft", "dmda"];
     let testbeds = testbeds();
@@ -258,6 +315,26 @@ fn actual(digest: Digest) -> Vec<[u64; 15]> {
         "the cluster rows must place copies past the inline word"
     );
     all.extend(rows(digest, &[LIST, EVENT], &cluster, &dgemm, stateless));
+    let classes = [route_class_machine()];
+    let graphs = [dgemm_graph(256, 64, None), hetero_graph()];
+    let heft = LIST(
+        &graphs[0],
+        &classes[0],
+        &mut HeftScheduler,
+        &option_sets()[0],
+    );
+    assert!(
+        (0..classes[0].len()).all(|d| heft.assignments.iter().any(|(_, on)| on.0 == d)),
+        "the route-class rows must place work on every device"
+    );
+    all.extend(rows(digest, &[LIST, EVENT], &classes, &graphs, stateless));
+    all.extend(rows(
+        digest,
+        &[EVENT],
+        &classes,
+        &graphs,
+        ["random", "round-robin", "energy"],
+    ));
     all
 }
 
@@ -293,7 +370,7 @@ fn bridged_traces_match_the_digests_recorded_at_the_parent_commit() {
 }
 
 #[rustfmt::skip]
-const GOLDEN: [[u64; 15]; 20] = [
+const GOLDEN: [[u64; 15]; 26] = [
     [
         0x0d1e63e0593cb392, 0xadec3fba7750f6d4, 0x885c144e860aa06d,
         0x36569fcde5d8e7ae, 0xcf28d5ce435e1f50, 0xd6a3556522ec613e,
@@ -434,10 +511,52 @@ const GOLDEN: [[u64; 15]; 20] = [
         0xec4ebf819c40c349, 0xec4ebf819c40c349, 0x14086b390b091f30,
         0xf790157b3ead7a53, 0x58999588a9022cf8, 0xec4ebf819c40c349,
     ],
+    [
+        0x7643fc183e92e5e6, 0x02f6c7ba545ba481, 0x1c77053d6e02e8c2,
+        0xe547513e3c475f90, 0x384e6e0628b451a4, 0x4baf23a44c47fb40,
+        0xb277099093d3227b, 0x6430308826b2938a, 0xa2ea240ecba7687c,
+        0x89a4b1b662268f82, 0x4baf23a44c47fb40, 0xb277099093d3227b,
+        0x94e00dbb9ec38117, 0xa2ea240ecba7687c, 0x89a4b1b662268f82,
+    ],
+    [
+        0x2a450b19bea81fbf, 0xcdc6373130289dd6, 0xb5cebcce268f3318,
+        0x7bb2685cb81fc503, 0xd57e7db6465ff054, 0x3fb15d5deaa21242,
+        0x9df8ec3c122c5097, 0xcc04b348a49d4091, 0x5bf75803cbf277c1,
+        0x188cce9d372d1929, 0x3fb15d5deaa21242, 0x9df8ec3c122c5097,
+        0x54bee731018794f1, 0x5bf75803cbf277c1, 0x188cce9d372d1929,
+    ],
+    [
+        0x5cc077cca42a36ad, 0xfe2a549187f361a9, 0x7d4a04c1cffa3a6d,
+        0xa8a578cdecac3032, 0x5cc077cca42a36ad, 0x714c218f92a3699d,
+        0x65a276dd7c0215a6, 0xa2fbf284802d48fb, 0x5d56174351c9b167,
+        0x714c218f92a3699d, 0x714c218f92a3699d, 0x65a276dd7c0215a6,
+        0x6fdaf0bfe037a3a0, 0x5d56174351c9b167, 0x714c218f92a3699d,
+    ],
+    [
+        0x6bae413c3b13ef96, 0x8f698bf296875e09, 0x58e83d0f1cea277c,
+        0x290fd70ea6ad82a0, 0x6bae413c3b13ef96, 0x5a6077d4634fd824,
+        0x1825c69067d75efb, 0xf3e8c1c51c3cb29b, 0x660795d303b113c9,
+        0x5a6077d4634fd824, 0x5a6077d4634fd824, 0x1825c69067d75efb,
+        0x0418cf3057465d1b, 0x660795d303b113c9, 0x5a6077d4634fd824,
+    ],
+    [
+        0x864ea164fac1b8a1, 0xe805026016a397dc, 0x8a25842fa78c88bf,
+        0x69dfcdffe63cbf28, 0x864ea164fac1b8a1, 0xf55085185326006b,
+        0x2cebfb70641b92d2, 0x255eb53cc62685b2, 0x6d5092de79cd14a6,
+        0xf55085185326006b, 0xc21fb064d1dde6b5, 0xbe4264e70ef12bf4,
+        0x901a835dc13c2103, 0xbb67c9347589a42e, 0xc21fb064d1dde6b5,
+    ],
+    [
+        0xcddf72e7a95c5e8e, 0x3d1f4120bf5035ca, 0xb95ab3804f6a2c79,
+        0xb0bcd2850c912b7a, 0xcddf72e7a95c5e8e, 0x71b2432026b6706f,
+        0x19bd11b341b640df, 0xb0c62e29fead3a91, 0xcd02e348e00b4ee0,
+        0x71b2432026b6706f, 0x71f20dfa769f923e, 0x4652da475b959cc5,
+        0x164e4adafebee8e4, 0xc6124caf80628b19, 0x71f20dfa769f923e,
+    ],
 ];
 
 #[rustfmt::skip]
-const BRIDGED: [[u64; 15]; 20] = [
+const BRIDGED: [[u64; 15]; 26] = [
     [
         0xbed976d45f20207e, 0x4b607d51a64adfbe, 0xae273dc062a067d2,
         0x6564279fc02a4c79, 0xbed976d45f20207e, 0x25216012d36c00c7,
@@ -577,5 +696,47 @@ const BRIDGED: [[u64; 15]; 20] = [
         0x06fd2fc81953d40e, 0x7ed65e432aced06a, 0xc757988f9b586f95,
         0xdd8e846c17a1497e, 0xdd8e846c17a1497e, 0x06fd2fc81953d40e,
         0x7ed65e432aced06a, 0xc757988f9b586f95, 0xdd8e846c17a1497e,
+    ],
+    [
+        0x96e26f2e1aa8eb4f, 0x43805ff48312f050, 0xa9012aae1032f2db,
+        0x9f221ff469781aa5, 0x96e26f2e1aa8eb4f, 0x8959c53f3d329450,
+        0x1c283644ee780cbc, 0xc719ccc281ca6f12, 0x4c6ff72ea65a685f,
+        0x8959c53f3d329450, 0x8959c53f3d329450, 0x1c283644ee780cbc,
+        0xadb436d0925dac42, 0x4c6ff72ea65a685f, 0x8959c53f3d329450,
+    ],
+    [
+        0xc659274f30e94393, 0xfc4d6486b156b6e3, 0x1666556407f165ff,
+        0x860ebf33818113a9, 0xc659274f30e94393, 0x801cc9834b712890,
+        0xc6830c2727195cbb, 0xee31e5170ac251b9, 0xd1d3808172e5c64a,
+        0x801cc9834b712890, 0x801cc9834b712890, 0xc6830c2727195cbb,
+        0xf0fa4d97c3d93689, 0xd1d3808172e5c64a, 0x801cc9834b712890,
+    ],
+    [
+        0x6b5c96980235a218, 0x7b40ae8ea5bed15d, 0x68bc7ec1631b84fd,
+        0x025dfdad9862637e, 0x6b5c96980235a218, 0x9cad464c8e5e6f09,
+        0x16c286f8306a1b42, 0xe92bca20bacd058f, 0xd2d288c88b435878,
+        0x9cad464c8e5e6f09, 0x9cad464c8e5e6f09, 0x16c286f8306a1b42,
+        0x442c43b9c0fa9744, 0xd2d288c88b435878, 0x9cad464c8e5e6f09,
+    ],
+    [
+        0xdf49e4b2fa9d248e, 0x6977dac4ba5f83cd, 0x3fa496cc0bb5b8b9,
+        0x386a3e861c0a6caf, 0xdf49e4b2fa9d248e, 0x18c6ce26dabd8c63,
+        0x9fbec93cf5d4a120, 0x2c02f7f07baa45a9, 0xc0869a83c20a0229,
+        0x18c6ce26dabd8c63, 0x18c6ce26dabd8c63, 0x9fbec93cf5d4a120,
+        0x7de682a5cf0af5dd, 0xc0869a83c20a0229, 0x18c6ce26dabd8c63,
+    ],
+    [
+        0x70da30bd5a45229e, 0xd674fac96a4e8ab1, 0x8cf10e6143310f46,
+        0x190086bed8aa8c55, 0x70da30bd5a45229e, 0xfeaa369582ccacae,
+        0xf69418a3a79b888c, 0x9753df6e17672c11, 0xc081639421273752,
+        0xfeaa369582ccacae, 0xf39d7f468cd533a0, 0x4002022ba5ef56a9,
+        0xcd42a783c546c84b, 0x2a0ae1df21c9a65c, 0xf39d7f468cd533a0,
+    ],
+    [
+        0x9dbc0a3caf726058, 0xb64674f3fd406263, 0xcd1905b82de84c3c,
+        0x42c9a2b5a9f99bf8, 0x9dbc0a3caf726058, 0x4f6d9117de04fafa,
+        0xf30c7deb6c202257, 0x59d9a4ebf45781c7, 0x7c0d8a5b22d7e519,
+        0x4f6d9117de04fafa, 0x6810e39d62ef1e0e, 0x3787ad52b7aca80a,
+        0xeb311e5f4ee4b4db, 0x5f5796918a83badd, 0x6810e39d62ef1e0e,
     ],
 ];
