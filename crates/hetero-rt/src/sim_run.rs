@@ -13,7 +13,7 @@
 //! prints them ([`SimReport::label`]).
 
 use crate::data::{DataRegistry, HandleId, TransferPlan};
-use crate::dispatch::{DispatchTables, Oracles};
+use crate::dispatch::{DispatchTables, Oracles, ProbeMemo};
 use crate::graph::TaskGraph;
 use crate::perfmodel::PerfModel;
 use crate::scheduler::Scheduler;
@@ -23,6 +23,7 @@ use simhw::energy::energy;
 use simhw::machine::{DeviceId, SimMachine};
 use simhw::resource::Timeline;
 use simhw::time::{Duration, SimTime};
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -201,6 +202,8 @@ pub(crate) struct SimRun<'a> {
     options: &'a SimOptions,
     /// Which devices each task may use, by eligibility class.
     pub(crate) tables: DispatchTables<'a>,
+    /// Scratch every [`pick`](Self::pick) prices transfers in.
+    memo: RefCell<ProbeMemo>,
     /// Device timelines, indexed by device id.
     timelines: Vec<Timeline>,
     host_bus: Timeline,
@@ -258,7 +261,7 @@ impl<'a> SimRun<'a> {
             return Err(RtError::UnusableWork { origin, value });
         }
         let data = graph.data.clone();
-        let tables = DispatchTables::new(graph, machine);
+        let tables = DispatchTables::new(graph, machine, options.pipeline.routing());
         // A compute span per task, and an `:in` span on the synchronous path
         // if a task may run outside host memory: regrowing a large vector, or
         // reserving one twice too big, moves glibc's mmap threshold and RSS.
@@ -272,6 +275,7 @@ impl<'a> SimRun<'a> {
             machine,
             options,
             tables,
+            memo: RefCell::default(),
             timelines: vec![Timeline::new(); machine.len()],
             host_bus: Timeline::new(),
             trace: Trace::with_capacity(machine.len(), spans),
@@ -308,6 +312,8 @@ impl<'a> SimRun<'a> {
         ready: SimTime,
         candidates: &[DeviceId],
     ) -> DeviceId {
+        let mut memo = self.memo.borrow_mut();
+        memo.begin(task, &self.tables);
         Oracles {
             machine: self.machine,
             tables: &self.tables,
@@ -319,6 +325,7 @@ impl<'a> SimRun<'a> {
             codelet_name: &self.graph.codelets[task.codelet].name,
             ready,
             candidates,
+            memo: &memo,
         }
         .pick(scheduler)
     }
