@@ -202,7 +202,16 @@ fn cmd_route(args: &[String]) -> Result<(), String> {
             "<MB> must be a finite size of at least 0, got {mb}"
         ));
     }
-    match pdl_query::route(&platform, from, to, mb * 1e6) {
+    // The search reads an infinite time as "unreachable". A size is below
+    // the rounded quotient exactly when its byte count is finite.
+    let bytes = mb * 1e6;
+    if !bytes.is_finite() {
+        let limit = f64::MAX / 1e6;
+        return Err(format!(
+            "<MB> must be below {limit:e}, where its byte count stops being finite; got {mb:e}"
+        ));
+    }
+    match pdl_query::route(&platform, from, to, bytes) {
         None => Err(format!("no data path from {from:?} to {to:?}")),
         Some(r) => {
             for hop in &r.hops {
@@ -438,6 +447,14 @@ fn cmd_model_check(args: &[String]) -> Result<(), String> {
                 // A bound of 0 admits no access: nothing would be checked.
                 if bounds.max_pending == 0 {
                     return Err("--pending must be 1 or more: 0 admits no access to check".into());
+                }
+                // The largest bound that finishes: 2 explores 880 333 states;
+                // 3 grew past 2.8 GB without finishing.
+                const MAX_PENDING: usize = 2;
+                if bounds.max_pending > MAX_PENDING {
+                    return Err(format!(
+                        "--pending must be at most {MAX_PENDING}: a larger bound does not finish"
+                    ));
                 }
             }
             "--mutate" => {

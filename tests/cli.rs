@@ -415,8 +415,20 @@ fn unusable_sizes_are_diagnostics_not_panics() {
         (vec!["route", gpus, "cpu0", "gpu0", "NaN"], "<MB> must be"),
         (vec!["route", gpus, "cpu0", "gpu0", "inf"], "<MB> must be"),
         (
+            vec!["route", gpus, "cpu0", "gpu0", "1e303"],
+            "<MB> must be below 1.797693134862316e302",
+        ),
+        (
             vec!["model-check", "--pending", "0"],
             "--pending must be 1 or more",
+        ),
+        (
+            vec!["model-check", "--pending", "3"],
+            "--pending must be at most 2",
+        ),
+        (
+            vec!["model-check", "--pending", "99999999"],
+            "--pending must be at most 2",
         ),
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_pdl"))
@@ -429,7 +441,10 @@ fn unusable_sizes_are_diagnostics_not_panics() {
         assert!(stderr.starts_with("pdl: "), "{stderr}");
         assert!(stderr.contains(message), "{args:?}: {stderr}");
     }
-    // The limit admits what it names, and a size of zero is a size.
-    let (ok, stdout, stderr) = pdl(&["route", gpus, "cpu0", "gpu0", "0"]);
-    assert!(ok && stdout.contains("total:"), "{stdout}{stderr}");
+    // The largest size under the limit routes, and a size of zero is a size.
+    let under = f64::from_bits((f64::MAX / 1e6).to_bits() - 1);
+    for mb in ["0".to_string(), format!("{under:e}")] {
+        let (ok, stdout, stderr) = pdl(&["route", gpus, "cpu0", "gpu0", &mb]);
+        assert!(ok && stdout.contains("total:"), "{stdout}{stderr}");
+    }
 }
