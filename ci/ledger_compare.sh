@@ -21,6 +21,11 @@
 # and the base's interquartile range: a claimed gain is ahead in ≥ 9 of 10
 # pairs with a median gain above the base's IQR. These lines only print.
 #
+# With workloads named, one `--trace 1 --seed 7` pass per side and workload
+# follows the pairs, into directories of its own, and every per-layer row
+# non-zero on either side prints as `row base head Δ%`: where a change moved
+# the time. These lines only print too.
+#
 # Both sides write to sibling directories of one length under one temporary
 # directory, because the length of `--out` alone moves `peak_rss_mb` (by
 # ≈ 8 MB on `execute_forkjoin`); head results are copied to benchmark/out/
@@ -36,6 +41,7 @@ chosen="$*"
 root="$(git -C "$(dirname "$0")/.." rev-parse --show-toplevel)"
 work="$(mktemp -d)"
 base_out="$work/out/base" head_out="$work/out/head"
+base_traced="$work/traced/base" head_traced="$work/traced/head"
 cleanup() {
     if [ -d "$head_out" ]; then
         cp -r "$head_out" "$root/benchmark/out"
@@ -140,4 +146,39 @@ sed -n '/"end_to_end"/,/"per_layer"/p' "$root/BENCHMARK.json" |
                     "", b[2], b[1], b[3], h[2], h[1], h[3], gain, b[3] - b[1] }'
         done
     done
+
+# traced <side> <workload>: one traced pass, seed 7, its report kept quiet.
+traced() {
+    local checkout="$root" out="$head_traced"
+    if [ "$1" = base ]; then
+        checkout="$work/base" out="$base_traced"
+    fi
+    mkdir -p "$out"
+    (cd "$checkout" && "./$ledger" --workload "$2" --seed 7 --seconds 5 --trace 1 --out "$out") \
+        >"$out/$2.log"
+}
+
+if [ -n "$chosen" ]; then
+    layers="$(sed -n '/"per_layer"/,$s/.*"name": "\([^"]*\)".*/\1/p' "$root/BENCHMARK.json")"
+    echo
+    echo "per-layer rows of one --trace 1 --seed 7 pass per side:"
+    printf '  %-18s %-40s %12s %12s %9s\n' workload row base head "Δ%"
+    for workload in $workloads; do
+        for side in base head; do
+            traced "$side" "$workload" || echo "  $workload: the $side traced pass failed"
+        done
+        b_file="$base_traced/$workload.seed7.trace.json"
+        h_file="$head_traced/$workload.seed7.trace.json"
+        if [ ! -f "$b_file" ] || [ ! -f "$h_file" ]; then
+            continue
+        fi
+        for row in $layers; do
+            awk -v w="$workload" -v r="$row" -v b="$(value "$b_file" "$row")" \
+                -v h="$(value "$h_file" "$row")" 'BEGIN {
+                if (b + 0 == 0 && h + 0 == 0) exit
+                d = (b + 0 == 0) ? "n/a" : sprintf("%+.1f", (h - b) / b * 100)
+                printf "  %-18s %-40s %12.5g %12.5g %9s\n", w, r, b, h, d }'
+        done
+    done
+fi
 exit "$status"
