@@ -147,7 +147,7 @@ pub(crate) struct ProbeMemo {
 }
 
 impl ProbeMemo {
-    /// Starts a pick of `task`: every entry made before is stale.
+    /// Starts a pick of `task`: every entry made before is stale. Grows only.
     pub(crate) fn begin(&mut self, task: Task<'_>, tables: &DispatchTables<'_>) {
         self.pick += 1;
         let len = task.accesses.len() * tables.route_classes;
@@ -369,7 +369,7 @@ mod tests {
         .is_ok());
     }
 
-    /// The machine of `tests/sim_golden.rs`'s route-class rows: `cpu0`
+    /// The routes of `tests/sim_golden.rs`'s `route_class_machine`: `cpu0`
     /// shares host memory; `gpu0`–`gpu2` share a `PCIe` route and `gpu0` ↔
     /// `gpu1` an `NVLink`; `gpu3` and `gpu5` have `gpu0`'s latency at twice
     /// its bandwidth; `gpu4` has `gpu0`'s bandwidth at a third of its latency.
