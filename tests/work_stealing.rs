@@ -77,6 +77,23 @@ fn single_worker_is_deterministic() {
     );
 }
 
+/// The exact order one worker runs `fork_join_tasks(log, 7, 5)` in: the
+/// seeded forks newest first (owner LIFO), each join as the continuation
+/// of the fork that readied it last, then the join's first dependent as
+/// its continuation and the other six newest first.
+#[test]
+fn single_worker_order_is_owner_lifo_with_continuations() {
+    let order = record_order(1, None, |log| fork_join_tasks(log, 7, 5));
+    let expected = [
+        6, 5, 4, 3, 2, 1, 0, 7, //
+        8, 14, 13, 12, 11, 10, 9, 15, //
+        16, 22, 21, 20, 19, 18, 17, 23, //
+        24, 30, 29, 28, 27, 26, 25, 31, //
+        32, 38, 37, 36, 35, 34, 33, 39,
+    ];
+    assert_eq!(order, expected);
+}
+
 #[test]
 fn report_accounts_every_task_exactly_once() {
     let log = Arc::new(Mutex::new(Vec::new()));
