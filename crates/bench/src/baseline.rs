@@ -9,7 +9,6 @@
 //!
 //! Both are written against the public API of the crates they baseline.
 
-use crossbeam::channel;
 use hetero_rt::graph::CompiledGraph;
 use hetero_rt::task::TaskId;
 use hetero_rt::thread_engine::{ExecReport, TaskStats, ThreadEngineError, ThreadTask, WorkerStats};
@@ -17,22 +16,26 @@ use hetero_trace::{
     EventKind, LaneLabel, Provenance, RunTrace, TaskInfo, TimeUnit, TraceClock, TraceMeta,
     TraceSink, WorkerTrace,
 };
-use parking_lot::Mutex;
 use simhw::time::SimTime;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration as StdDuration;
 
 /// The seed engine: a fixed-size pool where every ready task flows through
-/// one shared MPMC channel. Placement groups are ignored, and a task body
-/// that panics takes the run down with it.
+/// one shared channel whose receiver the workers take turns on. Placement
+/// groups are ignored, and a task body that panics takes the run down with
+/// it.
 #[derive(Debug, Clone)]
 pub struct SingleQueueExecutor {
     workers: usize,
     sink: TraceSink,
 }
+
+/// The pool's locks guard only a receive, a take or a push, none of which
+/// panics, so a poisoned one is a bug in this pool.
+const POISONED: &str = "a pool lock's critical section panicked";
 
 fn phase(start: bool, name: &str) -> EventKind {
     if start {
@@ -116,7 +119,7 @@ impl SingleQueueExecutor {
         // channel can never close on its own, since every blocked worker
         // holds a sender clone).
         const SHUTDOWN: usize = usize::MAX;
-        let (tx, rx) = channel::unbounded::<usize>();
+        let (tx, rx) = mpsc::channel::<usize>();
         prelude.record(&clock, phase(true, "seed"));
         for &TaskId(i) in graph.ready() {
             prelude.record(&clock, EventKind::TaskReady { task: i as u32 });
@@ -125,6 +128,7 @@ impl SingleQueueExecutor {
         prelude.record(&clock, phase(false, "seed"));
 
         let completed = AtomicUsize::new(0);
+        let rx = Mutex::new(rx);
         let stats: Mutex<Vec<TaskStats>> = Mutex::new(Vec::with_capacity(n));
         let mut worker_traces: Vec<WorkerTrace> = Vec::new();
 
@@ -132,9 +136,8 @@ impl SingleQueueExecutor {
         std::thread::scope(|scope| {
             let mut handles = Vec::with_capacity(self.workers);
             for worker in 0..self.workers {
-                let rx = rx.clone();
                 let tx = tx.clone();
-                let (graph, pending, labels, work) = (&graph, &pending, &labels, &work);
+                let (rx, graph, pending, labels, work) = (&rx, &graph, &pending, &labels, &work);
                 let completed = &completed;
                 let stats = &stats;
                 let workers_total = self.workers;
@@ -144,7 +147,10 @@ impl SingleQueueExecutor {
                         worker,
                         ..WorkerStats::default()
                     };
-                    while let Ok(i) = rx.recv() {
+                    // The receiver's guard ends with the closure: kept across
+                    // the loop body, it would serialize the pool.
+                    let recv = || rx.lock().expect(POISONED).recv();
+                    while let Ok(i) = recv() {
                         if i == SHUTDOWN {
                             break;
                         }
@@ -155,7 +161,11 @@ impl SingleQueueExecutor {
                                 provenance: Provenance::Queue,
                             },
                         );
-                        let job = work[i].lock().take().expect("task runs once");
+                        let job = work[i]
+                            .lock()
+                            .expect(POISONED)
+                            .take()
+                            .expect("task runs once");
                         let t0 = clock.now();
                         tracer.record_at(t0, EventKind::TaskStart { task: i as u32 });
                         job();
@@ -164,7 +174,7 @@ impl SingleQueueExecutor {
                         let dt = TraceClock::between(t0, t1);
                         out.executed += 1;
                         out.busy += dt;
-                        stats.lock().push(TaskStats {
+                        stats.lock().expect(POISONED).push(TaskStats {
                             label: labels[i].clone(),
                             worker,
                             duration: dt,
@@ -187,7 +197,6 @@ impl SingleQueueExecutor {
                 }));
             }
             drop(tx);
-            drop(rx);
             for h in handles {
                 let (ws, wt) = h.join().expect("worker panicked");
                 worker_stats.push(ws);
@@ -206,7 +215,7 @@ impl SingleQueueExecutor {
         });
 
         Ok(ExecReport {
-            tasks: stats.into_inner(),
+            tasks: stats.into_inner().expect(POISONED),
             wall: StdDuration::from_nanos(clock.now()),
             workers: self.workers,
             worker_stats,

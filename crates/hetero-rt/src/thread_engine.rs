@@ -8,14 +8,15 @@
 //! # Execution model
 //!
 //! [`ThreadedExecutor`] is a **work-stealing** executor: every worker owns a
-//! [`crossbeam::deque::Worker`] deque and pops it **LIFO** (a just-unblocked
-//! dependent reuses the cache its parent warmed), while other workers steal
-//! **FIFO** from the opposite end (the oldest task is the best candidate to
-//! migrate — it has waited longest and tends to root the largest untouched
-//! subtree). Dependency bookkeeping is lock-free: each task carries an
-//! `AtomicUsize` of outstanding dependencies; the worker completing the last
-//! one decrements it to zero and enqueues the dependent directly, so the
-//! ready set never funnels through a shared queue.
+//! deque — a `std::sync::Mutex<VecDeque>` — and pops it **LIFO** (a
+//! just-unblocked dependent reuses the cache its parent warmed), while other
+//! workers steal **FIFO** from the opposite end (the oldest task is the best
+//! candidate to migrate — it has waited longest and tends to root the
+//! largest untouched subtree); a thief that finds the lock held moves on.
+//! Dependency bookkeeping is lock-free: each task carries an `AtomicUsize`
+//! of outstanding dependencies; the worker completing the last one
+//! decrements it to zero and enqueues the dependent directly, so the ready
+//! set never funnels through a shared queue.
 //!
 //! # Affinity
 //!
@@ -49,16 +50,15 @@
 use crate::data;
 use crate::graph::{CompiledGraph, TaskGraph};
 use crate::task::{Task, TaskId};
-use crossbeam::deque::{Injector, Steal, Stealer, Worker};
 use hetero_trace::telemetry::{self, AtomicHistogram, Counter, Gauge};
 use hetero_trace::{
     EventKind, Histogram, LaneLabel, Provenance, RunTrace, TaskInfo, TimeUnit, TraceClock,
     TraceMeta, TraceSink, WorkerTrace, WorkerTracer,
 };
-use parking_lot::Mutex;
+use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError, TryLockError};
 use std::time::Duration as StdDuration;
 
 mod placement;
@@ -275,7 +275,12 @@ impl ThreadedExecutor {
 
     /// A pool partitioned according to `placement`: one dedicated worker
     /// range per group, `placement.total_workers()` threads overall.
-    pub fn with_placement(placement: Placement) -> Self {
+    /// A group given no workers gets one, as [`Placement::with_group`]
+    /// would have.
+    pub fn with_placement(mut placement: Placement) -> Self {
+        for g in &mut placement.groups {
+            g.workers = g.workers.max(1);
+        }
         let workers = placement.total_workers().max(1);
         ThreadedExecutor {
             workers,
@@ -376,7 +381,7 @@ impl ThreadedExecutor {
             .into_iter()
             .map(|t| (Some(t.label), Mutex::new(Some(t.work))))
             .unzip();
-        let take = |i: usize| slots[i].lock().take().expect("task runs once");
+        let take = |i: usize| lock(&slots[i]).take().expect("task runs once");
         let labels = ReportLabels::Owned(labels);
         self.execute(start, &graph, &task_group, labels, &take)
     }
@@ -546,13 +551,7 @@ impl ThreadedExecutor {
             group_workers[g].push(w);
         }
 
-        // Deques, stealers, per-group injectors.
-        let locals: Vec<Worker<usize>> = (0..self.workers).map(|_| Worker::new_lifo()).collect();
-        let stealers: Vec<Stealer<usize>> = locals
-            .iter()
-            .map(crossbeam::deque::Worker::stealer)
-            .collect();
-        let injectors: Vec<Injector<usize>> = (0..group_count).map(|_| Injector::new()).collect();
+        let injectors: Vec<Queue> = (0..group_count).map(|_| Queue::default()).collect();
 
         // Seed initially-ready tasks round-robin across their group's
         // workers (or all workers when ungrouped), so there is no single
@@ -561,7 +560,7 @@ impl ThreadedExecutor {
         // Every seed is ready now, before any is pushed: one reading.
         let seeds_ready = if prelude.enabled() { clock.now() } else { 0 };
         let mut rr = vec![0usize; group_count + 1];
-        let mut seeded = vec![0usize; self.workers];
+        let mut seeds = vec![VecDeque::new(); self.workers];
         for &TaskId(i) in rt.graph.ready() {
             prelude.record_at(seeds_ready, EventKind::TaskReady { task: i as u32 });
             let w = match rt.task_group[i] {
@@ -576,15 +575,16 @@ impl ThreadedExecutor {
                     rr[group_count]
                 }
             };
-            locals[w].push(i);
-            seeded[w] += 1;
+            seeds[w].push_back(i);
         }
         prelude.record(&clock, phase_end("seed"));
+        let seeded: Vec<usize> = seeds.iter().map(VecDeque::len).collect();
+        let deques: Vec<Queue> = seeds.into_iter().map(Mutex::new).collect();
 
         let completed = AtomicUsize::new(0);
         let cancelled = AtomicBool::new(false);
         let panicked: Mutex<Option<(usize, String)>> = Mutex::new(None);
-        let park = std::sync::Mutex::new(());
+        let park = Mutex::new(());
         let wake = Condvar::new();
         let tel = self.telemetry.then(ExecutorTelemetry::handles);
         if let Some(t) = &tel {
@@ -597,12 +597,11 @@ impl ThreadedExecutor {
         prelude.record(&clock, phase_start("execute"));
         std::thread::scope(|scope| {
             let mut handles = Vec::with_capacity(self.workers);
-            for (me, local) in locals.into_iter().enumerate() {
+            for me in 0..self.workers {
                 let ctx = WorkerCtx {
                     me,
                     my_group: worker_group[me],
-                    local,
-                    stealers: &stealers,
+                    deques: &deques,
                     injectors: &injectors,
                     group_workers: &group_workers,
                     worker_group: &worker_group,
@@ -630,7 +629,10 @@ impl ThreadedExecutor {
                 worker_traces.extend(wt);
             }
         });
-        if let Some((task, message)) = panicked.into_inner() {
+        let panicked = panicked
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner);
+        if let Some((task, message)) = panicked {
             return Err(ThreadEngineError::TaskPanicked { task, message });
         }
         prelude.record(&clock, phase_end("execute"));
@@ -698,9 +700,10 @@ struct RunOutput {
 struct WorkerCtx<'a> {
     me: usize,
     my_group: usize,
-    local: Worker<usize>,
-    stealers: &'a [Stealer<usize>],
-    injectors: &'a [Injector<usize>],
+    /// Every worker's deque, indexed by worker; this one's is `deques[me]`.
+    deques: &'a [Queue],
+    /// One FIFO queue per group, for tasks readied by another group.
+    injectors: &'a [Queue],
     group_workers: &'a [Vec<usize>],
     worker_group: &'a [usize],
     rt: Runtime<'a>,
@@ -712,7 +715,7 @@ struct WorkerCtx<'a> {
     cancelled: &'a AtomicBool,
     /// The first task panic of the run: `(task, message)`.
     panicked: &'a Mutex<Option<(usize, String)>>,
-    park: &'a std::sync::Mutex<()>,
+    park: &'a Mutex<()>,
     wake: &'a Condvar,
     n: usize,
     clock: TraceClock,
@@ -739,6 +742,9 @@ struct HotState {
     /// observed empty). Never reads the deque, so it costs nothing.
     depth: usize,
     depth_peak: usize,
+    /// Same-group dependents readied by one completion beyond its
+    /// continuation, pushed to the deque under one lock.
+    surplus: Vec<usize>,
 }
 
 /// Where a claimed task came from, for the steal counters and the trace's
@@ -797,6 +803,7 @@ impl WorkerCtx<'_> {
             latencies: Histogram::new(),
             depth: self.seeded,
             depth_peak: self.seeded,
+            surplus: Vec::new(),
         };
         let mut parks = 0u64;
         let mut tracer = std::mem::replace(&mut self.tracer, WorkerTracer::Null);
@@ -826,10 +833,7 @@ impl WorkerCtx<'_> {
                 }
                 None => {
                     out.failed_steals += 1;
-                    let guard = self
-                        .park
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner);
+                    let guard = lock(self.park);
                     if self.finished() {
                         break;
                     }
@@ -841,7 +845,7 @@ impl WorkerCtx<'_> {
                     let _ = self
                         .wake
                         .wait_timeout(guard, PARK_TIMEOUT)
-                        .unwrap_or_else(std::sync::PoisonError::into_inner);
+                        .unwrap_or_else(PoisonError::into_inner);
                     tracer.record(&self.clock, EventKind::Unpark);
                 }
             }
@@ -876,17 +880,17 @@ impl WorkerCtx<'_> {
     /// Claims one ready task: own deque, then own group's injector and
     /// siblings, then — only when the whole group is dry — other groups.
     fn find_task(&self) -> Option<(usize, Source)> {
-        if let Some(i) = self.local.pop() {
+        if let Some(i) = lock(&self.deques[self.me]).pop_back() {
             return Some((i, Source::Local));
         }
-        if let Some(i) = steal_one(&self.injectors[self.my_group]) {
+        if let Some(i) = lock(&self.injectors[self.my_group]).pop_front() {
             return Some((i, Source::Inject { cross: false }));
         }
         for &w in &self.group_workers[self.my_group] {
             if w == self.me {
                 continue;
             }
-            if let Some(i) = steal_from(&self.stealers[w]) {
+            if let Some(i) = steal_from(&self.deques[w]) {
                 return Some((
                     i,
                     Source::Steal {
@@ -901,15 +905,15 @@ impl WorkerCtx<'_> {
             if g == self.my_group {
                 continue;
             }
-            if let Some(i) = steal_one(injector) {
+            if let Some(i) = lock(injector).pop_front() {
                 return Some((i, Source::Inject { cross: true }));
             }
         }
-        for (w, stealer) in self.stealers.iter().enumerate() {
+        for (w, deque) in self.deques.iter().enumerate() {
             if self.worker_group[w] == self.my_group {
                 continue;
             }
-            if let Some(i) = steal_from(stealer) {
+            if let Some(i) = steal_from(deque) {
                 return Some((
                     i,
                     Source::Steal {
@@ -948,9 +952,7 @@ impl WorkerCtx<'_> {
             job();
         }));
         if let Err(payload) = ran {
-            self.panicked
-                .lock()
-                .get_or_insert_with(|| (i, panic_message(payload)));
+            lock(self.panicked).get_or_insert_with(|| (i, panic_message(payload)));
             self.cancelled.store(true, Ordering::SeqCst);
             self.wake.notify_all();
             return None;
@@ -969,7 +971,7 @@ impl WorkerCtx<'_> {
             hot.latencies.observe(ns);
         }
         // Fused wakeups: the first runnable-here dependent becomes the
-        // continuation, the rest go to the deque in one pass, and at most
+        // continuation, the rest go to the deque under one lock, and at most
         // one notify covers all cross-group hand-offs.
         let mut next: Option<usize> = None;
         let mut woke_other_group = false;
@@ -992,20 +994,25 @@ impl WorkerCtx<'_> {
                 match self.rt.task_group[dep] {
                     Some(g) if g != self.my_group => {
                         // Affinity routing: deliver to the task's group.
-                        self.injectors[g].push(dep);
+                        lock(&self.injectors[g]).push_back(dep);
                         woke_other_group = true;
                     }
                     _ => {
                         if next.is_none() {
                             next = Some(dep);
                         } else {
-                            self.local.push(dep);
-                            hot.depth += 1;
-                            hot.depth_peak = hot.depth_peak.max(hot.depth);
+                            hot.surplus.push(dep);
                         }
                     }
                 }
             }
+        }
+        // One deque lock per completion, not one per dependent. It is not
+        // held across the loop above: a thief that finds it held moves on.
+        if !hot.surplus.is_empty() {
+            hot.depth += hot.surplus.len();
+            hot.depth_peak = hot.depth_peak.max(hot.depth);
+            lock(&self.deques[self.me]).extend(hot.surplus.drain(..));
         }
         let me_last = self.completed.fetch_add(1, Ordering::AcqRel) + 1 == self.n;
         if me_last || woke_other_group {
@@ -1022,24 +1029,26 @@ impl WorkerCtx<'_> {
     }
 }
 
-fn steal_one(injector: &Injector<usize>) -> Option<usize> {
-    loop {
-        match injector.steal() {
-            Steal::Success(i) => return Some(i),
-            Steal::Empty => return None,
-            Steal::Retry => continue,
-        }
-    }
+/// A worker's deque or a group's injector: ready task indices.
+type Queue = Mutex<VecDeque<usize>>;
+
+/// Every engine lock is taken through here, poison ignored. That is sound
+/// because a poisoned engine lock never guards broken data: task bodies and
+/// factories panic only inside `catch_unwind`, never while holding an
+/// engine lock, and no engine critical section can panic.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-fn steal_from(stealer: &Stealer<usize>) -> Option<usize> {
-    // Bounded retries: under contention the item will be found by a later
-    // scan; spinning here would fight the owner for its own lock.
+/// Takes the oldest task of another worker's deque (thief FIFO). Bounded
+/// attempts: on a held lock it moves on, because the task will be found by
+/// a later scan and waiting would fight the owner for its own lock.
+fn steal_from(deque: &Queue) -> Option<usize> {
     for _ in 0..2 {
-        match stealer.steal() {
-            Steal::Success(i) => return Some(i),
-            Steal::Empty => return None,
-            Steal::Retry => continue,
+        match deque.try_lock() {
+            Ok(mut q) => return q.pop_front(),
+            Err(TryLockError::Poisoned(p)) => return p.into_inner().pop_front(),
+            Err(TryLockError::WouldBlock) => continue,
         }
     }
     None
@@ -1079,7 +1088,7 @@ mod tests {
         for i in 0..4 {
             let log = log.clone();
             let mut t = ThreadTask::new(format!("t{i}"), move || {
-                log.lock().push(i);
+                log.lock().unwrap().push(i);
             });
             if i > 0 {
                 t = t.after([i - 1]);
@@ -1087,7 +1096,7 @@ mod tests {
             tasks.push(t);
         }
         ThreadedExecutor::new(4).run(tasks).unwrap();
-        assert_eq!(*log.lock(), vec![0, 1, 2, 3]);
+        assert_eq!(*log.lock().unwrap(), vec![0, 1, 2, 3]);
     }
 
     #[test]
@@ -1100,7 +1109,7 @@ mod tests {
         let log = Arc::new(Mutex::new(Vec::new()));
         let push = |i: usize| {
             let log = log.clone();
-            move || log.lock().push(i)
+            move || log.lock().unwrap().push(i)
         };
         let tasks = vec![
             ThreadTask::new("a", push(0)),
@@ -1109,7 +1118,7 @@ mod tests {
             ThreadTask::new("d", push(3)).after([1, 2]),
         ];
         ThreadedExecutor::new(3).run(tasks).unwrap();
-        let order = log.lock().clone();
+        let order = log.lock().unwrap().clone();
         assert_eq!(order.len(), 4);
         assert_eq!(order[0], 0);
         assert_eq!(order[3], 3);
@@ -1243,13 +1252,13 @@ mod tests {
             let built = Mutex::new(Vec::new());
             let ran = Arc::new(Mutex::new(Vec::new()));
             pool.run_compiled(&placed, |i| {
-                built.lock().push((i, std::thread::current().id()));
+                built.lock().unwrap().push((i, std::thread::current().id()));
                 let ran = ran.clone();
-                Box::new(move || ran.lock().push((i, std::thread::current().id())))
+                Box::new(move || ran.lock().unwrap().push((i, std::thread::current().id())))
             })
             .unwrap();
-            let mut built = built.into_inner();
-            let mut ran = ran.lock().clone();
+            let mut built = built.into_inner().unwrap();
+            let mut ran = ran.lock().unwrap().clone();
             built.sort_by_key(|&(i, _)| i);
             ran.sort_by_key(|&(i, _)| i);
             assert_eq!(built, ran, "{workers} workers");
@@ -1340,14 +1349,14 @@ mod tests {
         let log = Arc::new(Mutex::new(Vec::new()));
         let push = |i: usize| {
             let log = log.clone();
-            move || log.lock().push(i)
+            move || log.lock().unwrap().push(i)
         };
         let tasks = vec![
             ThreadTask::new("a", push(0)),
             ThreadTask::new("b", push(1)).after([0, 0, 0]),
         ];
         ThreadedExecutor::new(2).run(tasks).unwrap();
-        assert_eq!(*log.lock(), vec![0, 1]);
+        assert_eq!(*log.lock().unwrap(), vec![0, 1]);
     }
 
     #[test]
@@ -1365,7 +1374,7 @@ mod tests {
             tasks.push(ThreadTask::new(format!("sum{half}"), move || {
                 let range = if half == 0 { 0..500 } else { 500..1000 };
                 let s: f64 = range.map(|i| a[i]).sum();
-                partials.lock()[half] = s;
+                partials.lock().unwrap()[half] = s;
             }));
         }
         {
@@ -1373,13 +1382,13 @@ mod tests {
             let total = total.clone();
             tasks.push(
                 ThreadTask::new("combine", move || {
-                    *total.lock() = partials.lock().iter().sum();
+                    *total.lock().unwrap() = partials.lock().unwrap().iter().sum();
                 })
                 .after([0, 1]),
             );
         }
         ThreadedExecutor::new(2).run(tasks).unwrap();
-        assert_eq!(*total.lock(), 499500.0);
+        assert_eq!(*total.lock().unwrap(), 499500.0);
     }
 
     #[test]
@@ -1503,13 +1512,13 @@ mod tests {
         let tasks = from_graph(&g, |t| {
             let log = log.clone();
             let label = t.label.to_owned();
-            Box::new(move || log.lock().push(label))
+            Box::new(move || log.lock().unwrap().push(label))
         });
         assert_eq!(tasks.len(), 2);
         assert_eq!(tasks[0].group.as_deref(), Some("gpus"));
         assert_eq!(tasks[1].deps, vec![0]);
         ThreadedExecutor::new(2).run(tasks).unwrap();
-        assert_eq!(*log.lock(), vec!["w".to_string(), "r".to_string()]);
+        assert_eq!(*log.lock().unwrap(), vec!["w".to_string(), "r".to_string()]);
     }
 
     /// A chain-heavy diamond graph for the compiled-path tests.
@@ -1555,10 +1564,10 @@ mod tests {
             let report = pool
                 .run_compiled(&compiled, |i| {
                     let log = log.clone();
-                    Box::new(move || log.lock().push(i))
+                    Box::new(move || log.lock().unwrap().push(i))
                 })
                 .unwrap();
-            let order = log.lock().clone();
+            let order = log.lock().unwrap().clone();
             assert_eq!(order.len(), 4);
             assert_eq!(order[0], 0);
             assert_eq!(order[3], 3);
@@ -1642,5 +1651,20 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// A thief takes the oldest task while the owner pops the newest, and
+    /// on a held lock it returns `None` at once rather than wait.
+    #[test]
+    fn steal_from_takes_the_oldest_and_never_waits() {
+        let deque: Queue = Mutex::new(VecDeque::from([1, 2, 3, 4]));
+        assert_eq!(steal_from(&deque), Some(1));
+        assert_eq!(lock(&deque).pop_back(), Some(4));
+        let held = lock(&deque);
+        assert_eq!(steal_from(&deque), None);
+        drop(held);
+        assert_eq!(steal_from(&deque), Some(2));
+        assert_eq!(steal_from(&deque), Some(3));
+        assert_eq!(steal_from(&deque), None);
     }
 }

@@ -24,14 +24,13 @@ use crate::hash::ContentHash;
 use crate::layers::{compose, Layer};
 use crate::semver::{classify, Compatibility, SemVer, VersionReq};
 use crate::telemetry::{metrics, observe_since};
-use parking_lot::{Mutex, RwLock};
 use pdl_core::platform::Platform;
 use pdl_query::capability::RequirementSet;
 use pdl_query::diff::{diff, Change};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError, RwLock};
 
 /// Registry lookup/publish errors.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -278,6 +277,9 @@ impl Snapshot {
 /// concurrency model.
 #[derive(Debug, Default)]
 pub struct Registry {
+    // Both locks ignore poison. `publish_lock` guards `()`, and `current`
+    // only ever changes by one whole-`Arc` assignment, so a lock whose
+    // holder panicked still holds a consistent snapshot.
     current: RwLock<Arc<Snapshot>>,
     publish_lock: Mutex<()>,
     epoch: AtomicU64,
@@ -301,7 +303,7 @@ impl Registry {
     /// Takes a consistent, immutable view of the catalog. All queries on
     /// the returned [`Snapshot`] are synchronization-free.
     pub fn snapshot(&self) -> Arc<Snapshot> {
-        Arc::clone(&self.current.read())
+        Arc::clone(&self.current.read().unwrap_or_else(PoisonError::into_inner))
     }
 
     /// Publishes a descriptor under its own platform name. The content is
@@ -324,7 +326,10 @@ impl Registry {
             })
         });
 
-        let _guard = self.publish_lock.lock();
+        let _guard = self
+            .publish_lock
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
         let prev = self.snapshot();
 
         if let Some(series) = prev.by_name.get(&name) {
@@ -375,7 +380,7 @@ impl Registry {
             by_name,
             by_hash,
         });
-        *self.current.write() = next;
+        *self.current.write().unwrap_or_else(PoisonError::into_inner) = next;
         self.epoch.store(epoch, Ordering::Release);
         let tel = metrics();
         tel.publishes.inc();
@@ -607,5 +612,33 @@ mod tests {
         assert_eq!(hits, ["gpu-node"]);
         let all = snap.select(&RequirementSet::new());
         assert_eq!(all.len(), 2);
+    }
+
+    /// A thread that panics holding `publish_lock`, and one that panics
+    /// holding `current` for writing, poison both locks; readers still see
+    /// the last epoch and the next publish still advances it.
+    #[test]
+    fn poisoned_locks_keep_the_snapshot_and_publishing() {
+        let reg = Registry::new();
+        reg.publish(&plat("node", "8"));
+        std::thread::scope(|s| {
+            let publisher = s.spawn(|| {
+                let _held = reg.publish_lock.lock();
+                panic!("publisher died holding the publish lock");
+            });
+            assert!(publisher.join().is_err());
+            let writer = s.spawn(|| {
+                let _held = reg.current.write();
+                panic!("writer died holding the snapshot lock");
+            });
+            assert!(writer.join().is_err());
+        });
+        assert!(reg.publish_lock.is_poisoned() && reg.current.is_poisoned());
+        assert_eq!(reg.snapshot().epoch(), 1);
+        assert!(reg.publish(&plat("node", "16")).created);
+        assert_eq!(reg.epoch(), 2);
+        let snap = reg.snapshot();
+        assert_eq!(snap.epoch(), 2);
+        assert_eq!(snap.series("node").unwrap().releases().len(), 2);
     }
 }

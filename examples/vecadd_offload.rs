@@ -9,9 +9,8 @@ use cascabel::codegen::ProblemSpec;
 use cascabel::driver::Cascabel;
 use hetero_rt::prelude::*;
 use kernels::vecadd::{block_ranges, vecadd_chunk};
-use parking_lot::Mutex;
 use simhw::machine::SimMachine;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Verbatim structure of the paper's task definition/execution listings.
 const ANNOTATED_SOURCE: &str = r#"
@@ -83,7 +82,7 @@ fn main() {
             let a = a.clone();
             let b = b.clone();
             ThreadTask::new(format!("vecadd[{idx}]"), move || {
-                vecadd_chunk(&mut a.lock(), &b, lo, hi);
+                vecadd_chunk(&mut a.lock().unwrap(), &b, lo, hi);
             })
             .in_group(group.clone())
         })
@@ -113,7 +112,7 @@ fn main() {
     }
 
     // Verify: A[i] == i + 2i.
-    let a = a.lock();
+    let a = a.lock().unwrap();
     for (i, v) in a.iter().enumerate().step_by(N / 13) {
         assert_eq!(*v, (3 * i) as f64, "A[{i}]");
     }

@@ -4,9 +4,8 @@
 
 use hetero_rt::prelude::*;
 use kernels::dgemm::{dgemm_naive, dgemm_tile, Matrix};
-use parking_lot::Mutex;
 use simhw::machine::SimMachine;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Runs the same logical tiled-DGEMM decomposition through both engines:
 /// the simulator for timing shape, the thread pool for actual math.
@@ -38,7 +37,7 @@ fn tiled_dgemm_same_shape_both_engines() {
                 let b_mat = b_mat.clone();
                 let c = c.clone();
                 let mut t = ThreadTask::new(format!("dgemm[{ti},{tj},{tk}]"), move || {
-                    dgemm_tile(&a, &b_mat, &mut c.lock(), tile, ti, tj, tk);
+                    dgemm_tile(&a, &b_mat, &mut c.lock().unwrap(), tile, ti, tj, tk);
                 });
                 if tk > 0 {
                     let my_index = (ti * tiles + tj) * tiles + tk;
@@ -54,7 +53,7 @@ fn tiled_dgemm_same_shape_both_engines() {
     // Functional correctness.
     let mut reference = Matrix::zeros(n);
     dgemm_naive(&a, &b_mat, &mut reference);
-    assert!(c.lock().max_abs_diff(&reference) < 1e-9);
+    assert!(c.lock().unwrap().max_abs_diff(&reference) < 1e-9);
 }
 
 #[test]
@@ -101,13 +100,13 @@ fn simulated_and_threaded_run_the_same_task_count_for_vecadd() {
             let a = a.clone();
             let b = b.clone();
             ThreadTask::new(format!("vecadd[{i}]"), move || {
-                kernels::vecadd::vecadd_chunk(&mut a.lock(), &b, lo, hi);
+                kernels::vecadd::vecadd_chunk(&mut a.lock().unwrap(), &b, lo, hi);
             })
         })
         .collect();
     let exec = ThreadedExecutor::new(2).run(tasks).unwrap();
     assert_eq!(exec.tasks.len(), chunks);
-    assert!(a.lock().iter().all(|&x| x == 3.0));
+    assert!(a.lock().unwrap().iter().all(|&x| x == 3.0));
 }
 
 #[test]

@@ -16,10 +16,9 @@
 use bench::baseline::SingleQueueExecutor;
 use hetero_rt::prelude::*;
 use hetero_rt::thread_engine::ThreadEngineError;
-use parking_lot::Mutex;
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// Runs `tasks_of(log)` and returns the observed execution order.
@@ -35,7 +34,7 @@ fn record_order(
         None => ThreadedExecutor::new(workers),
     };
     executor.run(tasks).unwrap();
-    let order = log.lock().clone();
+    let order = log.lock().unwrap().clone();
     order
 }
 
@@ -48,7 +47,8 @@ fn fork_join_tasks(log: Arc<Mutex<Vec<usize>>>, width: usize, stages: usize) -> 
         for _ in 0..width {
             let log = log.clone();
             let idx = tasks.len();
-            let mut t = ThreadTask::new(format!("fork{idx}"), move || log.lock().push(idx));
+            let mut t =
+                ThreadTask::new(format!("fork{idx}"), move || log.lock().unwrap().push(idx));
             if let Some(j) = prev_join {
                 t = t.after([j]);
             }
@@ -57,7 +57,7 @@ fn fork_join_tasks(log: Arc<Mutex<Vec<usize>>>, width: usize, stages: usize) -> 
         let log = log.clone();
         let idx = tasks.len();
         tasks.push(
-            ThreadTask::new(format!("join{idx}"), move || log.lock().push(idx))
+            ThreadTask::new(format!("join{idx}"), move || log.lock().unwrap().push(idx))
                 .after(first_fork..first_fork + width),
         );
         prev_join = Some(idx);
@@ -133,7 +133,7 @@ fn group_fan_out_forces_steals() {
     for i in 0..n_sinks {
         let counter = counter.clone();
         tasks.push(
-            ThreadTask::new(format!("sink{i}"), move || *counter.lock() += 1)
+            ThreadTask::new(format!("sink{i}"), move || *counter.lock().unwrap() += 1)
                 .after([0])
                 .in_group("sink"),
         );
@@ -141,7 +141,7 @@ fn group_fan_out_forces_steals() {
     let report = ThreadedExecutor::with_placement(placement)
         .run(tasks)
         .unwrap();
-    assert_eq!(*counter.lock(), n_sinks);
+    assert_eq!(*counter.lock().unwrap(), n_sinks);
     assert_eq!(report.tasks.len(), n_sinks + 1);
     assert!(report.total_steals() >= 1, "no task changed hands");
     for w in &report.worker_stats {
@@ -171,13 +171,13 @@ fn logic_groups_drive_real_execution() {
     let done = Arc::new(Mutex::new(0usize));
     let tasks = hetero_rt::thread_engine::from_graph(&graph, |_| {
         let done = done.clone();
-        Box::new(move || *done.lock() += 1)
+        Box::new(move || *done.lock().unwrap() += 1)
     });
     let n = tasks.len();
     let report = ThreadedExecutor::with_placement(placement)
         .run(tasks)
         .unwrap();
-    assert_eq!(*done.lock(), n);
+    assert_eq!(*done.lock().unwrap(), n);
     assert_eq!(report.workers, 8);
 }
 
@@ -304,6 +304,29 @@ fn three_task_reproducer_fails_fast() {
     );
 }
 
+/// `Placement`'s fields are public, so a group can be given zero workers
+/// by hand; the executor gives it one, as `with_group` would. With `a`
+/// empty, the ready task is seeded to `a`'s workers; with `b` empty, `a`
+/// hands its dependent to `b`'s injector. Both runs complete.
+#[test]
+fn zero_worker_groups_still_run_their_tasks() {
+    for (a, b) in [(0, 2), (2, 0)] {
+        let report = within(Duration::from_secs(20), move || {
+            let mut placement = Placement::new().with_group("a", 1).with_group("b", 1);
+            placement.groups[0].workers = a;
+            placement.groups[1].workers = b;
+            ThreadedExecutor::with_placement(placement).run(vec![
+                ThreadTask::new("first", || {}).in_group("a"),
+                ThreadTask::new("second", || {}).after([0]).in_group("b"),
+            ])
+        });
+        let report = report.unwrap_or_else(|e| panic!("a: {a}, b: {b}: {e:?}"));
+        assert_eq!(report.workers, 3, "a: {a}, b: {b}");
+        let executed: usize = report.worker_stats.iter().map(|w| w.executed).sum();
+        assert_eq!(executed, 2, "a: {a}, b: {b}");
+    }
+}
+
 /// Decodes a random DAG from bit masks: task `i` depends on an earlier task
 /// `j` iff bit `i - 1 - j` of `masks[i]` is set (so at most the 64 nearest
 /// predecessors can be direct dependencies).
@@ -327,14 +350,14 @@ proptest! {
             .enumerate()
             .map(|(i, _)| {
                 let log = log.clone();
-                ThreadTask::new(format!("t{i}"), move || log.lock().push(i))
+                ThreadTask::new(format!("t{i}"), move || log.lock().unwrap().push(i))
                     .after(masked_deps(&masks, i))
             })
             .collect();
         let n = tasks.len();
         let report = ThreadedExecutor::new(workers).run(tasks).unwrap();
 
-        let order = log.lock().clone();
+        let order = log.lock().unwrap().clone();
         prop_assert_eq!(order.len(), n);
         let mut position = vec![0usize; n];
         for (pos, &task) in order.iter().enumerate() {
@@ -367,7 +390,7 @@ proptest! {
                 .enumerate()
                 .map(|(i, _)| {
                     let log = log.clone();
-                    ThreadTask::new(format!("t{i}"), move || log.lock().push(i))
+                    ThreadTask::new(format!("t{i}"), move || log.lock().unwrap().push(i))
                         .after(masked_deps(&masks, i))
                 })
                 .collect()
@@ -378,7 +401,7 @@ proptest! {
         let sq = SingleQueueExecutor::new(workers).run(make(sq_log.clone())).unwrap();
         prop_assert_eq!(ws.tasks.len(), masks.len());
         prop_assert_eq!(sq.tasks.len(), masks.len());
-        prop_assert_eq!(ws_log.lock().len(), sq_log.lock().len());
+        prop_assert_eq!(ws_log.lock().unwrap().len(), sq_log.lock().unwrap().len());
         prop_assert_eq!(sq.total_steals(), 0); // the baseline has no steal concept
 
         // The same DAG as a `TaskGraph` (task `i` writes handle `i` and
@@ -405,7 +428,7 @@ proptest! {
             let log: Arc<Mutex<Vec<usize>>> = Arc::new(Mutex::new(Vec::new()));
             let body = |i: usize| -> Box<dyn FnOnce() + Send> {
                 let log = log.clone();
-                Box::new(move || log.lock().push(i))
+                Box::new(move || log.lock().unwrap().push(i))
             };
             let report = if compiled {
                 pool.run_compiled(&pool.compile_graph(&graph).unwrap(), body)
@@ -414,7 +437,7 @@ proptest! {
             }
             .unwrap();
             prop_assert_eq!(report.tasks.len(), masks.len());
-            let order = log.lock().clone();
+            let order = log.lock().unwrap().clone();
             let mut position = vec![usize::MAX; masks.len()];
             for (pos, &task) in order.iter().enumerate() {
                 prop_assert_eq!(position[task], usize::MAX, "task {} ran twice", task);
