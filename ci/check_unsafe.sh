@@ -2,8 +2,9 @@
 # Unsafe-code gate for every source the workspace builds, vendor/ included.
 #
 # The workspace forbids `unsafe_code` outright (see [workspace.lints.rust]
-# in Cargo.toml), so today this gate expects *zero* `unsafe` tokens. If a future change genuinely needs unsafe, the crate must opt
-# out of the forbid explicitly, and every unsafe site must carry both:
+# in Cargo.toml), so today this gate expects *zero* `unsafe` tokens. If a
+# future change genuinely needs unsafe, the crate must opt out of the
+# forbid explicitly, and every unsafe site must carry both:
 #
 #   * an `#[allow(unsafe_code)]` within the three lines above it, and
 #   * a `// SAFETY:` comment in the same window justifying why the

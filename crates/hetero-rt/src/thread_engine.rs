@@ -629,10 +629,7 @@ impl ThreadedExecutor {
                 worker_traces.extend(wt);
             }
         });
-        let panicked = panicked
-            .into_inner()
-            .unwrap_or_else(PoisonError::into_inner);
-        if let Some((task, message)) = panicked {
+        if let Some((task, message)) = lock(&panicked).take() {
             return Err(ThreadEngineError::TaskPanicked { task, message });
         }
         prelude.record(&clock, phase_end("execute"));

@@ -24,6 +24,8 @@ vector_add(A, B);
 "#;
 
 const N: usize = 1 << 22; // 4M doubles
+/// What a poisoned lock on `A` means.
+const POISONED: &str = "a vecadd chunk panicked while writing A";
 
 fn main() {
     // --- Translate against the 2-GPU testbed PDL. --------------------------
@@ -82,7 +84,7 @@ fn main() {
             let a = a.clone();
             let b = b.clone();
             ThreadTask::new(format!("vecadd[{idx}]"), move || {
-                vecadd_chunk(&mut a.lock().unwrap(), &b, lo, hi);
+                vecadd_chunk(&mut a.lock().expect(POISONED), &b, lo, hi);
             })
             .in_group(group.clone())
         })
@@ -112,7 +114,7 @@ fn main() {
     }
 
     // Verify: A[i] == i + 2i.
-    let a = a.lock().unwrap();
+    let a = a.lock().expect(POISONED);
     for (i, v) in a.iter().enumerate().step_by(N / 13) {
         assert_eq!(*v, (3 * i) as f64, "A[{i}]");
     }
