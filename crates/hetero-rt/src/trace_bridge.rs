@@ -34,10 +34,10 @@ fn virtual_ns(seconds: f64) -> u64 {
 /// One lane's events, written in recording order into a log sized for them.
 struct Lane {
     log: EventLog,
-    /// `(ts, 0 for an end or 1 for a start)` of the last event: a lane's
-    /// order, in which ends come before starts at one timestamp.
-    last: (u64, u8),
-    /// Whether every event so far came in that order.
+    /// End of the last span.
+    last_end: u64,
+    /// Whether every span so far started no earlier than the one before it
+    /// ended, so that the lane's spans are in `(start, end)` order.
     sorted: bool,
 }
 
@@ -47,7 +47,7 @@ impl Lane {
         log.reserve_exact(2 * spans);
         Lane {
             log,
-            last: (0, 0),
+            last_end: 0,
             sorted: true,
         }
     }
@@ -58,8 +58,8 @@ impl Lane {
             virtual_ns(span.start.seconds()),
             virtual_ns(span.end.seconds()),
         );
-        self.sorted &= self.last <= (start, 1) && start < end;
-        self.last = (end, 0);
+        self.sorted &= self.last_end <= start;
+        self.last_end = end;
         let events = [
             (start, EventKind::TaskStart { task }),
             (end, EventKind::TaskEnd { task }),
@@ -69,17 +69,18 @@ impl Lane {
         }
     }
 
-    /// The lane's events in order. Device timelines and link channels
-    /// serialize occupancy, so a lane is in order as recorded unless a span
-    /// has no length; such a lane is stably sorted by timestamp, ends before
-    /// starts.
+    /// The lane's events: each span's start then its end, spans in
+    /// `(start, end)` order, so a zero-length span nests like any other.
+    /// Device timelines and link channels serialize occupancy, so a lane is
+    /// in that order as recorded; any other lane is stably sorted into it.
     fn finish(self) -> EventLog {
         if self.sorted {
             return self.log;
         }
-        let mut events: Vec<TraceEvent> = self.log.iter().collect();
-        events.sort_by_key(|e| (e.ts, !matches!(e.kind, EventKind::TaskEnd { .. })));
-        events.into()
+        let events: Vec<TraceEvent> = self.log.iter().collect();
+        let mut spans: Vec<&[TraceEvent]> = events.chunks_exact(2).collect();
+        spans.sort_by_key(|span| (span[0].ts, span[1].ts));
+        spans.concat().into()
     }
 }
 
@@ -235,10 +236,11 @@ mod tests {
     use crate::sim_engine::{simulate, SimOptions, Subject, TransferPipeline};
     use crate::task::{Codelet, DataAccess, Variant};
 
-    /// A lane in order is kept as written; one with a zero-length span is
-    /// sorted as every lane used to be: by timestamp, ends before starts.
+    /// A lane in order is kept as written, zero-length spans included; any
+    /// other lane is sorted by `(start, end)`, each span's start before its
+    /// end.
     #[test]
-    fn lanes_keep_recording_order_unless_a_span_has_no_length() {
+    fn lanes_keep_recording_order_unless_spans_overlap() {
         let events = |spans: &[(u64, u64)]| {
             let mut lane = Lane::with_capacity(spans.len());
             for (task, &(start, end)) in spans.iter().enumerate() {
@@ -277,14 +279,28 @@ mod tests {
         assert_eq!(
             events(&[(0, 5), (5, 5), (5, 7)]),
             (
-                false,
+                true,
                 vec![
                     (0, "start", 0),
                     (5, "end", 0),
-                    (5, "end", 1),
                     (5, "start", 1),
+                    (5, "end", 1),
                     (5, "start", 2),
                     (7, "end", 2)
+                ]
+            )
+        );
+        assert_eq!(
+            events(&[(5, 7), (5, 5), (0, 5)]),
+            (
+                false,
+                vec![
+                    (0, "start", 2),
+                    (5, "end", 2),
+                    (5, "start", 1),
+                    (5, "end", 1),
+                    (5, "start", 0),
+                    (7, "end", 0)
                 ]
             )
         );

@@ -13,7 +13,10 @@
 //! A second table, recorded at `1957000` (the parent of the change that
 //! rebuilt the virtual-time trace path) the same way, its last six rows at
 //! `e9b7584`, pins what the bridge makes of every cell: an FNV digest of the
-//! codec export of `sim_report_to_trace(&report, &machine)`.
+//! codec export of `sim_report_to_trace(&report, &machine)`, which must
+//! validate. Its rows 12–17, 21, 23 and 25, every row of [`hetero_graph`],
+//! were recorded again by the change that emits a zero-length span's start
+//! before its end: before it, those traces failed `RunTrace::validate`.
 
 use hetero_rt::prelude::*;
 use hetero_rt::sim_engine::{SpanKind, Trace};
@@ -63,10 +66,18 @@ fn digest(r: &SimReport, _: &SimMachine) -> u64 {
     h.0
 }
 
-/// The bridged trace of a report, as the codec writes it.
+/// The bridged trace of a report, as the codec writes it. The trace must
+/// validate first: a digest of a malformed trace pins the malformation.
 fn bridged_digest(r: &SimReport, machine: &SimMachine) -> u64 {
+    let trace = sim_report_to_trace(r, machine);
+    if let Err(e) = trace.validate() {
+        panic!(
+            "bridged trace of {} spans does not validate: {e}",
+            r.trace.spans().len()
+        );
+    }
     let mut h = Fnv(0xcbf2_9ce4_8422_2325);
-    let text = hetero_trace::codec::export(&sim_report_to_trace(r, machine), &[]);
+    let text = hetero_trace::codec::export(&trace, &[]);
     text.bytes().for_each(|b| h.word(u64::from(b)));
     h.0
 }
@@ -642,46 +653,46 @@ const BRIDGED: [[u64; 15]; 26] = [
         0x837925038bf2ecf9, 0x416a994b17bf723a, 0x536ca00b20439ab4,
     ],
     [
-        0xec72746600c642d7, 0x479de4a71b3afaa6, 0x93597dea0fe50ab9,
-        0xe6150e8e4b68a347, 0xec72746600c642d7, 0x11657f3a027588a0,
-        0x7657cdd4e2c93d5e, 0x8c2b6176c5db7cdd, 0x0af9408e34fc60ac,
-        0x11657f3a027588a0, 0x11657f3a027588a0, 0x7657cdd4e2c93d5e,
-        0x8c2b6176c5db7cdd, 0x0af9408e34fc60ac, 0xad82f190bbe76e45,
+        0xd39790571f837db7, 0xc227f8f8dfc5b2c6, 0x60ea9292f7335519,
+        0xff8d05c8602dfba7, 0xd39790571f837db7, 0x0c46d2fd9bc23ee0,
+        0x3e12f94b0c5c991e, 0x851ac4a08191f65d, 0x0228cf6290b7d82c,
+        0x0c46d2fd9bc23ee0, 0x0c46d2fd9bc23ee0, 0x3e12f94b0c5c991e,
+        0x851ac4a08191f65d, 0x0228cf6290b7d82c, 0x9789320f5a358405,
     ],
     [
-        0x95325a9a19716282, 0x6e50f2e679b58953, 0xfa76ed4b5c012b73,
-        0x927c775f0ad91ad2, 0x95325a9a19716282, 0x4aa8e7a24575fcd5,
-        0x1ccdb43d8e1bbb8b, 0x3a7e8f0b054ccbfc, 0x9989c3802ac0d9f9,
-        0x4aa8e7a24575fcd5, 0x4aa8e7a24575fcd5, 0x1ccdb43d8e1bbb8b,
-        0x3a7e8f0b054ccbfc, 0x9989c3802ac0d9f9, 0xc4ae202b27cff3b0,
+        0x6eeba3726e9b73a2, 0xdd9d1080138d6833, 0x9e4c33e2b2a11f13,
+        0x3ce4e5678f038b72, 0x6eeba3726e9b73a2, 0x65a0e3ec6c529495,
+        0x874e464bec1d0f4b, 0x590890c519e93cfc, 0x6bf88470fa7806f9,
+        0x65a0e3ec6c529495, 0x65a0e3ec6c529495, 0x874e464bec1d0f4b,
+        0x590890c519e93cfc, 0x6bf88470fa7806f9, 0xb0c142bb321e11f0,
     ],
     [
-        0x140ad08f477bc9ea, 0x09151e1ec3b66e6e, 0x4283acc179bef9e7,
-        0xc4b755d03f5d1dde, 0x140ad08f477bc9ea, 0x6ef4a98a055de5d2,
-        0x762eea73ff98391c, 0x75cd709f5b783b46, 0x4704f6d7c1455b84,
-        0x6ef4a98a055de5d2, 0x6ef4a98a055de5d2, 0x762eea73ff98391c,
-        0x75cd709f5b783b46, 0x4704f6d7c1455b84, 0x6ef4a98a055de5d2,
+        0x6107b91951c5c9ca, 0x9cb22e1cbf43e0ce, 0xa4bf038dd0b28dc7,
+        0x97f98bb1dc9104be, 0x6107b91951c5c9ca, 0xd22c54c4648d3792,
+        0x47c5977cd87b8a9c, 0x6f572192a547e9c6, 0xc9abf46ece6bfa44,
+        0xd22c54c4648d3792, 0xd22c54c4648d3792, 0x47c5977cd87b8a9c,
+        0x6f572192a547e9c6, 0xc9abf46ece6bfa44, 0xd22c54c4648d3792,
     ],
     [
-        0x8485a61e84eace7f, 0x598f02731290bebb, 0x1d0fa6f9d2dce723,
-        0x0aca71673e70148b, 0x8485a61e84eace7f, 0x5bd3ebad68b50867,
-        0xbf51b70e78b51929, 0xda629fb391b9bf3c, 0x5e297fea0731dd51,
-        0x5bd3ebad68b50867, 0x5bd3ebad68b50867, 0xbf51b70e78b51929,
-        0xda629fb391b9bf3c, 0x5e297fea0731dd51, 0x5bd3ebad68b50867,
+        0xdcdfb10c99e43a1f, 0xa0c3deca4f7d795b, 0x401f8913a71a7d03,
+        0x78d69e1e73bacdab, 0xdcdfb10c99e43a1f, 0xd453f090f0df2da7,
+        0x88e094a2692cd1a9, 0xc06f63798a97d43c, 0xe0835f0935cbed91,
+        0xd453f090f0df2da7, 0xd453f090f0df2da7, 0x88e094a2692cd1a9,
+        0xc06f63798a97d43c, 0xe0835f0935cbed91, 0xd453f090f0df2da7,
     ],
     [
-        0x08923397d6cd1e34, 0xc077bfcbc8e78fd7, 0x58722794a2c23519,
-        0xb51231d5e0e25f35, 0x08923397d6cd1e34, 0x1e2ae492c12791ed,
-        0xbe27f8b73c4ce8c7, 0x4e277d58e4060702, 0x7cb71a31a53315b2,
-        0x1e2ae492c12791ed, 0xe675552aeb6a1ab2, 0xd2f0ef77b058833f,
-        0x0960b09f995d5440, 0xc6cb4835d0592cd8, 0xe675552aeb6a1ab2,
+        0xf6b40b676d0473b4, 0x871d894b0bc712d7, 0x7da4d054e977af19,
+        0x351d3c3429ba83b5, 0xf6b40b676d0473b4, 0x43e1d2a36a2a8a8d,
+        0xfb69d66b91170267, 0xf54a593b24e305e2, 0x032c293972c91cd2,
+        0x43e1d2a36a2a8a8d, 0x690f7ecaa7766152, 0xd9004c962b79c31f,
+        0x00f8edf079608a20, 0x69dcb378877ccf38, 0x690f7ecaa7766152,
     ],
     [
-        0x78ecbf8b57244161, 0xbc2f4fab1beed2c2, 0xbeaa3733abaafff2,
-        0x9a7006d95ab4eb80, 0x78ecbf8b57244161, 0x764200bbd0376df8,
-        0xbc9d134496f0eb12, 0x1971f8c6a57caca4, 0x360427082e6bd847,
-        0x764200bbd0376df8, 0xeb894855343d2c27, 0xdaf2fe2336f25eea,
-        0xffa474dc2d4aaae0, 0x71b8ab723d6ef1ed, 0xeb894855343d2c27,
+        0xe86d56c8daf186e1, 0xcb2ae6baeb6cedc2, 0x263cab1382172b72,
+        0x432b87f51002f100, 0xe86d56c8daf186e1, 0x46b5d9a5df0add58,
+        0xd5c7f2b73e264c72, 0x67656c724994ed84, 0x3511080402b49f27,
+        0x46b5d9a5df0add58, 0x9d0e41131e5c5987, 0xe2a53006bb8cd18a,
+        0x9671165bee8d40c0, 0x53b657fa4e19608d, 0x9d0e41131e5c5987,
     ],
     [
         0x3d4cbd344920b5cf, 0xfadf07b33f6cbe23, 0xe1098a386a283803,
@@ -705,11 +716,11 @@ const BRIDGED: [[u64; 15]; 26] = [
         0xadb436d0925dac42, 0x4c6ff72ea65a685f, 0x8959c53f3d329450,
     ],
     [
-        0xc659274f30e94393, 0xfc4d6486b156b6e3, 0x1666556407f165ff,
-        0x860ebf33818113a9, 0xc659274f30e94393, 0x801cc9834b712890,
-        0xc6830c2727195cbb, 0xee31e5170ac251b9, 0xd1d3808172e5c64a,
-        0x801cc9834b712890, 0x801cc9834b712890, 0xc6830c2727195cbb,
-        0xf0fa4d97c3d93689, 0xd1d3808172e5c64a, 0x801cc9834b712890,
+        0xa1988f93dde57533, 0x24b3605690e21b83, 0x98fecd9ed98f6f5f,
+        0x61b207841f97b609, 0xa1988f93dde57533, 0x8023a261d32ee8b0,
+        0xa22b1f4e098678fb, 0x5351691fc90da339, 0x3fed91af42f781aa,
+        0x8023a261d32ee8b0, 0x8023a261d32ee8b0, 0xa22b1f4e098678fb,
+        0x74cd7ef8c21e3fc9, 0x3fed91af42f781aa, 0x8023a261d32ee8b0,
     ],
     [
         0x6b5c96980235a218, 0x7b40ae8ea5bed15d, 0x68bc7ec1631b84fd,
@@ -719,11 +730,11 @@ const BRIDGED: [[u64; 15]; 26] = [
         0x442c43b9c0fa9744, 0xd2d288c88b435878, 0x9cad464c8e5e6f09,
     ],
     [
-        0xdf49e4b2fa9d248e, 0x6977dac4ba5f83cd, 0x3fa496cc0bb5b8b9,
-        0x386a3e861c0a6caf, 0xdf49e4b2fa9d248e, 0x18c6ce26dabd8c63,
-        0x9fbec93cf5d4a120, 0x2c02f7f07baa45a9, 0xc0869a83c20a0229,
-        0x18c6ce26dabd8c63, 0x18c6ce26dabd8c63, 0x9fbec93cf5d4a120,
-        0x7de682a5cf0af5dd, 0xc0869a83c20a0229, 0x18c6ce26dabd8c63,
+        0xe62835928c496cee, 0x3c697c81d4400eed, 0x9bbc1a4468087f39,
+        0x7e0cc74b25001a4f, 0xe62835928c496cee, 0xbead739bcf373e03,
+        0x49418f53daf95b80, 0x89783e086be6b589, 0x5b6cc8bb77938d09,
+        0xbead739bcf373e03, 0xbead739bcf373e03, 0x49418f53daf95b80,
+        0xb7067d50a18dac3d, 0x5b6cc8bb77938d09, 0xbead739bcf373e03,
     ],
     [
         0x70da30bd5a45229e, 0xd674fac96a4e8ab1, 0x8cf10e6143310f46,
@@ -733,10 +744,10 @@ const BRIDGED: [[u64; 15]; 26] = [
         0xcd42a783c546c84b, 0x2a0ae1df21c9a65c, 0xf39d7f468cd533a0,
     ],
     [
-        0x9dbc0a3caf726058, 0xb64674f3fd406263, 0xcd1905b82de84c3c,
-        0x42c9a2b5a9f99bf8, 0x9dbc0a3caf726058, 0x4f6d9117de04fafa,
-        0xf30c7deb6c202257, 0x59d9a4ebf45781c7, 0x7c0d8a5b22d7e519,
-        0x4f6d9117de04fafa, 0x6810e39d62ef1e0e, 0x3787ad52b7aca80a,
-        0xeb311e5f4ee4b4db, 0x5f5796918a83badd, 0x6810e39d62ef1e0e,
+        0x1d3a99b3e722a118, 0x2127534c09107ae3, 0x0e87d0236644f09c,
+        0xe9ea567957b913b8, 0x1d3a99b3e722a118, 0xec9c6a78c74fd4fa,
+        0x0255af5240d5b917, 0xd5279765f7bdf187, 0x1296dce261a27619,
+        0xec9c6a78c74fd4fa, 0x3293d970d270786e, 0xda7c32e707333baa,
+        0xe8b469c7e749227b, 0x5672b186ff4718bd, 0x3293d970d270786e,
     ],
 ];
