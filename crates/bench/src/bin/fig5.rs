@@ -5,9 +5,17 @@
 //! Defaults to the paper's 8192 with tile 2048. `--json` writes the
 //! machine-readable run summary (default `BENCH_fig5.json`); `--trace`
 //! writes a <chrome://tracing> view of the `starpu+2gpu` row (default
-//! `fig5_trace.json`).
+//! `fig5_trace.json`). A bad argument or an unwritable path exits 1 with
+//! one `fig5:` line on stderr.
 
 fn main() {
+    if let Err(e) = run() {
+        eprintln!("fig5: {e}");
+        std::process::exit(1);
+    }
+}
+
+fn run() -> Result<(), String> {
     let mut n: usize = 8192;
     let mut tile: Option<usize> = None;
     let mut json_path: Option<String> = None;
@@ -42,14 +50,12 @@ fn main() {
                     tile = Some(v);
                     positional = 2;
                 }
-                _ => {
-                    eprintln!("unknown argument {other:?}");
-                    std::process::exit(2);
-                }
+                _ => return Err(format!("unknown argument {other:?}")),
             },
         }
     }
     let tile = tile.unwrap_or_else(|| (n / 4).max(1));
+    kernels::graphs::check_dgemm_size(n, tile)?;
 
     let results = bench::fig5::run(n, tile);
     println!("{}", results.render());
@@ -78,14 +84,17 @@ fn main() {
     }
 
     if let Some(path) = json_path {
-        std::fs::write(&path, results.to_json().to_pretty()).expect("write summary JSON");
+        std::fs::write(&path, results.to_json().to_pretty())
+            .map_err(|e| format!("cannot write {path}: {e}"))?;
         println!("wrote run summary to {path}");
     }
     if let Some(path) = trace_path {
         let row = results
             .row("starpu+2gpu")
             .expect("starpu+2gpu row always present");
-        std::fs::write(&path, hetero_trace::chrome::export(&row.trace)).expect("write trace JSON");
+        std::fs::write(&path, hetero_trace::chrome::export(&row.trace))
+            .map_err(|e| format!("cannot write {path}: {e}"))?;
         println!("wrote chrome trace of starpu+2gpu to {path} (open at chrome://tracing)");
     }
+    Ok(())
 }

@@ -3,9 +3,17 @@
 //! changes.
 //!
 //! `--json [PATH]` additionally writes the sweep as machine-readable JSON
-//! (default `BENCH_portability.json`).
+//! (default `BENCH_portability.json`). A bad argument or an unwritable path
+//! exits 1 with one `portability:` line on stderr.
 
 fn main() {
+    if let Err(e) = run() {
+        eprintln!("portability: {e}");
+        std::process::exit(1);
+    }
+}
+
+fn run() -> Result<(), String> {
     let mut json_path: Option<String> = None;
     let mut args = std::env::args().skip(1).peekable();
     while let Some(a) = args.next() {
@@ -17,8 +25,9 @@ fn main() {
                 });
             }
             other => {
-                eprintln!("unknown argument {other:?}; usage: portability [--json [PATH]]");
-                std::process::exit(2);
+                return Err(format!(
+                    "unknown argument {other:?}; usage: portability [--json [PATH]]"
+                ))
             }
         }
     }
@@ -28,7 +37,7 @@ fn main() {
     println!("{}", bench::portability::render(&cells));
     if let Some(path) = &json_path {
         std::fs::write(path, bench::portability::to_json(&cells).to_pretty())
-            .expect("write sweep JSON");
+            .map_err(|e| format!("cannot write {path}: {e}"))?;
         println!("wrote sweep JSON to {path}\n");
     }
     println!("Scheduler ablation (Abl. A) on the 2-GPU testbed, DGEMM 8192/2048:");
@@ -59,4 +68,5 @@ fn main() {
     println!(
         "Bus contention (Abl. H): independent links {independent:.3}s vs shared bus {shared:.3}s"
     );
+    Ok(())
 }

@@ -164,7 +164,8 @@ impl Trace {
             let mut row = vec![' '; width];
             for s in self.spans.iter().filter(|s| s.lane as usize == d) {
                 let a = (s.start.seconds() * scale) as usize;
-                let b = ((s.end.seconds() * scale) as usize).clamp(a + 1, width);
+                // `a` reaches `width` when a span starts at the makespan.
+                let b = ((s.end.seconds() * scale) as usize).max(a + 1).min(width);
                 let ch = match s.kind() {
                     SpanKind::Compute => '#',
                     SpanKind::Transfer => '~',

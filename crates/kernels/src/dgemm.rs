@@ -54,9 +54,11 @@ pub fn dgemm_flops(n: usize) -> f64 {
     2.0 * (n as f64).powi(3)
 }
 
-/// Bytes of one `n×n` f64 matrix.
+/// Bytes of one `n×n` f64 matrix. Computed in `f64`, which cannot
+/// overflow, and equal to the integer product wherever that fits.
 pub(crate) fn matrix_bytes(n: usize) -> f64 {
-    (n * n * 8) as f64
+    let n = n as f64;
+    n * n * 8.0
 }
 
 /// Naive triple loop, the reference implementation.

@@ -45,6 +45,29 @@ pub(crate) fn dgemm_codelet() -> Codelet {
         .with_variant(Variant::new("gpu").requiring("OpenCL").with_speedup(0.85))
 }
 
+/// The most tile tasks [`check_dgemm_size`] admits: 128³, the 8192 × 8192
+/// matrix in tiles of 64.
+const MAX_DGEMM_TASKS: usize = 1 << 21;
+
+/// Checks a DGEMM size taken from a command line before [`dgemm_graph`]
+/// builds it: `tile` in `1..=n`, and at most 2²¹ tile tasks. The error
+/// names the limit that failed.
+pub fn check_dgemm_size(n: usize, tile: usize) -> Result<(), String> {
+    if !(1..=n).contains(&tile) {
+        return Err(format!("TILE must be in 1..=N (N = {n}), got {tile}"));
+    }
+    let tiles = n.div_ceil(tile);
+    if tiles
+        .checked_pow(3)
+        .is_none_or(|tasks| tasks > MAX_DGEMM_TASKS)
+    {
+        return Err(format!(
+            "N/TILE = {tiles} makes {tiles}³ tasks, over the limit of {MAX_DGEMM_TASKS}"
+        ));
+    }
+    Ok(())
+}
+
 /// Builds the tiled DGEMM task graph: `(n/tile)³` tasks, each multiplying a
 /// `tile×tile` block triple `C[i][j] += A[i][k] × B[k][j]`. Tiles of A, B
 /// and C are separate data handles, so the runtime moves only what a task
