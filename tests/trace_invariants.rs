@@ -257,6 +257,37 @@ fn fork_join_completions_read_the_clock_once() {
     }
 }
 
+/// The event engine's bridged trace at scale: an Eager run of a 13 000-task
+/// fork-join on the paper's testbed assigns every task exactly once, and
+/// its trace validates and carries no A-series finding.
+#[test]
+fn bridged_dynamic_fork_join_validates_clean() {
+    let platform = pdl_discover::synthetic::xeon_2gpu_testbed();
+    let machine = simhw::machine::SimMachine::from_platform(&platform);
+    let graph = kernels::graphs::fork_join_graph(64, 200, None);
+    assert_eq!(graph.len(), 13_000);
+    let options = SimOptions {
+        flush_outputs: false,
+        ..SimOptions::default()
+    };
+    let report = simulate_dynamic(&graph, &machine, &mut EagerScheduler, &options)
+        .expect("the testbed runs a fork-join");
+    let mut assigned = vec![0u32; graph.len()];
+    for (task, _) in &report.assignments {
+        assigned[task.0] += 1;
+    }
+    assert!(
+        assigned.iter().all(|&n| n == 1),
+        "every task assigned exactly once"
+    );
+    let trace = sim_report_to_trace(&report, &machine);
+    trace
+        .validate()
+        .unwrap_or_else(|e| panic!("bridged trace invariant broken: {e}"));
+    let anomalies = pdl_analyze::check_trace_anomalies(&trace);
+    assert!(anomalies.is_empty(), "{}", anomalies.render());
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
