@@ -1,14 +1,151 @@
-//! Ablation helpers shared by the Criterion benches and the harness
-//! binaries (DESIGN.md Abl. A/B).
+//! The ablation tables of EXPERIMENTS.md (DESIGN.md Abl. A, B, D and
+//! F–I), one render function per table. Every table is a deterministic
+//! virtual-time or static result; the unit tests below pin each one's exact
+//! text, and the `portability` binary prints them through [`render`].
 
+use cascabel::preselect::preselect;
+use cascabel::repository::{ImplOrigin, TaskImpl, TaskRepository};
 use hetero_rt::prelude::*;
 use pdl_core::prelude::*;
 use pdl_discover::synthetic;
 use simhw::machine::SimMachine;
+use std::fmt::Write;
+
+/// Every ablation table, in DESIGN.md order, separated by blank lines.
+pub fn render() -> String {
+    [
+        render_scheduler(),
+        render_pcie(),
+        render_preselect(),
+        render_tiles(),
+        render_engines(),
+        render_bus(),
+        render_pipeline(),
+    ]
+    .join("\n")
+}
+
+/// Abl. A: the Fig. 5 DGEMM's makespan under each scheduling policy.
+fn render_scheduler() -> String {
+    let mut out =
+        "Scheduler ablation (Abl. A) on the 2-GPU testbed, DGEMM 8192/2048:\n".to_string();
+    for (policy, makespan) in scheduler_ablation(8192, 2048) {
+        writeln!(out, "  {policy:>12}: {makespan:.4}s").unwrap();
+    }
+    out
+}
+
+/// Abl. B: GPU speedup over CPU-only as `PCIe` bandwidth varies.
+fn render_pcie() -> String {
+    let mut out =
+        "Transfer ablation (Abl. B): DGEMM 4096/1024 speedup vs PCIe bandwidth:\n".to_string();
+    for gbs in [0.05, 0.25, 1.0, 2.0, 6.0, 16.0] {
+        let s = speedup_vs_pcie(4096, 1024, gbs);
+        let bar = "#".repeat((s * 2.0) as usize);
+        writeln!(out, "  {gbs:>6.2} GB/s: {s:>6.2}x  |{bar}|").unwrap();
+    }
+    out
+}
+
+/// Abl. D: variants pre-selection keeps of a 100-interface repository on
+/// three targets.
+fn render_preselect() -> String {
+    let mut out = "Pre-selection ablation (Abl. D): 100 interfaces x 3 variants:\n".to_string();
+    let repo = synthetic_repository(100);
+    for platform in [
+        synthetic::xeon_x5550_host(),
+        synthetic::xeon_2gpu_testbed(),
+        synthetic::cell_be(),
+    ] {
+        let sel = preselect(&repo, &platform);
+        let total: usize = sel.iter().map(|s| s.decisions.len()).sum();
+        let kept: usize = sel.iter().map(|s| s.kept().count()).sum();
+        let pruned = 100.0 * (total - kept) as f64 / total as f64;
+        writeln!(
+            out,
+            "  {:<28} kept {kept}/{total} variants ({pruned:.0}% pruned)",
+            platform.name
+        )
+        .unwrap();
+    }
+    out
+}
+
+/// Abl. F: the Fig. 5 DGEMM's makespan per tile size.
+fn render_tiles() -> String {
+    let mut out = "Tile ablation (Abl. F): DGEMM 8192 makespan vs tile size:\n".to_string();
+    for tile in [512usize, 1024, 2048, 4096, 8192] {
+        let m = makespan_vs_tile(8192, tile);
+        writeln!(out, "  tile {tile:>5}: {m:>8.3}s").unwrap();
+    }
+    out
+}
+
+/// Abl. G: the list engine against the online engine.
+fn render_engines() -> String {
+    let (list, online) = engine_comparison(8192, 2048);
+    format!("Engine ablation (Abl. G): list {list:.3}s vs online {online:.3}s\n")
+}
+
+/// Abl. H: independent `PCIe` links against one shared host bus.
+fn render_bus() -> String {
+    let (independent, shared) = bus_contention(8192, 2048);
+    format!(
+        "Bus contention (Abl. H): independent links {independent:.3}s vs shared bus {shared:.3}s\n"
+    )
+}
+
+/// Abl. I: what each stage of the transfer pipeline buys. 256-float tiles of
+/// a 2048² DGEMM keep per-task transfer and compute comparable, which is
+/// where overlap and routing matter.
+fn render_pipeline() -> String {
+    let rows = transfer_pipeline_ablation(2048, 256);
+    let baseline = rows[0].makespan_s;
+    let mut out =
+        "Transfer-pipeline ablation (Abl. I): DGEMM 2048/256 on the NVLink testbed:\n".to_string();
+    out.push_str("  config        makespan    speedup   to-dev MB   to-host MB   peer MB\n");
+    for r in &rows {
+        writeln!(
+            out,
+            "  {:<12} {:>8.4} s  {:>6.2}x  {:>9.1}  {:>10.1}  {:>8.1}",
+            r.config,
+            r.makespan_s,
+            baseline / r.makespan_s,
+            r.bytes_to_devices / 1e6,
+            r.bytes_to_host / 1e6,
+            r.bytes_peer / 1e6,
+        )
+        .unwrap();
+    }
+    out
+}
+
+/// Repository with `n` interfaces × 3 variants (x86/Cuda/CellSDK).
+fn synthetic_repository(n: usize) -> TaskRepository {
+    let mut repo = TaskRepository::new();
+    let params = vec![("X".to_string(), AccessMode::ReadWrite)];
+    for i in 0..n {
+        for (suffix, plat) in [("cpu", "x86"), ("gpu", "Cuda"), ("spe", "CellSDK")] {
+            repo.register_expert(
+                &format!("I_k{i}"),
+                TaskImpl {
+                    name: format!("k{i}_{suffix}"),
+                    target_platforms: vec![plat.to_string()],
+                    params: params.clone(),
+                    source: String::new(),
+                    origin: ImplOrigin::Repository,
+                    speedup: 1.0,
+                },
+            )
+            .expect("distinct variant names");
+        }
+    }
+    repo
+}
 
 /// Makespans of the Fig. 5 DGEMM graph under each scheduling policy
 /// (Abl. A). Returns `(policy, makespan_s)` rows.
-pub fn scheduler_ablation(n: usize, tile: usize) -> Vec<(&'static str, f64)> {
+fn scheduler_ablation(n: usize, tile: usize) -> Vec<(&'static str, f64)> {
     let platform = synthetic::xeon_2gpu_testbed();
     let machine = SimMachine::from_platform(&platform);
     let graph = kernels::graphs::dgemm_graph(n, tile, None);
@@ -76,7 +213,7 @@ fn clone_pu(
 /// Makespan of the Fig. 5 DGEMM on the 2-GPU testbed for a given tile size
 /// (Abl. F): small tiles expose parallelism but multiply per-task transfer
 /// latency; huge tiles starve the devices. Classic U-shaped curve.
-pub fn makespan_vs_tile(n: usize, tile: usize) -> f64 {
+fn makespan_vs_tile(n: usize, tile: usize) -> f64 {
     let graph = kernels::graphs::dgemm_graph(n, tile, None);
     let machine = SimMachine::from_platform(&synthetic::xeon_2gpu_testbed());
     simulate(&graph, &machine, &mut HeftScheduler, &SimOptions::default())
@@ -87,7 +224,7 @@ pub fn makespan_vs_tile(n: usize, tile: usize) -> f64 {
 
 /// List-vs-online engine comparison (Abl. G): same graph, same policy,
 /// both execution engines. Returns `(list_makespan_s, online_makespan_s)`.
-pub fn engine_comparison(n: usize, tile: usize) -> (f64, f64) {
+fn engine_comparison(n: usize, tile: usize) -> (f64, f64) {
     let graph = kernels::graphs::dgemm_graph(n, tile, None);
     let machine = SimMachine::from_platform(&synthetic::xeon_2gpu_testbed());
     let list = simulate(&graph, &machine, &mut HeftScheduler, &SimOptions::default())
@@ -108,7 +245,7 @@ pub fn engine_comparison(n: usize, tile: usize) -> (f64, f64) {
 
 /// Host-bus contention cost (Abl. H): Fig. 5 GPU-configuration makespan
 /// with independent `PCIe` links vs one shared host bus.
-pub fn bus_contention(n: usize, tile: usize) -> (f64, f64) {
+fn bus_contention(n: usize, tile: usize) -> (f64, f64) {
     let graph = kernels::graphs::dgemm_graph(n, tile, None);
     let machine = SimMachine::from_platform(&synthetic::xeon_2gpu_testbed());
     let independent = simulate(&graph, &machine, &mut HeftScheduler, &SimOptions::default())
@@ -132,17 +269,17 @@ pub fn bus_contention(n: usize, tile: usize) -> (f64, f64) {
 
 /// One configuration of the transfer-pipeline ablation (Abl. I).
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PipelineRow {
+struct PipelineRow {
     /// Configuration label.
-    pub config: &'static str,
+    config: &'static str,
     /// Modeled makespan in seconds.
-    pub makespan_s: f64,
+    makespan_s: f64,
     /// Bytes staged host → device.
-    pub bytes_to_devices: f64,
+    bytes_to_devices: f64,
     /// Bytes staged device → host.
-    pub bytes_to_host: f64,
+    bytes_to_host: f64,
     /// Bytes moved directly device → device over declared peer links.
-    pub bytes_peer: f64,
+    bytes_peer: f64,
 }
 
 /// Transfer-pipeline ablation (Abl. I): the Fig. 5 DGEMM on the `NVLink`
@@ -153,7 +290,7 @@ pub struct PipelineRow {
 /// `overlap+p2p` routes device→device traffic over the declared `NVLink`;
 /// `full` adds input prefetch at scheduling time; `full+dmda` swaps HEFT
 /// for the transfer-cost-aware `dmda` policy.
-pub fn transfer_pipeline_ablation(n: usize, tile: usize) -> Vec<PipelineRow> {
+fn transfer_pipeline_ablation(n: usize, tile: usize) -> Vec<PipelineRow> {
     let machine = SimMachine::from_platform(&synthetic::xeon_2gpu_nvlink_testbed());
     let configs: [(&'static str, &'static str, TransferPipeline); 5] = [
         ("baseline", "heft", TransferPipeline::default()),
@@ -205,7 +342,7 @@ pub fn transfer_pipeline_ablation(n: usize, tile: usize) -> Vec<PipelineRow> {
 
 /// GPU-configuration speedup over CPU-only for the Fig. 5 graph under a
 /// given `PCIe` bandwidth. Used to locate the offload break-even point.
-pub fn speedup_vs_pcie(n: usize, tile: usize, pcie_gbs: f64) -> f64 {
+fn speedup_vs_pcie(n: usize, tile: usize, pcie_gbs: f64) -> f64 {
     let graph = kernels::graphs::dgemm_graph(n, tile, None);
     let cpu_machine = SimMachine::from_platform(&synthetic::xeon_x5550_host());
     let cpu = simulate(
@@ -233,6 +370,94 @@ pub fn speedup_vs_pcie(n: usize, tile: usize, pcie_gbs: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    // The tables exactly as EXPERIMENTS.md quotes them.
+
+    #[test]
+    fn abl_a_scheduler_table_is_pinned() {
+        assert_eq!(
+            render_scheduler(),
+            "\
+Scheduler ablation (Abl. A) on the 2-GPU testbed, DGEMM 8192/2048:
+         eager: 21.5287s
+          heft: 6.1159s
+        random: 47.0828s
+   round-robin: 19.7346s
+"
+        );
+    }
+
+    #[test]
+    fn abl_b_pcie_table_is_pinned() {
+        assert_eq!(
+            render_pcie(),
+            "\
+Transfer ablation (Abl. B): DGEMM 4096/1024 speedup vs PCIe bandwidth:
+    0.05 GB/s:   0.62x  |#|
+    0.25 GB/s:   1.04x  |##|
+    1.00 GB/s:   1.84x  |###|
+    2.00 GB/s:   2.16x  |####|
+    6.00 GB/s:   2.23x  |####|
+   16.00 GB/s:   2.43x  |####|
+"
+        );
+    }
+
+    #[test]
+    fn abl_d_preselect_table_is_pinned() {
+        assert_eq!(
+            render_preselect(),
+            "\
+Pre-selection ablation (Abl. D): 100 interfaces x 3 variants:
+  xeon-x5550-8core             kept 100/300 variants (67% pruned)
+  xeon-x5550-gtx480-gtx285     kept 200/300 variants (33% pruned)
+  cell-be                      kept 100/300 variants (67% pruned)
+"
+        );
+    }
+
+    #[test]
+    fn abl_f_tile_table_is_pinned() {
+        assert_eq!(
+            render_tiles(),
+            "\
+Tile ablation (Abl. F): DGEMM 8192 makespan vs tile size:
+  tile   512:    5.302s
+  tile  1024:    5.598s
+  tile  2048:    6.116s
+  tile  4096:    7.136s
+  tile  8192:   11.266s
+"
+        );
+    }
+
+    #[test]
+    fn abl_g_and_h_lines_are_pinned() {
+        assert_eq!(
+            render_engines(),
+            "Engine ablation (Abl. G): list 6.116s vs online 8.970s\n"
+        );
+        assert_eq!(
+            render_bus(),
+            "Bus contention (Abl. H): independent links 6.116s vs shared bus 6.920s\n"
+        );
+    }
+
+    #[test]
+    fn abl_i_pipeline_table_is_pinned() {
+        assert_eq!(
+            render_pipeline(),
+            "\
+Transfer-pipeline ablation (Abl. I): DGEMM 2048/256 on the NVLink testbed:
+  config        makespan    speedup   to-dev MB   to-host MB   peer MB
+  baseline       0.1279 s    1.00x      126.9        66.6       0.0
+  overlap        0.1190 s    1.08x      133.2        57.7       0.0
+  overlap+p2p    0.0883 s    1.45x       88.1        33.6      44.0
+  full           0.1129 s    1.13x       84.9        33.6      45.1
+  full+dmda      0.0838 s    1.53x       88.6        33.6      46.1
+"
+        );
+    }
 
     #[test]
     fn heft_beats_random_on_heterogeneous_machine() {

@@ -1,6 +1,6 @@
 //! Regenerates the portability sweep (DESIGN.md Abl. E): one annotated
 //! input program translated against several PDL descriptors without source
-//! changes.
+//! changes; then every other ablation table (Abl. A, B, D, F–I).
 //!
 //! `--json [PATH]` additionally writes the sweep as machine-readable JSON
 //! (default `BENCH_portability.json`). A bad argument or an unwritable path
@@ -40,33 +40,6 @@ fn run() -> Result<(), String> {
             .map_err(|e| format!("cannot write {path}: {e}"))?;
         println!("wrote sweep JSON to {path}\n");
     }
-    println!("Scheduler ablation (Abl. A) on the 2-GPU testbed, DGEMM 8192/2048:");
-    for (policy, makespan) in bench::ablations::scheduler_ablation(8192, 2048) {
-        println!("  {policy:>12}: {makespan:.4}s");
-    }
-    println!("\nTransfer ablation (Abl. B): DGEMM 4096/1024 speedup vs PCIe bandwidth:");
-    for gbs in [0.05, 0.25, 1.0, 2.0, 6.0, 16.0] {
-        let s = bench::ablations::speedup_vs_pcie(4096, 1024, gbs);
-        println!(
-            "  {gbs:>6.2} GB/s: {s:>6.2}x  |{}|",
-            "#".repeat((s * 2.0) as usize)
-        );
-    }
-
-    println!("\nTile ablation (Abl. F): DGEMM 8192 makespan vs tile size:");
-    for tile in [512usize, 1024, 2048, 4096, 8192] {
-        println!(
-            "  tile {tile:>5}: {:>8.3}s",
-            bench::ablations::makespan_vs_tile(8192, tile)
-        );
-    }
-
-    let (list, online) = bench::ablations::engine_comparison(8192, 2048);
-    println!("\nEngine ablation (Abl. G): list {list:.3}s vs online {online:.3}s");
-
-    let (independent, shared) = bench::ablations::bus_contention(8192, 2048);
-    println!(
-        "Bus contention (Abl. H): independent links {independent:.3}s vs shared bus {shared:.3}s"
-    );
+    print!("{}", bench::ablations::render());
     Ok(())
 }

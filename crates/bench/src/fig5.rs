@@ -256,6 +256,22 @@ mod tests {
         assert!(gpu.bytes_to_devices > 0.0);
     }
 
+    /// The figure exactly as EXPERIMENTS.md quotes it.
+    #[test]
+    fn paper_scale_table_is_pinned() {
+        assert_eq!(
+            run_paper_scale().render(),
+            "\
+Figure 5 reproduction — DGEMM 8192x8192 (tile 2048), translated from one serial input program
+
+version            makespan   speedup
+single             114.820s     1.00x  |##
+starpu              14.352s     8.00x  |################
+starpu+2gpu          6.116s    18.77x  |######################################
+"
+        );
+    }
+
     #[test]
     fn render_contains_rows() {
         let r = run(2048, 512);

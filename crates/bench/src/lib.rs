@@ -6,16 +6,14 @@
 //!   (`single` → `starpu` → `starpu+2gpu`);
 //! * [`portability`] — the Abl. E sweep: one input program over several PDL
 //!   descriptors;
-//! * [`ablations`] — scheduler/transfer ablation helpers shared by the
-//!   Criterion benches;
-//! * [`baseline`] — the single-queue thread engine and the binary-heap
-//!   event queue the shipped engines replaced, for `engine_scaling`,
-//!   `sim_scaling` and the differential tests.
+//! * [`ablations`] — the Abl. A, B, D and F–I tables.
+//!
+//! The `fig5` and `portability` binaries print them; the unit tests pin
+//! their exact text.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod ablations;
-pub mod baseline;
 pub mod fig5;
 pub mod portability;

@@ -44,8 +44,8 @@
 //! a factory) that panics ends the run with
 //! [`ThreadEngineError::TaskPanicked`]; it never hangs the pool.
 //!
-//! The seed single-queue engine this one replaced lives on as a measured
-//! baseline in `bench::baseline`.
+//! The seed single-queue engine this one replaced lives on as a test
+//! reference in `tests/common/single_queue.rs`.
 
 use crate::data;
 use crate::graph::{CompiledGraph, TaskGraph};
@@ -304,9 +304,9 @@ impl ThreadedExecutor {
     /// Enables or disables always-on telemetry (default **on**). The
     /// instruments are sharded atomics fed from values the engine measures
     /// anyway (no extra clock reads, no locks on the hot path), so leaving
-    /// this on costs a few relaxed atomic ops per task — the
-    /// `telemetry_overhead` bench gates the delta. Off exists for that
-    /// bench's baseline and for embedders that want a silent pool.
+    /// this on costs a few relaxed atomic ops per task. Off is the baseline
+    /// a measurement of that cost needs, and suits embedders that want a
+    /// silent pool.
     pub fn with_telemetry(mut self, enabled: bool) -> Self {
         self.telemetry = enabled;
         self

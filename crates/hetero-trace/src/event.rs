@@ -18,8 +18,8 @@ pub enum Provenance {
         /// True when the victim belongs to a different logic group.
         cross_group: bool,
     },
-    /// Received through a shared queue (the single-queue baseline engine —
-    /// no steal concept).
+    /// Received through a shared queue (the single-queue reference engine
+    /// of the tests — no steal concept).
     Queue,
 }
 

@@ -24,8 +24,7 @@
 //!   description via `pdl-query` placement; the trace knows which platform
 //!   descriptor produced the schedule.
 //! * **Zero overhead when off**: [`TraceSink::Null`] makes every record call
-//!   an inlined no-op that never reads the clock (measured by the
-//!   `engine_scaling` bench's tracing-off/on comparison).
+//!   an inlined no-op that never reads the clock.
 //!
 //! ## Exporters
 //!

@@ -112,8 +112,8 @@ impl Gauge {
 /// One histogram shard: per-bucket counts plus count/sum/min/max, padded
 /// as a block (the arrays inside share lines, but different shards do
 /// not). min/max live **per shard** so `observe` never touches a cache
-/// line another thread writes — a shared min/max pair measurably showed
-/// up in the `telemetry_overhead` bench under 8 workers.
+/// line another thread writes, as a shared min/max pair would under 8
+/// workers.
 #[derive(Debug)]
 #[repr(align(64))]
 struct HistShard {

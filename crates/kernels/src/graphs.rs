@@ -285,9 +285,9 @@ pub fn reduce_graph(n: usize, chunks: usize) -> TaskGraph {
 /// next round forks again.
 ///
 /// This is the scheduler stress shape — every stage dumps `width` ready
-/// tasks into the engine at once and the join serialises them back — used
-/// by the `engine_scaling` bench to compare the work-stealing and
-/// single-queue thread engines. Per-task cost is a nominal `flops` so the
+/// tasks into the engine at once and the join serialises them back — that
+/// the pipeline ledger's fork-join workloads run on both thread-engine
+/// paths and both simulators. Per-task cost is a nominal `flops` so the
 /// graph also simulates meaningfully.
 ///
 /// `execution_group` optionally pins all tasks to a logic group.

@@ -10,8 +10,8 @@
 //! of the O(log n) of a binary heap. Bucket count and bucket width resize
 //! automatically as the population grows, shrinks, or drifts. The
 //! `BinaryHeap` queue it replaced — same API, same observable order — is
-//! `bench::baseline::HeapEventQueue`, the reference of
-//! `tests/calendar_queue.rs` and the `sim_scaling` benchmark.
+//! `HeapEventQueue` in `tests/calendar_queue.rs`, the reference those
+//! differential tests hold this queue to.
 
 use crate::time::SimTime;
 use std::collections::VecDeque;

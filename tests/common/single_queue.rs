@@ -1,13 +1,9 @@
-//! Baselines: the implementations the shipped engines replaced, kept where
-//! benchmarks and differential tests can reach them and users cannot.
-//!
-//! * [`SingleQueueExecutor`] — the seed thread engine, every ready task
-//!   through one shared channel; what `engine_scaling` measures the
-//!   work-stealing [`hetero_rt::thread_engine::ThreadedExecutor`] against.
-//! * [`HeapEventQueue`] — the `BinaryHeap` event queue; the reference of
-//!   `tests/calendar_queue.rs` and `sim_scaling` for [`simhw::EventQueue`].
-//!
-//! Both are written against the public API of the crates they baseline.
+//! The seed thread engine, kept as the reference `tests/work_stealing.rs`
+//! and `tests/trace_invariants.rs` hold the work-stealing
+//! [`ThreadedExecutor`](hetero_rt::thread_engine::ThreadedExecutor) to:
+//! every ready task flows through one shared channel. Written against the
+//! engine's public API, and included by `#[path]` into each binary that
+//! uses it.
 
 use hetero_rt::graph::CompiledGraph;
 use hetero_rt::task::TaskId;
@@ -16,9 +12,6 @@ use hetero_trace::{
     EventKind, LaneLabel, Provenance, RunTrace, TaskInfo, TimeUnit, TraceClock, TraceMeta,
     TraceSink, WorkerTrace,
 };
-use simhw::time::SimTime;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration as StdDuration;
@@ -28,7 +21,7 @@ use std::time::Duration as StdDuration;
 /// groups are ignored, and a task body that panics takes the run down with
 /// it.
 #[derive(Debug, Clone)]
-pub struct SingleQueueExecutor {
+pub(crate) struct SingleQueueExecutor {
     workers: usize,
     sink: TraceSink,
 }
@@ -47,7 +40,7 @@ fn phase(start: bool, name: &str) -> EventKind {
 
 impl SingleQueueExecutor {
     /// A pool with the given number of worker threads (min 1).
-    pub fn new(workers: usize) -> Self {
+    pub(crate) fn new(workers: usize) -> Self {
         SingleQueueExecutor {
             workers: workers.max(1),
             sink: TraceSink::Null,
@@ -55,14 +48,15 @@ impl SingleQueueExecutor {
     }
 
     /// Enables (or disables) event tracing for subsequent runs.
-    pub fn with_trace(mut self, sink: TraceSink) -> Self {
+    #[allow(dead_code)] // `tests/work_stealing.rs` runs it untraced.
+    pub(crate) fn with_trace(mut self, sink: TraceSink) -> Self {
         self.sink = sink;
         self
     }
 
     /// Executes all tasks, returning per-task stats in global completion
     /// order.
-    pub fn run(&self, tasks: Vec<ThreadTask>) -> Result<ExecReport, ThreadEngineError> {
+    pub(crate) fn run(&self, tasks: Vec<ThreadTask>) -> Result<ExecReport, ThreadEngineError> {
         let clock = TraceClock::new();
         let mut prelude = self.sink.worker_tracer();
         prelude.record(&clock, phase(true, "validate"));
@@ -222,220 +216,5 @@ impl SingleQueueExecutor {
             groups: vec!["all".to_string()],
             trace,
         })
-    }
-}
-
-/// A pending event: fire time + stable sequence number + payload, ordered
-/// by the first two.
-#[derive(Debug, Clone)]
-struct Entry<E> {
-    at: SimTime,
-    seq: u64,
-    payload: E,
-}
-
-impl<E> PartialEq for Entry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<E> Eq for Entry<E> {}
-impl<E> PartialOrd for Entry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<E> Ord for Entry<E> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.at.cmp(&other.at).then(self.seq.cmp(&other.seq))
-    }
-}
-
-/// The original `BinaryHeap`-backed event queue.
-///
-/// Functionally identical to [`simhw::EventQueue`] (same API, same
-/// deterministic order); kept as the reference implementation that
-/// differential tests and the `sim_scaling` benchmark compare the calendar
-/// queue against.
-#[derive(Debug, Clone)]
-pub struct HeapEventQueue<E> {
-    heap: BinaryHeap<Reverse<Entry<E>>>,
-    seq: u64,
-    now: SimTime,
-}
-
-impl<E> Default for HeapEventQueue<E> {
-    fn default() -> Self {
-        HeapEventQueue {
-            heap: BinaryHeap::new(),
-            seq: 0,
-            now: SimTime::ZERO,
-        }
-    }
-}
-
-impl<E> HeapEventQueue<E> {
-    /// An empty queue at time zero.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Current virtual time: the fire time of the last popped event.
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// Schedules `payload` to fire at `at`.
-    ///
-    /// # Panics
-    /// Panics if `at` lies in the past (before [`now`](Self::now)).
-    pub fn schedule(&mut self, at: SimTime, payload: E) {
-        assert!(
-            at >= self.now,
-            "cannot schedule into the past: {at} < now {}",
-            self.now
-        );
-        self.heap.push(Reverse(Entry {
-            at,
-            seq: self.seq,
-            payload,
-        }));
-        self.seq += 1;
-    }
-
-    /// Pops the next event, advancing the clock to its fire time.
-    pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let Reverse(e) = self.heap.pop()?;
-        self.now = e.at;
-        Some((e.at, e.payload))
-    }
-
-    /// Fire time of the next event, without popping.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|Reverse(e)| e.at)
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether the queue is drained.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use simhw::time::Duration;
-    use simhw::EventQueue;
-    use std::sync::atomic::AtomicU64;
-    use std::sync::Arc;
-
-    #[test]
-    fn traced_single_queue_uses_queue_provenance() {
-        let tasks: Vec<ThreadTask> = (0..12)
-            .map(|i| ThreadTask::new(format!("t{i}"), || {}))
-            .collect();
-        let report = SingleQueueExecutor::new(3)
-            .with_trace(hetero_trace::TraceSink::ring())
-            .run(tasks)
-            .unwrap();
-        let trace = report.trace.as_ref().expect("trace collected");
-        trace.validate().expect("invariants hold");
-        for span in trace.task_spans() {
-            assert_eq!(span.provenance, Some(Provenance::Queue));
-        }
-    }
-
-    #[test]
-    fn single_queue_baseline_agrees() {
-        let counter = Arc::new(AtomicU64::new(0));
-        let tasks: Vec<ThreadTask> = (0..30)
-            .map(|i| {
-                let c = counter.clone();
-                let mut t = ThreadTask::new(format!("t{i}"), move || {
-                    c.fetch_add(1, Ordering::Relaxed);
-                });
-                if i >= 10 {
-                    t = t.after([i - 10]);
-                }
-                t
-            })
-            .collect();
-        let report = SingleQueueExecutor::new(3).run(tasks).unwrap();
-        assert_eq!(counter.load(Ordering::Relaxed), 30);
-        assert_eq!(report.tasks.len(), 30);
-        assert_eq!(report.total_steals(), 0); // no steal concept
-    }
-
-    fn t(s: f64) -> SimTime {
-        SimTime::new(s)
-    }
-
-    #[test]
-    #[should_panic(expected = "into the past")]
-    fn heap_scheduling_into_the_past_panics() {
-        let mut q = HeapEventQueue::new();
-        q.schedule(t(5.0), ());
-        q.pop();
-        q.schedule(t(1.0), ());
-    }
-
-    /// Deterministic PRNG so the differential test reproduces exactly.
-    struct Lcg(u64);
-    impl Lcg {
-        fn next(&mut self) -> u64 {
-            self.0 = self
-                .0
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            self.0 >> 11
-        }
-        fn f64(&mut self) -> f64 {
-            (self.next() % (1 << 20)) as f64 / (1 << 20) as f64
-        }
-    }
-
-    #[test]
-    fn calendar_matches_heap_on_interleaved_streams() {
-        // Random interleaving of bursts of schedules (with deliberate
-        // time ties) and pops; the calendar queue must pop the exact same
-        // (time, payload) sequence as the heap reference.
-        let mut rng = Lcg(0x5eed_cafe);
-        let mut cal: EventQueue<u32> = EventQueue::new();
-        let mut heap: HeapEventQueue<u32> = HeapEventQueue::new();
-        let mut id = 0u32;
-        for _ in 0..20_000 {
-            let op = rng.next() % 100;
-            if op < 60 {
-                let horizon = match rng.next() % 3 {
-                    0 => 1e-6,
-                    1 => 1.0,
-                    _ => 1e4,
-                };
-                let mut at = cal.now() + Duration::new(rng.f64() * horizon);
-                if rng.next().is_multiple_of(4) {
-                    // Force an exact tie with the current clock.
-                    at = cal.now();
-                }
-                cal.schedule(at, id);
-                heap.schedule(at, id);
-                id += 1;
-            } else {
-                assert_eq!(cal.pop(), heap.pop());
-            }
-            assert_eq!(cal.len(), heap.len());
-            assert_eq!(cal.peek_time(), heap.peek_time());
-        }
-        loop {
-            let (a, b) = (cal.pop(), heap.pop());
-            assert_eq!(a, b);
-            if a.is_none() {
-                break;
-            }
-        }
     }
 }

@@ -15,11 +15,13 @@
 //!   each event carries, through `run` and through `run_compiled`.
 
 mod common;
+#[path = "common/single_queue.rs"]
+mod single_queue;
 
-use bench::baseline::SingleQueueExecutor;
 use hetero_rt::prelude::*;
-use hetero_trace::EventKind;
+use hetero_trace::{EventKind, Provenance};
 use proptest::prelude::*;
+use single_queue::SingleQueueExecutor;
 
 /// Dependency mask decoding shared with `tests/work_stealing.rs`: task `i`
 /// may depend on any of the 64 preceding tasks.
@@ -254,6 +256,23 @@ fn fork_join_completions_read_the_clock_once() {
                 }
             }
         }
+    }
+}
+
+/// Every task the single-queue reference runs arrives from its one queue.
+#[test]
+fn traced_single_queue_uses_queue_provenance() {
+    let tasks: Vec<ThreadTask> = (0..12)
+        .map(|i| ThreadTask::new(format!("t{i}"), || {}))
+        .collect();
+    let report = SingleQueueExecutor::new(3)
+        .with_trace(TraceSink::ring())
+        .run(tasks)
+        .unwrap();
+    let trace = report.trace.as_ref().expect("trace collected");
+    trace.validate().expect("invariants hold");
+    for span in trace.task_spans() {
+        assert_eq!(span.provenance, Some(Provenance::Queue));
     }
 }
 

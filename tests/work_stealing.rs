@@ -13,10 +13,13 @@
 //! * a task body that panics ends the run with `TaskPanicked` — within a
 //!   wall cap, because the engine this replaced hung instead.
 
-use bench::baseline::SingleQueueExecutor;
+#[path = "common/single_queue.rs"]
+mod single_queue;
+
 use hetero_rt::prelude::*;
 use hetero_rt::thread_engine::ThreadEngineError;
 use proptest::prelude::*;
+use single_queue::SingleQueueExecutor;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -325,6 +328,29 @@ fn zero_worker_groups_still_run_their_tasks() {
         let executed: usize = report.worker_stats.iter().map(|w| w.executed).sum();
         assert_eq!(executed, 2, "a: {a}, b: {b}");
     }
+}
+
+/// The single-queue reference runs every task of a layered DAG and has no
+/// steals to report.
+#[test]
+fn single_queue_baseline_agrees() {
+    let counter = Arc::new(AtomicUsize::new(0));
+    let tasks: Vec<ThreadTask> = (0..30)
+        .map(|i| {
+            let c = counter.clone();
+            let mut t = ThreadTask::new(format!("t{i}"), move || {
+                c.fetch_add(1, Ordering::Relaxed);
+            });
+            if i >= 10 {
+                t = t.after([i - 10]);
+            }
+            t
+        })
+        .collect();
+    let report = SingleQueueExecutor::new(3).run(tasks).unwrap();
+    assert_eq!(counter.load(Ordering::Relaxed), 30);
+    assert_eq!(report.tasks.len(), 30);
+    assert_eq!(report.total_steals(), 0); // no steal concept
 }
 
 /// Decodes a random DAG from bit masks: task `i` depends on an earlier task
