@@ -80,7 +80,7 @@ impl Lane {
         let events: Vec<TraceEvent> = self.log.iter().collect();
         let mut spans: Vec<&[TraceEvent]> = events.chunks_exact(2).collect();
         spans.sort_by_key(|span| (span[0].ts, span[1].ts));
-        spans.concat().into()
+        spans.into_iter().flatten().cloned().collect()
     }
 }
 
