@@ -9,7 +9,6 @@ use hetero_rt::prelude::*;
 use pdl_core::prelude::*;
 use pdl_discover::synthetic;
 use simhw::machine::SimMachine;
-use std::fmt::Write;
 
 /// Every ablation table, in DESIGN.md order, separated by blank lines.
 pub fn render() -> String {
@@ -30,7 +29,7 @@ fn render_scheduler() -> String {
     let mut out =
         "Scheduler ablation (Abl. A) on the 2-GPU testbed, DGEMM 8192/2048:\n".to_string();
     for (policy, makespan) in scheduler_ablation(8192, 2048) {
-        writeln!(out, "  {policy:>12}: {makespan:.4}s").unwrap();
+        out.push_str(&format!("  {policy:>12}: {makespan:.4}s\n"));
     }
     out
 }
@@ -42,13 +41,13 @@ fn render_pcie() -> String {
     for gbs in [0.05, 0.25, 1.0, 2.0, 6.0, 16.0] {
         let s = speedup_vs_pcie(4096, 1024, gbs);
         let bar = "#".repeat((s * 2.0) as usize);
-        writeln!(out, "  {gbs:>6.2} GB/s: {s:>6.2}x  |{bar}|").unwrap();
+        out.push_str(&format!("  {gbs:>6.2} GB/s: {s:>6.2}x  |{bar}|\n"));
     }
     out
 }
 
-/// Abl. D: variants pre-selection keeps of a 100-interface repository on
-/// three targets.
+/// Abl. D: how many variants of a 100-interface repository pre-selection
+/// keeps on three targets.
 fn render_preselect() -> String {
     let mut out = "Pre-selection ablation (Abl. D): 100 interfaces x 3 variants:\n".to_string();
     let repo = synthetic_repository(100);
@@ -61,12 +60,10 @@ fn render_preselect() -> String {
         let total: usize = sel.iter().map(|s| s.decisions.len()).sum();
         let kept: usize = sel.iter().map(|s| s.kept().count()).sum();
         let pruned = 100.0 * (total - kept) as f64 / total as f64;
-        writeln!(
-            out,
-            "  {:<28} kept {kept}/{total} variants ({pruned:.0}% pruned)",
+        out.push_str(&format!(
+            "  {:<28} kept {kept}/{total} variants ({pruned:.0}% pruned)\n",
             platform.name
-        )
-        .unwrap();
+        ));
     }
     out
 }
@@ -76,7 +73,7 @@ fn render_tiles() -> String {
     let mut out = "Tile ablation (Abl. F): DGEMM 8192 makespan vs tile size:\n".to_string();
     for tile in [512usize, 1024, 2048, 4096, 8192] {
         let m = makespan_vs_tile(8192, tile);
-        writeln!(out, "  tile {tile:>5}: {m:>8.3}s").unwrap();
+        out.push_str(&format!("  tile {tile:>5}: {m:>8.3}s\n"));
     }
     out
 }
@@ -105,17 +102,15 @@ fn render_pipeline() -> String {
         "Transfer-pipeline ablation (Abl. I): DGEMM 2048/256 on the NVLink testbed:\n".to_string();
     out.push_str("  config        makespan    speedup   to-dev MB   to-host MB   peer MB\n");
     for r in &rows {
-        writeln!(
-            out,
-            "  {:<12} {:>8.4} s  {:>6.2}x  {:>9.1}  {:>10.1}  {:>8.1}",
+        out.push_str(&format!(
+            "  {:<12} {:>8.4} s  {:>6.2}x  {:>9.1}  {:>10.1}  {:>8.1}\n",
             r.config,
             r.makespan_s,
             baseline / r.makespan_s,
             r.bytes_to_devices / 1e6,
             r.bytes_to_host / 1e6,
             r.bytes_peer / 1e6,
-        )
-        .unwrap();
+        ));
     }
     out
 }

@@ -44,12 +44,12 @@ fn bad_arguments_are_one_line_diagnostics_not_panics() {
     }
 }
 
-/// Matrices far past the paper's still run: a tile's byte count used to
-/// overflow `usize` (a debug-build panic) from N = 2³², and the Gantt rows
-/// panicked when a span started at the makespan (N = 10⁸).
+/// Matrices far past the paper's still run. From N = 2³² a tile's byte
+/// count does not fit a `usize`, and at N = 2⁶⁴ − 1 a Gantt row also holds
+/// a span that starts at the makespan.
 #[test]
 fn huge_matrices_run_to_the_end() {
-    for n in ["100000000", "4294967296"] {
+    for n in ["4294967296", "18446744073709551615"] {
         let out = Command::new(env!("CARGO_BIN_EXE_fig5"))
             .arg(n)
             .output()
