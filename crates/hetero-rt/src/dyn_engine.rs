@@ -132,7 +132,7 @@ pub fn simulate_dynamic(
     }
     debug_assert_eq!(completed, graph.len(), "all tasks completed");
 
-    Ok(run.into_report("dynamic", scheduler.name()))
+    Ok(run.into_report(scheduler.name()))
 }
 
 #[cfg(test)]

@@ -269,7 +269,7 @@ pub fn simulate(
             run.learn(task, chosen);
         }
     }
-    Ok(run.into_report("list", scheduler.name()))
+    Ok(run.into_report(scheduler.name()))
 }
 
 #[cfg(test)]

@@ -186,16 +186,6 @@ impl Trace {
     }
 }
 
-/// Per-physical-link usage accumulated while placing transfer plans,
-/// indexed like `machine.links`. Feeds the always-on telemetry without
-/// touching the global registry inside the scheduling loop.
-#[derive(Debug, Clone, Copy, Default)]
-struct LinkUse {
-    busy: Duration,
-    bytes: f64,
-    transfers: u64,
-}
-
 /// One simulated run in progress.
 pub(crate) struct SimRun<'a> {
     graph: &'a TaskGraph,
@@ -213,7 +203,6 @@ pub(crate) struct SimRun<'a> {
     /// One FIFO timeline per physical link (pipeline mode), plus a
     /// separate trace whose "device" ids index `machine.links`.
     link_timelines: Vec<Timeline>,
-    link_use: Vec<LinkUse>,
     link_trace: Trace,
     /// When each handle's current value came into existence (its last
     /// writer's finish time) — the earliest a prefetched transfer may start.
@@ -281,7 +270,6 @@ impl<'a> SimRun<'a> {
             host_bus: Timeline::new(),
             trace: Trace::with_capacity(machine.len(), spans),
             link_timelines: vec![Timeline::new(); machine.links.len()],
-            link_use: vec![LinkUse::default(); machine.links.len()],
             link_trace: Trace::with_capacity(machine.links.len(), 0),
             handle_ready: vec![SimTime::ZERO; data.len()],
             assignments: Vec::with_capacity(graph.len()),
@@ -440,11 +428,6 @@ impl<'a> SimRun<'a> {
                 if contention {
                     self.link_timelines[l.0].reserve(start, hop.duration);
                 }
-                if let Some(u) = self.link_use.get_mut(l.0) {
-                    u.busy = u.busy + hop.duration;
-                    u.bytes += hop.bytes;
-                    u.transfers += 1;
-                }
                 self.link_trace.record(l.0, subject, start, end);
             }
             t = end;
@@ -474,38 +457,12 @@ impl<'a> SimRun<'a> {
         }
     }
 
-    /// Publishes the run into the process-wide telemetry registry (cold
-    /// path, once per run): run counter, virtual-makespan histogram, and
-    /// per-PDL-link bytes / occupancy / transfer counters labeled with the
-    /// link name.
-    fn publish_telemetry(&self, engine: &str, makespan: SimTime) {
-        let tel = hetero_trace::telemetry::global();
-        tel.counter(&format!("sim_runs_total{{engine=\"{engine}\"}}"))
-            .inc();
-        tel.histogram("sim_makespan_ns")
-            .observe((makespan.seconds() * 1e9).round().max(0.0) as u64);
-        for (i, u) in self.link_use.iter().enumerate() {
-            if u.transfers == 0 {
-                continue;
-            }
-            let name = &self.machine.links[i].name;
-            tel.counter(&format!("sim_link_transfers_total{{link=\"{name}\"}}"))
-                .add(u.transfers);
-            tel.counter(&format!("sim_link_bytes_total{{link=\"{name}\"}}"))
-                .add(u.bytes.round().max(0.0) as u64);
-            tel.counter(&format!("sim_link_busy_ns_total{{link=\"{name}\"}}"))
-                .add((u.busy.seconds() * 1e9).round().max(0.0) as u64);
-        }
-    }
-
-    /// Ends the run: the output flush (when asked for), telemetry under the
-    /// `engine` label, and the report.
-    pub(crate) fn into_report(mut self, engine: &str, policy: &'static str) -> SimReport {
+    /// Ends the run: the output flush (when asked for), and the report.
+    pub(crate) fn into_report(mut self, policy: &'static str) -> SimReport {
         if self.options.flush_outputs {
             self.flush();
         }
         let makespan = self.trace.makespan().max(self.link_trace.makespan());
-        self.publish_telemetry(engine, makespan);
         let machine = self.machine;
         SimReport {
             makespan,

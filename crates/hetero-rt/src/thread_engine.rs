@@ -50,10 +50,9 @@
 use crate::data;
 use crate::graph::{CompiledGraph, TaskGraph};
 use crate::task::{Task, TaskId};
-use hetero_trace::telemetry::{self, AtomicHistogram, Counter, Gauge};
 use hetero_trace::{
-    EventKind, Histogram, LaneLabel, Provenance, RunTrace, TaskInfo, TimeUnit, TraceClock,
-    TraceMeta, TraceSink, WorkerTrace, WorkerTracer,
+    EventKind, LaneLabel, Provenance, RunTrace, TaskInfo, TimeUnit, TraceClock, TraceMeta,
+    TraceSink, WorkerTrace, WorkerTracer,
 };
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -210,46 +209,7 @@ pub struct ThreadedExecutor {
     workers: usize,
     placement: Option<Placement>,
     sink: TraceSink,
-    telemetry: bool,
     task_stats: bool,
-}
-
-/// Always-on instrument handles for the executor, resolved once per run
-/// from the process-wide [`telemetry::global`] registry and then used
-/// lock-free by the workers.
-#[derive(Debug)]
-struct ExecutorTelemetry {
-    tasks: Arc<Counter>,
-    dequeues: Arc<Counter>,
-    steals: Arc<Counter>,
-    cross_group_steals: Arc<Counter>,
-    failed_steals: Arc<Counter>,
-    parks: Arc<Counter>,
-    task_latency: Arc<AtomicHistogram>,
-    /// Peak ready-queue depth any worker observed on its own deque
-    /// (worker-local estimate; steals by siblings are reconciled at the
-    /// next empty pop, so this is a high-water mark, not a live sample).
-    queue_depth: Arc<Gauge>,
-    /// Per-batch submit latency: one observation per `run`/`run_compiled`
-    /// covering validation + runtime construction up to the first seed.
-    submit_latency: Arc<AtomicHistogram>,
-}
-
-impl ExecutorTelemetry {
-    fn handles() -> Self {
-        let t = telemetry::global();
-        ExecutorTelemetry {
-            tasks: t.counter("executor_tasks_total"),
-            dequeues: t.counter("executor_dequeues_total"),
-            steals: t.counter("executor_steals_total"),
-            cross_group_steals: t.counter("executor_cross_group_steals_total"),
-            failed_steals: t.counter("executor_failed_steals_total"),
-            parks: t.counter("executor_parks_total"),
-            task_latency: t.histogram("executor_task_latency_ns"),
-            queue_depth: t.gauge("executor_queue_depth_peak"),
-            submit_latency: t.histogram("executor_submit_latency_ns"),
-        }
-    }
 }
 
 fn phase_start(name: &str) -> EventKind {
@@ -268,7 +228,6 @@ impl ThreadedExecutor {
             workers: workers.max(1),
             placement: None,
             sink: TraceSink::Null,
-            telemetry: true,
             task_stats: true,
         }
     }
@@ -286,7 +245,6 @@ impl ThreadedExecutor {
             workers,
             placement: (placement.total_workers() > 0).then_some(placement),
             sink: TraceSink::Null,
-            telemetry: true,
             task_stats: true,
         }
     }
@@ -301,17 +259,6 @@ impl ThreadedExecutor {
         self
     }
 
-    /// Enables or disables always-on telemetry (default **on**). The
-    /// instruments are sharded atomics fed from values the engine measures
-    /// anyway (no extra clock reads, no locks on the hot path), so leaving
-    /// this on costs a few relaxed atomic ops per task. Off is the baseline
-    /// a measurement of that cost needs, and suits embedders that want a
-    /// silent pool.
-    pub fn with_telemetry(mut self, enabled: bool) -> Self {
-        self.telemetry = enabled;
-        self
-    }
-
     /// Enables or disables per-task stats collection (default **on**).
     ///
     /// With stats off, [`ExecReport::tasks`] comes back empty and workers
@@ -320,7 +267,7 @@ impl ThreadedExecutor {
     /// so throughput benchmarks and embedders that only need the aggregate
     /// counters turn it off. A [`PlacedGraph`] run with stats off and no
     /// recording trace sink never cuts its labels into `Arc`s at all.
-    /// Worker-level stats, traces and telemetry are unaffected.
+    /// Worker-level stats and traces are unaffected.
     pub fn with_task_stats(mut self, enabled: bool) -> Self {
         self.task_stats = enabled;
         self
@@ -469,7 +416,6 @@ impl ThreadedExecutor {
             .map(|&p| AtomicUsize::new(p))
             .collect();
         prelude.record(&clock, phase_end("validate"));
-        let submit_ns = clock.now();
         let out = if graph.is_empty() {
             // Nothing to run: no pool, and every lane of the trace is empty.
             RunOutput {
@@ -493,7 +439,7 @@ impl ThreadedExecutor {
                 work,
                 task_group,
             };
-            self.run_pool(clock, prelude, rt, submit_ns)?
+            self.run_pool(clock, prelude, rt)?
         };
 
         // Per-task stats are assembled outside the hot path, straight from
@@ -532,7 +478,6 @@ impl ThreadedExecutor {
         clock: TraceClock,
         mut prelude: WorkerTracer,
         rt: Runtime<'_>,
-        submit_ns: u64,
     ) -> Result<RunOutput, ThreadEngineError> {
         let n = rt.graph.len();
         // Worker → group map: contiguous ranges in group order.
@@ -578,7 +523,6 @@ impl ThreadedExecutor {
             seeds[w].push_back(i);
         }
         prelude.record(&clock, phase_end("seed"));
-        let seeded: Vec<usize> = seeds.iter().map(VecDeque::len).collect();
         let deques: Vec<Queue> = seeds.into_iter().map(Mutex::new).collect();
 
         let completed = AtomicUsize::new(0);
@@ -586,10 +530,6 @@ impl ThreadedExecutor {
         let panicked: Mutex<Option<(usize, String)>> = Mutex::new(None);
         let park = Mutex::new(());
         let wake = Condvar::new();
-        let tel = self.telemetry.then(ExecutorTelemetry::handles);
-        if let Some(t) = &tel {
-            t.submit_latency.observe(submit_ns);
-        }
 
         let mut worker_stats: Vec<WorkerStats> = Vec::with_capacity(self.workers);
         let mut records = Vec::with_capacity(self.workers);
@@ -614,9 +554,7 @@ impl ThreadedExecutor {
                     n,
                     clock,
                     tracer: self.sink.worker_tracer(),
-                    tel: tel.as_ref(),
                     collect: self.task_stats,
-                    seeded: seeded[me],
                 };
                 handles.push(scope.spawn(move || ctx.run()));
             }
@@ -717,28 +655,16 @@ struct WorkerCtx<'a> {
     n: usize,
     clock: TraceClock,
     tracer: WorkerTracer,
-    tel: Option<&'a ExecutorTelemetry>,
     /// Whether to record per-task `(index, duration)` rows for
     /// `ExecReport::tasks` (off for large batched runs).
     collect: bool,
-    /// Tasks seeded into this worker's deque before it started: the
-    /// initial value of the local queue-depth estimate.
-    seeded: usize,
 }
 
 /// Worker-local accumulation that the hot loop writes without touching any
-/// shared atomics; flushed once at join time.
+/// shared atomics; handed back once at join time.
 struct HotState {
     /// `(task, nanoseconds)` rows, only filled when stats collection is on.
     records: Vec<(u32, u64)>,
-    /// Task latencies pre-aggregated locally when stats collection is off
-    /// (otherwise derived from `records` at flush).
-    latencies: Histogram,
-    /// Estimate of this worker's own deque depth: seeded count, +1 per
-    /// local push, -1 per local pop, reset on steal/inject (the deque was
-    /// observed empty). Never reads the deque, so it costs nothing.
-    depth: usize,
-    depth_peak: usize,
     /// Same-group dependents readied by one completion beyond its
     /// continuation, pushed to the deque under one lock.
     surplus: Vec<usize>,
@@ -797,25 +723,16 @@ impl WorkerCtx<'_> {
         };
         let mut hot = HotState {
             records: Vec::new(),
-            latencies: Histogram::new(),
-            depth: self.seeded,
-            depth_peak: self.seeded,
             surplus: Vec::new(),
         };
-        let mut parks = 0u64;
         let mut tracer = std::mem::replace(&mut self.tracer, WorkerTracer::Null);
         while !self.finished() {
             match self.find_task() {
                 Some((task, source)) => {
-                    match source {
-                        Source::Local => hot.depth = hot.depth.saturating_sub(1),
-                        Source::Inject { cross } | Source::Steal { cross, .. } => {
-                            // A steal/inject means our own deque was dry.
-                            hot.depth = 0;
-                            out.steals += 1;
-                            if cross {
-                                out.cross_group_steals += 1;
-                            }
+                    if let Source::Inject { cross } | Source::Steal { cross, .. } = source {
+                        out.steals += 1;
+                        if cross {
+                            out.cross_group_steals += 1;
                         }
                     }
                     // Continuation chaining: when a completed task readies
@@ -838,7 +755,6 @@ impl WorkerCtx<'_> {
                     // PARK_TIMEOUT, so no wake-up protocol bug can hang the
                     // pool.
                     tracer.record(&self.clock, EventKind::Park);
-                    parks += 1;
                     let _ = self
                         .wake
                         .wait_timeout(guard, PARK_TIMEOUT)
@@ -846,29 +762,6 @@ impl WorkerCtx<'_> {
                     tracer.record(&self.clock, EventKind::Unpark);
                 }
             }
-        }
-        // Telemetry flush: one batched add per counter per worker, and
-        // the per-task latencies (already recorded for the worker's own
-        // stats) pre-aggregated locally and merged with one atomic add
-        // per bucket — the hot loop does **no** telemetry work at all,
-        // and the flush itself cannot contend across workers.
-        if let Some(t) = self.tel {
-            t.tasks.add(out.executed as u64);
-            t.dequeues.add(out.executed as u64);
-            t.steals.add(out.steals as u64);
-            t.cross_group_steals.add(out.cross_group_steals as u64);
-            t.failed_steals.add(out.failed_steals as u64);
-            t.parks.add(parks);
-            if self.collect {
-                let mut latencies = Histogram::new();
-                for &(_, ns) in &hot.records {
-                    latencies.observe(ns);
-                }
-                t.task_latency.merge(&latencies);
-            } else {
-                t.task_latency.merge(&hot.latencies);
-            }
-            t.queue_depth.raise(hot.depth_peak as u64);
         }
         let trace = tracer.finish(self.me);
         (out, hot.records, trace)
@@ -964,8 +857,6 @@ impl WorkerCtx<'_> {
         out.executed += 1;
         if self.collect {
             hot.records.push((task, ns));
-        } else if self.tel.is_some() {
-            hot.latencies.observe(ns);
         }
         // Fused wakeups: the first runnable-here dependent becomes the
         // continuation, the rest go to the deque under one lock, and at most
@@ -1007,8 +898,6 @@ impl WorkerCtx<'_> {
         // One deque lock per completion, not one per dependent. It is not
         // held across the loop above: a thief that finds it held moves on.
         if !hot.surplus.is_empty() {
-            hot.depth += hot.surplus.len();
-            hot.depth_peak = hot.depth_peak.max(hot.depth);
             lock(&self.deques[self.me]).extend(hot.surplus.drain(..));
         }
         let me_last = self.completed.fetch_add(1, Ordering::AcqRel) + 1 == self.n;

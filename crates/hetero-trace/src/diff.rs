@@ -11,17 +11,15 @@
 //! measured wall-time delta by construction** — attribution never loses
 //! or invents a nanosecond (asserted by the test suite).
 //!
-//! On top of the wall-time decomposition the diff carries telemetry
-//! shifts derived from [`MetricsRegistry::from_trace`] on both traces:
-//! counter deltas (steals, parks, per-group busy time, …) and histogram
-//! p50/p99 shifts (task latency, queue wait). External telemetry
-//! snapshots can be merged with [`PerfDiff::merge_telemetry_json`].
+//! On top of the wall-time decomposition the diff carries metric shifts
+//! derived from [`MetricsRegistry::from_trace`] on both traces: counter
+//! deltas (steals, parks, per-group busy time, …) and histogram p50/p99
+//! shifts (task latency, queue wait).
 //!
 //! The diff renders as a human-readable table
 //! ([`PerfDiff::render_table`]) and as schema-versioned JSON
 //! ([`PerfDiff::to_json`], schema [`PERF_DIFF_SCHEMA`]) — the format the
-//! `pdl perf-diff` CLI emits and the CI bench-regression gate prints when
-//! a run regresses.
+//! `pdl perf-diff` CLI emits.
 
 use crate::json::Json;
 use crate::metrics::MetricsRegistry;
@@ -56,7 +54,7 @@ impl CategoryDelta {
 /// A counter whose value changed between the runs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CounterDelta {
-    /// Counter name (the [`MetricsRegistry`] / telemetry name).
+    /// Counter name (the [`MetricsRegistry`] name).
     pub name: String,
     /// Base-run value.
     pub base: u64,
@@ -115,8 +113,8 @@ impl PerfDiff {
         self.categories.first().filter(|c| c.delta_ns() > 0)
     }
 
-    /// Builds the wall-time decomposition from two profiles (no
-    /// telemetry deltas; [`perf_diff`] adds those from the traces).
+    /// Builds the wall-time decomposition from two profiles (no metric
+    /// deltas; [`perf_diff`] adds those from the traces).
     pub(crate) fn from_profiles(base: &Profile, head: &Profile) -> PerfDiff {
         let mut by_cat: BTreeMap<&str, (u64, u64)> = BTreeMap::new();
         for b in &base.blame {
@@ -173,54 +171,6 @@ impl PerfDiff {
         }
         for (name, [b50, h50, b99, h99]) in hists {
             self.push_quantiles(name, b50, h50, b99, h99);
-        }
-    }
-
-    /// Merges two external telemetry snapshots (JSON documents with
-    /// `counters` as numbers and `histograms` with `p50`/`p99` members).
-    pub fn merge_telemetry_json(&mut self, base: &Json, head: &Json) {
-        let num = |doc: &Json, section: &str, name: &str| -> u64 {
-            doc.get(section)
-                .and_then(|s| s.get(name))
-                .and_then(Json::as_u64)
-                .unwrap_or(0)
-        };
-        let names = |section: &str| -> Vec<String> {
-            let mut out: Vec<String> = Vec::new();
-            for doc in [base, head] {
-                if let Some(Json::Obj(members)) = doc.get(section) {
-                    for (k, _) in members {
-                        if !out.contains(k) {
-                            out.push(k.clone());
-                        }
-                    }
-                }
-            }
-            out.sort();
-            out
-        };
-        for name in names("counters") {
-            self.push_counter(
-                &name,
-                num(base, "counters", &name),
-                num(head, "counters", &name),
-            );
-        }
-        let hist_q = |doc: &Json, name: &str, q: &str| -> u64 {
-            doc.get("histograms")
-                .and_then(|s| s.get(name))
-                .and_then(|h| h.get(q))
-                .and_then(Json::as_u64)
-                .unwrap_or(0)
-        };
-        for name in names("histograms") {
-            self.push_quantiles(
-                &name,
-                hist_q(base, &name, "p50"),
-                hist_q(head, &name, "p50"),
-                hist_q(base, &name, "p99"),
-                hist_q(head, &name, "p99"),
-            );
         }
     }
 
@@ -392,7 +342,7 @@ impl PerfDiff {
 }
 
 /// Profiles both runs and decomposes the wall-time delta, including
-/// telemetry deltas derived from the traces themselves. Fails when either
+/// metric deltas derived from the traces themselves. Fails when either
 /// trace has no completed task spans (nothing to profile).
 pub fn perf_diff(
     base: &RunTrace,
@@ -563,30 +513,6 @@ mod tests {
         // The JSON document round-trips through the parser.
         let back = Json::parse(&json.to_pretty()).unwrap();
         assert_eq!(back.get("schema"), json.get("schema"));
-    }
-
-    #[test]
-    fn telemetry_snapshots_merge() {
-        let base = Json::parse(
-            r#"{"counters":{"steals":4},"histograms":{"lat_ns":{"p50":100,"p99":200}}}"#,
-        )
-        .unwrap();
-        let head = Json::parse(
-            r#"{"counters":{"steals":9},"histograms":{"lat_ns":{"p50":100,"p99":900}}}"#,
-        )
-        .unwrap();
-        let mut d = PerfDiff {
-            base_wall_ns: 0,
-            head_wall_ns: 0,
-            categories: Vec::new(),
-            counters: Vec::new(),
-            quantiles: Vec::new(),
-        };
-        d.merge_telemetry_json(&base, &head);
-        assert_eq!(d.counters.len(), 1);
-        assert_eq!(d.counters[0].delta(), 5);
-        assert_eq!(d.quantiles.len(), 1);
-        assert_eq!(d.quantiles[0].head_p99, 900);
     }
 
     #[test]

@@ -45,15 +45,11 @@
 //!   folded flamegraph stacks.
 //! * [`diff`] — differential profiling: decomposes the wall-time delta
 //!   between two runs into the profiler's blame categories (summing
-//!   exactly to the measured delta) plus telemetry counter/quantile
-//!   shifts; the `pdl perf-diff` engine.
+//!   exactly to the measured delta) plus metric counter/quantile shifts;
+//!   the `pdl perf-diff` engine.
 //! * [`anomaly`] — single-trace pathology detection (straggler lanes,
 //!   group imbalance, steal storms, saturated links, lossy windows),
 //!   surfaced as the pdl-analyze `A` diagnostic family.
-//! * [`telemetry`] — always-on process-wide counters/gauges/histograms
-//!   (sharded atomics, no locks on the hot path) with Prometheus-style
-//!   exposition; what the engines and the registry service report even
-//!   with tracing off.
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
@@ -71,7 +67,6 @@ pub mod profile;
 mod ring;
 mod sink;
 pub mod summary;
-pub mod telemetry;
 mod trace;
 
 pub use clock::TraceClock;

@@ -10,22 +10,20 @@ const MIN_EXP: u32 = 4;
 const MAX_EXP: u32 = 40;
 /// Buckets of every histogram in the crate: one per exponent in
 /// `MIN_EXP..=MAX_EXP` plus the overflow bucket.
-pub(crate) const BUCKETS: usize = (MAX_EXP - MIN_EXP + 2) as usize;
+const BUCKETS: usize = (MAX_EXP - MIN_EXP + 2) as usize;
 
 /// The one plain histogram: fixed log₂ buckets in nanoseconds — inclusive
 /// upper bounds 2⁴, 2⁵, … 2⁴⁰, then overflow — in an inline array, so it
-/// is allocation-free, mergeable and `observe` is branch-free arithmetic.
-/// [`crate::telemetry::AtomicHistogram`] is the same scheme behind
-/// atomics and snapshots into this type, so every quantile in the suite
-/// comes from [`Histogram::quantile`].
+/// is allocation-free and `observe` is branch-free arithmetic. Every
+/// quantile in the suite comes from [`Histogram::quantile`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Histogram {
-    pub(crate) counts: [u64; BUCKETS],
-    pub(crate) count: u64,
-    pub(crate) sum: u64,
+    counts: [u64; BUCKETS],
+    count: u64,
+    sum: u64,
     /// `u64::MAX` while empty.
-    pub(crate) min: u64,
-    pub(crate) max: u64,
+    min: u64,
+    max: u64,
 }
 
 impl Default for Histogram {
@@ -49,7 +47,7 @@ impl Histogram {
     /// Bucket index of a value: the smallest `i` with `value <= 2^(4+i)`,
     /// or the overflow bucket past 2⁴⁰.
     #[inline]
-    pub(crate) fn bucket(value: u64) -> usize {
+    fn bucket(value: u64) -> usize {
         if value <= (1 << MIN_EXP) {
             return 0;
         }
@@ -77,26 +75,9 @@ impl Histogram {
         self.max = self.max.max(value);
     }
 
-    /// Adds every observation of `other` (a worker's batch, another
-    /// shard) to this histogram.
-    pub(crate) fn merge(&mut self, other: &Histogram) {
-        for (acc, n) in self.counts.iter_mut().zip(other.counts) {
-            *acc += n;
-        }
-        self.count += other.count;
-        self.sum = self.sum.saturating_add(other.sum);
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
     /// Observations recorded.
     pub fn count(&self) -> u64 {
         self.count
-    }
-
-    /// Sum of observations.
-    pub(crate) fn sum(&self) -> u64 {
-        self.sum
     }
 
     /// Mean observation (0 when empty).
@@ -383,7 +364,7 @@ mod tests {
             h.observe(v);
         }
         assert_eq!(h.count(), 5);
-        assert_eq!(h.sum(), 1038 + (1 << 41));
+        assert_eq!(h.sum, 1038 + (1 << 41));
         assert_eq!(h.min(), Some(5));
         assert_eq!(h.max(), Some(1 << 41));
         let occupied: Vec<(u64, u64)> = h.buckets().filter(|&(_, n)| n > 0).collect();
@@ -392,24 +373,6 @@ mod tests {
         let json = h.to_json();
         assert_eq!(json.get("count").and_then(Json::as_u64), Some(5));
         assert_eq!(json.get("buckets").unwrap().items().len(), BUCKETS);
-    }
-
-    #[test]
-    fn merge_equals_observing_everything_in_one() {
-        let (mut a, mut b, mut all) = (Histogram::new(), Histogram::new(), Histogram::new());
-        for v in [5u64, 16, 17, 300] {
-            a.observe(v);
-            all.observe(v);
-        }
-        for v in [4_000u64, 1 << 41, 77, 77] {
-            b.observe(v);
-            all.observe(v);
-        }
-        a.merge(&b);
-        assert_eq!(a, all);
-        // Merging an empty histogram changes nothing, min/max included.
-        a.merge(&Histogram::new());
-        assert_eq!(a, all);
     }
 
     #[test]
@@ -568,11 +531,11 @@ mod tests {
         assert_eq!(m.counter("group_tasks/gpus"), 1);
         let lat = &m.histograms["task_latency_ns"];
         assert_eq!(lat.count(), 2);
-        assert_eq!(lat.sum(), 70);
+        assert_eq!(lat.sum, 70);
         // Only task 0 had a ready event: one queue-wait sample of 10 ns.
         let wait = &m.histograms["queue_wait_ns"];
         assert_eq!(wait.count(), 1);
-        assert_eq!(wait.sum(), 10);
+        assert_eq!(wait.sum, 10);
 
         let util = m.group_utilization(&trace, 100);
         let cpus = util.iter().find(|(g, _)| g == "cpus").unwrap().1;

@@ -23,12 +23,6 @@
 //!   behind their backs (RCU-style; see the module docs for exactly where
 //!   the one short lock lives).
 //!
-//! The service is instrumented through `hetero-trace`'s always-on
-//! telemetry: resolve/select/diff latency histograms (`registry_*_ns`),
-//! publish counters and the `registry_epoch` gauge are published to
-//! [`hetero_trace::telemetry::global`], so any embedding process can
-//! scrape tail latencies without turning tracing on.
-//!
 //! See `docs/REGISTRY.md` for the full design narrative.
 
 pub mod canon;
@@ -36,7 +30,6 @@ pub mod hash;
 pub mod layers;
 pub mod registry;
 pub mod semver;
-mod telemetry;
 
 pub use canon::{canonical_bytes, canonicalize, content_hash, CANON_VERSION};
 pub use hash::ContentHash;

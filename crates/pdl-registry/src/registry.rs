@@ -23,7 +23,6 @@ use crate::canon::{canonicalize, content_hash};
 use crate::hash::ContentHash;
 use crate::layers::{compose, Layer};
 use crate::semver::{classify, Compatibility, SemVer, VersionReq};
-use crate::telemetry::{metrics, observe_since};
 use pdl_core::platform::Platform;
 use pdl_query::capability::RequirementSet;
 use pdl_query::diff::{diff, Change};
@@ -198,27 +197,22 @@ impl Snapshot {
 
     /// Resolves `name` at the newest version matching `req`.
     pub fn resolve(&self, name: &str, req: &VersionReq) -> Result<Resolved, RegistryError> {
-        let t0 = std::time::Instant::now();
-        let result = (|| {
-            let series = self
-                .by_name
-                .get(name)
-                .ok_or_else(|| RegistryError::UnknownPlatform(name.to_string()))?;
-            let version =
-                req.select(&series.versions())
-                    .ok_or_else(|| RegistryError::NoMatchingVersion {
-                        name: name.to_string(),
-                        req: req.to_string(),
-                    })?;
-            let release = series.release(version).expect("selected from own versions");
-            Ok(Resolved {
-                name: name.to_string(),
-                version,
-                platform: Arc::clone(&release.platform),
-            })
-        })();
-        observe_since(&metrics().resolve_ns, t0);
-        result
+        let series = self
+            .by_name
+            .get(name)
+            .ok_or_else(|| RegistryError::UnknownPlatform(name.to_string()))?;
+        let version =
+            req.select(&series.versions())
+                .ok_or_else(|| RegistryError::NoMatchingVersion {
+                    name: name.to_string(),
+                    req: req.to_string(),
+                })?;
+        let release = series.release(version).expect("selected from own versions");
+        Ok(Resolved {
+            name: name.to_string(),
+            version,
+            platform: Arc::clone(&release.platform),
+        })
     }
 
     /// Resolves with a textual requirement (`"latest"`, `"^1.2"`, …).
@@ -230,9 +224,7 @@ impl Snapshot {
     /// Capability selection: the newest release of every series whose
     /// platform satisfies the requirement set.
     pub fn select(&self, requirements: &RequirementSet) -> Vec<Resolved> {
-        let t0 = std::time::Instant::now();
-        let result = self
-            .by_name
+        self.by_name
             .iter()
             .filter_map(|(name, series)| {
                 let head = series.head();
@@ -244,9 +236,7 @@ impl Snapshot {
                         platform: Arc::clone(&head.platform),
                     })
             })
-            .collect();
-        observe_since(&metrics().select_ns, t0);
-        result
+            .collect()
     }
 
     /// Structural diff between two releases of one series. Descriptors are
@@ -257,17 +247,12 @@ impl Snapshot {
         from: &VersionReq,
         to: &VersionReq,
     ) -> Result<Vec<Change>, RegistryError> {
-        let t0 = std::time::Instant::now();
-        let result = (|| {
-            let a = self.resolve(name, from)?;
-            let b = self.resolve(name, to)?;
-            if a.platform.hash() == b.platform.hash() {
-                return Ok(Vec::new());
-            }
-            Ok(diff(a.platform.platform(), b.platform.platform()))
-        })();
-        observe_since(&metrics().diff_ns, t0);
-        result
+        let a = self.resolve(name, from)?;
+        let b = self.resolve(name, to)?;
+        if a.platform.hash() == b.platform.hash() {
+            return Ok(Vec::new());
+        }
+        Ok(diff(a.platform.platform(), b.platform.platform()))
     }
 }
 
@@ -335,7 +320,6 @@ impl Registry {
         if let Some(series) = prev.by_name.get(&name) {
             let head = series.head();
             if head.platform.hash() == hash {
-                metrics().publish_noops.inc();
                 return PublishOutcome {
                     name,
                     version: head.version,
@@ -382,9 +366,6 @@ impl Registry {
         });
         *self.current.write().unwrap_or_else(PoisonError::into_inner) = next;
         self.epoch.store(epoch, Ordering::Release);
-        let tel = metrics();
-        tel.publishes.inc();
-        tel.epoch.raise(epoch);
 
         PublishOutcome {
             name,

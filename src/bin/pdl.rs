@@ -79,13 +79,12 @@ USAGE:
                                       critical-path profile of an exported
                                       run trace: blame split, what-ifs;
                                       --folded writes flamegraph stacks
-  pdl perf-diff [--json F] [--telemetry-base F --telemetry-head F]
-                <base.trace.json> <head.trace.json>
+  pdl perf-diff [--json F] <base.trace.json> <head.trace.json>
                                       decompose the wall-time delta between
                                       two runs into blame categories (sums
                                       exactly to the measured delta), plus
-                                      telemetry shifts and head-run
-                                      anomalies (A-series, docs/ANALYSIS.md)
+                                      metric shifts and head-run anomalies
+                                      (A-series, docs/ANALYSIS.md)
   pdl model-check [--json F] [--pending N] [--mutate M]
                                       exhaustively explore the data layer's
                                       coherence protocol over bounded
@@ -110,6 +109,16 @@ fn load(path_or_name: &str) -> Result<Platform, String> {
         .get(path_or_name)
         .cloned()
         .ok_or_else(|| format!("{path_or_name}: no such file or builtin platform"))
+}
+
+/// A positional argument: anything but an option the subcommand does not
+/// define.
+fn operand(arg: &str) -> Result<String, String> {
+    if arg.starts_with("--") {
+        Err(format!("unknown argument {arg:?}"))
+    } else {
+        Ok(arg.to_string())
+    }
 }
 
 fn need<'a>(args: &'a [String], i: usize, what: &str) -> Result<&'a str, String> {
@@ -261,7 +270,7 @@ fn cmd_check(args: &[String]) -> Result<(), String> {
             "--platform" => {
                 platforms.push(load(it.next().ok_or("--platform needs a value")?.as_str())?);
             }
-            other => files.push(other.to_string()),
+            other => files.push(operand(other)?),
         }
     }
     if files.is_empty() {
@@ -303,7 +312,12 @@ fn cmd_profile(args: &[String]) -> Result<(), String> {
                 folded_out = Some(it.next().ok_or("--folded needs a path")?.to_string());
             }
             "--json" => json_out = Some(it.next().ok_or("--json needs a path")?.to_string()),
-            other => file = Some(other.to_string()),
+            other => {
+                let trace = operand(other)?;
+                if file.replace(trace).is_some() {
+                    return Err("profile takes one trace".into());
+                }
+            }
         }
     }
     let file = file.ok_or("missing argument: <trace.json>")?;
@@ -359,31 +373,14 @@ fn cmd_profile(args: &[String]) -> Result<(), String> {
 
 fn cmd_perf_diff(args: &[String]) -> Result<(), String> {
     use hetero_trace::anomaly::{detect, AnomalyConfig};
-    use hetero_trace::json::Json;
 
     let mut json_out: Option<String> = None;
-    let mut telemetry_base: Option<String> = None;
-    let mut telemetry_head: Option<String> = None;
     let mut files: Vec<String> = Vec::new();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--json" => json_out = Some(it.next().ok_or("--json needs a path")?.to_string()),
-            "--telemetry-base" => {
-                telemetry_base = Some(
-                    it.next()
-                        .ok_or("--telemetry-base needs a path")?
-                        .to_string(),
-                );
-            }
-            "--telemetry-head" => {
-                telemetry_head = Some(
-                    it.next()
-                        .ok_or("--telemetry-head needs a path")?
-                        .to_string(),
-                );
-            }
-            other => files.push(other.to_string()),
+            other => files.push(operand(other)?),
         }
     }
     let [base_path, head_path] = files.as_slice() else {
@@ -397,19 +394,7 @@ fn cmd_perf_diff(args: &[String]) -> Result<(), String> {
     };
     let (base, base_deps) = load_trace(base_path)?;
     let (head, head_deps) = load_trace(head_path)?;
-    let mut diff = hetero_trace::diff::perf_diff(&base, &base_deps, &head, &head_deps)?;
-
-    if telemetry_base.is_some() || telemetry_head.is_some() {
-        let load_json = |path: &Option<String>| match path {
-            Some(path) => {
-                let text = std::fs::read_to_string(path)
-                    .map_err(|e| format!("cannot read {path}: {e}"))?;
-                Json::parse(&text).map_err(|e| format!("{path}: {e}"))
-            }
-            None => Ok(Json::Obj(Vec::new())),
-        };
-        diff.merge_telemetry_json(&load_json(&telemetry_base)?, &load_json(&telemetry_head)?);
-    }
+    let diff = hetero_trace::diff::perf_diff(&base, &base_deps, &head, &head_deps)?;
 
     print!("{}", diff.render_table());
     let anomalies = detect(&head, &AnomalyConfig::default());

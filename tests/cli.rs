@@ -448,3 +448,72 @@ fn unusable_sizes_are_diagnostics_not_panics() {
         assert!(ok && stdout.contains("total:"), "{stdout}{stderr}");
     }
 }
+
+/// `check`, `profile` and `perf-diff` used to take any option they did not
+/// define as a file (`cannot read --jason`, `needs exactly two traces`),
+/// and `profile` given two traces silently profiled the last one. Each is
+/// refused now, naming the argument; options may still follow the file.
+#[test]
+fn undefined_options_and_extra_traces_are_refused() {
+    let base = "examples/traces/perf_diff_base.trace.json";
+    let head = "examples/traces/perf_diff_regressed.trace.json";
+    let xml = "examples/platforms/xeon_x5550_host.xml";
+    for (args, message) in [
+        (vec!["profile", base, head], "profile takes one trace"),
+        (
+            vec!["profile", "--bogus", base],
+            "unknown argument \"--bogus\"",
+        ),
+        (
+            vec!["profile", base, "--bogus"],
+            "unknown argument \"--bogus\"",
+        ),
+        (
+            vec!["check", "--jason", xml],
+            "unknown argument \"--jason\"",
+        ),
+        (
+            vec!["check", xml, "--jason"],
+            "unknown argument \"--jason\"",
+        ),
+        (
+            vec!["perf-diff", "--jsn", "out.json", base, head],
+            "unknown argument \"--jsn\"",
+        ),
+        (
+            vec!["perf-diff", "--telemetry-base", "x.json", base, head],
+            "unknown argument \"--telemetry-base\"",
+        ),
+        (
+            vec!["perf-diff", base, head, "--telemetry-head", "x.json"],
+            "unknown argument \"--telemetry-head\"",
+        ),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_pdl"))
+            .args(&args)
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{stderr}");
+        assert_eq!(stderr.trim_end(), format!("pdl: {message}"), "{args:?}");
+        assert!(!stderr.contains("panicked"), "{stderr}");
+    }
+
+    // The flag-after-file form still writes both outputs.
+    let dir = std::env::temp_dir().join(format!("pdl-cli-options-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let folded = dir.join("profile.folded");
+    let json = dir.join("profile.json");
+    let (ok, stdout, stderr) = pdl(&[
+        "profile",
+        base,
+        "--folded",
+        folded.to_str().unwrap(),
+        "--json",
+        json.to_str().unwrap(),
+    ]);
+    assert!(ok, "{stdout}{stderr}");
+    assert!(folded.exists() && json.exists(), "{stdout}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
