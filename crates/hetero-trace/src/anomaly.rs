@@ -482,6 +482,29 @@ mod tests {
     }
 
     #[test]
+    fn imbalance_under_the_spread_floor_is_not_a002() {
+        // cpu0 does 40 ns and cpu1 nothing: 2x the mean of 20, but the
+        // 40 ns spread is 4 % of the 1000 ns window, under the 10 % floor.
+        let trace = RunTrace {
+            meta: TraceMeta {
+                platform: None,
+                lanes: vec![lane_label("cpu0", "cpus"), lane_label("cpu1", "cpus")],
+                tasks: task_infos(1),
+                time_unit: Default::default(),
+            },
+            prelude: vec![ev(0, EventKind::TaskReady { task: 0 })].into(),
+            workers: vec![worker(0, span_events(0, 960, 1000)), worker(1, Vec::new())],
+        };
+        assert!(detect(&trace, &AnomalyConfig::default()).is_empty());
+        // A floor at exactly the spread lets the factor decide.
+        let low_floor = AnomalyConfig {
+            imbalance_min_spread_fraction: 0.04,
+            ..AnomalyConfig::default()
+        };
+        assert_eq!(codes(&detect(&trace, &low_floor)), ["A002"]);
+    }
+
+    #[test]
     fn steal_heavy_group_is_a003() {
         let n = 20u32;
         let mut events = Vec::new();
@@ -559,6 +582,32 @@ mod tests {
             ..AnomalyConfig::default()
         };
         assert!(detect(&trace, &relaxed).is_empty());
+    }
+
+    #[test]
+    fn link_busy_exactly_at_the_fraction_is_a004() {
+        // The link is busy 9 of a 10 ns window: 9.0 / 10.0 is the same
+        // `f64` as the 0.9 default, and the threshold is inclusive.
+        let trace = RunTrace {
+            meta: TraceMeta {
+                platform: None,
+                lanes: vec![
+                    lane_label("gpu0", "gpus"),
+                    lane_label("PCIe:host-gpu0 #1", "links"),
+                ],
+                tasks: task_infos(2),
+                time_unit: Default::default(),
+            },
+            prelude: Default::default(),
+            workers: vec![
+                worker(0, span_events(0, 9, 10)),
+                worker(1, span_events(1, 0, 9)),
+            ],
+        };
+        assert_eq!(AnomalyConfig::default().link_busy_fraction, 9.0 / 10.0);
+        let found = detect(&trace, &AnomalyConfig::default());
+        assert_eq!(codes(&found), ["A004"]);
+        assert_eq!(found[0].subject, "PCIe:host-gpu0");
     }
 
     #[test]
