@@ -3,7 +3,7 @@
 # and at this checkout, and holds the second to the first.
 #
 # Builds both `pipeline-ledger` binaries offline (the base in a temporary
-# `git worktree`), then runs the named workloads — every workload of
+# `git clone` of this checkout), then runs the named workloads — every workload of
 # BENCHMARK.json unless some are named, so a perf PR can take ten pairs of
 # its claimed workload without an hour of the others — for `pairs` (default
 # three) pairs of five seconds: pair k uses seed k on both sides, and the
@@ -46,12 +46,14 @@ cleanup() {
     if [ -d "$head_out" ]; then
         cp -r "$head_out" "$root/benchmark/out"
     fi
-    git -C "$root" worktree remove --force "$work/base" 2>/dev/null || true
     rm -rf "$work"
 }
 trap cleanup EXIT
 
-git -C "$root" worktree add --quiet --detach "$work/base" "$base_ref"
+# Resolved here, so a ref only this checkout has (`origin/main`) works.
+base_commit="$(git -C "$root" rev-parse --verify "$base_ref^{commit}")"
+git clone --quiet --no-checkout "$root" "$work/base"
+git -C "$work/base" checkout --quiet --detach "$base_commit"
 echo "base $(git -C "$work/base" rev-parse --short HEAD), head $(git -C "$root" rev-parse --short HEAD)"
 
 for checkout in "$work/base" "$root"; do
