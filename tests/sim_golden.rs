@@ -17,6 +17,12 @@
 //! validate. Its rows 12–17, 21, 23 and 25, every row of [`hetero_graph`],
 //! were recorded again by the change that emits a zero-length span's start
 //! before its end: before it, those traces failed `RunTrace::validate`.
+//!
+//! A third table, recorded at `ce9699b` (the parent of the change that gave
+//! the trace one label column and the profiler symbolic steps) the same
+//! way, pins what reads the task table back: per cell, an FNV digest of
+//! `profile::to_json` of the bridged trace's critical path (or the error it
+//! gives), its folded stacks, its Chrome export and its run summary.
 
 use hetero_rt::prelude::*;
 use hetero_rt::sim_engine::{SpanKind, Trace};
@@ -79,6 +85,28 @@ fn bridged_digest(r: &SimReport, machine: &SimMachine) -> u64 {
     let mut h = Fnv(0xcbf2_9ce4_8422_2325);
     let text = hetero_trace::codec::export(&trace, &[]);
     text.bytes().for_each(|b| h.word(u64::from(b)));
+    h.0
+}
+
+/// What the profiler and the exporters render from the bridged trace: the
+/// critical path as `profile::to_json` writes it, the folded stacks, the
+/// Chrome export and the run summary.
+fn rendered_digest(r: &SimReport, machine: &SimMachine) -> u64 {
+    use hetero_trace::{chrome, profile, summary};
+    let trace = sim_report_to_trace(r, machine);
+    let (path, wall_ns) = match profile::critical_path(&trace, &[]) {
+        Ok(p) => (profile::to_json(&p).to_pretty(), p.critical_path_ns()),
+        Err(e) => (e, 0),
+    };
+    let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+    for text in [
+        path,
+        profile::folded_stacks(&trace),
+        chrome::export(&trace),
+        summary::export(&trace, wall_ns),
+    ] {
+        text.bytes().for_each(|b| h.word(u64::from(b)));
+    }
     h.0
 }
 
@@ -379,6 +407,197 @@ fn reports_match_the_digests_recorded_at_the_parent_commit() {
 fn bridged_traces_match_the_digests_recorded_at_the_parent_commit() {
     check(&actual(bridged_digest), &BRIDGED);
 }
+
+#[test]
+fn rendered_traces_match_the_digests_recorded_at_the_parent_commit() {
+    check(&actual(rendered_digest), &RENDERED);
+}
+
+#[rustfmt::skip]
+const RENDERED: [[u64; 15]; 26] = [
+    [
+        0x491891641156fecc, 0x1fba86036ca26d6a, 0x94fa5ea42d9efeff,
+        0x7f25002dbd0450ac, 0x491891641156fecc, 0x56f4067b51b4a600,
+        0x98c694fa5c57f519, 0xed8d5ecb4d2fc816, 0x0ae654b585779b2d,
+        0x56f4067b51b4a600, 0x56f4067b51b4a600, 0x98c694fa5c57f519,
+        0xed8d5ecb4d2fc816, 0x0ae654b585779b2d, 0x56f4067b51b4a600,
+    ],
+    [
+        0xf8f2bee254e1c361, 0xf8f2bee254e1c361, 0xf8f2bee254e1c361,
+        0xf8f2bee254e1c361, 0xf8f2bee254e1c361, 0xcdd473f00e414ce2,
+        0xcdd473f00e414ce2, 0xcdd473f00e414ce2, 0xcdd473f00e414ce2,
+        0xcdd473f00e414ce2, 0xcdd473f00e414ce2, 0xcdd473f00e414ce2,
+        0xcdd473f00e414ce2, 0xcdd473f00e414ce2, 0xcdd473f00e414ce2,
+    ],
+    [
+        0x89c67571dc85b304, 0x56b2ed449b039abc, 0xed7a1997e47d9b0c,
+        0x620ca75fb83b7d9b, 0x89c67571dc85b304, 0xfc49368953991389,
+        0xbe8d0ed1e7ef406d, 0x390a76b3885ff555, 0x71493627b155c543,
+        0xfc49368953991389, 0xfc49368953991389, 0xbe8d0ed1e7ef406d,
+        0x390a76b3885ff555, 0x71493627b155c543, 0xfc49368953991389,
+    ],
+    [
+        0xbe18aadcdf304939, 0xd0620418755c893f, 0x58dcb0f7e7e0ae31,
+        0x00bc2f21aa475619, 0xbe18aadcdf304939, 0xdfa5c60dce9cb2b5,
+        0x6e03abdf211d130c, 0xe0a30493bd535214, 0x7bd3a739c895b998,
+        0xdfa5c60dce9cb2b5, 0xdfa5c60dce9cb2b5, 0x6e03abdf211d130c,
+        0xe0a30493bd535214, 0x7bd3a739c895b998, 0xdfa5c60dce9cb2b5,
+    ],
+    [
+        0x7eceb80863725994, 0x7eceb80863725994, 0x7eceb80863725994,
+        0x7eceb80863725994, 0x7eceb80863725994, 0x8881a0cbdf62fe37,
+        0x8881a0cbdf62fe37, 0x8881a0cbdf62fe37, 0x8881a0cbdf62fe37,
+        0x8881a0cbdf62fe37, 0x8881a0cbdf62fe37, 0x8881a0cbdf62fe37,
+        0x8881a0cbdf62fe37, 0x8881a0cbdf62fe37, 0x8881a0cbdf62fe37,
+    ],
+    [
+        0x7d6b8fb433c90871, 0x31b3b03aa6b78a09, 0xb4b3e1a6f3311725,
+        0xf0933fa1fbe2c80e, 0x7d6b8fb433c90871, 0xc27e5d84a98432fc,
+        0xbd05241ed9fe0fb8, 0xbfccdb435348339f, 0xbf7d19d8da0a5216,
+        0xc27e5d84a98432fc, 0xc27e5d84a98432fc, 0xbd05241ed9fe0fb8,
+        0x4ac2772fd11ed031, 0xbf7d19d8da0a5216, 0xc27e5d84a98432fc,
+    ],
+    [
+        0x8982f501471814af, 0xe7378fce48968e75, 0xe3010c843f1559e9,
+        0x4b77be235c09d9d1, 0x8982f501471814af, 0x6f01579fd3a7c0d2,
+        0xffe08319fe43b6ac, 0x3fad53c7c2ef3ca5, 0xd53a67b8b157b956,
+        0x6f01579fd3a7c0d2, 0x6f01579fd3a7c0d2, 0xffe08319fe43b6ac,
+        0x3fad53c7c2ef3ca5, 0xd53a67b8b157b956, 0x6f01579fd3a7c0d2,
+    ],
+    [
+        0xf8f2bee254e1c361, 0xf8f2bee254e1c361, 0xf8f2bee254e1c361,
+        0xf8f2bee254e1c361, 0xf8f2bee254e1c361, 0xcdd473f00e414ce2,
+        0xcdd473f00e414ce2, 0xcdd473f00e414ce2, 0xcdd473f00e414ce2,
+        0xcdd473f00e414ce2, 0xcdd473f00e414ce2, 0xcdd473f00e414ce2,
+        0xcdd473f00e414ce2, 0xcdd473f00e414ce2, 0xcdd473f00e414ce2,
+    ],
+    [
+        0x72d1e04e2d702ee9, 0x72c42ae75a145e21, 0xaef2757faea37255,
+        0x1e040f6cfb613523, 0x72d1e04e2d702ee9, 0x72d1e04e2d702ee9,
+        0x72c42ae75a145e21, 0xaef2757faea37255, 0x1e040f6cfb613523,
+        0x72d1e04e2d702ee9, 0x72d1e04e2d702ee9, 0x72c42ae75a145e21,
+        0xaef2757faea37255, 0x1e040f6cfb613523, 0x72d1e04e2d702ee9,
+    ],
+    [
+        0x4b0a5e1b0db0377a, 0x777af54305d7c2e0, 0x31ade1b11e8f47e6,
+        0x470b66ff51eada24, 0x4b0a5e1b0db0377a, 0x1e64a2bc68097a67,
+        0x4b25b9fb49b92e79, 0xc604c0b9907cac2d, 0xce00abe5026c7283,
+        0x1e64a2bc68097a67, 0x1e64a2bc68097a67, 0x4b25b9fb49b92e79,
+        0xc604c0b9907cac2d, 0xce00abe5026c7283, 0x1e64a2bc68097a67,
+    ],
+    [
+        0x7eceb80863725994, 0x7eceb80863725994, 0x7eceb80863725994,
+        0x7eceb80863725994, 0x7eceb80863725994, 0x8881a0cbdf62fe37,
+        0x8881a0cbdf62fe37, 0x8881a0cbdf62fe37, 0x8881a0cbdf62fe37,
+        0x8881a0cbdf62fe37, 0x8881a0cbdf62fe37, 0x8881a0cbdf62fe37,
+        0x8881a0cbdf62fe37, 0x8881a0cbdf62fe37, 0x8881a0cbdf62fe37,
+    ],
+    [
+        0x93f77e40c1fef2dc, 0x10c13183a7fbdaf4, 0xd62b9ba3e67698ac,
+        0xc7105d67859dacf6, 0x93f77e40c1fef2dc, 0x93f77e40c1fef2dc,
+        0x10c13183a7fbdaf4, 0xd62b9ba3e67698ac, 0xc7105d67859dacf6,
+        0x93f77e40c1fef2dc, 0x93f77e40c1fef2dc, 0x10c13183a7fbdaf4,
+        0xd62b9ba3e67698ac, 0xc7105d67859dacf6, 0x93f77e40c1fef2dc,
+    ],
+    [
+        0x2aa1144ec5a022cf, 0xed2973b86b52c9da, 0x5d7b09c6230621c6,
+        0x4a9a8293a8b4af8f, 0x2aa1144ec5a022cf, 0x0396800b6caa8d4b,
+        0x1a358df3575ecc33, 0x1120af3e4c6a1320, 0x42c9c081d414ff62,
+        0x0396800b6caa8d4b, 0x0396800b6caa8d4b, 0x1a358df3575ecc33,
+        0x1120af3e4c6a1320, 0x42c9c081d414ff62, 0x6f7f5c07f3caad58,
+    ],
+    [
+        0x5bfbefa3aeb2541a, 0x9bacb6aa67e8956f, 0xe5384c3c060f896d,
+        0xfdc4805439f74b9a, 0x5bfbefa3aeb2541a, 0x7f5a8bbecb83fe3e,
+        0x6c7bf6f88daa1646, 0x8e2712ff2b2c9267, 0x3ab37547d9ed07d7,
+        0x7f5a8bbecb83fe3e, 0x7f5a8bbecb83fe3e, 0x6c7bf6f88daa1646,
+        0x8e2712ff2b2c9267, 0x3ab37547d9ed07d7, 0xf99f67a6a128d72d,
+    ],
+    [
+        0x6138154c513dac05, 0xcb7b4c8c4350e3c6, 0x39db5d99de149832,
+        0x1d631bedd16c01c3, 0x6138154c513dac05, 0x14a50c974be90088,
+        0xc53e1601bf4b72b3, 0x34361f6e74c35f49, 0xd5ef59628bf8dde0,
+        0x14a50c974be90088, 0x14a50c974be90088, 0xc53e1601bf4b72b3,
+        0x34361f6e74c35f49, 0xd5ef59628bf8dde0, 0x14a50c974be90088,
+    ],
+    [
+        0x724425afb96f3150, 0x909f788963d1b533, 0x54920ba740a5f460,
+        0xe2264b8eeecd3016, 0x724425afb96f3150, 0x31d25bc94d9a9e7d,
+        0x7a9fecf526d15426, 0x800ec2dbbf5d4c7c, 0x157a6d2f5088f015,
+        0x31d25bc94d9a9e7d, 0x31d25bc94d9a9e7d, 0x7a9fecf526d15426,
+        0x800ec2dbbf5d4c7c, 0x157a6d2f5088f015, 0x31d25bc94d9a9e7d,
+    ],
+    [
+        0xc2fa1c5f972b4192, 0x154170838fdf09c3, 0x5c5b5fa3ef6c3c58,
+        0xd51a96f082f3124f, 0xc2fa1c5f972b4192, 0x5ac0469941fa9436,
+        0x1be35d2e173c2494, 0x76cf07f950897fbd, 0xed11cca796bd0e23,
+        0x5ac0469941fa9436, 0x404dbbfaffbccdae, 0x1604fce12e86da9a,
+        0x08d9b3066e1f3965, 0x479ee83ebbfe3f8e, 0x404dbbfaffbccdae,
+    ],
+    [
+        0xcb15612c4c530527, 0x14640198d9160e36, 0xfa877129bee8be24,
+        0x8a62dcd411f802fa, 0xcb15612c4c530527, 0xb262c0ffef0827a3,
+        0xd1ac5b18b28b1b41, 0xcc4df812e6b66550, 0x3b32fe2819c17e96,
+        0xb262c0ffef0827a3, 0x6301f67ecc33b39b, 0x14142bcd53b8becf,
+        0xa7be6361755f31a0, 0xe1b5fbbd3ed932fb, 0x6301f67ecc33b39b,
+    ],
+    [
+        0x09ab241f02af7e61, 0x0f8f824e6e42d421, 0xc6d79898ba170931,
+        0x77472f4790720d79, 0x09ab241f02af7e61, 0x24f9cdf17a038aed,
+        0xd97f3e8373efb52f, 0x61fbef256f805ead, 0x07269c29c03d8d3d,
+        0x24f9cdf17a038aed, 0x24f9cdf17a038aed, 0xd97f3e8373efb52f,
+        0x61fbef256f805ead, 0x07269c29c03d8d3d, 0x24f9cdf17a038aed,
+    ],
+    [
+        0xa999ea4bb91e985b, 0xfcd3756afe50ff8e, 0xd807bb492a494bb2,
+        0x4c4336a722ed703a, 0xa999ea4bb91e985b, 0xf6d55b734d18e92d,
+        0x3abd35dcc1608dde, 0xa1d619f1e48f4f16, 0xfdfcf4ec99eb23bd,
+        0xf6d55b734d18e92d, 0xf6d55b734d18e92d, 0x3abd35dcc1608dde,
+        0xa1d619f1e48f4f16, 0xfdfcf4ec99eb23bd, 0xf6d55b734d18e92d,
+    ],
+    [
+        0x680779e1a8276b48, 0x3561fbc72146af34, 0xcacf0c556a225083,
+        0x26c34f290e0ad981, 0x680779e1a8276b48, 0xf745b76d4d91f71e,
+        0xc488fa34dee589ad, 0x70a76eeba4747aab, 0xbc2eb406ae7f4932,
+        0xf745b76d4d91f71e, 0xf745b76d4d91f71e, 0xc488fa34dee589ad,
+        0x249823061f8372c6, 0xbc2eb406ae7f4932, 0xf745b76d4d91f71e,
+    ],
+    [
+        0x8cdd4f253a64ed12, 0xdc6b7d028b320380, 0x61999138eb566297,
+        0x3db067b7777b7fc3, 0x8cdd4f253a64ed12, 0xdee9e3fbf6dc89fe,
+        0x07787e62b2de4285, 0x7e65bb2cd8a2dbe8, 0x03bfac1cc4b6d353,
+        0xdee9e3fbf6dc89fe, 0xdee9e3fbf6dc89fe, 0x07787e62b2de4285,
+        0x5c6849e0988d5718, 0x03bfac1cc4b6d353, 0xdee9e3fbf6dc89fe,
+    ],
+    [
+        0x0eaef77a54ed76ef, 0x26e20bbbafb99647, 0x34d2be62baebaccb,
+        0xd02fe6d2d850bf84, 0x0eaef77a54ed76ef, 0xd72428259f96df46,
+        0xf0d93750aa25ff86, 0xbf66745068dafb8c, 0x07c352d5a3356b93,
+        0xd72428259f96df46, 0xd72428259f96df46, 0xf0d93750aa25ff86,
+        0xbbf9860701380353, 0x07c352d5a3356b93, 0xd72428259f96df46,
+    ],
+    [
+        0x256bcaef4bd04677, 0x1b7918d5f6a9d598, 0x588feeeffc8b4266,
+        0x73cfad9a22636408, 0x256bcaef4bd04677, 0x1f808cbaaa7e431f,
+        0xac691606113f841d, 0x8aaed7c392c234c6, 0x35acb7219e85733c,
+        0x1f808cbaaa7e431f, 0x1f808cbaaa7e431f, 0xac691606113f841d,
+        0xd01a65a3435c905b, 0x35acb7219e85733c, 0x1f808cbaaa7e431f,
+    ],
+    [
+        0xe60d8cc52b836db8, 0x8b36304fa9782d0a, 0x74d4dd26f77069f4,
+        0x48e617890ef3fc76, 0xe60d8cc52b836db8, 0x6e84f2626438d771,
+        0x4faae2ce72b2aa6a, 0x8d48dce870ce13c1, 0x41b9984261cbd339,
+        0x6e84f2626438d771, 0x3162786eabb6b41a, 0x6c6ae2123780f891,
+        0xc11bbf9256b9875b, 0xd977339272168e76, 0x3162786eabb6b41a,
+    ],
+    [
+        0x7ee28d213740dbdd, 0xde46caddeba3474c, 0x8192ca5be009f28d,
+        0x5ec3fb3ca0e80af1, 0x7ee28d213740dbdd, 0x61e543880d3d2642,
+        0x584a6de56a9f3fb2, 0xce3a3ee5e51df71b, 0x99661b50d839aeb1,
+        0x61e543880d3d2642, 0x759f45b184b61d01, 0xd4989f9ea5395170,
+        0x809d65bc41c2b924, 0x7e0821cab8f92393, 0x759f45b184b61d01,
+    ],
+];
 
 #[rustfmt::skip]
 const GOLDEN: [[u64; 15]; 26] = [
