@@ -23,11 +23,12 @@
 //! `graph.data.clone()` copies the coherence state only.
 
 use hetero_model::proto::{self, HopKind, Node, NodeSet};
+use hetero_trace::Labels;
 use simhw::link::LinkId;
 use simhw::machine::{DeviceId, SimMachine};
 use simhw::time::Duration;
 use std::collections::BTreeSet;
-use std::fmt::{self, Write as _};
+use std::fmt;
 use std::sync::Arc;
 
 pub use hetero_model::proto::{AccessMode, Routing};
@@ -245,30 +246,6 @@ fn commit_plan(valid: &mut NodeSet, bytes: &mut ByteCounters, plan: &proto::Plan
             HopKind::Peer => bytes.peer += size,
             HopKind::Local => {}
         }
-    }
-}
-
-/// Labels back to back in one `String`: label `i` ends at `ends[i]` and
-/// starts where the one before it ends. Handle labels are kept this way, and
-/// a report keeps its copy of the task labels this way too.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct Labels {
-    pub(crate) text: String,
-    pub(crate) ends: Vec<u32>,
-}
-
-impl Labels {
-    /// Appends `label` as its `Display` writes it.
-    fn push(&mut self, label: impl fmt::Display) {
-        write!(self.text, "{label}").expect("a label's Display does not fail");
-        let end = u32::try_from(self.text.len()).expect("label bytes fit u32 offsets");
-        self.ends.push(end);
-    }
-
-    /// Label `i`.
-    pub(crate) fn get(&self, i: usize) -> &str {
-        let start = i.checked_sub(1).map_or(0, |p| self.ends[p] as usize);
-        &self.text[start..self.ends[i] as usize]
     }
 }
 

@@ -17,12 +17,13 @@
 //! vertical data-movement requirement). Charging, flushing and the report
 //! are the core it shares with [`crate::dyn_engine`].
 
-use crate::data::{HandleTable, Labels, Routing};
+use crate::data::{HandleTable, Routing};
 use crate::graph::TaskGraph;
 use crate::perfmodel::PerfModel;
 use crate::scheduler::Scheduler;
 use crate::sim_run::SimRun;
 use crate::task::TaskId;
+use hetero_trace::Labels;
 use simhw::energy::EnergyReport;
 use simhw::machine::{DeviceId, SimMachine};
 use simhw::time::SimTime;

@@ -24,7 +24,7 @@
 //! loss, and the remaining checks run over the retained events.
 
 use crate::event::EventKind;
-use crate::profile::{lane_infos, link_base, LaneInfo};
+use crate::profile::{link_base, LaneInfo, Lanes};
 use crate::trace::RunTrace;
 use std::collections::BTreeMap;
 
@@ -103,7 +103,7 @@ impl Default for LaneAgg {
 /// Scans `trace` for the A-series pathologies under `config`. Findings
 /// come back sorted by (code, subject) for deterministic reporting.
 pub fn detect(trace: &RunTrace, config: &AnomalyConfig) -> Vec<Anomaly> {
-    let lanes = lane_infos(trace);
+    let lanes = Lanes::of(trace);
     let spans = trace.task_spans();
     let makespan = spans.iter().map(|s| s.end).max().unwrap_or(0);
     let start_ns = trace
@@ -115,19 +115,18 @@ pub fn detect(trace: &RunTrace, config: &AnomalyConfig) -> Vec<Anomaly> {
         .unwrap_or(0);
     let window = makespan.saturating_sub(start_ns);
 
-    let mut agg: Vec<LaneAgg> = vec![LaneAgg::default(); lanes.len()];
+    let mut agg: Vec<LaneAgg> = vec![LaneAgg::default(); lanes.infos.len()];
     for s in &spans {
-        if let Some(a) = agg.get_mut(s.worker) {
-            a.busy += s.end - s.start;
-            a.first = a.first.min(s.start);
-            a.last = a.last.max(s.end);
-            a.spans += 1;
-        }
+        let a = &mut agg[lanes.slot(s.worker)];
+        a.busy += s.end - s.start;
+        a.first = a.first.min(s.start);
+        a.last = a.last.max(s.end);
+        a.spans += 1;
     }
 
     // Lane indices per non-link group, in lane order.
     let mut groups: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
-    for (i, lane) in lanes.iter().enumerate() {
+    for (i, lane) in lanes.infos.iter().enumerate() {
         if !lane.is_link {
             groups.entry(lane.group.as_str()).or_default().push(i);
         }
@@ -136,10 +135,10 @@ pub fn detect(trace: &RunTrace, config: &AnomalyConfig) -> Vec<Anomaly> {
     let mut out = Vec::new();
     detect_lossy(trace, &lanes, start_ns, makespan, &mut out);
     if window > 0 {
-        detect_stragglers(config, &lanes, &agg, &groups, window, &mut out);
-        detect_imbalance(config, &lanes, &agg, &groups, window, &mut out);
+        detect_stragglers(config, &lanes.infos, &agg, &groups, window, &mut out);
+        detect_imbalance(config, &lanes.infos, &agg, &groups, window, &mut out);
         detect_steal_storms(trace, config, &lanes, &mut out);
-        detect_saturated_links(config, &lanes, &agg, window, &mut out);
+        detect_saturated_links(config, &lanes.infos, &agg, window, &mut out);
     }
     out.sort_by(|a, b| (a.code, &a.subject).cmp(&(b.code, &b.subject)));
     out
@@ -148,7 +147,7 @@ pub fn detect(trace: &RunTrace, config: &AnomalyConfig) -> Vec<Anomaly> {
 /// A005: ring overflow means the lane's history has a hole at the front.
 fn detect_lossy(
     trace: &RunTrace,
-    lanes: &[LaneInfo],
+    lanes: &Lanes,
     start_ns: u64,
     makespan: u64,
     out: &mut Vec<Anomaly>,
@@ -157,9 +156,7 @@ fn detect_lossy(
         if w.overwritten == 0 {
             continue;
         }
-        let name = lanes
-            .get(w.worker)
-            .map_or_else(|| format!("worker{}", w.worker), |l| l.name.clone());
+        let name = lanes.infos[lanes.slot(w.worker)].name.clone();
         let first_retained = w.events.iter().next().map_or(start_ns, |e| e.ts);
         out.push(Anomaly {
             code: "A005",
@@ -266,7 +263,7 @@ fn detect_imbalance(
 fn detect_steal_storms(
     trace: &RunTrace,
     config: &AnomalyConfig,
-    lanes: &[LaneInfo],
+    lanes: &Lanes,
     out: &mut Vec<Anomaly>,
 ) {
     #[derive(Default)]
@@ -278,9 +275,7 @@ fn detect_steal_storms(
     }
     let mut per_group: BTreeMap<&str, StealAgg> = BTreeMap::new();
     for w in &trace.workers {
-        let Some(lane) = lanes.get(w.worker) else {
-            continue;
-        };
+        let lane = &lanes.infos[lanes.slot(w.worker)];
         if lane.is_link {
             continue;
         }
@@ -371,7 +366,8 @@ fn detect_saturated_links(
 mod tests {
     use super::*;
     use crate::event::{EventKind, Provenance, TraceEvent};
-    use crate::trace::{LaneLabel, RunTrace, TaskInfo, TraceMeta, WorkerTrace};
+    use crate::labels::TaskTable;
+    use crate::trace::{LaneLabel, RunTrace, TraceMeta, WorkerTrace};
 
     fn ev(ts: u64, kind: EventKind) -> TraceEvent {
         TraceEvent { ts, kind }
@@ -384,14 +380,10 @@ mod tests {
         }
     }
 
-    fn task_infos(n: usize) -> Vec<TaskInfo> {
-        (0..n)
-            .map(|i| TaskInfo {
-                label: format!("t{i}").into(),
-                category: "task".into(),
-                group: None,
-            })
-            .collect()
+    fn task_infos(n: usize) -> TaskTable {
+        let mut tasks = TaskTable::default();
+        (0..n).for_each(|i| tasks.push(&format!("t{i}"), "task", None));
+        tasks
     }
 
     fn span_events(task: u32, start: u64, end: u64) -> Vec<TraceEvent> {

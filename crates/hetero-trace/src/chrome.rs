@@ -104,8 +104,8 @@ pub fn export(trace: &RunTrace) -> String {
         let (lane_group, color) = lane_paint.get(span.worker).copied().unwrap_or_default();
         begin_event(
             &mut w,
-            info.map_or("task", |i| &i.label),
-            Some(info.map_or("task", |i| &i.category)),
+            info.map_or("task", |i| i.label),
+            Some(info.map_or("task", |i| i.category)),
             "X",
         );
         w.key("ts").thousandths(span.start);
@@ -186,7 +186,8 @@ mod tests {
     use super::*;
     use crate::event::TraceEvent;
     use crate::json::Json;
-    use crate::trace::{LaneLabel, TaskInfo, TraceMeta, WorkerTrace};
+    use crate::labels::TaskInfo;
+    use crate::trace::{LaneLabel, TraceMeta, WorkerTrace};
 
     fn sample() -> RunTrace {
         RunTrace {
@@ -202,11 +203,13 @@ mod tests {
                         group: Some("gpus".to_string()),
                     },
                 ],
-                tasks: vec![TaskInfo {
-                    label: "dgemm_tile".into(),
-                    category: "task".into(),
-                    group: Some("gpus".into()),
-                }],
+                tasks: [TaskInfo {
+                    label: "dgemm_tile",
+                    category: "task",
+                    group: Some("gpus"),
+                }]
+                .into_iter()
+                .collect(),
                 time_unit: TimeUnit::RealNanos,
             },
             prelude: vec![

@@ -385,7 +385,8 @@ fn fmt_delta(d: i64) -> String {
 mod tests {
     use super::*;
     use crate::event::{EventKind, TraceEvent};
-    use crate::trace::{LaneLabel, RunTrace, TaskInfo, TraceMeta, WorkerTrace};
+    use crate::labels::TaskInfo;
+    use crate::trace::{LaneLabel, RunTrace, TraceMeta, WorkerTrace};
 
     fn ev(ts: u64, kind: EventKind) -> TraceEvent {
         TraceEvent { ts, kind }
@@ -407,18 +408,20 @@ mod tests {
                         group: Some("links".to_string()),
                     },
                 ],
-                tasks: vec![
+                tasks: [
                     TaskInfo {
-                        label: "copy".into(),
-                        category: "transfer".into(),
+                        label: "copy",
+                        category: "transfer",
                         group: None,
                     },
                     TaskInfo {
-                        label: "k".into(),
-                        category: "task".into(),
+                        label: "k",
+                        category: "task",
                         group: None,
                     },
-                ],
+                ]
+                .into_iter()
+                .collect(),
                 time_unit: Default::default(),
             },
             prelude: Default::default(),

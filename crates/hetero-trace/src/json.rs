@@ -604,17 +604,21 @@ impl<'a> Reader<'a> {
                         b'r' => '\r',
                         b't' => '\t',
                         b'u' => {
-                            let hex = self
-                                .text
-                                .as_bytes()
-                                .get(self.pos..self.pos + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .ok_or_else(|| self.err("truncated \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("bad \\u escape"))?;
-                            self.pos += 4;
-                            // Surrogate pairs are not needed by our own
-                            // exporters; map lone surrogates to U+FFFD.
+                            let mut code = self.hex4()?;
+                            // A high surrogate and the low one escaped right
+                            // after it are one character; a lone surrogate
+                            // reads as U+FFFD.
+                            let rest = &self.text.as_bytes()[self.pos..];
+                            if (0xd800..0xdc00).contains(&code) && rest.starts_with(b"\\u") {
+                                let after = self.pos;
+                                self.pos += 2;
+                                match self.hex4()? {
+                                    low @ 0xdc00..0xe000 => {
+                                        code = 0x10000 + ((code - 0xd800) << 10) + (low - 0xdc00);
+                                    }
+                                    _ => self.pos = after,
+                                }
+                            }
                             char::from_u32(code).unwrap_or('\u{fffd}')
                         }
                         _ => return Err(self.err("unknown escape")),
@@ -623,6 +627,16 @@ impl<'a> Reader<'a> {
                 _ => return Err(self.err("unterminated string")),
             }
         }
+    }
+
+    /// Consumes the four hex digits of a `\u` escape.
+    fn hex4(&mut self) -> Result<u32, JsonError> {
+        let hex = (self.text.as_bytes().get(self.pos..self.pos + 4))
+            .and_then(|h| std::str::from_utf8(h).ok())
+            .ok_or_else(|| self.err("truncated \\u escape"))?;
+        let code = u32::from_str_radix(hex, 16).map_err(|_| self.err("bad \\u escape"))?;
+        self.pos += 4;
+        Ok(code)
     }
 
     fn begin(&mut self, bracket: u8) -> Result<(), JsonError> {

@@ -333,7 +333,8 @@ impl MetricsRegistry {
 mod tests {
     use super::*;
     use crate::event::{EventKind, Provenance, TraceEvent};
-    use crate::trace::{LaneLabel, TaskInfo, TraceMeta, WorkerTrace};
+    use crate::labels::TaskInfo;
+    use crate::trace::{LaneLabel, TraceMeta, WorkerTrace};
 
     #[test]
     fn histogram_bucket_math() {
@@ -448,18 +449,20 @@ mod tests {
                         group: Some("gpus".to_string()),
                     },
                 ],
-                tasks: vec![
+                tasks: [
                     TaskInfo {
-                        label: "a".into(),
-                        category: "task".into(),
+                        label: "a",
+                        category: "task",
                         group: None,
                     },
                     TaskInfo {
-                        label: "b".into(),
-                        category: "task".into(),
+                        label: "b",
+                        category: "task",
                         group: None,
                     },
-                ],
+                ]
+                .into_iter()
+                .collect(),
                 time_unit: Default::default(),
             },
             prelude: vec![TraceEvent {

@@ -1,11 +1,11 @@
 //! The drained trace of one run, its PDL metadata and its invariants.
 
 use crate::event::{EventKind, Provenance, TraceEvent};
+use crate::labels::TaskTable;
 use crate::log::EventLog;
 use crate::phase::PhaseSpan;
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::Arc;
 
 /// What the timestamps mean.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -46,20 +46,6 @@ pub struct LaneLabel {
     pub group: Option<String>,
 }
 
-/// Static description of one task, referenced by index from task events.
-/// The strings are shared: a task table holds one allocation per distinct
-/// category and group, and a label is the engine's own.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct TaskInfo {
-    /// Display label.
-    pub label: Arc<str>,
-    /// Category (`"task"`, `"transfer"`, …) — becomes the Chrome trace
-    /// `cat` field.
-    pub category: Arc<str>,
-    /// The execution group the task was pinned to, if any.
-    pub group: Option<Arc<str>>,
-}
-
 /// Run-level metadata: the PDL identity every event is resolved against.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct TraceMeta {
@@ -68,7 +54,7 @@ pub struct TraceMeta {
     /// One label per lane, indexed by worker/device id.
     pub lanes: Vec<LaneLabel>,
     /// One entry per task, indexed by the task ids in events.
-    pub tasks: Vec<TaskInfo>,
+    pub tasks: TaskTable,
     /// Timestamp semantics.
     pub time_unit: TimeUnit,
 }
@@ -521,16 +507,11 @@ mod tests {
     }
 
     fn meta(tasks: usize) -> TraceMeta {
-        TraceMeta {
-            tasks: (0..tasks)
-                .map(|i| TaskInfo {
-                    label: format!("t{i}").into(),
-                    category: "task".into(),
-                    group: None,
-                })
-                .collect(),
-            ..TraceMeta::default()
+        let mut meta = TraceMeta::default();
+        for i in 0..tasks {
+            meta.tasks.push(&format!("t{i}"), "task", None);
         }
+        meta
     }
 
     #[test]

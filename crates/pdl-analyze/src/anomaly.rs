@@ -49,7 +49,7 @@ fn to_diagnostic(a: Anomaly) -> Diagnostic {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hetero_trace::{EventKind, LaneLabel, TaskInfo, TraceEvent, TraceMeta, WorkerTrace};
+    use hetero_trace::{EventKind, LaneLabel, TaskTable, TraceEvent, TraceMeta, WorkerTrace};
 
     fn lane_label(name: &str, group: &str) -> LaneLabel {
         LaneLabel {
@@ -71,14 +71,10 @@ mod tests {
         ]
     }
 
-    fn tasks(n: usize) -> Vec<TaskInfo> {
-        (0..n)
-            .map(|i| TaskInfo {
-                label: format!("t{i}").into(),
-                category: "task".into(),
-                group: None,
-            })
-            .collect()
+    fn tasks(n: usize) -> TaskTable {
+        let mut tasks = TaskTable::default();
+        (0..n).for_each(|i| tasks.push(&format!("t{i}"), "task", None));
+        tasks
     }
 
     #[test]

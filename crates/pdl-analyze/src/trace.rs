@@ -70,7 +70,7 @@ pub fn check_trace(trace: &RunTrace, graph: &TaskGraph) -> Report {
         let mut by_label: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
         for (si, span) in spans.iter().enumerate() {
             if let Some(info) = trace.meta.tasks.get(span.task as usize) {
-                by_label.entry(&info.label).or_default().push(si);
+                by_label.entry(info.label).or_default().push(si);
             }
         }
         for queue in by_label.values_mut() {
@@ -137,7 +137,7 @@ pub fn check_trace(trace: &RunTrace, graph: &TaskGraph) -> Report {
                 .meta
                 .tasks
                 .get(spans[si].task as usize)
-                .and_then(|info| info.group.as_deref())
+                .and_then(|info| info.group)
         });
         let Some(declared) = declared else { continue };
         let lane_group = trace
@@ -500,7 +500,9 @@ mod tests {
     use super::*;
     use hetero_rt::data::AccessMode;
     use hetero_rt::task::{Codelet, DataAccess};
-    use hetero_trace::{EventKind, LaneLabel, TaskInfo, TraceEvent, TraceMeta, WorkerTrace};
+    use hetero_trace::{
+        EventKind, LaneLabel, TaskInfo, TaskTable, TraceEvent, TraceMeta, WorkerTrace,
+    };
 
     /// Two dependent tasks sharing one buffer: `a` writes, `b` reads-writes
     /// after `a` (sequential consistency inserts the edge on submit).
@@ -538,9 +540,9 @@ mod tests {
             tasks: graph
                 .tasks()
                 .map(|t| TaskInfo {
-                    label: t.label.into(),
-                    category: "task".into(),
-                    group: t.execution_group.map(Into::into),
+                    label: t.label,
+                    category: "task",
+                    group: t.execution_group,
                 })
                 .collect(),
             time_unit: hetero_trace::TimeUnit::default(),
@@ -692,9 +694,12 @@ mod tests {
                     })
                     .collect(),
                 tasks: (0..busy.len())
-                    .map(|i| TaskInfo {
-                        label: format!("t{i}").into(),
-                        category: "task".into(),
+                    .map(|i| format!("t{i}"))
+                    .collect::<Vec<_>>()
+                    .iter()
+                    .map(|label| TaskInfo {
+                        label,
+                        category: "task",
                         group: None,
                     })
                     .collect(),
@@ -761,7 +766,7 @@ mod tests {
                         group: Some("links".into()),
                     })
                     .collect(),
-                tasks: Vec::new(),
+                tasks: TaskTable::default(),
                 time_unit: hetero_trace::TimeUnit::default(),
             },
             prelude: Default::default(),

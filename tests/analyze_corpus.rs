@@ -247,7 +247,7 @@ mod fig5_replay {
                 .meta
                 .tasks
                 .iter()
-                .position(|info| &*info.label == label)
+                .position(|info| info.label == label)
                 .expect("graph task appears in trace") as u32
         };
         let (id_d, id_t) = (trace_id(label_of(d)), trace_id(label_of(t)));

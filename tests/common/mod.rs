@@ -3,7 +3,7 @@
 #![allow(dead_code)]
 
 use hetero_trace::{
-    EventKind, LaneLabel, Provenance, RunTrace, TaskInfo, TimeUnit, TraceEvent, TraceMeta,
+    EventKind, LaneLabel, Provenance, RunTrace, TaskTable, TimeUnit, TraceEvent, TraceMeta,
     WorkerTrace,
 };
 
@@ -17,7 +17,7 @@ pub(crate) type WorkerSpans = Vec<(u64, Vec<(u64, u64)>)>;
 /// A labelled trace of back-to-back task spans, possibly lossy, with
 /// dependency edges folded into the task range.
 pub(crate) fn span_trace(worker_spans: &WorkerSpans, dep_seeds: &[(u32, u32)]) -> (RunTrace, Deps) {
-    let mut tasks = Vec::new();
+    let mut tasks = TaskTable::default();
     let mut workers = Vec::new();
     let mut lanes = Vec::new();
     for (w, (overwritten, spans)) in worker_spans.iter().enumerate() {
@@ -29,11 +29,7 @@ pub(crate) fn span_trace(worker_spans: &WorkerSpans, dep_seeds: &[(u32, u32)]) -
         let mut ts = 0u64;
         for &(gap, dur) in spans {
             let task = tasks.len() as u32;
-            tasks.push(TaskInfo {
-                label: format!("t{task}").into(),
-                category: "task".into(),
-                group: None,
-            });
+            tasks.push(&format!("t{task}"), "task", None);
             ts += gap;
             events.push(TraceEvent {
                 ts,
@@ -135,16 +131,24 @@ pub(crate) fn enrich(trace: &mut RunTrace, seed: u64) {
     if rng.one_in(2) {
         trace.meta.time_unit = TimeUnit::VirtualNanos;
     }
-    for task in &mut trace.meta.tasks {
-        if rng.one_in(3) {
-            task.label = name(rng).into();
-        }
-        if rng.one_in(4) {
-            task.category = (*rng.pick(&["transfer", "", "ta\"sk"])).into();
-        }
-        if rng.one_in(4) {
-            task.group = Some(name(rng).into());
-        }
+    let tasks = std::mem::take(&mut trace.meta.tasks);
+    for task in tasks.iter() {
+        let label = if rng.one_in(3) {
+            name(rng)
+        } else {
+            task.label.to_string()
+        };
+        let category = if rng.one_in(4) {
+            *rng.pick(&["transfer", "", "ta\"sk"])
+        } else {
+            task.category
+        };
+        let group = if rng.one_in(4) {
+            Some(name(rng))
+        } else {
+            task.group.map(str::to_string)
+        };
+        trace.meta.tasks.push(&label, category, group.as_deref());
     }
     for lane in &mut trace.meta.lanes {
         if rng.one_in(4) {

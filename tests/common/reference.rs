@@ -11,7 +11,7 @@
 
 use hetero_trace::json::Json;
 use hetero_trace::{
-    EventKind, LaneLabel, Provenance, RunTrace, TaskInfo, TimeUnit, TraceEvent, TraceMeta,
+    EventKind, LaneLabel, Provenance, RunTrace, TaskTable, TimeUnit, TraceEvent, TraceMeta,
     WorkerTrace,
 };
 use std::fmt;
@@ -152,12 +152,9 @@ pub(crate) fn codec_to_json(trace: &RunTrace, deps: &[(u32, u32)]) -> Json {
         .iter()
         .map(|t| {
             Json::obj([
-                ("label", Json::str(&*t.label)),
-                ("category", Json::str(&*t.category)),
-                (
-                    "group",
-                    t.group.as_deref().map(Json::str).unwrap_or(Json::Null),
-                ),
+                ("label", Json::str(t.label)),
+                ("category", Json::str(t.category)),
+                ("group", t.group.map(Json::str).unwrap_or(Json::Null)),
             ])
         })
         .collect();
@@ -362,19 +359,16 @@ pub(crate) fn codec_parse(text: &str) -> Result<(RunTrace, Vec<(u32, u32)>), Str
             })
         })
         .collect::<Result<Vec<_>, String>>()?;
-    let tasks = meta_v
-        .get("tasks")
-        .map(Json::items)
-        .unwrap_or_default()
-        .iter()
-        .map(|t| {
-            Ok(TaskInfo {
-                label: field_str(t, "label", "task")?.into(),
-                category: opt_str(t, "category").map_or_else(|| "task".into(), Into::into),
-                group: opt_str(t, "group").map(Into::into),
-            })
-        })
-        .collect::<Result<Vec<_>, String>>()?;
+    let mut tasks = TaskTable::default();
+    for t in meta_v.get("tasks").map(Json::items).unwrap_or_default() {
+        let category = opt_str(t, "category");
+        let group = opt_str(t, "group");
+        tasks.push(
+            field_str(t, "label", "task")?,
+            category.as_deref().unwrap_or("task"),
+            group.as_deref(),
+        );
+    }
     let prelude = doc
         .get("prelude")
         .map(Json::items)
@@ -526,11 +520,11 @@ pub(crate) fn chrome_to_json(trace: &RunTrace) -> Json {
         let mut members = vec![
             (
                 "name".to_string(),
-                Json::str(info.map(|i| &*i.label).unwrap_or("task")),
+                Json::str(info.map(|i| i.label).unwrap_or("task")),
             ),
             (
                 "cat".to_string(),
-                Json::str(info.map(|i| &*i.category).unwrap_or("task")),
+                Json::str(info.map(|i| i.category).unwrap_or("task")),
             ),
             ("ph".to_string(), Json::str("X")),
             ("ts".to_string(), us(span.start)),

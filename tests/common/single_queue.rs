@@ -71,9 +71,9 @@ impl SingleQueueExecutor {
             tasks: tasks
                 .iter()
                 .map(|t| TaskInfo {
-                    label: t.label.clone(),
-                    category: "task".into(),
-                    group: t.group.as_deref().map(Arc::from),
+                    label: &t.label,
+                    category: "task",
+                    group: t.group.as_deref(),
                 })
                 .collect(),
             time_unit: TimeUnit::RealNanos,

@@ -29,10 +29,10 @@ fn lane(worker: usize, events: Vec<TraceEvent>) -> WorkerTrace {
     }
 }
 
-fn task(label: &str, category: &str) -> TaskInfo {
+fn task<'a>(label: &'a str, category: &'a str) -> TaskInfo<'a> {
     TaskInfo {
-        label: label.into(),
-        category: category.into(),
+        label,
+        category,
         group: None,
     }
 }
@@ -64,11 +64,13 @@ fn injected_trace() -> (RunTrace, Vec<(u32, u32)>) {
                     group: Some("links".to_string()),
                 },
             ],
-            tasks: vec![
+            tasks: [
                 task("load", "task"),
                 task("copy", "transfer"),
                 task("kernel", "task"),
-            ],
+            ]
+            .into_iter()
+            .collect(),
             time_unit: Default::default(),
         },
         prelude: vec![ev(0, EventKind::TaskReady { task: 0 })].into(),

@@ -54,7 +54,7 @@ fn reference_check_trace(trace: &RunTrace, graph: &TaskGraph) -> Report {
         let mut by_label: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
         for (si, span) in spans.iter().enumerate() {
             if let Some(info) = trace.meta.tasks.get(span.task as usize) {
-                by_label.entry(&info.label).or_default().push(si);
+                by_label.entry(info.label).or_default().push(si);
             }
         }
         for queue in by_label.values_mut() {
@@ -121,7 +121,7 @@ fn reference_check_trace(trace: &RunTrace, graph: &TaskGraph) -> Report {
                 .meta
                 .tasks
                 .get(spans[si].task as usize)
-                .and_then(|info| info.group.as_deref())
+                .and_then(|info| info.group)
         });
         let Some(declared) = declared else { continue };
         let lane_group = trace
@@ -313,10 +313,10 @@ fn trace_of(lane_events: Vec<Vec<TraceEvent>>, labels: Vec<String>) -> RunTrace 
                 })
                 .collect(),
             tasks: labels
-                .into_iter()
+                .iter()
                 .map(|label| TaskInfo {
-                    label: label.into(),
-                    category: "task".into(),
+                    label,
+                    category: "task",
                     group: None,
                 })
                 .collect(),

@@ -214,7 +214,7 @@ fn format_rules_hold_in_both_decoders() {
     assert!(deps.is_empty());
     let (trace, _) = codec::parse(accepted[0]).unwrap();
     assert_eq!(trace.workers[0].overwritten, 0);
-    assert_eq!(&*trace.meta.tasks[0].category, "task");
+    assert_eq!(trace.meta.tasks.get(0).unwrap().category, "task");
 
     let rejected = [
         "",
