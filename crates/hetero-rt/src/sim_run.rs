@@ -477,7 +477,7 @@ impl<'a> SimRun<'a> {
             link_names: machine.links.iter().map(|l| l.name.clone()).collect(),
             link_trace: self.link_trace,
             trace: self.trace,
-            task_labels: self.graph.labels(),
+            task_labels: self.graph.labels().clone(),
             handles: self.data.handle_table(),
         }
     }
