@@ -21,10 +21,11 @@
 # and the base's interquartile range: a claimed gain is ahead in ≥ 9 of 10
 # pairs with a median gain above the base's IQR. These lines only print.
 #
-# With workloads named, one `--trace 1 --seed 7` pass per side and workload
-# follows the pairs, into directories of its own, and every per-layer row
-# non-zero on either side prints as `row base head Δ%`: where a change moved
-# the time. These lines only print too.
+# With workloads named, `--trace 1` passes at seeds 7 and 11, one per side,
+# workload and seed, follow the pairs, into directories of their own, and
+# every per-layer row non-zero on either side prints as
+# `row base@7 head@7 Δ% base@11 head@11 Δ%`: where a change moved the time,
+# and whether a row moves with the seed. These lines only print too.
 #
 # Both sides write to sibling directories of one length under one temporary
 # directory, because the length of `--out` alone moves `peak_rss_mb` (by
@@ -149,37 +150,45 @@ sed -n '/"end_to_end"/,/"per_layer"/p' "$root/BENCHMARK.json" |
         done
     done
 
-# traced <side> <workload>: one traced pass, seed 7, its report kept quiet.
+# traced <side> <workload> <seed>: one traced pass, its report kept quiet.
 traced() {
     local checkout="$root" out="$head_traced"
     if [ "$1" = base ]; then
         checkout="$work/base" out="$base_traced"
     fi
     mkdir -p "$out"
-    (cd "$checkout" && "./$ledger" --workload "$2" --seed 7 --seconds 5 --trace 1 --out "$out") \
-        >"$out/$2.log"
+    (cd "$checkout" && "./$ledger" --workload "$2" --seed "$3" --seconds 5 --trace 1 --out "$out") \
+        >"$out/$2.seed$3.log"
 }
 
 if [ -n "$chosen" ]; then
     layers="$(sed -n '/"per_layer"/,$s/.*"name": "\([^"]*\)".*/\1/p' "$root/BENCHMARK.json")"
     echo
-    echo "per-layer rows of one --trace 1 --seed 7 pass per side:"
-    printf '  %-18s %-40s %12s %12s %9s\n' workload row base head "Δ%"
+    echo "per-layer rows of one --trace 1 pass per side at seeds 7 and 11:"
+    printf '  %-18s %-40s %12s %12s %7s %12s %12s %7s\n' \
+        workload row base@7 head@7 "Δ%" base@11 head@11 "Δ%"
+    # at <side> <seed>: the current row of the current workload's traced pass.
+    at() { value "$work/traced/$1/$workload.seed$2.trace.json" "$row"; }
     for workload in $workloads; do
-        for side in base head; do
-            traced "$side" "$workload" || echo "  $workload: the $side traced pass failed"
+        complete=yes
+        for seed in 7 11; do
+            for side in base head; do
+                traced "$side" "$workload" "$seed" ||
+                    echo "  $workload: the $side traced pass at seed $seed failed"
+                [ -f "$work/traced/$side/$workload.seed$seed.trace.json" ] || complete=no
+            done
         done
-        b_file="$base_traced/$workload.seed7.trace.json"
-        h_file="$head_traced/$workload.seed7.trace.json"
-        if [ ! -f "$b_file" ] || [ ! -f "$h_file" ]; then
+        if [ "$complete" = no ]; then
             continue
         fi
         for row in $layers; do
-            awk -v w="$workload" -v r="$row" -v b="$(value "$b_file" "$row")" \
-                -v h="$(value "$h_file" "$row")" 'BEGIN {
-                if (b + 0 == 0 && h + 0 == 0) exit
-                d = (b + 0 == 0) ? "n/a" : sprintf("%+.1f", (h - b) / b * 100)
-                printf "  %-18s %-40s %12.5g %12.5g %9s\n", w, r, b, h, d }'
+            awk -v w="$workload" -v r="$row" -v b7="$(at base 7)" -v h7="$(at head 7)" \
+                -v b11="$(at base 11)" -v h11="$(at head 11)" '
+                function pct(b, h) { return (b + 0 == 0) ? "n/a" : sprintf("%+.1f", (h - b) / b * 100) }
+                BEGIN {
+                if (b7 + 0 == 0 && h7 + 0 == 0 && b11 + 0 == 0 && h11 + 0 == 0) exit
+                printf "  %-18s %-40s %12.5g %12.5g %7s %12.5g %12.5g %7s\n",
+                    w, r, b7, h7, pct(b7, h7), b11, h11, pct(b11, h11) }'
         done
     done
 fi
