@@ -132,8 +132,19 @@ impl<'g> DispatchTables<'g> {
         task: Task<'_>,
         device: DeviceId,
     ) -> Duration {
+        Duration::new(self.compute_seconds(machine, task, device))
+    }
+
+    /// [`compute_time`](Self::compute_time) as a bare `f64`, which may
+    /// overflow to infinity.
+    pub(crate) fn compute_seconds(
+        &self,
+        machine: &SimMachine,
+        task: Task<'_>,
+        device: DeviceId,
+    ) -> f64 {
         let speedup = self.variants[task.codelet][device.0].expect("eligible device has a variant");
-        Duration::new(task.flops / (machine.devices[device.0].flops_dp * speedup))
+        task.flops / (machine.devices[device.0].flops_dp * speedup)
     }
 }
 
@@ -320,7 +331,8 @@ mod tests {
 
     /// The graph's two factors of the same division — a variant's speedup
     /// and a task's FLOP count — are refused the same way, naming the
-    /// codelet and variant architecture, or the task.
+    /// codelet and variant architecture, or the task; so is a task whose
+    /// usable factors divide to an infinite time, naming it and the PU.
     #[test]
     fn a_graph_without_a_usable_rate_is_an_error_in_both_engines() {
         let machine = SimMachine::from_platform(&pdl_discover::synthetic::xeon_2gpu_testbed());
@@ -336,37 +348,40 @@ mod tests {
             g.submit(c, "t1", flops, [], None);
             g
         };
+        let unusable = |origin: &str, value: f64| RtError::UnusableWork {
+            origin: origin.into(),
+            value,
+        };
         let mut cases = Vec::new();
         for speedup in [0.0, -2.0, f64::NAN, f64::INFINITY] {
-            cases.push((
-                graph(speedup, 1e9),
-                "codelet \"k\", variant \"gpu\"",
-                speedup,
-            ));
+            let origin = "codelet \"k\", variant \"gpu\"";
+            cases.push((graph(speedup, 1e9), origin, unusable(origin, speedup)));
         }
         for flops in [-1.0, f64::NAN, f64::INFINITY] {
-            cases.push((graph(1.0, flops), "task t1", flops));
+            cases.push((graph(1.0, flops), "task t1", unusable("task t1", flops)));
         }
-        for (g, origin, value) in cases {
+        // 1e300 FLOPs at a 1e-300 speedup overflow on every GPU; the first
+        // is named.
+        let gpu = machine.devices.iter().find(|d| d.arch == "gpu").unwrap();
+        let overflow = RtError::UnusableComputeTime {
+            task: TaskId(1),
+            pu_id: gpu.pu_id.clone(),
+        };
+        cases.push((graph(1e-300, 1e300), "task t1", overflow));
+        for (g, origin, expected) in cases {
             let list = simulate(&g, &machine, &mut HeftScheduler, &options).unwrap_err();
             let online = simulate_dynamic(&g, &machine, &mut HeftScheduler, &options).unwrap_err();
             // A NaN field is unequal to itself; its `Debug` form is not.
-            let expected = RtError::UnusableWork {
-                origin: origin.into(),
-                value,
-            };
             assert_eq!(format!("{list:?}"), format!("{expected:?}"));
             assert_eq!(format!("{online:?}"), format!("{expected:?}"));
             assert!(list.to_string().starts_with(origin), "{list}");
         }
-        // A zero-FLOP task and a huge speedup are still fine.
-        assert!(simulate(
-            &graph(f64::MAX, 0.0),
-            &machine,
-            &mut HeftScheduler,
-            &options
-        )
-        .is_ok());
+        // A zero-FLOP task, a huge speedup and a long finite time are fine.
+        for (speedup, flops) in [(f64::MAX, 0.0), (1e-300, 1e9)] {
+            let g = graph(speedup, flops);
+            assert!(simulate(&g, &machine, &mut HeftScheduler, &options).is_ok());
+            assert!(simulate_dynamic(&g, &machine, &mut HeftScheduler, &options).is_ok());
+        }
     }
 
     /// The routes of `tests/sim_golden.rs`'s `route_class_machine`: `cpu0`

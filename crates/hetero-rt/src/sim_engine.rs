@@ -138,6 +138,14 @@ pub enum RtError {
         /// The speedup or FLOP count it gives.
         value: f64,
     },
+    /// A task's FLOP count over an eligible device's rate × its variant's
+    /// speedup is not a finite time, though each factor is usable.
+    UnusableComputeTime {
+        /// The task.
+        task: TaskId,
+        /// The PU of the device it would run on.
+        pu_id: String,
+    },
 }
 
 impl fmt::Display for RtError {
@@ -162,6 +170,10 @@ impl fmt::Display for RtError {
             RtError::UnusableWork { origin, value } => write!(
                 f,
                 "{origin} gives {value} — a speedup must be positive and a FLOP count non-negative, both finite"
+            ),
+            RtError::UnusableComputeTime { task, pu_id } => write!(
+                f,
+                "task {task} has no finite compute time on PU {pu_id:?} — FLOPs / (rate × speedup) must be finite"
             ),
         }
     }

@@ -235,23 +235,46 @@ impl<'a> SimRun<'a> {
             });
         }
         // The graph gives the other two factors of that division.
-        let bad_variant = (graph.codelets.iter())
+        if let Some((c, v)) = (graph.codelets.iter())
             .flat_map(|c| c.variants.iter().map(move |v| (c, v)))
             .find(|(_, v)| !(v.speedup.is_finite() && v.speedup > 0.0))
-            .map(|(c, v)| {
-                (
-                    format!("codelet {:?}, variant {:?}", c.name, v.arch),
-                    v.speedup,
-                )
+        {
+            return Err(RtError::UnusableWork {
+                origin: format!("codelet {:?}, variant {:?}", c.name, v.arch),
+                value: v.speedup,
             });
-        let bad_task = (graph.tasks())
-            .find(|t| !(t.flops.is_finite() && t.flops >= 0.0))
-            .map(|t| (format!("task {}", t.id), t.flops));
-        if let Some((origin, value)) = bad_variant.or(bad_task) {
-            return Err(RtError::UnusableWork { origin, value });
+        }
+        // Usable factors may still divide to infinity. Per (codelet,
+        // execution group) pair, the largest task has the longest time on
+        // every device the pair may use, so it alone is checked.
+        let slots = graph.groups().len() + 1;
+        let mut largest: Vec<Option<(TaskId, f64)>> = vec![None; graph.codelets.len() * slots];
+        for t in graph.tasks() {
+            if !(t.flops.is_finite() && t.flops >= 0.0) {
+                return Err(RtError::UnusableWork {
+                    origin: format!("task {}", t.id),
+                    value: t.flops,
+                });
+            }
+            let slot = graph.group_index(t.id).map_or(0, |g| g + 1);
+            let pair = &mut largest[t.codelet * slots + slot];
+            if pair.is_none_or(|(_, flops)| flops < t.flops) {
+                *pair = Some((t.id, t.flops));
+            }
         }
         let data = graph.data.clone();
         let tables = DispatchTables::new(graph, machine, options.pipeline.routing());
+        for (id, _) in largest.into_iter().flatten() {
+            let t = graph.task(id);
+            for &d in tables.devices(tables.class_of(t)) {
+                if !tables.compute_seconds(machine, t, d).is_finite() {
+                    return Err(RtError::UnusableComputeTime {
+                        task: t.id,
+                        pu_id: machine.devices[d.0].pu_id.clone(),
+                    });
+                }
+            }
+        }
         // A compute span per task, and an `:in` span on the synchronous path
         // if a task may run outside host memory: regrowing a large vector, or
         // reserving one twice too big, moves glibc's mmap threshold and RSS.

@@ -16,10 +16,11 @@
 //! * **A005 lossy trace window** — a worker's ring overflowed, so any
 //!   analysis of that lane only covers the retained suffix.
 //!
-//! Every threshold is configurable per check through [`AnomalyConfig`];
-//! every finding carries a span into the trace timeline
-//! ([`Anomaly::start_ns`] / [`Anomaly::end_ns`]) so it can be projected
-//! onto the same axis as the Chrome export or the critical-path profile.
+//! Each check's thresholds are constants, the values the CLI and the
+//! fixture corpus are calibrated against. Every finding carries a span
+//! into the trace timeline ([`Anomaly::start_ns`] / [`Anomaly::end_ns`])
+//! so it can be projected onto the same axis as the Chrome export or the
+//! critical-path profile.
 //! Detection is intentionally tolerant of lossy traces: A005 reports the
 //! loss, and the remaining checks run over the retained events.
 
@@ -28,41 +29,23 @@ use crate::profile::{link_base, LaneInfo, Lanes};
 use crate::trace::RunTrace;
 use std::collections::BTreeMap;
 
-/// Per-check detection thresholds. [`AnomalyConfig::default`] gives the
-/// values the CLI and the fixture corpus are calibrated against.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AnomalyConfig {
-    /// A001: a lane is a straggler when it finishes more than this
-    /// fraction of the run window after its group's median lane.
-    pub straggler_tail_fraction: f64,
-    /// A002: flag a group when its busiest lane carries at least this
-    /// multiple of the group's mean per-lane busy time…
-    pub imbalance_factor: f64,
-    /// A002: …and the busiest-to-idlest spread is at least this fraction
-    /// of the run window (filters out noise on tiny runs).
-    pub imbalance_min_spread_fraction: f64,
-    /// A003: flag a group when at least this fraction of its dequeues
-    /// were steals…
-    pub steal_ratio: f64,
-    /// A003: …and the group dequeued at least this many tasks.
-    pub steal_min_dequeues: u64,
-    /// A004: flag a link when its busy time covers at least this
-    /// fraction of the run window.
-    pub link_busy_fraction: f64,
-}
-
-impl Default for AnomalyConfig {
-    fn default() -> Self {
-        AnomalyConfig {
-            straggler_tail_fraction: 0.25,
-            imbalance_factor: 2.0,
-            imbalance_min_spread_fraction: 0.10,
-            steal_ratio: 0.5,
-            steal_min_dequeues: 16,
-            link_busy_fraction: 0.9,
-        }
-    }
-}
+/// A001: a lane is a straggler when it finishes at least this fraction of
+/// the run window after its group's median lane.
+const STRAGGLER_TAIL_FRACTION: f64 = 0.25;
+/// A002: flag a group when its busiest lane carries at least this multiple
+/// of the group's mean per-lane busy time…
+const IMBALANCE_FACTOR: f64 = 2.0;
+/// A002: …and the busiest-to-idlest spread is at least this fraction of
+/// the run window (filters out noise on tiny runs).
+const IMBALANCE_MIN_SPREAD_FRACTION: f64 = 0.10;
+/// A003: flag a group when at least this fraction of its dequeues were
+/// steals…
+const STEAL_RATIO: f64 = 0.5;
+/// A003: …and the group dequeued at least this many tasks.
+const STEAL_MIN_DEQUEUES: u64 = 16;
+/// A004: flag a link when its busy time covers at least this fraction of
+/// the run window.
+const LINK_BUSY_FRACTION: f64 = 0.9;
 
 /// One detected anomaly, with a stable code and a timeline span.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -100,9 +83,9 @@ impl Default for LaneAgg {
     }
 }
 
-/// Scans `trace` for the A-series pathologies under `config`. Findings
-/// come back sorted by (code, subject) for deterministic reporting.
-pub fn detect(trace: &RunTrace, config: &AnomalyConfig) -> Vec<Anomaly> {
+/// Scans `trace` for the A-series pathologies. Findings come back sorted
+/// by (code, subject) for deterministic reporting.
+pub fn detect(trace: &RunTrace) -> Vec<Anomaly> {
     let lanes = Lanes::of(trace);
     let spans = trace.task_spans();
     let makespan = spans.iter().map(|s| s.end).max().unwrap_or(0);
@@ -135,10 +118,10 @@ pub fn detect(trace: &RunTrace, config: &AnomalyConfig) -> Vec<Anomaly> {
     let mut out = Vec::new();
     detect_lossy(trace, &lanes, start_ns, makespan, &mut out);
     if window > 0 {
-        detect_stragglers(config, &lanes.infos, &agg, &groups, window, &mut out);
-        detect_imbalance(config, &lanes.infos, &agg, &groups, window, &mut out);
-        detect_steal_storms(trace, config, &lanes, &mut out);
-        detect_saturated_links(config, &lanes.infos, &agg, window, &mut out);
+        detect_stragglers(&lanes.infos, &agg, &groups, window, &mut out);
+        detect_imbalance(&lanes.infos, &agg, &groups, window, &mut out);
+        detect_steal_storms(trace, &lanes, &mut out);
+        detect_saturated_links(&lanes.infos, &agg, window, &mut out);
     }
     out.sort_by(|a, b| (a.code, &a.subject).cmp(&(b.code, &b.subject)));
     out
@@ -174,7 +157,6 @@ fn detect_lossy(
 
 /// A001: one lane of a group finishes far later than the group median.
 fn detect_stragglers(
-    config: &AnomalyConfig,
     lanes: &[LaneInfo],
     agg: &[LaneAgg],
     groups: &BTreeMap<&str, Vec<usize>>,
@@ -193,7 +175,7 @@ fn detect_stragglers(
         let mut ends: Vec<u64> = active.iter().map(|&i| agg[i].last).collect();
         ends.sort_unstable();
         let median = ends[(ends.len() - 1) / 2];
-        let threshold = ((config.straggler_tail_fraction * window as f64) as u64).max(1);
+        let threshold = ((STRAGGLER_TAIL_FRACTION * window as f64) as u64).max(1);
         for &i in &active {
             let tail = agg[i].last.saturating_sub(median);
             if tail >= threshold {
@@ -217,7 +199,6 @@ fn detect_stragglers(
 
 /// A002: one lane of a group does a large multiple of the mean work.
 fn detect_imbalance(
-    config: &AnomalyConfig,
     lanes: &[LaneInfo],
     agg: &[LaneAgg],
     groups: &BTreeMap<&str, Vec<usize>>,
@@ -240,8 +221,8 @@ fn detect_imbalance(
         let min_busy = members.iter().map(|&i| agg[i].busy).min().unwrap_or(0);
         let mean = total as f64 / members.len() as f64;
         let spread = max_busy - min_busy;
-        if max_busy as f64 >= config.imbalance_factor * mean
-            && spread as f64 >= config.imbalance_min_spread_fraction * window as f64
+        if max_busy as f64 >= IMBALANCE_FACTOR * mean
+            && spread as f64 >= IMBALANCE_MIN_SPREAD_FRACTION * window as f64
         {
             out.push(Anomaly {
                 code: "A002",
@@ -260,12 +241,7 @@ fn detect_imbalance(
 }
 
 /// A003: a group obtains most of its work by stealing.
-fn detect_steal_storms(
-    trace: &RunTrace,
-    config: &AnomalyConfig,
-    lanes: &Lanes,
-    out: &mut Vec<Anomaly>,
-) {
+fn detect_steal_storms(trace: &RunTrace, lanes: &Lanes, out: &mut Vec<Anomaly>) {
     #[derive(Default)]
     struct StealAgg {
         dequeues: u64,
@@ -294,11 +270,11 @@ fn detect_steal_storms(
         }
     }
     for (group, a) in per_group {
-        if a.dequeues < config.steal_min_dequeues || a.steals == 0 {
+        if a.dequeues < STEAL_MIN_DEQUEUES || a.steals == 0 {
             continue;
         }
         let ratio = a.steals as f64 / a.dequeues as f64;
-        if ratio >= config.steal_ratio {
+        if ratio >= STEAL_RATIO {
             out.push(Anomaly {
                 code: "A003",
                 subject: group.to_string(),
@@ -318,7 +294,6 @@ fn detect_steal_storms(
 
 /// A004: a link's busy time covers almost the whole run window.
 fn detect_saturated_links(
-    config: &AnomalyConfig,
     lanes: &[LaneInfo],
     agg: &[LaneAgg],
     window: u64,
@@ -345,7 +320,7 @@ fn detect_saturated_links(
     }
     for (link, a) in per_link {
         let utilization = a.busy as f64 / window as f64;
-        if utilization >= config.link_busy_fraction {
+        if utilization >= LINK_BUSY_FRACTION {
             out.push(Anomaly {
                 code: "A004",
                 subject: link.to_string(),
@@ -405,11 +380,10 @@ mod tests {
         anomalies.iter().map(|a| a.code).collect()
     }
 
-    #[test]
-    fn straggler_lane_is_a001() {
-        // Three cpu lanes with equal busy time, but cpu2's work ends at
-        // 2000 while the median lane ends at 1000.
-        let trace = RunTrace {
+    /// Three cpu lanes; cpu0 and cpu1 end at 1000, cpu2's work ends at
+    /// `end`, which is also the run window.
+    fn straggler_trace(end: u64) -> RunTrace {
+        RunTrace {
             meta: TraceMeta {
                 platform: None,
                 lanes: vec![
@@ -426,16 +400,29 @@ mod tests {
                 worker(1, span_events(1, 0, 1000)),
                 worker(2, {
                     let mut e = span_events(2, 0, 500);
-                    e.extend(span_events(3, 1500, 2000));
+                    e.extend(span_events(3, end - 500, end));
                     e
                 }),
             ],
-        };
-        let found = detect(&trace, &AnomalyConfig::default());
+        }
+    }
+
+    #[test]
+    fn straggler_lane_is_a001() {
+        // cpu2 ends at 2000 while the median lane ends at 1000.
+        let found = detect(&straggler_trace(2000));
         assert_eq!(codes(&found), ["A001"]);
         assert_eq!(found[0].subject, "cpu2");
         assert_eq!(found[0].start_ns, 1000);
         assert_eq!(found[0].end_ns, 2000);
+    }
+
+    #[test]
+    fn straggler_tail_at_the_fraction_is_a001() {
+        // A 1333 ns window puts the 25 % threshold at 333 ns: a 333 ns
+        // tail fires, a 332 ns tail in a 1332 ns window does not.
+        assert_eq!(codes(&detect(&straggler_trace(1333))), ["A001"]);
+        assert!(detect(&straggler_trace(1332)).is_empty());
     }
 
     #[test]
@@ -452,7 +439,7 @@ mod tests {
             prelude: vec![ev(0, EventKind::TaskReady { task: 0 })].into(),
             workers: vec![worker(0, span_events(0, 0, 900)), worker(1, Vec::new())],
         };
-        let found = detect(&imbalanced, &AnomalyConfig::default());
+        let found = detect(&imbalanced);
         assert_eq!(codes(&found), ["A002"]);
         assert_eq!(found[0].subject, "cpus");
 
@@ -470,7 +457,7 @@ mod tests {
                 worker(1, span_events(1, 0, 880)),
             ],
         };
-        assert!(detect(&balanced, &AnomalyConfig::default()).is_empty());
+        assert!(detect(&balanced).is_empty());
     }
 
     #[test]
@@ -487,18 +474,17 @@ mod tests {
             prelude: vec![ev(0, EventKind::TaskReady { task: 0 })].into(),
             workers: vec![worker(0, span_events(0, 960, 1000)), worker(1, Vec::new())],
         };
-        assert!(detect(&trace, &AnomalyConfig::default()).is_empty());
-        // A floor at exactly the spread lets the factor decide.
-        let low_floor = AnomalyConfig {
-            imbalance_min_spread_fraction: 0.04,
-            ..AnomalyConfig::default()
+        assert!(detect(&trace).is_empty());
+        // A 100 ns spread is exactly the 10 % floor: the factor decides.
+        let at_floor = RunTrace {
+            workers: vec![worker(0, span_events(0, 900, 1000)), worker(1, Vec::new())],
+            ..trace
         };
-        assert_eq!(codes(&detect(&trace, &low_floor)), ["A002"]);
+        assert_eq!(codes(&detect(&at_floor)), ["A002"]);
     }
 
-    #[test]
-    fn steal_heavy_group_is_a003() {
-        let n = 20u32;
+    /// One cpu lane dequeuing `n` tasks, every other one by steal.
+    fn steal_trace(n: u32) -> RunTrace {
         let mut events = Vec::new();
         for t in 0..n {
             let prov = if t % 2 == 0 {
@@ -520,7 +506,7 @@ mod tests {
             events.push(ev(ts, EventKind::TaskStart { task: t }));
             events.push(ev(ts + 5, EventKind::TaskEnd { task: t }));
         }
-        let trace = RunTrace {
+        RunTrace {
             meta: TraceMeta {
                 platform: None,
                 lanes: vec![lane_label("cpu0", "cpus")],
@@ -529,16 +515,17 @@ mod tests {
             },
             prelude: Default::default(),
             workers: vec![worker(0, events)],
-        };
-        let found = detect(&trace, &AnomalyConfig::default());
+        }
+    }
+
+    #[test]
+    fn steal_heavy_group_is_a003() {
+        let found = detect(&steal_trace(20));
         assert_eq!(codes(&found), ["A003"]);
         assert_eq!(found[0].subject, "cpus");
-        // Raising the minimum dequeue count silences the check.
-        let strict = AnomalyConfig {
-            steal_min_dequeues: 1000,
-            ..AnomalyConfig::default()
-        };
-        assert!(detect(&trace, &strict).is_empty());
+        // 16 dequeues is the minimum; 15 (8 of them steals) is too few.
+        assert_eq!(codes(&detect(&steal_trace(16))), ["A003"]);
+        assert!(detect(&steal_trace(15)).is_empty());
     }
 
     #[test]
@@ -563,17 +550,21 @@ mod tests {
                 worker(2, span_events(2, 250, 600)),
             ],
         };
-        let found = detect(&trace, &AnomalyConfig::default());
+        let found = detect(&trace);
         assert_eq!(codes(&found), ["A004"]);
         assert_eq!(found[0].subject, "PCIe:host-gpu0");
         assert_eq!(found[0].start_ns, 0);
         assert_eq!(found[0].end_ns, 600);
-        // A lazier link stays clean.
-        let relaxed = AnomalyConfig {
-            link_busy_fraction: 0.96,
-            ..AnomalyConfig::default()
+        // A link busy 899 of the 1000 ns, just under 90 %, stays clean.
+        let lazier = RunTrace {
+            workers: vec![
+                worker(0, span_events(0, 600, 1000)),
+                worker(1, span_events(1, 0, 600)),
+                worker(2, span_events(2, 301, 600)),
+            ],
+            ..trace
         };
-        assert!(detect(&trace, &relaxed).is_empty());
+        assert!(detect(&lazier).is_empty());
     }
 
     #[test]
@@ -596,8 +587,8 @@ mod tests {
                 worker(1, span_events(1, 0, 9)),
             ],
         };
-        assert_eq!(AnomalyConfig::default().link_busy_fraction, 9.0 / 10.0);
-        let found = detect(&trace, &AnomalyConfig::default());
+        assert_eq!(LINK_BUSY_FRACTION, 9.0 / 10.0);
+        let found = detect(&trace);
         assert_eq!(codes(&found), ["A004"]);
         assert_eq!(found[0].subject, "PCIe:host-gpu0");
     }
@@ -618,7 +609,7 @@ mod tests {
                 overwritten: 42,
             }],
         };
-        let found = detect(&trace, &AnomalyConfig::default());
+        let found = detect(&trace);
         assert_eq!(codes(&found), ["A005"]);
         assert_eq!(found[0].subject, "cpu0");
         assert!(found[0].message.contains("42 events"));
@@ -642,8 +633,8 @@ mod tests {
                 worker(1, span_events(1, 10, 990)),
             ],
         };
-        assert!(detect(&trace, &AnomalyConfig::default()).is_empty());
+        assert!(detect(&trace).is_empty());
         // Empty traces are vacuously clean too.
-        assert!(detect(&RunTrace::default(), &AnomalyConfig::default()).is_empty());
+        assert!(detect(&RunTrace::default()).is_empty());
     }
 }

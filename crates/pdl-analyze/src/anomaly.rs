@@ -21,21 +21,13 @@
 //! diagnostic carries the anomaly's timeline span as a note so it can be
 //! correlated with the Chrome export or the critical-path profile.
 
-use hetero_trace::anomaly::{detect, Anomaly, AnomalyConfig};
+use hetero_trace::anomaly::{detect, Anomaly};
 use hetero_trace::RunTrace;
 use pdl_core::diag::{Diagnostic, Report};
 
-/// Runs the A-series anomaly detectors with default thresholds.
+/// Runs the A-series anomaly detectors.
 pub fn check_trace_anomalies(trace: &RunTrace) -> Report {
-    check_trace_anomalies_with(trace, &AnomalyConfig::default())
-}
-
-/// Runs the A-series anomaly detectors with caller-supplied thresholds.
-pub fn check_trace_anomalies_with(trace: &RunTrace, config: &AnomalyConfig) -> Report {
-    let mut report: Report = detect(trace, config)
-        .into_iter()
-        .map(to_diagnostic)
-        .collect();
+    let mut report: Report = detect(trace).into_iter().map(to_diagnostic).collect();
     report.sort();
     report
 }
@@ -77,9 +69,9 @@ mod tests {
         tasks
     }
 
-    #[test]
-    fn straggler_trace_reports_a001() {
-        let trace = RunTrace {
+    /// cpu0 and cpu1 end at 1000; cpu2's last task ends at `end`.
+    fn straggler_trace(end: u64) -> RunTrace {
+        RunTrace {
             meta: TraceMeta {
                 platform: None,
                 lanes: vec![
@@ -106,14 +98,18 @@ mod tests {
                     worker: 2,
                     events: {
                         let mut e = span(2, 0, 500);
-                        e.extend(span(3, 1500, 2000));
+                        e.extend(span(3, end - 500, end));
                         e.into()
                     },
                     overwritten: 0,
                 },
             ],
-        };
-        let report = check_trace_anomalies(&trace);
+        }
+    }
+
+    #[test]
+    fn straggler_trace_reports_a001() {
+        let report = check_trace_anomalies(&straggler_trace(2000));
         assert_eq!(report.codes(), ["A001"]);
         let rendered = report.render();
         assert!(rendered.contains("cpu2"), "{rendered}");
@@ -121,12 +117,8 @@ mod tests {
             rendered.contains("trace window [1000, 2000] ns"),
             "{rendered}"
         );
-        // A permissive config silences the finding.
-        let relaxed = AnomalyConfig {
-            straggler_tail_fraction: 0.9,
-            ..AnomalyConfig::default()
-        };
-        assert!(check_trace_anomalies_with(&trace, &relaxed).is_empty());
+        // A 300 ns tail is under 25 % of the 1300 ns window: no finding.
+        assert!(check_trace_anomalies(&straggler_trace(1300)).is_empty());
     }
 
     #[test]

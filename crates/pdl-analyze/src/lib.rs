@@ -42,7 +42,7 @@ pub mod trace;
 
 pub use pdl_core::diag::{Diagnostic, Report, Severity, Span};
 
-pub use anomaly::{check_trace_anomalies, check_trace_anomalies_with};
+pub use anomaly::check_trace_anomalies;
 pub use model::{bounded_configs, check_configs, model_check_json, violation_to_diagnostic};
 pub use platform::{analyze_pinned, analyze_platform, analyze_platform_source};
 pub use program::{analyze_program, analyze_program_source};

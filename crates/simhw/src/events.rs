@@ -2,21 +2,19 @@
 //!
 //! Events fire in time order; ties break by insertion sequence, so
 //! simulations are reproducible regardless of payload type. Used by the
-//! event-driven runtime engine (`hetero-rt`'s dynamic engine) and available
-//! for any future simulator component.
+//! event-driven runtime engine (`hetero-rt`'s dynamic engine).
 //!
-//! [`EventQueue`] is a *calendar queue* (Brown 1988): fire times hash into
-//! fixed-width buckets, so enqueue and dequeue are O(1) amortized instead
-//! of the O(log n) of a binary heap. Bucket count and bucket width resize
-//! automatically as the population grows, shrinks, or drifts. The
-//! `BinaryHeap` queue it replaced — same API, same observable order — is
-//! `HeapEventQueue` in `tests/calendar_queue.rs`, the reference those
-//! differential tests hold this queue to.
+//! [`EventQueue`] is a binary min-heap keyed by `(time, sequence)`. Online
+//! dispatch binds a task only to an idle device, so the engine holds about
+//! one pending completion per device: at most 64 on the 384-device
+//! many-core testbed, where O(log n) is a handful of comparisons.
 
 use crate::time::SimTime;
-use std::collections::VecDeque;
+use std::cmp::{Ordering, Reverse};
+use std::collections::BinaryHeap;
 
-/// A pending event: fire time + stable sequence number + payload.
+/// A pending event: fire time + stable sequence number + payload, ordered
+/// by the first two.
 #[derive(Debug, Clone)]
 struct Entry<E> {
     at: SimTime,
@@ -24,56 +22,40 @@ struct Entry<E> {
     payload: E,
 }
 
-/// Smallest bucket count the calendar ever uses.
-const MIN_BUCKETS: usize = 16;
-/// Consecutive linear-search fallbacks tolerated before the calendar
-/// re-derives its bucket width from the live population.
-const STALE_LIMIT: u32 = 8;
+impl<E> PartialEq for Entry<E> {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
 
-/// A time-ordered event queue with deterministic tie-breaking, backed by a
-/// calendar of time buckets.
-///
-/// Fire times map to buckets via `floor(at / width) mod nbuckets`; each
-/// bucket keeps its events sorted by `(time, seq)` so the front is the
-/// bucket minimum. Dequeue walks virtual buckets forward from the current
-/// clock, which visits at most one bucket per *occupied* time slice —
-/// O(1) amortized when the width matches the event spacing. The calendar
-/// rebuilds (new bucket count and width) when the population doubles or
-/// quarters, and re-derives the width when too many dequeues in a row had
-/// to fall back to a full scan because the spacing drifted.
+impl<E> Eq for Entry<E> {}
+
+impl<E> PartialOrd for Entry<E> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl<E> Ord for Entry<E> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        (self.at, self.seq).cmp(&(other.at, other.seq))
+    }
+}
+
+/// A time-ordered event queue with deterministic tie-breaking.
 #[derive(Debug, Clone)]
 pub struct EventQueue<E> {
-    buckets: Vec<VecDeque<Entry<E>>>,
-    /// `buckets.len() - 1`; bucket count is always a power of two.
-    mask: u64,
-    /// Bucket width in seconds; strictly positive and finite.
-    width: f64,
-    /// Cached `1.0 / width`: `vb_of` runs on every schedule and every
-    /// dequeue-scan probe, and an f64 multiply is several times cheaper
-    /// than the divide it replaces.
-    inv_width: f64,
-    len: usize,
+    heap: BinaryHeap<Reverse<Entry<E>>>,
     seq: u64,
     now: SimTime,
-    /// Virtual bucket (`floor(t / width)`, un-masked) where the next
-    /// dequeue scan resumes. Invariant: `cursor <= vb(min pending time)`.
-    cursor: u64,
-    /// Consecutive dequeues that needed the linear fallback.
-    stale: u32,
 }
 
 impl<E> Default for EventQueue<E> {
     fn default() -> Self {
         EventQueue {
-            buckets: (0..MIN_BUCKETS).map(|_| VecDeque::new()).collect(),
-            mask: (MIN_BUCKETS - 1) as u64,
-            width: 1.0,
-            inv_width: 1.0,
-            len: 0,
+            heap: BinaryHeap::new(),
             seq: 0,
             now: SimTime::ZERO,
-            cursor: 0,
-            stale: 0,
         }
     }
 }
@@ -89,36 +71,6 @@ impl<E> EventQueue<E> {
         self.now
     }
 
-    /// Virtual (un-masked) bucket index of a fire time.
-    fn vb_of(&self, t: SimTime) -> u64 {
-        let q = t.seconds() * self.inv_width;
-        // Absurdly distant times saturate; the dequeue scan's equality
-        // check then routes them through the linear fallback, which stays
-        // correct (just slower) for such outliers.
-        if q >= u64::MAX as f64 {
-            u64::MAX
-        } else {
-            q as u64
-        }
-    }
-
-    /// Inserts into a bucket, keeping it sorted ascending by `(at, seq)`.
-    ///
-    /// New events carry the largest sequence number so far, so anything
-    /// scheduled at or after the bucket's current tail is a pure
-    /// `push_back` — including floods of simultaneous events.
-    fn bucket_insert(bucket: &mut VecDeque<Entry<E>>, e: Entry<E>) {
-        let in_order = bucket
-            .back()
-            .is_none_or(|last| (last.at, last.seq) <= (e.at, e.seq));
-        if in_order {
-            bucket.push_back(e);
-        } else {
-            let pos = bucket.partition_point(|x| (x.at, x.seq) < (e.at, e.seq));
-            bucket.insert(pos, e);
-        }
-    }
-
     /// Schedules `payload` to fire at `at`.
     ///
     /// # Panics
@@ -130,139 +82,29 @@ impl<E> EventQueue<E> {
             "cannot schedule into the past: {at} < now {}",
             self.now
         );
-        let e = Entry {
+        self.heap.push(Reverse(Entry {
             at,
             seq: self.seq,
             payload,
-        };
+        }));
         self.seq += 1;
-        let idx = (self.vb_of(at) & self.mask) as usize;
-        Self::bucket_insert(&mut self.buckets[idx], e);
-        self.len += 1;
-        if self.len > self.buckets.len() * 2 {
-            self.rebuild();
-        }
-    }
-
-    /// Finds the bucket holding the globally minimal `(at, seq)` entry.
-    ///
-    /// Returns `(bucket index, needed linear fallback)`. The forward scan
-    /// visits virtual buckets starting at `cursor`; because every pending
-    /// event's virtual bucket is `>= cursor`, the first bucket whose front
-    /// belongs to the scanned time slice holds the global minimum. If a
-    /// whole calendar "year" is empty (sparse far-future events), fall
-    /// back to comparing all bucket fronts.
-    fn locate_min(&self) -> Option<(usize, bool)> {
-        if self.len == 0 {
-            return None;
-        }
-        let mut vb = self.cursor;
-        for _ in 0..self.buckets.len() {
-            let idx = (vb & self.mask) as usize;
-            if let Some(front) = self.buckets[idx].front() {
-                if self.vb_of(front.at) == vb {
-                    return Some((idx, false));
-                }
-            }
-            vb = vb.wrapping_add(1);
-        }
-        let mut best: Option<usize> = None;
-        for (i, b) in self.buckets.iter().enumerate() {
-            if let Some(f) = b.front() {
-                let better = match best {
-                    None => true,
-                    Some(j) => {
-                        let g = self.buckets[j].front().expect("best bucket is non-empty");
-                        (f.at, f.seq) < (g.at, g.seq)
-                    }
-                };
-                if better {
-                    best = Some(i);
-                }
-            }
-        }
-        best.map(|i| (i, true))
     }
 
     /// Pops the next event, advancing the clock to its fire time.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let (idx, fell_back) = self.locate_min()?;
-        let e = self.buckets[idx]
-            .pop_front()
-            .expect("located bucket is non-empty");
-        self.len -= 1;
+        let Reverse(e) = self.heap.pop()?;
         self.now = e.at;
-        self.cursor = self.vb_of(e.at);
-        if fell_back {
-            self.stale += 1;
-        } else {
-            self.stale = 0;
-        }
-        // Adapt: shrink when mostly drained, or re-derive the width when
-        // the spacing has drifted so far that scans keep missing.
-        if (self.buckets.len() > MIN_BUCKETS && self.len * 4 < self.buckets.len())
-            || self.stale >= STALE_LIMIT
-        {
-            self.rebuild();
-        }
         Some((e.at, e.payload))
-    }
-
-    /// Fire time of the next event, without popping.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.locate_min().map(|(i, _)| {
-            self.buckets[i]
-                .front()
-                .expect("located bucket is non-empty")
-                .at
-        })
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.len
+        self.heap.len()
     }
 
     /// Whether the queue is drained.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Re-sizes the calendar to match the live population and re-derives
-    /// the bucket width from the spread of pending fire times.
-    fn rebuild(&mut self) {
-        let n = self.len.next_power_of_two().max(MIN_BUCKETS);
-        let mut all: Vec<Entry<E>> = Vec::with_capacity(self.len);
-        for b in &mut self.buckets {
-            all.extend(b.drain(..));
-        }
-        let mut lo = f64::INFINITY;
-        let mut hi = f64::NEG_INFINITY;
-        for e in &all {
-            lo = lo.min(e.at.seconds());
-            hi = hi.max(e.at.seconds());
-        }
-        if all.len() >= 2 && hi > lo {
-            // Aim for ~3 average inter-event gaps per bucket, so one
-            // calendar year (nbuckets * width) covers the whole pending
-            // horizon. Floors keep `t / width` well inside u64 range.
-            self.width = (3.0 * (hi - lo) / all.len() as f64)
-                .max(hi / 1e12)
-                .max(1e-18);
-        } else if hi > 0.0 {
-            self.width = self.width.max(hi / 1e12);
-        }
-        self.inv_width = 1.0 / self.width;
-        if self.buckets.len() != n {
-            self.buckets = (0..n).map(|_| VecDeque::new()).collect();
-            self.mask = (n - 1) as u64;
-        }
-        self.cursor = self.vb_of(self.now);
-        self.stale = 0;
-        for e in all {
-            let idx = (self.vb_of(e.at) & self.mask) as usize;
-            Self::bucket_insert(&mut self.buckets[idx], e);
-        }
+        self.heap.is_empty()
     }
 }
 
@@ -317,15 +159,16 @@ mod tests {
     }
 
     #[test]
-    fn peek_and_len() {
+    fn len_and_is_empty() {
         let mut q: EventQueue<u32> = EventQueue::new();
         assert!(q.is_empty());
-        assert_eq!(q.peek_time(), None);
+        assert_eq!(q.pop(), None);
         q.schedule(t(2.0), 7);
         q.schedule(t(1.0), 8);
         assert_eq!(q.len(), 2);
-        assert_eq!(q.peek_time(), Some(t(1.0)));
         assert_eq!(q.pop(), Some((t(1.0), 8)));
+        assert_eq!(q.len(), 1);
+        assert!(!q.is_empty());
     }
 
     #[test]
@@ -373,8 +216,8 @@ mod tests {
 
     #[test]
     fn sparse_far_future_jumps() {
-        // Events separated by years of empty buckets exercise the linear
-        // fallback and the width re-derivation.
+        // Fire times a billion seconds apart, far beyond any simulated
+        // makespan, still pop in order and keep their exact values.
         let mut q = EventQueue::new();
         for i in 0..64u32 {
             q.schedule(t(f64::from(i) * 1e9), i);
@@ -386,6 +229,8 @@ mod tests {
 
     #[test]
     fn grow_and_shrink_roundtrip() {
+        // Fill to 50k pending events, far past any engine's population,
+        // then drain: the clock never runs backwards and nothing is lost.
         let mut rng = Lcg(42);
         let mut q = EventQueue::new();
         for i in 0..50_000u32 {

@@ -372,8 +372,6 @@ fn cmd_profile(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_perf_diff(args: &[String]) -> Result<(), String> {
-    use hetero_trace::anomaly::{detect, AnomalyConfig};
-
     let mut json_out: Option<String> = None;
     let mut files: Vec<String> = Vec::new();
     let mut it = args.iter();
@@ -397,7 +395,7 @@ fn cmd_perf_diff(args: &[String]) -> Result<(), String> {
     let diff = hetero_trace::diff::perf_diff(&base, &base_deps, &head, &head_deps)?;
 
     print!("{}", diff.render_table());
-    let anomalies = detect(&head, &AnomalyConfig::default());
+    let anomalies = hetero_trace::anomaly::detect(&head);
     if !anomalies.is_empty() {
         println!("head-run anomalies:");
         for a in &anomalies {

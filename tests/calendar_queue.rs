@@ -1,22 +1,22 @@
-//! Differential properties of the calendar-queue event queue.
+//! Differential properties of the sim core's event queue.
 //!
-//! The calendar [`EventQueue`] replaced the `BinaryHeap` queue as the sim
-//! core's virtual-time engine (the million-task throughput work); the heap
-//! implementation is kept below as [`HeapEventQueue`] precisely so these
-//! tests can hold the two against each other:
+//! [`EventQueue`] is held against [`Reference`], an ordered map keyed by
+//! `(time bits, sequence)` that shares no code with it: for non-negative
+//! finite `f64`s the IEEE 754 bit patterns order exactly as the values do,
+//! so draining the map from its first key gives the contract's order (time
+//! first, then insertion order) by construction.
 //!
 //! * **proptest** — on random schedules (including bursts of simultaneous
 //!   timestamps and interleaved schedule/pop sequences), both queues
 //!   dequeue the identical `(time, payload)` stream;
 //! * **hold model** — a long pop-one/schedule-one run with exponential
-//!   increments keeps agreeing step for step, exercising the calendar's
-//!   automatic rebuilds at a steady population.
+//!   increments keeps agreeing step for step at a steady population of
+//!   10k, far above what any engine holds.
 
 use proptest::prelude::*;
 use simhw::events::EventQueue;
 use simhw::SimTime;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::BTreeMap;
 
 /// One scripted operation against both queues.
 #[derive(Debug, Clone)]
@@ -42,31 +42,30 @@ proptest! {
     /// Identical dequeue order on arbitrary interleavings of schedules
     /// (many at equal timestamps) and pops.
     #[test]
-    fn calendar_matches_heap_on_random_streams(ops in proptest::collection::vec(arb_op(), 1..200)) {
-        let mut cal: EventQueue<u32> = EventQueue::new();
-        let mut heap: HeapEventQueue<u32> = HeapEventQueue::new();
+    fn queue_matches_reference_on_random_streams(ops in proptest::collection::vec(arb_op(), 1..200)) {
+        let mut queue: EventQueue<u32> = EventQueue::new();
+        let mut reference: Reference<u32> = Reference::default();
         let mut next_payload = 0u32;
         for op in &ops {
             match op {
                 Op::Schedule { delta_ns } => {
-                    let at = cal.now() + simhw::Duration::new(*delta_ns as f64 * 1e-9);
-                    prop_assert_eq!(cal.now(), heap.now());
-                    cal.schedule(at, next_payload);
-                    heap.schedule(at, next_payload);
+                    let at = queue.now() + simhw::Duration::new(*delta_ns as f64 * 1e-9);
+                    prop_assert_eq!(queue.now(), reference.now);
+                    queue.schedule(at, next_payload);
+                    reference.schedule(at, next_payload);
                     next_payload += 1;
                 }
                 Op::Pop => {
-                    prop_assert_eq!(cal.pop(), heap.pop());
+                    prop_assert_eq!(queue.pop(), reference.pop());
                 }
             }
-            prop_assert_eq!(cal.len(), heap.len());
-            prop_assert_eq!(cal.peek_time(), heap.peek_time());
+            prop_assert_eq!(queue.len(), reference.len());
         }
         // Drain: the remaining streams must agree to the end.
         loop {
-            let (c, h) = (cal.pop(), heap.pop());
-            prop_assert_eq!(c, h);
-            if c.is_none() {
+            let (q, r) = (queue.pop(), reference.pop());
+            prop_assert_eq!(q, r);
+            if q.is_none() {
                 break;
             }
         }
@@ -92,33 +91,34 @@ impl Rng {
 
 /// Steady-state hold run: grows to 10k pending events, then pops and
 /// reschedules 100k times with exponential increments. Step-for-step
-/// agreement across the calendar's bucket-width rebuilds.
+/// agreement while the heap reallocates on the way up and holds its size
+/// after.
 #[test]
 fn hold_model_agrees_across_rebuilds() {
-    let mut cal: EventQueue<u32> = EventQueue::new();
-    let mut heap: HeapEventQueue<u32> = HeapEventQueue::new();
+    let mut queue: EventQueue<u32> = EventQueue::new();
+    let mut reference: Reference<u32> = Reference::default();
     let mut rng = Rng(0xCA1E_4DA5);
     for i in 0..10_000u32 {
         let at = SimTime::new(1e-6 * -(1.0 - rng.unit_f64()).ln());
-        cal.schedule(at, i);
-        heap.schedule(at, i);
+        queue.schedule(at, i);
+        reference.schedule(at, i);
     }
     for _ in 0..100_000 {
-        let c = cal.pop().expect("population is constant");
-        let h = heap.pop().expect("population is constant");
-        assert_eq!(c, h);
-        let (at, payload) = c;
+        let q = queue.pop().expect("population is constant");
+        let r = reference.pop().expect("population is constant");
+        assert_eq!(q, r);
+        let (at, payload) = q;
         let next = at + simhw::Duration::new(1e-6 * -(1.0 - rng.unit_f64()).ln());
-        cal.schedule(next, payload);
-        heap.schedule(next, payload);
+        queue.schedule(next, payload);
+        reference.schedule(next, payload);
     }
-    assert_eq!(cal.len(), heap.len());
+    assert_eq!(queue.len(), reference.len());
 }
 
 #[test]
 #[should_panic(expected = "into the past")]
 fn heap_scheduling_into_the_past_panics() {
-    let mut q = HeapEventQueue::new();
+    let mut q = EventQueue::new();
     q.schedule(SimTime::new(5.0), ());
     q.pop();
     q.schedule(SimTime::new(1.0), ());
@@ -142,13 +142,13 @@ impl Lcg {
 }
 
 #[test]
-fn calendar_matches_heap_on_interleaved_streams() {
+fn queue_matches_reference_on_interleaved_streams() {
     // Random interleaving of bursts of schedules (with deliberate
-    // time ties) and pops; the calendar queue must pop the exact same
-    // (time, payload) sequence as the heap reference.
+    // time ties) and pops; the queue must pop the exact same
+    // (time, payload) sequence as the reference.
     let mut rng = Lcg(0x5eed_cafe);
-    let mut cal: EventQueue<u32> = EventQueue::new();
-    let mut heap: HeapEventQueue<u32> = HeapEventQueue::new();
+    let mut queue: EventQueue<u32> = EventQueue::new();
+    let mut reference: Reference<u32> = Reference::default();
     let mut id = 0u32;
     for _ in 0..20_000 {
         let op = rng.next() % 100;
@@ -158,22 +158,22 @@ fn calendar_matches_heap_on_interleaved_streams() {
                 1 => 1.0,
                 _ => 1e4,
             };
-            let mut at = cal.now() + simhw::Duration::new(rng.f64() * horizon);
+            let mut at = queue.now() + simhw::Duration::new(rng.f64() * horizon);
             if rng.next().is_multiple_of(4) {
                 // Force an exact tie with the current clock.
-                at = cal.now();
+                at = queue.now();
             }
-            cal.schedule(at, id);
-            heap.schedule(at, id);
+            queue.schedule(at, id);
+            reference.schedule(at, id);
             id += 1;
         } else {
-            assert_eq!(cal.pop(), heap.pop());
+            assert_eq!(queue.pop(), reference.pop());
         }
-        assert_eq!(cal.len(), heap.len());
-        assert_eq!(cal.peek_time(), heap.peek_time());
+        assert_eq!(queue.len(), reference.len());
+        assert_eq!(queue.now(), reference.now);
     }
     loop {
-        let (a, b) = (cal.pop(), heap.pop());
+        let (a, b) = (queue.pop(), reference.pop());
         assert_eq!(a, b);
         if a.is_none() {
             break;
@@ -181,89 +181,38 @@ fn calendar_matches_heap_on_interleaved_streams() {
     }
 }
 
-/// A pending event: fire time + stable sequence number + payload, ordered
-/// by the first two.
-#[derive(Debug, Clone)]
-struct Entry<E> {
-    at: SimTime,
-    seq: u64,
-    payload: E,
-}
-
-impl<E> PartialEq for Entry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<E> Eq for Entry<E> {}
-impl<E> PartialOrd for Entry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<E> Ord for Entry<E> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.at.cmp(&other.at).then(self.seq.cmp(&other.seq))
-    }
-}
-
-/// The original `BinaryHeap`-backed event queue: the same API and the same
-/// deterministic order as [`EventQueue`], which the tests here hold the
-/// calendar queue to.
-#[derive(Debug, Clone)]
-struct HeapEventQueue<E> {
-    heap: BinaryHeap<Reverse<Entry<E>>>,
+/// The order contract written out directly: pending events keyed by the
+/// bit pattern of their fire time, then by insertion sequence.
+struct Reference<E> {
+    pending: BTreeMap<(u64, u64), (SimTime, E)>,
     seq: u64,
     now: SimTime,
 }
 
-impl<E> HeapEventQueue<E> {
-    /// An empty queue at time zero.
-    fn new() -> Self {
-        HeapEventQueue {
-            heap: BinaryHeap::new(),
+impl<E> Default for Reference<E> {
+    fn default() -> Self {
+        Reference {
+            pending: BTreeMap::new(),
             seq: 0,
             now: SimTime::ZERO,
         }
     }
+}
 
-    /// Current virtual time: the fire time of the last popped event.
-    fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// Schedules `payload` to fire at `at`.
-    ///
-    /// # Panics
-    /// Panics if `at` lies in the past (before [`now`](Self::now)).
+impl<E> Reference<E> {
     fn schedule(&mut self, at: SimTime, payload: E) {
-        assert!(
-            at >= self.now,
-            "cannot schedule into the past: {at} < now {}",
-            self.now
-        );
-        self.heap.push(Reverse(Entry {
-            at,
-            seq: self.seq,
-            payload,
-        }));
+        self.pending
+            .insert((at.seconds().to_bits(), self.seq), (at, payload));
         self.seq += 1;
     }
 
-    /// Pops the next event, advancing the clock to its fire time.
     fn pop(&mut self) -> Option<(SimTime, E)> {
-        let Reverse(e) = self.heap.pop()?;
-        self.now = e.at;
-        Some((e.at, e.payload))
+        let (_, (at, payload)) = self.pending.pop_first()?;
+        self.now = at;
+        Some((at, payload))
     }
 
-    /// Fire time of the next event, without popping.
-    fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|Reverse(e)| e.at)
-    }
-
-    /// Number of pending events.
     fn len(&self) -> usize {
-        self.heap.len()
+        self.pending.len()
     }
 }

@@ -4,7 +4,7 @@
 //! must be attributed to the transfer layer (with the matching `A004`
 //! anomaly on the head run).
 
-use hetero_trace::anomaly::{detect, AnomalyConfig};
+use hetero_trace::anomaly::detect;
 use hetero_trace::diff::{perf_diff, CategoryDelta, PERF_DIFF_SCHEMA};
 use hetero_trace::json::Json;
 use hetero_trace::{codec, RunTrace};
@@ -54,14 +54,14 @@ fn injected_transfer_regression_is_attributed_to_the_link() {
     assert_eq!(compute.delta_ns(), 0);
 
     // The anomaly detector agrees: the head run saturates the same link.
-    let anomalies = detect(&head, &AnomalyConfig::default());
+    let anomalies = detect(&head);
     assert!(
         anomalies
             .iter()
             .any(|a| a.code == "A004" && a.subject == "PCIe:host-gpu0"),
         "expected A004 on PCIe:host-gpu0, got {anomalies:?}"
     );
-    assert!(detect(&base, &AnomalyConfig::default()).is_empty());
+    assert!(detect(&base).is_empty());
 
     // The median task — the 60-ns kernel — is the same span in both runs,
     // and both sides read it off the same buckets: only the tail moved.
