@@ -147,6 +147,38 @@ proptest! {
     }
 }
 
+/// `pdl-canon-v1` hashes of the first generated platforms of a fixed
+/// stream, pinned as `tests/canon_pins.rs` pins the catalog: how a platform
+/// stores its text must not move its content address.
+const GENERATED_PINS: [&str; 16] = [
+    "sha256:b1b7d282393da8412a85987137671dd84a46d6037968f74b3f4bf091ebd66a68",
+    "sha256:3e9f51bd61e887073a0ff3a261a4beccee5ce004973223349a1397acc3b63300",
+    "sha256:1af5c26707799e7fa7afbb2a7c654ceeb73b484bb32b3d97e208db16f9c1a091",
+    "sha256:6b20631f0ed8981b7612bc9173740148a5ef1ba17544b422be3883c4c15f5534",
+    "sha256:ab94ba20e31a27fcee582e0751885b476e85a7e97f3c91eeae19e843bcdfab89",
+    "sha256:3598d4e3946e87352cf83acdf0226dd78bd3dcda074c03c43c2d1a1a442c2803",
+    "sha256:6b511ae467168996d45b67fa7290a884c391483b499567a2869ca6e15c645c0c",
+    "sha256:badf00f5dea5e78765c2732d8ca83173c7bc5a0223b6a8c4762c49724764ad74",
+    "sha256:b1b291bdf8881e5d735c6cae20d48159a2716504b71de97ab679775ef754b2a3",
+    "sha256:5c160b39e7e0f0085ece38d806986b703a98a811f8d3bdc3cfe9cb3a847b587d",
+    "sha256:187467930e6c40eae767f7749a0b874c32cabbde6af12a55007ef3da87a5f151",
+    "sha256:86562252df57d8d05025d982c5065bb054ca4d9dae5e47f5e7352d67ea527ec5",
+    "sha256:20b1e0404d990e9162ff8821b909597233b4d5ca186bfc2bda5b22dd1b76c775",
+    "sha256:d6d850f906339481e8bf739ebbbdefa3c694be1e70342f255067a094c24fb426",
+    "sha256:53e17dbfca79df11ae5190597dc28afa713b3be43eec1d60f97fb0b8eecb72f5",
+    "sha256:6b3a1d2968ed86160c9a849749879fcf9d6076cef6871b607a8c40ae6e19f94a",
+];
+
+#[test]
+fn generated_platform_hashes_are_pinned() {
+    let mut rng = proptest::rng::TestRng::deterministic("generated_platform_hashes_are_pinned");
+    let strategy = arb_platform();
+    let got: Vec<String> = (0..GENERATED_PINS.len())
+        .map(|_| pdl_registry::content_hash(&strategy.generate(&mut rng)).to_string())
+        .collect();
+    assert_eq!(got, GENERATED_PINS);
+}
+
 // ---------------------------------------------------------------------------
 // Validation catches mutations
 // ---------------------------------------------------------------------------
