@@ -188,8 +188,8 @@ fn clone_pu(
 ) {
     let pu = src.pu(idx);
     let h = match parent {
-        None => b.root(pu.id.as_str(), pu.class),
-        Some(p) => b.child(p, pu.id.as_str(), pu.class).expect("valid parent"),
+        None => b.root(pu.id.clone(), pu.class),
+        Some(p) => b.child(p, pu.id.clone(), pu.class).expect("valid parent"),
     };
     b.descriptor(h, pu.descriptor.clone());
     b.quantity(h, pu.quantity);
@@ -197,7 +197,7 @@ fn clone_pu(
         b.memory(h, mr.clone());
     }
     for g in &pu.groups {
-        b.group(h, g.as_str());
+        b.group(h, g.clone());
     }
     handles.insert(pu.id.as_str().to_string(), h);
     for &c in pu.children() {

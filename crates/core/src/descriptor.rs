@@ -37,6 +37,13 @@ impl Descriptor {
         Self::default()
     }
 
+    /// An empty descriptor with room for `n` properties.
+    pub fn with_capacity(n: usize) -> Self {
+        Self {
+            properties: Vec::with_capacity(n),
+        }
+    }
+
     /// Builds a descriptor from an iterator of properties.
     pub fn from_properties(props: impl IntoIterator<Item = Property>) -> Self {
         Self {

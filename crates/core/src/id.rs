@@ -4,7 +4,10 @@
 //! string identifiers (Listing 1 of the paper uses `id="0"`, `id="1"`, …).
 //! We keep identifiers as strings to stay faithful to the XML representation,
 //! but wrap them in newtypes so the different id spaces cannot be confused.
+//! The string is a shared [`Text`]: an interconnect endpoint and the PU it
+//! names hold one allocation.
 
+use crate::text::Text;
 use std::borrow::Borrow;
 use std::fmt;
 
@@ -12,16 +15,21 @@ macro_rules! string_id {
     ($(#[$doc:meta])* $name:ident) => {
         $(#[$doc])*
         #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-        pub struct $name(String);
+        pub struct $name(Text);
 
         impl $name {
             /// Creates a new identifier from anything string-like.
-            pub fn new(s: impl Into<String>) -> Self {
+            pub fn new(s: impl Into<Text>) -> Self {
                 Self(s.into())
             }
 
             /// Returns the identifier as a string slice.
             pub fn as_str(&self) -> &str {
+                &self.0
+            }
+
+            /// The shared text of the identifier.
+            pub fn text(&self) -> &Text {
                 &self.0
             }
         }
@@ -40,13 +48,19 @@ macro_rules! string_id {
 
         impl From<String> for $name {
             fn from(s: String) -> Self {
+                Self::new(s)
+            }
+        }
+
+        impl From<Text> for $name {
+            fn from(s: Text) -> Self {
                 Self(s)
             }
         }
 
         impl From<u64> for $name {
             fn from(n: u64) -> Self {
-                Self(n.to_string())
+                Self::new(n.to_string())
             }
         }
 

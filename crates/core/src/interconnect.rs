@@ -11,6 +11,7 @@
 
 use crate::descriptor::Descriptor;
 use crate::id::PuId;
+use crate::text::Text;
 use crate::wellknown;
 use std::fmt;
 
@@ -32,13 +33,13 @@ pub enum Directionality {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Interconnect {
     /// Interconnect type label, e.g. `rDMA`, `PCIe`, `QPI`, `EIB`, `shared-mem`.
-    pub ic_type: String,
+    pub ic_type: Text,
     /// Source PU id.
     pub from: PuId,
     /// Destination PU id.
     pub to: PuId,
     /// Communication scheme annotation (free-form; empty in Listing 1).
-    pub scheme: String,
+    pub scheme: Text,
     /// Directionality; `Bidirectional` unless stated otherwise.
     pub directionality: Directionality,
     /// Concrete performance descriptors (bandwidth, latency, …).
@@ -47,19 +48,19 @@ pub struct Interconnect {
 
 impl Interconnect {
     /// A bidirectional interconnect of the given type between two PUs.
-    pub fn new(ic_type: impl Into<String>, from: impl Into<PuId>, to: impl Into<PuId>) -> Self {
+    pub fn new(ic_type: impl Into<Text>, from: impl Into<PuId>, to: impl Into<PuId>) -> Self {
         Self {
             ic_type: ic_type.into(),
             from: from.into(),
             to: to.into(),
-            scheme: String::new(),
+            scheme: Text::default(),
             directionality: Directionality::Bidirectional,
             descriptor: Descriptor::new(),
         }
     }
 
     /// Sets the scheme annotation, builder style.
-    pub fn with_scheme(mut self, scheme: impl Into<String>) -> Self {
+    pub fn with_scheme(mut self, scheme: impl Into<Text>) -> Self {
         self.scheme = scheme.into();
         self
     }

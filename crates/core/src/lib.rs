@@ -52,6 +52,7 @@ pub mod patterns;
 pub mod platform;
 pub mod property;
 pub mod pu;
+pub mod text;
 pub mod units;
 pub mod validate;
 pub mod version;
@@ -71,6 +72,7 @@ pub mod prelude {
     pub use crate::platform::{Platform, PlatformBuilder, PuHandle};
     pub use crate::property::{Property, PropertyValue, SubschemaRef};
     pub use crate::pu::{ProcessingUnit, PuClass};
+    pub use crate::text::Text;
     pub use crate::units::Unit;
     pub use crate::version::Version;
     pub use crate::wellknown;

@@ -13,10 +13,11 @@ use crate::interconnect::Interconnect;
 use crate::memory::MemoryRegion;
 use crate::property::Property;
 use crate::pu::{ProcessingUnit, PuClass};
+use crate::text::Text;
 use crate::validate;
 use crate::version::Version;
 use crate::visit::Dfs;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
 use std::fmt;
 
 /// A validated description of one heterogeneous platform.
@@ -215,17 +216,15 @@ impl Platform {
             let n = pu.quantity.max(1);
             for k in 0..n {
                 let id = if n == 1 && suffix.is_empty() {
-                    pu.id.as_str().to_string()
+                    pu.id.clone()
                 } else if n == 1 {
-                    format!("{}{}", pu.id, suffix)
+                    PuId::new(format!("{}{}", pu.id, suffix))
                 } else {
-                    format!("{}{}.{}", pu.id, suffix, k)
+                    PuId::new(format!("{}{}.{}", pu.id, suffix, k))
                 };
                 let h = match parent {
-                    None => b.root(id.as_str(), pu.class),
-                    Some(p) => b
-                        .child(p, id.as_str(), pu.class)
-                        .expect("parent can control"),
+                    None => b.root(id, pu.class),
+                    Some(p) => b.child(p, id, pu.class).expect("parent can control"),
                 };
                 b.pus[h.0.index()].descriptor = pu.descriptor.clone();
                 b.pus[h.0.index()].memory_regions = pu.memory_regions.clone();
@@ -289,9 +288,9 @@ impl Platform {
             let pu = src.pu(idx);
             let class = if is_root { PuClass::Master } else { pu.class };
             let h = match parent {
-                None => b.root(pu.id.as_str(), class),
+                None => b.root(pu.id.clone(), class),
                 Some(p) => b
-                    .child(p, pu.id.as_str(), class)
+                    .child(p, pu.id.clone(), class)
                     .expect("source tree is well-formed"),
             };
             b.descriptor(h, pu.descriptor.clone());
@@ -386,6 +385,26 @@ pub struct PlatformBuilder {
     pub(crate) pus: Vec<ProcessingUnit>,
     roots: Vec<PuIdx>,
     interconnects: Vec<Interconnect>,
+    /// Every text [`Self::intern`] has handed out; dropped at build.
+    texts: HashSet<Text>,
+    /// The text last interned in each of [`RECENT`] slots picked by length
+    /// and last bytes, looked at before `texts`: a description repeats the
+    /// same names and values descriptor after descriptor, and comparing a
+    /// few bytes costs less than hashing them. A miss is only slower. Empty
+    /// until the first [`Self::intern`].
+    recent: Vec<Option<Text>>,
+}
+
+const RECENT: usize = 256;
+
+/// The [`PlatformBuilder::recent`] slot of `s`: its length and last eight
+/// bytes, mixed.
+fn recent_slot(s: &str) -> usize {
+    let tail = &s.as_bytes()[s.len().saturating_sub(8)..];
+    let mut word = [0u8; 8];
+    word[..tail.len()].copy_from_slice(tail);
+    let mixed = (u64::from_le_bytes(word) ^ s.len() as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    (mixed >> 56) as usize
 }
 
 impl PlatformBuilder {
@@ -397,7 +416,33 @@ impl PlatformBuilder {
             pus: Vec::new(),
             roots: Vec::new(),
             interconnects: Vec::new(),
+            texts: HashSet::new(),
+            recent: Vec::new(),
         }
+    }
+
+    /// The platform's one copy of `s`: the first call with a text
+    /// allocates it, every later call with equal text shares it. Parsers
+    /// pass ids, names and values through here, so a platform stores each
+    /// distinct string once.
+    pub fn intern(&mut self, s: &str) -> Text {
+        if self.recent.is_empty() {
+            self.recent.resize(RECENT, None);
+        }
+        let recent = &mut self.recent[recent_slot(s)];
+        if let Some(t) = recent.as_ref().filter(|t| t.as_str() == s) {
+            return t.clone();
+        }
+        let t = match self.texts.get(s) {
+            Some(t) => t.clone(),
+            None => {
+                let t = Text::from(s);
+                self.texts.insert(t.clone());
+                t
+            }
+        };
+        *recent = Some(t.clone());
+        t
     }
 
     /// Overrides the schema version (defaults to [`Version::CURRENT`]).

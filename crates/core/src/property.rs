@@ -11,7 +11,12 @@
 //!   types via XML schema inheritance (`xsi:type="ocl:oclDevicePropertyType"`,
 //!   Listing 2). We record the subschema reference on the property.
 //! * **units** — values may carry a [`Unit`] annotation.
+//!
+//! Names, values and subschema names are shared [`Text`]: a platform parsed
+//! from XML stores each distinct string once, however many properties
+//! carry it.
 
+use crate::text::Text;
 use crate::units::{to_base, Unit};
 use std::fmt;
 
@@ -21,14 +26,14 @@ use std::fmt;
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct SubschemaRef {
     /// Namespace prefix, e.g. `ocl`.
-    pub namespace: String,
+    pub namespace: Text,
     /// Local type name, e.g. `oclDevicePropertyType`.
-    pub type_name: String,
+    pub type_name: Text,
 }
 
 impl SubschemaRef {
     /// Creates a subschema reference from prefix and local type name.
-    pub fn new(namespace: impl Into<String>, type_name: impl Into<String>) -> Self {
+    pub fn new(namespace: impl Into<Text>, type_name: impl Into<Text>) -> Self {
         Self {
             namespace: namespace.into(),
             type_name: type_name.into(),
@@ -37,11 +42,17 @@ impl SubschemaRef {
 
     /// Parses the `xsi:type` attribute form `prefix:TypeName`.
     pub fn parse(qualified: &str) -> Option<Self> {
+        Self::parse_with(qualified, |s| Text::from(s))
+    }
+
+    /// [`Self::parse`], taking each name's text from `text` (a parser's
+    /// interner, say).
+    pub fn parse_with(qualified: &str, mut text: impl FnMut(&str) -> Text) -> Option<Self> {
         let (ns, ty) = qualified.split_once(':')?;
         if ns.is_empty() || ty.is_empty() {
             return None;
         }
-        Some(Self::new(ns, ty))
+        Some(Self::new(text(ns), text(ty)))
     }
 
     /// The qualified `prefix:TypeName` form used in XML.
@@ -65,14 +76,14 @@ impl fmt::Display for SubschemaRef {
 #[derive(Debug, Clone, PartialEq)]
 pub struct PropertyValue {
     /// Raw textual value exactly as it appears in the XML.
-    pub text: String,
+    pub text: Text,
     /// Optional unit annotation (`<value unit="kB">…`).
     pub unit: Option<Unit>,
 }
 
 impl PropertyValue {
     /// A plain textual value without unit.
-    pub fn text(s: impl Into<String>) -> Self {
+    pub fn text(s: impl Into<Text>) -> Self {
         Self {
             text: s.into(),
             unit: None,
@@ -82,7 +93,7 @@ impl PropertyValue {
     /// A numeric value with a unit annotation.
     pub fn with_unit(value: impl fmt::Display, unit: Unit) -> Self {
         Self {
-            text: value.to_string(),
+            text: value.to_string().into(),
             unit: Some(unit),
         }
     }
@@ -127,7 +138,7 @@ impl fmt::Display for PropertyValue {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Property {
     /// Property name (`ARCHITECTURE`, `MAX_COMPUTE_UNITS`, …).
-    pub name: String,
+    pub name: Text,
     /// Property value with optional unit.
     pub value: PropertyValue,
     /// `fixed="true"` values are immutable platform facts; `fixed="false"`
@@ -140,7 +151,7 @@ pub struct Property {
 
 impl Property {
     /// A fixed base-schema property (Listing 1 style).
-    pub fn fixed(name: impl Into<String>, value: impl Into<String>) -> Self {
+    pub fn fixed(name: impl Into<Text>, value: impl Into<Text>) -> Self {
         Self {
             name: name.into(),
             value: PropertyValue::text(value),
@@ -150,7 +161,7 @@ impl Property {
     }
 
     /// An unfixed base-schema property (editable by later tools).
-    pub fn unfixed(name: impl Into<String>, value: impl Into<String>) -> Self {
+    pub fn unfixed(name: impl Into<Text>, value: impl Into<Text>) -> Self {
         Self {
             name: name.into(),
             value: PropertyValue::text(value),
@@ -161,7 +172,7 @@ impl Property {
 
     /// An unfixed property carrying a typed subschema reference
     /// (Listing 2 style).
-    pub fn typed(name: impl Into<String>, value: PropertyValue, subschema: SubschemaRef) -> Self {
+    pub fn typed(name: impl Into<Text>, value: PropertyValue, subschema: SubschemaRef) -> Self {
         Self {
             name: name.into(),
             value,

@@ -18,14 +18,15 @@ use std::collections::BTreeSet;
 /// means the description is valid.
 pub(crate) fn check(platform: &Platform) -> Vec<ValidationIssue> {
     let mut issues = Vec::new();
-    let mut seen_ids = BTreeSet::new();
 
     for (i, pu) in platform.arena().iter().enumerate() {
         let idx = PuIdx::from_usize(i);
 
         if pu.id.as_str().is_empty() {
             issues.push(ValidationIssue::EmptyPuId(idx));
-        } else if !seen_ids.insert(pu.id.clone()) {
+        } else if platform.index_of(pu.id.as_str()) != Some(idx) {
+            // The id index keeps the first declaration; a later one is a
+            // duplicate.
             issues.push(ValidationIssue::DuplicatePuId(pu.id.clone()));
         }
 
@@ -56,7 +57,7 @@ pub(crate) fn check(platform: &Platform) -> Vec<ValidationIssue> {
 
         let mut mr_ids = BTreeSet::new();
         for mr in &pu.memory_regions {
-            if !mr_ids.insert(mr.id.as_str().to_string()) {
+            if !mr_ids.insert(mr.id.as_str()) {
                 issues.push(ValidationIssue::DuplicateMemoryRegion {
                     pu: pu.id.clone(),
                     mr: mr.id.as_str().to_string(),
@@ -77,7 +78,7 @@ pub(crate) fn check(platform: &Platform) -> Vec<ValidationIssue> {
             if prop.fixed && prop.value.is_empty() {
                 issues.push(ValidationIssue::FixedPropertyWithoutValue {
                     pu: pu.id.clone(),
-                    property: prop.name.clone(),
+                    property: prop.name.to_string(),
                 });
             }
         }

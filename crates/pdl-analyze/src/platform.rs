@@ -176,18 +176,18 @@ fn model_diagnostics(platform: &Platform, typed_props: bool) -> Vec<Diagnostic> 
 /// forest, but tools resolve control relationships *by id*; duplicated ids
 /// merge nodes and can close a cycle no id-based traversal terminates on.
 fn control_cycles(platform: &Platform, out: &mut Vec<Diagnostic>) {
-    let mut succ: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
+    let mut succ: BTreeMap<&str, BTreeSet<&str>> = BTreeMap::new();
     for (_, pu) in platform.iter() {
-        let entry = succ.entry(pu.id.to_string()).or_default();
+        let entry = succ.entry(pu.id.as_str()).or_default();
         for &c in pu.children() {
-            entry.insert(platform.pu(c).id.to_string());
+            entry.insert(platform.pu(c).id.as_str());
         }
     }
     let mut color: BTreeMap<&str, u8> = BTreeMap::new();
     let mut stack: Vec<&str> = Vec::new();
     let mut cycles: Vec<Vec<String>> = Vec::new();
-    for id in succ.keys() {
-        if color.get(id.as_str()).copied().unwrap_or(0) == 0 {
+    for &id in succ.keys() {
+        if color.get(id).copied().unwrap_or(0) == 0 {
             dfs_cycles(id, &succ, &mut color, &mut stack, &mut cycles);
         }
     }
@@ -210,7 +210,7 @@ fn control_cycles(platform: &Platform, out: &mut Vec<Diagnostic>) {
 
 fn dfs_cycles<'a>(
     node: &'a str,
-    succ: &'a BTreeMap<String, BTreeSet<String>>,
+    succ: &BTreeMap<&'a str, BTreeSet<&'a str>>,
     color: &mut BTreeMap<&'a str, u8>,
     stack: &mut Vec<&'a str>,
     cycles: &mut Vec<Vec<String>>,
@@ -218,14 +218,14 @@ fn dfs_cycles<'a>(
     color.insert(node, 1);
     stack.push(node);
     if let Some(next) = succ.get(node) {
-        for n in next {
-            match color.get(n.as_str()).copied().unwrap_or(0) {
+        for &n in next {
+            match color.get(n).copied().unwrap_or(0) {
                 0 => dfs_cycles(n, succ, color, stack, cycles),
                 1 => {
-                    let start = stack.iter().position(|s| *s == n.as_str()).unwrap_or(0);
+                    let start = stack.iter().position(|s| *s == n).unwrap_or(0);
                     let mut cycle: Vec<String> =
                         stack[start..].iter().map(|s| (*s).to_string()).collect();
-                    cycle.push(n.clone());
+                    cycle.push(n.to_string());
                     cycles.push(cycle);
                 }
                 _ => {}

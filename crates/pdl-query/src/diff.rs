@@ -105,6 +105,7 @@ impl fmt::Display for Change {
 }
 
 /// Computes the changes turning `old` into `new`. PUs are matched by id.
+/// Everything is compared borrowed; only the reported changes own text.
 pub fn diff(old: &Platform, new: &Platform) -> Vec<Change> {
     let mut changes = Vec::new();
 
@@ -147,59 +148,52 @@ pub fn diff(old: &Platform, new: &Platform) -> Vec<Change> {
         if old_parent != new_parent {
             changes.push(Change::ParentChanged {
                 id: id.to_string(),
-                old: old_parent,
-                new: new_parent,
+                old: old_parent.map(str::to_string),
+                new: new_parent.map(str::to_string),
             });
         }
         // Property-level diff over the canonicalized value multiset per
         // name: values are trimmed and order-independent, so attribute
         // reordering (including among duplicate names) and whitespace
-        // padding never register as changes.
-        let mut names: Vec<&str> = old_pu
-            .descriptor
-            .iter()
-            .chain(new_pu.descriptor.iter())
-            .map(|p| p.name.as_str())
-            .collect();
-        names.sort_unstable();
-        names.dedup();
-        for name in names {
-            let ov = canonical_values(old_pu, name);
-            let nv = canonical_values(new_pu, name);
-            if ov != nv {
+        // padding never register as changes. Names are visited in order.
+        let old_values = named_values(old_pu);
+        let new_values = named_values(new_pu);
+        let mut old_groups = old_values.chunk_by(|a, b| a.0 == b.0).peekable();
+        let mut new_groups = new_values.chunk_by(|a, b| a.0 == b.0).peekable();
+        loop {
+            let (ov, nv) = match (old_groups.peek(), new_groups.peek()) {
+                (None, None) => break,
+                (Some(o), Some(n)) if o[0].0 == n[0].0 => (old_groups.next(), new_groups.next()),
+                (Some(o), Some(n)) if o[0].0 > n[0].0 => (None, new_groups.next()),
+                (Some(_), _) => (old_groups.next(), None),
+                (None, Some(_)) => (None, new_groups.next()),
+            };
+            let (ov, nv) = (ov.unwrap_or_default(), nv.unwrap_or_default());
+            if !ov.iter().map(|v| v.1).eq(nv.iter().map(|v| v.1)) {
+                let name = ov.first().or(nv.first()).map_or("", |v| v.0);
                 changes.push(Change::PropertyChanged {
                     id: id.to_string(),
                     property: name.to_string(),
-                    old: render_values(&ov),
-                    new: render_values(&nv),
+                    old: render_values(ov),
+                    new: render_values(nv),
                 });
             }
         }
     }
 
     // Interconnect multiset diff by unordered endpoint pair.
-    let count_edges = |p: &Platform| {
-        let mut m: BTreeMap<(String, String), usize> = BTreeMap::new();
-        for ic in p.interconnects() {
-            let mut pair = [ic.from.as_str().to_string(), ic.to.as_str().to_string()];
-            pair.sort();
-            let [a, b] = pair;
-            *m.entry((a, b)).or_default() += 1;
-        }
-        m
-    };
-    let old_edges = count_edges(old);
-    let new_edges = count_edges(new);
-    let mut keys: Vec<_> = old_edges.keys().chain(new_edges.keys()).cloned().collect();
-    keys.sort();
+    let old_edges = edge_counts(old);
+    let new_edges = edge_counts(new);
+    let mut keys: Vec<_> = old_edges.keys().chain(new_edges.keys()).copied().collect();
+    keys.sort_unstable();
     keys.dedup();
     for key in keys {
         let o = old_edges.get(&key).copied().unwrap_or(0);
         let n = new_edges.get(&key).copied().unwrap_or(0);
         if o != n {
             changes.push(Change::InterconnectChanged {
-                from: key.0,
-                to: key.1,
+                from: key.0.to_string(),
+                to: key.1.to_string(),
                 old: o,
                 new: n,
             });
@@ -209,31 +203,41 @@ pub fn diff(old: &Platform, new: &Platform) -> Vec<Change> {
     changes
 }
 
-fn parent_id(p: &Platform, pu: &ProcessingUnit) -> Option<String> {
-    pu.parent().map(|i| p.pu(i).id.as_str().to_string())
+/// Interconnect count per unordered endpoint pair.
+fn edge_counts(p: &Platform) -> BTreeMap<(&str, &str), usize> {
+    let mut m = BTreeMap::new();
+    for ic in p.interconnects() {
+        let (a, b) = (ic.from.as_str(), ic.to.as_str());
+        *m.entry((a.min(b), a.max(b))).or_default() += 1;
+    }
+    m
 }
 
-/// The sorted multiset of trimmed values a PU carries under one property
-/// name — the canonical form document order cannot influence.
-fn canonical_values(pu: &ProcessingUnit, name: &str) -> Vec<String> {
-    let mut vs: Vec<String> = pu
+fn parent_id<'a>(p: &'a Platform, pu: &ProcessingUnit) -> Option<&'a str> {
+    pu.parent().map(|i| p.pu(i).id.as_str())
+}
+
+/// A PU's `(name, trimmed value)` pairs, sorted: per name, the sorted
+/// multiset of values — the canonical form document order cannot
+/// influence.
+fn named_values(pu: &ProcessingUnit) -> Vec<(&str, &str)> {
+    let mut vs: Vec<(&str, &str)> = pu
         .descriptor
         .iter()
-        .filter(|p| p.name == name)
-        .map(|p| p.value.text.trim().to_string())
+        .map(|p| (p.name.as_str(), p.value.text.trim()))
         .collect();
     vs.sort_unstable();
     vs
 }
 
-/// Renders a value multiset for a [`Change::PropertyChanged`] report:
+/// Renders one name's values for a [`Change::PropertyChanged`] report:
 /// `None` when absent, the bare value when single, `|`-joined when a name
 /// occurs multiple times.
-fn render_values(vs: &[String]) -> Option<String> {
+fn render_values(vs: &[(&str, &str)]) -> Option<String> {
     match vs {
         [] => None,
-        [one] => Some(one.clone()),
-        many => Some(many.join(" | ")),
+        [(_, one)] => Some(one.to_string()),
+        many => Some(many.iter().map(|v| v.1).collect::<Vec<_>>().join(" | ")),
     }
 }
 

@@ -29,9 +29,13 @@ use crate::hash::ContentHash;
 use pdl_core::descriptor::Descriptor;
 use pdl_core::interconnect::{Directionality, Interconnect};
 use pdl_core::platform::{Platform, PlatformBuilder, PuHandle};
-use pdl_core::property::Property;
+use pdl_core::property::{Property, SubschemaRef};
 use pdl_core::pu::ProcessingUnit;
 use std::borrow::Cow;
+use std::cmp::Ordering;
+use std::collections::HashMap;
+use std::iter;
+use std::ops::Range;
 
 /// Version tag of the canonical encoding; bump when the rules change, so
 /// old and new addresses can never be confused.
@@ -58,49 +62,117 @@ fn norm(text: &str) -> Cow<'_, str> {
     }
 }
 
-/// Sort key of one property, which is also its encoded record: name,
-/// normalized value, unit, fixedness, qualified subschema.
-type PropKey<'a> = (&'a str, Cow<'a, str>, &'static str, bool, Cow<'a, str>);
+/// Every descriptor of a platform: per PU its own and its memory regions',
+/// then the interconnects'.
+fn descriptors(platform: &Platform) -> impl Iterator<Item = &Descriptor> {
+    let pus = platform.iter().flat_map(|(_, pu)| {
+        iter::once(&pu.descriptor).chain(pu.memory_regions.iter().map(|mr| &mr.descriptor))
+    });
+    pus.chain(platform.interconnects().iter().map(|ic| &ic.descriptor))
+}
 
-fn prop_key(p: &Property) -> PropKey<'_> {
-    (
-        &p.name,
-        norm(&p.value.text),
-        p.value.unit.map_or("", pdl_core::units::Unit::as_str),
-        p.fixed,
-        p.subschema
-            .as_ref()
-            .map_or(Cow::Borrowed(""), |s| Cow::Owned(s.qualified())),
-    )
+/// The normalized form of each distinct value text of one platform. A
+/// catalog carries a few dozen distinct values over thousands of
+/// properties, so each is parsed and re-rendered once per call.
+struct Norms<'a>(HashMap<&'a str, Cow<'a, str>>);
+
+impl<'a> Norms<'a> {
+    fn of(platform: &'a Platform) -> Self {
+        let mut map = HashMap::new();
+        for p in descriptors(platform).flat_map(Descriptor::iter) {
+            let text = p.value.text.as_str();
+            map.entry(text).or_insert_with(|| norm(text));
+        }
+        Norms(map)
+    }
+
+    fn get(&self, text: &str) -> &str {
+        &self.0[text]
+    }
+}
+
+/// Sort key of one property, which is also its encoded record: name,
+/// normalized value, unit, fixedness, qualified subschema. All borrowed.
+struct PropKey<'a> {
+    name: &'a str,
+    value: &'a str,
+    unit: &'static str,
+    fixed: bool,
+    subschema: Option<&'a SubschemaRef>,
+}
+
+impl<'a> PropKey<'a> {
+    fn of(p: &'a Property, norms: &'a Norms<'_>) -> Self {
+        PropKey {
+            name: &p.name,
+            value: norms.get(&p.value.text),
+            unit: p.value.unit.map_or("", pdl_core::units::Unit::as_str),
+            fixed: p.fixed,
+            subschema: p.subschema.as_ref(),
+        }
+    }
+
+    /// The order of the records: field by field, the subschema by its
+    /// qualified `prefix:TypeName` text ("" when absent).
+    fn order(&self, other: &Self) -> Ordering {
+        (self.name, self.value, self.unit, self.fixed)
+            .cmp(&(other.name, other.value, other.unit, other.fixed))
+            .then_with(|| qualified(self.subschema).cmp(qualified(other.subschema)))
+    }
+
+    fn encode(&self, buf: &mut Vec<u8>) {
+        put_str(buf, self.name);
+        put_str(buf, self.value);
+        put_str(buf, self.unit);
+        buf.push(u8::from(self.fixed));
+        let sub = qualified(self.subschema);
+        put_u32(buf, sub.clone().count() as u32);
+        buf.extend(sub);
+    }
+}
+
+/// The bytes of [`SubschemaRef::qualified`] ("" for none), without the
+/// `String`.
+fn qualified(s: Option<&SubschemaRef>) -> impl Iterator<Item = u8> + Clone + '_ {
+    s.into_iter().flat_map(|s| {
+        let sep: &[u8] = b":";
+        s.namespace
+            .bytes()
+            .chain(sep.iter().copied())
+            .chain(s.type_name.bytes())
+    })
 }
 
 /// A descriptor's properties in canonical order, each with its key (used
-/// both for encoding and for the canonical rebuild).
-fn sorted_props<'a>(props: impl Iterator<Item = &'a Property>) -> Vec<(PropKey<'a>, &'a Property)> {
-    let mut v: Vec<_> = props.map(|p| (prop_key(p), p)).collect();
-    v.sort_by(|a, b| a.0.cmp(&b.0));
+/// both for encoding and for the canonical rebuild). The sort is stable:
+/// properties whose records tie keep their order.
+fn sorted_props<'a>(
+    norms: &'a Norms<'_>,
+    descriptor: &'a Descriptor,
+) -> Vec<(PropKey<'a>, &'a Property)> {
+    let mut v: Vec<_> = descriptor
+        .iter()
+        .map(|p| (PropKey::of(p, norms), p))
+        .collect();
+    v.sort_by(|a, b| a.0.order(&b.0));
     v
 }
 
 /// The descriptor with its properties in canonical order.
-fn sorted_descriptor(descriptor: &Descriptor) -> Descriptor {
-    let props = sorted_props(descriptor.iter());
+fn sorted_descriptor(norms: &Norms<'_>, descriptor: &Descriptor) -> Descriptor {
+    let props = sorted_props(norms, descriptor);
     props.into_iter().map(|(_, p)| p.clone()).collect()
 }
 
-fn encode_descriptor<'a>(buf: &mut Vec<u8>, props: impl Iterator<Item = &'a Property>) {
-    let props = sorted_props(props);
+fn encode_descriptor(buf: &mut Vec<u8>, norms: &Norms<'_>, descriptor: &Descriptor) {
+    let props = sorted_props(norms, descriptor);
     put_u32(buf, props.len() as u32);
-    for ((name, value, unit, fixed, sub), _) in &props {
-        put_str(buf, name);
-        put_str(buf, value);
-        put_str(buf, unit);
-        buf.push(u8::from(*fixed));
-        put_str(buf, sub);
+    for (key, _) in &props {
+        key.encode(buf);
     }
 }
 
-fn encode_pu(buf: &mut Vec<u8>, platform: &Platform, pu: &ProcessingUnit) {
+fn encode_pu(buf: &mut Vec<u8>, norms: &Norms<'_>, platform: &Platform, pu: &ProcessingUnit) {
     put_str(buf, pu.id.as_str());
     put_str(buf, pu.class.element_name());
     put_u32(buf, pu.quantity);
@@ -117,36 +189,38 @@ fn encode_pu(buf: &mut Vec<u8>, platform: &Platform, pu: &ProcessingUnit) {
         put_str(buf, g);
     }
 
-    encode_descriptor(buf, pu.descriptor.iter());
+    encode_descriptor(buf, norms, &pu.descriptor);
 
     let mut mrs: Vec<_> = pu.memory_regions.iter().collect();
     mrs.sort_by(|a, b| a.id.cmp(&b.id));
     put_u32(buf, mrs.len() as u32);
     for mr in mrs {
         put_str(buf, mr.id.as_str());
-        encode_descriptor(buf, mr.descriptor.iter());
+        encode_descriptor(buf, norms, &mr.descriptor);
     }
 }
 
-fn encode_interconnect(ic: &Interconnect) -> Vec<u8> {
-    let mut buf = Vec::new();
+/// Appends the record of one edge to `buf` and returns where it lies.
+fn encode_interconnect(buf: &mut Vec<u8>, norms: &Norms<'_>, ic: &Interconnect) -> Range<usize> {
+    let start = buf.len();
     let bidi = ic.directionality == Directionality::Bidirectional;
     let (a, b) = if bidi && ic.to < ic.from {
         (ic.to.as_str(), ic.from.as_str())
     } else {
         (ic.from.as_str(), ic.to.as_str())
     };
-    put_str(&mut buf, &ic.ic_type);
-    put_str(&mut buf, a);
-    put_str(&mut buf, b);
-    put_str(&mut buf, &ic.scheme);
+    put_str(buf, &ic.ic_type);
+    put_str(buf, a);
+    put_str(buf, b);
+    put_str(buf, &ic.scheme);
     buf.push(u8::from(bidi));
-    encode_descriptor(&mut buf, ic.descriptor.iter());
-    buf
+    encode_descriptor(buf, norms, &ic.descriptor);
+    start..buf.len()
 }
 
 /// The canonical byte encoding of a platform.
 pub fn canonical_bytes(platform: &Platform) -> Vec<u8> {
+    let norms = Norms::of(platform);
     let mut buf = Vec::with_capacity(1024);
     put_str(&mut buf, CANON_VERSION);
     put_str(&mut buf, &platform.name);
@@ -156,18 +230,20 @@ pub fn canonical_bytes(platform: &Platform) -> Vec<u8> {
     pus.sort_by(|a, b| a.id.cmp(&b.id));
     put_u32(&mut buf, pus.len() as u32);
     for pu in pus {
-        encode_pu(&mut buf, platform, pu);
+        encode_pu(&mut buf, &norms, platform, pu);
     }
 
-    let mut edges: Vec<Vec<u8>> = platform
+    // Edge records go into one buffer and sort as slices of it.
+    let mut records = Vec::new();
+    let mut edges: Vec<Range<usize>> = platform
         .interconnects()
         .iter()
-        .map(encode_interconnect)
+        .map(|ic| encode_interconnect(&mut records, &norms, ic))
         .collect();
-    edges.sort_unstable();
+    edges.sort_unstable_by(|a, b| records[a.clone()].cmp(&records[b.clone()]));
     put_u32(&mut buf, edges.len() as u32);
     for e in edges {
-        buf.extend_from_slice(&e);
+        buf.extend_from_slice(&records[e]);
     }
     buf
 }
@@ -180,60 +256,72 @@ pub fn content_hash(platform: &Platform) -> ContentHash {
 /// Rebuilds the platform in canonical order: descriptors, groups, memory
 /// regions and interconnect lists sorted as in the canonical encoding (the
 /// PU tree keeps its declaration structure — only per-node payload order
-/// and the edge list are normalized).
+/// and the edge list are normalized). The rebuild shares the source's text.
 pub fn canonicalize(platform: &Platform) -> Platform {
+    let norms = Norms::of(platform);
     let mut b = PlatformBuilder::new(platform.name.clone());
     b.schema_version(platform.schema_version);
 
     fn copy(
         src: &Platform,
+        norms: &Norms<'_>,
         b: &mut PlatformBuilder,
         idx: pdl_core::id::PuIdx,
         parent: Option<PuHandle>,
     ) {
         let pu = src.pu(idx);
         let h = match parent {
-            None => b.root(pu.id.as_str(), pu.class),
+            None => b.root(pu.id.clone(), pu.class),
             Some(p) => b
-                .child(p, pu.id.as_str(), pu.class)
+                .child(p, pu.id.clone(), pu.class)
                 .expect("source tree is well-formed"),
         };
         b.quantity(h, pu.quantity);
-        b.descriptor(h, sorted_descriptor(&pu.descriptor));
+        b.descriptor(h, sorted_descriptor(norms, &pu.descriptor));
         let mut mrs: Vec<_> = pu.memory_regions.iter().collect();
         mrs.sort_by(|a, b| a.id.cmp(&b.id));
         for mr in mrs {
-            let canon = sorted_descriptor(&mr.descriptor);
-            b.memory(h, mr.clone().with_descriptor(canon));
+            let canon = sorted_descriptor(norms, &mr.descriptor);
+            b.memory(
+                h,
+                pdl_core::memory::MemoryRegion::new(mr.id.clone()).with_descriptor(canon),
+            );
         }
-        let mut groups = pu.groups.clone();
+        let mut groups: Vec<_> = pu.groups.iter().collect();
         groups.sort();
         for g in groups {
-            b.group(h, g);
+            b.group(h, g.clone());
         }
         for &c in pu.children() {
-            copy(src, b, c, Some(h));
+            copy(src, norms, b, c, Some(h));
         }
     }
     for &r in platform.roots() {
-        copy(platform, &mut b, r, None);
+        copy(platform, &norms, &mut b, r, None);
     }
 
-    let mut edges: Vec<(Vec<u8>, Interconnect)> = platform
+    // An edge's record is the same for the source edge and its rebuild.
+    let mut records = Vec::new();
+    let mut edges: Vec<(Range<usize>, &Interconnect)> = platform
         .interconnects()
         .iter()
-        .map(|ic| {
-            let mut c = ic.clone();
-            if c.directionality == Directionality::Bidirectional && c.to < c.from {
-                std::mem::swap(&mut c.from, &mut c.to);
-            }
-            c.descriptor = sorted_descriptor(&ic.descriptor);
-            (encode_interconnect(&c), c)
-        })
+        .map(|ic| (encode_interconnect(&mut records, &norms, ic), ic))
         .collect();
-    edges.sort_by(|a, b| a.0.cmp(&b.0));
+    edges.sort_by(|a, b| records[a.0.clone()].cmp(&records[b.0.clone()]));
     for (_, ic) in edges {
-        b.interconnect(ic);
+        let (from, to) = if ic.directionality == Directionality::Bidirectional && ic.to < ic.from {
+            (&ic.to, &ic.from)
+        } else {
+            (&ic.from, &ic.to)
+        };
+        b.interconnect(Interconnect {
+            ic_type: ic.ic_type.clone(),
+            from: from.clone(),
+            to: to.clone(),
+            scheme: ic.scheme.clone(),
+            directionality: ic.directionality,
+            descriptor: sorted_descriptor(&norms, &ic.descriptor),
+        });
     }
     b.build_unchecked()
 }
@@ -419,5 +507,26 @@ mod tests {
         assert_eq!(norm("1.50"), "1.5");
         assert_eq!(norm("  x86  "), "x86");
         assert_eq!(norm("NaN"), "NaN"); // non-finite stays textual
+    }
+
+    #[test]
+    fn subschemas_order_by_their_qualified_text() {
+        // As tuples ("a", …) < ("a-", …); as text "a-:x" < "a:x".
+        let typed = |ns: &str| {
+            let sub = pdl_core::property::SubschemaRef::new(ns, "x");
+            Property::typed("P", pdl_core::property::PropertyValue::text("1"), sub)
+        };
+        let d: Descriptor = [typed("a"), typed("a-")].into_iter().collect();
+        let mut b = Platform::builder("s");
+        let m = b.master("m");
+        b.descriptor(m, d);
+        let c = canonicalize(&b.build().unwrap());
+        let (_, m) = c.pu_by_id("m").unwrap();
+        let order: Vec<_> = m
+            .descriptor
+            .iter()
+            .map(|p| p.subschema.as_ref().unwrap().qualified())
+            .collect();
+        assert_eq!(order, ["a-:x", "a:x"]);
     }
 }

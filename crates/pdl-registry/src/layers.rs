@@ -97,7 +97,8 @@ impl Layer {
 /// Applies a layer set to a base platform, coarsest kind first, then by
 /// layer name — so composition is independent of the order `layers` is
 /// given in. Each matched property replaces the first same-named property
-/// of the PU descriptor (or appends).
+/// of the PU descriptor (or appends). The result shares the text of `base`
+/// and of the layers.
 pub fn compose(base: &Platform, layers: &[Layer]) -> Platform {
     let mut ordered: Vec<&Layer> = layers.iter().collect();
     ordered.sort_by(|a, b| (a.kind, &a.name).cmp(&(b.kind, &b.name)));
@@ -114,9 +115,9 @@ pub fn compose(base: &Platform, layers: &[Layer]) -> Platform {
     ) {
         let pu = src.pu(idx);
         let h = match parent {
-            None => b.root(pu.id.as_str(), pu.class),
+            None => b.root(pu.id.clone(), pu.class),
             Some(p) => b
-                .child(p, pu.id.as_str(), pu.class)
+                .child(p, pu.id.clone(), pu.class)
                 .expect("source tree is well-formed"),
         };
         b.quantity(h, pu.quantity);

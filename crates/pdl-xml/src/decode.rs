@@ -8,6 +8,10 @@
 //! Interconnect elements may appear inside any PU scope (as in Listing 1) or
 //! at the Platform level; they are hoisted into the platform's global edge
 //! list, which is what the model stores.
+//!
+//! Every string goes through [`PlatformBuilder::intern`]: the decoded
+//! platform holds one allocation per distinct id, name and value, and an
+//! interconnect endpoint shares the text of the PU id it names.
 
 use crate::dom::{Document, Element};
 use crate::error::{SchemaError, XmlError};
@@ -71,7 +75,7 @@ fn decode_to_builder(doc: &Document, lenient: bool) -> Result<PlatformBuilder, X
                 match child.local_name() {
                     "Master" => decode_pu_tree(&mut builder, child, None, lenient)?,
                     "Interconnect" => {
-                        let ic = decode_interconnect(child, lenient)?;
+                        let ic = decode_interconnect(&mut builder, child, lenient)?;
                         builder.interconnect(ic);
                     }
                     _ if lenient => {} // reported by schema validation
@@ -106,7 +110,7 @@ fn decode_pu_tree(
     lenient: bool,
 ) -> Result<(), XmlError> {
     let class = PuClass::from_element_name(e.local_name()).expect("caller checked element name");
-    let id = e.attribute("id").unwrap_or_default().to_string();
+    let id = builder.intern(e.attribute("id").unwrap_or_default());
 
     let handle = match parent {
         None => builder.root(id, class),
@@ -138,23 +142,23 @@ fn decode_pu_tree(
     for child in e.elements() {
         match child.local_name() {
             "PUDescriptor" => {
-                let d = decode_descriptor(child, lenient)?;
+                let d = decode_descriptor(builder, child, lenient)?;
                 builder.descriptor(handle, d);
             }
             "MemoryRegion" => {
-                let id = child.attribute("id").unwrap_or_default().to_string();
+                let id = builder.intern(child.attribute("id").unwrap_or_default());
                 let mut mr = MemoryRegion::new(id);
                 if let Some(d) = child.first_named("MRDescriptor") {
-                    mr.descriptor = decode_descriptor(d, lenient)?;
+                    mr.descriptor = decode_descriptor(builder, d, lenient)?;
                 }
                 builder.memory(handle, mr);
             }
             "Interconnect" => {
-                let ic = decode_interconnect(child, lenient)?;
+                let ic = decode_interconnect(builder, child, lenient)?;
                 builder.interconnect(ic);
             }
             "LogicGroupAttribute" => {
-                let name = child.attribute("name").unwrap_or_default().to_string();
+                let name = builder.intern(child.attribute("name").unwrap_or_default());
                 builder.group(handle, name);
             }
             "Worker" | "Hybrid" => decode_pu_tree(builder, child, Some(handle), lenient)?,
@@ -164,32 +168,40 @@ fn decode_pu_tree(
     Ok(())
 }
 
-fn decode_interconnect(e: Element<'_, '_>, lenient: bool) -> Result<Interconnect, XmlError> {
-    let ic_type = e.attribute("type").unwrap_or_default().to_string();
-    let from = e.attribute("from").unwrap_or_default().to_string();
-    let to = e.attribute("to").unwrap_or_default().to_string();
-    let mut ic = Interconnect::new(ic_type, from, to);
-    if let Some(s) = e.attribute("scheme") {
-        ic.scheme = s.to_string();
-    }
+fn decode_interconnect(
+    builder: &mut PlatformBuilder,
+    e: Element<'_, '_>,
+    lenient: bool,
+) -> Result<Interconnect, XmlError> {
+    let mut attribute = |name: &str| builder.intern(e.attribute(name).unwrap_or_default());
+    let mut ic = Interconnect::new(attribute("type"), attribute("from"), attribute("to"));
+    ic.scheme = attribute("scheme");
     if e.attribute("direction") == Some("uni") {
         ic.directionality = Directionality::Unidirectional;
     }
     if let Some(d) = e.first_named("ICDescriptor") {
-        ic.descriptor = decode_descriptor(d, lenient)?;
+        ic.descriptor = decode_descriptor(builder, d, lenient)?;
     }
     Ok(ic)
 }
 
-fn decode_descriptor(e: Element<'_, '_>, lenient: bool) -> Result<Descriptor, XmlError> {
-    let mut d = Descriptor::new();
+fn decode_descriptor(
+    builder: &mut PlatformBuilder,
+    e: Element<'_, '_>,
+    lenient: bool,
+) -> Result<Descriptor, XmlError> {
+    let mut d = Descriptor::with_capacity(e.elements_named("Property").count());
     for p in e.elements_named("Property") {
-        d.push(decode_property(p, lenient)?);
+        d.push(decode_property(builder, p, lenient)?);
     }
     Ok(d)
 }
 
-fn decode_property(e: Element<'_, '_>, lenient: bool) -> Result<Property, XmlError> {
+fn decode_property(
+    builder: &mut PlatformBuilder,
+    e: Element<'_, '_>,
+    lenient: bool,
+) -> Result<Property, XmlError> {
     // `fixed` defaults to false when absent (the attribute is optional in
     // the paper's schema; both listings spell it explicitly).
     let fixed = match e.attribute("fixed") {
@@ -206,7 +218,7 @@ fn decode_property(e: Element<'_, '_>, lenient: bool) -> Result<Property, XmlErr
     };
 
     let subschema = match e.attribute("xsi:type") {
-        Some(t) => match SubschemaRef::parse(t) {
+        Some(t) => match SubschemaRef::parse_with(t, |s| builder.intern(s)) {
             Some(r) => Some(r),
             None if lenient => None,
             None => {
@@ -218,10 +230,10 @@ fn decode_property(e: Element<'_, '_>, lenient: bool) -> Result<Property, XmlErr
         None => None,
     };
 
-    let name = e
-        .first_named("name")
-        .map(|n| n.text_content().into_owned())
-        .unwrap_or_default();
+    let name = match e.first_named("name") {
+        Some(n) => builder.intern(&n.text_content()),
+        None => Text::default(),
+    };
 
     let (text, unit) = match e.first_named("value") {
         Some(v) => {
@@ -239,9 +251,9 @@ fn decode_property(e: Element<'_, '_>, lenient: bool) -> Result<Property, XmlErr
                 },
                 None => None,
             };
-            (v.text_content().into_owned(), unit)
+            (builder.intern(&v.text_content()), unit)
         }
-        None => (String::new(), None),
+        None => (Text::default(), None),
     };
 
     Ok(Property {
@@ -297,6 +309,11 @@ mod tests {
         assert_eq!(w.architecture(), Some("gpu"));
         assert_eq!(p.interconnects().len(), 1);
         assert_eq!(p.interconnects()[0].ic_type, "rDMA");
+        // One allocation per distinct text: the endpoint is the PU's id,
+        // and both PUs' property names are one string.
+        assert!(p.interconnects()[0].from.text().ptr_eq(m.id.text()));
+        let name = |pu: &ProcessingUnit| pu.descriptor.iter().next().unwrap().name.clone();
+        assert!(name(m).ptr_eq(&name(w)));
     }
 
     #[test]

@@ -35,7 +35,7 @@ fn arb_property() -> impl Strategy<Value = Property> {
                 Property::fixed(name, "x")
             } else {
                 Property {
-                    name,
+                    name: name.into(),
                     value: PropertyValue::text(value),
                     fixed,
                     subschema: None,
