@@ -5,6 +5,8 @@
 //! vocabulary used by the rest of the toolchain (discovery, simulator,
 //! runtime, compiler). Subschemas (e.g. `ocl:`) add their own names on top.
 
+use crate::units::Unit;
+
 /// PU instruction-set / device architecture: `x86`, `gpu`, `spe`, `ppe`,
 /// `fpga`, … (Listing 1 uses `ARCHITECTURE`.)
 pub const ARCHITECTURE: &str = "ARCHITECTURE";
@@ -61,3 +63,16 @@ pub const RUNTIME_SYSTEM: &str = "RUNTIME_SYSTEM";
 
 /// Memory-region kind: `ram`, `vram`, `local-store`, `cache`, `scratchpad`.
 pub const MEMORY_KIND: &str = "MEMORY_KIND";
+
+/// The well-known properties that measure a dimension, each with the base
+/// unit a value without a `unit=` annotation is read in: `PEAK_GFLOPS_DP`
+/// 85.3 with no unit is 85.3 FLOP/s, not 85.3 GFLOP/s.
+pub const DIMENSIONED: [(&str, Unit); 7] = [
+    (PEAK_GFLOPS_DP, Unit::FlopPerSec),
+    (FREQUENCY, Unit::Hertz),
+    (SIZE, Unit::Byte),
+    (BANDWIDTH, Unit::BytePerSec),
+    (LATENCY, Unit::Second),
+    (TDP, Unit::Watt),
+    (IDLE_POWER, Unit::Watt),
+];

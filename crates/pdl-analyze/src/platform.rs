@@ -16,6 +16,7 @@ use pdl_core::descriptor::Descriptor;
 use pdl_core::diag::{Diagnostic, Report, Span};
 use pdl_core::platform::Platform;
 use pdl_core::pu::PuClass;
+use pdl_core::wellknown;
 use pdl_xml::dom::Document;
 use pdl_xml::{Pos, SchemaError, SchemaRegistry, XmlError};
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
@@ -26,7 +27,8 @@ use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 /// `P008`, whose endpoint resolution is re-derived here with memory-region
 /// awareness as `P103`/`P104`) plus the `P1xx` analyses: control-cycle
 /// detection, Master-reachability, interconnect endpoint resolution,
-/// subschema property typing and group-name hygiene.
+/// subschema property typing, group-name hygiene and unitless dimensioned
+/// values.
 pub fn analyze_platform(platform: &Platform) -> Report {
     finish(model_diagnostics(platform, true), None, None)
 }
@@ -166,6 +168,7 @@ fn model_diagnostics(platform: &Platform, typed_props: bool) -> Vec<Diagnostic> 
     master_reachability(platform, &mut out);
     endpoint_resolution(platform, &mut out);
     group_name_hygiene(platform, &mut out);
+    unitless_dimensions(platform, &mut out);
     if typed_props {
         subschema_typing(platform, &mut out);
     }
@@ -366,6 +369,48 @@ fn group_name_hygiene(platform: &Platform, out: &mut Vec<Diagnostic>) {
             }
             out.push(d);
         }
+    }
+}
+
+/// `P108`: a numeric value of a dimensioned well-known property without a
+/// unit. Tools read it in the base unit, so a description whose `unit=`
+/// attributes went missing simulates a GPU at 1e-9 of its speed and checks
+/// clean otherwise.
+fn unitless_dimensions(platform: &Platform, out: &mut Vec<Diagnostic>) {
+    let mut check = |descriptor: &Descriptor, subject: &str| {
+        for p in descriptor.iter() {
+            if p.value.unit.is_some() {
+                continue;
+            }
+            let Some((_, base)) = wellknown::DIMENSIONED.iter().find(|(n, _)| p.name == *n) else {
+                continue;
+            };
+            if p.value.in_base_units().is_none() {
+                continue;
+            }
+            out.push(
+                Diagnostic::warning(
+                    "P108",
+                    format!(
+                        "property \"{}\" of \"{subject}\" has no unit: {} is read as {} {base}",
+                        p.name,
+                        p.value.text.trim(),
+                        p.value.text.trim()
+                    ),
+                )
+                .with_subject(subject)
+                .with_note("add a unit= attribute to the <value>"),
+            );
+        }
+    };
+    for (_, pu) in platform.iter() {
+        check(&pu.descriptor, pu.id.as_str());
+        for mr in &pu.memory_regions {
+            check(&mr.descriptor, pu.id.as_str());
+        }
+    }
+    for ic in platform.interconnects() {
+        check(&ic.descriptor, ic.from.as_str());
     }
 }
 
