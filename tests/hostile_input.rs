@@ -1,14 +1,23 @@
 //! Hostile input is a diagnostic, never an abort: each case is an `Err`
-//! (with the field it names), never a panic.
+//! (with the field it names, or the position it stopped at), never a panic.
 //!
 //! Trace codec rows: every truncation of a document, a task index past
 //! `u32`, and labels that need escaping.
+//!
+//! XML document rows: every truncation of Listing 1 and a stride of
+//! truncations of a shipped descriptor, and the two worst cases of the
+//! platform's intern table — one name and one value shared by 100 000
+//! properties, and 100 000 distinct values — round-tripped within a wall
+//! cap linear in their size.
 
 use hetero_rt::prelude::*;
 use hetero_trace::{codec, profile, TaskInfo};
 use kernels::graphs::dgemm_graph;
+use pdl_core::prelude::*;
 use pdl_discover::synthetic;
+use pdl_xml::XmlError;
 use simhw::machine::SimMachine;
+use std::time::{Duration, Instant};
 
 /// Every prefix of `text` is refused, except `text` itself and `text`
 /// without its trailing newline.
@@ -126,4 +135,111 @@ fn profiler_walks_a_dependency_cycle_of_zero_length_spans_once() {
     assert_eq!(chain, ["task0", "task1", "task2"], "each span once");
     assert_eq!((p.start_ns, p.makespan_ns), (5, 9));
     assert_eq!(p.blame.iter().map(|b| b.ns).sum::<u64>(), 4);
+}
+
+/// Listing 1 of the paper, as `tests/listing1.rs` holds it.
+const LISTING_1: &str = r#"<?xml version="1.0" encoding="UTF-8"?>
+<!-- XML HEADER -->
+<Master id="0" quantity="1">
+  <PUDescriptor>
+    <Property fixed="true">
+      <name>ARCHITECTURE</name>
+      <value>x86</value>
+    </Property>
+    <!-- Additional properties -->
+  </PUDescriptor>
+  <Worker quantity="1" id="1">
+    <PUDescriptor>
+      <Property fixed="true">
+        <name>ARCHITECTURE</name>
+        <value>gpu</value>
+      </Property>
+      <!-- Additional properties -->
+    </PUDescriptor>
+  </Worker>
+  <Interconnect type="rDMA" from="0" to="1" scheme=""/>
+</Master>
+"#;
+
+/// `text` cut at every `step`-th character boundary: a cut before the end
+/// of the root element is a syntax error at a position inside the prefix,
+/// a cut after it decodes.
+fn xml_truncations_are_refused(name: &str, text: &str, step: usize) {
+    let root_closed = text.trim_end().len();
+    let cuts = (0..=text.len()).filter(|&cut| text.is_char_boundary(cut));
+    for cut in cuts.step_by(step) {
+        let prefix = &text[..cut];
+        match pdl_xml::from_xml(prefix) {
+            Err(XmlError::Syntax(e)) => {
+                assert!(cut < root_closed, "{name} whole at byte {cut}: {e}");
+                let lines = prefix.lines().count().max(1) as u32;
+                let pos = e.pos;
+                assert!(
+                    pos.line >= 1 && pos.col >= 1 && pos.line <= lines + 1,
+                    "{name} cut at byte {cut}: {e} lies outside its {lines} lines"
+                );
+            }
+            Err(other) => panic!("{name} cut at byte {cut}: not a syntax error: {other}"),
+            Ok(_) => assert!(cut >= root_closed, "{name} cut at byte {cut} decoded"),
+        }
+    }
+}
+
+#[test]
+fn xml_refuses_every_truncation_of_listing_1() {
+    xml_truncations_are_refused("Listing 1", LISTING_1, 1);
+}
+
+#[test]
+fn xml_refuses_a_stride_of_truncations_of_a_shipped_descriptor() {
+    let fixture = "examples/platforms/xeon_2gpu_testbed.xml";
+    let text = std::fs::read_to_string(fixture).expect("fixture reads");
+    xml_truncations_are_refused(fixture, &text, 97);
+}
+
+/// One master carrying `props`, written out and read back: the platform
+/// and its content address survive, within `ns_per_byte` of the document.
+fn round_trips_within_a_linear_cap(name: &str, props: Vec<Property>) -> Platform {
+    let mut b = Platform::builder(name);
+    let m = b.master("m");
+    b.descriptor(m, props.into_iter().collect());
+    let platform = b.build().expect("valid");
+
+    let started = Instant::now();
+    let xml = pdl_xml::to_xml(&platform);
+    let back = pdl_xml::from_xml(&xml).expect("round trip parses");
+    let (hash, back_hash) = (
+        pdl_registry::content_hash(&platform),
+        pdl_registry::content_hash(&back),
+    );
+    let took = started.elapsed();
+
+    assert_eq!(back, platform, "{name}: the platform changed");
+    assert_eq!(back_hash, hash, "{name}: the content address moved");
+    // About 300 ns a byte in a debug build and 30 in a release build on a
+    // 2-vCPU host: the cap leaves tenfold room over debug, not the quadratic
+    // cost of a degenerate table.
+    let cap = Duration::from_micros(3 * xml.len() as u64);
+    assert!(took < cap, "{name}: {took:?} for {} bytes", xml.len());
+    back
+}
+
+#[test]
+fn xml_shares_one_name_and_value_across_100_000_properties() {
+    let props = vec![Property::fixed("SHARED", "1"); 100_000];
+    let back = round_trips_within_a_linear_cap("one-text", props);
+    let (_, m) = back.pu_by_id("m").unwrap();
+    let first = m.descriptor.iter().next().unwrap();
+    assert!(m
+        .descriptor
+        .iter()
+        .all(|p| p.name.ptr_eq(&first.name) && p.value.text.ptr_eq(&first.value.text)));
+}
+
+#[test]
+fn xml_round_trips_100_000_distinct_values() {
+    let props = (0..100_000)
+        .map(|i| Property::fixed("DISTINCT", format!("v{i}")))
+        .collect();
+    round_trips_within_a_linear_cap("distinct-texts", props);
 }
