@@ -1,5 +1,7 @@
 #!/usr/bin/env bash
-# Unsafe-code gate for every source the workspace builds, vendor/ included.
+# Unsafe-code gate for every source the workspace builds, vendor/ included,
+# and for benchmark/, the pipeline ledger's own workspace (its build
+# directory excluded).
 #
 # The workspace forbids `unsafe_code` outright (see [workspace.lints.rust]
 # in Cargo.toml), so today this gate expects *zero* `unsafe` tokens. If a
@@ -37,7 +39,7 @@ while IFS=: read -r file line text; do
         echo "    $text"
         bad=1
     fi
-done < <(grep -rn --include='*.rs' -E '\bunsafe\b' src crates tests benches examples vendor 2>/dev/null || true)
+done < <(grep -rn --include='*.rs' --exclude-dir=target -E '\bunsafe\b' src crates tests examples vendor benchmark 2>/dev/null || true)
 
 if [ "$bad" -ne 0 ]; then
     echo "ci/check_unsafe.sh: FAIL — document or remove the unsafe sites above"
