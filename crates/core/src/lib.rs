@@ -18,6 +18,12 @@
 //! * [`property::Property`] — fixed/unfixed values, unit annotations and
 //!   typed subschema references (Listing 2's `ocl:` properties).
 //!
+//! Every id, property name and value, subschema name and interconnect label
+//! is a [`text::Text`]: shared, immutable text that clones without copying.
+//! [`platform::PlatformBuilder::intern`] gives out one `Text` per distinct
+//! string, which is how a parser stores each string of a description once;
+//! cloning, canonicalizing or composing a platform then copies no text.
+//!
 //! ## Quick example — Listing 1 of the paper
 //!
 //! ```
