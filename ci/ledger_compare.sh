@@ -18,8 +18,11 @@
 # and behind: medians say how far, the sign count says how reliably, and a
 # claimed gain needs both. Under each count, the two sides' medians and
 # quartiles over the pairs, the median gain (positive when head is better)
-# and the base's interquartile range: a claimed gain is ahead in ≥ 9 of 10
-# pairs with a median gain above the base's IQR. These lines only print.
+# and the base's interquartile range, then the verdict of the claim rule on
+# them: `claim rule: met` when head is ahead in at least nine tenths of the
+# pairs with a median gain above the base's IQR, `regression rule: met`
+# when it is behind by the same rule, `neither` otherwise. These lines only
+# print.
 #
 # With workloads named, `--trace 1` passes at seeds 7 and 11, one per side,
 # workload and seed, follow the pairs, into directories of their own, and
@@ -142,11 +145,17 @@ sed -n '/"end_to_end"/,/"per_layer"/p' "$root/BENCHMARK.json" |
             printf '  %-18s %-12s head better in %d of %d pairs, worse in %d\n' \
                 "$workload" "$metric" "$ahead" "$pairs" "$behind"
             # shellcheck disable=SC2086 # one word per pair
-            awk -v base="$(quartiles $bs)" -v head="$(quartiles $hs)" -v better="$better" 'BEGIN {
+            awk -v base="$(quartiles $bs)" -v head="$(quartiles $hs)" -v better="$better" \
+                -v ahead="$ahead" -v behind="$behind" -v pairs="$pairs" 'BEGIN {
                 split(base, b, " "); split(head, h, " ")
                 gain = (better == "lower") ? b[2] - h[2] : h[2] - b[2]
+                iqr = b[3] - b[1]
                 printf "  %32s base %.5g [%.5g, %.5g], head %.5g [%.5g, %.5g]; median gain %.5g, base IQR %.5g\n",
-                    "", b[2], b[1], b[3], h[2], h[1], h[3], gain, b[3] - b[1] }'
+                    "", b[2], b[1], b[3], h[2], h[1], h[3], gain, iqr
+                verdict = "neither"
+                if (10 * ahead >= 9 * pairs && gain > iqr) verdict = "claim rule: met"
+                else if (10 * behind >= 9 * pairs && -gain > iqr) verdict = "regression rule: met"
+                printf "  %32s %s\n", "", verdict }'
         done
     done
 

@@ -85,39 +85,37 @@ pub fn map_call(
 
     // Group scope: named group (set expression allowed) or whole platform.
     let group = call.pragma.execution_group.clone();
-    let scope: BTreeSet<String> = if group.is_empty() {
-        platform
-            .iter()
-            .map(|(_, pu)| pu.id.as_str().to_string())
-            .collect()
+    let scope: BTreeSet<&str> = if group.is_empty() {
+        platform.iter().map(|(_, pu)| pu.id.as_str()).collect()
     } else {
         let idxs = groups::resolve(platform, &group).map_err(|e| MappingError::BadGroup {
             group: group.clone(),
             message: e.to_string(),
         })?;
         idxs.into_iter()
-            .map(|i| platform.pu(i).id.as_str().to_string())
+            .map(|i| platform.pu(i).id.as_str())
             .collect()
     };
 
+    // Ids are compared borrowed; each target is copied once, the first
+    // time a kept variant can use it.
+    let mut targeted: BTreeSet<&str> = BTreeSet::new();
     let mut target_pus: Vec<String> = Vec::new();
     let mut usable_variants: Vec<String> = Vec::new();
-    for d in &selection.decisions {
-        if !d.kept {
-            continue;
-        }
-        let usable_here: Vec<&String> = d
+    for d in selection.decisions.iter().filter(|d| d.kept) {
+        let mut usable = false;
+        for pu in d
             .eligible_pus
             .iter()
-            .filter(|pu| scope.contains(*pu))
-            .collect();
-        if !usable_here.is_empty() {
-            usable_variants.push(d.implementation.clone());
-            for pu in usable_here {
-                if !target_pus.contains(pu) {
-                    target_pus.push(pu.clone());
-                }
+            .filter(|pu| scope.contains(pu.as_str()))
+        {
+            usable = true;
+            if targeted.insert(pu) {
+                target_pus.push(pu.clone());
             }
+        }
+        if usable {
+            usable_variants.push(d.implementation.clone());
         }
     }
 

@@ -100,13 +100,15 @@ pub(crate) fn preselect_interface(
     platform: &Platform,
 ) -> Result<InterfaceSelection, PreselectError> {
     let mut decisions = Vec::new();
+    // Which PUs the current variant already lists, by arena index.
+    let mut listed = vec![false; platform.len()];
     for imp in &interface.implementations {
+        listed.fill(false);
         let mut eligible: Vec<String> = Vec::new();
         for set in variant_requirements(imp) {
-            for (_, pu) in set.matches(platform) {
-                let id = pu.id.as_str().to_string();
-                if !eligible.contains(&id) {
-                    eligible.push(id);
+            for (idx, pu) in set.matches(platform) {
+                if !std::mem::replace(&mut listed[idx.index()], true) {
+                    eligible.push(pu.id.as_str().to_string());
                 }
             }
         }

@@ -258,18 +258,26 @@ impl ThreadedExecutor {
         self
     }
 
-    /// Enables or disables per-task stats collection (default **on**).
+    /// Enables or disables per-task stats and timing (default **on**).
     ///
-    /// With stats off, [`ExecReport::tasks`] comes back empty and workers
-    /// skip the per-task `(index, duration)` record — at a million tasks
-    /// per run, that record and its stats row are the dominant fixed cost,
-    /// so throughput benchmarks and embedders that only need the aggregate
-    /// counters turn it off. A [`PlacedGraph`] run with stats off never
-    /// cuts its labels into `Arc`s at all.
-    /// Worker-level stats and traces are unaffected.
+    /// With stats off, [`ExecReport::tasks`] comes back empty, and a run
+    /// that does not trace either reads no clock per task: the two
+    /// readings that time a body (≈ 50 ns each) cost more than the empty
+    /// task itself, where the `(index, duration)` record is one `Vec`
+    /// push. Such an untimed run reports [`WorkerStats::busy`] as `None`;
+    /// its counters (`executed`, steals, failed scans) and
+    /// [`ExecReport::wall`] are kept. A traced run still times every task,
+    /// so its `busy` is the sum of its spans. A [`PlacedGraph`] run with
+    /// stats off never cuts its labels into `Arc`s at all.
     pub fn with_task_stats(mut self, enabled: bool) -> Self {
         self.task_stats = enabled;
         self
+    }
+
+    /// Whether a run has a consumer for per-task times — stats rows or a
+    /// recording sink — and so reads the clock around every body.
+    fn timed(&self) -> bool {
+        self.task_stats || self.sink.enabled()
     }
 
     /// Group names under the configured placement (a single `"all"`
@@ -417,6 +425,7 @@ impl ThreadedExecutor {
                 worker_stats: (0..self.workers)
                     .map(|worker| WorkerStats {
                         worker,
+                        busy: self.timed().then_some(StdDuration::ZERO),
                         ..WorkerStats::default()
                     })
                     .collect(),
@@ -548,6 +557,7 @@ impl ThreadedExecutor {
                     n,
                     clock,
                     tracer: self.sink.worker_tracer(),
+                    timed: self.timed(),
                     collect: self.task_stats,
                 };
                 handles.push(scope.spawn(move || ctx.run()));
@@ -650,6 +660,10 @@ struct WorkerCtx<'a> {
     n: usize,
     clock: TraceClock,
     tracer: WorkerTracer,
+    /// Whether to read the clock around each body: per-task stats or a
+    /// recording tracer will use the readings. Implied by `collect` and by
+    /// an enabled `tracer`.
+    timed: bool,
     /// Whether to record per-task `(index, duration)` rows for
     /// `ExecReport::tasks` (off for large batched runs).
     collect: bool,
@@ -658,6 +672,8 @@ struct WorkerCtx<'a> {
 /// Worker-local accumulation that the hot loop writes without touching any
 /// shared atomics; handed back once at join time.
 struct HotState {
+    /// The sum of this worker's task durations; reported only when timed.
+    busy: StdDuration,
     /// `(task, nanoseconds)` rows, only filled when stats collection is on.
     records: Vec<(u32, u64)>,
     /// Same-group dependents readied by one completion beyond its
@@ -717,6 +733,7 @@ impl WorkerCtx<'_> {
             ..WorkerStats::default()
         };
         let mut hot = HotState {
+            busy: StdDuration::ZERO,
             records: Vec::new(),
             surplus: Vec::new(),
         };
@@ -758,6 +775,7 @@ impl WorkerCtx<'_> {
                 }
             }
         }
+        out.busy = self.timed.then_some(hot.busy);
         let trace = tracer.finish(self.me);
         (out, hot.records, trace)
     }
@@ -829,11 +847,13 @@ impl WorkerCtx<'_> {
         // shared clock, so per-worker busy time and the exported spans are
         // the same numbers. They time the body alone, not its building.
         // Tracing reuses the two readings: the claim is stamped with the
-        // start it led straight into.
+        // start it led straight into. An untimed run takes neither.
         let mut t0 = 0;
         let ran = catch_unwind(AssertUnwindSafe(|| {
             let job = (self.rt.work)(i);
-            t0 = self.clock.now();
+            if self.timed {
+                t0 = self.clock.now();
+            }
             job();
         }));
         if let Err(payload) = ran {
@@ -842,16 +862,18 @@ impl WorkerCtx<'_> {
             self.wake.notify_all();
             return None;
         }
-        let t1 = self.clock.now();
-        let task = i as u32;
-        tracer.record_at(t0, EventKind::TaskDequeued { task, provenance });
-        tracer.record_at(t0, EventKind::TaskStart { task });
-        tracer.record_at(t1, EventKind::TaskEnd { task });
-        let ns = t1.saturating_sub(t0);
-        out.busy += StdDuration::from_nanos(ns);
         out.executed += 1;
-        if self.collect {
-            hot.records.push((task, ns));
+        if self.timed {
+            let t1 = self.clock.now();
+            let task = i as u32;
+            tracer.record_at(t0, EventKind::TaskDequeued { task, provenance });
+            tracer.record_at(t0, EventKind::TaskStart { task });
+            tracer.record_at(t1, EventKind::TaskEnd { task });
+            let ns = t1.saturating_sub(t0);
+            hot.busy += StdDuration::from_nanos(ns);
+            if self.collect {
+                hot.records.push((task, ns));
+            }
         }
         // Fused wakeups: the first runnable-here dependent becomes the
         // continuation, the rest go to the deque under one lock, and at most
@@ -1030,6 +1052,41 @@ mod tests {
         assert!(report.tasks.is_empty());
         assert_eq!(report.worker_stats.len(), 2);
         assert!(report.trace.is_none(), "the null sink collects nothing");
+        assert_eq!(report.total_busy(), Some(StdDuration::ZERO));
+        let untimed = ThreadedExecutor::new(2)
+            .with_task_stats(false)
+            .run(Vec::new())
+            .unwrap();
+        assert!(untimed.worker_stats.iter().all(|w| w.busy.is_none()));
+    }
+
+    /// With per-task stats on and no trace, each worker's busy time is
+    /// exactly the sum of its own task rows, on both submission paths.
+    #[test]
+    fn stats_on_busy_is_the_sum_of_its_rows() {
+        let tasks: Vec<ThreadTask> = (0..48usize)
+            .map(|i| {
+                ThreadTask::new(format!("t{i}"), move || {
+                    std::hint::black_box(i.wrapping_mul(0x9e37));
+                })
+                .after((i >= 4).then(|| i - 4))
+            })
+            .collect();
+        let pool = ThreadedExecutor::new(3);
+        let placed = pool.compile_graph(&diamond_graph()).unwrap();
+        let reports = [
+            pool.run(tasks).unwrap(),
+            pool.run_compiled(&placed, |_| Box::new(|| {})).unwrap(),
+        ];
+        for report in reports {
+            for ws in &report.worker_stats {
+                let rows = report.tasks.iter().filter(|t| t.worker == ws.worker);
+                let sum: StdDuration = rows.map(|t| t.duration).sum();
+                assert_eq!(ws.busy, Some(sum), "worker {}", ws.worker);
+            }
+            let all: StdDuration = report.tasks.iter().map(|t| t.duration).sum();
+            assert_eq!(report.total_busy(), Some(all));
+        }
     }
 
     /// A traced run of nothing still returns its trace: the lanes and the
@@ -1500,6 +1557,37 @@ mod tests {
         let executed: usize = report.worker_stats.iter().map(|w| w.executed).sum();
         assert_eq!(executed, 40);
         assert!(report.wall > StdDuration::ZERO);
+        // Nothing reads a task's time, so none is taken: busy is unknown,
+        // not zero, and the fractions read 0.
+        assert!(report.worker_stats.iter().all(|w| w.busy.is_none()));
+        assert_eq!(report.total_busy(), None);
+        assert_eq!(report.busy_fraction(), 0.0);
+
+        // Steals are still counted. In a chain alternating between two
+        // one-worker groups, a task whose predecessor ran in its own group
+        // waits in an injector, and one whose predecessor ran elsewhere
+        // followed a claim from a foreign queue: at least every other task
+        // is a steal.
+        let chain: Vec<ThreadTask> = (0..16)
+            .map(|i| {
+                ThreadTask::new(format!("c{i}"), || {})
+                    .after((i > 0).then(|| i - 1))
+                    .in_group(if i % 2 == 0 { "a" } else { "b" })
+            })
+            .collect();
+        let report = ThreadedExecutor::with_placement(
+            Placement::new().with_group("a", 1).with_group("b", 1),
+        )
+        .with_task_stats(false)
+        .run(chain)
+        .unwrap();
+        let executed: usize = report.worker_stats.iter().map(|w| w.executed).sum();
+        assert_eq!(executed, 16);
+        assert!(report.total_steals() >= 8, "{:?}", report.worker_stats);
+        assert!(report.wall > StdDuration::ZERO);
+        assert!(report.worker_stats.iter().all(|w| w.busy.is_none()));
+        let util = report.utilization_by_group();
+        assert!(util.iter().all(|&(_, u)| u == 0.0), "{util:?}");
     }
 
     #[test]

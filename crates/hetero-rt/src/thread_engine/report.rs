@@ -35,8 +35,11 @@ pub struct WorkerStats {
     /// Full scans (own deque + injectors + every sibling) that found
     /// nothing and sent the worker to sleep.
     pub failed_steals: usize,
-    /// Total wall-clock time spent inside task closures.
-    pub busy: StdDuration,
+    /// Total wall-clock time spent inside task closures: the exact sum of
+    /// the worker's task durations in a timed run (per-task stats on, or
+    /// a recording trace sink), `None` in an untimed one, which reads no
+    /// clock per task.
+    pub busy: Option<StdDuration>,
 }
 
 /// Result of a pool run.
@@ -77,29 +80,37 @@ impl ExecReport {
         self.worker_stats.iter().map(|w| w.failed_steals).sum()
     }
 
-    /// Total busy time across workers.
-    pub fn total_busy(&self) -> StdDuration {
+    /// Total busy time across workers, `None` for an untimed run (see
+    /// [`WorkerStats::busy`]).
+    pub fn total_busy(&self) -> Option<StdDuration> {
         self.worker_stats.iter().map(|w| w.busy).sum()
     }
 
     /// Fraction of the pool's total capacity (`wall × workers`) spent
     /// inside task closures. All durations share one monotonic clock
     /// origin, so this is exact, not a cross-origin estimate.
+    ///
+    /// An untimed run reads 0.0, as an idle one does; [`total_busy`]
+    /// tells the two apart (`None` against `Some(ZERO)`).
+    ///
+    /// [`total_busy`]: ExecReport::total_busy
     pub fn busy_fraction(&self) -> f64 {
         let capacity = self.wall.as_secs_f64() * self.workers.max(1) as f64;
         if capacity <= 0.0 {
             0.0
         } else {
-            (self.total_busy().as_secs_f64() / capacity).min(1.0)
+            let busy = self.total_busy().unwrap_or_default();
+            (busy.as_secs_f64() / capacity).min(1.0)
         }
     }
 
-    /// Busy time per placement group, indexed like [`ExecReport::groups`].
+    /// Busy time per placement group, indexed like [`ExecReport::groups`];
+    /// zero throughout for an untimed run.
     pub(crate) fn busy_by_group(&self) -> Vec<StdDuration> {
         let mut busy = vec![StdDuration::ZERO; self.groups.len()];
         for w in &self.worker_stats {
             if let Some(slot) = busy.get_mut(w.group) {
-                *slot += w.busy;
+                *slot += w.busy.unwrap_or_default();
             }
         }
         busy
@@ -108,6 +119,9 @@ impl ExecReport {
     /// Per-group utilization: `(group name, busy / (wall × group
     /// workers))` — the thread-engine equivalent of the simulated engine's
     /// per-PU utilization, keyed by PDL logic group.
+    ///
+    /// Every group reads 0.0 in an untimed run, as an idle group does;
+    /// [`total_busy`](ExecReport::total_busy) tells the two apart.
     pub fn utilization_by_group(&self) -> Vec<(String, f64)> {
         let wall = self.wall.as_secs_f64();
         let mut workers_per_group = vec![0usize; self.groups.len()];

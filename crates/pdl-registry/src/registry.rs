@@ -448,6 +448,11 @@ mod tests {
         let v2 = snap.resolve_str("node", "latest").unwrap();
         assert_eq!(v1.version, SemVer::new(1, 0, 0));
         assert_eq!(v2.version, SemVer::new(2, 0, 0));
+        // A fourth field is refused, not dropped to pin 1.0.0.
+        assert_eq!(
+            snap.resolve_str("node", "1.0.0.4").map(|r| r.version),
+            Err(RegistryError::BadVersionReq("1.0.0.4".into()))
+        );
         assert_eq!(
             v1.platform.platform().pu_by_id("cpu").unwrap().1.cores(),
             Some(8)

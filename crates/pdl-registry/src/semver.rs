@@ -56,21 +56,36 @@ impl SemVer {
 
     /// Parses `"1"`, `"1.2"` or `"1.2.3"` (missing fields are zero).
     pub(crate) fn parse(s: &str) -> Option<Self> {
-        let mut it = s.trim().split('.');
-        let major = it.next()?.parse().ok()?;
-        let minor = match it.next() {
-            Some(p) => p.parse().ok()?,
-            None => 0,
-        };
-        let patch = match it.next() {
-            Some(p) => p.parse().ok()?,
-            None => 0,
-        };
-        if it.next().is_some() {
-            return None;
-        }
-        Some(SemVer::new(major, minor, patch))
+        let (major, minor, patch) = fields(s)?;
+        Some(SemVer::new(major, minor.unwrap_or(0), patch.unwrap_or(0)))
     }
+}
+
+/// The fields of `"1"`, `"1.2"` or `"1.2.3"`: `None` for a fourth field or
+/// for any field that is not a `u32` written in decimal digits alone.
+fn fields(s: &str) -> Option<(u32, Option<u32>, Option<u32>)> {
+    // Digits only: `u32::from_str` also takes a leading `+`.
+    fn field(p: &str) -> Option<u32> {
+        if p.bytes().all(|b| b.is_ascii_digit()) {
+            p.parse().ok()
+        } else {
+            None
+        }
+    }
+    let mut it = s.trim().split('.');
+    let major = field(it.next()?)?;
+    let minor = match it.next() {
+        Some(p) => Some(field(p)?),
+        None => None,
+    };
+    let patch = match it.next() {
+        Some(p) => Some(field(p)?),
+        None => None,
+    };
+    if it.next().is_some() {
+        return None;
+    }
+    Some((major, minor, patch))
 }
 
 impl fmt::Display for SemVer {
@@ -173,25 +188,14 @@ impl VersionReq {
         if let Some(rest) = s.strip_prefix('=') {
             return SemVer::parse(rest).map(VersionReq::Exact);
         }
-        let rest = s.strip_prefix('^').unwrap_or(s);
-        let mut it = rest.split('.');
-        let major = it.next()?.trim().parse().ok()?;
-        let minor = match it.next() {
-            Some(p) => Some(p.trim().parse().ok()?),
-            None => None,
-        };
-        match it.next() {
+        let caret = s.strip_prefix('^');
+        let (major, minor, patch) = fields(caret.unwrap_or(s))?;
+        match (patch, minor) {
             // A full triple means an exact pin unless written with '^'.
-            Some(p) => {
-                let patch: u32 = p.trim().parse().ok()?;
-                let v = SemVer::new(major, minor.unwrap_or(0), patch);
-                if s.starts_with('^') {
-                    Some(VersionReq::Caret { major, minor })
-                } else {
-                    Some(VersionReq::Exact(v))
-                }
+            (Some(patch), Some(minor)) if caret.is_none() => {
+                Some(VersionReq::Exact(SemVer::new(major, minor, patch)))
             }
-            None => Some(VersionReq::Caret { major, minor }),
+            _ => Some(VersionReq::Caret { major, minor }),
         }
     }
 
@@ -362,6 +366,10 @@ mod tests {
                 minor: Some(2)
             })
         );
+        // A fourth field is refused in every form, as `SemVer::parse` does.
+        for s in ["1.2.3.4", "1.2.3.4.5", "^1.2.3.4", "=1.2.3.4", ">=1.2.3.4"] {
+            assert_eq!(VersionReq::parse(s), None, "{s}");
+        }
     }
 
     #[test]

@@ -105,11 +105,16 @@ fn main() {
         exec.total_cross_group_steals(),
         exec.total_failed_steals(),
         exec.total_busy()
+            .expect("per-task stats are on: the run is timed")
     );
     for w in &exec.worker_stats {
         println!(
             "  worker {} (group {}): {} tasks, {} stolen, busy {:?}",
-            w.worker, w.group, w.executed, w.steals, w.busy
+            w.worker,
+            w.group,
+            w.executed,
+            w.steals,
+            w.busy.unwrap_or_default()
         );
     }
 

@@ -96,6 +96,7 @@ impl SingleQueueExecutor {
         if n == 0 {
             worker_stats.extend((0..self.workers).map(|worker| WorkerStats {
                 worker,
+                busy: Some(StdDuration::ZERO),
                 ..WorkerStats::default()
             }));
             return Ok(ExecReport {
@@ -141,6 +142,7 @@ impl SingleQueueExecutor {
                         worker,
                         ..WorkerStats::default()
                     };
+                    let mut busy = StdDuration::ZERO;
                     // The receiver's guard ends with the closure: kept across
                     // the loop body, it would serialize the pool.
                     let recv = || rx.lock().expect(POISONED).recv();
@@ -167,7 +169,7 @@ impl SingleQueueExecutor {
                         tracer.record_at(t1, EventKind::TaskEnd { task: i as u32 });
                         let dt = TraceClock::between(t0, t1);
                         out.executed += 1;
-                        out.busy += dt;
+                        busy += dt;
                         stats.lock().expect(POISONED).push(TaskStats {
                             label: labels[i].clone(),
                             worker,
@@ -187,6 +189,8 @@ impl SingleQueueExecutor {
                             }
                         }
                     }
+                    // The oracle times every task.
+                    out.busy = Some(busy);
                     (out, tracer.finish(worker))
                 }));
             }

@@ -9,12 +9,16 @@
 //! platform's intern table — one name and one value shared by 100 000
 //! properties, and 100 000 distinct values — round-tripped within a wall
 //! cap linear in their size.
+//!
+//! Semver-range rows: every truncation of `>=1.2.3`, `^1.2` and `1.2.3`,
+//! a fourth version field in every form, and fields past `u32`.
 
 use hetero_rt::prelude::*;
 use hetero_trace::{codec, profile, TaskInfo};
 use kernels::graphs::dgemm_graph;
 use pdl_core::prelude::*;
 use pdl_discover::synthetic;
+use pdl_registry::{SemVer, VersionReq};
 use pdl_xml::XmlError;
 use simhw::machine::SimMachine;
 use std::time::{Duration, Instant};
@@ -242,4 +246,90 @@ fn xml_round_trips_100_000_distinct_values() {
         .map(|i| Property::fixed("DISTINCT", format!("v{i}")))
         .collect();
     round_trips_within_a_linear_cap("distinct-texts", props);
+}
+
+/// A requirement cut anywhere is refused unless what is left is itself a
+/// requirement (the empty one means `latest`); a fourth field and a field
+/// past `u32` are refused in every form. Nothing here panics.
+#[test]
+fn version_requirements_refuse_cuts_extra_fields_and_overflow() {
+    let at_least =
+        |major, minor, patch| Some(VersionReq::AtLeast(SemVer::new(major, minor, patch)));
+    let caret = |major, minor| Some(VersionReq::Caret { major, minor });
+    let latest = Some(VersionReq::Latest);
+    let rows: [(&str, Vec<Option<VersionReq>>); 3] = [
+        (
+            ">=1.2.3",
+            vec![
+                latest.clone(),
+                None,
+                None,
+                at_least(1, 0, 0),
+                None,
+                at_least(1, 2, 0),
+                None,
+                at_least(1, 2, 3),
+            ],
+        ),
+        (
+            "^1.2",
+            vec![
+                latest.clone(),
+                None,
+                caret(1, None),
+                None,
+                caret(1, Some(2)),
+            ],
+        ),
+        (
+            "1.2.3",
+            vec![
+                latest,
+                caret(1, None),
+                None,
+                caret(1, Some(2)),
+                None,
+                Some(VersionReq::Exact(SemVer::new(1, 2, 3))),
+            ],
+        ),
+    ];
+    for (text, expected) in rows {
+        assert_eq!(expected.len(), text.len() + 1, "{text}");
+        for (cut, want) in expected.into_iter().enumerate() {
+            assert_eq!(
+                VersionReq::parse(&text[..cut]),
+                want,
+                "{text:?} cut at {cut}"
+            );
+        }
+    }
+
+    let refused = [
+        "1.2.3.4",
+        "1.2.3.4.5",
+        "^1.2.3.4",
+        "=1.2.3.4",
+        ">=1.2.3.4",
+        "1.2.3.",
+        "1..2",
+        "+1.2.3",
+        "=1.+2.3",
+        ">=1.2.+3",
+        "4294967296",
+        "1.4294967296",
+        "1.2.4294967296",
+        "^4294967296",
+        "^1.4294967296",
+        "=1.2.4294967296",
+        ">=4294967296",
+        "18446744073709551616.0.0",
+    ];
+    for text in refused {
+        assert_eq!(VersionReq::parse(text), None, "{text}");
+    }
+    assert_eq!(VersionReq::parse("4294967295"), caret(u32::MAX, None));
+    assert_eq!(
+        VersionReq::parse("=4294967295.0.4294967295"),
+        Some(VersionReq::Exact(SemVer::new(u32::MAX, 0, u32::MAX)))
+    );
 }

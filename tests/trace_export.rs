@@ -68,7 +68,10 @@ fn summary_totals_reconcile_exactly_with_exec_report() {
         total("cross_group_steals"),
         report.total_cross_group_steals() as u64
     );
-    assert_eq!(total("busy_ns"), report.total_busy().as_nanos() as u64);
+    assert_eq!(
+        total("busy_ns"),
+        report.total_busy().unwrap().as_nanos() as u64
+    );
     assert_eq!(total("overwritten"), 0);
 
     // Per-lane executed counts reconcile with per-worker stats.
@@ -81,7 +84,7 @@ fn summary_totals_reconcile_exactly_with_exec_report() {
         );
         assert_eq!(
             lane.get("busy_ns").and_then(Json::as_u64),
-            Some(ws.busy.as_nanos() as u64)
+            Some(ws.busy.unwrap().as_nanos() as u64)
         );
     }
 

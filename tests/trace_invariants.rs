@@ -10,7 +10,8 @@
 //! * trace steal events equal `ExecReport::total_steals()` and the
 //!   cross-group subset equals `ExecReport::total_cross_group_steals()`;
 //! * every task became ready exactly once, and busy time per worker agrees
-//!   with `WorkerStats::busy` (both sides read the same clock);
+//!   with `WorkerStats::busy` (both sides read the same clock), also when
+//!   per-task stats are off: a recording sink keeps a run timed;
 //! * the thread engine's stamp rules (`check_stamps`): which clock reading
 //!   each event carries, through `run` and through `run_compiled`.
 
@@ -73,7 +74,7 @@ fn check_trace(report: &ExecReport, n: usize) {
         let from_trace = stats.busy_ns.get(ws.worker).copied().unwrap_or(0);
         assert_eq!(
             from_trace,
-            ws.busy.as_nanos() as u64,
+            ws.busy.unwrap().as_nanos() as u64,
             "worker {} busy mismatch",
             ws.worker
         );
@@ -255,6 +256,22 @@ fn fork_join_completions_read_the_clock_once() {
                     }
                 }
             }
+        }
+    }
+}
+
+/// Per-task stats off do not make a traced run untimed: the trace uses the
+/// readings, so `WorkerStats::busy` is kept and equals the span sums.
+#[test]
+fn traced_runs_without_task_stats_stay_timed() {
+    let masks: Vec<u64> = (0..40u64)
+        .map(|i| i.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 7)
+        .collect();
+    for workers in 1..=4 {
+        let pool = ThreadedExecutor::new(workers).with_task_stats(false);
+        for report in check_both_paths(&pool, &masks, |_| None) {
+            assert!(report.tasks.is_empty());
+            assert!(report.total_busy().is_some());
         }
     }
 }
