@@ -71,7 +71,11 @@ impl<'g> DispatchTables<'g> {
             for group in std::iter::once(None).chain(graph.groups().iter().map(Some)) {
                 let devices: Vec<DeviceId> = (0..machine.len())
                     .filter(|&d| runs[d].is_some())
-                    .filter(|&d| group.is_none_or(|g| machine.devices[d].groups.contains(g)))
+                    .filter(|&d| {
+                        group.is_none_or(|g| {
+                            machine.devices[d].groups.iter().any(|x| x == g.as_str())
+                        })
+                    })
                     .map(DeviceId)
                     .collect();
                 let known = classes.iter().position(|c| *c == devices);
@@ -318,14 +322,16 @@ mod tests {
                 SimMachine::from_platform(&pdl_discover::synthetic::xeon_2gpu_testbed());
             machine.devices[3].flops_dp = rate;
             let expected = RtError::UnusableRate {
-                pu_id: machine.devices[3].pu_id.clone(),
+                pu_id: machine.devices[3].pu_id.to_string(),
                 flops_dp: rate,
             };
             let list = simulate(&g, &machine, &mut HeftScheduler, &options);
             assert_eq!(list.unwrap_err(), expected);
             let online = simulate_dynamic(&g, &machine, &mut HeftScheduler, &options);
             assert_eq!(online.unwrap_err(), expected);
-            assert!(expected.to_string().contains(&machine.devices[3].pu_id));
+            assert!(expected
+                .to_string()
+                .contains(machine.devices[3].pu_id.as_str()));
         }
     }
 
@@ -365,7 +371,7 @@ mod tests {
         let gpu = machine.devices.iter().find(|d| d.arch == "gpu").unwrap();
         let overflow = RtError::UnusableComputeTime {
             task: TaskId(1),
-            pu_id: gpu.pu_id.clone(),
+            pu_id: gpu.pu_id.to_string(),
         };
         cases.push((graph(1e-300, 1e300), "task t1", overflow));
         for (g, origin, expected) in cases {

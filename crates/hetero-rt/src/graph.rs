@@ -267,6 +267,11 @@ impl TaskGraph {
         &self.accesses[..self.starts(self.rows.len()).0]
     }
 
+    /// The dependencies of every task, in submission order, back to back.
+    pub(crate) fn all_dependencies(&self) -> &[TaskId] {
+        &self.dependencies[..self.starts(self.rows.len()).1]
+    }
+
     /// Tasks `t` must wait for.
     pub fn dependencies(&self, t: TaskId) -> &[TaskId] {
         let (_, first) = self.starts(t.0);

@@ -404,7 +404,7 @@ mod tests {
         );
         let r = simulate(&g, &machine, &mut EagerScheduler, &SimOptions::default()).unwrap();
         let (_, dev) = r.assignments[0];
-        assert!(machine.devices[dev.0].groups.contains(&"gpus".to_string()));
+        assert!(machine.devices[dev.0].groups.iter().any(|g| g == "gpus"));
     }
 
     #[test]

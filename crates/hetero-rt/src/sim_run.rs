@@ -230,7 +230,7 @@ impl<'a> SimRun<'a> {
             .find(|d| !(d.flops_dp.is_finite() && d.flops_dp > 0.0))
         {
             return Err(RtError::UnusableRate {
-                pu_id: d.pu_id.clone(),
+                pu_id: d.pu_id.to_string(),
                 flops_dp: d.flops_dp,
             });
         }
@@ -270,7 +270,7 @@ impl<'a> SimRun<'a> {
                 if !tables.compute_seconds(machine, t, d).is_finite() {
                     return Err(RtError::UnusableComputeTime {
                         task: t.id,
-                        pu_id: machine.devices[d.0].pu_id.clone(),
+                        pu_id: machine.devices[d.0].pu_id.to_string(),
                     });
                 }
             }
@@ -489,7 +489,11 @@ impl<'a> SimRun<'a> {
         let machine = self.machine;
         SimReport {
             makespan,
-            device_names: machine.devices.iter().map(|d| d.pu_id.clone()).collect(),
+            device_names: machine
+                .devices
+                .iter()
+                .map(|d| d.pu_id.to_string())
+                .collect(),
             assignments: self.assignments,
             energy: energy(machine, self.trace.lane_busy(), self.trace.makespan()),
             bytes_to_devices: self.data.bytes_to_devices(),

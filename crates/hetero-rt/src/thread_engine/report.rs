@@ -1,16 +1,16 @@
 //! What a pool run reports: per-task and per-worker statistics, and the
 //! errors a run can end with.
 
-use hetero_trace::RunTrace;
+use hetero_trace::{Labels, RunTrace};
 use std::sync::Arc;
 use std::time::Duration as StdDuration;
 
-/// Statistics of one executed task.
+/// Statistics of one executed task. It names its task by index; the
+/// report's label column holds the label ([`ExecReport::label`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct TaskStats {
-    /// The task's label: the [`ThreadTask`](super::ThreadTask)'s or the
-    /// compiled graph's own, not a copy.
-    pub label: Arc<str>,
+    /// Index of the task in the list or graph that was run.
+    pub task: usize,
     /// Worker thread (0-based) that ran it.
     pub worker: usize,
     /// Wall-clock execution time.
@@ -49,6 +49,11 @@ pub struct ExecReport {
     /// completion order — stats are collected worker-locally so the hot
     /// path shares no lock).
     pub tasks: Vec<TaskStats>,
+    /// The run's label column, indexed by [`TaskStats::task`], kept once:
+    /// the [`TaskList`](super::TaskList)'s, moved in, or the
+    /// [`PlacedGraph`](super::PlacedGraph)'s, shared by every batch. It is
+    /// there whether or not stats rows were collected.
+    pub labels: Arc<Labels>,
     /// End-to-end wall time.
     pub wall: StdDuration,
     /// Number of worker threads used.
@@ -65,6 +70,11 @@ pub struct ExecReport {
 }
 
 impl ExecReport {
+    /// The label of the task `row` reports on.
+    pub fn label(&self, row: &TaskStats) -> &str {
+        self.labels.get(row.task)
+    }
+
     /// Total successful steals across workers.
     pub fn total_steals(&self) -> usize {
         self.worker_stats.iter().map(|w| w.steals).sum()

@@ -22,6 +22,7 @@ use hetero_trace::{
     EventKind, EventLog, LaneLabel, RunTrace, TaskTable, TimeUnit, TraceEvent, TraceMeta,
     WorkerTrace,
 };
+use pdl_core::text::Text;
 use simhw::machine::SimMachine;
 use simhw::time::SimTime;
 
@@ -95,8 +96,8 @@ pub fn sim_report_to_trace(report: &SimReport, machine: &SimMachine) -> RunTrace
         .devices
         .iter()
         .map(|d| LaneLabel {
-            name: d.pu_id.clone(),
-            group: d.groups.first().cloned(),
+            name: d.pu_id.to_string(),
+            group: d.groups.first().map(ToString::to_string),
         })
         .collect();
 
@@ -127,7 +128,7 @@ pub fn sim_report_to_trace(report: &SimReport, machine: &SimMachine) -> RunTrace
             SpanKind::Transfer => "transfer",
         };
         let group = (machine.devices.get(span.lane as usize)).and_then(|d| d.groups.first());
-        let task = add_task(span, category, group.map(String::as_str));
+        let task = add_task(span, category, group.map(Text::as_str));
         device_lanes[(span.lane as usize).min(last)].push(task, span);
     }
 
@@ -329,7 +330,7 @@ mod tests {
             .lanes
             .iter()
             .zip(&machine.devices)
-            .all(|(lane, dev)| lane.name == dev.pu_id));
+            .all(|(lane, dev)| lane.name == dev.pu_id.as_str()));
         let stats = trace.validate().expect("bridged trace is well-formed");
         assert_eq!(stats.tasks as usize, report.trace.spans().len());
         // Busy time per lane reconciles with the sim's own accounting.

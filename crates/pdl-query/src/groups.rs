@@ -20,9 +20,9 @@ use pdl_core::pu::PuClass;
 use std::collections::BTreeSet;
 use std::fmt;
 
-/// Parentheses nested deeper than this are rejected: `ExprParser` recurses
+/// Parentheses nested deeper than this are rejected: the parser recurses
 /// once per level, and no expression a person writes comes close.
-const MAX_DEPTH: usize = 64;
+pub const MAX_DEPTH: usize = 64;
 
 /// Error parsing or evaluating a group expression.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -124,10 +124,11 @@ impl<'a> ExprParser<'a> {
                     self.at += 1;
                     Ok(inner)
                 } else {
-                    Err(GroupExprError("expected ')'".into()))
+                    Err(GroupExprError(format!("expected ')' at byte {}", self.at)))
                 }
             }
             Some('@') => {
+                let at = self.at;
                 self.at += 1;
                 let name = self.take_name();
                 let class = match name.as_str() {
@@ -137,7 +138,7 @@ impl<'a> ExprParser<'a> {
                     "all" => None,
                     _ => {
                         return Err(GroupExprError(format!(
-                            "unknown pseudo-group @{name} (expected @workers, @masters, @hybrids, @all)"
+                            "unknown pseudo-group @{name} at byte {at} (expected @workers, @masters, @hybrids, @all)"
                         )))
                     }
                 };
@@ -154,7 +155,8 @@ impl<'a> ExprParser<'a> {
                     .collect())
             }
             other => Err(GroupExprError(format!(
-                "expected group name, '@' pseudo-group or '(', found {other:?}"
+                "expected group name, '@' pseudo-group or '(' at byte {}, found {other:?}",
+                self.at
             ))),
         }
     }
@@ -239,14 +241,23 @@ mod tests {
         );
     }
 
+    /// Every error names the byte it stopped at.
     #[test]
     fn errors() {
         let p = testbed();
-        assert!(resolve(&p, "").is_err());
-        assert!(resolve(&p, "(gpus").is_err());
-        assert!(resolve(&p, "gpus)").is_err());
-        assert!(resolve(&p, "@bogus").is_err());
-        assert!(resolve(&p, "gpus ^ fast").is_err());
+        for (expr, at) in [
+            ("", "expected group name, '@' pseudo-group or '(' at byte 0"),
+            ("gpus + ", "'(' at byte 7, found None"),
+            ("(gpus", "expected ')' at byte 5"),
+            ("(gpus + slow ]", "expected ')' at byte 13"),
+            ("gpus)", "trailing input at byte 4"),
+            ("@bogus", "unknown pseudo-group @bogus at byte 0"),
+            ("gpus - (@all & @nope)", "@nope at byte 15"),
+            ("gpus ^ fast", "trailing input at byte 5"),
+        ] {
+            let e = resolve(&p, expr).unwrap_err();
+            assert!(e.0.contains(at), "{expr:?}: {e}");
+        }
     }
 
     #[test]

@@ -60,7 +60,7 @@ pub fn energy(machine: &SimMachine, busy: &[Duration], makespan: SimTime) -> Ene
         let i = (makespan - busy_s) * dev.idle_power_w;
         active_j += a;
         idle_j += i;
-        per_device.insert(dev.pu_id.clone(), a + i);
+        per_device.insert(dev.pu_id.to_string(), a + i);
     }
 
     EnergyReport {

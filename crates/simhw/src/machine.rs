@@ -11,6 +11,7 @@ use crate::link::{LinkId, SimLink, TransferPath};
 use pdl_core::interconnect::Directionality;
 use pdl_core::platform::Platform;
 use pdl_core::pu::PuClass;
+use pdl_core::text::Text;
 use pdl_core::wellknown;
 use pdl_query::paths;
 use std::collections::BTreeMap;
@@ -49,8 +50,8 @@ pub struct LinkParams {
 pub struct SimDevice {
     /// Stable device index.
     pub id: DeviceId,
-    /// PU id from the platform description.
-    pub pu_id: String,
+    /// PU id from the platform description, shared with it.
+    pub pu_id: Text,
     /// `ARCHITECTURE` property (`x86`, `gpu`, `spe`, …).
     pub arch: String,
     /// Effective double-precision rate: peak × efficiency (FLOP/s).
@@ -62,8 +63,9 @@ pub struct SimDevice {
     pub active_power_w: f64,
     /// Idle power draw in watts.
     pub idle_power_w: f64,
-    /// Logic groups the PU belongs to.
-    pub groups: Vec<String>,
+    /// Logic groups the PU belongs to, their names shared with the
+    /// platform description.
+    pub groups: Vec<Text>,
     /// Software platforms available on the PU (`SOFTWARE_PLATFORM`
     /// property), e.g. `["OpenCL", "Cuda"]`.
     pub software_platforms: Vec<String>,
@@ -77,7 +79,7 @@ pub struct SimMachine {
     /// Devices, indexed by [`DeviceId`].
     pub devices: Vec<SimDevice>,
     /// PU id → device index.
-    index: BTreeMap<String, DeviceId>,
+    index: BTreeMap<Text, DeviceId>,
     /// PUs that lacked performance properties and got defaults.
     pub defaulted_pus: Vec<String>,
     /// Physical links, indexed by [`LinkId`] — one per non-shared-mem
@@ -188,16 +190,16 @@ impl SimMachine {
                 .unwrap_or(active_power_w * 0.3);
 
             let id = DeviceId(devices.len());
-            index.insert(pu.id.as_str().to_string(), id);
+            index.insert(pu.id.text().clone(), id);
             devices.push(SimDevice {
                 id,
-                pu_id: pu.id.as_str().to_string(),
+                pu_id: pu.id.text().clone(),
                 arch,
                 flops_dp,
                 link,
                 active_power_w,
                 idle_power_w,
-                groups: pu.groups.iter().map(|g| g.as_str().to_string()).collect(),
+                groups: pu.groups.iter().map(|g| g.text().clone()).collect(),
                 software_platforms: pu
                     .software_platforms()
                     .iter()

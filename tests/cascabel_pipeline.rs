@@ -94,7 +94,7 @@ vector_add(A, B);
     let machine = SimMachine::from_platform(&platform);
     for (_, dev) in &report.assignments {
         assert!(
-            machine.devices[dev.0].groups.contains(&"gpus".to_string()),
+            machine.devices[dev.0].groups.iter().any(|g| g == "gpus"),
             "task placed on {}",
             machine.devices[dev.0].pu_id
         );

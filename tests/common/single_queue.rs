@@ -9,7 +9,7 @@ use hetero_rt::graph::CompiledGraph;
 use hetero_rt::task::TaskId;
 use hetero_rt::thread_engine::{ExecReport, TaskStats, ThreadEngineError, ThreadTask, WorkerStats};
 use hetero_trace::{
-    EventKind, LaneLabel, Provenance, RunTrace, TaskInfo, TimeUnit, TraceClock, TraceMeta,
+    EventKind, Labels, LaneLabel, Provenance, RunTrace, TaskInfo, TimeUnit, TraceClock, TraceMeta,
     TraceSink, WorkerTrace,
 };
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -86,10 +86,13 @@ impl SingleQueueExecutor {
             .iter()
             .map(|&p| AtomicUsize::new(p))
             .collect();
-        let (labels, work): (Vec<Arc<str>>, Vec<_>) = tasks
+        let mut labels = Labels::default();
+        tasks.iter().for_each(|t| labels.push_str(&t.label));
+        let labels = Arc::new(labels);
+        let work: Vec<_> = tasks
             .into_iter()
-            .map(|t| (t.label, Mutex::new(Some(t.work))))
-            .unzip();
+            .map(|t| Mutex::new(Some(t.work)))
+            .collect();
         prelude.record(&clock, phase(false, "validate"));
         let n = graph.len();
         let mut worker_stats: Vec<WorkerStats> = Vec::with_capacity(self.workers);
@@ -101,6 +104,7 @@ impl SingleQueueExecutor {
             }));
             return Ok(ExecReport {
                 tasks: Vec::new(),
+                labels,
                 wall: StdDuration::from_nanos(clock.now()),
                 workers: self.workers,
                 worker_stats,
@@ -132,7 +136,7 @@ impl SingleQueueExecutor {
             let mut handles = Vec::with_capacity(self.workers);
             for worker in 0..self.workers {
                 let tx = tx.clone();
-                let (rx, graph, pending, labels, work) = (&rx, &graph, &pending, &labels, &work);
+                let (rx, graph, pending, work) = (&rx, &graph, &pending, &work);
                 let completed = &completed;
                 let stats = &stats;
                 let workers_total = self.workers;
@@ -171,7 +175,7 @@ impl SingleQueueExecutor {
                         out.executed += 1;
                         busy += dt;
                         stats.lock().expect(POISONED).push(TaskStats {
-                            label: labels[i].clone(),
+                            task: i,
                             worker,
                             duration: dt,
                         });
@@ -214,6 +218,7 @@ impl SingleQueueExecutor {
 
         Ok(ExecReport {
             tasks: stats.into_inner().expect(POISONED),
+            labels,
             wall: StdDuration::from_nanos(clock.now()),
             workers: self.workers,
             worker_stats,

@@ -176,7 +176,7 @@ fn fig5_trace_has_one_lane_per_device() {
         assert!(
             lane_names
                 .iter()
-                .any(|n| n.contains(dev.pu_id.as_str()) && n.contains(&group)),
+                .any(|n| n.contains(dev.pu_id.as_str()) && n.contains(group.as_str())),
             "no lane for {} [{group}] in {lane_names:?}",
             dev.pu_id
         );
