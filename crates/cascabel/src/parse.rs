@@ -17,7 +17,12 @@ pub enum ParseError {
     /// Tokenization failed.
     Lex(LexError),
     /// A cascabel pragma line is malformed.
-    Pragma(PragmaError),
+    Pragma {
+        /// 1-based line of the pragma.
+        line: u32,
+        /// What is wrong with it.
+        error: PragmaError,
+    },
     /// A pragma was not followed by the expected construct.
     Structure {
         /// 1-based line of the pragma.
@@ -31,7 +36,7 @@ impl fmt::Display for ParseError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ParseError::Lex(e) => e.fmt(f),
-            ParseError::Pragma(e) => e.fmt(f),
+            ParseError::Pragma { line, error } => write!(f, "line {line}: {error}"),
             ParseError::Structure { line, message } => {
                 write!(f, "parse error after pragma on line {line}: {message}")
             }
@@ -44,12 +49,6 @@ impl std::error::Error for ParseError {}
 impl From<LexError> for ParseError {
     fn from(e: LexError) -> Self {
         ParseError::Lex(e)
-    }
-}
-
-impl From<PragmaError> for ParseError {
-    fn from(e: PragmaError) -> Self {
-        ParseError::Pragma(e)
     }
 }
 
@@ -91,7 +90,10 @@ impl Parser {
                         passthrough.clear();
                     }
                     self.bump();
-                    let pragma = parse_pragma(text)?;
+                    let pragma = parse_pragma(text).map_err(|error| ParseError::Pragma {
+                        line: sp.line,
+                        error,
+                    })?;
                     match pragma {
                         Pragma::Task(tp) => {
                             let f = self.parse_function(tp, sp.line)?;

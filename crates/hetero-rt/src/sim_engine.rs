@@ -24,6 +24,7 @@ use crate::scheduler::Scheduler;
 use crate::sim_run::SimRun;
 use crate::task::TaskId;
 use hetero_trace::Labels;
+use pdl_core::text::Text;
 use simhw::energy::EnergyReport;
 use simhw::machine::{DeviceId, SimMachine};
 use simhw::time::SimTime;
@@ -188,8 +189,9 @@ pub struct SimReport {
     pub makespan: SimTime,
     /// Full execution trace.
     pub trace: Trace,
-    /// PU ids, indexed by device id (for rendering).
-    pub device_names: Vec<String>,
+    /// PU ids, indexed by device id (for rendering), shared with the
+    /// machine's devices.
+    pub device_names: Vec<Text>,
     /// Chosen device per task.
     pub assignments: Vec<(TaskId, DeviceId)>,
     /// Energy consumed (from PDL power properties).
@@ -241,7 +243,10 @@ impl SimReport {
             .map(|(i, name)| {
                 let b = busy.get(i).map_or(0.0, |d| d.seconds());
                 let m = self.makespan.seconds();
-                (name.clone(), if m > 0.0 { (b / m).min(1.0) } else { 0.0 })
+                (
+                    name.to_string(),
+                    if m > 0.0 { (b / m).min(1.0) } else { 0.0 },
+                )
             })
             .collect()
     }

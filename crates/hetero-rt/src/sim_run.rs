@@ -19,6 +19,7 @@ use crate::perfmodel::PerfModel;
 use crate::scheduler::Scheduler;
 use crate::sim_engine::{RtError, SimOptions, SimReport};
 use crate::task::{Task, TaskId};
+use pdl_core::text::Text;
 use simhw::energy::energy;
 use simhw::machine::{DeviceId, SimMachine};
 use simhw::resource::Timeline;
@@ -152,7 +153,7 @@ impl Trace {
 
     /// Renders a fixed-width text Gantt chart with `width` columns,
     /// one row per device. Compute is `#`, transfer is `~`.
-    pub(crate) fn gantt(&self, device_names: &[String], width: usize) -> String {
+    pub(crate) fn gantt(&self, device_names: &[Text], width: usize) -> String {
         let mut out = String::new();
         let makespan = self.makespan().seconds();
         if makespan == 0.0 || width == 0 {
@@ -489,11 +490,7 @@ impl<'a> SimRun<'a> {
         let machine = self.machine;
         SimReport {
             makespan,
-            device_names: machine
-                .devices
-                .iter()
-                .map(|d| d.pu_id.to_string())
-                .collect(),
+            device_names: machine.devices.iter().map(|d| d.pu_id.clone()).collect(),
             assignments: self.assignments,
             energy: energy(machine, self.trace.lane_busy(), self.trace.makespan()),
             bytes_to_devices: self.data.bytes_to_devices(),

@@ -1037,7 +1037,8 @@ mod tests {
         ];
         for report in reports {
             let trace = report.trace.expect("a ring sink collects a trace");
-            assert_eq!(trace.validate().expect("invariants hold").tasks, 0);
+            trace.validate().expect("invariants hold");
+            assert_eq!(trace.stats().tasks, 0);
             assert_eq!(trace.meta.lanes.len(), 2);
             assert_eq!(trace.workers.len(), 2);
             let phases: Vec<EventKind> = trace.prelude.iter().map(|e| e.kind).collect();
@@ -1365,7 +1366,8 @@ mod tests {
         assert_eq!(trace.meta.lanes.len(), 4);
         assert_eq!(trace.meta.tasks.len(), 40);
         assert_eq!(trace.meta.time_unit, hetero_trace::TimeUnit::RealNanos);
-        let stats = trace.validate().expect("invariants hold");
+        trace.validate().expect("invariants hold");
+        let stats = trace.stats();
         assert_eq!(stats.tasks, 40);
         assert_eq!(stats.steals, report.total_steals() as u64);
         assert_eq!(

@@ -331,11 +331,12 @@ mod tests {
             .iter()
             .zip(&machine.devices)
             .all(|(lane, dev)| lane.name == dev.pu_id.as_str()));
-        let stats = trace.validate().expect("bridged trace is well-formed");
+        trace.validate().expect("bridged trace is well-formed");
+        let stats = trace.stats();
         assert_eq!(stats.tasks as usize, report.trace.spans().len());
         // Busy time per lane reconciles with the sim's own accounting.
         let busy = report.trace.busy_by_device();
-        for (d, ns) in stats.busy_ns.iter().enumerate() {
+        for (d, ns) in stats.lanes.iter().map(|l| &l.busy_ns).enumerate() {
             let expected = busy
                 .get(&simhw::machine::DeviceId(d))
                 .map(|dur| virtual_ns(dur.seconds()))
@@ -394,7 +395,8 @@ mod tests {
         // Every lane — devices and link channels — survives validation,
         // i.e. channel splitting serialized the overlapping spans.
         assert_eq!(trace.meta.lanes.len(), trace.workers.len());
-        let stats = trace.validate().expect("link lanes are well-formed");
+        trace.validate().expect("link lanes are well-formed");
+        let stats = trace.stats();
         assert_eq!(
             stats.tasks as usize,
             report.trace.spans().len() + report.link_trace.spans().len()

@@ -12,9 +12,9 @@
 //! or invents a nanosecond (asserted by the test suite).
 //!
 //! On top of the wall-time decomposition the diff carries metric shifts
-//! derived from [`MetricsRegistry::from_trace`] on both traces: counter
-//! deltas (steals, parks, per-group busy time, …) and histogram p50/p99
-//! shifts (task latency, queue wait).
+//! from both traces' tallies ([`RunTrace::stats`]): counter deltas
+//! (steals, parks, per-group busy time, …) and histogram p50/p99 shifts
+//! (task latency, queue wait).
 //!
 //! The diff renders as a human-readable table
 //! ([`PerfDiff::render_table`]) and as schema-versioned JSON
@@ -22,7 +22,7 @@
 //! `pdl perf-diff` CLI emits.
 
 use crate::json::Json;
-use crate::metrics::MetricsRegistry;
+use crate::metrics::Counter;
 use crate::profile::{critical_path, Profile};
 use crate::trace::RunTrace;
 use std::collections::BTreeMap;
@@ -54,7 +54,7 @@ impl CategoryDelta {
 /// A counter whose value changed between the runs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CounterDelta {
-    /// Counter name (the [`MetricsRegistry`] name).
+    /// Counter name (`steals`, `group_busy_ns/<group>`, …).
     pub name: String,
     /// Base-run value.
     pub base: u64,
@@ -145,14 +145,15 @@ impl PerfDiff {
         }
     }
 
-    /// Adds counter deltas and histogram p50/p99 shifts from two metric
-    /// registries (only changed instruments are recorded).
-    pub(crate) fn merge_metrics(&mut self, base: &MetricsRegistry, head: &MetricsRegistry) {
-        let mut counters: BTreeMap<&str, (u64, u64)> = BTreeMap::new();
-        for (name, v) in base.counters() {
+    /// Adds counter deltas and histogram p50/p99 shifts from the tallies
+    /// of both traces (only changed instruments are recorded).
+    fn merge_metrics(&mut self, base_trace: &RunTrace, head_trace: &RunTrace) {
+        let (base, head) = (base_trace.stats(), head_trace.stats());
+        let mut counters: BTreeMap<Counter<'_>, (u64, u64)> = BTreeMap::new();
+        for (name, v) in base.counters(base_trace) {
             counters.entry(name).or_default().0 = v;
         }
-        for (name, v) in head.counters() {
+        for (name, v) in head.counters(head_trace) {
             counters.entry(name).or_default().1 = v;
         }
         for (name, (b, h)) in counters {
@@ -174,7 +175,7 @@ impl PerfDiff {
         }
     }
 
-    fn push_counter(&mut self, name: &str, base: u64, head: u64) {
+    fn push_counter(&mut self, name: Counter<'_>, base: u64, head: u64) {
         if base != head {
             self.counters.push(CounterDelta {
                 name: name.to_string(),
@@ -353,10 +354,7 @@ pub fn perf_diff(
     let base_profile = critical_path(base, base_deps).map_err(|e| format!("base: {e}"))?;
     let head_profile = critical_path(head, head_deps).map_err(|e| format!("head: {e}"))?;
     let mut diff = PerfDiff::from_profiles(&base_profile, &head_profile);
-    diff.merge_metrics(
-        &MetricsRegistry::from_trace(base),
-        &MetricsRegistry::from_trace(head),
-    );
+    diff.merge_metrics(base, head);
     Ok(diff)
 }
 

@@ -78,10 +78,8 @@ pub use clock::TraceClock;
 pub use event::{EventKind, Provenance, TraceEvent};
 pub use labels::{Labels, TaskInfo, TaskTable};
 pub use log::EventLog;
-pub use metrics::{Histogram, MetricsRegistry};
+pub use metrics::{Histogram, LaneStats, TraceStats};
 pub use phase::{PhaseSpan, PhaseTimer};
 pub use ring::RingBuffer;
 pub use sink::{TraceSink, WorkerTracer};
-pub use trace::{
-    LaneLabel, RunTrace, TaskSpan, TimeUnit, TraceError, TraceMeta, TraceStats, WorkerTrace,
-};
+pub use trace::{LaneLabel, RunTrace, TaskSpan, TimeUnit, TraceError, TraceMeta, WorkerTrace};

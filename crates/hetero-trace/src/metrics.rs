@@ -1,8 +1,11 @@
-//! Counters and the fixed log₂-bucket histogram summarizing a run.
+//! The one tally of a trace ([`RunTrace::stats`]) and the fixed
+//! log₂-bucket histogram it keeps.
 
+use crate::event::EventKind;
 use crate::json::Json;
 use crate::trace::RunTrace;
 use std::collections::BTreeMap;
+use std::fmt;
 
 /// Smallest bucket exponent: the first bucket holds values `<= 2^4` (16 ns).
 const MIN_EXP: u32 = 4;
@@ -175,153 +178,207 @@ impl Histogram {
     }
 }
 
-/// Named counters plus named histograms — the run-level metrics surface.
-///
-/// [`MetricsRegistry::from_trace`] derives the standard metric set from a
-/// drained [`RunTrace`]: task latency, queue wait (ready → start), steal
-/// counters and per-group busy time / utilization.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct MetricsRegistry {
-    counters: BTreeMap<String, u64>,
-    histograms: BTreeMap<String, Histogram>,
+/// Busy time and span count of one recorded lane.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct LaneStats {
+    /// Sum of the lane's task span lengths (ns).
+    pub busy_ns: u64,
+    /// Task spans the lane completed.
+    pub spans: u64,
 }
 
-impl MetricsRegistry {
-    /// An empty registry.
-    pub(crate) fn new() -> Self {
-        MetricsRegistry::default()
-    }
+/// The one tally of a trace, from [`RunTrace::stats`].
+///
+/// Readies, dequeues, steals, cross-group steals and parks count events;
+/// tasks, lane busy time, the histograms and the last end come from
+/// [`RunTrace::task_spans`].
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct TraceStats {
+    /// Completed task spans.
+    pub tasks: usize,
+    /// Ready events.
+    pub readies: u64,
+    /// Dequeue events.
+    pub dequeues: u64,
+    /// Dequeues whose provenance counts as a steal.
+    pub steals: u64,
+    /// Steals that crossed a logic-group boundary.
+    pub cross_group_steals: u64,
+    /// Park events.
+    pub parks: u64,
+    /// One row per entry of [`RunTrace::workers`], in that order.
+    pub lanes: Vec<LaneStats>,
+    /// Start → end of every span.
+    pub task_latency_ns: Histogram,
+    /// First ready → start, for spans whose task has a ready event.
+    pub queue_wait_ns: Histogram,
+    /// The latest span end (0 without spans).
+    pub last_end_ns: u64,
+}
 
-    /// Adds `by` to a counter (creating it at 0).
-    pub(crate) fn inc(&mut self, name: impl Into<String>, by: u64) {
-        *self.counters.entry(name.into()).or_insert(0) += by;
-    }
+/// The name of a counter in [`TraceStats::counters`]. The variants are in
+/// name order, so the derived order is the order of the names.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) enum Counter<'a> {
+    CrossGroupSteals,
+    Dequeues,
+    Events,
+    GroupBusyNs(&'a str),
+    GroupTasks(&'a str),
+    Parks,
+    Readies,
+    Steals,
+    TasksExecuted,
+}
 
-    /// Reads a counter (0 when absent).
-    pub(crate) fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
-    }
-
-    /// All counters in name order.
-    pub(crate) fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
-        self.counters.iter().map(|(k, v)| (k.as_str(), *v))
-    }
-
-    /// All histograms in name order.
-    pub(crate) fn histograms(&self) -> impl Iterator<Item = (&str, &Histogram)> {
-        self.histograms.iter().map(|(k, h)| (k.as_str(), h))
-    }
-
-    /// Derives the standard metric set from a trace:
-    ///
-    /// * counters `tasks_executed`, `dequeues`, `steals`,
-    ///   `cross_group_steals`, `parks`, `events`, plus per-group
-    ///   `group_busy_ns/<group>` and `group_tasks/<group>`;
-    /// * histograms `task_latency_ns` (start → end) and `queue_wait_ns`
-    ///   (ready → start, tasks with a recorded ready event only).
-    pub fn from_trace(trace: &RunTrace) -> Self {
-        let mut m = MetricsRegistry::new();
-        m.inc("events", trace.total_events() as u64);
-
-        // Ready timestamps may live on a different lane than the task's
-        // execution; collect them globally first.
-        let (ready_ts, readies) = trace.ready_timestamps();
-        m.inc("readies", readies);
-
-        // Totals are kept in locals (per lane for the group counters) and
-        // folded into the registry once, so no span pays for a name.
-        let mut latency = Histogram::default();
-        let mut queue_wait = Histogram::default();
-        let (mut dequeues, mut steals, mut cross_group_steals) = (0, 0, 0);
-        // (busy ns, spans) per labelled lane, and for lanes past the table.
-        let mut per_lane = vec![(0u64, 0u64); trace.meta.lanes.len()];
-        let mut unlabelled = (0u64, 0u64);
-        for span in trace.task_spans() {
-            latency.observe(span.end - span.start);
-            if let Some(ready) = ready_ts.get(span.task) {
-                queue_wait.observe(span.start.saturating_sub(*ready));
-            }
-            if let Some(p) = span.provenance {
-                dequeues += 1;
-                steals += u64::from(p.is_steal());
-                cross_group_steals += u64::from(p.is_cross_group());
-            }
-            let (busy, spans) = per_lane.get_mut(span.worker).unwrap_or(&mut unlabelled);
-            *busy += span.end - span.start;
-            *spans += 1;
+impl fmt::Display for Counter<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Counter::CrossGroupSteals => f.write_str("cross_group_steals"),
+            Counter::Dequeues => f.write_str("dequeues"),
+            Counter::Events => f.write_str("events"),
+            Counter::GroupBusyNs(group) => write!(f, "group_busy_ns/{group}"),
+            Counter::GroupTasks(group) => write!(f, "group_tasks/{group}"),
+            Counter::Parks => f.write_str("parks"),
+            Counter::Readies => f.write_str("readies"),
+            Counter::Steals => f.write_str("steals"),
+            Counter::TasksExecuted => f.write_str("tasks_executed"),
         }
-        let parks = trace
-            .workers
-            .iter()
-            .flat_map(|w| w.events.iter())
-            .filter(|e| matches!(e.kind, crate::event::EventKind::Park))
-            .count() as u64;
+    }
+}
 
-        // A counter or histogram exists only once something was counted.
-        for (name, n) in [
-            ("tasks_executed", latency.count()),
-            ("dequeues", dequeues),
-            ("steals", steals),
-            ("cross_group_steals", cross_group_steals),
-            ("parks", parks),
-        ] {
-            if n > 0 {
-                m.inc(name, n);
+impl RunTrace {
+    /// Counts the trace in one scan of its events and one walk of its task
+    /// spans. Checks nothing: [`RunTrace::validate`] says whether the
+    /// numbers can be trusted.
+    pub fn stats(&self) -> TraceStats {
+        let mut stats = TraceStats {
+            lanes: vec![LaneStats::default(); self.workers.len()],
+            ..TraceStats::default()
+        };
+        let ready = self.ready_timestamps(|kind| match kind {
+            EventKind::TaskReady { .. } => stats.readies += 1,
+            EventKind::TaskDequeued { provenance, .. } => {
+                stats.dequeues += 1;
+                stats.steals += u64::from(provenance.is_steal());
+                stats.cross_group_steals += u64::from(provenance.is_cross_group());
             }
-        }
-        let groups = trace.meta.lanes.iter().map(|l| l.group.as_deref());
-        for (group, (busy, spans)) in groups.zip(per_lane).chain([(None, unlabelled)]) {
-            if spans > 0 {
-                let group = group.unwrap_or("ungrouped");
-                m.inc(format!("group_busy_ns/{group}"), busy);
-                m.inc(format!("group_tasks/{group}"), spans);
+            EventKind::Park => stats.parks += 1,
+            _ => {}
+        });
+        self.for_each_span(|lane, span| {
+            let length = span.end.saturating_sub(span.start);
+            stats.tasks += 1;
+            stats.lanes[lane].busy_ns += length;
+            stats.lanes[lane].spans += 1;
+            stats.task_latency_ns.observe(length);
+            if let Some(ready) = ready.get(span.task) {
+                stats
+                    .queue_wait_ns
+                    .observe(span.start.saturating_sub(*ready));
             }
+            stats.last_end_ns = stats.last_end_ns.max(span.end);
+        });
+        stats
+    }
+}
+
+/// The logic group a worker's lane belongs to: `"ungrouped"` for a lane
+/// without one and for a worker past the lane table.
+fn group_of(trace: &RunTrace, worker: usize) -> &str {
+    (trace.meta.lanes.get(worker))
+        .and_then(|l| l.group.as_deref())
+        .unwrap_or("ungrouped")
+}
+
+impl TraceStats {
+    /// Busy time and spans per logic group, summed over the lanes of
+    /// `trace` this tally was taken from, in group name order.
+    fn group_totals<'a>(&self, trace: &'a RunTrace) -> BTreeMap<&'a str, LaneStats> {
+        let mut groups: BTreeMap<&str, LaneStats> = BTreeMap::new();
+        for (w, lane) in trace.workers.iter().zip(&self.lanes) {
+            let total = groups.entry(group_of(trace, w.worker)).or_default();
+            total.busy_ns += lane.busy_ns;
+            total.spans += lane.spans;
         }
-        for (name, histogram) in [("task_latency_ns", latency), ("queue_wait_ns", queue_wait)] {
-            if histogram.count() > 0 {
-                m.histograms.insert(name.to_string(), histogram);
-            }
-        }
-        m
+        groups
     }
 
-    /// Per-group utilization over `wall_ns`: `group_busy_ns / (wall ×
-    /// lanes-in-group)`, using the lane table of `trace`.
+    /// Per-group utilization over `wall_ns`: group busy time over `wall ×
+    /// lanes-in-group`, for every group of `trace`'s lane table.
     pub fn group_utilization(&self, trace: &RunTrace, wall_ns: u64) -> Vec<(String, f64)> {
+        let busy = self.group_totals(trace);
         let mut lanes_per_group: BTreeMap<&str, u64> = BTreeMap::new();
-        for lane in &trace.meta.lanes {
-            *lanes_per_group
-                .entry(lane.group.as_deref().unwrap_or("ungrouped"))
-                .or_insert(0) += 1;
+        for worker in 0..trace.meta.lanes.len() {
+            *lanes_per_group.entry(group_of(trace, worker)).or_insert(0) += 1;
         }
         lanes_per_group
             .into_iter()
             .map(|(group, lanes)| {
-                let busy = self.counter(&format!("group_busy_ns/{group}"));
+                let busy = busy.get(group).map_or(0, |g| g.busy_ns);
                 let capacity = wall_ns.saturating_mul(lanes).max(1);
                 (group.to_string(), busy as f64 / capacity as f64)
             })
             .collect()
     }
 
-    /// The registry as JSON (`counters` object + `histograms` object).
-    pub(crate) fn to_json(&self) -> Json {
+    /// The counters of the tally in name order: `events` and `readies`
+    /// always; `tasks_executed`, `dequeues`, `steals`,
+    /// `cross_group_steals` and `parks` when non-zero; and per group with
+    /// a span, `group_busy_ns/<group>` and `group_tasks/<group>`.
+    pub(crate) fn counters<'a>(
+        &self,
+        trace: &'a RunTrace,
+    ) -> impl Iterator<Item = (Counter<'a>, u64)> {
+        let mut counters: Vec<(Counter<'a>, u64)> = [
+            (Counter::TasksExecuted, self.tasks as u64),
+            (Counter::Dequeues, self.dequeues),
+            (Counter::Steals, self.steals),
+            (Counter::CrossGroupSteals, self.cross_group_steals),
+            (Counter::Parks, self.parks),
+        ]
+        .into_iter()
+        .filter(|&(_, n)| n > 0)
+        .collect();
+        counters.push((Counter::Events, trace.total_events() as u64));
+        counters.push((Counter::Readies, self.readies));
+        for (group, total) in self.group_totals(trace) {
+            if total.spans > 0 {
+                counters.push((Counter::GroupBusyNs(group), total.busy_ns));
+                counters.push((Counter::GroupTasks(group), total.spans));
+            }
+        }
+        counters.sort_unstable();
+        counters.into_iter()
+    }
+
+    /// The non-empty histograms in name order.
+    pub(crate) fn histograms(&self) -> impl Iterator<Item = (&'static str, &Histogram)> {
+        [
+            ("queue_wait_ns", &self.queue_wait_ns),
+            ("task_latency_ns", &self.task_latency_ns),
+        ]
+        .into_iter()
+        .filter(|(_, h)| h.count() > 0)
+    }
+
+    /// The counters and histograms as JSON (`counters` object +
+    /// `histograms` object).
+    pub(crate) fn to_json(&self, trace: &RunTrace) -> Json {
         Json::obj([
             (
                 "counters",
                 Json::Obj(
-                    self.counters
-                        .iter()
-                        .map(|(k, v)| (k.clone(), Json::Num(*v as f64)))
+                    self.counters(trace)
+                        .map(|(name, n)| (name.to_string(), Json::Num(n as f64)))
                         .collect(),
                 ),
             ),
             (
                 "histograms",
                 Json::Obj(
-                    self.histograms
-                        .iter()
-                        .map(|(k, h)| (k.clone(), h.to_json()))
+                    self.histograms()
+                        .map(|(name, h)| (name.to_string(), h.to_json()))
                         .collect(),
                 ),
             ),
@@ -435,7 +492,7 @@ mod tests {
     }
 
     #[test]
-    fn registry_from_trace_attributes_groups() {
+    fn stats_attribute_groups() {
         let trace = RunTrace {
             meta: TraceMeta {
                 platform: Some("testbed".to_string()),
@@ -524,23 +581,34 @@ mod tests {
                 },
             ],
         };
-        let m = MetricsRegistry::from_trace(&trace);
-        assert_eq!(m.counter("tasks_executed"), 2);
-        assert_eq!(m.counter("steals"), 1);
-        assert_eq!(m.counter("cross_group_steals"), 1);
-        assert_eq!(m.counter("parks"), 1);
-        assert_eq!(m.counter("group_busy_ns/cpus"), 30);
-        assert_eq!(m.counter("group_busy_ns/gpus"), 40);
-        assert_eq!(m.counter("group_tasks/gpus"), 1);
-        let lat = &m.histograms["task_latency_ns"];
+        let stats = trace.stats();
+        let counter = |name: &str| {
+            (stats.counters(&trace))
+                .find(|(c, _)| c.to_string() == name)
+                .map_or(0, |(_, n)| n)
+        };
+        assert_eq!(counter("tasks_executed"), 2);
+        assert_eq!(counter("steals"), 1);
+        assert_eq!(counter("cross_group_steals"), 1);
+        assert_eq!(counter("parks"), 1);
+        assert_eq!(counter("group_busy_ns/cpus"), 30);
+        assert_eq!(counter("group_busy_ns/gpus"), 40);
+        assert_eq!(counter("group_tasks/gpus"), 1);
+        let lanes = [(30, 1), (40, 1)].map(|(busy_ns, spans)| LaneStats { busy_ns, spans });
+        assert_eq!(stats.lanes, lanes);
+        assert_eq!(stats.last_end_ns, 60);
+        let lat = &stats.task_latency_ns;
         assert_eq!(lat.count(), 2);
         assert_eq!(lat.sum, 70);
         // Only task 0 had a ready event: one queue-wait sample of 10 ns.
-        let wait = &m.histograms["queue_wait_ns"];
+        let wait = &stats.queue_wait_ns;
         assert_eq!(wait.count(), 1);
         assert_eq!(wait.sum, 10);
+        // Counters come out in name order.
+        let names: Vec<String> = stats.counters(&trace).map(|(c, _)| c.to_string()).collect();
+        assert!(names.is_sorted(), "{names:?}");
 
-        let util = m.group_utilization(&trace, 100);
+        let util = stats.group_utilization(&trace, 100);
         let cpus = util.iter().find(|(g, _)| g == "cpus").unwrap().1;
         let gpus = util.iter().find(|(g, _)| g == "gpus").unwrap().1;
         assert!((cpus - 0.3).abs() < 1e-9);

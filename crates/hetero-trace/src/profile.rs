@@ -335,7 +335,7 @@ pub fn critical_path(trace: &RunTrace, deps: &[(u32, u32)]) -> Result<Profile, S
         .map(|e| e.ts)
         .min()
         .unwrap_or(0);
-    let (ready, _) = trace.ready_timestamps();
+    let ready = trace.ready_timestamps(|_| {});
     let parks = park_intervals(trace, &lanes, makespan);
 
     // Task index → span index (first span wins on duplicates).

@@ -1,59 +1,21 @@
 //! Compact machine-readable run summary — the `BENCH_*.json` format.
 //!
 //! One JSON object per run: schema version, PDL identity, per-lane totals,
-//! aggregate stats and the [`crate::MetricsRegistry`] derived from the
-//! trace. By construction the totals reconcile exactly with the engine's
-//! own report counters (the `trace_export` integration test asserts it),
-//! so the perf trajectory tracked in `BENCH_*.json` files can always be
-//! traced back to a concrete schedule.
+//! aggregate stats and the counters and histograms of the trace's one
+//! tally, [`RunTrace::stats`]. By construction the totals reconcile
+//! exactly with the engine's own report counters (the `trace_export`
+//! integration test asserts it), so the perf trajectory tracked in
+//! `BENCH_*.json` files can always be traced back to a concrete schedule.
 
 use crate::json::Json;
-use crate::metrics::MetricsRegistry;
-use crate::trace::{RunTrace, TraceStats};
-use std::collections::BTreeMap;
+use crate::trace::RunTrace;
 
 /// Schema version stamped into every summary document.
 ///
 /// v2: added the run-level `"lossy"` flag and switched invalid traces
-/// from zeroed stats to best-effort stats, so lossy ring traces keep
-/// their per-lane numbers instead of silently reporting zeros.
+/// from zeroed stats to the stats of the events they hold, so lossy ring
+/// traces keep their per-lane numbers instead of silently reporting zeros.
 pub const SCHEMA_VERSION: u64 = 2;
-
-/// What [`RunTrace::validate`] refuses to compute on a broken trace,
-/// recovered best-effort: span-derived busy time per worker index and
-/// counts from the events that *are* present (`busy_ns` is left empty).
-/// Wrong events stay wrong, but a lossy ring no longer reports all-zero
-/// lanes.
-fn best_effort_stats(trace: &RunTrace) -> (TraceStats, BTreeMap<usize, u64>) {
-    use crate::event::EventKind;
-    let mut stats = TraceStats::default();
-    let mut busy = BTreeMap::new();
-    for span in trace.task_spans() {
-        stats.tasks += 1;
-        *busy.entry(span.worker).or_insert(0) += span.end - span.start;
-        if let Some(p) = span.provenance {
-            stats.dequeues += 1;
-            if p.is_steal() {
-                stats.steals += 1;
-            }
-            if p.is_cross_group() {
-                stats.cross_group_steals += 1;
-            }
-        }
-    }
-    for e in trace
-        .prelude
-        .iter()
-        .chain(trace.workers.iter().flat_map(|w| w.events.iter()))
-    {
-        match e.kind {
-            EventKind::Park => stats.parks += 1,
-            EventKind::TaskReady { .. } => stats.readies += 1,
-            _ => {}
-        }
-    }
-    (stats, busy)
-}
 
 /// Builds the run-summary JSON value for a drained trace.
 ///
@@ -61,31 +23,18 @@ fn best_effort_stats(trace: &RunTrace) -> (TraceStats, BTreeMap<usize, u64>) {
 /// the trace; pass the trace's own extent when no external measurement
 /// exists. Validation failures are embedded as `"invariant_error"` rather
 /// than returned — the summary of a broken run is still worth keeping,
-/// with best-effort stats and the `"lossy"` flag telling readers how much
-/// to trust it.
+/// with the stats of the events it holds and the `"lossy"` flag telling
+/// readers how much to trust them.
 pub fn to_json(trace: &RunTrace, wall_ns: u64) -> Json {
-    let metrics = MetricsRegistry::from_trace(trace);
-    let (stats, busy, invariant_error) = match trace.validate() {
-        Ok(stats) => {
-            let busy = stats.busy_ns.iter().copied().enumerate().collect();
-            (stats, busy, None)
-        }
-        Err(e) => {
-            let (stats, busy) = best_effort_stats(trace);
-            (stats, busy, Some(e.to_string()))
-        }
-    };
+    let invariant_error = trace.validate().err().map(|e| e.to_string());
+    let stats = trace.stats();
 
     let lanes: Vec<Json> = trace
         .workers
         .iter()
-        .map(|w| {
+        .zip(&stats.lanes)
+        .map(|(w, tally)| {
             let label = trace.meta.lanes.get(w.worker);
-            let executed = w
-                .events
-                .iter()
-                .filter(|e| matches!(e.kind, crate::event::EventKind::TaskEnd { .. }))
-                .count();
             Json::obj([
                 ("worker", Json::Num(w.worker as f64)),
                 (
@@ -103,16 +52,13 @@ pub fn to_json(trace: &RunTrace, wall_ns: u64) -> Json {
                 ),
                 ("events", Json::Num(w.events.len() as f64)),
                 ("overwritten", Json::Num(w.overwritten as f64)),
-                ("tasks_executed", Json::Num(executed as f64)),
-                (
-                    "busy_ns",
-                    Json::Num(busy.get(&w.worker).copied().unwrap_or(0) as f64),
-                ),
+                ("tasks_executed", Json::Num(tally.spans as f64)),
+                ("busy_ns", Json::Num(tally.busy_ns as f64)),
             ])
         })
         .collect();
 
-    let utilization: Vec<Json> = metrics
+    let utilization: Vec<Json> = stats
         .group_utilization(trace, wall_ns)
         .into_iter()
         .map(|(group, u)| Json::obj([("group", Json::Str(group)), ("utilization", Json::Num(u))]))
@@ -151,12 +97,15 @@ pub fn to_json(trace: &RunTrace, wall_ns: u64) -> Json {
                 ("parks", Json::Num(stats.parks as f64)),
                 ("events", Json::Num(trace.total_events() as f64)),
                 ("overwritten", Json::Num(trace.overwritten() as f64)),
-                ("busy_ns", Json::Num(busy.values().sum::<u64>() as f64)),
+                (
+                    "busy_ns",
+                    Json::Num(stats.lanes.iter().map(|l| l.busy_ns).sum::<u64>() as f64),
+                ),
             ]),
         ),
         ("lanes", Json::Arr(lanes)),
         ("group_utilization", Json::Arr(utilization)),
-        ("metrics", metrics.to_json()),
+        ("metrics", stats.to_json(trace)),
     ])
 }
 
@@ -305,6 +254,56 @@ mod tests {
         let lanes = doc.get("lanes").unwrap().items();
         assert_eq!(lanes[0].get("overwritten").and_then(Json::as_u64), Some(7));
         assert_eq!(lanes[0].get("busy_ns").and_then(Json::as_u64), Some(25));
+    }
+
+    /// Two declared lanes, only worker 1 recorded: the totals, the lane
+    /// and the group counter all read the one 50 ns task.
+    #[test]
+    fn a_sparse_lane_counts_everywhere() {
+        let cpu = |name: &str| LaneLabel {
+            name: name.to_string(),
+            group: Some("cpus".to_string()),
+        };
+        let trace = RunTrace {
+            meta: TraceMeta {
+                platform: None,
+                lanes: vec![cpu("cpu0"), cpu("cpu1")],
+                tasks: [TaskInfo {
+                    label: "t",
+                    category: "task",
+                    group: None,
+                }]
+                .into_iter()
+                .collect(),
+                time_unit: Default::default(),
+            },
+            prelude: Default::default(),
+            workers: vec![WorkerTrace {
+                worker: 1,
+                events: vec![
+                    TraceEvent {
+                        ts: 10,
+                        kind: EventKind::TaskStart { task: 0 },
+                    },
+                    TraceEvent {
+                        ts: 60,
+                        kind: EventKind::TaskEnd { task: 0 },
+                    },
+                ]
+                .into(),
+                overwritten: 0,
+            }],
+        };
+        trace.validate().expect("a valid trace");
+        let doc = Json::parse(&export(&trace, 100)).unwrap();
+        let totals = doc.get("totals").unwrap();
+        assert_eq!(totals.get("busy_ns").and_then(Json::as_u64), Some(50));
+        let lane = &doc.get("lanes").unwrap().items()[0];
+        assert_eq!(lane.get("pu").and_then(Json::as_str), Some("cpu1"));
+        assert_eq!(lane.get("busy_ns").and_then(Json::as_u64), Some(50));
+        let counters = doc.get("metrics").and_then(|m| m.get("counters")).unwrap();
+        let group_busy = counters.get("group_busy_ns/cpus").and_then(Json::as_u64);
+        assert_eq!(group_busy, Some(50));
     }
 
     /// A lossy trace's worker index past every table still has its lane's

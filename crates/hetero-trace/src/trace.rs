@@ -98,25 +98,6 @@ pub struct TaskSpan {
     pub provenance: Option<Provenance>,
 }
 
-/// Aggregate numbers extracted by [`RunTrace::validate`].
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct TraceStats {
-    /// Tasks with a complete start/end pair.
-    pub tasks: usize,
-    /// Total dequeue events.
-    pub dequeues: u64,
-    /// Dequeues whose provenance counts as a steal.
-    pub steals: u64,
-    /// Steals that crossed a logic-group boundary.
-    pub cross_group_steals: u64,
-    /// Park events.
-    pub parks: u64,
-    /// Ready events.
-    pub readies: u64,
-    /// Busy nanoseconds per lane (sum of task span lengths).
-    pub busy_ns: Vec<u64>,
-}
-
 /// An invariant violation found by [`RunTrace::validate`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TraceError {
@@ -307,24 +288,20 @@ impl RunTrace {
     }
 
     /// First `TaskReady` timestamp per task, across the prelude and all
-    /// lanes, and how many tasks have one.
-    pub(crate) fn ready_timestamps(&self) -> (TaskMap<u64>, u64) {
+    /// lanes; `each` sees the kind of every event on the way.
+    pub(crate) fn ready_timestamps(&self, mut each: impl FnMut(&EventKind)) -> TaskMap<u64> {
         let mut first_ready = TaskMap::for_trace(self);
-        let mut tasks = 0;
         for e in self
             .prelude
             .iter()
             .chain(self.workers.iter().flat_map(|w| w.events.iter()))
         {
             if let EventKind::TaskReady { task } = e.kind {
-                let slot = first_ready.slot(task);
-                if slot.is_none() {
-                    *slot = Some(e.ts);
-                    tasks += 1;
-                }
+                first_ready.slot(task).get_or_insert(e.ts);
             }
+            each(&e.kind);
         }
-        (first_ready, tasks)
+        first_ready
     }
 
     /// Reconstructs every task execution interval from start/end pairs, in
@@ -332,6 +309,13 @@ impl RunTrace {
     /// preceding dequeue event for the same task on the same lane.
     pub fn task_spans(&self) -> Vec<TaskSpan> {
         let mut spans = Vec::new();
+        self.for_each_span(|_, span| spans.push(span));
+        spans
+    }
+
+    /// Hands each span of [`RunTrace::task_spans`], in the same order, to
+    /// `f` with the index of its lane in `workers`.
+    pub(crate) fn for_each_span(&self, mut f: impl FnMut(usize, TaskSpan)) {
         // Dequeues waiting for their span, with the lane that saw them: a
         // dequeue never pairs with a span on another lane.
         let mut dequeued: TaskMap<(usize, Provenance)> = TaskMap::for_trace(self);
@@ -348,30 +332,30 @@ impl RunTrace {
                         if let Some(pos) = open.iter().rposition(|(t, _)| *t == task) {
                             let (_, start) = open.remove(pos);
                             let here = dequeued.slot(task).take_if(|(at, _)| *at == lane);
-                            spans.push(TaskSpan {
+                            let span = TaskSpan {
                                 task,
                                 worker: w.worker,
                                 start,
                                 end: e.ts,
                                 provenance: here.map(|(_, p)| p),
-                            });
+                            };
+                            f(lane, span);
                         }
                     }
                     _ => {}
                 }
             }
         }
-        spans
     }
 
-    /// Checks the trace invariants and returns aggregate statistics:
+    /// Checks the trace invariants; [`RunTrace::stats`] does the counting:
     ///
     /// * the trace is lossless (no ring overflowed);
     /// * timestamps are monotonic (non-decreasing) per lane;
     /// * every started task ends exactly once, and task/phase spans nest
     ///   properly per lane (LIFO order);
     /// * task indices stay inside the meta task table (when non-empty).
-    pub fn validate(&self) -> Result<TraceStats, TraceError> {
+    pub fn validate(&self) -> Result<(), TraceError> {
         for w in &self.workers {
             if w.overwritten > 0 {
                 return Err(TraceError::Lossy {
@@ -383,10 +367,6 @@ impl RunTrace {
 
         let task_count = self.meta.tasks.len();
         let lane_count = self.workers.len();
-        let mut stats = TraceStats {
-            busy_ns: vec![0; lane_count],
-            ..TraceStats::default()
-        };
         // 0 = never started, 1 = started, 2 = ended.
         let mut task_state: TaskMap<u8> = TaskMap::for_trace(self);
 
@@ -405,7 +385,6 @@ impl RunTrace {
         for (lane, events) in lanes {
             let mut last_ts = 0u64;
             let mut open: Vec<Open> = Vec::new();
-            let mut open_start: Vec<u64> = Vec::new();
             for (index, e) in events.iter().enumerate() {
                 if e.ts < last_ts {
                     return Err(TraceError::NonMonotonic {
@@ -415,19 +394,8 @@ impl RunTrace {
                 }
                 last_ts = e.ts;
                 match &e.kind {
-                    EventKind::TaskReady { task } => {
+                    EventKind::TaskReady { task } | EventKind::TaskDequeued { task, .. } => {
                         check_task(*task)?;
-                        stats.readies += 1;
-                    }
-                    EventKind::TaskDequeued { task, provenance } => {
-                        check_task(*task)?;
-                        stats.dequeues += 1;
-                        if provenance.is_steal() {
-                            stats.steals += 1;
-                        }
-                        if provenance.is_cross_group() {
-                            stats.cross_group_steals += 1;
-                        }
                     }
                     EventKind::TaskStart { task } => {
                         check_task(*task)?;
@@ -435,18 +403,12 @@ impl RunTrace {
                             return Err(TraceError::DuplicateStart { task: *task });
                         }
                         open.push(Open::Task(*task));
-                        open_start.push(e.ts);
                     }
                     EventKind::TaskEnd { task } => {
                         check_task(*task)?;
                         match open.pop() {
                             Some(Open::Task(t)) if t == *task => {
                                 *task_state.slot(*task) = Some(2);
-                                stats.tasks += 1;
-                                let start = open_start.pop().unwrap_or(e.ts);
-                                if lane < lane_count {
-                                    stats.busy_ns[lane] += e.ts - start;
-                                }
                             }
                             _ => {
                                 return Err(TraceError::BadNesting {
@@ -456,16 +418,10 @@ impl RunTrace {
                             }
                         }
                     }
-                    EventKind::Park => stats.parks += 1,
-                    EventKind::Unpark => {}
-                    EventKind::PhaseStart { name } => {
-                        open.push(Open::Phase(name.clone()));
-                        open_start.push(e.ts);
-                    }
+                    EventKind::Park | EventKind::Unpark => {}
+                    EventKind::PhaseStart { name } => open.push(Open::Phase(name.clone())),
                     EventKind::PhaseEnd { name } => match open.pop() {
-                        Some(Open::Phase(n)) if &n == name => {
-                            open_start.pop();
-                        }
+                        Some(Open::Phase(n)) if &n == name => {}
                         _ => {
                             return Err(TraceError::UnbalancedPhase {
                                 worker: lane,
@@ -486,7 +442,7 @@ impl RunTrace {
         if let Some((task, _)) = task_state.iter().find(|(_, s)| **s == 1) {
             return Err(TraceError::MissingEnd { task });
         }
-        Ok(stats)
+        Ok(())
     }
 }
 
@@ -547,14 +503,15 @@ mod tests {
                 ],
             )],
         };
-        let stats = trace.validate().unwrap();
+        trace.validate().unwrap();
+        let stats = trace.stats();
         assert_eq!(stats.tasks, 2);
         assert_eq!(stats.dequeues, 2);
         assert_eq!(stats.steals, 1);
         assert_eq!(stats.cross_group_steals, 1);
         assert_eq!(stats.parks, 1);
         assert_eq!(stats.readies, 1);
-        assert_eq!(stats.busy_ns, vec![6]);
+        assert_eq!(stats.lanes[0].busy_ns, 6);
 
         let spans = trace.task_spans();
         assert_eq!(spans.len(), 2);
@@ -600,14 +557,14 @@ mod tests {
                 ),
             ],
         };
-        let stats = trace.validate().unwrap();
+        trace.validate().unwrap();
+        let stats = trace.stats();
         assert_eq!((stats.tasks, stats.readies), (2, 3));
         let spans = trace.task_spans();
         assert_eq!(spans[0].task, far);
         assert_eq!(spans[0].provenance, Some(Provenance::Queue));
         assert_eq!((spans[1].task, spans[1].provenance), (2, None));
-        let (first_ready, tasks) = trace.ready_timestamps();
-        assert_eq!(tasks, 2);
+        let first_ready = trace.ready_timestamps(|_| {});
         assert_eq!(first_ready.get(far), Some(&0));
         assert_eq!(first_ready.get(2), Some(&1));
         assert_eq!(first_ready.get(3), None);

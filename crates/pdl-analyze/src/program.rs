@@ -29,14 +29,11 @@ pub fn analyze_program_source(file: &str, src: &str, platforms: &[Platform]) -> 
         }
         Err(e) => {
             let (line, message) = match &e {
-                ParseError::Lex(l) => (Some(l.line), l.to_string()),
-                ParseError::Pragma(p) => (None, p.to_string()),
-                ParseError::Structure { line, message } => (Some(*line), message.clone()),
+                ParseError::Lex(l) => (l.line, l.to_string()),
+                ParseError::Pragma { line, error } => (*line, error.to_string()),
+                ParseError::Structure { line, message } => (*line, message.clone()),
             };
-            let mut d = Diagnostic::error("C100", message);
-            if let Some(line) = line {
-                d = d.with_span(Span::at(line, 0).in_file(file));
-            }
+            let d = Diagnostic::error("C100", message).with_span(Span::at(line, 0).in_file(file));
             [d].into_iter().collect()
         }
     }

@@ -304,10 +304,11 @@ const T007_SATURATED_ABOVE: f64 = 0.75;
 /// Flags logic-group starvation in an observed schedule (`T007`).
 ///
 /// Utilization is per-group busy time over `lanes × wall` (wall = the last
-/// span end), from [`hetero_trace::MetricsRegistry`]. A group under
-/// 25% while another group runs at 75% or more means the schedule starved
-/// hardware the platform description says is available — usually a missing
-/// codelet variant, an over-tight pin, or disabled cross-group stealing.
+/// span end), both from the trace's tally ([`RunTrace::stats`]). A group
+/// under 25% while another group runs at 75% or more means the schedule
+/// starved hardware the platform description says is available — usually
+/// a missing codelet variant, an over-tight pin, or disabled cross-group
+/// stealing.
 /// Transfer lanes (group `"links"`) are naturally bursty and are skipped.
 /// Broken traces (`T001` territory) and single-group traces are vacuously
 /// clean.
@@ -316,10 +317,10 @@ pub fn check_trace_utilization(trace: &RunTrace) -> Report {
     if trace.validate().is_err() {
         return out.into_iter().collect();
     }
-    let wall = trace.task_spans().iter().map(|s| s.end).max().unwrap_or(0);
+    let stats = trace.stats();
+    let wall = stats.last_end_ns;
     if wall > 0 {
-        let metrics = hetero_trace::MetricsRegistry::from_trace(trace);
-        let util: Vec<(String, f64)> = metrics
+        let util: Vec<(String, f64)> = stats
             .group_utilization(trace, wall)
             .into_iter()
             .filter(|(g, _)| g != "links")

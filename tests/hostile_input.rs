@@ -21,7 +21,14 @@
 //! Task-list row: 100 000 hand-built tasks, each naming a group of its
 //! own, collected and refused by a placed run within a wall cap linear in
 //! their number.
+//!
+//! C-subset rows: 100 000 nested braces in a task body, parsed within a
+//! wall cap linear in the source's length, and every truncation of a small
+//! annotated program refused with the line it stopped at, unless the cut
+//! leaves a complete program.
 
+use cascabel::ast::Item;
+use cascabel::parse::{parse_program, ParseError};
 use hetero_rt::prelude::*;
 use hetero_rt::thread_engine::ThreadEngineError;
 use hetero_trace::{codec, profile, TaskInfo};
@@ -445,4 +452,64 @@ fn a_list_of_100_000_distinct_groups_is_refused_in_linear_time() {
     // took minutes).
     let cap = Duration::from_micros(20 * n as u64);
     assert!(took < cap, "{took:?} for {n} tasks");
+}
+
+#[test]
+fn a_task_body_of_100_000_nested_braces_parses_in_linear_time() {
+    let depth = 100_000;
+    let src = format!(
+        "#pragma cascabel task : x86 : I_deep : deep01 : (A: readwrite)\n\
+         void deep(double *A) {{{}{}}}\n",
+        "{".repeat(depth),
+        "}".repeat(depth)
+    );
+    let program = evaluates_within_a_linear_cap("nested braces", &src, parse_program)
+        .expect("balanced braces parse");
+    let [Item::TaskFunction(f)] = &program.items[..] else {
+        panic!("one task function: {:?}", program.items.len());
+    };
+    assert_eq!(f.body.len(), 2 * depth + 2);
+}
+
+/// A task definition and its call site, one construct after each pragma.
+const ANNOTATED: &str = "\
+#pragma cascabel task : x86 : I_scale : scale01 : (A: readwrite)
+void scale(double *A) { A[0] *= 2.0; }
+#pragma cascabel execute I_scale : (A:BLOCK:N)
+scale(A);
+";
+
+#[test]
+fn c_subset_refuses_every_truncation_with_its_line() {
+    const KEYWORD: &str = "#pragma cascabel";
+    // A cut is complete unless it falls between a pragma's keyword and the
+    // end of the line after it, where the pragma's construct ends.
+    let open: Vec<(usize, usize)> = ANNOTATED
+        .match_indices(KEYWORD)
+        .map(|(at, _)| {
+            let pragma_end = at + ANNOTATED[at..].find('\n').expect("line ends");
+            let construct_end = pragma_end + 1 + ANNOTATED[pragma_end + 1..].find('\n').unwrap();
+            (at + KEYWORD.len(), construct_end)
+        })
+        .collect();
+    assert_eq!(open.len(), 2);
+    for cut in 0..=ANNOTATED.len() {
+        let prefix = &ANNOTATED[..cut];
+        let complete = open.iter().all(|&(from, to)| cut < from || cut >= to);
+        match parse_program(prefix) {
+            Ok(_) => assert!(complete, "cut at byte {cut} parses: {prefix:?}"),
+            Err(e) => {
+                assert!(!complete, "cut at byte {cut} refused: {e}");
+                let line = match &e {
+                    ParseError::Lex(e) => e.line,
+                    ParseError::Pragma { line, .. } | ParseError::Structure { line, .. } => *line,
+                };
+                let lines = prefix.lines().count() as u32;
+                assert!(
+                    (1..=lines).contains(&line),
+                    "cut at byte {cut}: line {line} of {lines}: {e}"
+                );
+            }
+        }
+    }
 }

@@ -220,3 +220,49 @@ fn cascabel_compile_phases_survive_to_fig5_json() {
     let reparsed = Json::parse(&doc.to_pretty()).unwrap();
     assert_eq!(reparsed.get("kind").and_then(Json::as_str), Some("fig5"));
 }
+
+/// The summary's totals and its metrics counters come from one tally:
+/// they agree on every traced run, and the lanes add up to the total.
+#[test]
+fn summary_totals_agree_with_its_counters_and_lanes() {
+    let (report, _) = traced_report();
+    let fig5 = bench::fig5::run(2048, 512);
+    let traces = [
+        (
+            report.trace.as_ref().unwrap(),
+            report.wall.as_nanos() as u64,
+        ),
+        (&fig5.row("starpu+2gpu").unwrap().trace, 0),
+    ];
+    for (trace, wall_ns) in traces {
+        let doc = Json::parse(&summary::export(trace, wall_ns)).unwrap();
+        assert_eq!(doc.get("invariant_error"), Some(&Json::Null));
+        let totals = doc.get("totals").unwrap();
+        let counters = doc.get("metrics").and_then(|m| m.get("counters")).unwrap();
+        for name in [
+            "tasks_executed",
+            "dequeues",
+            "steals",
+            "cross_group_steals",
+            "parks",
+        ] {
+            // A counter is written only once it is non-zero.
+            let counted = counters.get(name).and_then(Json::as_u64).unwrap_or(0);
+            assert_eq!(
+                totals.get(name).and_then(Json::as_u64),
+                Some(counted),
+                "{name}"
+            );
+        }
+        let lanes = doc.get("lanes").unwrap().items();
+        let lane_busy: u64 = lanes
+            .iter()
+            .map(|l| l.get("busy_ns").and_then(Json::as_u64).unwrap())
+            .sum();
+        assert_eq!(
+            totals.get("busy_ns").and_then(Json::as_u64),
+            Some(lane_busy)
+        );
+        assert!(lane_busy > 0);
+    }
+}

@@ -52,9 +52,10 @@ fn dag_tasks(masks: &[u64], group_of: impl Fn(usize) -> Option<&'static str>) ->
 /// Asserts the invariants shared by every traced run.
 fn check_trace(report: &ExecReport, n: usize) {
     let trace = report.trace.as_ref().expect("ring sink collects a trace");
-    let stats = trace
+    trace
         .validate()
         .unwrap_or_else(|e| panic!("trace invariant broken: {e}"));
+    let stats = trace.stats();
     assert_eq!(stats.tasks, n, "one start/end pair per task");
     assert_eq!(stats.readies, n as u64, "each task readied exactly once");
     assert_eq!(stats.dequeues, n as u64, "each task dequeued exactly once");
@@ -71,7 +72,7 @@ fn check_trace(report: &ExecReport, n: usize) {
     // Per-worker busy time from trace spans equals the engine's own stats
     // exactly: both are computed from the same clock readings.
     for ws in &report.worker_stats {
-        let from_trace = stats.busy_ns.get(ws.worker).copied().unwrap_or(0);
+        let from_trace = stats.lanes.get(ws.worker).map_or(0, |l| l.busy_ns);
         assert_eq!(
             from_trace,
             ws.busy.unwrap().as_nanos() as u64,
