@@ -84,7 +84,10 @@ pub struct SimOptions {
     /// Flush all written data back to host at the end (counted in the
     /// makespan, as the paper's DGEMM must deliver its result matrix).
     pub flush_outputs: bool,
-    /// Feed observed durations into a history perf model.
+    /// Feed observed durations into a history perf model. Only the list
+    /// engine ([`simulate`]) learns; the event engine
+    /// ([`simulate_dynamic`](crate::dyn_engine::simulate_dynamic)) ignores
+    /// this and returns an empty [`SimReport::perfmodel`].
     pub learn_perfmodel: bool,
     /// Model host-memory bus contention: all host↔device transfers
     /// serialize on one shared bus resource (in addition to occupying the

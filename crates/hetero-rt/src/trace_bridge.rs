@@ -166,18 +166,12 @@ pub fn sim_report_to_trace(report: &SimReport, machine: &SimMachine) -> RunTrace
             .cloned()
             .unwrap_or_else(|| format!("link{link}"));
         for (channel, (_, ch)) in channels.into_iter().enumerate() {
-            lanes.push(LaneLabel {
-                name: if channel == 0 {
-                    name.clone()
-                } else {
-                    format!("{name} #{}", channel + 1)
-                },
-                group: Some("links".to_string()),
-            });
+            let label = LaneLabel::link(&name, channel);
             let mut lane = Lane::with_capacity(ch.len());
             for span in ch {
-                lane.push(add_task(span, "transfer", Some("links")), span);
+                lane.push(add_task(span, "transfer", label.group.as_deref()), span);
             }
+            lanes.push(label);
             channel_lanes.push(lane);
         }
     }

@@ -10,9 +10,8 @@
 //!   multiple of the group's average work;
 //! * **A003 steal storm** — a group obtains most of its work by
 //!   stealing, meaning placement is fighting affinity;
-//! * **A004 saturated link** — a transfer lane (group `"links"`) is busy
-//!   for almost the whole run window, making the interconnect the
-//!   bottleneck;
+//! * **A004 saturated link** — a link's lanes are busy for almost the
+//!   whole run window, making the interconnect the bottleneck;
 //! * **A005 lossy trace window** — a worker's ring overflowed, so any
 //!   analysis of that lane only covers the retained suffix.
 //!
@@ -22,11 +21,14 @@
 //! so it can be projected onto the same axis as the Chrome export or the
 //! critical-path profile.
 //! Detection is intentionally tolerant of lossy traces: A005 reports the
-//! loss, and the remaining checks run over the retained events.
+//! loss, and the remaining checks run over the retained events. Lanes and
+//! their groups come from the lane table ([`crate::lanes`]), per-lane busy
+//! time and extent from the trace's tally ([`RunTrace::stats`]).
 
 use crate::event::EventKind;
-use crate::profile::{link_base, LaneInfo, Lanes};
+use crate::lanes::{is_link_group, link_base, Lanes};
 use crate::trace::RunTrace;
+use crate::{LaneStats, TraceStats};
 use std::collections::BTreeMap;
 
 /// A001: a lane is a straggler when it finishes at least this fraction of
@@ -63,84 +65,38 @@ pub struct Anomaly {
     pub end_ns: u64,
 }
 
-/// Per-lane span aggregates used by several detectors.
-#[derive(Debug, Clone, Copy)]
-struct LaneAgg {
-    busy: u64,
-    first: u64,
-    last: u64,
-    spans: usize,
-}
-
-impl Default for LaneAgg {
-    fn default() -> Self {
-        LaneAgg {
-            busy: 0,
-            first: u64::MAX,
-            last: 0,
-            spans: 0,
-        }
-    }
-}
-
 /// Scans `trace` for the A-series pathologies. Findings come back sorted
 /// by (code, subject) for deterministic reporting.
 pub fn detect(trace: &RunTrace) -> Vec<Anomaly> {
     let lanes = Lanes::of(trace);
-    let spans = trace.task_spans();
-    let makespan = spans.iter().map(|s| s.end).max().unwrap_or(0);
-    let start_ns = trace
-        .prelude
-        .iter()
-        .chain(trace.workers.iter().flat_map(|w| w.events.iter()))
-        .map(|e| e.ts)
-        .min()
-        .unwrap_or(0);
-    let window = makespan.saturating_sub(start_ns);
+    let stats = trace.stats();
+    let agg = stats.by_lane(trace, &lanes);
+    let window = stats.last_end_ns.saturating_sub(stats.start_ns);
 
-    let mut agg: Vec<LaneAgg> = vec![LaneAgg::default(); lanes.infos.len()];
-    for s in &spans {
-        let a = &mut agg[lanes.slot(s.worker)];
-        a.busy += s.end - s.start;
-        a.first = a.first.min(s.start);
-        a.last = a.last.max(s.end);
-        a.spans += 1;
-    }
-
-    // Lane indices per non-link group, in lane order.
-    let mut groups: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
-    for (i, lane) in lanes.infos.iter().enumerate() {
-        if !lane.is_link {
-            groups.entry(lane.group.as_str()).or_default().push(i);
-        }
-    }
+    // Lane slots per non-link group, in slot order.
+    let mut groups = lanes.groups();
+    groups.retain(|group, _| !is_link_group(group));
 
     let mut out = Vec::new();
-    detect_lossy(trace, &lanes, start_ns, makespan, &mut out);
+    detect_lossy(trace, &lanes, &stats, &mut out);
     if window > 0 {
-        detect_stragglers(&lanes.infos, &agg, &groups, window, &mut out);
-        detect_imbalance(&lanes.infos, &agg, &groups, window, &mut out);
+        detect_stragglers(&lanes, &agg, &groups, window, &mut out);
+        detect_imbalance(&lanes, &agg, &groups, window, &mut out);
         detect_steal_storms(trace, &lanes, &mut out);
-        detect_saturated_links(&lanes.infos, &agg, window, &mut out);
+        detect_saturated_links(&lanes, &agg, window, &mut out);
     }
     out.sort_by(|a, b| (a.code, &a.subject).cmp(&(b.code, &b.subject)));
     out
 }
 
 /// A005: ring overflow means the lane's history has a hole at the front.
-fn detect_lossy(
-    trace: &RunTrace,
-    lanes: &Lanes,
-    start_ns: u64,
-    makespan: u64,
-    out: &mut Vec<Anomaly>,
-) {
+fn detect_lossy(trace: &RunTrace, lanes: &Lanes, stats: &TraceStats, out: &mut Vec<Anomaly>) {
     for w in &trace.workers {
         if w.overwritten == 0 {
             continue;
         }
-        let name = lanes.infos[lanes.slot(w.worker)].name.clone();
-        let first_retained = w.events.iter().next().map_or(start_ns, |e| e.ts);
+        let name = lanes.lane(w.worker).name.clone();
+        let first_retained = w.events.iter().next().map_or(stats.start_ns, |e| e.ts);
         out.push(Anomaly {
             code: "A005",
             message: format!(
@@ -150,15 +106,15 @@ fn detect_lossy(
             ),
             subject: name,
             start_ns: first_retained,
-            end_ns: makespan.max(first_retained),
+            end_ns: stats.last_end_ns.max(first_retained),
         });
     }
 }
 
 /// A001: one lane of a group finishes far later than the group median.
 fn detect_stragglers(
-    lanes: &[LaneInfo],
-    agg: &[LaneAgg],
+    lanes: &Lanes,
+    agg: &[LaneStats],
     groups: &BTreeMap<&str, Vec<usize>>,
     window: u64,
     out: &mut Vec<Anomaly>,
@@ -172,25 +128,25 @@ fn detect_stragglers(
         if active.len() < 2 {
             continue;
         }
-        let mut ends: Vec<u64> = active.iter().map(|&i| agg[i].last).collect();
+        let mut ends: Vec<u64> = active.iter().map(|&i| agg[i].last_end_ns).collect();
         ends.sort_unstable();
         let median = ends[(ends.len() - 1) / 2];
         let threshold = ((STRAGGLER_TAIL_FRACTION * window as f64) as u64).max(1);
         for &i in &active {
-            let tail = agg[i].last.saturating_sub(median);
+            let tail = agg[i].last_end_ns.saturating_sub(median);
             if tail >= threshold {
                 out.push(Anomaly {
                     code: "A001",
-                    subject: lanes[i].name.clone(),
+                    subject: lanes.labels[i].name.clone(),
                     message: format!(
                         "lane \"{}\" of group \"{group}\" finished {tail} ns after the \
                          group's median lane ({:.0}% of the run window): a straggler \
                          holding the makespan",
-                        lanes[i].name,
+                        lanes.labels[i].name,
                         tail as f64 / window as f64 * 100.0
                     ),
                     start_ns: median,
-                    end_ns: agg[i].last,
+                    end_ns: agg[i].last_end_ns,
                 });
             }
         }
@@ -199,8 +155,8 @@ fn detect_stragglers(
 
 /// A002: one lane of a group does a large multiple of the mean work.
 fn detect_imbalance(
-    lanes: &[LaneInfo],
-    agg: &[LaneAgg],
+    lanes: &Lanes,
+    agg: &[LaneStats],
     groups: &BTreeMap<&str, Vec<usize>>,
     window: u64,
     out: &mut Vec<Anomaly>,
@@ -209,16 +165,16 @@ fn detect_imbalance(
         if members.len() < 2 {
             continue;
         }
-        let total: u64 = members.iter().map(|&i| agg[i].busy).sum();
+        let total: u64 = members.iter().map(|&i| agg[i].busy_ns).sum();
         if total == 0 {
             continue;
         }
         let busiest = *members
             .iter()
-            .max_by_key(|&&i| agg[i].busy)
+            .max_by_key(|&&i| agg[i].busy_ns)
             .expect("non-empty group");
-        let max_busy = agg[busiest].busy;
-        let min_busy = members.iter().map(|&i| agg[i].busy).min().unwrap_or(0);
+        let max_busy = agg[busiest].busy_ns;
+        let min_busy = members.iter().map(|&i| agg[i].busy_ns).min().unwrap_or(0);
         let mean = total as f64 / members.len() as f64;
         let spread = max_busy - min_busy;
         if max_busy as f64 >= IMBALANCE_FACTOR * mean
@@ -230,11 +186,11 @@ fn detect_imbalance(
                 message: format!(
                     "group \"{group}\" is load-imbalanced: lane \"{}\" did {max_busy} ns \
                      of work, {:.1}x the group's per-lane mean of {mean:.0} ns",
-                    lanes[busiest].name,
+                    lanes.labels[busiest].name,
                     max_busy as f64 / mean.max(1.0)
                 ),
-                start_ns: agg[busiest].first.min(agg[busiest].last),
-                end_ns: agg[busiest].last,
+                start_ns: agg[busiest].first_start_ns.min(agg[busiest].last_end_ns),
+                end_ns: agg[busiest].last_end_ns,
             });
         }
     }
@@ -251,13 +207,13 @@ fn detect_steal_storms(trace: &RunTrace, lanes: &Lanes, out: &mut Vec<Anomaly>) 
     }
     let mut per_group: BTreeMap<&str, StealAgg> = BTreeMap::new();
     for w in &trace.workers {
-        let lane = &lanes.infos[lanes.slot(w.worker)];
-        if lane.is_link {
+        let lane = lanes.lane(w.worker);
+        if lane.is_link() {
             continue;
         }
         for e in w.events.iter() {
             if let EventKind::TaskDequeued { provenance, .. } = e.kind {
-                let a = per_group.entry(lane.group.as_str()).or_default();
+                let a = per_group.entry(lane.group_name()).or_default();
                 a.dequeues += 1;
                 if provenance.is_steal() {
                     if a.steals == 0 {
@@ -293,33 +249,15 @@ fn detect_steal_storms(trace: &RunTrace, lanes: &Lanes, out: &mut Vec<Anomaly>) 
 }
 
 /// A004: a link's busy time covers almost the whole run window.
-fn detect_saturated_links(
-    lanes: &[LaneInfo],
-    agg: &[LaneAgg],
-    window: u64,
-    out: &mut Vec<Anomaly>,
-) {
-    #[derive(Default)]
-    struct LinkAgg {
-        busy: u64,
-        first: u64,
-        last: u64,
-    }
-    let mut per_link: BTreeMap<&str, LinkAgg> = BTreeMap::new();
-    for (i, lane) in lanes.iter().enumerate() {
-        if !lane.is_link || agg[i].spans == 0 {
-            continue;
+fn detect_saturated_links(lanes: &Lanes, agg: &[LaneStats], window: u64, out: &mut Vec<Anomaly>) {
+    let mut per_link: BTreeMap<&str, LaneStats> = BTreeMap::new();
+    for (lane, a) in lanes.labels.iter().zip(agg) {
+        if lane.is_link() {
+            per_link.entry(link_base(&lane.name)).or_default().absorb(a);
         }
-        let a = per_link.entry(link_base(&lane.name)).or_default();
-        if a.busy == 0 {
-            a.first = agg[i].first;
-        }
-        a.busy += agg[i].busy;
-        a.first = a.first.min(agg[i].first);
-        a.last = a.last.max(agg[i].last);
     }
     for (link, a) in per_link {
-        let utilization = a.busy as f64 / window as f64;
+        let utilization = a.busy_ns as f64 / window as f64;
         if utilization >= LINK_BUSY_FRACTION {
             out.push(Anomaly {
                 code: "A004",
@@ -328,10 +266,10 @@ fn detect_saturated_links(
                     "link \"{link}\" was busy {:.0}% of the run window ({} of {window} ns): \
                      the interconnect is saturated and transfers are the bottleneck",
                     utilization * 100.0,
-                    a.busy
+                    a.busy_ns
                 ),
-                start_ns: a.first,
-                end_ns: a.last,
+                start_ns: a.first_start_ns,
+                end_ns: a.last_end_ns,
             });
         }
     }

@@ -149,7 +149,7 @@ impl PerfDiff {
     /// of both traces (only changed instruments are recorded).
     fn merge_metrics(&mut self, base_trace: &RunTrace, head_trace: &RunTrace) {
         let (base, head) = (base_trace.stats(), head_trace.stats());
-        let mut counters: BTreeMap<Counter<'_>, (u64, u64)> = BTreeMap::new();
+        let mut counters: BTreeMap<Counter, (u64, u64)> = BTreeMap::new();
         for (name, v) in base.counters(base_trace) {
             counters.entry(name).or_default().0 = v;
         }
@@ -175,7 +175,7 @@ impl PerfDiff {
         }
     }
 
-    fn push_counter(&mut self, name: Counter<'_>, base: u64, head: u64) {
+    fn push_counter(&mut self, name: Counter, base: u64, head: u64) {
         if base != head {
             self.counters.push(CounterDelta {
                 name: name.to_string(),

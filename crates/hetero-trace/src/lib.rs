@@ -23,6 +23,8 @@
 //!   PU id and logic group it maps to, resolved from the platform
 //!   description via `pdl-query` placement; the trace knows which platform
 //!   descriptor produced the schedule.
+//! * **One lane table** ([`lanes::Lanes`]): a worker index becomes a lane
+//!   — name, logic group, link — in one place, for every reader.
 //! * **Text in once** ([`TaskTable`], [`Labels`]): a trace's task labels
 //!   sit back to back in one column, with a category and a group symbol
 //!   per task; readers borrow `&str` views ([`TaskInfo`]). The profiler's
@@ -65,6 +67,7 @@ pub mod diff;
 mod event;
 pub mod json;
 mod labels;
+pub mod lanes;
 mod log;
 mod metrics;
 mod phase;

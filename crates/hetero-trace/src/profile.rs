@@ -7,8 +7,8 @@
 //! category:
 //!
 //! * `compute/<group>` — a task span on a device/worker lane;
-//! * `transfer/<link>` — a span on a `"links"`-group lane (PDL
-//!   interconnect name, channel suffix stripped);
+//! * `transfer/<link>` — a span on a link lane (PDL interconnect name,
+//!   channel suffix stripped);
 //! * `queue-wait/<group>` — the task was ready but no lane of the group
 //!   picked it up;
 //! * `park/<group>` — the lane that eventually ran the task was parked
@@ -24,11 +24,14 @@
 //! chain can expose another.
 //!
 //! [`folded_stacks`] renders *all* spans (not only the chain) as folded
-//! `group;pu;kind` stacks for any flamegraph renderer.
+//! `group;pu;kind` stacks for any flamegraph renderer. Lanes, their
+//! groups and their links come from the trace's lane table
+//! ([`crate::lanes`]).
 
 use crate::event::EventKind;
 use crate::json::Json;
 use crate::labels::Labels;
+use crate::lanes::{is_link_group, link_base, Lanes};
 use crate::trace::{LaneLabel, RunTrace, TaskMap, TaskSpan};
 use std::collections::BTreeMap;
 
@@ -41,7 +44,7 @@ pub(crate) const PROFILE_SCHEMA_VERSION: u64 = 1;
 pub enum StepKind {
     /// A task span on a device or worker lane: `compute/<group>`.
     Compute,
-    /// A span on a `"links"`-group lane: `transfer/<link>`.
+    /// A span on a link lane: `transfer/<link>`.
     Transfer,
     /// The task was not ready yet: `scheduler`.
     Scheduler,
@@ -108,7 +111,7 @@ pub struct Profile {
     pub what_ifs: Vec<WhatIf>,
     /// What the steps render with: the lanes, and the label of each span
     /// step's task, in step order.
-    lanes: Vec<LaneInfo>,
+    lanes: Vec<LaneLabel>,
     chain: Labels,
 }
 
@@ -139,80 +142,19 @@ impl Profile {
 }
 
 /// The blame category of a `kind` step on `lane`.
-fn category(kind: StepKind, lane: &LaneInfo) -> String {
+fn category(kind: StepKind, lane: &LaneLabel) -> String {
     match kind {
-        StepKind::Compute => format!("compute/{}", lane.group),
+        StepKind::Compute => format!("compute/{}", lane.group_name()),
         StepKind::Transfer => format!("transfer/{}", link_base(&lane.name)),
         StepKind::Scheduler => "scheduler".to_string(),
-        StepKind::QueueWait => format!("queue-wait/{}", lane.group),
-        StepKind::Park => format!("park/{}", lane.group),
-    }
-}
-
-/// Lane name / group / link-ness resolved once per lane (shared with the
-/// anomaly detectors).
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct LaneInfo {
-    pub(crate) name: String,
-    pub(crate) group: String,
-    pub(crate) is_link: bool,
-}
-
-/// A trace's lanes: the ones its meta declares, then those only its
-/// workers name, in index order. A worker index is looked up, never used
-/// to size a table, so the tables stay as long as the trace.
-pub(crate) struct Lanes {
-    pub(crate) infos: Vec<LaneInfo>,
-    /// The worker indices past the declared lanes, ascending.
-    beyond: Vec<usize>,
-}
-
-impl Lanes {
-    pub(crate) fn of(trace: &RunTrace) -> Lanes {
-        let declared = trace.meta.lanes.len();
-        let mut beyond: Vec<usize> = (trace.workers.iter().map(|w| w.worker))
-            .filter(|&w| w >= declared)
-            .collect();
-        beyond.sort_unstable();
-        beyond.dedup();
-        let labels = (trace.meta.lanes.iter().map(Some)).chain(beyond.iter().map(|_| None));
-        let infos = ((0..declared).chain(beyond.iter().copied()).zip(labels))
-            .map(|(i, label): (usize, Option<&LaneLabel>)| {
-                let group = label
-                    .and_then(|l| l.group.as_deref())
-                    .unwrap_or("ungrouped");
-                LaneInfo {
-                    name: (label.map(|l| l.name.clone()).filter(|n| !n.is_empty()))
-                        .unwrap_or_else(|| format!("worker{i}")),
-                    is_link: group == "links",
-                    group: group.to_string(),
-                }
-            })
-            .collect();
-        Lanes { infos, beyond }
-    }
-
-    /// The index in `infos` of the lane of `worker`, one of the trace's.
-    pub(crate) fn slot(&self, worker: usize) -> usize {
-        let declared = self.infos.len() - self.beyond.len();
-        match self.beyond.binary_search(&worker) {
-            Ok(past) => declared + past,
-            Err(_) => worker,
-        }
-    }
-}
-
-/// Strips a `" #k"` channel suffix from a link lane name.
-pub(crate) fn link_base(name: &str) -> &str {
-    match name.rsplit_once(" #") {
-        Some((base, k)) if !k.is_empty() && k.chars().all(|c| c.is_ascii_digit()) => base,
-        _ => name,
+        StepKind::QueueWait => format!("queue-wait/{}", lane.group_name()),
+        StepKind::Park => format!("park/{}", lane.group_name()),
     }
 }
 
 /// `[park, unpark)` intervals per lane slot.
 fn park_intervals(trace: &RunTrace, lanes: &Lanes, makespan: u64) -> Vec<Vec<(u64, u64)>> {
-    let mut out = vec![Vec::new(); lanes.infos.len()];
+    let mut out = vec![Vec::new(); lanes.labels.len()];
     for w in &trace.workers {
         let mut open: Option<u64> = None;
         let intervals = &mut out[lanes.slot(w.worker)];
@@ -317,7 +259,7 @@ pub fn critical_path(trace: &RunTrace, deps: &[(u32, u32)]) -> Result<Profile, S
         return Err(format!(
             "task {} on lane {} ends at {} before it starts at {}",
             s.task,
-            lanes.infos[lanes.slot(s.worker)].name,
+            lanes.lane(s.worker).name,
             s.end,
             s.start
         ));
@@ -328,14 +270,7 @@ pub fn critical_path(trace: &RunTrace, deps: &[(u32, u32)]) -> Result<Profile, S
     }
     spans.sort_by_key(|s| (s.start, s.end, s.worker));
     let makespan = spans.iter().map(|s| s.end).max().unwrap_or(0);
-    let start_ns = trace
-        .prelude
-        .iter()
-        .chain(trace.workers.iter().flat_map(|w| w.events.iter()))
-        .map(|e| e.ts)
-        .min()
-        .unwrap_or(0);
-    let ready = trace.ready_timestamps(|_| {});
+    let (ready, start_ns) = trace.ready_timestamps(|_| {});
     let parks = park_intervals(trace, &lanes, makespan);
 
     // Task index → span index (first span wins on duplicates).
@@ -349,7 +284,7 @@ pub fn critical_path(trace: &RunTrace, deps: &[(u32, u32)]) -> Result<Profile, S
     preds.sort_by_key(|&(to, _)| to);
     // The span before each on its lane (the walk below would otherwise
     // search its lane at every step).
-    let mut last_on_lane: Vec<Option<usize>> = vec![None; lanes.infos.len()];
+    let mut last_on_lane: Vec<Option<usize>> = vec![None; lanes.labels.len()];
     let lane_pred: Vec<Option<usize>> = (0..spans.len())
         .map(|i| last_on_lane[spans[i].worker].replace(i))
         .collect();
@@ -367,7 +302,7 @@ pub fn critical_path(trace: &RunTrace, deps: &[(u32, u32)]) -> Result<Profile, S
         steps.push(ProfileStep {
             start: span.start,
             end: span.end,
-            kind: if lanes.infos[span.worker].is_link {
+            kind: if lanes.labels[span.worker].is_link() {
                 StepKind::Transfer
             } else {
                 StepKind::Compute
@@ -448,7 +383,7 @@ pub fn critical_path(trace: &RunTrace, deps: &[(u32, u32)]) -> Result<Profile, S
     let mut by_cat: BTreeMap<String, u64> = BTreeMap::new();
     for ((kind, lane), ns) in by_step {
         *by_cat
-            .entry(category(kind, &lanes.infos[lane as usize]))
+            .entry(category(kind, &lanes.labels[lane as usize]))
             .or_insert(0) += ns;
     }
     debug_assert_eq!(by_cat.values().sum::<u64>(), critical);
@@ -467,12 +402,7 @@ pub fn critical_path(trace: &RunTrace, deps: &[(u32, u32)]) -> Result<Profile, S
     blame.sort_by(|a, b| b.ns.cmp(&a.ns).then_with(|| a.category.cmp(&b.category)));
 
     // What-ifs: replay the chain against edited costs.
-    let mut lanes_per_group: BTreeMap<&str, u64> = BTreeMap::new();
-    for l in &lanes.infos {
-        if !l.is_link {
-            *lanes_per_group.entry(l.group.as_str()).or_insert(0) += 1;
-        }
-    }
+    let groups = lanes.groups();
     let mut what_ifs: Vec<WhatIf> = Vec::new();
     for b in &blame {
         let saving = if let Some(link) = b.category.strip_prefix("transfer/") {
@@ -480,8 +410,12 @@ pub fn critical_path(trace: &RunTrace, deps: &[(u32, u32)]) -> Result<Profile, S
         } else if let Some(group) = b.category.strip_prefix("compute/") {
             Some((format!("group {group} compute 2x faster"), b.ns / 2))
         } else if let Some(group) = b.category.strip_prefix("queue-wait/") {
-            let n = lanes_per_group.get(group).copied().unwrap_or(1).max(1);
-            // One more PU: waiting scales ~ n/(n+1) of what it was.
+            // One more PU: waiting scales ~ n/(n+1) of what it was. Link
+            // lanes are channels of a link, not PUs.
+            let n = match groups.get(group) {
+                Some(slots) if !is_link_group(group) => slots.len() as u64,
+                _ => 1,
+            };
             Some((
                 format!("group {group} one more PU"),
                 b.ns - b.ns * n / (n + 1),
@@ -511,7 +445,7 @@ pub fn critical_path(trace: &RunTrace, deps: &[(u32, u32)]) -> Result<Profile, S
         steps,
         blame,
         what_ifs,
-        lanes: lanes.infos,
+        lanes: lanes.labels,
         chain,
     })
 }
@@ -522,28 +456,24 @@ pub fn critical_path(trace: &RunTrace, deps: &[(u32, u32)]) -> Result<Profile, S
 /// renderer.
 pub fn folded_stacks(trace: &RunTrace) -> String {
     let lanes = Lanes::of(trace);
-    // Summed per lane and kind first, so a stack is spelled once, not once
-    // per span; lanes that spell the same stack merge below.
+    // Summed per lane and task category first, so a stack is spelled once,
+    // not once per span; stacks spelled alike merge below.
     let mut per_lane: BTreeMap<(usize, &str), u64> = BTreeMap::new();
     for span in trace.task_spans() {
-        let lane = lanes.slot(span.worker);
-        let kind = if lanes.infos[lane].is_link {
-            "transfer"
-        } else {
-            (trace.meta.tasks.get(span.task as usize)).map_or("task", |t| t.category)
-        };
-        *per_lane.entry((lane, kind)).or_insert(0) += span.end - span.start;
+        let category = (trace.meta.tasks.get(span.task as usize)).map_or("task", |t| t.category);
+        *per_lane
+            .entry((lanes.slot(span.worker), category))
+            .or_insert(0) += span.end - span.start;
     }
     let mut weights: BTreeMap<String, u64> = BTreeMap::new();
-    for ((lane, kind), weight) in per_lane {
-        let lane = &lanes.infos[lane];
-        let name = if lane.is_link {
-            link_base(&lane.name)
-        } else {
-            &lane.name
+    for ((lane, category), weight) in per_lane {
+        let lane = &lanes.labels[lane];
+        let (name, kind) = match lane.is_link() {
+            true => (link_base(&lane.name), "transfer"),
+            false => (lane.name.as_str(), category),
         };
         *weights
-            .entry(format!("{};{};{}", lane.group, name, kind))
+            .entry(format!("{};{};{}", lane.group_name(), name, kind))
             .or_insert(0) += weight;
     }
     let mut out = String::new();

@@ -288,9 +288,11 @@ impl RunTrace {
     }
 
     /// First `TaskReady` timestamp per task, across the prelude and all
-    /// lanes; `each` sees the kind of every event on the way.
-    pub(crate) fn ready_timestamps(&self, mut each: impl FnMut(&EventKind)) -> TaskMap<u64> {
+    /// lanes, and the earliest timestamp of the trace (0 without events);
+    /// `each` sees the kind of every event on the way.
+    pub(crate) fn ready_timestamps(&self, mut each: impl FnMut(&EventKind)) -> (TaskMap<u64>, u64) {
         let mut first_ready = TaskMap::for_trace(self);
+        let mut start = u64::MAX;
         for e in self
             .prelude
             .iter()
@@ -299,9 +301,11 @@ impl RunTrace {
             if let EventKind::TaskReady { task } = e.kind {
                 first_ready.slot(task).get_or_insert(e.ts);
             }
+            start = start.min(e.ts);
             each(&e.kind);
         }
-        first_ready
+        let start = if self.total_events() == 0 { 0 } else { start };
+        (first_ready, start)
     }
 
     /// Reconstructs every task execution interval from start/end pairs, in
@@ -564,7 +568,7 @@ mod tests {
         assert_eq!(spans[0].task, far);
         assert_eq!(spans[0].provenance, Some(Provenance::Queue));
         assert_eq!((spans[1].task, spans[1].provenance), (2, None));
-        let first_ready = trace.ready_timestamps(|_| {});
+        let (first_ready, _) = trace.ready_timestamps(|_| {});
         assert_eq!(first_ready.get(far), Some(&0));
         assert_eq!(first_ready.get(2), Some(&1));
         assert_eq!(first_ready.get(3), None);

@@ -31,7 +31,8 @@
 use hetero_rt::data::AccessMode;
 use hetero_rt::graph::TaskGraph;
 use hetero_rt::task::{Task, TaskId};
-use hetero_trace::RunTrace;
+use hetero_trace::lanes::{is_link_group, link_base, Lanes};
+use hetero_trace::{RunTrace, TraceStats};
 use pdl_core::diag::{Diagnostic, Report};
 use std::collections::BTreeMap;
 
@@ -127,7 +128,8 @@ pub fn check_trace(trace: &RunTrace, graph: &TaskGraph) -> Report {
     }
 
     // T004: group placement. The declared pin comes from the graph (or the
-    // trace's own task table); the lane's group from the trace meta.
+    // trace's own task table); the lane's group from the lane table.
+    let lanes = Lanes::of(trace);
     for task in graph.tasks() {
         let Some(si) = graph_span[task.id.0] else {
             continue;
@@ -140,12 +142,7 @@ pub fn check_trace(trace: &RunTrace, graph: &TaskGraph) -> Report {
                 .and_then(|info| info.group)
         });
         let Some(declared) = declared else { continue };
-        let lane_group = trace
-            .meta
-            .lanes
-            .get(spans[si].worker)
-            .and_then(|l| l.group.as_deref());
-        if let Some(lane_group) = lane_group {
+        if let Some(lane_group) = lanes.lane(spans[si].worker).group.as_deref() {
             if lane_group != declared {
                 out.push(
                     Diagnostic::error(
@@ -230,9 +227,9 @@ pub fn check_trace(trace: &RunTrace, graph: &TaskGraph) -> Report {
 /// Checks a trace's transfer lanes against the platform declaration.
 ///
 /// The virtual-time bridge names every link lane
-/// `"<ic_type>:<from>-<to>"` (with an optional `" #k"` channel suffix) and
-/// puts it in the `"links"` group. A transfer shown on a lane whose
-/// interconnect the (quantity-expanded) platform does not declare — in
+/// `"<ic_type>:<from>-<to>"` (with an optional `" #k"` channel suffix, `k`
+/// digits) and puts it in the `"links"` group. A transfer shown on a lane
+/// whose interconnect the (quantity-expanded) platform does not declare — in
 /// either orientation — means the simulated schedule moved data over
 /// hardware the description says does not exist: `T006`. Unparseable link
 /// lane names are reported under the same code. Traces without link lanes
@@ -241,16 +238,8 @@ pub fn check_trace_links(trace: &RunTrace, platform: &pdl_core::platform::Platfo
     use pdl_core::id::PuId;
     let expanded = platform.expand_quantities();
     let mut out: Vec<Diagnostic> = Vec::new();
-    for lane in &trace.meta.lanes {
-        if lane.group.as_deref() != Some("links") {
-            continue;
-        }
-        // Strip a channel suffix (`" #2"`) appended when overlapping
-        // transfers were split across serialized lanes.
-        let base = match lane.name.rsplit_once(" #") {
-            Some((base, k)) if k.chars().all(|c| c.is_ascii_digit()) => base,
-            _ => lane.name.as_str(),
-        };
+    for lane in trace.meta.lanes.iter().filter(|l| l.is_link()) {
+        let base = link_base(&lane.name);
         let parsed = base.split_once(':').and_then(|(ic_type, endpoints)| {
             endpoints
                 .rsplit_once('-')
@@ -313,17 +302,21 @@ const T007_SATURATED_ABOVE: f64 = 0.75;
 /// Broken traces (`T001` territory) and single-group traces are vacuously
 /// clean.
 pub fn check_trace_utilization(trace: &RunTrace) -> Report {
-    let mut out: Vec<Diagnostic> = Vec::new();
     if trace.validate().is_err() {
-        return out.into_iter().collect();
+        return Report::default();
     }
-    let stats = trace.stats();
+    starved_groups(trace, &trace.stats())
+}
+
+/// `T007` on `trace`, which is valid, and its tally `stats`.
+fn starved_groups(trace: &RunTrace, stats: &TraceStats) -> Report {
+    let mut out: Vec<Diagnostic> = Vec::new();
     let wall = stats.last_end_ns;
     if wall > 0 {
         let util: Vec<(String, f64)> = stats
             .group_utilization(trace, wall)
             .into_iter()
-            .filter(|(g, _)| g != "links")
+            .filter(|(g, _)| !is_link_group(g))
             .collect();
         let saturated = util
             .iter()
@@ -382,8 +375,8 @@ pub fn analyze_trace_source(
     };
     let mut report = Report::default();
     match trace.validate() {
-        Ok(_) => {
-            report.merge(check_trace_utilization(&trace));
+        Ok(()) => {
+            report.merge(starved_groups(&trace, &trace.stats()));
             report.merge(crate::anomaly::check_trace_anomalies(&trace));
         }
         Err(e) => {
@@ -797,6 +790,57 @@ mod tests {
         let trace = links_trace(&["NVLink:gpu0-gpu1", "bogus"]);
         let report = check_trace_links(&trace, &platform);
         assert_eq!(report.codes(), ["T006", "T006"]);
+    }
+
+    /// A channel suffix is ` #` and at least one digit. A lane named
+    /// `<declared link> #` is a link of its own, which the platform does
+    /// not declare, and every reader names it so; `<declared link> #2` is
+    /// a channel of the declared link everywhere.
+    #[test]
+    fn a_channel_suffix_needs_a_digit() {
+        use hetero_trace::{anomaly, profile};
+        let platform = pdl_discover::synthetic::xeon_2gpu_nvlink_testbed();
+        for (lane_name, link, t006) in [
+            ("PCIe:host-gpu0 #", "PCIe:host-gpu0 #", vec!["T006"]),
+            ("PCIe:host-gpu0 #2", "PCIe:host-gpu0", vec![]),
+        ] {
+            let mut tasks = TaskTable::default();
+            tasks.push("copy", "transfer", None);
+            tasks.push("k", "task", None);
+            let trace = RunTrace {
+                meta: TraceMeta {
+                    platform: None,
+                    lanes: vec![
+                        LaneLabel {
+                            name: "gpu0".into(),
+                            group: Some("gpus".into()),
+                        },
+                        LaneLabel {
+                            name: lane_name.into(),
+                            group: Some("links".into()),
+                        },
+                    ],
+                    tasks,
+                    time_unit: hetero_trace::TimeUnit::default(),
+                },
+                prelude: Default::default(),
+                workers: vec![
+                    lane(1, vec![(0, start(0)), (95, end(0))]),
+                    lane(0, vec![(95, start(1)), (100, end(1))]),
+                ],
+            };
+            assert_eq!(check_trace_links(&trace, &platform).codes(), t006);
+            let folded = profile::folded_stacks(&trace);
+            assert!(
+                folded.contains(&format!("links;{link};transfer 95\n")),
+                "{folded}"
+            );
+            let found = anomaly::detect(&trace);
+            assert_eq!(found.len(), 1);
+            assert_eq!((found[0].code, found[0].subject.as_str()), ("A004", link));
+            let blame = profile::critical_path(&trace, &[(0, 1)]).unwrap().blame;
+            assert_eq!(blame[0].category, format!("transfer/{link}"));
+        }
     }
 
     #[test]

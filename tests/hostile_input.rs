@@ -10,6 +10,11 @@
 //! properties, and 100 000 distinct values — round-tripped within a wall
 //! cap linear in their size.
 //!
+//! Schema rows: a shipped descriptor whose typed properties all name an
+//! unregistered subschema (one finding per property, at its position), and
+//! 100 000 typed properties validated within a wall cap linear in their
+//! size.
+//!
 //! Semver-range rows: every truncation of `>=1.2.3`, `^1.2` and `1.2.3`,
 //! a fourth version field in every form, and fields past `u32`.
 //!
@@ -36,7 +41,7 @@ use kernels::graphs::dgemm_graph;
 use pdl_core::prelude::*;
 use pdl_discover::synthetic;
 use pdl_registry::{SemVer, VersionReq};
-use pdl_xml::XmlError;
+use pdl_xml::{Pos, SchemaError, SchemaRegistry, XmlError};
 use simhw::machine::SimMachine;
 use std::time::{Duration, Instant};
 
@@ -263,6 +268,59 @@ fn xml_round_trips_100_000_distinct_values() {
         .map(|i| Property::fixed("DISTINCT", format!("v{i}")))
         .collect();
     round_trips_within_a_linear_cap("distinct-texts", props);
+}
+
+/// A shipped descriptor whose subschema-typed properties all name a prefix
+/// no subschema registers: one finding per typed property, at its
+/// position, and `from_xml` refuses it with a schema error.
+#[test]
+fn schema_names_every_property_of_an_unregistered_subschema() {
+    let fixture = "examples/platforms/xeon_2gpu_testbed.xml";
+    let text = std::fs::read_to_string(fixture).expect("fixture reads");
+    let text = text.replace(r#"xsi:type="ocl:"#, r#"xsi:type="nosuch:"#);
+    let typed: Vec<Pos> = (text.lines().zip(1..))
+        .filter(|(line, _)| line.contains(r#"xsi:type="nosuch:"#))
+        .map(|(line, at)| Pos {
+            line: at,
+            col: 1 + line.find("<Property").expect("a typed property") as u32,
+        })
+        .collect();
+    assert_eq!(typed.len(), 10);
+
+    let doc = pdl_xml::parse_document(&text).expect("well-formed");
+    let found = SchemaRegistry::with_builtins().validate_at(&doc);
+    for (e, _) in &found {
+        assert!(
+            matches!(e, SchemaError::UnknownSubschema(t) if t.starts_with("nosuch:")),
+            "{e}"
+        );
+    }
+    let at: Vec<Pos> = found.iter().map(|&(_, pos)| pos).collect();
+    assert_eq!(at, typed);
+    assert_eq!(at[0], Pos { line: 222, col: 9 });
+    assert!(matches!(
+        pdl_xml::from_xml(&text),
+        Err(XmlError::Schema(SchemaError::UnknownSubschema(_)))
+    ));
+}
+
+/// 100 000 subschema-typed properties parse and validate clean within a
+/// wall cap linear in the document's length.
+#[test]
+fn schema_validates_100_000_typed_properties_in_linear_time() {
+    let property = r#"<Property fixed="false" xsi:type="ocl:oclDevicePropertyType"><ocl:name>DEVICE_NAME</ocl:name><ocl:value>GTX</ocl:value></Property>"#;
+    let text = format!(
+        r#"<Platform name="typed"><Master id="m"><PUDescriptor>{}</PUDescriptor></Master></Platform>"#,
+        property.repeat(100_000)
+    );
+    let started = Instant::now();
+    let doc = pdl_xml::parse_document(&text).expect("well-formed");
+    let found = SchemaRegistry::with_builtins().validate_at(&doc);
+    let took = started.elapsed();
+    assert_eq!(found, []);
+    // The cap of the round trips above, which do more a byte.
+    let cap = Duration::from_micros(3 * text.len() as u64);
+    assert!(took < cap, "{took:?} for {} bytes", text.len());
 }
 
 /// A requirement cut anywhere is refused unless what is left is itself a
