@@ -47,10 +47,10 @@
 //! A [`TaskList`] is columns — one label column, every dependency list
 //! back to back, a group symbol per task, the bodies — whether
 //! [`from_graph`] copied it from a graph or it was collected from
-//! hand-built [`ThreadTask`] rows. Its label column moves into the run's
-//! [`ExecReport`] whole, as a [`PlacedGraph`]'s is shared with every
-//! batch's, and [`TaskStats`] rows name their task by index: besides its
-//! body, a task costs the list path no allocation of its own.
+//! hand-built [`ThreadTask`] rows. A traced run copies the label column
+//! into its trace's task table once, and writes one record per task run —
+//! task index, start, end and steal provenance — into the worker's ring:
+//! besides its body, a task costs the list path no allocation of its own.
 //!
 //! The seed single-queue engine this one replaced lives on as a test
 //! reference in `tests/common/single_queue.rs`.
@@ -64,7 +64,7 @@ use hetero_trace::{
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, TryLockError};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError, TryLockError};
 use std::time::Duration as StdDuration;
 
 mod placement;
@@ -72,7 +72,7 @@ mod report;
 mod task_list;
 
 pub use placement::{Placement, PlacementGroup};
-pub use report::{ExecReport, TaskStats, ThreadEngineError, WorkerStats};
+pub use report::{ExecReport, ThreadEngineError, WorkerStats};
 pub use task_list::{from_graph, ListedTask, TaskList, ThreadTask};
 
 // ---------------------------------------------------------------------------
@@ -88,12 +88,11 @@ type BodyFactory<'a> = &'a (dyn Fn(usize) -> Box<dyn FnOnce() + Send> + Sync);
 /// besides the task bodies — the graph's [`CompiledGraph`], its label
 /// column, the placement-resolved group of every task — so each
 /// [`ThreadedExecutor::run_compiled`] batch only instantiates fresh atomic
-/// counters. Every batch's [`ExecReport`] shares the one label column; a
-/// trace's task table copies it.
+/// counters. A traced batch's task table copies the label column.
 #[derive(Debug, Clone)]
 pub struct PlacedGraph {
     graph: CompiledGraph,
-    labels: Arc<Labels>,
+    labels: Labels,
     task_group: Vec<Option<usize>>,
     group_names: Vec<String>,
 }
@@ -129,10 +128,11 @@ fn lane_labels(workers: usize, placement: Option<&Placement>) -> Vec<LaneLabel> 
 // Work-stealing executor
 // ---------------------------------------------------------------------------
 
-/// How long an idle worker sleeps between steal scans. Wake-ups are
-/// event-driven (fork points and cross-group hand-offs notify sleepers), so
-/// this is only the safety net bounding the cost of a missed notification
-/// and the shutdown latency.
+/// How long an idle worker sleeps between steal scans. Only three things
+/// notify sleepers: the run's last completion, a completion that hands a
+/// task to another group, and a panicking task. Same-group work, a fork
+/// point's surplus included, waits for a sleeper's next scan, so this bounds
+/// how long such work sits idle, as well as the shutdown latency.
 const PARK_TIMEOUT: StdDuration = StdDuration::from_millis(2);
 
 /// A work-stealing, affinity-aware thread pool executing dependency graphs.
@@ -191,22 +191,21 @@ impl ThreadedExecutor {
         self
     }
 
-    /// Enables or disables per-task stats and timing (default **on**).
+    /// Enables or disables timing the task bodies (default **on**).
     ///
-    /// With stats off, [`ExecReport::tasks`] comes back empty, and a run
-    /// that does not trace either reads no clock per task: the two
-    /// readings that time a body (≈ 50 ns each) cost more than the empty
-    /// task itself, where the `(index, duration)` record is one `Vec`
-    /// push. Such an untimed run reports [`WorkerStats::busy`] as `None`;
-    /// its counters (`executed`, steals, failed scans) and
-    /// [`ExecReport::wall`] are kept. A traced run still times every task,
-    /// so its `busy` is the sum of its spans.
+    /// With it off, a run that does not trace either reads no clock per
+    /// task: the two readings that time a body (≈ 50 ns each) cost more
+    /// than an empty task itself. Such an untimed run reports
+    /// [`WorkerStats::busy`] as `None`; its counters (`executed`, steals,
+    /// failed scans) and [`ExecReport::wall`] are kept. A traced run still
+    /// times every task, so its `busy` is the sum of its spans; per-task
+    /// rows are its trace's runs ([`RunTrace::task_spans`]).
     pub fn with_task_stats(mut self, enabled: bool) -> Self {
         self.task_stats = enabled;
         self
     }
 
-    /// Whether a run has a consumer for per-task times — stats rows or a
+    /// Whether a run has a consumer for per-task times — busy time or a
     /// recording sink — and so reads the clock around every body.
     fn timed(&self) -> bool {
         self.task_stats || self.sink.enabled()
@@ -261,10 +260,10 @@ impl ThreadedExecutor {
         (clock, prelude)
     }
 
-    /// Executes all tasks, returning per-task and per-worker stats: the
-    /// dependency lists are compiled, then run like any compiled graph. A
-    /// `Vec<ThreadTask>` converts into a [`TaskList`]; the list's label
-    /// column moves into the report.
+    /// Executes all tasks, returning per-worker stats: the dependency lists
+    /// are compiled, then run like any compiled graph. A `Vec<ThreadTask>`
+    /// converts into a [`TaskList`]; a traced run's task table copies the
+    /// list's label column.
     pub fn run(&self, tasks: impl Into<TaskList>) -> Result<ExecReport, ThreadEngineError> {
         let tasks = tasks.into();
         let start = self.begin();
@@ -282,7 +281,7 @@ impl ThreadedExecutor {
             .map(|w| Mutex::new(Some(w)))
             .collect();
         let take = |i: usize| lock(&slots[i]).take().expect("task runs once");
-        self.execute(start, &graph, &task_group, Arc::new(tasks.labels), &take)
+        self.execute(start, &graph, &task_group, &tasks.labels, &take)
     }
 
     /// Compiles a [`TaskGraph`]'s structure for repeated execution with
@@ -295,7 +294,7 @@ impl ThreadedExecutor {
         )?;
         Ok(PlacedGraph {
             graph: graph.compile(),
-            labels: Arc::new(graph.labels().clone()),
+            labels: graph.labels().clone(),
             task_group,
             group_names: self.group_names(),
         })
@@ -328,19 +327,18 @@ impl ThreadedExecutor {
                 executor: group_names,
             });
         }
-        let labels = Arc::clone(&graph.labels);
-        self.execute(start, &graph.graph, &graph.task_group, labels, &work)
+        self.execute(start, &graph.graph, &graph.task_group, &graph.labels, &work)
     }
 
     /// The one submission path: fresh pending counters over the compiled
-    /// edges, the pool run, and the report. The report keeps `labels`, the
-    /// run's column, and its per-task stats name tasks by index.
+    /// edges, the pool run, and the report. A traced run's task table
+    /// copies `labels`, the run's column.
     fn execute(
         &self,
         (clock, mut prelude): (TraceClock, WorkerTracer),
         graph: &CompiledGraph,
         task_group: &[Option<usize>],
-        labels: Arc<Labels>,
+        labels: &Labels,
         work: BodyFactory<'_>,
     ) -> Result<ExecReport, ThreadEngineError> {
         let group_names = self.group_names();
@@ -350,7 +348,7 @@ impl ThreadedExecutor {
             platform: self.placement.as_ref().and_then(|p| p.platform.clone()),
             lanes: lane_labels(self.workers, self.placement.as_ref()),
             tasks: TaskTable::from_column(
-                Labels::clone(&labels),
+                labels.clone(),
                 "task",
                 task_group
                     .iter()
@@ -367,7 +365,6 @@ impl ThreadedExecutor {
         let out = if graph.is_empty() {
             // Nothing to run: no pool, and every lane of the trace is empty.
             RunOutput {
-                records: Vec::new(),
                 worker_stats: (0..self.workers)
                     .map(|worker| WorkerStats {
                         worker,
@@ -391,16 +388,6 @@ impl ThreadedExecutor {
             self.run_pool(clock, prelude, rt)?
         };
 
-        // Per-task stats are assembled outside the hot path, straight from
-        // what each worker recorded: (task index, nanoseconds).
-        let mut tasks = Vec::with_capacity(out.records.iter().map(Vec::len).sum());
-        for (worker, records) in out.records.into_iter().enumerate() {
-            tasks.extend(records.into_iter().map(|(task, ns)| TaskStats {
-                task: task as usize,
-                worker,
-                duration: StdDuration::from_nanos(ns),
-            }));
-        }
         let trace = meta.map(|meta| RunTrace {
             meta,
             prelude: out
@@ -411,8 +398,6 @@ impl ThreadedExecutor {
             workers: out.worker_traces,
         });
         Ok(ExecReport {
-            tasks,
-            labels,
             wall: out.wall,
             workers: self.workers,
             worker_stats: out.worker_stats,
@@ -482,7 +467,6 @@ impl ThreadedExecutor {
         let wake = Condvar::new();
 
         let mut worker_stats: Vec<WorkerStats> = Vec::with_capacity(self.workers);
-        let mut records = Vec::with_capacity(self.workers);
         let mut worker_traces: Vec<WorkerTrace> = Vec::new();
         prelude.record(&clock, phase_start("execute"));
         std::thread::scope(|scope| {
@@ -505,16 +489,14 @@ impl ThreadedExecutor {
                     clock,
                     tracer: self.sink.worker_tracer(),
                     timed: self.timed(),
-                    collect: self.task_stats,
                 };
                 handles.push(scope.spawn(move || ctx.run()));
             }
             for h in handles {
                 // Task panics are caught inside the worker; this fires
                 // only for a bug in the engine itself.
-                let (ws, recs, wt) = h.join().expect("worker panicked");
+                let (ws, wt) = h.join().expect("worker panicked");
                 worker_stats.push(ws);
-                records.push(recs);
                 worker_traces.extend(wt);
             }
         });
@@ -523,7 +505,6 @@ impl ThreadedExecutor {
         }
         prelude.record(&clock, phase_end("execute"));
         Ok(RunOutput {
-            records,
             worker_stats,
             worker_traces,
             prelude,
@@ -546,9 +527,6 @@ struct Runtime<'a> {
 /// Raw output of [`ThreadedExecutor::run_pool`], before label resolution
 /// and trace assembly.
 struct RunOutput {
-    /// Each worker's `(task, nanoseconds)` rows, in worker order; empty
-    /// rows when task stats are off.
-    records: Vec<Vec<(u32, u64)>>,
     worker_stats: Vec<WorkerStats>,
     worker_traces: Vec<WorkerTrace>,
     prelude: WorkerTracer,
@@ -579,53 +557,10 @@ struct WorkerCtx<'a> {
     n: usize,
     clock: TraceClock,
     tracer: WorkerTracer,
-    /// Whether to read the clock around each body: per-task stats or a
-    /// recording tracer will use the readings. Implied by `collect` and by
-    /// an enabled `tracer`.
+    /// Whether to read the clock around each body: busy time or a
+    /// recording tracer will use the readings. Implied by an enabled
+    /// `tracer`.
     timed: bool,
-    /// Whether to record per-task `(index, duration)` rows for
-    /// `ExecReport::tasks` (off for large batched runs).
-    collect: bool,
-}
-
-/// Worker-local accumulation that the hot loop writes without touching any
-/// shared atomics; handed back once at join time.
-struct HotState {
-    /// The sum of this worker's task durations; reported only when timed.
-    busy: StdDuration,
-    /// `(task, nanoseconds)` rows, only filled when stats collection is on.
-    records: Vec<(u32, u64)>,
-    /// Same-group dependents readied by one completion beyond its
-    /// continuation, pushed to the deque under one lock.
-    surplus: Vec<usize>,
-}
-
-/// Where a claimed task came from, for the steal counters and the trace's
-/// steal-provenance events.
-enum Source {
-    Local,
-    /// Popped from a group injector (affinity hand-off or seed surplus).
-    Inject {
-        cross: bool,
-    },
-    /// Stolen from another worker's deque.
-    Steal {
-        victim: usize,
-        cross: bool,
-    },
-}
-
-impl Source {
-    fn provenance(&self) -> Provenance {
-        match *self {
-            Source::Local => Provenance::Local,
-            Source::Inject { cross } => Provenance::Inject { cross_group: cross },
-            Source::Steal { victim, cross } => Provenance::Steal {
-                victim: victim as u32,
-                cross_group: cross,
-            },
-        }
-    }
 }
 
 /// What a panicking task body left behind, as text.
@@ -645,34 +580,31 @@ impl WorkerCtx<'_> {
         self.cancelled.load(Ordering::SeqCst) || self.completed.load(Ordering::Acquire) >= self.n
     }
 
-    fn run(mut self) -> (WorkerStats, Vec<(u32, u64)>, Option<WorkerTrace>) {
+    fn run(mut self) -> (WorkerStats, Option<WorkerTrace>) {
+        // The counters and busy time the hot loop writes without touching
+        // any shared atomic, handed back once at join time.
         let mut out = WorkerStats {
             worker: self.me,
             group: self.my_group,
+            busy: self.timed.then_some(StdDuration::ZERO),
             ..WorkerStats::default()
         };
-        let mut hot = HotState {
-            busy: StdDuration::ZERO,
-            records: Vec::new(),
-            surplus: Vec::new(),
-        };
+        // Same-group dependents readied by one completion beyond its
+        // continuation, pushed to the deque under one lock.
+        let mut surplus = Vec::new();
         let mut tracer = std::mem::replace(&mut self.tracer, WorkerTracer::Null);
         while !self.finished() {
             match self.find_task() {
-                Some((task, source)) => {
-                    if let Source::Inject { cross } | Source::Steal { cross, .. } = source {
-                        out.steals += 1;
-                        if cross {
-                            out.cross_group_steals += 1;
-                        }
-                    }
+                Some((task, mut provenance)) => {
+                    out.steals += usize::from(provenance.is_steal());
+                    out.cross_group_steals += usize::from(provenance.is_cross_group());
                     // Continuation chaining: when a completed task readies
                     // exactly one same-group dependent, run it directly —
                     // no deque round-trip, no wake.
-                    let mut provenance = source.provenance();
                     let mut current = Some(task);
                     while let Some(task) = current {
-                        current = self.execute(task, provenance, &mut out, &mut hot, &mut tracer);
+                        current =
+                            self.execute(task, provenance, &mut out, &mut surplus, &mut tracer);
                         provenance = Provenance::Local;
                     }
                 }
@@ -694,32 +626,29 @@ impl WorkerCtx<'_> {
                 }
             }
         }
-        out.busy = self.timed.then_some(hot.busy);
-        let trace = tracer.finish(self.me);
-        (out, hot.records, trace)
+        (out, tracer.finish(self.me))
     }
 
     /// Claims one ready task: own deque, then own group's injector and
     /// siblings, then — only when the whole group is dry — other groups.
-    fn find_task(&self) -> Option<(usize, Source)> {
+    /// The claim's provenance feeds the steal counters and the task's run.
+    fn find_task(&self) -> Option<(usize, Provenance)> {
+        let steal = |victim: usize, cross_group| Provenance::Steal {
+            victim: victim as u32,
+            cross_group,
+        };
         if let Some(i) = lock(&self.deques[self.me]).pop_back() {
-            return Some((i, Source::Local));
+            return Some((i, Provenance::Local));
         }
         if let Some(i) = lock(&self.injectors[self.my_group]).pop_front() {
-            return Some((i, Source::Inject { cross: false }));
+            return Some((i, Provenance::Inject { cross_group: false }));
         }
         for &w in &self.group_workers[self.my_group] {
             if w == self.me {
                 continue;
             }
             if let Some(i) = steal_from(&self.deques[w]) {
-                return Some((
-                    i,
-                    Source::Steal {
-                        victim: w,
-                        cross: false,
-                    },
-                ));
+                return Some((i, steal(w, false)));
             }
         }
         // Group dry: scan foreign injectors, then foreign workers.
@@ -728,7 +657,7 @@ impl WorkerCtx<'_> {
                 continue;
             }
             if let Some(i) = lock(injector).pop_front() {
-                return Some((i, Source::Inject { cross: true }));
+                return Some((i, Provenance::Inject { cross_group: true }));
             }
         }
         for (w, deque) in self.deques.iter().enumerate() {
@@ -736,37 +665,30 @@ impl WorkerCtx<'_> {
                 continue;
             }
             if let Some(i) = steal_from(deque) {
-                return Some((
-                    i,
-                    Source::Steal {
-                        victim: w,
-                        cross: true,
-                    },
-                ));
+                return Some((i, steal(w, true)));
             }
         }
         None
     }
 
-    /// Builds and runs the task, records stats worker-locally, publishes
-    /// newly-ready dependents. Returns, when one of the ready dependents
-    /// belongs to this worker's group, that dependent as a continuation to
-    /// run directly — skipping the deque entirely. A body (or its factory)
-    /// that panics cancels the run instead: nothing is published, nothing
-    /// continues.
+    /// Builds and runs the task, counts and records it worker-locally,
+    /// publishes newly-ready dependents. Returns, when one of the ready
+    /// dependents belongs to this worker's group, that dependent as a
+    /// continuation to run directly — skipping the deque entirely. A body
+    /// (or its factory) that panics cancels the run instead: nothing is
+    /// published, nothing continues.
     fn execute(
         &self,
         i: usize,
         provenance: Provenance,
         out: &mut WorkerStats,
-        hot: &mut HotState,
+        surplus: &mut Vec<usize>,
         tracer: &mut WorkerTracer,
     ) -> Option<usize> {
-        // Both the stat duration and the trace span come from the run's
-        // shared clock, so per-worker busy time and the exported spans are
-        // the same numbers. They time the body alone, not its building.
-        // Tracing reuses the two readings: the claim is stamped with the
-        // start it led straight into. An untimed run takes neither.
+        // Both the busy time and the trace's run come from the run's shared
+        // clock, so per-worker busy time and the exported spans are the same
+        // numbers. They time the body alone, not its building. An untimed
+        // run takes neither reading.
         let mut t0 = 0;
         let ran = catch_unwind(AssertUnwindSafe(|| {
             let job = (self.rt.work)(i);
@@ -782,17 +704,15 @@ impl WorkerCtx<'_> {
             return None;
         }
         out.executed += 1;
-        if self.timed {
+        if let Some(busy) = &mut out.busy {
             let t1 = self.clock.now();
-            let task = i as u32;
-            tracer.record_at(t0, EventKind::TaskDequeued { task, provenance });
-            tracer.record_at(t0, EventKind::TaskStart { task });
-            tracer.record_at(t1, EventKind::TaskEnd { task });
-            let ns = t1.saturating_sub(t0);
-            hot.busy += StdDuration::from_nanos(ns);
-            if self.collect {
-                hot.records.push((task, ns));
-            }
+            let run = EventKind::TaskRun {
+                task: i as u32,
+                end: t1,
+                provenance: Some(provenance),
+            };
+            tracer.record_at(t0, run);
+            *busy += StdDuration::from_nanos(t1.saturating_sub(t0));
         }
         // Fused wakeups: the first runnable-here dependent becomes the
         // continuation, the rest go to the deque under one lock, and at most
@@ -805,7 +725,7 @@ impl WorkerCtx<'_> {
                 if tracer.enabled() {
                     // One reading per completion, taken after its first
                     // release and before that dependent is published, so
-                    // ready ≤ dequeue. A later dependent that waited on this
+                    // ready ≤ the dependent's start. A later dependent that waited on this
                     // task alone shares it; one with other dependencies may
                     // have seen the last of them end after the reading, so
                     // it gets its own and ready ≥ every dependency's end.
@@ -825,7 +745,7 @@ impl WorkerCtx<'_> {
                         if next.is_none() {
                             next = Some(dep);
                         } else {
-                            hot.surplus.push(dep);
+                            surplus.push(dep);
                         }
                     }
                 }
@@ -833,8 +753,8 @@ impl WorkerCtx<'_> {
         }
         // One deque lock per completion, not one per dependent. It is not
         // held across the loop above: a thief that finds it held moves on.
-        if !hot.surplus.is_empty() {
-            lock(&self.deques[self.me]).extend(hot.surplus.drain(..));
+        if !surplus.is_empty() {
+            lock(&self.deques[self.me]).extend(surplus.drain(..));
         }
         let me_last = self.completed.fetch_add(1, Ordering::AcqRel) + 1 == self.n;
         if me_last || woke_other_group {
@@ -879,6 +799,7 @@ fn steal_from(deque: &Queue) -> Option<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hetero_trace::TaskSpan;
     use std::sync::atomic::AtomicU64;
     use std::sync::Arc;
 
@@ -895,7 +816,6 @@ mod tests {
             .collect();
         let report = ThreadedExecutor::new(4).run(tasks).unwrap();
         assert_eq!(counter.load(Ordering::Relaxed), 50);
-        assert_eq!(report.tasks.len(), 50);
         assert_eq!(report.workers, 4);
         assert_eq!(report.worker_stats.len(), 4);
         let executed: usize = report.worker_stats.iter().map(|w| w.executed).sum();
@@ -983,7 +903,6 @@ mod tests {
     #[test]
     fn empty_graph() {
         let report = ThreadedExecutor::new(2).run(Vec::new()).unwrap();
-        assert!(report.tasks.is_empty());
         assert_eq!(report.worker_stats.len(), 2);
         assert!(report.trace.is_none(), "the null sink collects nothing");
         assert_eq!(report.total_busy(), Some(StdDuration::ZERO));
@@ -994,10 +913,19 @@ mod tests {
         assert!(untimed.worker_stats.iter().all(|w| w.busy.is_none()));
     }
 
-    /// With per-task stats on and no trace, each worker's busy time is
-    /// exactly the sum of its own task rows, on both submission paths.
+    /// The runs of a traced report, with their labels.
+    fn labelled_runs(report: &ExecReport) -> Vec<(TaskSpan, String)> {
+        let trace = report.trace.as_ref().expect("a ring sink collects a trace");
+        let label = |task: u32| trace.meta.tasks.get(task as usize).expect("in the table");
+        (trace.task_spans().into_iter())
+            .map(|span| (span.clone(), label(span.task).label.to_string()))
+            .collect()
+    }
+
+    /// Each worker's busy time is exactly the sum of its own runs in the
+    /// trace, on both submission paths.
     #[test]
-    fn stats_on_busy_is_the_sum_of_its_rows() {
+    fn busy_is_the_sum_of_the_worker_runs() {
         let tasks: Vec<ThreadTask> = (0..48usize)
             .map(|i| {
                 ThreadTask::new(format!("t{i}"), move || {
@@ -1006,20 +934,21 @@ mod tests {
                 .after((i >= 4).then(|| i - 4))
             })
             .collect();
-        let pool = ThreadedExecutor::new(3);
+        let pool = ThreadedExecutor::new(3).with_trace(TraceSink::ring());
         let placed = pool.compile_graph(&diamond_graph()).unwrap();
         let reports = [
             pool.run(tasks).unwrap(),
             pool.run_compiled(&placed, |_| Box::new(|| {})).unwrap(),
         ];
         for report in reports {
+            let runs = labelled_runs(&report);
+            let length =
+                |(span, _): &(TaskSpan, String)| StdDuration::from_nanos(span.end - span.start);
             for ws in &report.worker_stats {
-                let rows = report.tasks.iter().filter(|t| t.worker == ws.worker);
-                let sum: StdDuration = rows.map(|t| t.duration).sum();
-                assert_eq!(ws.busy, Some(sum), "worker {}", ws.worker);
+                let own = runs.iter().filter(|(span, _)| span.worker == ws.worker);
+                assert_eq!(ws.busy, Some(own.map(length).sum()), "worker {}", ws.worker);
             }
-            let all: StdDuration = report.tasks.iter().map(|t| t.duration).sum();
-            assert_eq!(report.total_busy(), Some(all));
+            assert_eq!(report.total_busy(), Some(runs.iter().map(length).sum()));
         }
     }
 
@@ -1050,41 +979,34 @@ mod tests {
         assert!(plain.trace.is_none());
     }
 
-    /// Every report of a placed graph keeps the graph's one label column,
-    /// shared, with stats rows or without, traced or not; a list's column
-    /// moves into its report. A trace's task table holds the same text.
+    /// A traced run's task table holds the run's label column: the placed
+    /// graph's on every batch, a list's on its run.
     #[test]
-    fn labels_are_shared_not_copied() {
-        let pool = ThreadedExecutor::new(2);
+    fn the_task_table_holds_the_label_column() {
+        let pool = ThreadedExecutor::new(2).with_trace(TraceSink::ring());
         let placed = pool.compile_graph(&diamond_graph()).unwrap();
         let quiet = pool.clone().with_task_stats(false);
-        let traced = pool.clone().with_trace(TraceSink::ring());
-        let reports = [
-            pool.run_compiled(&placed, |_| Box::new(|| {})).unwrap(),
+        for report in [
             pool.run_compiled(&placed, |_| Box::new(|| {})).unwrap(),
             quiet.run_compiled(&placed, |_| Box::new(|| {})).unwrap(),
-            traced.run_compiled(&placed, |_| Box::new(|| {})).unwrap(),
-        ];
-        for report in &reports {
-            assert!(Arc::ptr_eq(&report.labels, &placed.labels));
+        ] {
+            let table = &report.trace.as_ref().expect("trace collected").meta;
+            assert!(table.tasks.iter().map(|t| t.label).eq(placed.labels.iter()));
+            assert!(table.tasks.iter().all(|t| t.category == "task"));
         }
-        assert!(reports[2].tasks.is_empty());
-        let table = &reports[3].trace.as_ref().expect("trace collected").meta;
-        assert!(table.tasks.iter().map(|t| t.label).eq(placed.labels.iter()));
-        assert!(table.tasks.iter().all(|t| t.category == "task"));
-
         let list = from_graph(&diamond_graph(), |_| Box::new(|| {}));
         let text = list.labels.clone();
         let report = pool.run(list).unwrap();
-        assert_eq!(*report.labels, text);
+        let table = &report.trace.as_ref().expect("trace collected").meta;
+        assert!(table.tasks.iter().map(|t| t.label).eq(text.iter()));
     }
 
-    /// On both paths every executed task has exactly one stats row, and
-    /// the report names it by the task's own label.
+    /// On both paths a traced run holds exactly one run record per executed
+    /// task, under the task's own label, with the claim's provenance.
     #[test]
-    fn every_task_has_one_row_under_its_label() {
+    fn a_traced_run_holds_one_run_per_task() {
         let n = 24;
-        let pool = ThreadedExecutor::new(3);
+        let pool = ThreadedExecutor::new(3).with_trace(TraceSink::ring());
         let tasks: Vec<ThreadTask> = (0..n)
             .map(|i| ThreadTask::new(format!("t{i}"), || {}).after((i >= 5).then(|| i - 5)))
             .collect();
@@ -1094,14 +1016,23 @@ mod tests {
             pool.run_compiled(&placed, |_| Box::new(|| {})).unwrap(),
         ];
         for report in reports {
-            let mut rows: Vec<(usize, String)> = report
-                .tasks
-                .iter()
-                .map(|row| (row.task, report.label(row).to_string()))
+            let trace = report.trace.as_ref().expect("trace collected");
+            let records = trace.workers.iter().flat_map(|w| w.events.iter());
+            let runs = records.filter(|e| matches!(e.kind, EventKind::TaskRun { .. }));
+            assert_eq!(runs.count(), n);
+            let mut rows: Vec<(usize, String)> = labelled_runs(&report)
+                .into_iter()
+                .map(|(span, label)| {
+                    assert!(span.provenance.is_some() && span.start <= span.end);
+                    (span.task as usize, label)
+                })
                 .collect();
             rows.sort_unstable();
             let expect: Vec<(usize, String)> = (0..n).map(|i| (i, format!("t{i}"))).collect();
             assert_eq!(rows, expect);
+            let executed: usize = report.worker_stats.iter().map(|w| w.executed).sum();
+            assert_eq!(executed, n);
+            trace.validate().expect("one run per task validates");
         }
     }
 
@@ -1189,7 +1120,8 @@ mod tests {
                 other => panic!("expected TaskPanicked, got {other:?}"),
             }
             let report = pool.run_compiled(&placed, |_| Box::new(|| {})).unwrap();
-            assert_eq!(report.tasks.len(), 4, "{workers} workers");
+            let executed: usize = report.worker_stats.iter().map(|w| w.executed).sum();
+            assert_eq!(executed, 4, "{workers} workers");
         }
     }
 
@@ -1327,19 +1259,19 @@ mod tests {
             tasks.push(ThreadTask::new(format!("{g}{i}"), || {}).in_group(g));
         }
         let report = ThreadedExecutor::with_placement(placement)
+            .with_trace(TraceSink::ring())
             .run(tasks)
             .unwrap();
         assert_eq!(report.workers, 4);
         let cross = report.total_cross_group_steals();
-        for t in &report.tasks {
-            let expect_a = report.label(t).starts_with('a');
-            let on_a = t.worker < 2;
+        for (span, label) in labelled_runs(&report) {
+            let expect_a = label.starts_with('a');
+            let on_a = span.worker < 2;
             if expect_a != on_a {
                 assert!(
                     cross > 0,
-                    "{} ran on worker {} without any cross-group steal",
-                    report.label(t),
-                    t.worker
+                    "{label} ran on worker {} without any cross-group steal",
+                    span.worker
                 );
             }
         }
@@ -1487,7 +1419,7 @@ mod tests {
     #[test]
     fn compiled_graph_reruns_with_fresh_counters() {
         let g = diamond_graph();
-        let pool = ThreadedExecutor::new(3);
+        let pool = ThreadedExecutor::new(3).with_trace(TraceSink::ring());
         let compiled = pool.compile_graph(&g).unwrap();
         assert_eq!(compiled.graph.len(), 4);
         // Two runs off the same compiled graph: each must execute all four
@@ -1504,8 +1436,9 @@ mod tests {
             assert_eq!(order.len(), 4);
             assert_eq!(order[0], 0);
             assert_eq!(order[3], 3);
-            assert_eq!(report.tasks.len(), 4);
-            assert!(report.tasks.iter().any(|t| report.label(t) == "join"));
+            let runs = labelled_runs(&report);
+            assert_eq!(runs.len(), 4);
+            assert!(runs.iter().any(|(_, label)| label == "join"));
             let executed: usize = report.worker_stats.iter().map(|w| w.executed).sum();
             assert_eq!(executed, 4);
         }
@@ -1543,8 +1476,7 @@ mod tests {
             .run(tasks)
             .unwrap();
         assert_eq!(counter.load(Ordering::Relaxed), 40);
-        // Per-task rows are skipped, but aggregate accounting is intact.
-        assert!(report.tasks.is_empty());
+        // Bodies are not timed, but aggregate accounting is intact.
         let executed: usize = report.worker_stats.iter().map(|w| w.executed).sum();
         assert_eq!(executed, 40);
         assert!(report.wall > StdDuration::ZERO);
@@ -1593,25 +1525,24 @@ mod tests {
         }
         let pool = ThreadedExecutor::with_placement(
             Placement::new().with_group("cpus", 2).with_group("gpus", 2),
-        );
+        )
+        .with_trace(TraceSink::ring());
         let compiled = pool.compile_graph(&g).unwrap();
         let report = pool.run_compiled(&compiled, |_| Box::new(|| {})).unwrap();
         // cpus tasks run on workers 0-1 and gpus tasks on 2-3 — unless a
         // cross-group steal rebalanced them, which the counters must show.
         let cross = report.total_cross_group_steals();
-        for t in &report.tasks {
-            let idx = t.task;
-            let on_home = if idx.is_multiple_of(2) {
-                t.worker < 2
+        for (span, label) in labelled_runs(&report) {
+            let on_home = if span.task.is_multiple_of(2) {
+                span.worker < 2
             } else {
-                t.worker >= 2
+                span.worker >= 2
             };
             if !on_home {
                 assert!(
                     cross > 0,
-                    "{} ran on worker {} without any cross-group steal",
-                    report.label(t),
-                    t.worker
+                    "{label} ran on worker {} without any cross-group steal",
+                    span.worker
                 );
             }
         }

@@ -1,21 +1,8 @@
-//! What a pool run reports: per-task and per-worker statistics, and the
-//! errors a run can end with.
+//! What a pool run reports: per-worker statistics, the trace when one was
+//! kept, and the errors a run can end with.
 
-use hetero_trace::{Labels, RunTrace};
-use std::sync::Arc;
+use hetero_trace::RunTrace;
 use std::time::Duration as StdDuration;
-
-/// Statistics of one executed task. It names its task by index; the
-/// report's label column holds the label ([`ExecReport::label`]).
-#[derive(Debug, Clone, PartialEq)]
-pub struct TaskStats {
-    /// Index of the task in the list or graph that was run.
-    pub task: usize,
-    /// Worker thread (0-based) that ran it.
-    pub worker: usize,
-    /// Wall-clock execution time.
-    pub duration: StdDuration,
-}
 
 /// Per-worker observability counters.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -36,24 +23,15 @@ pub struct WorkerStats {
     /// nothing and sent the worker to sleep.
     pub failed_steals: usize,
     /// Total wall-clock time spent inside task closures: the exact sum of
-    /// the worker's task durations in a timed run (per-task stats on, or
-    /// a recording trace sink), `None` in an untimed one, which reads no
-    /// clock per task.
+    /// the worker's task durations in a timed run (bodies timed, the
+    /// default, or a recording trace sink), `None` in an untimed one,
+    /// which reads no clock per task.
     pub busy: Option<StdDuration>,
 }
 
 /// Result of a pool run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExecReport {
-    /// Per-task stats, grouped by worker (each worker's slice in its own
-    /// completion order — stats are collected worker-locally so the hot
-    /// path shares no lock).
-    pub tasks: Vec<TaskStats>,
-    /// The run's label column, indexed by [`TaskStats::task`], kept once:
-    /// the [`TaskList`](super::TaskList)'s, moved in, or the
-    /// [`PlacedGraph`](super::PlacedGraph)'s, shared by every batch. It is
-    /// there whether or not stats rows were collected.
-    pub labels: Arc<Labels>,
     /// End-to-end wall time.
     pub wall: StdDuration,
     /// Number of worker threads used.
@@ -63,18 +41,14 @@ pub struct ExecReport {
     /// Placement-group names, indexed by [`WorkerStats::group`]. A single
     /// `"all"` pseudo-group when the executor ran without a placement.
     pub groups: Vec<String>,
-    /// The drained event trace, when the executor was built with a
-    /// recording [`hetero_trace::TraceSink`]. Export with
+    /// The drained trace, when the executor was built with a recording
+    /// [`hetero_trace::TraceSink`]: one run per executed task, labelled by
+    /// its task table ([`RunTrace::task_spans`]). Export with
     /// [`hetero_trace::chrome::export`] or [`hetero_trace::summary::export`].
     pub trace: Option<RunTrace>,
 }
 
 impl ExecReport {
-    /// The label of the task `row` reports on.
-    pub fn label(&self, row: &TaskStats) -> &str {
-        self.labels.get(row.task)
-    }
-
     /// Total successful steals across workers.
     pub fn total_steals(&self) -> usize {
         self.worker_stats.iter().map(|w| w.steals).sum()

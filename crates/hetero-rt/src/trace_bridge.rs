@@ -31,57 +31,18 @@ fn virtual_ns(seconds: f64) -> u64 {
     (seconds * 1e9).round().max(0.0) as u64
 }
 
-/// One lane's events, written in recording order into a log sized for them.
-struct Lane {
-    log: EventLog,
-    /// End of the last span.
-    last_end: u64,
-    /// Whether every span so far started no earlier than the one before it
-    /// ended, so that the lane's spans are in `(start, end)` order.
-    sorted: bool,
-}
-
-impl Lane {
-    fn with_capacity(spans: usize) -> Self {
-        let mut log = EventLog::default();
-        log.reserve_exact(2 * spans);
-        Lane {
-            log,
-            last_end: 0,
-            sorted: true,
-        }
-    }
-
-    /// Appends the start and end of `span`, task `task` of the trace.
-    fn push(&mut self, task: u32, span: &Span) {
-        let (start, end) = (
-            virtual_ns(span.start.seconds()),
-            virtual_ns(span.end.seconds()),
-        );
-        self.sorted &= self.last_end <= start;
-        self.last_end = end;
-        let events = [
-            (start, EventKind::TaskStart { task }),
-            (end, EventKind::TaskEnd { task }),
-        ];
-        for (ts, kind) in events {
-            self.log.push(TraceEvent { ts, kind });
-        }
-    }
-
-    /// The lane's events: each span's start then its end, spans in
-    /// `(start, end)` order, so a zero-length span nests like any other.
-    /// Device timelines and link channels serialize occupancy, so a lane is
-    /// in that order as recorded; any other lane is stably sorted into it.
-    fn finish(self) -> EventLog {
-        if self.sorted {
-            return self.log;
-        }
-        let events: Vec<TraceEvent> = self.log.iter().collect();
-        let mut spans: Vec<&[TraceEvent]> = events.chunks_exact(2).collect();
-        spans.sort_by_key(|span| (span[0].ts, span[1].ts));
-        spans.into_iter().flatten().cloned().collect()
-    }
+/// Appends the run of `span`, task `task` of the trace, to `log`.
+fn push_run(log: &mut EventLog, task: u32, span: &Span) {
+    let end = virtual_ns(span.end.seconds());
+    let kind = EventKind::TaskRun {
+        task,
+        end,
+        provenance: None,
+    };
+    log.push(TraceEvent {
+        ts: virtual_ns(span.start.seconds()),
+        kind,
+    });
 }
 
 /// Converts a simulation report into a [`RunTrace`] in virtual time.
@@ -119,8 +80,8 @@ pub fn sim_report_to_trace(report: &SimReport, machine: &SimMachine) -> RunTrace
     // last lane.
     let last = machine.devices.len().max(1) - 1;
     let per_lane = report.trace.lane_spans();
-    let mut device_lanes: Vec<Lane> = (0..=last)
-        .map(|d| Lane::with_capacity(per_lane.get(d).map_or(0, |&n| n as usize)))
+    let mut device_lanes: Vec<EventLog> = (0..=last)
+        .map(|d| EventLog::with_capacity(per_lane.get(d).map_or(0, |&n| n as usize)))
         .collect();
     for span in spans {
         let category = match span.kind() {
@@ -129,7 +90,11 @@ pub fn sim_report_to_trace(report: &SimReport, machine: &SimMachine) -> RunTrace
         };
         let group = (machine.devices.get(span.lane as usize)).and_then(|d| d.groups.first());
         let task = add_task(span, category, group.map(Text::as_str));
-        device_lanes[(span.lane as usize).min(last)].push(task, span);
+        push_run(
+            &mut device_lanes[(span.lane as usize).min(last)],
+            task,
+            span,
+        );
     }
 
     // Link lanes follow the device lanes. The link trace indexes a
@@ -143,7 +108,7 @@ pub fn sim_report_to_trace(report: &SimReport, machine: &SimMachine) -> RunTrace
     for span in link_spans {
         by_link[span.lane as usize].push(span);
     }
-    let mut channel_lanes: Vec<Lane> = Vec::new();
+    let mut channel_lanes: Vec<EventLog> = Vec::new();
     for (link, mut spans) in by_link
         .into_iter()
         .enumerate()
@@ -167,9 +132,13 @@ pub fn sim_report_to_trace(report: &SimReport, machine: &SimMachine) -> RunTrace
             .unwrap_or_else(|| format!("link{link}"));
         for (channel, (_, ch)) in channels.into_iter().enumerate() {
             let label = LaneLabel::link(&name, channel);
-            let mut lane = Lane::with_capacity(ch.len());
+            let mut lane = EventLog::with_capacity(ch.len());
             for span in ch {
-                lane.push(add_task(span, "transfer", label.group.as_deref()), span);
+                push_run(
+                    &mut lane,
+                    add_task(span, "transfer", label.group.as_deref()),
+                    span,
+                );
             }
             lanes.push(label);
             channel_lanes.push(lane);
@@ -199,12 +168,17 @@ pub fn sim_report_to_trace(report: &SimReport, machine: &SimMachine) -> RunTrace
             },
         ]
         .into(),
+        // Device timelines and link channels serialize occupancy, so a lane
+        // is in `(start, end)` order as recorded; sorting keeps it so.
         workers: (device_lanes.into_iter().chain(channel_lanes))
             .enumerate()
-            .map(|(worker, lane)| WorkerTrace {
-                worker,
-                events: lane.finish(),
-                overwritten: 0,
+            .map(|(worker, mut events)| {
+                events.sort_runs();
+                WorkerTrace {
+                    worker,
+                    events,
+                    overwritten: 0,
+                }
             })
             .collect(),
     }
@@ -220,12 +194,11 @@ mod tests {
     use crate::task::{Codelet, DataAccess, Variant};
 
     /// A lane in order is kept as written, zero-length spans included; any
-    /// other lane is sorted by `(start, end)`, each span's start before its
-    /// end.
+    /// other lane is sorted by `(start, end)`.
     #[test]
     fn lanes_keep_recording_order_unless_spans_overlap() {
-        let events = |spans: &[(u64, u64)]| {
-            let mut lane = Lane::with_capacity(spans.len());
+        let runs = |spans: &[(u64, u64)]| {
+            let mut log = EventLog::with_capacity(spans.len());
             for (task, &(start, end)) in spans.iter().enumerate() {
                 let ns = |t: u64| SimTime::new(t as f64 * 1e-9);
                 let subject = Subject::Compute(task as u32);
@@ -236,56 +209,23 @@ mod tests {
                     start,
                     end,
                 };
-                lane.push(task as u32, &span);
+                push_run(&mut log, task as u32, &span);
             }
-            let sorted = lane.sorted;
-            let log = lane.finish();
-            let events = log.iter().map(|e| match e.kind {
-                EventKind::TaskStart { task } => (e.ts, "start", task),
-                EventKind::TaskEnd { task } => (e.ts, "end", task),
-                _ => unreachable!("lanes hold task events"),
+            log.sort_runs();
+            let runs = log.iter().map(|e| match e.kind {
+                EventKind::TaskRun { task, end, .. } => (e.ts, end, task),
+                _ => unreachable!("lanes hold task runs"),
             });
-            (sorted, events.collect::<Vec<_>>())
+            runs.collect::<Vec<_>>()
         };
+        assert_eq!(runs(&[(0, 5), (5, 7)]), [(0, 5, 0), (5, 7, 1)]);
         assert_eq!(
-            events(&[(0, 5), (5, 7)]),
-            (
-                true,
-                vec![
-                    (0, "start", 0),
-                    (5, "end", 0),
-                    (5, "start", 1),
-                    (7, "end", 1)
-                ]
-            )
+            runs(&[(0, 5), (5, 5), (5, 7)]),
+            [(0, 5, 0), (5, 5, 1), (5, 7, 2)]
         );
         assert_eq!(
-            events(&[(0, 5), (5, 5), (5, 7)]),
-            (
-                true,
-                vec![
-                    (0, "start", 0),
-                    (5, "end", 0),
-                    (5, "start", 1),
-                    (5, "end", 1),
-                    (5, "start", 2),
-                    (7, "end", 2)
-                ]
-            )
-        );
-        assert_eq!(
-            events(&[(5, 7), (5, 5), (0, 5)]),
-            (
-                false,
-                vec![
-                    (0, "start", 2),
-                    (5, "end", 2),
-                    (5, "start", 1),
-                    (5, "end", 1),
-                    (5, "start", 0),
-                    (7, "end", 0)
-                ]
-            )
+            runs(&[(5, 7), (5, 5), (0, 5)]),
+            [(0, 5, 2), (5, 5, 1), (5, 7, 0)]
         );
     }
 

@@ -25,7 +25,6 @@
 //! their groups come from the lane table ([`crate::lanes`]), per-lane busy
 //! time and extent from the trace's tally ([`RunTrace::stats`]).
 
-use crate::event::EventKind;
 use crate::lanes::{is_link_group, link_base, Lanes};
 use crate::trace::RunTrace;
 use crate::{LaneStats, TraceStats};
@@ -68,8 +67,13 @@ pub struct Anomaly {
 /// Scans `trace` for the A-series pathologies. Findings come back sorted
 /// by (code, subject) for deterministic reporting.
 pub fn detect(trace: &RunTrace) -> Vec<Anomaly> {
+    detect_tallied(trace, &trace.stats())
+}
+
+/// [`detect`] with the trace's tally, `stats` (from [`RunTrace::stats`]),
+/// already taken.
+pub fn detect_tallied(trace: &RunTrace, stats: &TraceStats) -> Vec<Anomaly> {
     let lanes = Lanes::of(trace);
-    let stats = trace.stats();
     let agg = stats.by_lane(trace, &lanes);
     let window = stats.last_end_ns.saturating_sub(stats.start_ns);
 
@@ -78,7 +82,7 @@ pub fn detect(trace: &RunTrace) -> Vec<Anomaly> {
     groups.retain(|group, _| !is_link_group(group));
 
     let mut out = Vec::new();
-    detect_lossy(trace, &lanes, &stats, &mut out);
+    detect_lossy(trace, &lanes, stats, &mut out);
     if window > 0 {
         detect_stragglers(&lanes, &agg, &groups, window, &mut out);
         detect_imbalance(&lanes, &agg, &groups, window, &mut out);
@@ -206,25 +210,21 @@ fn detect_steal_storms(trace: &RunTrace, lanes: &Lanes, out: &mut Vec<Anomaly>) 
         last_steal: u64,
     }
     let mut per_group: BTreeMap<&str, StealAgg> = BTreeMap::new();
-    for w in &trace.workers {
-        let lane = lanes.lane(w.worker);
-        if lane.is_link() {
-            continue;
-        }
-        for e in w.events.iter() {
-            if let EventKind::TaskDequeued { provenance, .. } = e.kind {
-                let a = per_group.entry(lane.group_name()).or_default();
-                a.dequeues += 1;
-                if provenance.is_steal() {
-                    if a.steals == 0 {
-                        a.first_steal = e.ts;
-                    }
-                    a.steals += 1;
-                    a.last_steal = e.ts;
-                }
+    trace.for_each_span(|_, span| {
+        let lane = lanes.lane(span.worker);
+        let Some(provenance) = span.provenance.filter(|_| !lane.is_link()) else {
+            return;
+        };
+        let a = per_group.entry(lane.group_name()).or_default();
+        a.dequeues += 1;
+        if provenance.is_steal() {
+            if a.steals == 0 {
+                a.first_steal = span.start;
             }
+            a.steals += 1;
+            a.last_steal = span.start;
         }
-    }
+    });
     for (group, a) in per_group {
         if a.dequeues < STEAL_MIN_DEQUEUES || a.steals == 0 {
             continue;
@@ -300,10 +300,14 @@ mod tests {
     }
 
     fn span_events(task: u32, start: u64, end: u64) -> Vec<TraceEvent> {
-        vec![
-            ev(start, EventKind::TaskStart { task }),
-            ev(end, EventKind::TaskEnd { task }),
-        ]
+        vec![ev(
+            start,
+            EventKind::TaskRun {
+                task,
+                end,
+                provenance: None,
+            },
+        )]
     }
 
     fn worker(i: usize, events: Vec<TraceEvent>) -> WorkerTrace {
@@ -436,13 +440,12 @@ mod tests {
             let ts = u64::from(t) * 10;
             events.push(ev(
                 ts,
-                EventKind::TaskDequeued {
+                EventKind::TaskRun {
                     task: t,
-                    provenance: prov,
+                    end: ts + 5,
+                    provenance: Some(prov),
                 },
             ));
-            events.push(ev(ts, EventKind::TaskStart { task: t }));
-            events.push(ev(ts + 5, EventKind::TaskEnd { task: t }));
         }
         RunTrace {
             meta: TraceMeta {

@@ -245,26 +245,17 @@ mod tests {
                 },
                 WorkerTrace {
                     worker: 1,
-                    events: vec![
-                        TraceEvent {
-                            ts: 100,
-                            kind: EventKind::TaskDequeued {
-                                task: 0,
-                                provenance: Provenance::Steal {
-                                    victim: 0,
-                                    cross_group: true,
-                                },
-                            },
+                    events: vec![TraceEvent {
+                        ts: 150,
+                        kind: EventKind::TaskRun {
+                            task: 0,
+                            end: 650,
+                            provenance: Some(Provenance::Steal {
+                                victim: 0,
+                                cross_group: true,
+                            }),
                         },
-                        TraceEvent {
-                            ts: 150,
-                            kind: EventKind::TaskStart { task: 0 },
-                        },
-                        TraceEvent {
-                            ts: 650,
-                            kind: EventKind::TaskEnd { task: 0 },
-                        },
-                    ]
+                    }]
                     .into(),
                     overwritten: 0,
                 },

@@ -2,9 +2,12 @@
 //! consumed by `pdl profile` and the `T00x` trace analyzers.
 //!
 //! Unlike the Chrome export (lossy, viewer-oriented) and the run summary
-//! (aggregated), this codec preserves every event, so a trace written by
-//! one tool can be re-analyzed by another. The document may carry an
-//! optional top-level `"deps"` array of `[from, to]` task-index pairs
+//! (aggregated), this codec preserves every record, so a trace written by
+//! one tool can be re-analyzed by another. A task run is written as up to
+//! three events — its claim (`"dequeue"`, when the provenance is known),
+//! `"start"` and `"end"` — which [`parse`], the one place task events
+//! pair, reads back into one run. The document may carry an optional
+//! top-level `"deps"` array of `[from, to]` task-index pairs
 //! (task `to` depends on task `from`); the critical-path profiler uses
 //! those edges when the task graph is not available in-process.
 //!
@@ -15,7 +18,7 @@ use crate::event::{EventKind, Provenance, TraceEvent};
 use crate::json::{JsonError, Kind, Reader, Writer};
 use crate::labels::TaskTable;
 use crate::log::EventLog;
-use crate::trace::{LaneLabel, RunTrace, TimeUnit, TraceMeta, WorkerTrace};
+use crate::trace::{LaneLabel, RunTrace, TimeUnit, TraceError, TraceMeta, WorkerTrace};
 use std::borrow::Cow;
 
 /// Encodes a trace (plus optional dependency edges) as a pretty-printed
@@ -72,46 +75,60 @@ pub fn export(trace: &RunTrace, deps: &[(u32, u32)]) -> String {
     w.finish()
 }
 
+/// Opens an event object with its timestamp, its name and its task.
+fn begin_event(w: &mut Writer, ts: u64, ev: &str, task: Option<u32>) {
+    w.begin_obj();
+    w.key("ts").u64(ts);
+    w.key("ev").str(ev);
+    if let Some(task) = task {
+        w.key("task").u64(u64::from(task));
+    }
+}
+
 fn write_events(w: &mut Writer, events: &EventLog) {
     w.begin_arr();
     for e in events.iter() {
-        w.begin_obj();
-        w.key("ts").u64(e.ts);
-        let (ev, task) = match &e.kind {
-            EventKind::TaskReady { task } => ("ready", Some(*task)),
-            EventKind::TaskDequeued { task, .. } => ("dequeue", Some(*task)),
-            EventKind::TaskStart { task } => ("start", Some(*task)),
-            EventKind::TaskEnd { task } => ("end", Some(*task)),
-            EventKind::Park => ("park", None),
-            EventKind::Unpark => ("unpark", None),
-            EventKind::PhaseStart { .. } => ("phase_start", None),
-            EventKind::PhaseEnd { .. } => ("phase_end", None),
-        };
-        w.key("ev").str(ev);
-        if let Some(task) = task {
-            w.key("task").u64(u64::from(task));
-        }
-        match &e.kind {
-            EventKind::TaskDequeued { provenance, .. } => match *provenance {
-                Provenance::Local => w.key("prov").str("local"),
-                Provenance::Queue => w.key("prov").str("queue"),
-                Provenance::Inject { cross_group } => {
-                    w.key("prov").str("inject");
-                    w.key("cross_group").bool(cross_group);
+        match e.kind {
+            EventKind::TaskRun {
+                task,
+                end,
+                provenance,
+            } => {
+                if let Some(provenance) = provenance {
+                    begin_event(w, e.ts, "dequeue", Some(task));
+                    match provenance {
+                        Provenance::Local => w.key("prov").str("local"),
+                        Provenance::Queue => w.key("prov").str("queue"),
+                        Provenance::Inject { cross_group } => {
+                            w.key("prov").str("inject");
+                            w.key("cross_group").bool(cross_group);
+                        }
+                        Provenance::Steal {
+                            victim,
+                            cross_group,
+                        } => {
+                            w.key("prov").str("steal");
+                            w.key("victim").u64(u64::from(victim));
+                            w.key("cross_group").bool(cross_group);
+                        }
+                    }
+                    w.end_obj();
                 }
-                Provenance::Steal {
-                    victim,
-                    cross_group,
-                } => {
-                    w.key("prov").str("steal");
-                    w.key("victim").u64(u64::from(victim));
-                    w.key("cross_group").bool(cross_group);
-                }
-            },
-            EventKind::PhaseStart { name } | EventKind::PhaseEnd { name } => {
+                begin_event(w, e.ts, "start", Some(task));
+                w.end_obj();
+                begin_event(w, end, "end", Some(task));
+            }
+            EventKind::TaskReady { task } => begin_event(w, e.ts, "ready", Some(task)),
+            EventKind::Park => begin_event(w, e.ts, "park", None),
+            EventKind::Unpark => begin_event(w, e.ts, "unpark", None),
+            EventKind::PhaseStart { ref name } => {
+                begin_event(w, e.ts, "phase_start", None);
                 w.key("name").str(name);
             }
-            _ => {}
+            EventKind::PhaseEnd { ref name } => {
+                begin_event(w, e.ts, "phase_end", None);
+                w.key("name").str(name);
+            }
         }
         w.end_obj();
     }
@@ -193,13 +210,87 @@ fn array_of<'a, T>(
     Ok(out)
 }
 
-fn read_events(r: &mut Reader<'_>) -> Result<EventLog, Error> {
-    let mut out = EventLog::new();
+/// A lane's records as they are read: a task's claim, start and end pair
+/// into one run, recorded at its end. An event that does not pair is left
+/// out, and the first such is kept as the error it is where no record was
+/// lost, with its index (for a run without its end, its task).
+#[derive(Default)]
+struct Lane {
+    log: EventLog,
+    /// The run without its end: task, start, provenance, and whether its
+    /// start (not only its claim) was read.
+    open: Option<(u32, u64, Option<Provenance>, bool)>,
+    /// Events read.
+    read: usize,
+    fault: Option<(Fault, usize)>,
+}
+
+/// A [`TraceError`], given the number of its lane and an index.
+type Fault = fn(usize, usize) -> TraceError;
+
+fn overlap(worker: usize, index: usize) -> TraceError {
+    TraceError::Overlap { worker, index }
+}
+
+fn bad_nesting(worker: usize, index: usize) -> TraceError {
+    TraceError::BadNesting { worker, index }
+}
+
+/// What reading an event into a lane gives.
+type Read = Result<(), Error>;
+
+impl Lane {
+    /// Opens a run at its claim or start; an open one did not end first.
+    fn open(&mut self, task: u32, ts: u64, provenance: Option<Provenance>, started: bool) -> Read {
+        self.open = match self.open.take() {
+            Some((claimed, _, claim, false)) if started && claimed == task => {
+                Some((task, ts, claim, true))
+            }
+            open => {
+                if open.is_some() {
+                    self.fault(overlap, self.read);
+                }
+                Some((task, ts, provenance, started))
+            }
+        };
+        Ok(())
+    }
+
+    fn end(&mut self, end: u64, task: u32) -> Read {
+        match self
+            .open
+            .take_if(|&mut (open, .., started)| started && open == task)
+        {
+            Some((task, ts, provenance, _)) => {
+                let kind = EventKind::TaskRun {
+                    task,
+                    end,
+                    provenance,
+                };
+                self.log.push(TraceEvent { ts, kind });
+            }
+            None => self.fault(bad_nesting, self.read),
+        }
+        Ok(())
+    }
+
+    fn fault(&mut self, error: Fault, index: usize) {
+        self.fault.get_or_insert((error, index));
+    }
+}
+
+fn read_events(r: &mut Reader<'_>) -> Result<Lane, Error> {
+    let mut lane = Lane::default();
     each_of(r, |r| {
-        out.push(read_event(r)?);
+        read_event(r, &mut lane)?;
+        lane.read += 1;
         Ok(())
     })?;
-    Ok(out)
+    if let Some((task, ..)) = lane.open {
+        let missing_end = |_, task| TraceError::MissingEnd { task: task as u32 };
+        lane.fault(missing_end, task as usize);
+    }
+    Ok(lane)
 }
 
 /// The next value if it is a string; any other value is passed over and
@@ -226,7 +317,8 @@ fn owned(s: Option<Cow<'_, str>>) -> Option<String> {
     s.map(Cow::into_owned)
 }
 
-fn read_event(r: &mut Reader<'_>) -> Result<TraceEvent, Error> {
+/// Reads the next event into `lane`.
+fn read_event(r: &mut Reader<'_>, lane: &mut Lane) -> Read {
     let (mut ts, mut task, mut victim) = (None, None, None);
     let (mut ev, mut prov, mut name) = (None, None, None);
     let mut cross_group = false;
@@ -253,8 +345,8 @@ fn read_event(r: &mut Reader<'_>) -> Result<TraceEvent, Error> {
     let phase_name = || owned(name).ok_or_else(|| missing("phase event", "string", "name"));
     let kind = match &*ev {
         "ready" => EventKind::TaskReady { task: task()? },
-        "start" => EventKind::TaskStart { task: task()? },
-        "end" => EventKind::TaskEnd { task: task()? },
+        "start" => return lane.open(task()?, ts, None, true),
+        "end" => return lane.end(ts, task()?),
         "park" => EventKind::Park,
         "unpark" => EventKind::Unpark,
         "phase_start" => EventKind::PhaseStart {
@@ -277,14 +369,12 @@ fn read_event(r: &mut Reader<'_>) -> Result<TraceEvent, Error> {
                 },
                 other => return Err(format!("unknown provenance {other:?}").into()),
             };
-            EventKind::TaskDequeued {
-                task: task()?,
-                provenance,
-            }
+            return lane.open(task()?, ts, Some(provenance), false);
         }
         other => return Err(format!("unknown event kind {other:?}").into()),
     };
-    Ok(TraceEvent { ts, kind })
+    lane.log.push(TraceEvent { ts, kind });
+    Ok(())
 }
 
 fn read_lane(r: &mut Reader<'_>) -> Result<LaneLabel, Error> {
@@ -317,8 +407,10 @@ fn read_task(r: &mut Reader<'_>, tasks: &mut TaskTable) -> Result<(), Error> {
         .map_err(|_| Error("task: table text passes 4 GiB".to_string()))
 }
 
+/// A lane that lost records keeps the events that pair; on any other an
+/// event that does not pair is the error.
 fn read_worker(r: &mut Reader<'_>) -> Result<WorkerTrace, Error> {
-    let (mut worker, mut overwritten, mut events) = (None, None, EventLog::new());
+    let (mut worker, mut overwritten, mut events) = (None, None, Lane::default());
     object(r, &["worker", "overwritten", "events"], |r, key| {
         match key {
             0 => worker = opt_u64(r)?,
@@ -327,13 +419,18 @@ fn read_worker(r: &mut Reader<'_>) -> Result<WorkerTrace, Error> {
         }
         Ok(())
     })?;
-    Ok(WorkerTrace {
-        worker: worker
-            .and_then(|w| usize::try_from(w).ok())
-            .ok_or_else(|| missing("worker lane", "numeric", "worker"))?,
-        overwritten: overwritten.unwrap_or(0),
-        events,
-    })
+    let worker = worker
+        .and_then(|w| usize::try_from(w).ok())
+        .ok_or_else(|| missing("worker lane", "numeric", "worker"))?;
+    let overwritten = overwritten.unwrap_or(0);
+    match events.fault {
+        Some((error, at)) if overwritten == 0 => Err(error(worker, at).to_string().into()),
+        _ => Ok(WorkerTrace {
+            worker,
+            overwritten,
+            events: events.log,
+        }),
+    }
 }
 
 fn read_dep(r: &mut Reader<'_>) -> Result<(u32, u32), Error> {
@@ -380,7 +477,7 @@ fn read_meta(r: &mut Reader<'_>) -> Result<TraceMeta, Error> {
 fn read_document(r: &mut Reader<'_>) -> Result<(RunTrace, Vec<(u32, u32)>), Error> {
     let mut is_run = false;
     let mut meta = None;
-    let (mut prelude, mut workers, mut deps) = (EventLog::new(), Vec::new(), Vec::new());
+    let (mut prelude, mut workers, mut deps) = (Lane::default(), Vec::new(), Vec::new());
     let keys = ["kind", "meta", "prelude", "workers", "deps"];
     object(r, &keys, |r, key| {
         match key {
@@ -397,17 +494,31 @@ fn read_document(r: &mut Reader<'_>) -> Result<(RunTrace, Vec<(u32, u32)>), Erro
         return Err("not a hetero-trace-run document".to_string().into());
     }
     let meta = meta.ok_or_else(|| "missing \"meta\"".to_string())?;
+    if let Some((error, at)) = prelude.fault {
+        return Err(error(workers.len(), at).to_string().into());
+    }
     let trace = RunTrace {
         meta,
-        prelude,
+        prelude: prelude.log,
         workers,
     };
-    Ok((trace, deps))
+    match trace.repeated_run() {
+        Some(task) => Err(TraceError::DuplicateStart { task }.to_string().into()),
+        None => Ok((trace, deps)),
+    }
 }
 
 /// Decodes a trace document produced by [`export`]. Leading `//` comment
 /// lines are skipped. Returns the trace plus the (possibly empty) list of
 /// dependency edges.
+///
+/// Task events pair into runs as they are read: a `"dequeue"` with the
+/// lane's next `"start"`, of its task, and a `"start"` with the `"end"` of
+/// its task, before any other claim or start; a run is recorded at its
+/// end. On a lane that lost no record (`overwritten` 0) and in the
+/// prelude every task event must pair and no task may run twice, or the
+/// document is refused with the [`TraceError`] it breaks. A lane that lost
+/// records keeps the runs that pair and leaves the other task events out.
 ///
 /// The format's guarantees: members may come in any order, unknown members
 /// are ignored, the first of a repeated key wins, `overwritten`,
@@ -466,22 +577,15 @@ mod tests {
                 worker: 0,
                 events: vec![
                     TraceEvent {
-                        ts: 1,
-                        kind: EventKind::TaskDequeued {
+                        ts: 2,
+                        kind: EventKind::TaskRun {
                             task: 0,
-                            provenance: Provenance::Steal {
+                            end: 9,
+                            provenance: Some(Provenance::Steal {
                                 victim: 1,
                                 cross_group: true,
-                            },
+                            }),
                         },
-                    },
-                    TraceEvent {
-                        ts: 2,
-                        kind: EventKind::TaskStart { task: 0 },
-                    },
-                    TraceEvent {
-                        ts: 9,
-                        kind: EventKind::TaskEnd { task: 0 },
                     },
                     TraceEvent {
                         ts: 10,
@@ -539,5 +643,73 @@ mod tests {
         assert!(parse("not json").is_err());
         let missing_ev = r#"{"kind":"hetero-trace-run","meta":{"lanes":[],"tasks":[]},"prelude":[{"ts":1}],"workers":[]}"#;
         assert!(parse(missing_ev).is_err());
+    }
+
+    /// A document with one lane of `events`, which lost `overwritten`.
+    fn lane_document(events: &[&str], overwritten: u64) -> String {
+        format!(
+            r#"{{"kind":"hetero-trace-run","meta":{{}},"prelude":[],"workers":[{{"events":[{}],"worker":3,"overwritten":{overwritten}}}]}}"#,
+            events.join(",")
+        )
+    }
+
+    #[test]
+    fn task_events_pair_into_runs() {
+        let claim = r#"{"ts":1,"ev":"dequeue","task":0,"prov":"local"}"#;
+        let start = |ts: u64, task: u32| format!(r#"{{"ts":{ts},"ev":"start","task":{task}}}"#);
+        let end = |ts: u64, task: u32| format!(r#"{{"ts":{ts},"ev":"end","task":{task}}}"#);
+        let ready = r#"{"ts":3,"ev":"ready","task":1}"#;
+        let (s0, e0, s1, e1) = (start(1, 0), end(5, 0), start(2, 1), end(4, 1));
+        let refused: [(&[&str], &str); 7] = [
+            (&[&s0], "task 0 started but never ended"),
+            (
+                &[&e0],
+                "worker 3 event 0 ends a span that is not the innermost open one",
+            ),
+            (&[&s0, &e0, &s0, &e0], "task 0 started twice"),
+            (
+                &[&s0, &s1, &e1, &e0],
+                "worker 3 event 1 falls inside the task span before it",
+            ),
+            (&[claim], "task 0 started but never ended"),
+            (
+                &[claim, &s1, &e1],
+                "worker 3 event 1 falls inside the task span before it",
+            ),
+            (
+                &[&s0, claim, &e0],
+                "worker 3 event 1 falls inside the task span before it",
+            ),
+        ];
+        for (events, error) in refused {
+            assert_eq!(parse(&lane_document(events, 0)).unwrap_err(), error);
+            // A lane that lost records keeps what pairs.
+            let (trace, _) = parse(&lane_document(events, 1)).expect("lossy lanes parse");
+            trace.validate().unwrap_err();
+        }
+        let (trace, _) = parse(&lane_document(&[&s0, &s1, &e1, &e0], 1)).unwrap();
+        let spans = trace.task_spans();
+        assert_eq!((spans.len(), spans[0].task, spans[0].start), (1, 1, 2));
+
+        // A run is recorded at its end, stamped with its start, so a record
+        // between its start and its end comes first.
+        let (trace, _) = parse(&lane_document(&[claim, &s0, ready, &e0], 0)).unwrap();
+        let records: Vec<TraceEvent> = trace.workers[0].events.iter().collect();
+        let run = EventKind::TaskRun {
+            task: 0,
+            end: 5,
+            provenance: Some(Provenance::Local),
+        };
+        assert_eq!(records[0].kind, EventKind::TaskReady { task: 1 });
+        assert_eq!(records[1], TraceEvent { ts: 1, kind: run });
+        assert_eq!(trace.total_events(), 4);
+        let again = parse(&export(&trace, &[])).unwrap().0;
+        assert_eq!(again, trace);
+        // The prelude is a lane that lost nothing, numbered after the workers.
+        let prelude = r#"{"kind":"hetero-trace-run","meta":{},"prelude":[{"ts":4,"ev":"end","task":2}],"workers":[]}"#;
+        assert_eq!(
+            parse(prelude).unwrap_err(),
+            "worker 0 event 0 ends a span that is not the innermost open one"
+        );
     }
 }

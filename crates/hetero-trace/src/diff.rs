@@ -150,10 +150,10 @@ impl PerfDiff {
     fn merge_metrics(&mut self, base_trace: &RunTrace, head_trace: &RunTrace) {
         let (base, head) = (base_trace.stats(), head_trace.stats());
         let mut counters: BTreeMap<Counter, (u64, u64)> = BTreeMap::new();
-        for (name, v) in base.counters(base_trace) {
+        for (name, v) in base.counters() {
             counters.entry(name).or_default().0 = v;
         }
-        for (name, v) in head.counters(head_trace) {
+        for (name, v) in head.counters() {
             counters.entry(name).or_default().1 = v;
         }
         for (name, (b, h)) in counters {
@@ -426,19 +426,27 @@ mod tests {
             workers: vec![
                 WorkerTrace {
                     worker: 1,
-                    events: vec![
-                        ev(0, EventKind::TaskStart { task: 0 }),
-                        ev(transfer_ns, EventKind::TaskEnd { task: 0 }),
-                    ]
+                    events: vec![ev(
+                        0,
+                        EventKind::TaskRun {
+                            task: 0,
+                            end: transfer_ns,
+                            provenance: None,
+                        },
+                    )]
                     .into(),
                     overwritten: 0,
                 },
                 WorkerTrace {
                     worker: 0,
-                    events: vec![
-                        ev(transfer_ns, EventKind::TaskStart { task: 1 }),
-                        ev(transfer_ns + 300, EventKind::TaskEnd { task: 1 }),
-                    ]
+                    events: vec![ev(
+                        transfer_ns,
+                        EventKind::TaskRun {
+                            task: 1,
+                            end: transfer_ns + 300,
+                            provenance: None,
+                        },
+                    )]
                     .into(),
                     overwritten: 0,
                 },

@@ -24,9 +24,9 @@ pub enum Provenance {
 }
 
 impl Provenance {
-    /// Whether this dequeue counts as a steal (anything that did not come
+    /// Whether this claim counts as a steal (anything that did not come
     /// off the worker's own deque or the shared baseline queue).
-    pub(crate) fn is_steal(&self) -> bool {
+    pub fn is_steal(&self) -> bool {
         matches!(self, Provenance::Inject { .. } | Provenance::Steal { .. })
     }
 
@@ -69,22 +69,16 @@ pub enum EventKind {
         /// Task index.
         task: u32,
     },
-    /// A worker claimed a task, with its steal provenance.
-    TaskDequeued {
+    /// One run of a task on the lane: the record is stamped with the start
+    /// of the body, and carries its end and how the worker claimed it.
+    TaskRun {
         /// Task index.
         task: u32,
-        /// Where the task came from.
-        provenance: Provenance,
-    },
-    /// The task's closure started executing.
-    TaskStart {
-        /// Task index.
-        task: u32,
-    },
-    /// The task's closure returned.
-    TaskEnd {
-        /// Task index.
-        task: u32,
+        /// Timestamp at which the body returned.
+        end: u64,
+        /// Where the task came from; `None` when the run's claim was not
+        /// recorded (simulated spans, files without the claim).
+        provenance: Option<Provenance>,
     },
     /// The worker found no work anywhere and is going to sleep.
     Park,
@@ -103,8 +97,9 @@ pub enum EventKind {
     },
 }
 
-/// One recorded event: a timestamp (nanoseconds since the run's
-/// [`crate::TraceClock`] epoch) plus what happened.
+/// One record: a timestamp (nanoseconds since the run's
+/// [`crate::TraceClock`] epoch) plus what happened. A task run is stamped
+/// with its start.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceEvent {
     /// Nanoseconds since the run clock's epoch (virtual nanoseconds for

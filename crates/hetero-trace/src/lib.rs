@@ -8,13 +8,13 @@
 //!
 //! ## Design
 //!
-//! * **Typed events** ([`TraceEvent`]/[`EventKind`]): task lifecycle
-//!   (ready → dequeued → start → end), steal provenance (victim worker,
-//!   own-group vs cross-group), worker park/unpark, and named phase spans
+//! * **Typed records** ([`TraceEvent`]/[`EventKind`]): task readiness, one
+//!   record per task run (task, start, end, steal provenance), from threads
+//!   and simulations alike, worker park/unpark, and named phase spans
 //!   (graph-level engine phases, Cascabel compile phases).
 //! * **Lock-free hot path**: each worker records into its own bounded
 //!   [`RingBuffer`] — unshared until the run ends, so recording is one
-//!   16-byte store into a packed [`EventLog`], no atomics, no locks.
+//!   24-byte store into a packed [`EventLog`], no atomics, no locks.
 //!   Buffers are drained when workers join.
 //! * **One monotonic clock** ([`TraceClock`]): a single `Instant` epoch per
 //!   run; every timestamp is nanoseconds since that epoch, so events from
@@ -38,7 +38,7 @@
 //!   worker, task spans colored by logic group.
 //! * [`summary::export`] — compact machine-readable run summary (the
 //!   `BENCH_*.json` format), reconciling exactly with engine reports.
-//! * [`codec::export`] — full-fidelity trace round-trip (every event,
+//! * [`codec::export`] — full-fidelity trace round-trip (every record,
 //!   plus optional task-graph edges), the `pdl profile` input format.
 //!
 //! All are dependency-free; [`json`] is the tiny writer/parser they and

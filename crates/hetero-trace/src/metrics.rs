@@ -208,22 +208,22 @@ impl LaneStats {
 
 /// The one tally of a trace, from [`RunTrace::stats`].
 ///
-/// Readies, dequeues, steals, cross-group steals and parks count events;
-/// tasks, lane busy time, the histograms and the last end come from
-/// [`RunTrace::task_spans`].
+/// Readies and parks count records; dequeues, steals and cross-group
+/// steals count the runs whose claim was recorded; tasks, lane busy time,
+/// the histograms and the last end come from [`RunTrace::task_spans`].
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct TraceStats {
     /// Completed task spans.
     pub tasks: usize,
-    /// Ready events.
+    /// Ready records.
     pub readies: u64,
-    /// Dequeue events.
+    /// Runs whose claim was recorded (prelude included).
     pub dequeues: u64,
-    /// Dequeues whose provenance counts as a steal.
+    /// Claims whose provenance counts as a steal.
     pub steals: u64,
     /// Steals that crossed a logic-group boundary.
     pub cross_group_steals: u64,
-    /// Park events.
+    /// Park records.
     pub parks: u64,
     /// One row per entry of [`RunTrace::workers`], in that order.
     pub lanes: Vec<LaneStats>,
@@ -233,8 +233,13 @@ pub struct TraceStats {
     pub queue_wait_ns: Histogram,
     /// The latest span end (0 without spans).
     pub last_end_ns: u64,
-    /// The earliest timestamp of any event (0 without events).
+    /// The earliest timestamp of any record (0 without records).
     pub(crate) start_ns: u64,
+    /// [`RunTrace::total_events`].
+    pub(crate) events: usize,
+    /// Per group of the trace's lane table, in name order: its spans and
+    /// its number of lanes.
+    pub(crate) groups: Vec<(String, LaneStats, u64)>,
 }
 
 /// The name of a counter in [`TraceStats::counters`]. The variants are in
@@ -269,9 +274,10 @@ impl fmt::Display for Counter {
 }
 
 impl RunTrace {
-    /// Counts the trace in one scan of its events and one walk of its task
-    /// spans. Checks nothing: [`RunTrace::validate`] says whether the
-    /// numbers can be trusted.
+    /// Counts the trace in one scan of its records and one walk of its
+    /// task runs, and folds the lanes into the groups of its lane table.
+    /// Checks nothing: [`RunTrace::validate`] says whether the numbers can
+    /// be trusted.
     pub fn stats(&self) -> TraceStats {
         let mut stats = TraceStats {
             lanes: vec![LaneStats::default(); self.workers.len()],
@@ -279,7 +285,10 @@ impl RunTrace {
         };
         let (ready, start_ns) = self.ready_timestamps(|kind| match kind {
             EventKind::TaskReady { .. } => stats.readies += 1,
-            EventKind::TaskDequeued { provenance, .. } => {
+            EventKind::TaskRun {
+                provenance: Some(provenance),
+                ..
+            } => {
                 stats.dequeues += 1;
                 stats.steals += u64::from(provenance.is_steal());
                 stats.cross_group_steals += u64::from(provenance.is_cross_group());
@@ -305,6 +314,16 @@ impl RunTrace {
             }
             stats.last_end_ns = stats.last_end_ns.max(span.end);
         });
+        stats.events = self.total_events();
+        let lanes = Lanes::of(self);
+        let per_lane = stats.by_lane(self, &lanes);
+        stats.groups = (lanes.groups().into_iter())
+            .map(|(group, slots)| {
+                let mut total = LaneStats::default();
+                slots.iter().for_each(|&slot| total.absorb(&per_lane[slot]));
+                (group.to_string(), total, slots.len() as u64)
+            })
+            .collect();
         stats
     }
 }
@@ -320,27 +339,13 @@ impl TraceStats {
         out
     }
 
-    /// The spans of each group of `trace`'s lane table and its number of
-    /// lanes, in group name order.
-    fn groups(&self, trace: &RunTrace) -> Vec<(String, LaneStats, u64)> {
-        let lanes = Lanes::of(trace);
-        let per_lane = self.by_lane(trace, &lanes);
-        (lanes.groups().into_iter())
-            .map(|(group, slots)| {
-                let mut total = LaneStats::default();
-                slots.iter().for_each(|&slot| total.absorb(&per_lane[slot]));
-                (group.to_string(), total, slots.len() as u64)
-            })
-            .collect()
-    }
-
     /// Per-group utilization over `wall_ns`: group busy time over `wall ×
-    /// lanes-in-group`, for every group of `trace`'s lane table.
-    pub fn group_utilization(&self, trace: &RunTrace, wall_ns: u64) -> Vec<(String, f64)> {
-        (self.groups(trace).into_iter())
+    /// lanes-in-group`, for every group of the trace's lane table.
+    pub fn group_utilization(&self, wall_ns: u64) -> Vec<(String, f64)> {
+        (self.groups.iter())
             .map(|(group, total, lanes)| {
-                let capacity = wall_ns.saturating_mul(lanes).max(1);
-                (group, total.busy_ns as f64 / capacity as f64)
+                let capacity = wall_ns.saturating_mul(*lanes).max(1);
+                (group.clone(), total.busy_ns as f64 / capacity as f64)
             })
             .collect()
     }
@@ -349,7 +354,7 @@ impl TraceStats {
     /// always; `tasks_executed`, `dequeues`, `steals`,
     /// `cross_group_steals` and `parks` when non-zero; and per group with
     /// a span, `group_busy_ns/<group>` and `group_tasks/<group>`.
-    pub(crate) fn counters(&self, trace: &RunTrace) -> impl Iterator<Item = (Counter, u64)> {
+    pub(crate) fn counters(&self) -> impl Iterator<Item = (Counter, u64)> {
         let mut counters: Vec<(Counter, u64)> = [
             (Counter::TasksExecuted, self.tasks as u64),
             (Counter::Dequeues, self.dequeues),
@@ -360,13 +365,11 @@ impl TraceStats {
         .into_iter()
         .filter(|&(_, n)| n > 0)
         .collect();
-        counters.push((Counter::Events, trace.total_events() as u64));
+        counters.push((Counter::Events, self.events as u64));
         counters.push((Counter::Readies, self.readies));
-        for (group, total, _) in self.groups(trace) {
-            if total.spans > 0 {
-                counters.push((Counter::GroupBusyNs(group.clone()), total.busy_ns));
-                counters.push((Counter::GroupTasks(group), total.spans));
-            }
+        for (group, total, _) in self.groups.iter().filter(|(_, total, _)| total.spans > 0) {
+            counters.push((Counter::GroupBusyNs(group.clone()), total.busy_ns));
+            counters.push((Counter::GroupTasks(group.clone()), total.spans));
         }
         counters.sort_unstable();
         counters.into_iter()
@@ -384,12 +387,12 @@ impl TraceStats {
 
     /// The counters and histograms as JSON (`counters` object +
     /// `histograms` object).
-    pub(crate) fn to_json(&self, trace: &RunTrace) -> Json {
+    pub(crate) fn to_json(&self) -> Json {
         Json::obj([
             (
                 "counters",
                 Json::Obj(
-                    self.counters(trace)
+                    self.counters()
                         .map(|(name, n)| (name.to_string(), Json::Num(n as f64)))
                         .collect(),
                 ),
@@ -550,23 +553,14 @@ mod tests {
             workers: vec![
                 WorkerTrace {
                     worker: 0,
-                    events: vec![
-                        TraceEvent {
-                            ts: 10,
-                            kind: EventKind::TaskDequeued {
-                                task: 0,
-                                provenance: Provenance::Local,
-                            },
+                    events: vec![TraceEvent {
+                        ts: 10,
+                        kind: EventKind::TaskRun {
+                            task: 0,
+                            end: 40,
+                            provenance: Some(Provenance::Local),
                         },
-                        TraceEvent {
-                            ts: 10,
-                            kind: EventKind::TaskStart { task: 0 },
-                        },
-                        TraceEvent {
-                            ts: 40,
-                            kind: EventKind::TaskEnd { task: 0 },
-                        },
-                    ]
+                    }]
                     .into(),
                     overwritten: 0,
                 },
@@ -575,21 +569,14 @@ mod tests {
                     events: vec![
                         TraceEvent {
                             ts: 20,
-                            kind: EventKind::TaskDequeued {
+                            kind: EventKind::TaskRun {
                                 task: 1,
-                                provenance: Provenance::Steal {
+                                end: 60,
+                                provenance: Some(Provenance::Steal {
                                     victim: 0,
                                     cross_group: true,
-                                },
+                                }),
                             },
-                        },
-                        TraceEvent {
-                            ts: 20,
-                            kind: EventKind::TaskStart { task: 1 },
-                        },
-                        TraceEvent {
-                            ts: 60,
-                            kind: EventKind::TaskEnd { task: 1 },
                         },
                         TraceEvent {
                             ts: 61,
@@ -603,7 +590,8 @@ mod tests {
         };
         let stats = trace.stats();
         let counter = |name: &str| {
-            (stats.counters(&trace))
+            stats
+                .counters()
                 .find(|(c, _)| c.to_string() == name)
                 .map_or(0, |(_, n)| n)
         };
@@ -632,10 +620,10 @@ mod tests {
         assert_eq!(wait.count(), 1);
         assert_eq!(wait.sum, 10);
         // Counters come out in name order.
-        let names: Vec<String> = stats.counters(&trace).map(|(c, _)| c.to_string()).collect();
+        let names: Vec<String> = stats.counters().map(|(c, _)| c.to_string()).collect();
         assert!(names.is_sorted(), "{names:?}");
 
-        let util = stats.group_utilization(&trace, 100);
+        let util = stats.group_utilization(100);
         let cpus = util.iter().find(|(g, _)| g == "cpus").unwrap().1;
         let gpus = util.iter().find(|(g, _)| g == "gpus").unwrap().1;
         assert!((cpus - 0.3).abs() < 1e-9);
@@ -648,11 +636,12 @@ mod tests {
     #[test]
     fn a_worker_past_the_lane_table_is_an_ungrouped_lane() {
         let span = |task: u32, start: u64, end: u64| {
-            let events = [
-                (start, EventKind::TaskStart { task }),
-                (end, EventKind::TaskEnd { task }),
-            ];
-            events.map(|(ts, kind)| TraceEvent { ts, kind }).to_vec()
+            let kind = EventKind::TaskRun {
+                task,
+                end,
+                provenance: None,
+            };
+            vec![TraceEvent { ts: start, kind }]
         };
         let label = |name: &str, group: Option<&str>| LaneLabel {
             name: name.to_string(),
@@ -675,7 +664,7 @@ mod tests {
                 .collect(),
         };
         trace.validate().unwrap();
-        let util = trace.stats().group_utilization(&trace, 100);
+        let util = trace.stats().group_utilization(100);
         assert_eq!(
             util,
             [("cpus".to_string(), 1.0), ("ungrouped".to_string(), 1.0)]

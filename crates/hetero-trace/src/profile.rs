@@ -595,17 +595,27 @@ mod tests {
             workers: vec![
                 lane(
                     0,
-                    vec![
-                        ev(0, EventKind::TaskStart { task: 0 }),
-                        ev(100, EventKind::TaskEnd { task: 0 }),
-                    ],
+                    vec![ev(
+                        0,
+                        EventKind::TaskRun {
+                            task: 0,
+                            end: 100,
+                            provenance: None,
+                        },
+                    )],
                 ),
                 lane(
                     1,
                     vec![
                         ev(110, EventKind::TaskReady { task: 1 }),
-                        ev(120, EventKind::TaskStart { task: 1 }),
-                        ev(300, EventKind::TaskEnd { task: 1 }),
+                        ev(
+                            120,
+                            EventKind::TaskRun {
+                                task: 1,
+                                end: 300,
+                                provenance: None,
+                            },
+                        ),
                     ],
                 ),
             ],
@@ -739,17 +749,25 @@ mod tests {
             workers: vec![
                 lane(
                     1,
-                    vec![
-                        ev(0, EventKind::TaskStart { task: 0 }),
-                        ev(50, EventKind::TaskEnd { task: 0 }),
-                    ],
+                    vec![ev(
+                        0,
+                        EventKind::TaskRun {
+                            task: 0,
+                            end: 50,
+                            provenance: None,
+                        },
+                    )],
                 ),
                 lane(
                     0,
-                    vec![
-                        ev(50, EventKind::TaskStart { task: 1 }),
-                        ev(80, EventKind::TaskEnd { task: 1 }),
-                    ],
+                    vec![ev(
+                        50,
+                        EventKind::TaskRun {
+                            task: 1,
+                            end: 80,
+                            provenance: None,
+                        },
+                    )],
                 ),
             ],
         };

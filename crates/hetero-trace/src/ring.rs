@@ -1,41 +1,41 @@
-//! Bounded per-worker event storage.
+//! Bounded per-worker record storage.
 
 use crate::event::TraceEvent;
 use crate::log::EventLog;
 
-/// A bounded ring buffer of trace events, owned by exactly one worker.
+/// A bounded ring buffer of trace records, owned by exactly one worker.
 ///
-/// Recording is one 16-byte store into an [`EventLog`] (the buffer is
+/// Recording is one 24-byte store into an [`EventLog`] (the buffer is
 /// unshared until the run ends), so the hot path takes no lock and issues
 /// no atomic operation. Memory is bounded: the log grows lazily up to
-/// `capacity` events and then wraps.
+/// `capacity` records and then wraps. A task run is one record.
 ///
-/// **Overflow policy: overwrite-oldest.** Once full, each new event
+/// **Overflow policy: overwrite-oldest.** Once full, each new record
 /// replaces the oldest one and bumps the `overwritten` counter — the tail
 /// of a run is always retained (that is where hangs and stragglers live),
-/// and the drained trace reports exactly how many early events were lost.
+/// and the drained trace reports exactly how many early records were lost.
 /// A trace with `overwritten > 0` fails strict validation, by design.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RingBuffer {
     capacity: usize,
     log: EventLog,
-    /// Index of the oldest event once the buffer has wrapped.
+    /// Index of the oldest record once the buffer has wrapped.
     head: usize,
     overwritten: u64,
 }
 
 impl RingBuffer {
-    /// A ring holding at most `capacity` events (min 1).
+    /// A ring holding at most `capacity` records (min 1).
     pub fn new(capacity: usize) -> Self {
         RingBuffer {
             capacity: capacity.max(1),
-            log: EventLog::new(),
+            log: EventLog::default(),
             head: 0,
             overwritten: 0,
         }
     }
 
-    /// Records one event.
+    /// Keeps one record.
     #[inline]
     pub fn push(&mut self, event: TraceEvent) {
         if self.log.len() < self.capacity {
@@ -47,7 +47,7 @@ impl RingBuffer {
         }
     }
 
-    /// Events currently held.
+    /// Records currently held.
     pub fn len(&self) -> usize {
         self.log.len()
     }
@@ -57,12 +57,12 @@ impl RingBuffer {
         self.log.is_empty()
     }
 
-    /// Events lost to the overwrite-oldest policy.
+    /// Records lost to the overwrite-oldest policy.
     pub fn overwritten(&self) -> u64 {
         self.overwritten
     }
 
-    /// Drains the ring into recording order (oldest retained event first).
+    /// Drains the ring into recording order (oldest retained record first).
     pub fn into_events(mut self) -> (EventLog, u64) {
         self.log.rotate_left(self.head);
         (self.log, self.overwritten)

@@ -14,14 +14,15 @@ pub enum TraceSink {
     Null,
     /// Tracing on: each worker records into its own bounded ring buffer.
     Ring {
-        /// Maximum events retained per worker (overwrite-oldest beyond).
+        /// Maximum records retained per worker (overwrite-oldest beyond);
+        /// a task run is one record.
         capacity: usize,
     },
 }
 
 impl TraceSink {
-    /// Default per-worker event capacity of [`TraceSink::ring`] (1 MiB per
-    /// worker at full occupancy: 16 bytes an event).
+    /// Default per-worker record capacity of [`TraceSink::ring`] (1.5 MiB
+    /// per worker at full occupancy: 24 bytes a record).
     pub const DEFAULT_CAPACITY: usize = 64 * 1024;
 
     /// A ring sink with the default capacity.
@@ -117,8 +118,8 @@ mod tests {
         let sink = TraceSink::Ring { capacity: 16 };
         let mut t = sink.worker_tracer();
         assert!(t.enabled());
-        t.record(&clock, EventKind::TaskStart { task: 1 });
-        t.record(&clock, EventKind::TaskEnd { task: 1 });
+        t.record(&clock, EventKind::Park);
+        t.record(&clock, EventKind::Unpark);
         let wt = t.finish(3).unwrap();
         assert_eq!(wt.worker, 3);
         assert_eq!(wt.overwritten, 0);

@@ -50,7 +50,7 @@ pub fn to_json(trace: &RunTrace, wall_ns: u64) -> Json {
                         .map(Json::Str)
                         .unwrap_or(Json::Null),
                 ),
-                ("events", Json::Num(w.events.len() as f64)),
+                ("events", Json::Num(w.events.event_count() as f64)),
                 ("overwritten", Json::Num(w.overwritten as f64)),
                 ("tasks_executed", Json::Num(tally.spans as f64)),
                 ("busy_ns", Json::Num(tally.busy_ns as f64)),
@@ -59,7 +59,7 @@ pub fn to_json(trace: &RunTrace, wall_ns: u64) -> Json {
         .collect();
 
     let utilization: Vec<Json> = stats
-        .group_utilization(trace, wall_ns)
+        .group_utilization(wall_ns)
         .into_iter()
         .map(|(group, u)| Json::obj([("group", Json::Str(group)), ("utilization", Json::Num(u))]))
         .collect();
@@ -95,7 +95,7 @@ pub fn to_json(trace: &RunTrace, wall_ns: u64) -> Json {
                     Json::Num(stats.cross_group_steals as f64),
                 ),
                 ("parks", Json::Num(stats.parks as f64)),
-                ("events", Json::Num(trace.total_events() as f64)),
+                ("events", Json::Num(stats.events as f64)),
                 ("overwritten", Json::Num(trace.overwritten() as f64)),
                 (
                     "busy_ns",
@@ -105,7 +105,7 @@ pub fn to_json(trace: &RunTrace, wall_ns: u64) -> Json {
         ),
         ("lanes", Json::Arr(lanes)),
         ("group_utilization", Json::Arr(utilization)),
-        ("metrics", stats.to_json(trace)),
+        ("metrics", stats.to_json()),
     ])
 }
 
@@ -142,23 +142,14 @@ mod tests {
             prelude: Default::default(),
             workers: vec![WorkerTrace {
                 worker: 0,
-                events: vec![
-                    TraceEvent {
-                        ts: 0,
-                        kind: EventKind::TaskDequeued {
-                            task: 0,
-                            provenance: Provenance::Inject { cross_group: false },
-                        },
+                events: vec![TraceEvent {
+                    ts: 1,
+                    kind: EventKind::TaskRun {
+                        task: 0,
+                        end: 11,
+                        provenance: Some(Provenance::Inject { cross_group: false }),
                     },
-                    TraceEvent {
-                        ts: 1,
-                        kind: EventKind::TaskStart { task: 0 },
-                    },
-                    TraceEvent {
-                        ts: 11,
-                        kind: EventKind::TaskEnd { task: 0 },
-                    },
-                ]
+                }]
                 .into(),
                 overwritten: 0,
             }],
@@ -189,8 +180,12 @@ mod tests {
             workers: vec![WorkerTrace {
                 worker: 0,
                 events: vec![TraceEvent {
-                    ts: 0,
-                    kind: EventKind::TaskStart { task: 0 },
+                    ts: 2,
+                    kind: EventKind::TaskRun {
+                        task: 0,
+                        end: 1,
+                        provenance: None,
+                    },
                 }]
                 .into(),
                 overwritten: 0,
@@ -201,7 +196,7 @@ mod tests {
             .get("invariant_error")
             .and_then(Json::as_str)
             .unwrap()
-            .contains("never ended"));
+            .contains("backwards timestamp"));
     }
 
     #[test]
@@ -225,11 +220,11 @@ mod tests {
                 events: vec![
                     TraceEvent {
                         ts: 0,
-                        kind: EventKind::TaskStart { task: 0 },
-                    },
-                    TraceEvent {
-                        ts: 25,
-                        kind: EventKind::TaskEnd { task: 0 },
+                        kind: EventKind::TaskRun {
+                            task: 0,
+                            end: 25,
+                            provenance: None,
+                        },
                     },
                     TraceEvent {
                         ts: 26,
@@ -280,16 +275,14 @@ mod tests {
             prelude: Default::default(),
             workers: vec![WorkerTrace {
                 worker: 1,
-                events: vec![
-                    TraceEvent {
-                        ts: 10,
-                        kind: EventKind::TaskStart { task: 0 },
+                events: vec![TraceEvent {
+                    ts: 10,
+                    kind: EventKind::TaskRun {
+                        task: 0,
+                        end: 60,
+                        provenance: None,
                     },
-                    TraceEvent {
-                        ts: 60,
-                        kind: EventKind::TaskEnd { task: 0 },
-                    },
-                ]
+                }]
                 .into(),
                 overwritten: 0,
             }],
@@ -312,16 +305,14 @@ mod tests {
     fn lossy_trace_counts_a_sparse_worker() {
         let span = |worker, task, end, overwritten| WorkerTrace {
             worker,
-            events: vec![
-                TraceEvent {
-                    ts: 0,
-                    kind: EventKind::TaskStart { task },
+            events: vec![TraceEvent {
+                ts: 0,
+                kind: EventKind::TaskRun {
+                    task,
+                    end,
+                    provenance: None,
                 },
-                TraceEvent {
-                    ts: end,
-                    kind: EventKind::TaskEnd { task },
-                },
-            ]
+            }]
             .into(),
             overwritten,
         };

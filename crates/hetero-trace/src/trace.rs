@@ -59,14 +59,14 @@ pub struct TraceMeta {
     pub time_unit: TimeUnit,
 }
 
-/// Events recorded by one worker, in recording order.
+/// Records of one worker, in recording order.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WorkerTrace {
     /// The worker (lane) index.
     pub worker: usize,
-    /// Events, oldest retained first.
+    /// Records, oldest retained first.
     pub events: EventLog,
-    /// Events lost to ring overflow (see [`crate::RingBuffer`]).
+    /// Records lost to ring overflow (see [`crate::RingBuffer`]).
     pub overwritten: u64,
 }
 
@@ -75,14 +75,14 @@ pub struct WorkerTrace {
 pub struct RunTrace {
     /// PDL identity and task table.
     pub meta: TraceMeta,
-    /// Events recorded outside any worker (initial task readiness, run-level
+    /// Records made outside any worker (initial task readiness, run-level
     /// phases); exported as a synthetic `run` lane.
     pub prelude: EventLog,
-    /// Per-worker event streams.
+    /// Per-worker record streams.
     pub workers: Vec<WorkerTrace>,
 }
 
-/// One reconstructed task execution interval.
+/// One task run, as [`RunTrace::task_spans`] lists it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TaskSpan {
     /// Task index (into [`TraceMeta::tasks`]).
@@ -93,8 +93,8 @@ pub struct TaskSpan {
     pub start: u64,
     /// End timestamp (ns).
     pub end: u64,
-    /// How the executing worker obtained the task, when a dequeue event
-    /// preceded the start.
+    /// How the executing worker obtained the task, when the run's claim was
+    /// recorded.
     pub provenance: Option<Provenance>,
 }
 
@@ -109,27 +109,36 @@ pub enum TraceError {
         /// Events lost.
         overwritten: u64,
     },
-    /// Timestamps on one lane went backwards.
+    /// Timestamps on one lane went backwards: a record before the end of
+    /// the run before it, or a run that ends before it starts.
     NonMonotonic {
         /// The lane.
         worker: usize,
         /// Index of the offending event within the lane.
         index: usize,
     },
-    /// A task started twice.
+    /// A task ran twice.
     DuplicateStart {
         /// The task.
         task: u32,
     },
-    /// A task ended without (or not innermost to) a matching start — spans
-    /// must nest per lane.
+    /// A task end without the start of that task open before it on its
+    /// lane (reading a trace file).
     BadNesting {
         /// The lane.
         worker: usize,
         /// Index of the offending event within the lane.
         index: usize,
     },
-    /// A task started but never ended.
+    /// A task claim or start while the run before it on its lane has not
+    /// ended: a nested task span (reading a trace file).
+    Overlap {
+        /// The lane.
+        worker: usize,
+        /// Index of the offending record within the lane.
+        index: usize,
+    },
+    /// A task started but never ended (reading a trace file).
     MissingEnd {
         /// The task.
         task: u32,
@@ -167,6 +176,10 @@ impl fmt::Display for TraceError {
                 f,
                 "worker {worker} event {index} ends a span that is not the innermost open one"
             ),
+            TraceError::Overlap { worker, index } => write!(
+                f,
+                "worker {worker} event {index} falls inside the task span before it"
+            ),
             TraceError::MissingEnd { task } => write!(f, "task {task} started but never ended"),
             TraceError::UnbalancedPhase { worker, name } => {
                 write!(f, "lane {worker}: phase {name:?} not closed in LIFO order")
@@ -181,7 +194,7 @@ impl fmt::Display for TraceError {
 impl std::error::Error for TraceError {}
 
 /// Per-task scratch for the passes over a trace: a vector indexed by task
-/// id, as long as the task table (as the event count when the trace has no
+/// id, as long as the task table (as the record count when the trace has no
 /// labels, so memory stays within the trace's own size); ids beyond it —
 /// which only a label-less trace with sparse ids, or a broken one, has —
 /// fall back to a map.
@@ -192,8 +205,9 @@ pub(crate) struct TaskMap<T> {
 
 impl<T> TaskMap<T> {
     pub(crate) fn for_trace(trace: &RunTrace) -> Self {
+        let records = trace.workers.iter().map(|w| w.events.len());
         let len = match trace.meta.tasks.len() {
-            0 => trace.total_events(),
+            0 => trace.prelude.len() + records.sum::<usize>(),
             tasks => tasks,
         };
         TaskMap {
@@ -216,21 +230,6 @@ impl<T> TaskMap<T> {
             None => self.sparse.get(&task).and_then(Option::as_ref),
         }
     }
-
-    /// Filled entries in ascending task order.
-    fn iter(&self) -> impl Iterator<Item = (u32, &T)> {
-        let dense = self.dense.iter().zip(0u32..);
-        let sparse = self.sparse.iter().map(|(task, slot)| (slot, *task));
-        dense
-            .chain(sparse)
-            .filter_map(|(slot, task)| Some((task, slot.as_ref()?)))
-    }
-}
-
-/// One open entry on a lane's span stack during validation.
-enum Open {
-    Task(u32),
-    Phase(String),
 }
 
 impl RunTrace {
@@ -243,7 +242,7 @@ impl RunTrace {
         // strict LIFO order (ends are emitted before the next start).
         let mut sorted: Vec<&PhaseSpan> = phases.iter().collect();
         sorted.sort_by(|a, b| a.start_ns.cmp(&b.start_ns).then(b.end_ns.cmp(&a.end_ns)));
-        let mut prelude = EventLog::new();
+        let mut prelude = EventLog::default();
         let mut open: Vec<&PhaseSpan> = Vec::new();
         let close_until = |open: &mut Vec<&PhaseSpan>, prelude: &mut EventLog, ts| {
             while open.last().is_some_and(|p| p.end_ns <= ts) {
@@ -277,22 +276,24 @@ impl RunTrace {
         }
     }
 
-    /// Total events across the prelude and all workers.
+    /// Total events across the prelude and all workers, counted as the
+    /// trace codec writes them ([`EventLog::event_count`]).
     pub fn total_events(&self) -> usize {
-        self.prelude.len() + self.workers.iter().map(|w| w.events.len()).sum::<usize>()
+        let workers = self.workers.iter().map(|w| w.events.event_count());
+        self.prelude.event_count() + workers.sum::<usize>()
     }
 
-    /// Total events lost to ring overflow.
+    /// Total records lost to ring overflow.
     pub fn overwritten(&self) -> u64 {
         self.workers.iter().map(|w| w.overwritten).sum()
     }
 
     /// First `TaskReady` timestamp per task, across the prelude and all
-    /// lanes, and the earliest timestamp of the trace (0 without events);
-    /// `each` sees the kind of every event on the way.
+    /// lanes, and the earliest timestamp of the trace (0 without records);
+    /// `each` sees the kind of every record on the way.
     pub(crate) fn ready_timestamps(&self, mut each: impl FnMut(&EventKind)) -> (TaskMap<u64>, u64) {
         let mut first_ready = TaskMap::for_trace(self);
-        let mut start = u64::MAX;
+        let mut start = None;
         for e in self
             .prelude
             .iter()
@@ -301,16 +302,14 @@ impl RunTrace {
             if let EventKind::TaskReady { task } = e.kind {
                 first_ready.slot(task).get_or_insert(e.ts);
             }
-            start = start.min(e.ts);
+            start = Some(start.map_or(e.ts, |start: u64| start.min(e.ts)));
             each(&e.kind);
         }
-        let start = if self.total_events() == 0 { 0 } else { start };
-        (first_ready, start)
+        (first_ready, start.unwrap_or(0))
     }
 
-    /// Reconstructs every task execution interval from start/end pairs, in
-    /// per-lane order. Dequeue provenance is attached from the closest
-    /// preceding dequeue event for the same task on the same lane.
+    /// Every task run, lane by lane in `workers` order, each lane's in
+    /// recording order.
     pub fn task_spans(&self) -> Vec<TaskSpan> {
         let mut spans = Vec::new();
         self.for_each_span(|_, span| spans.push(span));
@@ -320,133 +319,96 @@ impl RunTrace {
     /// Hands each span of [`RunTrace::task_spans`], in the same order, to
     /// `f` with the index of its lane in `workers`.
     pub(crate) fn for_each_span(&self, mut f: impl FnMut(usize, TaskSpan)) {
-        // Dequeues waiting for their span, with the lane that saw them: a
-        // dequeue never pairs with a span on another lane.
-        let mut dequeued: TaskMap<(usize, Provenance)> = TaskMap::for_trace(self);
         for (lane, w) in self.workers.iter().enumerate() {
-            let mut open: Vec<(u32, u64)> = Vec::new();
             for e in w.events.iter() {
-                match e.kind {
-                    EventKind::TaskDequeued {
-                        task,
-                        provenance: p,
-                    } => *dequeued.slot(task) = Some((lane, p)),
-                    EventKind::TaskStart { task } => open.push((task, e.ts)),
-                    EventKind::TaskEnd { task } => {
-                        if let Some(pos) = open.iter().rposition(|(t, _)| *t == task) {
-                            let (_, start) = open.remove(pos);
-                            let here = dequeued.slot(task).take_if(|(at, _)| *at == lane);
-                            let span = TaskSpan {
-                                task,
-                                worker: w.worker,
-                                start,
-                                end: e.ts,
-                                provenance: here.map(|(_, p)| p),
-                            };
-                            f(lane, span);
-                        }
-                    }
-                    _ => {}
+                if let EventKind::TaskRun {
+                    task,
+                    end,
+                    provenance,
+                } = e.kind
+                {
+                    let (worker, start) = (w.worker, e.ts);
+                    f(
+                        lane,
+                        TaskSpan {
+                            task,
+                            worker,
+                            start,
+                            end,
+                            provenance,
+                        },
+                    );
                 }
             }
         }
     }
 
+    /// The first task that runs a second time, on the prelude and the
+    /// lanes that lost no record.
+    pub(crate) fn repeated_run(&self) -> Option<u32> {
+        let mut ran: TaskMap<()> = TaskMap::for_trace(self);
+        let lossless = self.workers.iter().filter(|w| w.overwritten == 0);
+        let mut logs = lossless.map(|w| &w.events).chain([&self.prelude]);
+        logs.find_map(|log| {
+            log.iter().find_map(|e| match e.kind {
+                EventKind::TaskRun { task, .. } => ran.slot(task).replace(()).map(|()| task),
+                _ => None,
+            })
+        })
+    }
+
     /// Checks the trace invariants; [`RunTrace::stats`] does the counting:
     ///
     /// * the trace is lossless (no ring overflowed);
-    /// * timestamps are monotonic (non-decreasing) per lane;
-    /// * every started task ends exactly once, and task/phase spans nest
-    ///   properly per lane (LIFO order);
-    /// * task indices stay inside the meta task table (when non-empty).
+    /// * timestamps are monotonic (non-decreasing) per lane, where a run is
+    ///   recorded at its end: no run ends before it starts, and no record
+    ///   of a lane falls inside a run on that lane;
+    /// * every task runs at most once;
+    /// * task indices stay inside the meta task table (when non-empty);
+    /// * phases close in LIFO order per lane.
     pub fn validate(&self) -> Result<(), TraceError> {
-        for w in &self.workers {
-            if w.overwritten > 0 {
-                return Err(TraceError::Lossy {
-                    worker: w.worker,
-                    overwritten: w.overwritten,
-                });
-            }
+        if let Some(w) = self.workers.iter().find(|w| w.overwritten > 0) {
+            let (worker, overwritten) = (w.worker, w.overwritten);
+            return Err(TraceError::Lossy {
+                worker,
+                overwritten,
+            });
         }
-
-        let task_count = self.meta.tasks.len();
-        let lane_count = self.workers.len();
-        // 0 = never started, 1 = started, 2 = ended.
-        let mut task_state: TaskMap<u8> = TaskMap::for_trace(self);
-
-        let check_task = |task: u32| -> Result<(), TraceError> {
-            if task_count > 0 && task as usize >= task_count {
-                return Err(TraceError::UnknownTask { task });
-            }
-            Ok(())
-        };
-
-        let lanes = self
-            .workers
-            .iter()
-            .map(|w| (w.worker, &w.events))
-            .chain(std::iter::once((lane_count, &self.prelude)));
-        for (lane, events) in lanes {
-            let mut last_ts = 0u64;
-            let mut open: Vec<Open> = Vec::new();
+        let tasks = self.meta.tasks.len();
+        let lanes = (self.workers.iter().map(|w| (w.worker, &w.events)))
+            .chain([(self.workers.len(), &self.prelude)]);
+        for (worker, events) in lanes {
+            let (mut clock, mut phases) = (0, Vec::new());
             for (index, e) in events.iter().enumerate() {
-                if e.ts < last_ts {
-                    return Err(TraceError::NonMonotonic {
-                        worker: lane,
-                        index,
-                    });
-                }
-                last_ts = e.ts;
-                match &e.kind {
-                    EventKind::TaskReady { task } | EventKind::TaskDequeued { task, .. } => {
-                        check_task(*task)?;
+                let (task, end) = match e.kind {
+                    EventKind::TaskReady { task } => (Some(task), e.ts),
+                    EventKind::TaskRun { task, end, .. } => (Some(task), end),
+                    EventKind::Park | EventKind::Unpark => (None, e.ts),
+                    EventKind::PhaseStart { name } => {
+                        phases.push(name);
+                        (None, e.ts)
                     }
-                    EventKind::TaskStart { task } => {
-                        check_task(*task)?;
-                        if task_state.slot(*task).replace(1).is_some() {
-                            return Err(TraceError::DuplicateStart { task: *task });
-                        }
-                        open.push(Open::Task(*task));
-                    }
-                    EventKind::TaskEnd { task } => {
-                        check_task(*task)?;
-                        match open.pop() {
-                            Some(Open::Task(t)) if t == *task => {
-                                *task_state.slot(*task) = Some(2);
-                            }
-                            _ => {
-                                return Err(TraceError::BadNesting {
-                                    worker: lane,
-                                    index,
-                                })
-                            }
-                        }
-                    }
-                    EventKind::Park | EventKind::Unpark => {}
-                    EventKind::PhaseStart { name } => open.push(Open::Phase(name.clone())),
-                    EventKind::PhaseEnd { name } => match open.pop() {
-                        Some(Open::Phase(n)) if &n == name => {}
-                        _ => {
-                            return Err(TraceError::UnbalancedPhase {
-                                worker: lane,
-                                name: name.clone(),
-                            })
-                        }
+                    EventKind::PhaseEnd { name } => match phases.pop() {
+                        Some(open) if open == name => (None, e.ts),
+                        _ => return Err(TraceError::UnbalancedPhase { worker, name }),
                     },
+                };
+                if e.ts < clock || end < e.ts {
+                    return Err(TraceError::NonMonotonic { worker, index });
+                }
+                clock = end;
+                if let Some(task) = task.filter(|&task| tasks > 0 && task as usize >= tasks) {
+                    return Err(TraceError::UnknownTask { task });
                 }
             }
-            if let Some(entry) = open.pop() {
-                return Err(match entry {
-                    Open::Task(task) => TraceError::MissingEnd { task },
-                    Open::Phase(name) => TraceError::UnbalancedPhase { worker: lane, name },
-                });
+            if let Some(name) = phases.pop() {
+                return Err(TraceError::UnbalancedPhase { worker, name });
             }
         }
-
-        if let Some((task, _)) = task_state.iter().find(|(_, s)| **s == 1) {
-            return Err(TraceError::MissingEnd { task });
+        match self.repeated_run() {
+            Some(task) => Err(TraceError::DuplicateStart { task }),
+            None => Ok(()),
         }
-        Ok(())
     }
 }
 
@@ -474,40 +436,37 @@ mod tests {
         meta
     }
 
+    fn run(ts: u64, task: u32, end: u64, provenance: Option<Provenance>) -> TraceEvent {
+        ev(
+            ts,
+            EventKind::TaskRun {
+                task,
+                end,
+                provenance,
+            },
+        )
+    }
+
     #[test]
     fn valid_trace_produces_stats() {
+        let steal = Provenance::Steal {
+            victim: 1,
+            cross_group: true,
+        };
         let trace = RunTrace {
             meta: meta(2),
             prelude: vec![ev(0, EventKind::TaskReady { task: 0 })].into(),
             workers: vec![lane(
                 0,
                 vec![
-                    ev(
-                        1,
-                        EventKind::TaskDequeued {
-                            task: 0,
-                            provenance: Provenance::Local,
-                        },
-                    ),
-                    ev(2, EventKind::TaskStart { task: 0 }),
-                    ev(5, EventKind::TaskEnd { task: 0 }),
-                    ev(
-                        6,
-                        EventKind::TaskDequeued {
-                            task: 1,
-                            provenance: Provenance::Steal {
-                                victim: 1,
-                                cross_group: true,
-                            },
-                        },
-                    ),
-                    ev(6, EventKind::TaskStart { task: 1 }),
-                    ev(9, EventKind::TaskEnd { task: 1 }),
+                    run(2, 0, 5, Some(Provenance::Local)),
+                    run(6, 1, 9, Some(steal)),
                     ev(9, EventKind::Park),
                 ],
             )],
         };
         trace.validate().unwrap();
+        assert_eq!(trace.total_events(), 1 + 3 + 3 + 1);
         let stats = trace.stats();
         assert_eq!(stats.tasks, 2);
         assert_eq!(stats.dequeues, 2);
@@ -524,15 +483,11 @@ mod tests {
         assert_eq!(spans[1].provenance.unwrap().label(), "steal-cross-group");
     }
 
-    /// Without a task table, ids index a vector only up to the event count;
-    /// larger ones take the map, and both give what a map alone gave.
+    /// Without a task table, ids index a vector only up to the record
+    /// count; larger ones take the map, and both give what a map alone gave.
     #[test]
     fn sparse_ids_without_a_task_table() {
         let far = 4_000_000_000;
-        let dequeue = |task| EventKind::TaskDequeued {
-            task,
-            provenance: Provenance::Queue,
-        };
         let trace = RunTrace {
             meta: meta(0),
             prelude: vec![
@@ -542,23 +497,8 @@ mod tests {
             ]
             .into(),
             workers: vec![
-                lane(
-                    0,
-                    vec![
-                        ev(1, dequeue(far)),
-                        ev(1, dequeue(2)),
-                        ev(2, EventKind::TaskStart { task: far }),
-                        ev(5, EventKind::TaskEnd { task: far }),
-                    ],
-                ),
-                // Task 2 was dequeued on lane 0 but ran here: no provenance.
-                lane(
-                    1,
-                    vec![
-                        ev(3, EventKind::TaskStart { task: 2 }),
-                        ev(4, EventKind::TaskEnd { task: 2 }),
-                    ],
-                ),
+                lane(0, vec![run(2, far, 5, Some(Provenance::Queue))]),
+                lane(1, vec![run(3, 2, 4, None)]),
             ],
         };
         trace.validate().unwrap();
@@ -574,29 +514,34 @@ mod tests {
         assert_eq!(first_ready.get(3), None);
 
         let mut twice = trace.clone();
-        for again in [
-            EventKind::TaskStart { task: far },
-            EventKind::TaskEnd { task: far },
-        ] {
-            twice.workers[1].events.push(ev(6, again));
-        }
+        twice.workers[1].events.push(run(6, far, 7, None));
         assert_eq!(
             twice.validate(),
             Err(TraceError::DuplicateStart { task: far })
         );
+        // A lane that lost records may hold a repeat; the trace is lossy.
+        twice.workers[1].overwritten = 1;
+        assert_eq!(twice.repeated_run(), None);
     }
 
     #[test]
     fn backwards_time_rejected() {
+        let reversed = RunTrace {
+            meta: meta(1),
+            prelude: Default::default(),
+            workers: vec![lane(0, vec![run(5, 0, 3, None)])],
+        };
+        let backwards = TraceError::NonMonotonic {
+            worker: 0,
+            index: 0,
+        };
+        assert_eq!(reversed.validate(), Err(backwards));
         let trace = RunTrace {
             meta: meta(1),
             prelude: Default::default(),
             workers: vec![lane(
                 0,
-                vec![
-                    ev(5, EventKind::TaskStart { task: 0 }),
-                    ev(3, EventKind::TaskEnd { task: 0 }),
-                ],
+                vec![ev(5, EventKind::Park), ev(3, EventKind::Unpark)],
             )],
         };
         assert_eq!(
@@ -613,15 +558,7 @@ mod tests {
         let trace = RunTrace {
             meta: meta(1),
             prelude: Default::default(),
-            workers: vec![lane(
-                0,
-                vec![
-                    ev(1, EventKind::TaskStart { task: 0 }),
-                    ev(2, EventKind::TaskEnd { task: 0 }),
-                    ev(3, EventKind::TaskStart { task: 0 }),
-                    ev(4, EventKind::TaskEnd { task: 0 }),
-                ],
-            )],
+            workers: vec![lane(0, vec![run(1, 0, 2, None), run(3, 0, 4, None)])],
         };
         assert_eq!(
             trace.validate(),
@@ -630,38 +567,36 @@ mod tests {
     }
 
     #[test]
-    fn missing_end_rejected() {
-        let trace = RunTrace {
-            meta: meta(1),
-            prelude: Default::default(),
-            workers: vec![lane(0, vec![ev(1, EventKind::TaskStart { task: 0 })])],
+    fn a_record_inside_a_run_is_rejected() {
+        // A nested run, and a ready while a run is going on: a run is
+        // recorded at its end, so either goes back in time.
+        let overlap = TraceError::NonMonotonic {
+            worker: 0,
+            index: 1,
         };
-        assert_eq!(trace.validate(), Err(TraceError::MissingEnd { task: 0 }));
-    }
-
-    #[test]
-    fn interleaved_spans_rejected() {
-        // start 0, start 1, end 0 — spans must nest.
+        for inside in [run(2, 1, 4, None), ev(3, EventKind::TaskReady { task: 1 })] {
+            let trace = RunTrace {
+                meta: meta(2),
+                prelude: Default::default(),
+                workers: vec![lane(0, vec![run(1, 0, 5, None), inside])],
+            };
+            assert_eq!(trace.validate(), Err(overlap.clone()));
+        }
+        // A record at a run's end, and runs of no length, are not inside.
         let trace = RunTrace {
-            meta: meta(2),
+            meta: meta(3),
             prelude: Default::default(),
             workers: vec![lane(
                 0,
                 vec![
-                    ev(1, EventKind::TaskStart { task: 0 }),
-                    ev(2, EventKind::TaskStart { task: 1 }),
-                    ev(3, EventKind::TaskEnd { task: 0 }),
-                    ev(4, EventKind::TaskEnd { task: 1 }),
+                    run(1, 0, 5, None),
+                    run(5, 1, 5, None),
+                    run(5, 2, 6, None),
+                    ev(6, EventKind::Park),
                 ],
             )],
         };
-        assert_eq!(
-            trace.validate(),
-            Err(TraceError::BadNesting {
-                worker: 0,
-                index: 2
-            })
-        );
+        trace.validate().unwrap();
     }
 
     #[test]
@@ -671,7 +606,7 @@ mod tests {
             prelude: Default::default(),
             workers: vec![WorkerTrace {
                 worker: 0,
-                events: EventLog::new(),
+                events: EventLog::default(),
                 overwritten: 7,
             }],
         };

@@ -21,13 +21,19 @@
 //! diagnostic carries the anomaly's timeline span as a note so it can be
 //! correlated with the Chrome export or the critical-path profile.
 
-use hetero_trace::anomaly::{detect, Anomaly};
-use hetero_trace::RunTrace;
+use hetero_trace::anomaly::{detect_tallied, Anomaly};
+use hetero_trace::{RunTrace, TraceStats};
 use pdl_core::diag::{Diagnostic, Report};
 
 /// Runs the A-series anomaly detectors.
 pub fn check_trace_anomalies(trace: &RunTrace) -> Report {
-    let mut report: Report = detect(trace).into_iter().map(to_diagnostic).collect();
+    tallied_anomalies(trace, &trace.stats())
+}
+
+/// [`check_trace_anomalies`] on the trace's tally, `stats`, taken once.
+pub(crate) fn tallied_anomalies(trace: &RunTrace, stats: &TraceStats) -> Report {
+    let found = detect_tallied(trace, stats);
+    let mut report: Report = found.into_iter().map(to_diagnostic).collect();
     report.sort();
     report
 }
@@ -51,16 +57,12 @@ mod tests {
     }
 
     fn span(task: u32, start: u64, end: u64) -> Vec<TraceEvent> {
-        vec![
-            TraceEvent {
-                ts: start,
-                kind: EventKind::TaskStart { task },
-            },
-            TraceEvent {
-                ts: end,
-                kind: EventKind::TaskEnd { task },
-            },
-        ]
+        let kind = EventKind::TaskRun {
+            task,
+            end,
+            provenance: None,
+        };
+        vec![TraceEvent { ts: start, kind }]
     }
 
     fn tasks(n: usize) -> TaskTable {

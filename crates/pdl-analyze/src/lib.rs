@@ -43,11 +43,11 @@ pub mod trace;
 pub use pdl_core::diag::{Diagnostic, Report, Severity, Span};
 
 pub use anomaly::check_trace_anomalies;
-pub use model::{bounded_configs, check_configs, model_check_json, violation_to_diagnostic};
+pub use model::{bounded_configs, check_configs, model_check_json};
 pub use platform::{analyze_pinned, analyze_platform, analyze_platform_source};
 pub use program::{analyze_program, analyze_program_source};
-pub use render::{render_json, report_to_json};
-pub use trace::{analyze_trace_source, check_trace, check_trace_links, check_trace_utilization};
+pub use render::render_json;
+pub use trace::{check_trace, check_trace_links, check_trace_utilization};
 
 use pdl_core::platform::Platform;
 
@@ -68,7 +68,7 @@ pub fn analyze_source_file(
     match ext {
         "xml" | "pdl" => Ok(analyze_platform_source(path, contents).1),
         "c" | "h" | "cascabel" => Ok(analyze_program_source(path, contents, platforms)),
-        "json" => Ok(analyze_trace_source(path, contents, platforms)),
+        "json" => Ok(trace::analyze_trace_source(path, contents, platforms)),
         other => Err(format!(
             "{path}: unsupported file extension {other:?} (expected .xml, .pdl, .c, .h, .cascabel or .json)"
         )),

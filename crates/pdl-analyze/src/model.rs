@@ -92,7 +92,7 @@ pub fn bounded_configs() -> Vec<ModelConfig> {
 
 /// Renders one violation as its stable M-series diagnostic, the minimized
 /// counterexample trace attached as notes.
-pub fn violation_to_diagnostic(config: &str, violation: &Violation) -> Diagnostic {
+pub(crate) fn violation_to_diagnostic(config: &str, violation: &Violation) -> Diagnostic {
     let mut d = Diagnostic::error(violation.invariant.code(), violation.detail.clone())
         .with_subject(config.to_string())
         .with_note(format!(

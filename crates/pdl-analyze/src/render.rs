@@ -33,7 +33,7 @@ pub(crate) fn diagnostic_to_json(d: &Diagnostic) -> Json {
 }
 
 /// Converts a report to a JSON object with diagnostics and counts.
-pub fn report_to_json(report: &Report) -> Json {
+pub(crate) fn report_to_json(report: &Report) -> Json {
     Json::Obj(vec![
         ("errors".into(), Json::Num(report.error_count() as f64)),
         ("warnings".into(), Json::Num(report.warning_count() as f64)),

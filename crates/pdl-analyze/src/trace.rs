@@ -305,16 +305,16 @@ pub fn check_trace_utilization(trace: &RunTrace) -> Report {
     if trace.validate().is_err() {
         return Report::default();
     }
-    starved_groups(trace, &trace.stats())
+    starved_groups(&trace.stats())
 }
 
-/// `T007` on `trace`, which is valid, and its tally `stats`.
-fn starved_groups(trace: &RunTrace, stats: &TraceStats) -> Report {
+/// `T007` on the tally `stats` of a valid trace.
+fn starved_groups(stats: &TraceStats) -> Report {
     let mut out: Vec<Diagnostic> = Vec::new();
     let wall = stats.last_end_ns;
     if wall > 0 {
         let util: Vec<(String, f64)> = stats
-            .group_utilization(trace, wall)
+            .group_utilization(wall)
             .into_iter()
             .filter(|(g, _)| !is_link_group(g))
             .collect();
@@ -358,7 +358,7 @@ fn starved_groups(trace: &RunTrace, stats: &TraceStats) -> Report {
 ///
 /// A lossy trace (ring overflow) still runs the anomaly detectors over
 /// its retained window — `A005` reports the loss next to the `T001`.
-pub fn analyze_trace_source(
+pub(crate) fn analyze_trace_source(
     path: &str,
     contents: &str,
     platforms: &[pdl_core::platform::Platform],
@@ -376,8 +376,9 @@ pub fn analyze_trace_source(
     let mut report = Report::default();
     match trace.validate() {
         Ok(()) => {
-            report.merge(starved_groups(&trace, &trace.stats()));
-            report.merge(crate::anomaly::check_trace_anomalies(&trace));
+            let stats = trace.stats();
+            report.merge(starved_groups(&stats));
+            report.merge(crate::anomaly::tallied_anomalies(&trace, &stats));
         }
         Err(e) => {
             report.push(
@@ -543,23 +544,21 @@ mod tests {
         }
     }
 
-    fn lane(worker: usize, events: Vec<(u64, EventKind)>) -> WorkerTrace {
+    /// A lane of `(start, task, end)` runs.
+    fn lane(worker: usize, runs: Vec<(u64, u32, u64)>) -> WorkerTrace {
+        let run = |(ts, task, end)| TraceEvent {
+            ts,
+            kind: EventKind::TaskRun {
+                task,
+                end,
+                provenance: None,
+            },
+        };
         WorkerTrace {
             worker,
-            events: events
-                .into_iter()
-                .map(|(ts, kind)| TraceEvent { ts, kind })
-                .collect(),
+            events: runs.into_iter().map(run).collect(),
             overwritten: 0,
         }
-    }
-
-    fn start(task: u32) -> EventKind {
-        EventKind::TaskStart { task }
-    }
-
-    fn end(task: u32) -> EventKind {
-        EventKind::TaskEnd { task }
     }
 
     #[test]
@@ -568,10 +567,7 @@ mod tests {
         let trace = RunTrace {
             meta: meta_for(&g, vec![LaneLabel::default()]),
             prelude: Default::default(),
-            workers: vec![lane(
-                0,
-                vec![(0, start(0)), (5, end(0)), (6, start(1)), (9, end(1))],
-            )],
+            workers: vec![lane(0, vec![(0, 0, 5), (6, 1, 9)])],
         };
         let report = check_trace(&trace, &g);
         assert!(report.is_empty(), "{}", report.render());
@@ -583,8 +579,8 @@ mod tests {
         let trace = RunTrace {
             meta: meta_for(&g, vec![LaneLabel::default()]),
             prelude: Default::default(),
-            // Task 0 never ends: bad nesting.
-            workers: vec![lane(0, vec![(0, start(0)), (6, start(1)), (9, end(1))])],
+            // Task 1 starts while task 0 runs: the spans overlap.
+            workers: vec![lane(0, vec![(0, 0, 7), (6, 1, 9)])],
         };
         assert_eq!(check_trace(&trace, &g).codes(), ["T001"]);
     }
@@ -595,7 +591,7 @@ mod tests {
         let trace = RunTrace {
             meta: meta_for(&g, vec![LaneLabel::default()]),
             prelude: Default::default(),
-            workers: vec![lane(0, vec![(0, start(0)), (5, end(0))])],
+            workers: vec![lane(0, vec![(0, 0, 5)])],
         };
         assert_eq!(check_trace(&trace, &g).codes(), ["T002"]);
     }
@@ -608,10 +604,7 @@ mod tests {
         let trace = RunTrace {
             meta: meta_for(&g, vec![LaneLabel::default(), LaneLabel::default()]),
             prelude: Default::default(),
-            workers: vec![
-                lane(0, vec![(0, start(0)), (5, end(0))]),
-                lane(1, vec![(2, start(1)), (7, end(1))]),
-            ],
+            workers: vec![lane(0, vec![(0, 0, 5)]), lane(1, vec![(2, 1, 7)])],
         };
         assert_eq!(check_trace(&trace, &g).codes(), ["T003", "T005"]);
     }
@@ -630,7 +623,7 @@ mod tests {
                 }],
             ),
             prelude: Default::default(),
-            workers: vec![lane(0, vec![(0, start(0)), (5, end(0))])],
+            workers: vec![lane(0, vec![(0, 0, 5)])],
         };
         assert_eq!(check_trace(&trace, &g).codes(), ["T004"]);
     }
@@ -666,10 +659,7 @@ mod tests {
         let trace = RunTrace {
             meta: meta_for(&g, vec![LaneLabel::default(), LaneLabel::default()]),
             prelude: Default::default(),
-            workers: vec![
-                lane(0, vec![(0, start(0)), (5, end(0))]),
-                lane(1, vec![(2, start(1)), (7, end(1))]),
-            ],
+            workers: vec![lane(0, vec![(0, 0, 5)]), lane(1, vec![(2, 1, 7)])],
         };
         let report = check_trace(&trace, &g);
         assert!(report.is_empty(), "{}", report.render());
@@ -703,7 +693,7 @@ mod tests {
             workers: busy
                 .iter()
                 .enumerate()
-                .map(|(i, (_, _, s, e))| lane(i, vec![(*s, start(i as u32)), (*e, end(i as u32))]))
+                .map(|(i, (_, _, s, e))| lane(i, vec![(*s, i as u32, *e)]))
                 .collect(),
         }
     }
@@ -824,10 +814,7 @@ mod tests {
                     time_unit: hetero_trace::TimeUnit::default(),
                 },
                 prelude: Default::default(),
-                workers: vec![
-                    lane(1, vec![(0, start(0)), (95, end(0))]),
-                    lane(0, vec![(95, start(1)), (100, end(1))]),
-                ],
+                workers: vec![lane(1, vec![(0, 0, 95)]), lane(0, vec![(95, 1, 100)])],
             };
             assert_eq!(check_trace_links(&trace, &platform).codes(), t006);
             let folded = profile::folded_stacks(&trace);

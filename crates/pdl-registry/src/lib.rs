@@ -37,4 +37,4 @@ pub use layers::{compose, Layer, LayerKind, Target};
 pub use registry::{
     InternedPlatform, PublishOutcome, Registry, RegistryError, Release, Resolved, Series, Snapshot,
 };
-pub use semver::{classify, Compatibility, SemVer, VersionReq};
+pub use semver::{Compatibility, SemVer, VersionReq};

@@ -141,7 +141,7 @@ fn is_additive(change: &Change) -> bool {
 /// compatibility verdict. `hashes_equal` short-circuits to
 /// [`Compatibility::Identical`]; an empty diff with distinct hashes is a
 /// [`Compatibility::Patch`].
-pub fn classify(changes: &[Change], hashes_equal: bool) -> Compatibility {
+pub(crate) fn classify(changes: &[Change], hashes_equal: bool) -> Compatibility {
     if hashes_equal {
         return Compatibility::Identical;
     }

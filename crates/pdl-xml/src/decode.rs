@@ -22,7 +22,10 @@ use pdl_core::prelude::*;
 ///
 /// Validation (schema + model) is always performed; errors are returned via
 /// [`XmlError`].
-pub fn decode_document(doc: &Document, registry: &SchemaRegistry) -> Result<Platform, XmlError> {
+pub(crate) fn decode_document(
+    doc: &Document,
+    registry: &SchemaRegistry,
+) -> Result<Platform, XmlError> {
     let mut schema_errors = registry.validate(doc);
     if !schema_errors.is_empty() {
         return Err(XmlError::Schema(schema_errors.remove(0)));
@@ -32,7 +35,7 @@ pub fn decode_document(doc: &Document, registry: &SchemaRegistry) -> Result<Plat
 
 /// Decodes without schema validation (the model's own structural validation
 /// still runs). Used by tools that already validated, and by tests.
-pub fn decode_unvalidated(doc: &Document) -> Result<Platform, XmlError> {
+pub(crate) fn decode_unvalidated(doc: &Document) -> Result<Platform, XmlError> {
     let builder = decode_to_builder(doc, false)?;
     Ok(builder.build()?)
 }

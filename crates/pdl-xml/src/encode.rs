@@ -19,7 +19,7 @@ use std::borrow::Cow;
 const FITS: &str = "a platform's nodes and attributes fit a document";
 
 /// Encodes a platform as a `<Platform>` document that borrows it.
-pub fn encode_document(platform: &Platform) -> Document<'_> {
+pub(crate) fn encode_document(platform: &Platform) -> Document<'_> {
     let mut doc = Document::default();
     encode_platform(&mut doc, platform).expect(FITS);
     doc

@@ -55,8 +55,8 @@ pub mod parser;
 pub mod schema;
 pub mod writer;
 
-pub use decode::{decode_document, decode_unchecked, decode_unvalidated};
-pub use encode::{encode_document, encode_master_fragment, to_xml};
+pub use decode::decode_unchecked;
+pub use encode::{encode_master_fragment, to_xml};
 pub use error::{Pos, SchemaError, SyntaxError, XmlError};
 pub use parser::{parse_document, parse_fragment};
 pub use schema::{SchemaRegistry, Subschema};
@@ -67,7 +67,7 @@ use pdl_core::platform::Platform;
 /// decode.
 pub fn from_xml(xml: &str) -> Result<Platform, XmlError> {
     let doc = parse_document(xml)?;
-    decode_document(&doc, &SchemaRegistry::with_builtins())
+    decode::decode_document(&doc, &SchemaRegistry::with_builtins())
 }
 
 #[cfg(test)]

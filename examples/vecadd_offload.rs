@@ -95,7 +95,7 @@ fn main() {
         .expect("dependency-free graph");
     println!(
         "executed {} chunk tasks for real in {:?} on {} worker thread(s)",
-        exec.tasks.len(),
+        exec.worker_stats.iter().map(|w| w.executed).sum::<usize>(),
         exec.wall,
         exec.workers
     );

@@ -255,7 +255,7 @@ mod fig5_replay {
         let mut corrupted = trace.clone();
         for lane in &mut corrupted.workers {
             let swapped = lane.events.iter().map(|mut ev| {
-                if let EventKind::TaskStart { task } | EventKind::TaskEnd { task } = &mut ev.kind {
+                if let EventKind::TaskRun { task, .. } = &mut ev.kind {
                     if *task == id_d {
                         *task = id_t;
                     } else if *task == id_t {

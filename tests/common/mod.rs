@@ -31,15 +31,16 @@ pub(crate) fn span_trace(worker_spans: &WorkerSpans, dep_seeds: &[(u32, u32)]) -
             let task = tasks.len() as u32;
             tasks.push(&format!("t{task}"), "task", None);
             ts += gap;
+            let end = ts + dur;
             events.push(TraceEvent {
                 ts,
-                kind: EventKind::TaskStart { task },
+                kind: EventKind::TaskRun {
+                    task,
+                    end,
+                    provenance: None,
+                },
             });
-            ts += dur;
-            events.push(TraceEvent {
-                ts,
-                kind: EventKind::TaskEnd { task },
-            });
+            ts = end;
         }
         workers.push(WorkerTrace {
             worker: w,
@@ -118,9 +119,9 @@ pub(crate) const AWKWARD: [&str; 12] = [
 
 /// Decorates a [`span_trace`] with everything else the format carries:
 /// awkward labels, categories and groups, an absent platform, virtual
-/// time, lanes without events or without a label, ready events, dequeues of
-/// every provenance, park markers and phases (nested, on lanes and in the
-/// prelude, now and then unbalanced).
+/// time, lanes without events or without a label, ready events, runs
+/// claimed with every provenance, park markers and phases (nested, on lanes
+/// and in the prelude, now and then unbalanced).
 pub(crate) fn enrich(trace: &mut RunTrace, seed: u64) {
     let rng = &mut Rng(seed);
     let name = |rng: &mut Rng| (*rng.pick(&AWKWARD)).to_string();
@@ -166,13 +167,19 @@ pub(crate) fn enrich(trace: &mut RunTrace, seed: u64) {
         for e in w.events.iter() {
             let ts = e.ts;
             let mut push = |kind| events.push(TraceEvent { ts, kind });
-            if let EventKind::TaskStart { task } = e.kind {
+            let mut kind = e.kind;
+            if let EventKind::TaskRun {
+                task,
+                ref mut provenance,
+                ..
+            } = kind
+            {
                 if rng.one_in(3) {
                     push(EventKind::TaskReady { task });
                 }
                 if rng.one_in(2) {
                     let victim = rng.next() as u32 % lane_count;
-                    let provenance = *rng.pick(&[
+                    *provenance = Some(*rng.pick(&[
                         Provenance::Local,
                         Provenance::Queue,
                         Provenance::Inject { cross_group: false },
@@ -185,8 +192,7 @@ pub(crate) fn enrich(trace: &mut RunTrace, seed: u64) {
                             victim,
                             cross_group: true,
                         },
-                    ]);
-                    push(EventKind::TaskDequeued { task, provenance });
+                    ]));
                 }
                 if rng.one_in(6) {
                     phases.push(name(rng));
@@ -195,9 +201,14 @@ pub(crate) fn enrich(trace: &mut RunTrace, seed: u64) {
                     });
                 }
             }
-            let ended = matches!(e.kind, EventKind::TaskEnd { .. });
-            push(e.kind);
-            if ended {
+            let ran = matches!(kind, EventKind::TaskRun { .. });
+            let end = match kind {
+                EventKind::TaskRun { end, .. } => end,
+                _ => ts,
+            };
+            push(kind);
+            let mut push = |kind| events.push(TraceEvent { ts: end, kind });
+            if ran {
                 if rng.one_in(4) {
                     if let Some(name) = phases.pop() {
                         push(EventKind::PhaseEnd { name });
@@ -212,7 +223,10 @@ pub(crate) fn enrich(trace: &mut RunTrace, seed: u64) {
             }
         }
         // Most phases close (in LIFO order); now and then one stays open.
-        let ts = events.last().map_or(0, |e| e.ts);
+        let ts = events.last().map_or(0, |e| match e.kind {
+            EventKind::TaskRun { end, .. } => end,
+            _ => e.ts,
+        });
         while let Some(name) = phases.pop() {
             if !rng.one_in(5) {
                 events.push(TraceEvent {

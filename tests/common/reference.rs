@@ -11,8 +11,8 @@
 
 use hetero_trace::json::Json;
 use hetero_trace::{
-    EventKind, LaneLabel, Provenance, RunTrace, TaskTable, TimeUnit, TraceEvent, TraceMeta,
-    WorkerTrace,
+    EventKind, EventLog, LaneLabel, Provenance, RunTrace, TaskTable, TimeUnit, TraceEvent,
+    TraceMeta, WorkerTrace,
 };
 use std::fmt;
 
@@ -167,7 +167,7 @@ pub(crate) fn codec_to_json(trace: &RunTrace, deps: &[(u32, u32)]) -> Json {
                 ("overwritten", Json::Num(w.overwritten as f64)),
                 (
                     "events",
-                    Json::Arr(w.events.iter().map(|e| event_to_json(&e)).collect()),
+                    Json::Arr(w.events.iter().flat_map(|e| events_to_json(&e)).collect()),
                 ),
             ])
         })
@@ -203,60 +203,76 @@ pub(crate) fn codec_to_json(trace: &RunTrace, deps: &[(u32, u32)]) -> Json {
         ),
         (
             "prelude",
-            Json::Arr(trace.prelude.iter().map(|e| event_to_json(&e)).collect()),
+            Json::Arr(
+                trace
+                    .prelude
+                    .iter()
+                    .flat_map(|e| events_to_json(&e))
+                    .collect(),
+            ),
         ),
         ("workers", Json::Arr(workers)),
     ])
 }
 
-fn event_to_json(e: &TraceEvent) -> Json {
-    let mut members: Vec<(String, Json)> = vec![("ts".to_string(), Json::Num(e.ts as f64))];
-    let mut put = |k: &str, v: Json| members.push((k.to_string(), v));
+/// The events a record is written as: a run is its claim (when known),
+/// start and end.
+fn events_to_json(e: &TraceEvent) -> Vec<Json> {
+    let event = |ts: u64, ev: &str, task: Option<u32>| {
+        let mut members = vec![
+            ("ts".to_string(), Json::Num(ts as f64)),
+            ("ev".to_string(), Json::str(ev)),
+        ];
+        members.extend(task.map(|task| ("task".to_string(), Json::Num(task as f64))));
+        members
+    };
+    let with = |mut members: Vec<(String, Json)>, more: Vec<(&str, Json)>| {
+        members.extend(more.into_iter().map(|(k, v)| (k.to_string(), v)));
+        Json::Obj(members)
+    };
     match &e.kind {
-        EventKind::TaskReady { task } => {
-            put("ev", Json::str("ready"));
-            put("task", Json::Num(*task as f64));
+        EventKind::TaskReady { task } => vec![Json::Obj(event(e.ts, "ready", Some(*task)))],
+        EventKind::TaskRun {
+            task,
+            end,
+            provenance,
+        } => {
+            let claim = provenance.map(|p| {
+                let prov = match p {
+                    Provenance::Local => vec![("prov", Json::str("local"))],
+                    Provenance::Queue => vec![("prov", Json::str("queue"))],
+                    Provenance::Inject { cross_group } => vec![
+                        ("prov", Json::str("inject")),
+                        ("cross_group", Json::Bool(cross_group)),
+                    ],
+                    Provenance::Steal {
+                        victim,
+                        cross_group,
+                    } => vec![
+                        ("prov", Json::str("steal")),
+                        ("victim", Json::Num(victim as f64)),
+                        ("cross_group", Json::Bool(cross_group)),
+                    ],
+                };
+                with(event(e.ts, "dequeue", Some(*task)), prov)
+            });
+            let span = [
+                Json::Obj(event(e.ts, "start", Some(*task))),
+                Json::Obj(event(*end, "end", Some(*task))),
+            ];
+            claim.into_iter().chain(span).collect()
         }
-        EventKind::TaskDequeued { task, provenance } => {
-            put("ev", Json::str("dequeue"));
-            put("task", Json::Num(*task as f64));
-            match provenance {
-                Provenance::Local => put("prov", Json::str("local")),
-                Provenance::Queue => put("prov", Json::str("queue")),
-                Provenance::Inject { cross_group } => {
-                    put("prov", Json::str("inject"));
-                    put("cross_group", Json::Bool(*cross_group));
-                }
-                Provenance::Steal {
-                    victim,
-                    cross_group,
-                } => {
-                    put("prov", Json::str("steal"));
-                    put("victim", Json::Num(*victim as f64));
-                    put("cross_group", Json::Bool(*cross_group));
-                }
-            }
-        }
-        EventKind::TaskStart { task } => {
-            put("ev", Json::str("start"));
-            put("task", Json::Num(*task as f64));
-        }
-        EventKind::TaskEnd { task } => {
-            put("ev", Json::str("end"));
-            put("task", Json::Num(*task as f64));
-        }
-        EventKind::Park => put("ev", Json::str("park")),
-        EventKind::Unpark => put("ev", Json::str("unpark")),
-        EventKind::PhaseStart { name } => {
-            put("ev", Json::str("phase_start"));
-            put("name", Json::str(name.clone()));
-        }
-        EventKind::PhaseEnd { name } => {
-            put("ev", Json::str("phase_end"));
-            put("name", Json::str(name.clone()));
-        }
+        EventKind::Park => vec![Json::Obj(event(e.ts, "park", None))],
+        EventKind::Unpark => vec![Json::Obj(event(e.ts, "unpark", None))],
+        EventKind::PhaseStart { name } => vec![with(
+            event(e.ts, "phase_start", None),
+            vec![("name", Json::str(name.clone()))],
+        )],
+        EventKind::PhaseEnd { name } => vec![with(
+            event(e.ts, "phase_end", None),
+            vec![("name", Json::str(name.clone()))],
+        )],
     }
-    Json::Obj(members)
 }
 
 /// No `f64` is `u64::MAX` itself, so that value marks a saturated number.
@@ -284,14 +300,22 @@ fn opt_str(v: &Json, key: &str) -> Option<String> {
     v.get(key).and_then(Json::as_str).map(str::to_string)
 }
 
-fn event_from_json(v: &Json) -> Result<TraceEvent, String> {
+/// One event of a lane as the document spells it.
+enum Raw {
+    Record(TraceEvent),
+    Claim(u32, Provenance),
+    Start(u64, u32),
+    End(u64, u32),
+}
+
+fn event_from_json(v: &Json) -> Result<Raw, String> {
     let ts = field_u64(v, "ts", "event")?;
     let ev = field_str(v, "ev", "event")?;
     let task = || field_u64(v, "task", "event").and_then(index);
     let kind = match ev {
         "ready" => EventKind::TaskReady { task: task()? },
-        "start" => EventKind::TaskStart { task: task()? },
-        "end" => EventKind::TaskEnd { task: task()? },
+        "start" => return Ok(Raw::Start(ts, task()?)),
+        "end" => return Ok(Raw::End(ts, task()?)),
         "park" => EventKind::Park,
         "unpark" => EventKind::Unpark,
         "phase_start" => EventKind::PhaseStart {
@@ -314,14 +338,70 @@ fn event_from_json(v: &Json) -> Result<TraceEvent, String> {
                 },
                 other => return Err(format!("unknown provenance {other:?}")),
             };
-            EventKind::TaskDequeued {
-                task: task()?,
-                provenance,
-            }
+            return Ok(Raw::Claim(task()?, provenance));
         }
         other => return Err(format!("unknown event kind {other:?}")),
     };
-    Ok(TraceEvent { ts, kind })
+    Ok(Raw::Record(TraceEvent { ts, kind }))
+}
+
+/// A lane's events, decoded whole, then paired into runs: a claim with
+/// the next start if that is of its task, a start with the next end if no
+/// claim or start comes first; a run is recorded at its end. What does not
+/// pair is an error on a `lossless` lane and left out on any other.
+fn lane_from_json(events: &[Json], lossless: bool) -> Result<EventLog, String> {
+    let raw = events
+        .iter()
+        .map(event_from_json)
+        .collect::<Result<Vec<_>, String>>()?;
+    let mut out: Vec<TraceEvent> = Vec::new();
+    let mut unpaired = 0;
+    // The task event before this one, if it opened a run not yet ended.
+    let mut open: Option<&Raw> = None;
+    for (at, event) in raw.iter().enumerate() {
+        match event {
+            Raw::Record(record) => out.push(record.clone()),
+            Raw::Claim(..) => unpaired += usize::from(open.replace(event).is_some()),
+            Raw::Start(_, task) => match open.replace(event) {
+                Some(Raw::Claim(claimed, _)) if claimed == task => {}
+                Some(_) => unpaired += 1,
+                None => {}
+            },
+            Raw::End(end, task) => match open {
+                Some(Raw::Start(ts, started)) if started == task => {
+                    let kind = EventKind::TaskRun {
+                        task: *task,
+                        end: *end,
+                        provenance: claim_of(&raw, at),
+                    };
+                    out.push(TraceEvent { ts: *ts, kind });
+                    open = None;
+                }
+                _ => unpaired += 1,
+            },
+        }
+    }
+    unpaired += usize::from(open.is_some());
+    if lossless && unpaired > 0 {
+        return Err(format!("{unpaired} task events do not pair"));
+    }
+    Ok(out.into())
+}
+
+/// The claim of the run that the end at `at` closes: the last task event
+/// before that run's start, if it claims the same task.
+fn claim_of(raw: &[Raw], at: usize) -> Option<Provenance> {
+    let mut task_events = raw[..at]
+        .iter()
+        .rev()
+        .filter(|e| !matches!(e, Raw::Record(_)));
+    let Some(Raw::Start(_, task)) = task_events.next() else {
+        return None;
+    };
+    match task_events.next() {
+        Some(Raw::Claim(claimed, p)) if claimed == task => Some(*p),
+        _ => None,
+    }
 }
 
 /// The decoder: a whole-document `Json::parse`, then lookups by key.
@@ -369,31 +449,22 @@ pub(crate) fn codec_parse(text: &str) -> Result<(RunTrace, Vec<(u32, u32)>), Str
             group.as_deref(),
         );
     }
-    let prelude = doc
-        .get("prelude")
-        .map(Json::items)
-        .unwrap_or_default()
-        .iter()
-        .map(event_from_json)
-        .collect::<Result<Vec<_>, String>>()?
-        .into();
+    let prelude = lane_from_json(
+        doc.get("prelude").map(Json::items).unwrap_or_default(),
+        true,
+    )?;
     let workers = doc
         .get("workers")
         .map(Json::items)
         .unwrap_or_default()
         .iter()
         .map(|w| {
+            let overwritten = field_u64(w, "overwritten", "worker lane").unwrap_or(0);
+            let events = w.get("events").map(Json::items).unwrap_or_default();
             Ok(WorkerTrace {
                 worker: field_u64(w, "worker", "worker lane")? as usize,
-                overwritten: field_u64(w, "overwritten", "worker lane").unwrap_or(0),
-                events: w
-                    .get("events")
-                    .map(Json::items)
-                    .unwrap_or_default()
-                    .iter()
-                    .map(event_from_json)
-                    .collect::<Result<Vec<_>, String>>()?
-                    .into(),
+                overwritten,
+                events: lane_from_json(events, overwritten == 0)?,
             })
         })
         .collect::<Result<Vec<_>, String>>()?;
@@ -426,6 +497,19 @@ pub(crate) fn codec_parse(text: &str) -> Result<(RunTrace, Vec<(u32, u32)>), Str
         prelude,
         workers,
     };
+    // No task runs twice on the lanes that lost nothing.
+    let mut ran = std::collections::HashSet::new();
+    let lossless = trace.workers.iter().filter(|w| w.overwritten == 0);
+    for e in lossless
+        .flat_map(|w| w.events.iter())
+        .chain(trace.prelude.iter())
+    {
+        if let EventKind::TaskRun { task, .. } = e.kind {
+            if !ran.insert(task) {
+                return Err(format!("task {task} started twice"));
+            }
+        }
+    }
     Ok((trace, deps))
 }
 

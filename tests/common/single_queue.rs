@@ -7,13 +7,13 @@
 
 use hetero_rt::graph::CompiledGraph;
 use hetero_rt::task::TaskId;
-use hetero_rt::thread_engine::{ExecReport, TaskStats, ThreadEngineError, ThreadTask, WorkerStats};
+use hetero_rt::thread_engine::{ExecReport, ThreadEngineError, ThreadTask, WorkerStats};
 use hetero_trace::{
-    EventKind, Labels, LaneLabel, Provenance, RunTrace, TaskInfo, TimeUnit, TraceClock, TraceMeta,
+    EventKind, LaneLabel, Provenance, RunTrace, TaskInfo, TimeUnit, TraceClock, TraceMeta,
     TraceSink, WorkerTrace,
 };
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Mutex};
 use std::time::Duration as StdDuration;
 
 /// The seed engine: a fixed-size pool where every ready task flows through
@@ -54,8 +54,8 @@ impl SingleQueueExecutor {
         self
     }
 
-    /// Executes all tasks, returning per-task stats in global completion
-    /// order.
+    /// Executes all tasks, returning per-worker stats and, traced, one run
+    /// per task.
     pub(crate) fn run(&self, tasks: Vec<ThreadTask>) -> Result<ExecReport, ThreadEngineError> {
         let clock = TraceClock::new();
         let mut prelude = self.sink.worker_tracer();
@@ -86,9 +86,6 @@ impl SingleQueueExecutor {
             .iter()
             .map(|&p| AtomicUsize::new(p))
             .collect();
-        let mut labels = Labels::default();
-        tasks.iter().for_each(|t| labels.push_str(&t.label));
-        let labels = Arc::new(labels);
         let work: Vec<_> = tasks
             .into_iter()
             .map(|t| Mutex::new(Some(t.work)))
@@ -103,8 +100,6 @@ impl SingleQueueExecutor {
                 ..WorkerStats::default()
             }));
             return Ok(ExecReport {
-                tasks: Vec::new(),
-                labels,
                 wall: StdDuration::from_nanos(clock.now()),
                 workers: self.workers,
                 worker_stats,
@@ -128,7 +123,6 @@ impl SingleQueueExecutor {
 
         let completed = AtomicUsize::new(0);
         let rx = Mutex::new(rx);
-        let stats: Mutex<Vec<TaskStats>> = Mutex::new(Vec::with_capacity(n));
         let mut worker_traces: Vec<WorkerTrace> = Vec::new();
 
         prelude.record(&clock, phase(true, "execute"));
@@ -138,7 +132,6 @@ impl SingleQueueExecutor {
                 let tx = tx.clone();
                 let (rx, graph, pending, work) = (&rx, &graph, &pending, &work);
                 let completed = &completed;
-                let stats = &stats;
                 let workers_total = self.workers;
                 let mut tracer = self.sink.worker_tracer();
                 handles.push(scope.spawn(move || {
@@ -154,31 +147,22 @@ impl SingleQueueExecutor {
                         if i == SHUTDOWN {
                             break;
                         }
-                        tracer.record(
-                            &clock,
-                            EventKind::TaskDequeued {
-                                task: i as u32,
-                                provenance: Provenance::Queue,
-                            },
-                        );
                         let job = work[i]
                             .lock()
                             .expect(POISONED)
                             .take()
                             .expect("task runs once");
                         let t0 = clock.now();
-                        tracer.record_at(t0, EventKind::TaskStart { task: i as u32 });
                         job();
                         let t1 = clock.now();
-                        tracer.record_at(t1, EventKind::TaskEnd { task: i as u32 });
-                        let dt = TraceClock::between(t0, t1);
+                        let run = EventKind::TaskRun {
+                            task: i as u32,
+                            end: t1,
+                            provenance: Some(Provenance::Queue),
+                        };
+                        tracer.record_at(t0, run);
                         out.executed += 1;
-                        busy += dt;
-                        stats.lock().expect(POISONED).push(TaskStats {
-                            task: i,
-                            worker,
-                            duration: dt,
-                        });
+                        busy += TraceClock::between(t0, t1);
                         for &TaskId(dep) in graph.dependents(TaskId(i)) {
                             if pending[dep].fetch_sub(1, Ordering::AcqRel) == 1 {
                                 tracer.record(&clock, EventKind::TaskReady { task: dep as u32 });
@@ -217,8 +201,6 @@ impl SingleQueueExecutor {
         });
 
         Ok(ExecReport {
-            tasks: stats.into_inner().expect(POISONED),
-            labels,
             wall: StdDuration::from_nanos(clock.now()),
             workers: self.workers,
             worker_stats,

@@ -2,10 +2,10 @@
 //!
 //! Differential oracle for the packed event storage.
 //!
-//! `RingBuffer` fills an `EventLog` — 16 bytes an event, phase names and
+//! `RingBuffer` fills an `EventLog` — 24 bytes a record, phase names and
 //! over-wide victims out of line. The `Vec<TraceEvent>` ring it replaced
-//! lives on here as the reference: whatever sequence of events is pushed,
-//! at whatever capacity, both retain the same events and count the same
+//! lives on here as the reference: whatever sequence of records is pushed,
+//! at whatever capacity, both retain the same records and count the same
 //! losses, and a trace holding either exports to the same bytes.
 
 mod common;
@@ -71,8 +71,10 @@ fn phase_name(rng: &mut Rng) -> String {
     }
 }
 
-/// Any event on any lane: all eight kinds, timestamps in no order.
-fn event(rng: &mut Rng) -> TraceEvent {
+/// Any record on any lane: every kind, a run with and without its claim,
+/// timestamps in no order. Record `n` of a sequence runs task `n`, if it
+/// is a run, so that no task runs twice.
+fn event(rng: &mut Rng, n: usize) -> TraceEvent {
     let ts = match rng.below(4) {
         0 => 0,
         1 => u64::MAX,
@@ -80,10 +82,14 @@ fn event(rng: &mut Rng) -> TraceEvent {
         _ => rng.next(),
     };
     let task = index(rng);
+    let run = |provenance| EventKind::TaskRun {
+        task: n as u32,
+        end: ts ^ task as u64,
+        provenance,
+    };
     let kind = match rng.below(8) {
-        0 => EventKind::TaskReady { task },
-        1 => EventKind::TaskStart { task },
-        2 => EventKind::TaskEnd { task },
+        0 | 1 => EventKind::TaskReady { task },
+        2 => run(None),
         3 => EventKind::Park,
         4 => EventKind::Unpark,
         5 => EventKind::PhaseStart {
@@ -103,7 +109,7 @@ fn event(rng: &mut Rng) -> TraceEvent {
                     cross_group,
                 },
             };
-            EventKind::TaskDequeued { task, provenance }
+            run(Some(provenance))
         }
     };
     TraceEvent { ts, kind }
@@ -114,8 +120,8 @@ fn event(rng: &mut Rng) -> TraceEvent {
 fn out_of_line(e: &TraceEvent) -> bool {
     match e.kind {
         EventKind::PhaseStart { .. } | EventKind::PhaseEnd { .. } => true,
-        EventKind::TaskDequeued {
-            provenance: Provenance::Steal { victim, .. },
+        EventKind::TaskRun {
+            provenance: Some(Provenance::Steal { victim, .. }),
             ..
         } => victim >= 1 << 24,
         _ => false,
@@ -148,8 +154,8 @@ proptest! {
         let rng = &mut Rng(seed);
         let mut reference = VecRing::new(capacity);
         let mut ring = RingBuffer::new(capacity);
-        for _ in 0..len {
-            let e = event(rng);
+        for n in 0..len {
+            let e = event(rng, n);
             reference.push(e.clone());
             ring.push(e);
             prop_assert_eq!(ring.len(), reference.buf.len());
@@ -167,24 +173,31 @@ proptest! {
         prop_assert_eq!(&log.iter().collect::<Vec<_>>(), &kept);
         prop_assert_eq!(format!("{log:?}"), format!("{kept:?}"));
 
-        // Equality is on the events, whatever history stored them, and the
-        // codec cannot tell the two apart.
+        // Equality is on the records, whatever history stored them, and
+        // the codec cannot tell the two apart. The prelude holds the
+        // records that are not runs, so that no task runs twice.
         let rebuilt = EventLog::from(kept.clone());
         prop_assert_eq!(&log, &rebuilt);
         prop_assert_eq!(&log, &kept.iter().cloned().collect::<EventLog>());
-        let from_ring = one_lane(log.clone(), log, overwritten);
-        let from_vec = one_lane(rebuilt.clone(), rebuilt, lost);
-        prop_assert_eq!(codec::export(&from_ring, &[]), codec::export(&from_vec, &[]));
+        let no_runs = |log: &EventLog| -> EventLog {
+            log.iter().filter(|e| !matches!(e.kind, EventKind::TaskRun { .. })).collect()
+        };
+        let from_ring = one_lane(no_runs(&log), log, overwritten);
+        let from_vec = one_lane(no_runs(&rebuilt), rebuilt, lost);
+        let text = codec::export(&from_ring, &[]);
+        prop_assert_eq!(&text, &codec::export(&from_vec, &[]));
+        // The trace counts its events as the codec writes them.
+        prop_assert_eq!(text.matches("\"ev\": ").count(), from_ring.total_events());
         let (parsed, _) = codec::parse(&codec::export(&from_ring, &[])).expect("parses");
         prop_assert_eq!(parsed, from_ring);
     }
 }
 
-/// Logs that differ in one event differ, in line or out of line.
+/// Logs that differ in one record differ, in line or out of line.
 #[test]
 fn unequal_sequences_are_unequal_logs() {
     let rng = &mut Rng(17);
-    let events: Vec<TraceEvent> = (0..64).map(|_| event(rng)).collect();
+    let events: Vec<TraceEvent> = (0..64).map(|n| event(rng, n)).collect();
     let log = EventLog::from(events.clone());
     for at in 0..events.len() {
         let mut other = events.clone();

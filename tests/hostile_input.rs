@@ -2,7 +2,8 @@
 //! (with the field it names, or the position it stopped at), never a panic.
 //!
 //! Trace codec rows: every truncation of a document, a task index past
-//! `u32`, and labels that need escaping.
+//! `u32`, labels that need escaping, and task events that do not pair into
+//! runs on a lane that lost no record.
 //!
 //! XML document rows: every truncation of Listing 1 and a stride of
 //! truncations of a shipped descriptor, and the two worst cases of the
@@ -94,17 +95,104 @@ fn trace_codec_refuses_every_truncation() {
 
 #[test]
 fn trace_codec_refuses_a_task_index_past_u32() {
-    let document = |task: u64, ev: &str| {
+    let document = |events: &[(&str, u64)]| {
+        let events: Vec<String> = (events.iter().enumerate())
+            .map(|(i, (ev, task))| format!(r#"{{"ts":{},"ev":"{ev}","task":{task}}}"#, 5 + i))
+            .collect();
         format!(
             r#"{{"kind":"hetero-trace-run","meta":{{"lanes":[],"tasks":[]}},"prelude":[],
-               "workers":[{{"worker":0,"events":[{{"ts":5,"ev":"{ev}","task":{task}}}]}}]}}"#
+               "workers":[{{"worker":0,"events":[{}]}}]}}"#,
+            events.join(",")
         )
     };
-    for ev in ["ready", "start", "end"] {
-        let err = codec::parse(&document(1 << 32, ev)).expect_err("2^32 is past u32");
+    // A run is its start and its end, so the index is probed on each of
+    // the two in turn.
+    let max = u64::from(u32::MAX);
+    for (ev, at) in [("ready", 0), ("start", 0), ("end", 1)] {
+        let events = |task: u64| {
+            let mut events = match ev {
+                "ready" => vec![("ready", max)],
+                _ => vec![("start", max), ("end", max)],
+            };
+            events[at].1 = task;
+            events
+        };
+        let err = codec::parse(&document(&events(1 << 32))).expect_err("2^32 is past u32");
         assert!(err.contains("\"task\""), "{ev}: {err}");
-        let (trace, _) = codec::parse(&document(u64::from(u32::MAX), ev)).expect("u32::MAX fits");
-        assert_eq!(trace.total_events(), 1);
+        let (trace, _) = codec::parse(&document(&events(max))).expect("u32::MAX fits");
+        assert_eq!(trace.total_events(), events(max).len());
+    }
+}
+
+/// On a lane that lost no record every task event pairs into a run: a
+/// start without its end, an end without its start, a task started twice
+/// and two task spans nested on one lane are refused by the reader, and
+/// `pdl check` reports each as `T001`. The same events on a lane that lost
+/// records read back as the runs that pair.
+#[test]
+fn trace_codec_refuses_task_events_that_do_not_pair() {
+    let document = |events: &[(u64, &str, u32)], overwritten: u64| {
+        let events: Vec<String> = (events.iter())
+            .map(|(ts, ev, task)| format!(r#"{{"ts":{ts},"ev":"{ev}","task":{task}}}"#))
+            .collect();
+        format!(
+            r#"{{"kind":"hetero-trace-run","meta":{{"lanes":[{{"name":"cpu0","group":"cpus"}}],
+               "tasks":[{{"label":"a"}},{{"label":"b"}}]}},"prelude":[],
+               "workers":[{{"worker":0,"overwritten":{overwritten},"events":[{}]}}]}}"#,
+            events.join(",")
+        )
+    };
+    // The row, its events, the error and the runs a lossy lane keeps.
+    type Row<'a> = (&'a str, &'a [(u64, &'a str, u32)], &'a str, usize);
+    let rows: [Row; 4] = [
+        (
+            "a start without an end",
+            &[(1, "start", 0)],
+            "task 0 started but never ended",
+            0,
+        ),
+        (
+            "an end without a start",
+            &[(1, "start", 0), (2, "end", 0), (3, "end", 1)],
+            "worker 0 event 2 ends a span that is not the innermost open one",
+            1,
+        ),
+        (
+            "a task started twice",
+            &[
+                (1, "start", 0),
+                (2, "end", 0),
+                (3, "start", 0),
+                (4, "end", 0),
+            ],
+            "task 0 started twice",
+            2,
+        ),
+        (
+            "two task spans nested on one lane",
+            &[
+                (1, "start", 0),
+                (2, "start", 1),
+                (3, "end", 1),
+                (4, "end", 0),
+            ],
+            "worker 0 event 1 falls inside the task span before it",
+            1,
+        ),
+    ];
+    for (row, events, error, runs) in rows {
+        let text = document(events, 0);
+        assert_eq!(codec::parse(&text).expect_err(row), error, "{row}");
+        let report = pdl_analyze::analyze_source_file("row.trace.json", &text, &[]).unwrap();
+        assert_eq!(report.codes(), ["T001"], "{row}: {}", report.render());
+        assert!(
+            report.render().contains(error),
+            "{row}: {}",
+            report.render()
+        );
+
+        let (lossy, _) = codec::parse(&document(events, 3)).expect("a lossy lane reads");
+        assert_eq!(lossy.task_spans().len(), runs, "{row}");
     }
 }
 

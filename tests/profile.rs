@@ -77,25 +77,39 @@ fn injected_trace() -> (RunTrace, Vec<(u32, u32)>) {
         workers: vec![
             lane(
                 0,
-                vec![
-                    ev(0, EventKind::TaskStart { task: 0 }),
-                    ev(100, EventKind::TaskEnd { task: 0 }),
-                ],
+                vec![ev(
+                    0,
+                    EventKind::TaskRun {
+                        task: 0,
+                        end: 100,
+                        provenance: None,
+                    },
+                )],
             ),
             lane(
                 1,
                 vec![
                     ev(170, EventKind::TaskReady { task: 2 }),
-                    ev(180, EventKind::TaskStart { task: 2 }),
-                    ev(400, EventKind::TaskEnd { task: 2 }),
+                    ev(
+                        180,
+                        EventKind::TaskRun {
+                            task: 2,
+                            end: 400,
+                            provenance: None,
+                        },
+                    ),
                 ],
             ),
             lane(
                 2,
-                vec![
-                    ev(100, EventKind::TaskStart { task: 1 }),
-                    ev(160, EventKind::TaskEnd { task: 1 }),
-                ],
+                vec![ev(
+                    100,
+                    EventKind::TaskRun {
+                        task: 1,
+                        end: 160,
+                        provenance: None,
+                    },
+                )],
             ),
         ],
     };

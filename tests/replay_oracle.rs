@@ -287,19 +287,15 @@ const NEVER_RUNS: u8 = 1;
 const AFTER_A_COPY: u8 = 2;
 const PINNED: u8 = 3;
 
-/// The start and end events of one span.
-fn span_events(task: usize, start: u64, end: u64) -> [TraceEvent; 2] {
+/// The run record of one span.
+fn span_events(task: usize, start: u64, end: u64) -> [TraceEvent; 1] {
     let task = task as u32;
-    [
-        TraceEvent {
-            ts: start,
-            kind: EventKind::TaskStart { task },
-        },
-        TraceEvent {
-            ts: end,
-            kind: EventKind::TaskEnd { task },
-        },
-    ]
+    let kind = EventKind::TaskRun {
+        task,
+        end,
+        provenance: None,
+    };
+    [TraceEvent { ts: start, kind }]
 }
 
 /// A trace of the given lanes' events; `labels` is its task table.

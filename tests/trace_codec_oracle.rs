@@ -188,7 +188,7 @@ proptest! {
 fn format_rules_hold_in_both_decoders() {
     let accepted = [
         // Members in any order, unknown ones ignored, defaults applied.
-        r#"{"workers":[{"events":[{"task":0,"ev":"start","ts":1,"x":[{}]}],"worker":2}],
+        r#"{"workers":[{"events":[{"task":0,"ev":"start","ts":1,"x":[{}]},{"ts":2,"task":0,"ev":"end"}],"worker":2}],
             "meta":{"tasks":[{"label":"t"}],"future":{"a":[1,2]}},"kind":"hetero-trace-run"}"#,
         // The first of a repeated key wins, whatever the later ones hold.
         r#"{"kind":"hetero-trace-run","kind":"other","meta":{"time_unit":"virtual-ns","time_unit":7},
@@ -197,7 +197,8 @@ fn format_rules_hold_in_both_decoders() {
         r#"{"kind":"hetero-trace-run","meta":7,"deps":{},"workers":null,"prelude":"none"}"#,
         r#"{"kind":"hetero-trace-run","meta":{"platform":3,"time_unit":null,"lanes":[{"name":"l","group":1}]},
             "workers":[{"worker":0,"overwritten":"many",
-                        "events":[{"ts":1,"ev":"dequeue","task":0,"prov":"inject","cross_group":"yes"}]}]}"#,
+                        "events":[{"ts":1,"ev":"dequeue","task":0,"prov":"inject","cross_group":"yes"},
+                                  {"ts":1,"ev":"start","task":0},{"ts":3,"ev":"end","task":0}]}]}"#,
         // Integers in any spelling; extra elements of an edge are ignored.
         r#"{"kind":"hetero-trace-run","meta":{},"deps":[[1e2, 3.0, "x"]],"prelude":[{"ts":007,"ev":"unpark"}]}"#,
     ];
@@ -281,6 +282,40 @@ fn committed_fixtures_decode_and_re_export_alike() {
                 reference::to_compact(&reference::chrome_to_json(&trace)),
                 "{path:?}"
             );
+            seen += 1;
+        }
+    }
+    assert!(seen >= 6, "only {seen} fixtures found");
+}
+
+/// Every committed trace reads back as itself: what the reader paired
+/// from the file is what it pairs from its own export, and `pdl check`
+/// (against a testbed with links) reports the same codes for both.
+#[test]
+fn committed_traces_re_parse_to_themselves_with_the_same_codes() {
+    let platform = pdl_discover::synthetic::xeon_2gpu_testbed();
+    let check = |text: &str| {
+        let platforms = std::slice::from_ref(&platform);
+        let report = pdl_analyze::analyze_source_file("t.trace.json", text, platforms).unwrap();
+        report
+            .codes()
+            .into_iter()
+            .map(str::to_string)
+            .collect::<Vec<_>>()
+    };
+    let mut seen = 0;
+    for dir in ["examples/traces", "examples/bad"] {
+        for entry in std::fs::read_dir(dir).unwrap() {
+            let path = entry.unwrap().path();
+            if !path.to_string_lossy().ends_with(".trace.json") {
+                continue;
+            }
+            let text = std::fs::read_to_string(&path).unwrap();
+            let (trace, deps) = codec::parse(&text).unwrap();
+            let exported = codec::export(&trace, &deps);
+            let (again, again_deps) = codec::parse(&exported).unwrap();
+            assert_eq!((&again, &again_deps), (&trace, &deps), "{path:?}");
+            assert_eq!(check(&exported), check(&text), "{path:?}");
             seen += 1;
         }
     }

@@ -24,6 +24,26 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
+/// Tasks the report's workers executed.
+fn executed(report: &ExecReport) -> usize {
+    report.worker_stats.iter().map(|w| w.executed).sum()
+}
+
+/// `(worker, label)` of every run in the report's trace.
+fn runs(report: &ExecReport) -> Vec<(usize, &str)> {
+    let trace = report.trace.as_ref().expect("a ring sink collects a trace");
+    let label = |task: u32| {
+        trace
+            .meta
+            .tasks
+            .get(task as usize)
+            .expect("in the table")
+            .label
+    };
+    let spans = trace.task_spans().into_iter();
+    spans.map(|span| (span.worker, label(span.task))).collect()
+}
+
 /// Runs `tasks_of(log)` and returns the observed execution order.
 fn record_order(
     workers: usize,
@@ -102,12 +122,18 @@ fn report_accounts_every_task_exactly_once() {
     let log = Arc::new(Mutex::new(Vec::new()));
     let tasks = fork_join_tasks(log, 16, 6);
     let n = tasks.len();
-    let report = ThreadedExecutor::new(4).run(tasks).unwrap();
-    assert_eq!(report.tasks.len(), n);
-    let executed: usize = report.worker_stats.iter().map(|w| w.executed).sum();
-    assert_eq!(executed, n, "per-worker executed counters must sum to n");
+    let report = ThreadedExecutor::new(4)
+        .with_trace(TraceSink::ring())
+        .run(tasks)
+        .unwrap();
+    assert_eq!(
+        executed(&report),
+        n,
+        "per-worker executed counters must sum to n"
+    );
     // Every label shows up exactly once.
-    let mut labels: Vec<&str> = report.tasks.iter().map(|t| report.label(t)).collect();
+    let mut labels: Vec<&str> = runs(&report).into_iter().map(|(_, label)| label).collect();
+    assert_eq!(labels.len(), n);
     labels.sort_unstable();
     labels.dedup();
     assert_eq!(labels.len(), n);
@@ -142,17 +168,17 @@ fn group_fan_out_forces_steals() {
         );
     }
     let report = ThreadedExecutor::with_placement(placement)
+        .with_trace(TraceSink::ring())
         .run(tasks)
         .unwrap();
     assert_eq!(*counter.lock().unwrap(), n_sinks);
-    assert_eq!(report.tasks.len(), n_sinks + 1);
+    assert_eq!(executed(&report), n_sinks + 1);
     assert!(report.total_steals() >= 1, "no task changed hands");
+    let runs = runs(&report);
     for w in &report.worker_stats {
-        let foreign = report
-            .tasks
-            .iter()
-            .filter(|t| t.worker == w.worker)
-            .filter(|t| (report.label(t) == "source") != (report.groups[w.group] == "src"))
+        let foreign = (runs.iter())
+            .filter(|(worker, _)| *worker == w.worker)
+            .filter(|(_, label)| (*label == "source") != (report.groups[w.group] == "src"))
             .count();
         assert_eq!(
             foreign, w.cross_group_steals,
@@ -270,7 +296,7 @@ fn panicking_task_cancels_the_run_instead_of_hanging_it() {
                             };
                             let ran: Vec<usize> =
                                 ran.iter().map(|r| r.load(Ordering::SeqCst)).collect();
-                            (result.map(|report| report.tasks.len()), ran)
+                            (result.map(|report| executed(&report)), ran)
                         };
                         let (first, ran_first) = go(Some(boom));
                         let (second, ran_second) = go(None);
@@ -360,7 +386,7 @@ fn single_queue_baseline_agrees() {
         .collect();
     let report = SingleQueueExecutor::new(3).run(tasks).unwrap();
     assert_eq!(counter.load(Ordering::Relaxed), 30);
-    assert_eq!(report.tasks.len(), 30);
+    assert_eq!(executed(&report), 30);
     assert_eq!(report.total_steals(), 0); // no steal concept
 }
 
@@ -436,8 +462,8 @@ proptest! {
         let ws = ThreadedExecutor::new(workers).run(make(ws_log.clone())).unwrap();
         let sq_log = Arc::new(Mutex::new(Vec::new()));
         let sq = SingleQueueExecutor::new(workers).run(make(sq_log.clone())).unwrap();
-        prop_assert_eq!(ws.tasks.len(), masks.len());
-        prop_assert_eq!(sq.tasks.len(), masks.len());
+        prop_assert_eq!(executed(&ws), masks.len());
+        prop_assert_eq!(executed(&sq), masks.len());
         prop_assert_eq!(ws_log.lock().unwrap().len(), sq_log.lock().unwrap().len());
         prop_assert_eq!(sq.total_steals(), 0); // the baseline has no steal concept
 
@@ -473,7 +499,7 @@ proptest! {
                 pool.run(from_graph(&graph, |t| body(t.id.0)))
             }
             .unwrap();
-            prop_assert_eq!(report.tasks.len(), masks.len());
+            prop_assert_eq!(executed(&report), masks.len());
             let order = log.lock().unwrap().clone();
             let mut position = vec![usize::MAX; masks.len()];
             for (pos, &task) in order.iter().enumerate() {
